@@ -52,7 +52,10 @@ pub fn predict(kernel: &Kernel, arch: &GpuArch, grid_points: usize) -> CResult<M
 /// Scoring hook for search loops ([`crate::search`], guided autotuning):
 /// just the predicted seconds, `None` when the model rejects the kernel
 /// (it never does for verified compiles). One compile + one call of this
-/// is a full model evaluation — microseconds, no interpretation.
+/// is a full model evaluation: a walk over the flattened streams plus
+/// the icache replay, with no lowering and no interpretation — a few
+/// milliseconds on the paper's kernels (the benchmark reports it as
+/// `singe.perfmodel.predict_ms` and, per search, `singe.search.model_ms`).
 pub fn predict_seconds(kernel: &Kernel, arch: &GpuArch, grid_points: usize) -> Option<f64> {
     predict(kernel, arch, grid_points).ok().map(|m| m.seconds())
 }

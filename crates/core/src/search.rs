@@ -5,7 +5,7 @@
 //! [`CompileOptions`] space — warps, `point_iters`, [`Placement`],
 //! `uniform_shared_reads`, `exp_const_from_registers`, the mapping
 //! weights on a coarse lattice, and the arch-clamped `pipeline_depth` —
-//! with the static performance model ([`crate::perfmodel`], microseconds
+//! with the static performance model ([`crate::perfmodel`], milliseconds
 //! per evaluation) as the cost function and the simulator as the final
 //! oracle, mirroring [`crate::autotune::autotune_guided`]'s contract:
 //!

@@ -50,7 +50,25 @@
 //! collapse to one-word broadcasts, dead micro-ops fall to backward
 //! liveness, and remaining immediate operands are rewritten to chunks of
 //! a shared read-only constant tail addressed past the architectural
-//! register file. Set `SINGE_ENGINE_STATS=1` for a post-optimization
+//! register file.
+//!
+//! Lowering is linear in the stream. Every pass is one walk over the
+//! warp's uops that asks its questions — who wrote this chunk last, is
+//! this copy still valid, is the chunk live, what constant does it hold —
+//! of one dense, generation-stamped `ChunkTable` indexed by register
+//! chunk: an array read per operand, an O(1) reset per pass, no hashing
+//! and no rescans. Three visitors (`for_each_read_chunk`,
+//! `for_each_write_chunk`, `for_each_src_mut`) are the only places that
+//! enumerate micro-op operands, so a pass states its transfer function
+//! once instead of re-matching the ISA. The body around the passes
+//! resolves addresses on the stack and deduplicates address/constant
+//! chunks through a word-at-a-time hash; tombstones compact in place. The
+//! one super-linear corner is deliberate: an `exp(a)*exp(b)` *structural*
+//! candidate (both operands last written by an `Exp` — found in O(1)) has
+//! its feasibility proven by scans from the earlier `Exp` to the operand
+//! registers' next use after the mul.
+//!
+//! Set `SINGE_ENGINE_STATS=1` for a post-optimization
 //! micro-op histogram on stderr, plus `SINGE_ENGINE_DUMP=<warp>` to dump
 //! that warp's segments and micro-ops.
 //!
@@ -225,8 +243,9 @@ pub(crate) struct EngineProgram {
 }
 
 /// What the lowering's transcendental passes found and did — the per-op
-/// mix `report engine-bench` and [`crate::model::OpMix`] surface, plus
-/// the applied/rejected ledger of the exp-chain rewriter.
+/// mix `report engine-bench` surfaces (through
+/// [`crate::flatcache::engine_stats`]), plus the applied/rejected ledger
+/// of the exp-chain rewriter.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Micro-ops surviving optimization and compaction.
@@ -261,6 +280,43 @@ impl EngineProgram {
     pub(crate) fn stats(&self) -> &EngineStats {
         &self.stats
     }
+
+    /// FNV-1a digest of everything lowering produced: segments (ranges,
+    /// bulk counts, terminators), micro-ops, traps and stats through their
+    /// `Debug` form — lossless, since `splat_immediates` leaves no `f64`
+    /// operand in a micro-op — and the arenas by bit pattern. Two
+    /// lowerings with equal digests replay identically, so pinned digests
+    /// (`tests/lowering_digest.rs`) prove an optimizer change needs no
+    /// [`LOWERING_VERSION`] bump.
+    pub(crate) fn digest(&self) -> u64 {
+        struct Fnv(u64);
+        impl Fnv {
+            fn bytes(&mut self, b: &[u8]) {
+                for &x in b {
+                    self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.bytes(s.as_bytes());
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        std::fmt::Write::write_fmt(
+            &mut h,
+            format_args!(
+                "{:?}{:?}{:?}{:?}{:?}{:?}",
+                self.warps, self.uops, self.traps, self.stats, self.exp_pairs, self.f64x.len()
+            ),
+        )
+        .expect("hashing never fails");
+        self.u32x.iter().for_each(|v| h.bytes(&v.to_le_bytes()));
+        self.f64x.iter().chain(&self.dreg_tail).for_each(|v| h.bytes(&v.to_bits().to_le_bytes()));
+        self.lines.iter().for_each(|v| h.bytes(&v.to_le_bytes()));
+        h.0
+    }
 }
 
 struct Lowerer<'k> {
@@ -274,11 +330,13 @@ struct Lowerer<'k> {
     /// lowered; drained into `lines` when the segment flushes.
     cur_lines: Vec<u64>,
     traps: Vec<SimError>,
-    u32_dedup: HashMap<[u32; WARP_SIZE], u32>,
-    f64_dedup: HashMap<[u64; WARP_SIZE], u32>,
+    u32_dedup: WordMap<[u32; WARP_SIZE], u32>,
+    f64_dedup: WordMap<[u64; WARP_SIZE], u32>,
     dreg_tail: Vec<f64>,
-    imm_dedup: HashMap<u64, u32>,
+    imm_dedup: WordMap<u64, u32>,
     exp_pairs: Vec<(u32, u32)>,
+    /// The optimizer's def/use table, shared by every pass of every warp.
+    chunks: ChunkTable,
     stats: EngineStats,
 }
 
@@ -302,11 +360,12 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         lines: Vec::new(),
         cur_lines: Vec::new(),
         traps: Vec::new(),
-        u32_dedup: HashMap::new(),
-        f64_dedup: HashMap::new(),
+        u32_dedup: WordMap::default(),
+        f64_dedup: WordMap::default(),
         dreg_tail: Vec::new(),
-        imm_dedup: HashMap::new(),
+        imm_dedup: WordMap::default(),
         exp_pairs: Vec::new(),
+        chunks: ChunkTable::new(),
         stats: EngineStats::default(),
     };
     let warps: Vec<Vec<Segment>> =
@@ -559,39 +618,39 @@ impl Lowerer<'_> {
     fn optimize_warp(&mut self, warp_start: usize, segs: &mut [Segment]) {
         let dreg_len = self.kernel.dregs_per_thread * WARP_SIZE;
         let uops = &mut self.uops[warp_start..];
-        fold_const_shuffles(uops, &self.f64x);
-        copy_propagate(uops);
+        let t = &mut self.chunks;
+        fold_const_shuffles(uops, &self.f64x, t);
+        copy_propagate(uops, t);
         // After copy propagation (so lowering-time-known exp operands
         // have been folded to immediates the rewrite gate can evaluate),
         // before fusion (so the product mul is still a plain `Bin`).
-        rewrite_exp_chains(uops, &mut self.stats);
+        rewrite_exp_chains(uops, &mut self.stats, t);
         fuse_mul_bin(uops, segs, warp_start as u32);
-        eliminate_dead_uops(uops, dreg_len, &self.u32x, segs, warp_start as u32);
+        eliminate_dead_uops(uops, dreg_len, &self.u32x, segs, warp_start as u32, t);
         // After liveness: the virtual bases it introduces sit past
         // `dreg_len` and must never reach the DCE's range checks.
         splat_immediates(uops, dreg_len, &mut self.dreg_tail, &mut self.imm_dedup);
         // Last before compaction: batches index the final operand form
         // (every source a register or constant-tail chunk), and the pass
         // steps over tombstones rather than remapping them.
-        batch_exps(uops, segs, warp_start as u32, &mut self.exp_pairs);
-        // Compact tombstones out and remap segment ranges.
-        let tail: Vec<UOp> = self.uops.drain(warp_start..).collect();
-        let mut new_index = vec![0u32; tail.len() + 1];
-        let mut kept = 0u32;
-        for (i, u) in tail.iter().enumerate() {
-            new_index[i] = kept;
-            if !matches!(u, UOp::Nop) {
-                kept += 1;
-            }
-        }
-        new_index[tail.len()] = kept;
+        batch_exps(uops, segs, warp_start as u32, &mut self.exp_pairs, t);
+        // Compact tombstones out in place, segment by segment (the
+        // segments tile the warp's uops in order, so each one's survivors
+        // slide down to where the previous one's ended).
+        let mut kept = warp_start;
         for seg in segs.iter_mut() {
-            let s = seg.uops.start as usize - warp_start;
-            let e = seg.uops.end as usize - warp_start;
-            seg.uops =
-                (warp_start as u32 + new_index[s])..(warp_start as u32 + new_index[e]);
+            let old = seg.uops.start as usize..seg.uops.end as usize;
+            debug_assert!(old.start >= kept, "segments are in stream order");
+            seg.uops.start = kept as u32;
+            for i in old {
+                if !matches!(self.uops[i], UOp::Nop) {
+                    self.uops[kept] = self.uops[i];
+                    kept += 1;
+                }
+            }
+            seg.uops.end = kept as u32;
         }
-        self.uops.extend(tail.into_iter().filter(|u| !matches!(u, UOp::Nop)));
+        self.uops.truncate(kept);
     }
 
     fn trap(&mut self, e: SimError) {
@@ -792,7 +851,8 @@ impl Lowerer<'_> {
                         limit: kernel.const_banks.len(),
                     })?;
                 let mut vals = [0f64; WARP_SIZE];
-                let mut lines: Vec<u64> = Vec::new();
+                let mut lines = [0u64; WARP_SIZE];
+                let mut n_lines = 0;
                 for l in 0..WARP_SIZE {
                     let i = ival(iregs, idx, l)? as usize;
                     vals[l] = *bankv.get(i).ok_or(SimError::OutOfBounds {
@@ -803,12 +863,13 @@ impl Lowerer<'_> {
                     // One cache access per distinct line, in first-touch
                     // order (lanes reading the same constant broadcast).
                     let line = (self.bank_base[*bank as usize] + (i * 8) as u64) / 64;
-                    if !lines.contains(&line) {
-                        lines.push(line);
+                    if !lines[..n_lines].contains(&line) {
+                        lines[n_lines] = line;
+                        n_lines += 1;
                     }
                 }
                 let vidx = self.push_f64x(vals);
-                self.cur_lines.extend_from_slice(&lines);
+                self.cur_lines.extend_from_slice(&lines[..n_lines]);
                 self.uops.push(UOp::ConstV { dst: base_d(*dst), vals: vidx });
             }
             Instr::Idx(ii) => match ii {
@@ -908,183 +969,130 @@ impl Lowerer<'_> {
     }
 }
 
-/// Forward copy propagation over one warp's uops: a `Mov dst, src`
-/// records that `dst` currently holds exactly `src`'s bits, and later
-/// full-chunk operand reads of `dst` are rewritten to read `src` (or the
-/// immediate) directly. Sound because register chunks are warp-private —
-/// a rewritten read observes bit-identical values, and any write to
-/// either side of a recorded copy invalidates it. Shfl's cross-chunk
-/// element read is never rewritten (it is not a full-chunk read), so it
-/// only participates as an invalidation barrier via its destination.
-/// Forward constant tracking over one warp's uops: a `ConstV` chunk holds
-/// a vector known at lowering time, so a `Shfl` that broadcasts one of
-/// its elements produces a compile-time constant — rewrite it as a `Mov`
-/// from an immediate. This is bit-identical by construction: the
-/// interpreter's shuffle reads exactly the value the `ConstV` wrote
-/// (registers are warp-private, and any intervening write to the chunk
-/// clears its entry). Copy propagation then folds the immediate into the
-/// consumers, and dead-code elimination removes the mov and — once every
-/// reader has folded — the staging `ConstV` itself. In the
-/// warp-specialized kernels this erases the entire shuffle-broadcast
-/// traffic for register-staged constants.
-fn fold_const_shuffles(uops: &mut [UOp], f64x: &[f64]) {
-    #[derive(Clone, Copy)]
-    enum Known {
-        /// Chunk mirrors `f64x[idx*32..][..32]`.
-        Table(u32),
-        /// Chunk is a splat of one value (a folded shuffle's output).
-        Splat(f64),
+/// Word-at-a-time multiplicative hasher (the Fx scheme) behind the
+/// lowering's value-keyed dedup maps: address and constant chunks, splatted
+/// immediates, `exp` of an immediate. Lowering produces these keys itself
+/// and hashes one per address vector, so SipHash's flood resistance bought
+/// nothing for the 16–32 rounds a 128- or 256-byte key cost.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl std::hash::Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        // The multiply leaves the entropy in the high bits; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
     }
-    let mut known: HashMap<usize, Known> = HashMap::new();
-    for uop in uops.iter_mut() {
-        match uop {
-            UOp::ConstV { dst, vals } => {
-                known.insert(*dst as usize, Known::Table(*vals));
-            }
-            UOp::Fast(DecodedInstr::Shfl { dst, src, lane }) => {
-                let elem = *src + *lane;
-                let chunk = elem / WARP_SIZE * WARP_SIZE;
-                let d = *dst;
-                match known.get(&chunk).copied() {
-                    Some(k) => {
-                        let v = match k {
-                            Known::Table(vi) => f64x[vi as usize * WARP_SIZE + (elem - chunk)],
-                            Known::Splat(v) => v,
-                        };
-                        *uop = UOp::Fast(DecodedInstr::Un {
-                            kind: UnKind::Mov,
-                            dst: d,
-                            a: Src::Imm(v),
-                        });
-                        known.insert(d, Known::Splat(v));
-                    }
-                    None => {
-                        known.remove(&d);
-                    }
-                }
-            }
-            UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a: Src::Imm(v) }) => {
-                known.insert(*dst, Known::Splat(*v));
-            }
-            UOp::Fast(dec) => match dec {
-                DecodedInstr::Bin { dst, .. }
-                | DecodedInstr::CmpOp { dst, .. }
-                | DecodedInstr::Un { dst, .. }
-                | DecodedInstr::Fma { dst, .. }
-                | DecodedInstr::Sel { dst, .. }
-                | DecodedInstr::LdLocal { dst, .. } => {
-                    known.remove(dst);
-                }
-                DecodedInstr::StLocal { .. } | DecodedInstr::Invalid { .. } => {}
-                DecodedInstr::Shfl { .. } => unreachable!("handled above"),
-                DecodedInstr::BarArrive { .. }
-                | DecodedInstr::BarSync { .. }
-                | DecodedInstr::BarArriveStage { .. }
-                | DecodedInstr::BarSyncStage { .. }
-                | DecodedInstr::Slow => unreachable!("never lowered into uops"),
-            },
-            UOp::FusedMulBin { t, d, .. } => {
-                known.remove(&(*t as usize));
-                known.remove(&(*d as usize));
-            }
-            UOp::LdShared { dst, .. }
-            | UOp::LdSharedBcast { dst, .. }
-            | UOp::LdGlobal { dst, .. } => {
-                known.remove(&(*dst as usize));
-            }
-            UOp::StShared { .. }
-            | UOp::StGlobal { .. }
-            | UOp::CpAsync { .. }
-            | UOp::Trap(_)
-            | UOp::Nop => {}
-            UOp::ExpBatch { .. } => unreachable!("batching runs after this pass"),
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
         }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-fn copy_propagate(uops: &mut [UOp]) {
-    let mut copies: HashMap<usize, Src> = HashMap::new();
-    fn resolve(copies: &HashMap<usize, Src>, s: Src) -> Src {
-        if let Src::Reg(b) = s {
-            if let Some(&r) = copies.get(&b) {
-                return r;
-            }
+type WordMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
+
+/// What an optimizer pass currently knows about a register chunk's value.
+#[derive(Debug, Clone, Copy, Default)]
+enum Fact {
+    #[default]
+    Unknown,
+    /// The chunk mirrors `f64x[idx*32..][..32]` (`fold_const_shuffles`).
+    Table(u32),
+    /// The chunk is a splat of one value (`fold_const_shuffles`).
+    Splat(f64),
+    /// The chunk holds exactly the operand's bits, for as long as a
+    /// register operand stays at the recorded version (`copy_propagate`).
+    CopyOf(Src, u32),
+    /// `exp` of this chunk sits in register chunk `holder`, for as long as
+    /// the holder stays at the recorded version (`cse_exps`).
+    ExpIn { holder: usize, version: u32 },
+}
+
+/// One register chunk's row of the [`ChunkTable`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkSlot {
+    /// Table generation this row belongs to; a row of an older generation
+    /// reads as `ChunkSlot::default()`.
+    gen: u32,
+    /// 1 + index of the uop that last wrote the chunk (0: not yet written).
+    def: u32,
+    /// Bumped by every write: a fact recorded *about another chunk* at
+    /// version `v` holds exactly while `version == v`.
+    version: u32,
+    /// Read later in the stream before being overwritten (backward
+    /// liveness), or read since the batch anchor (`batch_exps`).
+    live: bool,
+    /// Written since the batch anchor (`batch_exps`).
+    written: bool,
+    /// What is known of the chunk's current value; any write forgets it.
+    fact: Fact,
+}
+
+/// The one def/use table behind every optimizer pass: a dense array of
+/// [`ChunkSlot`] rows indexed by register chunk (`base / WARP_SIZE`;
+/// every register base in a uop is chunk-aligned, and an element index
+/// such as `Shfl`'s `src + lane` divides down to the chunk it lands in).
+/// "Who wrote this chunk last", "is this copy still valid", "is it live"
+/// are single array reads, and [`ChunkTable::reset`] empties the table in
+/// O(1) by moving to a new generation, so a pass — or every batch anchor
+/// inside one — starts clean without touching the rows. The array grows
+/// to the highest chunk *written to* (architectural registers plus the
+/// constant tail; `Reg` is a `u16`, so at most 65 536 + tail rows); chunks
+/// never touched read as the default row.
+#[derive(Debug)]
+struct ChunkTable {
+    gen: u32,
+    slots: Vec<ChunkSlot>,
+}
+
+impl ChunkTable {
+    fn new() -> ChunkTable {
+        ChunkTable { gen: 1, slots: Vec::new() }
+    }
+
+    fn reset(&mut self) {
+        self.gen += 1;
+    }
+
+    /// The row of the chunk containing element `base`, by value.
+    fn get(&self, base: usize) -> ChunkSlot {
+        match self.slots.get(base / WARP_SIZE) {
+            Some(s) if s.gen == self.gen => *s,
+            _ => ChunkSlot::default(),
+        }
+    }
+
+    /// The row of the chunk containing element `base`, for update.
+    fn at(&mut self, base: usize) -> &mut ChunkSlot {
+        let c = base / WARP_SIZE;
+        if c >= self.slots.len() {
+            self.slots.resize(c + 1, ChunkSlot::default());
+        }
+        let s = &mut self.slots[c];
+        if s.gen != self.gen {
+            *s = ChunkSlot { gen: self.gen, ..ChunkSlot::default() };
         }
         s
     }
-    fn invalidate(copies: &mut HashMap<usize, Src>, w: usize) {
-        copies.remove(&w);
-        copies.retain(|_, v| !matches!(v, Src::Reg(b) if *b == w));
-    }
-    for uop in uops.iter_mut() {
-        match uop {
-            UOp::Fast(dec) => match dec {
-                DecodedInstr::Un { kind: UnKind::Mov, dst, a } => {
-                    let src = resolve(&copies, *a);
-                    *a = src;
-                    invalidate(&mut copies, *dst);
-                    if !matches!(src, Src::Reg(b) if b == *dst) {
-                        copies.insert(*dst, src);
-                    }
-                }
-                DecodedInstr::Bin { a, b, dst, .. } | DecodedInstr::CmpOp { a, b, dst, .. } => {
-                    *a = resolve(&copies, *a);
-                    *b = resolve(&copies, *b);
-                    invalidate(&mut copies, *dst);
-                }
-                DecodedInstr::Un { a, dst, .. } => {
-                    *a = resolve(&copies, *a);
-                    invalidate(&mut copies, *dst);
-                }
-                DecodedInstr::Fma { a, b, c, dst } => {
-                    *a = resolve(&copies, *a);
-                    *b = resolve(&copies, *b);
-                    *c = resolve(&copies, *c);
-                    invalidate(&mut copies, *dst);
-                }
-                DecodedInstr::Sel { pred, a, b, dst } => {
-                    // The predicate is a raw register base; it can only be
-                    // redirected to another register, not an immediate.
-                    if let Some(&Src::Reg(p2)) = copies.get(pred) {
-                        *pred = p2;
-                    }
-                    *a = resolve(&copies, *a);
-                    *b = resolve(&copies, *b);
-                    invalidate(&mut copies, *dst);
-                }
-                DecodedInstr::Shfl { dst, .. } | DecodedInstr::LdLocal { dst, .. } => {
-                    let dst = *dst;
-                    invalidate(&mut copies, dst);
-                }
-                DecodedInstr::StLocal { src, .. } => *src = resolve(&copies, *src),
-                DecodedInstr::Invalid { .. } => {}
-                DecodedInstr::BarArrive { .. }
-                | DecodedInstr::BarSync { .. }
-                | DecodedInstr::BarArriveStage { .. }
-                | DecodedInstr::BarSyncStage { .. }
-                | DecodedInstr::Slow => unreachable!("never lowered into uops"),
-            },
-            UOp::FusedMulBin { a, b, c, t, d, .. } => {
-                *a = resolve(&copies, *a);
-                *b = resolve(&copies, *b);
-                *c = resolve(&copies, *c);
-                let (t, d) = (*t as usize, *d as usize);
-                invalidate(&mut copies, t);
-                invalidate(&mut copies, d);
-            }
-            UOp::ConstV { dst, .. }
-            | UOp::LdShared { dst, .. }
-            | UOp::LdSharedBcast { dst, .. }
-            | UOp::LdGlobal { dst, .. } => {
-                let dst = *dst as usize;
-                invalidate(&mut copies, dst);
-            }
-            UOp::StShared { src, .. } | UOp::StGlobal { src, .. } => {
-                *src = resolve(&copies, *src);
-            }
-            UOp::CpAsync { .. } | UOp::Trap(_) | UOp::Nop => {}
-            UOp::ExpBatch { .. } => unreachable!("batching runs after this pass"),
-        }
+
+    /// Uop `i` overwrites the chunk: it becomes the last writer, facts
+    /// recorded against the old version go stale, and whatever was known
+    /// of the old value is forgotten.
+    fn write(&mut self, base: usize, i: usize) {
+        let s = self.at(base);
+        s.def = i as u32 + 1;
+        s.version += 1;
+        s.fact = Fact::Unknown;
     }
 }
 
@@ -1093,51 +1101,45 @@ fn copy_propagate(uops: &mut [UOp]) {
 /// callers tracking writes may include them harmlessly). Element reads
 /// (`Shfl`) report the containing chunk; `Sel` predicates are raw chunk
 /// bases.
-fn for_each_read_chunk(u: &UOp, pairs: &[(u32, u32)], f: &mut dyn FnMut(usize)) {
-    fn s(f: &mut dyn FnMut(usize), src: Src) {
+fn for_each_read_chunk(u: &UOp, mut f: impl FnMut(usize)) {
+    let mut s = |src: Src| {
         if let Src::Reg(b) = src {
             f(b);
         }
-    }
+    };
     match *u {
         UOp::Fast(dec) => match dec {
             DecodedInstr::Bin { a, b, .. } | DecodedInstr::CmpOp { a, b, .. } => {
-                s(f, a);
-                s(f, b);
+                s(a);
+                s(b);
             }
-            DecodedInstr::Un { a, .. } => s(f, a),
+            DecodedInstr::Un { a, .. } | DecodedInstr::StLocal { src: a, .. } => s(a),
             DecodedInstr::Fma { a, b, c, .. } => {
-                s(f, a);
-                s(f, b);
-                s(f, c);
+                s(a);
+                s(b);
+                s(c);
             }
             DecodedInstr::Sel { pred, a, b, .. } => {
-                f(pred);
-                s(f, a);
-                s(f, b);
+                s(Src::Reg(pred));
+                s(a);
+                s(b);
             }
-            DecodedInstr::Shfl { src, lane, .. } => f((src + lane) / WARP_SIZE * WARP_SIZE),
-            DecodedInstr::StLocal { src, .. } => s(f, src),
+            DecodedInstr::Shfl { src, lane, .. } => {
+                s(Src::Reg((src + lane) / WARP_SIZE * WARP_SIZE));
+            }
             DecodedInstr::LdLocal { .. } | DecodedInstr::Invalid { .. } => {}
             DecodedInstr::BarArrive { .. }
             | DecodedInstr::BarSync { .. }
             | DecodedInstr::BarArriveStage { .. }
             | DecodedInstr::BarSyncStage { .. }
-            | DecodedInstr::Slow => {
-                unreachable!("never lowered into uops")
-            }
+            | DecodedInstr::Slow => unreachable!("never lowered into uops"),
         },
         UOp::FusedMulBin { a, b, c, .. } => {
-            s(f, a);
-            s(f, b);
-            s(f, c);
+            s(a);
+            s(b);
+            s(c);
         }
-        UOp::StShared { src, .. } | UOp::StGlobal { src, .. } => s(f, src),
-        UOp::ExpBatch { pairs: p, n } => {
-            for &(_, src) in &pairs[p as usize..(p + n) as usize] {
-                f(src as usize);
-            }
-        }
+        UOp::StShared { src, .. } | UOp::StGlobal { src, .. } => s(src),
         UOp::ConstV { .. }
         | UOp::LdShared { .. }
         | UOp::LdSharedBcast { .. }
@@ -1145,13 +1147,14 @@ fn for_each_read_chunk(u: &UOp, pairs: &[(u32, u32)], f: &mut dyn FnMut(usize)) 
         | UOp::CpAsync { .. }
         | UOp::Trap(_)
         | UOp::Nop => {}
+        UOp::ExpBatch { .. } => unreachable!("batching is the last pass"),
     }
 }
 
 /// Invoke `f` with the chunk base of every architectural register chunk
 /// this uop writes (every register write in this IR covers a full
 /// 32-lane chunk).
-fn for_each_write_chunk(u: &UOp, pairs: &[(u32, u32)], f: &mut dyn FnMut(usize)) {
+fn for_each_write_chunk(u: &UOp, mut f: impl FnMut(usize)) {
     match *u {
         UOp::Fast(dec) => match dec {
             DecodedInstr::Bin { dst, .. }
@@ -1166,9 +1169,7 @@ fn for_each_write_chunk(u: &UOp, pairs: &[(u32, u32)], f: &mut dyn FnMut(usize))
             | DecodedInstr::BarSync { .. }
             | DecodedInstr::BarArriveStage { .. }
             | DecodedInstr::BarSyncStage { .. }
-            | DecodedInstr::Slow => {
-                unreachable!("never lowered into uops")
-            }
+            | DecodedInstr::Slow => unreachable!("never lowered into uops"),
         },
         UOp::FusedMulBin { t, d, .. } => {
             f(t as usize);
@@ -1178,12 +1179,129 @@ fn for_each_write_chunk(u: &UOp, pairs: &[(u32, u32)], f: &mut dyn FnMut(usize))
         | UOp::LdShared { dst, .. }
         | UOp::LdSharedBcast { dst, .. }
         | UOp::LdGlobal { dst, .. } => f(dst as usize),
-        UOp::ExpBatch { pairs: p, n } => {
-            for &(dst, _) in &pairs[p as usize..(p + n) as usize] {
-                f(dst as usize);
+        UOp::StShared { .. } | UOp::StGlobal { .. } | UOp::CpAsync { .. } | UOp::Trap(_) | UOp::Nop => {}
+        UOp::ExpBatch { .. } => unreachable!("batching is the last pass"),
+    }
+}
+
+/// Invoke `f` on every double-precision operand of this uop, register or
+/// immediate, for rewriting in place. `Sel` predicates and `Shfl` sources
+/// are raw register bases, not operands: they cannot hold an immediate.
+fn for_each_src_mut(u: &mut UOp, mut f: impl FnMut(&mut Src)) {
+    match u {
+        UOp::Fast(dec) => match dec {
+            DecodedInstr::Bin { a, b, .. }
+            | DecodedInstr::CmpOp { a, b, .. }
+            | DecodedInstr::Sel { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            DecodedInstr::Un { a, .. } | DecodedInstr::StLocal { src: a, .. } => f(a),
+            DecodedInstr::Fma { a, b, c, .. } => {
+                f(a);
+                f(b);
+                f(c);
+            }
+            DecodedInstr::Shfl { .. }
+            | DecodedInstr::LdLocal { .. }
+            | DecodedInstr::Invalid { .. } => {}
+            DecodedInstr::BarArrive { .. }
+            | DecodedInstr::BarSync { .. }
+            | DecodedInstr::BarArriveStage { .. }
+            | DecodedInstr::BarSyncStage { .. }
+            | DecodedInstr::Slow => unreachable!("never lowered into uops"),
+        },
+        UOp::FusedMulBin { a, b, c, .. } => {
+            f(a);
+            f(b);
+            f(c);
+        }
+        UOp::StShared { src, .. } | UOp::StGlobal { src, .. } => f(src),
+        UOp::ConstV { .. }
+        | UOp::LdShared { .. }
+        | UOp::LdSharedBcast { .. }
+        | UOp::LdGlobal { .. }
+        | UOp::CpAsync { .. }
+        | UOp::ExpBatch { .. }
+        | UOp::Trap(_)
+        | UOp::Nop => {}
+    }
+}
+
+/// Forward constant tracking over one warp's uops: a `ConstV` chunk holds
+/// a vector known at lowering time, so a `Shfl` that broadcasts one of
+/// its elements produces a compile-time constant — rewrite it as a `Mov`
+/// from an immediate. This is bit-identical by construction: the
+/// interpreter's shuffle reads exactly the value the `ConstV` wrote
+/// (registers are warp-private, and any intervening write to the chunk
+/// forgets its fact). Copy propagation then folds the immediate into the
+/// consumers, and dead-code elimination removes the mov and — once every
+/// reader has folded — the staging `ConstV` itself. In the
+/// warp-specialized kernels this erases the entire shuffle-broadcast
+/// traffic for register-staged constants.
+fn fold_const_shuffles(uops: &mut [UOp], f64x: &[f64], t: &mut ChunkTable) {
+    t.reset();
+    for (i, uop) in uops.iter_mut().enumerate() {
+        if let UOp::Fast(DecodedInstr::Shfl { dst, src, lane }) = *uop {
+            let elem = src + lane;
+            let v = match t.get(elem).fact {
+                Fact::Table(vi) => Some(f64x[vi as usize * WARP_SIZE + elem % WARP_SIZE]),
+                Fact::Splat(v) => Some(v),
+                _ => None,
+            };
+            if let Some(v) = v {
+                *uop = UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a: Src::Imm(v) });
             }
         }
-        UOp::StShared { .. } | UOp::StGlobal { .. } | UOp::CpAsync { .. } | UOp::Trap(_) | UOp::Nop => {}
+        for_each_write_chunk(uop, |w| t.write(w, i));
+        match *uop {
+            UOp::ConstV { dst, vals } => t.at(dst as usize).fact = Fact::Table(vals),
+            UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a: Src::Imm(v) }) => {
+                t.at(dst).fact = Fact::Splat(v);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Forward copy propagation over one warp's uops: a `Mov dst, src`
+/// records that `dst` currently holds exactly `src`'s bits, and later
+/// full-chunk operand reads of `dst` are rewritten to read `src` (or the
+/// immediate) directly. Sound because register chunks are warp-private —
+/// a rewritten read observes bit-identical values, and any write to
+/// either side of a recorded copy invalidates it: a write to `dst`
+/// forgets the fact, a write to `src` moves `src` past the version the
+/// fact was recorded at. Shfl's cross-chunk element read is never
+/// rewritten (it is not a full-chunk read), so it only participates as an
+/// invalidation barrier via its destination.
+fn copy_propagate(uops: &mut [UOp], t: &mut ChunkTable) {
+    fn resolve(t: &ChunkTable, s: Src) -> Src {
+        if let Src::Reg(b) = s {
+            if let Fact::CopyOf(of, version) = t.get(b).fact {
+                if !matches!(of, Src::Reg(o) if t.get(o).version != version) {
+                    return of;
+                }
+            }
+        }
+        s
+    }
+    t.reset();
+    for (i, uop) in uops.iter_mut().enumerate() {
+        // The predicate is a raw register base; it can only be redirected
+        // to another register, not an immediate.
+        if let UOp::Fast(DecodedInstr::Sel { pred, .. }) = uop {
+            if let Src::Reg(p) = resolve(t, Src::Reg(*pred)) {
+                *pred = p;
+            }
+        }
+        for_each_src_mut(uop, |s| *s = resolve(t, *s));
+        for_each_write_chunk(uop, |w| t.write(w, i));
+        if let UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a }) = *uop {
+            if !matches!(a, Src::Reg(b) if b == dst) {
+                let version = if let Src::Reg(b) = a { t.get(b).version } else { 0 };
+                t.at(dst).fact = Fact::CopyOf(a, version);
+            }
+        }
     }
 }
 
@@ -1268,15 +1386,15 @@ fn exp_mul_rewrite_ok(a: Option<f64>, b: Option<f64>) -> bool {
 /// warp's uop stream is the register's entire lifetime (registers are
 /// warp-private and discarded at CTA end), so "overwritten before read,
 /// or never touched again" is an exact answer, not an approximation.
-fn reg_dead_after(uops: &[UOp], pairs: &[(u32, u32)], from: usize, reg: usize) -> bool {
+fn reg_dead_after(uops: &[UOp], from: usize, reg: usize) -> bool {
     for u in &uops[from..] {
         let mut read = false;
-        for_each_read_chunk(u, pairs, &mut |r| read |= r == reg);
+        for_each_read_chunk(u, |r| read |= r == reg);
         if read {
             return false;
         }
         let mut written = false;
-        for_each_write_chunk(u, pairs, &mut |w| written |= w == reg);
+        for_each_write_chunk(u, |w| written |= w == reg);
         if written {
             return true;
         }
@@ -1291,18 +1409,29 @@ fn reg_dead_after(uops: &[UOp], pairs: &[(u32, u32)], from: usize, reg: usize) -
 /// [`EngineStats::exp_mul_infeasible`]; `SINGE_ENGINE_STATS=1` prints
 /// the ledger). Runs over the whole warp stream — barriers order shared
 /// memory, not the warp-private registers these rewrites touch.
-fn rewrite_exp_chains(uops: &mut [UOp], stats: &mut EngineStats) {
+fn rewrite_exp_chains(uops: &mut [UOp], stats: &mut EngineStats, t: &mut ChunkTable) {
     // CSE first: a repeated-operand pair like `exp(a) * exp(a)` becomes a
     // copy, rather than reaching the mul rewriter as an unknown×unknown
     // pair it would (correctly, but noisily) reject.
-    cse_exps(uops, stats);
-    rewrite_exp_mul(uops, stats);
+    cse_exps(uops, stats, t);
+    // The mul rewriter asks one question of every reg×reg `Mul` — "is each
+    // operand's last writer an `Exp`?" — and the table's last-writer
+    // column answers it in O(1), however far back the writer is (the
+    // start of the stream, for the register-resident constants the
+    // warp-specialized kernels multiply by). A rewrite changes what its
+    // three slots read, never what they write, so the column stays exact.
+    t.reset();
+    for k in 0..uops.len() {
+        rewrite_exp_mul(uops, k, stats, t);
+        for_each_write_chunk(&uops[k], |w| t.write(w, k));
+    }
 }
 
-/// `exp(a) * exp(b) → exp(a + b)`, gated by [`exp_mul_rewrite_ok`]. The
-/// structural pattern is `Exp r1, A; …; Exp r2, B; …; Mul d, p, q` with
-/// `{p, q} = {r1, r2}` (each exp the last write of its register before
-/// the mul). The rewrite reuses the three slots:
+/// `exp(a) * exp(b) → exp(a + b)` at `uops[k]`, gated by
+/// [`exp_mul_rewrite_ok`]. The structural pattern is `Exp r1, A; …;
+/// Exp r2, B; …; Mul d, p, q` with `{p, q} = {r1, r2}` (each exp the last
+/// write of its register before the mul, per `t`). The rewrite reuses the
+/// three slots:
 ///
 /// ```text
 /// earlier def slot:  Add r1, A, B     (operand order = mul order)
@@ -1310,120 +1439,97 @@ fn rewrite_exp_chains(uops: &mut [UOp], stats: &mut EngineStats) {
 /// mul slot:          Mov d,  r2
 /// ```
 ///
-/// Scheduling feasibility (checked before the numeric gate): `A`/`B`
-/// unchanged between the slot where they were read and where they are
-/// read now; `r1`/`r2` read by nothing but this pattern until dead; the
-/// whole lifetime check is exact because a warp's stream is the
-/// register's lifetime.
-fn rewrite_exp_mul(uops: &mut [UOp], stats: &mut EngineStats) {
-    let no_pairs: &[(u32, u32)] = &[];
-    for k in 0..uops.len() {
-        let UOp::Fast(DecodedInstr::Bin {
-            kind: BinKind::Mul,
-            dst: d,
-            a: Src::Reg(p),
-            b: Src::Reg(q),
-        }) = uops[k]
-        else {
-            continue;
-        };
-        if p == q {
-            continue; // exp(a)^2: CSE territory, and the gate would reject it.
-        }
-        // Last write of `reg` before `k`, if it is an Exp into `reg`.
-        let find_exp_def = |reg: usize| -> Option<(usize, Src)> {
-            for i in (0..k).rev() {
-                let mut writes = false;
-                for_each_write_chunk(&uops[i], no_pairs, &mut |w| writes |= w == reg);
-                if writes {
-                    if let UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a }) = uops[i] {
-                        if dst == reg {
-                            return Some((i, a));
-                        }
-                    }
-                    return None;
-                }
-            }
-            None
-        };
-        let (Some((def_p, arg_p)), Some((def_q, arg_q))) = (find_exp_def(p), find_exp_def(q))
-        else {
-            continue; // not the structural pattern — nothing to log.
-        };
-        if def_p == def_q {
-            continue;
-        }
-        let (i1, i2) = (def_p.min(def_q), def_p.max(def_q));
-        let (r1, r2) = if def_p < def_q { (p, q) } else { (q, p) };
-
-        // -- scheduling feasibility --------------------------------------
-        let mut feasible = true;
-        // The operand whose exp sat at i2 is now read at i1: its chunk
-        // must be unchanged in (i1, i2). (The i1 operand keeps its read
-        // position.)
-        let moved_arg = if def_p == i2 { arg_p } else { arg_q };
-        // A dependent chain — the later exp consuming one of the pattern's
-        // own destinations, e.g. `r1 = exp(A); r2 = exp(r1); d = r1 * r2`
-        // — is not the two-independent-exp shape: the moved read would
-        // observe i1's new Add result instead of the exp it replaced, and
-        // exempting i2 from the read scan below is only sound when i2's
-        // read is not of p/q. Reject before either scan.
-        if matches!(moved_arg, Src::Reg(b) if b == p || b == q) {
-            stats.exp_mul_infeasible += 1;
-            continue;
-        }
-        if let Src::Reg(mb) = moved_arg {
-            for u in &uops[i1 + 1..i2] {
-                for_each_write_chunk(u, no_pairs, &mut |w| feasible &= w != mb);
-            }
-        }
-        // r1 and r2 may be read only by this pattern's own ops between
-        // their defs and the mul… (skipping i2 is sound: its only read is
-        // `moved_arg`, which the dependent-chain guard proved is not p/q)
-        for (i, u) in uops.iter().enumerate().take(k).skip(i1 + 1) {
-            if i == i2 {
-                continue;
-            }
-            for_each_read_chunk(u, no_pairs, &mut |r| feasible &= r != p && r != q);
-        }
-        // …and must be dead after it (their architectural values change
-        // under the rewrite). A register that *is* the mul destination
-        // holds the identical product either way.
-        feasible = feasible
-            && (p == d || reg_dead_after(uops, no_pairs, k + 1, p))
-            && (q == d || reg_dead_after(uops, no_pairs, k + 1, q));
-        if !feasible {
-            stats.exp_mul_infeasible += 1;
-            continue;
-        }
-
-        // -- numeric gate ------------------------------------------------
-        let known = |s: Src| match s {
-            Src::Imm(v) => Some(v),
-            Src::Reg(_) => None,
-        };
-        if !exp_mul_rewrite_ok(known(arg_p), known(arg_q)) {
-            stats.exp_mul_rejected += 1;
-            continue;
-        }
-
-        // -- apply -------------------------------------------------------
-        // Add operand order mirrors the mul's (p's argument first): the
-        // gate evaluated exactly this expression tree.
-        uops[i1] = UOp::Fast(DecodedInstr::Bin {
-            kind: BinKind::Add,
-            dst: r1,
-            a: arg_p,
-            b: arg_q,
-        });
-        uops[i2] = UOp::Fast(DecodedInstr::Un {
-            kind: UnKind::Exp,
-            dst: r2,
-            a: Src::Reg(r1),
-        });
-        uops[k] = UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst: d, a: Src::Reg(r2) });
-        stats.exp_mul_applied += 1;
+/// Scheduling feasibility (checked before the numeric gate, and only for
+/// the rare mul that matches the structure; its scans run from the
+/// earlier exp to `p`/`q`'s next use after the mul): `A`/`B` unchanged
+/// between the slot where they were read and where they are read now;
+/// `r1`/`r2` read by nothing but this pattern until dead; the whole
+/// lifetime check is exact because a warp's stream is the register's
+/// lifetime.
+fn rewrite_exp_mul(uops: &mut [UOp], k: usize, stats: &mut EngineStats, t: &ChunkTable) {
+    let UOp::Fast(DecodedInstr::Bin {
+        kind: BinKind::Mul,
+        dst: d,
+        a: Src::Reg(p),
+        b: Src::Reg(q),
+    }) = uops[k]
+    else {
+        return;
+    };
+    if p == q {
+        return; // exp(a)^2: CSE territory, and the gate would reject it.
     }
+    // Last write of `reg` before `k`, if it is an Exp into `reg`.
+    let find_exp_def = |reg: usize| -> Option<(usize, Src)> {
+        let i = t.get(reg).def.checked_sub(1)? as usize;
+        match uops[i] {
+            UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a }) if dst == reg => Some((i, a)),
+            _ => None,
+        }
+    };
+    let (Some((def_p, arg_p)), Some((def_q, arg_q))) = (find_exp_def(p), find_exp_def(q)) else {
+        return; // not the structural pattern — nothing to log.
+    };
+    let (i1, i2) = (def_p.min(def_q), def_p.max(def_q));
+    let (r1, r2) = if def_p < def_q { (p, q) } else { (q, p) };
+
+    // -- scheduling feasibility --------------------------------------
+    let mut feasible = true;
+    // The operand whose exp sat at i2 is now read at i1: its chunk
+    // must be unchanged in (i1, i2). (The i1 operand keeps its read
+    // position.)
+    let moved_arg = if def_p == i2 { arg_p } else { arg_q };
+    // A dependent chain — the later exp consuming one of the pattern's
+    // own destinations, e.g. `r1 = exp(A); r2 = exp(r1); d = r1 * r2`
+    // — is not the two-independent-exp shape: the moved read would
+    // observe i1's new Add result instead of the exp it replaced, and
+    // exempting i2 from the read scan below is only sound when i2's
+    // read is not of p/q. Reject before either scan.
+    if matches!(moved_arg, Src::Reg(b) if b == p || b == q) {
+        stats.exp_mul_infeasible += 1;
+        return;
+    }
+    if let Src::Reg(mb) = moved_arg {
+        for u in &uops[i1 + 1..i2] {
+            for_each_write_chunk(u, |w| feasible &= w != mb);
+        }
+    }
+    // r1 and r2 may be read only by this pattern's own ops between
+    // their defs and the mul… (skipping i2 is sound: its only read is
+    // `moved_arg`, which the dependent-chain guard proved is not p/q)
+    for (i, u) in uops.iter().enumerate().take(k).skip(i1 + 1) {
+        if i != i2 {
+            for_each_read_chunk(u, |r| feasible &= r != p && r != q);
+        }
+    }
+    // …and must be dead after it (their architectural values change
+    // under the rewrite). A register that *is* the mul destination
+    // holds the identical product either way.
+    feasible = feasible
+        && (p == d || reg_dead_after(uops, k + 1, p))
+        && (q == d || reg_dead_after(uops, k + 1, q));
+    if !feasible {
+        stats.exp_mul_infeasible += 1;
+        return;
+    }
+
+    // -- numeric gate ------------------------------------------------
+    let known = |s: Src| match s {
+        Src::Imm(v) => Some(v),
+        Src::Reg(_) => None,
+    };
+    if !exp_mul_rewrite_ok(known(arg_p), known(arg_q)) {
+        stats.exp_mul_rejected += 1;
+        return;
+    }
+
+    // -- apply -------------------------------------------------------
+    // Add operand order mirrors the mul's (p's argument first): the
+    // gate evaluated exactly this expression tree.
+    uops[i1] = UOp::Fast(DecodedInstr::Bin { kind: BinKind::Add, dst: r1, a: arg_p, b: arg_q });
+    uops[i2] = UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst: r2, a: Src::Reg(r1) });
+    uops[k] = UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst: d, a: Src::Reg(r2) });
+    stats.exp_mul_applied += 1;
 }
 
 /// Repeated-operand exp CSE: a second `Exp dst2, a` whose operand chunk
@@ -1431,28 +1537,28 @@ fn rewrite_exp_mul(uops: &mut [UOp], stats: &mut EngineStats) {
 /// unchanged) becomes `Mov dst2, dst1`. Unconditionally bit-identical —
 /// `exp` is a pure function, so the register already holds exactly the
 /// bits the recomputation would produce; the trivial corpus check
-/// (`exp(x) == exp(x)`) is an identity, so no gate is consulted.
-fn cse_exps(uops: &mut [UOp], stats: &mut EngineStats) {
-    // Operand identity → register currently holding exp(operand).
-    #[derive(PartialEq, Eq, Hash, Clone, Copy)]
-    enum Key {
-        Reg(usize),
-        Imm(u64),
-    }
-    let key = |s: Src| match s {
-        Src::Reg(b) => Key::Reg(b),
-        Src::Imm(v) => Key::Imm(v.to_bits()),
-    };
-    let no_pairs: &[(u32, u32)] = &[];
-    let mut memo: HashMap<Key, usize> = HashMap::new();
+/// (`exp(x) == exp(x)`) is an identity, so no gate is consulted. The
+/// memo "operand → register holding its exp" is the operand chunk's
+/// [`Fact::ExpIn`] (a write to the operand forgets it, a write to the
+/// holder outdates its version); immediates, which have no chunk, are
+/// memoized by value bits.
+fn cse_exps(uops: &mut [UOp], stats: &mut EngineStats, t: &mut ChunkTable) {
+    t.reset();
+    let mut of_imm: WordMap<u64, (usize, u32)> = WordMap::default();
     for i in 0..uops.len() {
-        let hit = match uops[i] {
-            UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a }) => {
-                memo.get(&key(a)).map(|&prev| (dst, a, prev))
-            }
-            _ => None,
+        let UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a }) = uops[i] else {
+            for_each_write_chunk(&uops[i], |w| t.write(w, i));
+            continue;
         };
-        if let Some((dst, a, prev)) = hit {
+        let memo = match a {
+            Src::Reg(b) => match t.get(b).fact {
+                Fact::ExpIn { holder, version } => Some((holder, version)),
+                _ => None,
+            },
+            Src::Imm(v) => of_imm.get(&v.to_bits()).copied(),
+        };
+        let valid = memo.filter(|&(holder, version)| t.get(holder).version == version);
+        if let Some((prev, _)) = valid {
             uops[i] = if prev == dst {
                 // The register already holds this exact value.
                 UOp::Nop
@@ -1460,23 +1566,16 @@ fn cse_exps(uops: &mut [UOp], stats: &mut EngineStats) {
                 UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a: Src::Reg(prev) })
             };
             stats.exp_cse += 1;
-            // The op (now a copy) still "defines" exp(a) in dst.
-            memo.retain(|k, v| *v != dst && !matches!(k, Key::Reg(b) if *b == dst));
-            if key(a) != Key::Reg(dst) {
-                memo.insert(key(a), dst);
-            }
-            continue;
         }
-        // Writes invalidate memo entries whose operand or result chunk
-        // they touch; a fresh Exp then records its own result.
-        let mut wrote: Vec<usize> = Vec::new();
-        for_each_write_chunk(&uops[i], no_pairs, &mut |w| wrote.push(w));
-        for w in wrote {
-            memo.retain(|k, v| *v != w && !matches!(k, Key::Reg(b) if *b == w));
-        }
-        if let UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a }) = uops[i] {
-            if key(a) != Key::Reg(dst) {
-                memo.insert(key(a), dst);
+        // Computed or copied, `dst` is now the register holding exp(a) —
+        // unless the op overwrote its own operand.
+        t.write(dst, i);
+        let version = t.get(dst).version;
+        match a {
+            Src::Reg(b) if b == dst => {}
+            Src::Reg(b) => t.at(b).fact = Fact::ExpIn { holder: dst, version },
+            Src::Imm(v) => {
+                of_imm.insert(v.to_bits(), (dst, version));
             }
         }
     }
@@ -1490,65 +1589,60 @@ fn cse_exps(uops: &mut [UOp], stats: &mut EngineStats) {
 /// the intervening ops: `j`'s source chunk is unwritten (same gathered
 /// bits), `j`'s destination chunk is unread (nothing observes the early
 /// write) and unwritten (nothing is lost to the early write) — tracked
-/// with read/written chunk sets reset at each batch anchor. Members are
-/// mutually independent by the same sets (a member's source and
-/// destination join them), so gather-then-scatter preserves op-at-a-time
-/// semantics. Intervening ops are never reordered among themselves;
-/// runs of one stay scalar `Exp` uops.
+/// with the table's read (`live`) and `written` marks, reset at each
+/// batch anchor. Members are mutually independent by the same marks (a
+/// member's source and destination join them), so gather-then-scatter
+/// preserves op-at-a-time semantics. Intervening ops are never reordered
+/// among themselves; runs of one stay scalar `Exp` uops.
 ///
 /// Predication: `Exp` is warp-wide in this IR — the only lane-predicated
 /// micro-op is the `StShared` single-lane form, which is never batched —
 /// so a batch evaluates exactly the architectural lanes each original
 /// op would have, and no predicated-off lane is ever evaluated or
 /// stored.
-fn batch_exps(uops: &mut [UOp], segs: &[Segment], warp_start: u32, pairs: &mut Vec<(u32, u32)>) {
-    use std::collections::HashSet;
-    let no_pairs: &[(u32, u32)] = &[];
+fn batch_exps(
+    uops: &mut [UOp],
+    segs: &[Segment],
+    warp_start: u32,
+    pairs: &mut Vec<(u32, u32)>,
+    t: &mut ChunkTable,
+) {
+    // (uop index, dst, src) of the current batch's members.
+    let mut batch: Vec<(usize, u32, u32)> = Vec::new();
+    let flush = |batch: &mut Vec<(usize, u32, u32)>, uops: &mut [UOp], pairs: &mut Vec<(u32, u32)>| {
+        if batch.len() >= 2 {
+            let start = pairs.len() as u32;
+            pairs.extend(batch.iter().map(|&(_, d, sr)| (d, sr)));
+            uops[batch[0].0] = UOp::ExpBatch { pairs: start, n: batch.len() as u32 };
+            for &(idx, _, _) in &batch[1..] {
+                uops[idx] = UOp::Nop;
+            }
+        }
+        batch.clear();
+    };
     for seg in segs {
         let s = (seg.uops.start - warp_start) as usize;
         let e = (seg.uops.end - warp_start) as usize;
-        let mut read: HashSet<usize> = HashSet::new();
-        let mut written: HashSet<usize> = HashSet::new();
-        // (uop index, dst, src) of the current batch's members.
-        let mut batch: Vec<(usize, u32, u32)> = Vec::new();
-        let flush = |batch: &mut Vec<(usize, u32, u32)>, uops: &mut [UOp], pairs: &mut Vec<(u32, u32)>| {
-            if batch.len() >= 2 {
-                let start = pairs.len() as u32;
-                pairs.extend(batch.iter().map(|&(_, d, sr)| (d, sr)));
-                uops[batch[0].0] = UOp::ExpBatch { pairs: start, n: batch.len() as u32 };
-                for &(idx, _, _) in &batch[1..] {
-                    uops[idx] = UOp::Nop;
-                }
-            }
-            batch.clear();
-        };
         for i in s..e {
             match uops[i] {
                 UOp::Nop => {}
                 UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a: Src::Reg(src) }) => {
                     let joins = batch.is_empty()
-                        || (!written.contains(&src)
-                            && !read.contains(&dst)
-                            && !written.contains(&dst));
+                        || (!t.get(src).written && !t.get(dst).live && !t.get(dst).written);
                     if !joins {
                         flush(&mut batch, uops, pairs);
                     }
                     if batch.is_empty() {
-                        read.clear();
-                        written.clear();
+                        t.reset();
                     }
                     batch.push((i, dst as u32, src as u32));
-                    read.insert(src);
-                    written.insert(dst);
+                    t.at(src).live = true;
+                    t.at(dst).written = true;
                 }
                 ref u => {
                     if !batch.is_empty() {
-                        for_each_read_chunk(u, no_pairs, &mut |r| {
-                            read.insert(r);
-                        });
-                        for_each_write_chunk(u, no_pairs, &mut |w| {
-                            written.insert(w);
-                        });
+                        for_each_read_chunk(u, |r| t.at(r).live = true);
+                        for_each_write_chunk(u, |w| t.at(w).written = true);
                     }
                 }
             }
@@ -1646,28 +1740,25 @@ fn eliminate_dead_uops(
     u32x: &[u32],
     segs: &[Segment],
     warp_start: u32,
+    t: &mut ChunkTable,
 ) {
-    use std::collections::HashSet;
     // Uop indices (warp-relative) that begin a segment: a fusion pair may
     // not straddle one of these boundaries.
-    let seg_starts: HashSet<usize> =
-        segs.iter().map(|s| (s.uops.start - warp_start) as usize).collect();
+    let mut seg_start = vec![false; uops.len() + 1];
+    for s in segs {
+        seg_start[(s.uops.start - warp_start) as usize] = true;
+    }
     // A `Shfl` at index `i + 1` eligible for fusion with an `LdShared` at
     // index `i`: (shfl index, gather chunk base, element offset in chunk,
     // shfl dst).
     let mut pending: Option<(usize, usize, usize, usize)> = None;
-    let mut live: HashSet<usize> = HashSet::new();
-    let reg_ok = |b: usize| b + WARP_SIZE <= dreg_len;
-    let src_ok = |s: Src| match s {
-        Src::Imm(_) => true,
-        Src::Reg(b) => reg_ok(b),
-    };
+    t.reset();
     for i in (0..uops.len()).rev() {
         // Stage-and-broadcast fusion: the previous iteration saw a `Shfl`
         // whose source chunk dies here; if this op is the adjacent
         // staging gather, collapse the pair.
         if let Some((shfl_idx, chunk, elem, shfl_dst)) = pending.take() {
-            if shfl_idx == i + 1 && !seg_starts.contains(&shfl_idx) {
+            if shfl_idx == i + 1 && !seg_start[shfl_idx] {
                 if let UOp::LdShared { dst, addrs } = uops[i] {
                     if dst as usize == chunk {
                         let addr = u32x[addrs as usize * WARP_SIZE + elem];
@@ -1675,122 +1766,55 @@ fn eliminate_dead_uops(
                         uops[shfl_idx] = UOp::LdSharedBcast { dst: shfl_dst as u32, addr };
                         // The shuffle no longer reads the chunk, so
                         // earlier writers of it can cascade-die.
-                        live.remove(&chunk);
+                        t.at(chunk).live = false;
                         continue;
                     }
                 }
             }
         }
-        let uop = &mut uops[i];
+        let uop = uops[i];
+        // Only pure register-writing ops can die, and only with every
+        // destination dead and every operand register in range (an
+        // out-of-range read must still fail where the interpreter does).
         // An eliminated op's reads are *not* genned, so a chain of
         // computation feeding only dead results unravels in this one
         // backward pass.
-        let dead = match uop {
-            UOp::Fast(DecodedInstr::Bin { dst, a, b, .. })
-            | UOp::Fast(DecodedInstr::CmpOp { dst, a, b, .. }) => {
-                !live.contains(dst) && src_ok(*a) && src_ok(*b)
-            }
-            UOp::Fast(DecodedInstr::Un { dst, a, .. }) => !live.contains(dst) && src_ok(*a),
-            UOp::Fast(DecodedInstr::Fma { dst, a, b, c }) => {
-                !live.contains(dst) && src_ok(*a) && src_ok(*b) && src_ok(*c)
-            }
-            UOp::Fast(DecodedInstr::Sel { dst, pred, a, b }) => {
-                !live.contains(dst) && reg_ok(*pred) && src_ok(*a) && src_ok(*b)
-            }
-            UOp::Fast(DecodedInstr::Shfl { dst, src, lane }) => {
-                // The element read indexes a single dreg slot.
-                !live.contains(dst) && *src + *lane < dreg_len
-            }
-            UOp::FusedMulBin { t, d, a, b, c, .. } => {
-                !live.contains(&(*t as usize))
-                    && !live.contains(&(*d as usize))
-                    && src_ok(*a)
-                    && src_ok(*b)
-                    && src_ok(*c)
-            }
-            UOp::ConstV { dst, .. }
-            | UOp::LdShared { dst, .. }
-            | UOp::LdSharedBcast { dst, .. } => !live.contains(&(*dst as usize)),
-            _ => false,
-        };
+        let mut dead = matches!(
+            uop,
+            UOp::Fast(
+                DecodedInstr::Bin { .. }
+                    | DecodedInstr::CmpOp { .. }
+                    | DecodedInstr::Un { .. }
+                    | DecodedInstr::Fma { .. }
+                    | DecodedInstr::Sel { .. }
+                    | DecodedInstr::Shfl { .. }
+            ) | UOp::FusedMulBin { .. }
+                | UOp::ConstV { .. }
+                | UOp::LdShared { .. }
+                | UOp::LdSharedBcast { .. }
+        );
         if dead {
-            *uop = UOp::Nop;
+            for_each_write_chunk(&uop, |w| dead &= !t.get(w).live);
+            for_each_read_chunk(&uop, |r| dead &= r + WARP_SIZE <= dreg_len);
+        }
+        if dead {
+            uops[i] = UOp::Nop;
             continue;
         }
         // Kill this op's writes, then gen its reads.
-        match uop {
-            UOp::Fast(dec) => match dec {
-                DecodedInstr::Bin { dst, a, b, .. } | DecodedInstr::CmpOp { dst, a, b, .. } => {
-                    live.remove(dst);
-                    gen_src(&mut live, *a);
-                    gen_src(&mut live, *b);
-                }
-                DecodedInstr::Un { dst, a, .. } => {
-                    live.remove(dst);
-                    gen_src(&mut live, *a);
-                }
-                DecodedInstr::Fma { dst, a, b, c } => {
-                    live.remove(dst);
-                    gen_src(&mut live, *a);
-                    gen_src(&mut live, *b);
-                    gen_src(&mut live, *c);
-                }
-                DecodedInstr::Sel { dst, pred, a, b } => {
-                    live.remove(dst);
-                    live.insert(*pred);
-                    gen_src(&mut live, *a);
-                    gen_src(&mut live, *b);
-                }
-                DecodedInstr::Shfl { dst, src, lane } => {
-                    let d2 = *dst;
-                    let elem = *src + *lane;
-                    live.remove(&d2);
-                    // Element read: mark the chunk the element lands in
-                    // (a >= 32 lane deterministically reads across
-                    // registers — see exec_fast). The destination kill
-                    // comes first so a shuffle within one chunk
-                    // (`chunk == dst`) still counts as the sole reader.
-                    let chunk = elem / WARP_SIZE * WARP_SIZE;
-                    let sole_reader = !live.contains(&chunk);
-                    live.insert(chunk);
-                    if sole_reader && elem < dreg_len {
-                        pending = Some((i, chunk, elem - chunk, d2));
-                    }
-                }
-                DecodedInstr::LdLocal { dst, .. } => {
-                    live.remove(dst);
-                }
-                DecodedInstr::StLocal { src, .. } => gen_src(&mut live, *src),
-                DecodedInstr::Invalid { .. } => {}
-                DecodedInstr::BarArrive { .. }
-                | DecodedInstr::BarSync { .. }
-                | DecodedInstr::BarArriveStage { .. }
-                | DecodedInstr::BarSyncStage { .. }
-                | DecodedInstr::Slow => unreachable!("never lowered into uops"),
-            },
-            UOp::FusedMulBin { t, d, a, b, c, .. } => {
-                live.remove(&(*t as usize));
-                live.remove(&(*d as usize));
-                gen_src(&mut live, *a);
-                gen_src(&mut live, *b);
-                gen_src(&mut live, *c);
+        for_each_write_chunk(&uop, |w| t.at(w).live = false);
+        if let UOp::Fast(DecodedInstr::Shfl { dst, src, lane }) = uop {
+            // Element read: the chunk the element lands in (a >= 32 lane
+            // deterministically reads across registers — see exec_fast).
+            // The destination kill came first so a shuffle within one
+            // chunk (`chunk == dst`) still counts as the sole reader.
+            let elem = src + lane;
+            let chunk = elem / WARP_SIZE * WARP_SIZE;
+            if !t.get(chunk).live && elem < dreg_len {
+                pending = Some((i, chunk, elem - chunk, dst));
             }
-            UOp::ConstV { dst, .. }
-            | UOp::LdShared { dst, .. }
-            | UOp::LdSharedBcast { dst, .. }
-            | UOp::LdGlobal { dst, .. } => {
-                live.remove(&(*dst as usize));
-            }
-            UOp::StShared { src, .. } | UOp::StGlobal { src, .. } => gen_src(&mut live, *src),
-            UOp::CpAsync { .. } | UOp::Trap(_) | UOp::Nop => {}
-            UOp::ExpBatch { .. } => unreachable!("batching runs after this pass"),
         }
-    }
-}
-
-fn gen_src(live: &mut std::collections::HashSet<usize>, s: Src) {
-    if let Src::Reg(b) = s {
-        live.insert(b);
+        for_each_read_chunk(&uop, |r| t.at(r).live = true);
     }
 }
 
@@ -1809,60 +1833,19 @@ fn splat_immediates(
     uops: &mut [UOp],
     dreg_len: usize,
     tail: &mut Vec<f64>,
-    dedup: &mut HashMap<u64, u32>,
+    dedup: &mut WordMap<u64, u32>,
 ) {
-    let mut fix = |s: &mut Src| {
-        if let Src::Imm(v) = *s {
-            let idx = *dedup.entry(v.to_bits()).or_insert_with(|| {
-                let i = (tail.len() / WARP_SIZE) as u32;
-                tail.extend(std::iter::repeat_n(v, WARP_SIZE));
-                i
-            });
-            *s = Src::Reg(dreg_len + idx as usize * WARP_SIZE);
-        }
-    };
     for uop in uops.iter_mut() {
-        match uop {
-            UOp::Fast(dec) => match dec {
-                DecodedInstr::Bin { a, b, .. } | DecodedInstr::CmpOp { a, b, .. } => {
-                    fix(a);
-                    fix(b);
-                }
-                DecodedInstr::Un { a, .. } => fix(a),
-                DecodedInstr::Fma { a, b, c, .. } => {
-                    fix(a);
-                    fix(b);
-                    fix(c);
-                }
-                DecodedInstr::Sel { a, b, .. } => {
-                    fix(a);
-                    fix(b);
-                }
-                DecodedInstr::StLocal { src, .. } => fix(src),
-                DecodedInstr::Shfl { .. }
-                | DecodedInstr::LdLocal { .. }
-                | DecodedInstr::Invalid { .. } => {}
-                DecodedInstr::BarArrive { .. }
-                | DecodedInstr::BarSync { .. }
-                | DecodedInstr::BarArriveStage { .. }
-                | DecodedInstr::BarSyncStage { .. }
-                | DecodedInstr::Slow => unreachable!("never lowered into uops"),
-            },
-            UOp::FusedMulBin { a, b, c, .. } => {
-                fix(a);
-                fix(b);
-                fix(c);
+        for_each_src_mut(uop, |s| {
+            if let Src::Imm(v) = *s {
+                let idx = *dedup.entry(v.to_bits()).or_insert_with(|| {
+                    let i = (tail.len() / WARP_SIZE) as u32;
+                    tail.extend(std::iter::repeat_n(v, WARP_SIZE));
+                    i
+                });
+                *s = Src::Reg(dreg_len + idx as usize * WARP_SIZE);
             }
-            UOp::StShared { src, .. } | UOp::StGlobal { src, .. } => fix(src),
-            UOp::ConstV { .. }
-            | UOp::LdShared { .. }
-            | UOp::LdSharedBcast { .. }
-            | UOp::LdGlobal { .. }
-            | UOp::CpAsync { .. }
-            | UOp::Trap(_)
-            | UOp::Nop => {}
-            UOp::ExpBatch { .. } => unreachable!("batching runs after this pass"),
-        }
+        });
     }
 }
 
@@ -3004,5 +2987,149 @@ mod tests {
         assert_eq!(s.exp_mul_infeasible, 1, "{s:?}");
         let input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.07 - 1.0).collect();
         differential(&k, &[&input, &[]], 32, 0);
+    }
+
+    #[test]
+    fn chunk_table_agrees_with_a_hashmap_model() {
+        // Drive the dense table and a `HashMap` model with the same seeded
+        // operation stream over architectural chunks, element indices
+        // inside them, and out-of-range bases up to `Reg = u16::MAX` (the
+        // table must neither misplace nor panic on them), then compare
+        // every row either side has touched.
+        type Row = (u32, u32, bool, bool, Option<u32>);
+        let row = |s: ChunkSlot| -> Row {
+            let known = if let Fact::Table(v) = s.fact { Some(v) } else { None };
+            (s.def, s.version, s.live, s.written, known)
+        };
+        let mut t = ChunkTable::new();
+        let mut model: HashMap<usize, Row> = HashMap::new();
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let regs = [0usize, 1, 2, 7, 8, 255, 256, 40_000, u16::MAX as usize - 1, u16::MAX as usize];
+        for i in 0..20_000usize {
+            let base = regs[next(regs.len() as u64) as usize] * WARP_SIZE + next(WARP_SIZE as u64) as usize;
+            let m = model.entry(base / WARP_SIZE).or_default();
+            match next(16) {
+                0 => {
+                    t.reset();
+                    model.clear();
+                }
+                1..=5 => {
+                    t.write(base, i);
+                    *m = (i as u32 + 1, m.1 + 1, m.2, m.3, None);
+                }
+                6..=8 => {
+                    let live = next(2) == 0;
+                    t.at(base).live = live;
+                    m.2 = live;
+                }
+                9..=10 => {
+                    t.at(base).written = true;
+                    m.3 = true;
+                }
+                11..=12 => {
+                    t.at(base).fact = Fact::Table(i as u32);
+                    m.4 = Some(i as u32);
+                }
+                _ => {}
+            }
+            for r in regs {
+                let want = model.get(&r).copied().unwrap_or_default();
+                assert_eq!(row(t.get(r * WARP_SIZE)), want, "chunk {r} after op {i}");
+                assert_eq!(row(t.get(r * WARP_SIZE + 31)), want, "chunk {r} by its last element");
+            }
+        }
+    }
+
+    #[test]
+    fn shfl_cross_chunk_element_read_keeps_the_next_chunk_alive() {
+        // `Shfl src: r3, lane: 40` reads element 8 of r4 (the interpreter
+        // indexes `dregs[src*32 + lane]` raw). The read visitor must
+        // report r4's chunk, so liveness keeps r4's only writer and the
+        // constant folder looks the element up in r4's row, not r3's.
+        let shfl = UOp::Fast(DecodedInstr::Shfl { dst: 0, src: 3 * WARP_SIZE, lane: 40 });
+        let mut reads = Vec::new();
+        for_each_read_chunk(&shfl, |r| reads.push(r));
+        assert_eq!(reads, [4 * WARP_SIZE]);
+
+        let mut k = base_kernel(1);
+        k.body = vec![
+            ld(0, 0),
+            Node::Op(Instr::DMov { dst: 3, src: Op::Imm(-1.0) }),
+            Node::Op(Instr::DAdd { dst: 4, a: Op::Reg(0), b: Op::Reg(0) }),
+            Node::Op(Instr::Shfl { dst: 1, src: 3, lane: 40 }),
+            st(1),
+        ];
+        let prog = flatten(&k);
+        let eng = lower(&k, &prog);
+        assert!(
+            eng.uops.iter().any(|u| matches!(u, UOp::Fast(DecodedInstr::Bin { .. }))),
+            "r4's writer feeds the cross-chunk shuffle and must survive: {:?}",
+            eng.uops
+        );
+        assert!(
+            eng.uops.iter().any(|u| matches!(u, UOp::Fast(DecodedInstr::Shfl { .. }))),
+            "r3's splat is not what the shuffle reads; it must not fold: {:?}",
+            eng.uops
+        );
+        let input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.5 + 0.25).collect();
+        differential(&k, &[&input, &[]], 32, 0);
+
+        // Operand registers far outside the file (`Reg` up to `u16::MAX`)
+        // index rows the table has to grow into: lowering must neither
+        // panic nor drop the ops, dead as their results are (executing
+        // them has to fail the way the interpreter's does).
+        let mut k = base_kernel(1);
+        k.name = "eng-t-oob-operand".into();
+        k.body = vec![
+            ld(0, 0),
+            Node::Op(Instr::DAdd { dst: 1, a: Op::Reg(u16::MAX), b: Op::Reg(0) }),
+            Node::Op(Instr::DMov { dst: 2, src: Op::Reg(u16::MAX - 1) }),
+            st(0),
+        ];
+        let eng = lower(&k, &flatten(&k));
+        assert_eq!(eng.uops.len(), 4, "{:?}", eng.uops);
+    }
+
+    #[test]
+    fn lowering_time_is_linear_in_the_stream() {
+        // One constant loaded into a register once, then N rounds of
+        // reg×reg `Mul` by it, `Exp` and `Mov`: every Mul's operand was
+        // last written at the very start of the stream, which is what made
+        // the exp-mul rewriter's backward scan quadratic (16× the time for
+        // 4× the stream). With the last-writer table, 4× the stream must
+        // cost well under 8× the time (best of three against timer noise).
+        let lower_secs = |rounds: usize| {
+            let mut k = base_kernel(1);
+            k.name = format!("eng-t-scale-{rounds}");
+            k.body = vec![Node::Op(Instr::LdConst { dst: 0, bank: 0, idx: IdxOp::Imm(1) }), ld(1, 0)];
+            for _ in 0..rounds {
+                k.body.push(Node::Op(Instr::DMul { dst: 2, a: Op::Reg(0), b: Op::Reg(1) }));
+                k.body.push(Node::Op(Instr::DExp { dst: 3, a: Op::Reg(2) }));
+                k.body.push(Node::Op(Instr::DMov { dst: 1, src: Op::Reg(3) }));
+            }
+            k.body.push(st(1));
+            let prog = flatten(&k);
+            (0..3)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    let eng = lower(&k, &prog);
+                    let dt = t0.elapsed().as_secs_f64();
+                    assert_eq!(eng.stats().exp_ops, rounds as u64);
+                    dt
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (small, large) = (lower_secs(8_000), lower_secs(32_000));
+        assert!(
+            large < 8.0 * small,
+            "lowering 4x the stream took {:.1}x the time ({small:.4} s -> {large:.4} s)",
+            large / small
+        );
     }
 }

@@ -78,10 +78,18 @@ pub(crate) fn engine_cached(kernel: &Kernel, prog: &FlatProgram) -> Arc<EnginePr
 /// Lowering-time statistics of the engine program for `kernel` (uop
 /// counts, exp batching coverage, exp-chain rewrite ledger). Lowers and
 /// caches the program if this is the first request. This is the public
-/// window the benchmark harness and the perf model use to report the
-/// per-op exp mix without reaching into the engine internals.
+/// window the benchmark harnesses use to report the per-op exp mix
+/// without reaching into the engine internals.
 pub fn engine_stats(kernel: &Kernel, prog: &FlatProgram) -> crate::engine::EngineStats {
     engine_cached(kernel, prog).stats().clone()
+}
+
+/// Digest of the lowered engine program for `kernel` (segments, micro-ops,
+/// arenas, stats — see `EngineProgram::digest`): equal digests mean the
+/// engine replays the same program, so tests pin it across optimizer
+/// changes that claim identical lowering output.
+pub fn engine_digest(kernel: &Kernel, prog: &FlatProgram) -> u64 {
+    engine_cached(kernel, prog).digest()
 }
 
 /// Two independent structural hashes of the kernel, salted with

@@ -1684,22 +1684,27 @@ pub(crate) fn coalesce(idxs: &[usize; WARP_SIZE]) -> (u64, u64) {
 /// Shared-memory bank transactions: 32 banks, 8-byte words; the number of
 /// replays is the maximum number of *distinct* addresses mapping to one
 /// bank (same-address access broadcasts). Returns `(transactions,
-/// conflict_replays)`.
+/// conflict_replays)`. Allocation-free — lowering, the interpreter's slow
+/// path and the profiler call it once per shared access.
 pub(crate) fn bank_transactions(addrs: &[usize; WARP_SIZE], lane_pred: Option<u8>) -> (u64, u64) {
-    let mut per_bank: [Vec<usize>; 32] = Default::default();
-    for (l, &a) in addrs.iter().enumerate() {
-        if let Some(p) = lane_pred {
-            if p as usize != l {
-                continue;
-            }
-        }
-        let bank = a % 32;
-        if !per_bank[bank].contains(&a) {
-            per_bank[bank].push(a);
+    if lane_pred.is_some() {
+        // At most one lane is active: one transaction, nothing to replay.
+        return (1, 0);
+    }
+    // Sorting a stack copy makes equal addresses adjacent, so one walk
+    // counts each bank's distinct addresses.
+    let mut sorted = *addrs;
+    sorted.sort_unstable();
+    let mut per_bank = [0u8; 32];
+    let mut prev = None;
+    for a in sorted {
+        if prev != Some(a) {
+            per_bank[a % 32] += 1;
+            prev = Some(a);
         }
     }
-    let max = per_bank.iter().map(|v| v.len()).max().unwrap_or(0).max(1);
-    (max as u64, (max - 1) as u64)
+    let max = u64::from(per_bank.into_iter().max().unwrap_or(0).max(1));
+    (max, max - 1)
 }
 
 #[cfg(test)]
@@ -2027,6 +2032,51 @@ mod tests {
         // Load: lane-strided => 1 transaction.
         assert_eq!(r.counts.shared_accesses, 33);
         assert_eq!(r.counts.shared_conflicts, 31);
+    }
+
+    #[test]
+    fn bank_transactions_match_their_definition() {
+        // The definition, spelled out: per bank, the list of distinct
+        // addresses of the active lanes; replays = the fullest bank.
+        fn model(addrs: &[usize; WARP_SIZE], lane_pred: Option<u8>) -> (u64, u64) {
+            let mut per_bank: [Vec<usize>; 32] = Default::default();
+            for (l, &a) in addrs.iter().enumerate() {
+                if lane_pred.is_some_and(|p| p as usize != l) {
+                    continue;
+                }
+                if !per_bank[a % 32].contains(&a) {
+                    per_bank[a % 32].push(a);
+                }
+            }
+            let max = per_bank.iter().map(|v| v.len()).max().unwrap_or(0).max(1);
+            (max as u64, (max - 1) as u64)
+        }
+        let preds = || std::iter::once(None).chain((0..=u8::MAX).map(Some));
+        let mut cases: Vec<[usize; WARP_SIZE]> = vec![
+            [7; WARP_SIZE],                          // stride 0: one broadcast
+            std::array::from_fn(|l| l),              // stride 1: conflict-free
+            std::array::from_fn(|l| 3 + 32 * l),     // stride 32: 32-way conflict
+            std::array::from_fn(|l| 2 * l),          // stride 2: 2-way
+            std::array::from_fn(|l| usize::MAX - l), // saturated (unchecked lanes)
+        ];
+        // Seeded xorshift address vectors over a few ranges, so duplicates
+        // and bank collisions both occur.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for range in [4usize, 40, 1 << 10, 1 << 40] {
+            for _ in 0..64 {
+                cases.push(std::array::from_fn(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as usize % range
+                }));
+            }
+        }
+        for addrs in &cases {
+            for p in preds() {
+                assert_eq!(bank_transactions(addrs, p), model(addrs, p), "{addrs:?} pred {p:?}");
+            }
+        }
     }
 
     #[test]

@@ -55,24 +55,16 @@ pub struct WarpGroup {
 }
 
 /// Static per-op mix features for the transcendental floor: how much of
-/// the kernel is `exp`, and how much of that the engine lowering managed
-/// to batch into contiguous `vmath::exp_slice` calls. Counted from the
-/// pre-optimization stream (`exp_ops` is exactly what the interpreter
-/// executes) plus the cached engine program's lowering statistics, so
-/// `report engine-bench` measures the win instead of asserting it.
+/// the kernel is `exp`, counted from the pre-optimization stream (exactly
+/// what the interpreter executes). What the engine lowering then does with
+/// those ops is [`crate::flatcache::engine_stats`]'s to report — the model
+/// never lowers, so an evaluation costs a stream walk and nothing else.
 #[derive(Debug, Clone, Default)]
 pub struct OpMix {
     /// Warp-wide `exp` micro-ops executed per CTA (pre-optimization).
     pub exp_ops: u64,
     /// `exp_ops * WARP_SIZE`: scalar exp evaluations per CTA.
     pub exp_lanes: u64,
-    /// Scalar-equivalent exp uops surviving in the lowered engine
-    /// program (after CSE / chain rewrites removed some).
-    pub engine_exp_uops: u64,
-    /// Of those, how many were folded into batched `ExpBatch` uops.
-    pub engine_exp_batched: u64,
-    /// `engine_exp_batched / engine_exp_uops` (0 when there are none).
-    pub batched_fraction: f64,
 }
 
 /// The model's output: a predicted per-warp cycle attribution in the
@@ -88,7 +80,7 @@ pub struct ModelProfile {
     pub counts: EventCounts,
     /// Per-warp-group attribution, grouped by identical static streams.
     pub groups: Vec<WarpGroup>,
-    /// Per-op mix features (exp count, engine batched fraction).
+    /// Per-op mix features (exp count).
     pub mix: OpMix,
 }
 
@@ -524,21 +516,7 @@ pub fn predict_flat(
         })
         .collect();
 
-    // Per-op mix: pre-optimization exp counts from the stream walk
-    // above, batching effectiveness from the (cached) engine lowering —
-    // any execution of this program lowers it anyway.
-    let estats = crate::flatcache::engine_cached(kernel, prog).stats().clone();
-    let mix = OpMix {
-        exp_ops,
-        exp_lanes: exp_ops * crate::WARP_SIZE as u64,
-        engine_exp_uops: estats.exp_ops,
-        engine_exp_batched: estats.exp_batched,
-        batched_fraction: if estats.exp_ops > 0 {
-            estats.exp_batched as f64 / estats.exp_ops as f64
-        } else {
-            0.0
-        },
-    };
+    let mix = OpMix { exp_ops, exp_lanes: exp_ops * crate::WARP_SIZE as u64 };
 
     Ok(ModelProfile { cta, counts, groups, mix })
 }

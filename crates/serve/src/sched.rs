@@ -5,9 +5,13 @@
 //!
 //! Tenants hash to **shards**; each shard is an independently locked set
 //! of per-tenant FIFO queues plus a round-robin order over tenants that
-//! currently have work. Worker threads have a home shard (spreading
-//! notify traffic) and steal from the other shards when home is dry, so
-//! one chatty tenant can't strand idle workers.
+//! currently have work. Worker threads have a home shard (spreading lock
+//! traffic) and steal from the other shards when home is dry, so one
+//! chatty tenant can't strand idle workers. A worker that finds every
+//! shard empty parks itself on a stack of idle workers, and every
+//! submission wakes the one on top — whichever shard the job landed on,
+//! and the most recently busy worker first, so a trickle of requests keeps
+//! running on the thread whose caches are warm.
 //!
 //! ## Fairness
 //!
@@ -70,7 +74,18 @@ impl Shard {
 }
 
 struct SchedShared {
-    shards: Vec<(Mutex<Shard>, Condvar)>,
+    shards: Vec<Mutex<Shard>>,
+    /// Workers with nothing to do, most recently idled last. A worker
+    /// re-checks `queued` under this mutex, pushes itself and waits on its
+    /// own condvar in one critical section; `submit` pushes the job, then
+    /// pops a worker under the mutex and signals it. So a job pushed
+    /// between a worker's scan and its wait is either seen by the re-check
+    /// or finds the worker on the stack — never missed.
+    idle: Mutex<Vec<usize>>,
+    /// One condvar per worker, each waited on under the `idle` mutex.
+    wakers: Vec<Condvar>,
+    /// Upper bound on one idle sleep: a safety net, not the wake-up path.
+    idle_poll: Duration,
     queued: AtomicUsize,
     queue_depth: usize,
     workers: usize,
@@ -148,10 +163,24 @@ impl Scheduler {
     /// Spawn `workers` threads over `shards` shards with a global queue
     /// bound of `queue_depth`. All three are clamped to at least 1.
     pub fn new(shards: usize, workers: usize, queue_depth: usize) -> Scheduler {
+        Scheduler::with_idle_poll(shards, workers, queue_depth, Duration::from_millis(500))
+    }
+
+    /// [`Scheduler::new`] with an explicit bound on one idle sleep, so a
+    /// test can make the poll too slow to hide a missed wake-up.
+    pub(crate) fn with_idle_poll(
+        shards: usize,
+        workers: usize,
+        queue_depth: usize,
+        idle_poll: Duration,
+    ) -> Scheduler {
         let shards = shards.max(1);
         let workers = workers.max(1);
         let shared = Arc::new(SchedShared {
-            shards: (0..shards).map(|_| (Mutex::new(Shard::default()), Condvar::new())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            idle: Mutex::new(Vec::new()),
+            wakers: (0..workers).map(|_| Condvar::new()).collect(),
+            idle_poll,
             queued: AtomicUsize::new(0),
             queue_depth: queue_depth.max(1),
             workers,
@@ -163,7 +192,7 @@ impl Scheduler {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i % shared.shards.len()))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -225,9 +254,14 @@ impl Scheduler {
         });
 
         let si = self.shared.shard_of(tenant);
-        let (lock, cv) = &self.shared.shards[si];
-        lock.lock().unwrap().push(tenant, job);
-        cv.notify_one();
+        self.shared.shards[si].lock().unwrap().push(tenant, job);
+        // With nobody idle every worker is busy and rescans the shards
+        // when its job ends. Signalling after the mutex is released
+        // spares the woken worker a second block on it.
+        let woken = self.shared.idle.lock().unwrap().pop();
+        if let Some(w) = woken {
+            self.shared.wakers[w].notify_one();
+        }
         Ok(ticket)
     }
 }
@@ -235,7 +269,10 @@ impl Scheduler {
 impl Drop for Scheduler {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for (_, cv) in &self.shared.shards {
+        // Through the idle mutex, so a worker past its shutdown check is
+        // parked by the time the signals go out.
+        drop(self.shared.idle.lock().unwrap());
+        for cv in &self.shared.wakers {
             cv.notify_all();
         }
         for h in self.handles.drain(..) {
@@ -244,7 +281,7 @@ impl Drop for Scheduler {
         // Drain jobs that never ran. With the shutdown flag set, each job
         // wrapper resolves its ticket to ShuttingDown without executing
         // user work — no waiter is ever left hanging on an abandoned job.
-        for (lock, _) in &self.shared.shards {
+        for lock in &self.shared.shards {
             let mut shard = lock.lock().unwrap();
             while let Some(job) = shard.pop() {
                 job();
@@ -254,8 +291,9 @@ impl Drop for Scheduler {
     }
 }
 
-fn worker_loop(shared: &SchedShared, home: usize) {
+fn worker_loop(shared: &SchedShared, me: usize) {
     let n = shared.shards.len();
+    let home = me % n;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -263,8 +301,7 @@ fn worker_loop(shared: &SchedShared, home: usize) {
         // Home shard first, then steal round the ring.
         let mut job = None;
         for off in 0..n {
-            let (lock, _) = &shared.shards[(home + off) % n];
-            if let Some(j) = lock.lock().unwrap().pop() {
+            if let Some(j) = shared.shards[(home + off) % n].lock().unwrap().pop() {
                 job = Some(j);
                 break;
             }
@@ -275,11 +312,20 @@ fn worker_loop(shared: &SchedShared, home: usize) {
                 j();
             }
             None => {
-                // Nothing anywhere: sleep on the home condvar with a short
-                // timeout so steals and shutdown are picked up promptly.
-                let (lock, cv) = &shared.shards[home];
-                let guard = lock.lock().unwrap();
-                let _ = cv.wait_timeout(guard, Duration::from_millis(2)).unwrap();
+                // Nothing anywhere: park until a submission or shutdown
+                // signals. Both pass through the idle mutex first, so
+                // checking for work under it closes the scan-to-wait
+                // window. A timed-out or spurious wake-up leaves this
+                // worker on the stack; take it off either way.
+                let mut idle = shared.idle.lock().unwrap();
+                if shared.queued.load(Ordering::Acquire) == 0
+                    && !shared.shutdown.load(Ordering::Acquire)
+                {
+                    idle.push(me);
+                    let (mut idle, _) =
+                        shared.wakers[me].wait_timeout(idle, shared.idle_poll).unwrap();
+                    idle.retain(|&w| w != me);
+                }
             }
         }
     }
@@ -297,6 +343,26 @@ mod tests {
         let mut out: Vec<i32> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         out.sort_unstable();
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn idle_workers_wake_for_a_job_on_any_shard() {
+        // Four shards, two workers (homes 0 and 1), and an idle poll far
+        // too slow to rescue a missed wake-up: round trips of a tenant
+        // that hashes to shard 2 or 3 complete only if `submit` wakes an
+        // idle worker whatever shard the job landed on. Each `wait` leaves
+        // both workers idle again before the next submission.
+        let s = Scheduler::with_idle_poll(4, 2, 64, Duration::from_secs(10));
+        let tenant = (0..)
+            .map(|i| format!("tenant-{i}"))
+            .find(|t| s.shared.shard_of(t) >= 2)
+            .expect("some tenant hashes past the home shards");
+        let start = Instant::now();
+        for i in 0..32 {
+            assert_eq!(s.submit(&tenant, move || Ok(i)).unwrap().wait().unwrap(), i);
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "32 no-op round trips took {took:?}");
     }
 
     #[test]

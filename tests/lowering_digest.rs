@@ -1,0 +1,58 @@
+//! Golden lowering digests: the engine programs of the benchmark's steady
+//! kernels, pinned by `gpu_sim::flatcache::engine_digest`.
+//!
+//! The values were recorded at commit 4f92d55 (PR 11, `LOWERING_VERSION`
+//! 9). A change to `gpu_sim::engine` that claims identical lowering output
+//! — and therefore keeps `LOWERING_VERSION`, so warm serve artifacts stay
+//! warm — must leave every one of them unchanged; a change that moves one
+//! must bump the version and re-record.
+
+use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
+use chemkin::synth;
+use gpu_sim::arch::GpuArch;
+use gpu_sim::flatcache::{engine_digest, flatten_cached};
+use singe::kernels::{chemistry, diffusion, viscosity};
+use singe::{Compiler, Variant};
+use singe_serve::{default_options, KernelId};
+
+/// Compile at the figure conventions (warp-specialized at the serve
+/// defaults, baseline at 8 warps from the same graph) and digest the
+/// lowering.
+fn digest(mech: &chemkin::Mechanism, kernel: KernelId, variant: Variant, arch: &GpuArch) -> u64 {
+    let ws = default_options(kernel, mech.n_transported(), arch);
+    let dfg = match kernel {
+        KernelId::Viscosity => viscosity::viscosity_dfg(&ViscosityTables::build(mech), ws.warps),
+        KernelId::Diffusion => diffusion::diffusion_dfg(&DiffusionTables::build(mech), ws.warps),
+        KernelId::Chemistry => chemistry::chemistry_dfg(&ChemistrySpec::build(mech), ws.warps),
+    };
+    let opts = match variant {
+        Variant::Baseline => singe::config::CompileOptions::with_warps(8),
+        _ => ws,
+    };
+    let k = Compiler::new(arch).options(opts).compile(&dfg, variant).expect("compiles").kernel;
+    engine_digest(&k, &flatten_cached(&k))
+}
+
+#[test]
+fn steady_kernels_lower_to_the_recorded_programs() {
+    assert_eq!(gpu_sim::LOWERING_VERSION, 9, "re-record the digests with the bump");
+    let mech = synth::via_text(&synth::dme_config());
+    let kepler = GpuArch::kepler_k20c();
+    let hopper = GpuArch::hopper();
+    use KernelId::{Chemistry, Diffusion, Viscosity};
+    use Variant::{Baseline, WarpSpecialized};
+    // The three DME kernels in both variants on Kepler, and the K = 2
+    // pipelined viscosity kernel (the serve default on Hopper).
+    let golden = [
+        (Viscosity, WarpSpecialized, &kepler, 0xcb30_f437_3675_4abf_u64),
+        (Viscosity, Baseline, &kepler, 0x3153_0bcb_6949_74f2),
+        (Diffusion, WarpSpecialized, &kepler, 0x041f_c9db_3ce3_41fb),
+        (Diffusion, Baseline, &kepler, 0x1e48_2e1d_3ede_e6a3),
+        (Chemistry, WarpSpecialized, &kepler, 0x70d7_6e9a_f844_a66c),
+        (Chemistry, Baseline, &kepler, 0x5ae6_ad04_5447_1094),
+        (Viscosity, WarpSpecialized, &hopper, 0xac77_af9d_01df_702c),
+    ];
+    let got: Vec<u64> = golden.iter().map(|&(k, v, arch, _)| digest(&mech, k, v, arch)).collect();
+    let want: Vec<u64> = golden.iter().map(|g| g.3).collect();
+    assert_eq!(got, want, "lowering output moved; digests now {got:#018x?}");
+}
