@@ -76,25 +76,25 @@ fn main() {
     // Every case is a serial chain through reg 1 (the stored register) so
     // dead-code elimination cannot remove any of the timed ops.
     let cases: Vec<(&str, Vec<Node>)> = vec![
-        ("DAdd    ", mk(&|_| Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Reg(0) })),
-        ("DAddImm ", mk(&|_| Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Imm(1.25) })),
-        ("DMul    ", mk(&|_| Instr::DMul { dst: 1, a: Op::Reg(1), b: Op::Reg(0) })),
+        ("DAdd    ", mk(&|_| Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(0) })),
+        ("DAddImm ", mk(&|_| Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Imm(1.25) })),
+        ("DMul    ", mk(&|_| Instr::Bin { op: BinOp::Mul, dst: 1, a: Op::Reg(1), b: Op::Reg(0) })),
         ("MulAdd  ", mk(&|i| if i % 2 == 0 {
-            Instr::DMul { dst: 2, a: Op::Reg(1), b: Op::Reg(0) }
+            Instr::Bin { op: BinOp::Mul, dst: 2, a: Op::Reg(1), b: Op::Reg(0) }
         } else {
-            Instr::DAdd { dst: 1, a: Op::Reg(2), b: Op::Reg(0) }
+            Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(2), b: Op::Reg(0) }
         })),
         ("DFma    ", mk(&|_| Instr::DFma { dst: 1, a: Op::Reg(1), b: Op::Reg(0), c: Op::Reg(2), const_c: false })),
-        ("DExp    ", mk(&|_| Instr::DExp { dst: 1, a: Op::Reg(1) })),
+        ("DExp    ", mk(&|_| Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(1) })),
         ("Shfl+Add", mk(&|i| if i % 2 == 0 {
             Instr::Shfl { dst: 2, src: 0, lane: (i % 32) as u8 }
         } else {
-            Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Reg(2) }
+            Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) }
         })),
         ("LdSh+Add", mk(&|i| if i % 2 == 0 {
             Instr::LdShared { dst: 2, addr: SAddr::lane(0) }
         } else {
-            Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Reg(2) }
+            Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) }
         })),
     ];
     println!("empty kernel: {:.1} us", empty * 1e6);

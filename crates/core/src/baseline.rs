@@ -111,7 +111,7 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
 
     fn write_var(&mut self, v: VarId, val: Op, code: &mut Vec<Node>) -> CResult<()> {
         match self.home[v as usize] {
-            Home::Reg(r) => code.push(Node::Op(Instr::DMov { dst: self.local_base + r, src: val })),
+            Home::Reg(r) => code.push(Node::Op(Instr::mov(self.local_base + r, val))),
             Home::Spill(slot) => code.push(Node::Op(Instr::StLocal { src: val, slot })),
         }
         Ok(())
@@ -122,7 +122,7 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
     }
 
     fn write_local(&mut self, l: u16, val: Op, code: &mut Vec<Node>) -> CResult<()> {
-        code.push(Node::Op(Instr::DMov { dst: self.local_base + 512 + l, src: val }));
+        code.push(Node::Op(Instr::mov(self.local_base + 512 + l, val)));
         Ok(())
     }
 

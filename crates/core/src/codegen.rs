@@ -401,7 +401,7 @@ impl<'a> EmitCtx for WsCtx<'a> {
 
     fn write_var(&mut self, v: VarId, val: Op, code: &mut Vec<Node>) -> CResult<()> {
         match self.home_of(v)? {
-            VarHome::Reg(r) => code.push(Node::Op(Instr::DMov { dst: VR_VAR + r, src: val })),
+            VarHome::Reg(r) => code.push(Node::Op(Instr::mov(VR_VAR + r, val))),
             VarHome::Spill(slot) => code.push(Node::Op(Instr::StLocal { src: val, slot })),
         }
         Ok(())
@@ -412,7 +412,7 @@ impl<'a> EmitCtx for WsCtx<'a> {
     }
 
     fn write_local(&mut self, l: u16, val: Op, code: &mut Vec<Node>) -> CResult<()> {
-        code.push(Node::Op(Instr::DMov { dst: self.local_base + l, src: val }));
+        code.push(Node::Op(Instr::mov(self.local_base + l, val)));
         Ok(())
     }
 
@@ -1013,7 +1013,7 @@ fn push_all_guarded(body: &mut Vec<Node>, mask: u64, all: u64, code: Vec<Node>) 
 pub(crate) fn remap_nodes(nodes: &mut [Node], f: &dyn Fn(Reg) -> Reg) {
     for n in nodes.iter_mut() {
         match n {
-            Node::Op(i) => remap_instr(i, f),
+            Node::Op(i) => i.visit_regs_mut(&mut |r, _| *r = f(*r)),
             Node::WarpIf { body, .. } => remap_nodes(body, f),
             Node::WarpSwitch { cases, .. } => {
                 for c in cases {
@@ -1022,75 +1022,6 @@ pub(crate) fn remap_nodes(nodes: &mut [Node], f: &dyn Fn(Reg) -> Reg) {
             }
             Node::Loop { body, .. } | Node::PointLoop { body, .. } => remap_nodes(body, f),
         }
-    }
-}
-
-fn remap_op(o: &mut Op, f: &dyn Fn(Reg) -> Reg) {
-    if let Op::Reg(r) = o {
-        *r = f(*r);
-    }
-}
-
-fn remap_instr(i: &mut Instr, f: &dyn Fn(Reg) -> Reg) {
-    match i {
-        Instr::DMov { dst, src } => {
-            *dst = f(*dst);
-            remap_op(src, f);
-        }
-        Instr::DAdd { dst, a, b }
-        | Instr::DSub { dst, a, b }
-        | Instr::DMul { dst, a, b }
-        | Instr::DDiv { dst, a, b }
-        | Instr::DMax { dst, a, b }
-        | Instr::DMin { dst, a, b }
-        | Instr::DPow { dst, a, b } => {
-            *dst = f(*dst);
-            remap_op(a, f);
-            remap_op(b, f);
-        }
-        Instr::DCmp { dst, a, b, .. } => {
-            *dst = f(*dst);
-            remap_op(a, f);
-            remap_op(b, f);
-        }
-        Instr::DFma { dst, a, b, c, .. } => {
-            *dst = f(*dst);
-            remap_op(a, f);
-            remap_op(b, f);
-            remap_op(c, f);
-        }
-        Instr::DSqrt { dst, a }
-        | Instr::DExp { dst, a }
-        | Instr::DLog { dst, a }
-        | Instr::DLog10 { dst, a }
-        | Instr::DCbrt { dst, a }
-        | Instr::DNeg { dst, a } => {
-            *dst = f(*dst);
-            remap_op(a, f);
-        }
-        Instr::DSel { dst, pred, a, b } => {
-            *dst = f(*dst);
-            *pred = f(*pred);
-            remap_op(a, f);
-            remap_op(b, f);
-        }
-        Instr::LdGlobal { dst, .. } => *dst = f(*dst),
-        Instr::StGlobal { src, .. } => remap_op(src, f),
-        Instr::LdShared { dst, .. } => *dst = f(*dst),
-        Instr::StShared { src, .. } => remap_op(src, f),
-        Instr::LdConst { dst, .. } => *dst = f(*dst),
-        Instr::LdLocal { dst, .. } => *dst = f(*dst),
-        Instr::StLocal { src, .. } => remap_op(src, f),
-        Instr::Shfl { dst, src, .. } => {
-            *dst = f(*dst);
-            *src = f(*src);
-        }
-        Instr::Idx(_)
-        | Instr::BarArrive { .. }
-        | Instr::BarSync { .. }
-        | Instr::BarArriveStage { .. }
-        | Instr::BarSyncStage { .. }
-        | Instr::CpAsync { .. } => {}
     }
 }
 

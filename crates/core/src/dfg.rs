@@ -221,6 +221,9 @@ fn canonical_body(body: &[Stmt]) -> Vec<Stmt> {
             Expr::Bin(o, a, b) => {
                 Expr::Bin(*o, Box::new(canon_expr(a, map)), Box::new(canon_expr(b, map)))
             }
+            Expr::CmpGt(a, b) => {
+                Expr::CmpGt(Box::new(canon_expr(a, map)), Box::new(canon_expr(b, map)))
+            }
             Expr::Tri(o, a, b, c) => Expr::Tri(
                 *o,
                 Box::new(canon_expr(a, map)),
@@ -261,7 +264,7 @@ fn scan_slots(e: &Expr, max_const: &mut Option<u16>, max_row: &mut Option<u16>) 
         Expr::Const(c) => upd(max_const, *c),
         Expr::Input { row: crate::expr::RowRef::Slot(s), .. } => upd(max_row, *s),
         Expr::Un(_, a) => scan_slots(a, max_const, max_row),
-        Expr::Bin(_, a, b) => {
+        Expr::Bin(_, a, b) | Expr::CmpGt(a, b) => {
             scan_slots(a, max_const, max_row);
             scan_slots(b, max_const, max_row);
         }

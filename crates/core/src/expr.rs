@@ -25,6 +25,9 @@
 
 use crate::{CResult, CompileError};
 use gpu_sim::isa::{Cmp, GAddr, GlobalId, IdxOp, Instr, Node, Op, PointRef, Reg};
+/// The unary and binary operators are the simulator ISA's own, so lowering
+/// an arithmetic node is a field copy rather than a per-op translation.
+pub use gpu_sim::isa::{BinOp, UnOp};
 
 /// Op-local temporary id.
 pub type LocalId = u16;
@@ -38,44 +41,6 @@ pub enum RowRef {
     Fixed(u32),
     /// Per-instance row index — becomes a warp-indexing constant (§5.3).
     Slot(u16),
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnOp {
-    /// Negation.
-    Neg,
-    /// Square root.
-    Sqrt,
-    /// Natural exponential.
-    Exp,
-    /// Natural logarithm.
-    Log,
-    /// Base-10 logarithm.
-    Log10,
-    /// Cube root.
-    Cbrt,
-}
-
-/// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
-    /// Maximum.
-    Max,
-    /// Minimum.
-    Min,
-    /// Power.
-    Pow,
-    /// Compare greater-than (yields 1.0/0.0).
-    CmpGt,
 }
 
 /// Ternary operators.
@@ -109,6 +74,8 @@ pub enum Expr {
     Un(UnOp, Box<Expr>),
     /// Binary application.
     Bin(BinOp, Box<Expr>, Box<Expr>),
+    /// `a > b`, yielding 1.0/0.0.
+    CmpGt(Box<Expr>, Box<Expr>),
     /// Ternary application.
     Tri(TriOp, Box<Expr>, Box<Expr>, Box<Expr>),
 }
@@ -174,7 +141,7 @@ impl Expr {
     pub fn select_gt(self, o: Expr, a: Expr, b: Expr) -> Expr {
         Expr::Tri(
             TriOp::Sel,
-            Box::new(Expr::Bin(BinOp::CmpGt, Box::new(self), Box::new(o))),
+            Box::new(Expr::CmpGt(Box::new(self), Box::new(o))),
             Box::new(a),
             Box::new(b),
         )
@@ -185,25 +152,9 @@ impl Expr {
     pub fn flops(&self) -> usize {
         match self {
             Expr::Local(_) | Expr::Lit(_) | Expr::Const(_) | Expr::Var(_) | Expr::Input { .. } => 0,
-            Expr::Un(op, a) => {
-                a.flops()
-                    + match op {
-                        UnOp::Neg => 1,
-                        UnOp::Sqrt => 16,
-                        UnOp::Exp | UnOp::Log => 24,
-                        UnOp::Log10 => 26,
-                        UnOp::Cbrt => 28,
-                    }
-            }
-            Expr::Bin(op, a, b) => {
-                a.flops()
-                    + b.flops()
-                    + match op {
-                        BinOp::Div => 16,
-                        BinOp::Pow => 48,
-                        _ => 1,
-                    }
-            }
+            Expr::Un(op, a) => a.flops() + op.flops(),
+            Expr::Bin(op, a, b) => a.flops() + b.flops() + op.flops(),
+            Expr::CmpGt(a, b) => a.flops() + b.flops() + 1,
             Expr::Tri(op, a, b, c) => {
                 a.flops()
                     + b.flops()
@@ -221,7 +172,7 @@ impl Expr {
         match self {
             Expr::Var(v) => out.push(*v),
             Expr::Un(_, a) => a.vars(out),
-            Expr::Bin(_, a, b) => {
+            Expr::Bin(_, a, b) | Expr::CmpGt(a, b) => {
                 a.vars(out);
                 b.vars(out);
             }
@@ -345,7 +296,7 @@ pub fn emit_stmts(stmts: &[Stmt], ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -
 fn depth(e: &Expr) -> usize {
     match e {
         Expr::Un(_, a) => 1 + depth(a),
-        Expr::Bin(_, a, b) => 1 + depth(a).max(depth(b)),
+        Expr::Bin(_, a, b) | Expr::CmpGt(a, b) => 1 + depth(a).max(depth(b)),
         Expr::Tri(_, a, b, c) => 1 + depth(a).max(depth(b)).max(depth(c)),
         _ => 0,
     }
@@ -375,15 +326,7 @@ fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<(Op, 
                 Some(t) => t, // reuse the operand's temp
                 None => ctx.alloc_temp()?,
             };
-            let ins = match op {
-                UnOp::Neg => Instr::DNeg { dst, a: av },
-                UnOp::Sqrt => Instr::DSqrt { dst, a: av },
-                UnOp::Exp => Instr::DExp { dst, a: av },
-                UnOp::Log => Instr::DLog { dst, a: av },
-                UnOp::Log10 => Instr::DLog10 { dst, a: av },
-                UnOp::Cbrt => Instr::DCbrt { dst, a: av },
-            };
-            code.push(Node::Op(ins));
+            code.push(Node::Op(Instr::Un { op: *op, dst, a: av }));
             Ok((Op::Reg(dst), Some(dst)))
         }
         Expr::Bin(op, a, b) => {
@@ -396,40 +339,10 @@ fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<(Op, 
                     return lower_fma(x, y, a, ctx, code);
                 }
             }
-            // Deepest operand first (constant scratch usage on chains).
-            let (av, at, bv, bt);
-            if depth(a) >= depth(b) {
-                (av, at) = lower(a, ctx, code)?;
-                (bv, bt) = lower(b, ctx, code)?;
-            } else {
-                (bv, bt) = lower(b, ctx, code)?;
-                (av, at) = lower(a, ctx, code)?;
-            }
-            let dst = match at {
-                Some(t) => t,
-                None => match bt {
-                    Some(t) => t,
-                    None => ctx.alloc_temp()?,
-                },
-            };
-            let ins = match op {
-                BinOp::Add => Instr::DAdd { dst, a: av, b: bv },
-                BinOp::Sub => Instr::DSub { dst, a: av, b: bv },
-                BinOp::Mul => Instr::DMul { dst, a: av, b: bv },
-                BinOp::Div => Instr::DDiv { dst, a: av, b: bv },
-                BinOp::Max => Instr::DMax { dst, a: av, b: bv },
-                BinOp::Min => Instr::DMin { dst, a: av, b: bv },
-                BinOp::Pow => Instr::DPow { dst, a: av, b: bv },
-                BinOp::CmpGt => Instr::DCmp { dst, cmp: Cmp::Gt, a: av, b: bv },
-            };
-            code.push(Node::Op(ins));
-            // Free whichever operand temp we did not reuse as dst.
-            for t in [at, bt].into_iter().flatten() {
-                if t != dst {
-                    ctx.free_temp(t);
-                }
-            }
-            Ok((Op::Reg(dst), Some(dst)))
+            lower_pair(a, b, ctx, code, |dst, a, b| Instr::Bin { op: *op, dst, a, b })
+        }
+        Expr::CmpGt(a, b) => {
+            lower_pair(a, b, ctx, code, |dst, a, b| Instr::DCmp { dst, cmp: Cmp::Gt, a, b })
         }
         Expr::Tri(TriOp::Fma, a, b, c) => lower_fma(a, b, c, ctx, code),
         Expr::Tri(TriOp::Sel, p, a, b) => {
@@ -452,6 +365,38 @@ fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<(Op, 
             Ok((Op::Reg(dst), Some(dst)))
         }
     }
+}
+
+/// Lower a two-operand node: both operands (deepest first, for constant
+/// scratch usage on chains), then the instruction `make` builds, writing
+/// into a reused operand temp when there is one.
+fn lower_pair(
+    a: &Expr,
+    b: &Expr,
+    ctx: &mut dyn EmitCtx,
+    code: &mut Vec<Node>,
+    make: impl FnOnce(Reg, Op, Op) -> Instr,
+) -> CResult<(Op, Option<Reg>)> {
+    let (av, at, bv, bt);
+    if depth(a) >= depth(b) {
+        (av, at) = lower(a, ctx, code)?;
+        (bv, bt) = lower(b, ctx, code)?;
+    } else {
+        (bv, bt) = lower(b, ctx, code)?;
+        (av, at) = lower(a, ctx, code)?;
+    }
+    let dst = match at.or(bt) {
+        Some(t) => t,
+        None => ctx.alloc_temp()?,
+    };
+    code.push(Node::Op(make(dst, av, bv)));
+    // Free whichever operand temp we did not reuse as dst.
+    for t in [at, bt].into_iter().flatten() {
+        if t != dst {
+            ctx.free_temp(t);
+        }
+    }
+    Ok((Op::Reg(dst), Some(dst)))
 }
 
 /// Lower `a*b + c` as a fused multiply-add. Marks the instruction as having
@@ -510,6 +455,7 @@ pub fn eval(
         Expr::Un(op, a) => {
             let x = eval(a, consts, locals, vars, input);
             match op {
+                UnOp::Mov => x,
                 UnOp::Neg => -x,
                 UnOp::Sqrt => x.sqrt(),
                 UnOp::Exp => x.exp(),
@@ -529,13 +475,15 @@ pub fn eval(
                 BinOp::Max => x.max(y),
                 BinOp::Min => x.min(y),
                 BinOp::Pow => x.powf(y),
-                BinOp::CmpGt => {
-                    if x > y {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
+            }
+        }
+        Expr::CmpGt(a, b) => {
+            let x = eval(a, consts, locals, vars, input);
+            let y = eval(b, consts, locals, vars, input);
+            if x > y {
+                1.0
+            } else {
+                0.0
             }
         }
         Expr::Tri(op, a, b, c) => {

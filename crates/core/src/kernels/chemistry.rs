@@ -515,7 +515,7 @@ fn remap_stmt(s: &mut Stmt, remap: &[VarId]) {
         match e {
             Expr::Var(v) => *v = remap[*v as usize],
             Expr::Un(_, a) => remap_expr(a, remap),
-            Expr::Bin(_, a, b) => {
+            Expr::Bin(_, a, b) | Expr::CmpGt(a, b) => {
                 remap_expr(a, remap);
                 remap_expr(b, remap);
             }

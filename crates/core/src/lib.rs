@@ -57,7 +57,7 @@ pub use config::{CompileOptions, CompileOptionsBuilder, Placement};
 pub use perfmodel::ModelReport;
 pub use search::{
     BeamSearch, ScheduleSearch, SearchBudget, SearchBudgetBuilder, SearchOutcome, SearchResult,
-    SearchSpace, SimulatedAnnealing,
+    SearchSpace,
 };
 pub use verify::{VerifyFailure, VerifyLevel, VerifyReport, Violation, ViolationKind};
 pub use dfg::{Dfg, OpId, Operation};

@@ -92,7 +92,7 @@ impl<'a> EmitCtx for NaiveCtx<'a> {
     fn write_var(&mut self, v: VarId, val: Op, code: &mut Vec<Node>) -> CResult<()> {
         match self.var_reg[v as usize] {
             Some(r) => {
-                code.push(Node::Op(Instr::DMov { dst: self.local_base + 512 + r, src: val }))
+                code.push(Node::Op(Instr::mov(self.local_base + 512 + r, val)))
             }
             None => return Err(CompileError::Internal("naive: write unallocated var".into())),
         }
@@ -102,7 +102,7 @@ impl<'a> EmitCtx for NaiveCtx<'a> {
         Ok(Op::Reg(self.local_base + l))
     }
     fn write_local(&mut self, l: u16, val: Op, code: &mut Vec<Node>) -> CResult<()> {
-        code.push(Node::Op(Instr::DMov { dst: self.local_base + l, src: val }));
+        code.push(Node::Op(Instr::mov(self.local_base + l, val)));
         Ok(())
     }
     fn array_global(&self, array: u16) -> GlobalId {

@@ -9,11 +9,10 @@
 //! per evaluation) as the cost function and the simulator as the final
 //! oracle, mirroring [`crate::autotune::autotune_guided`]'s contract:
 //!
-//! 1. a strategy ([`BeamSearch`] by default, [`SimulatedAnnealing`]
-//!    behind the same [`ScheduleSearch`] trait) expands candidates and
-//!    scores every one with the model (compile + predict, no
-//!    interpretation); candidates that fail to compile score `+inf`,
-//!    exactly as in serve's autotune;
+//! 1. a strategy ([`BeamSearch`], behind the [`ScheduleSearch`] trait)
+//!    expands candidates and scores every one with the model (compile +
+//!    predict, no interpretation); candidates that fail to compile score
+//!    `+inf`, exactly as in serve's autotune;
 //! 2. only the `sim_top_k` best-predicted survivors are *simulated*,
 //!    and the winner is the best **simulated** time among those.
 //!
@@ -24,8 +23,7 @@
 //!
 //! Determinism: candidate expansion is pure, batches are scored on the
 //! ordered worker pool ([`crate::pool::run_ordered`]) and folded in
-//! input order, all ranking ties break toward the earlier candidate, and
-//! [`SimulatedAnnealing`] draws from a fixed-seed xorshift generator —
+//! input order, and all ranking ties break toward the earlier candidate —
 //! results are bit-identical at any `--jobs` count.
 
 use crate::autotune::{depth_menu, grid_options, GUIDED_TOP_K};
@@ -461,119 +459,6 @@ impl ScheduleSearch for BeamSearch {
     }
 }
 
-/// Deterministic simulated annealing behind the same trait: a fixed-seed
-/// xorshift random walk over single-dimension neighbor moves with a
-/// geometric temperature schedule; worse candidates are accepted with
-/// probability `exp(-rel_delta / T)`. Scored points accumulate exactly
-/// like the beam's, so [`run_search`]'s oracle phase is identical.
-#[derive(Debug, Clone, Copy)]
-pub struct SimulatedAnnealing {
-    /// RNG seed: same seed, same space, same budget → bit-identical walk.
-    pub seed: u64,
-    /// Starting relative temperature.
-    pub t0: f64,
-    /// Final relative temperature.
-    pub t1: f64,
-}
-
-impl Default for SimulatedAnnealing {
-    fn default() -> SimulatedAnnealing {
-        SimulatedAnnealing { seed: 0x5143_ED01_u64, t0: 0.30, t1: 0.01 }
-    }
-}
-
-/// xorshift64* — tiny, deterministic, dependency-free.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.max(1);
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-impl ScheduleSearch for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn explore(
-        &self,
-        space: &SearchSpace,
-        base: &CompileOptions,
-        budget: &SearchBudget,
-        score: &mut dyn FnMut(&[CompileOptions]) -> Vec<f64>,
-    ) -> Vec<ExploredPoint> {
-        let mut rng = XorShift(self.seed | 1);
-        let mut points: Vec<ExploredPoint> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        let seeds: Vec<CompileOptions> = space
-            .seeds(base)
-            .into_iter()
-            .filter(|s| seen.insert(SearchSpace::key(s)))
-            .take(budget.max_model_evals)
-            .collect();
-        let scores = score(&seeds);
-        for (o, s) in seeds.into_iter().zip(scores) {
-            points.push(ExploredPoint { options: o, predicted_seconds: s, round: 0 });
-        }
-        // Walk from the best-predicted seed.
-        let mut cur = match points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.predicted_seconds.is_finite())
-            .min_by(|(a, pa), (b, pb)| {
-                pa.predicted_seconds.total_cmp(&pb.predicted_seconds).then(a.cmp(b))
-            }) {
-            Some((i, _)) => i,
-            None => return points, // nothing compiled; oracle phase will report
-        };
-        let steps = budget.max_model_evals.saturating_sub(points.len());
-        for step in 0..steps {
-            let fresh: Vec<CompileOptions> = space
-                .neighbors(&points[cur].options)
-                .into_iter()
-                .filter(|n| !seen.contains(&SearchSpace::key(n)))
-                .collect();
-            if fresh.is_empty() {
-                // Dead-ended: restart from a random already-scored point.
-                cur = (rng.next() % points.len() as u64) as usize;
-                continue;
-            }
-            let pick = fresh[(rng.next() % fresh.len() as u64) as usize].clone();
-            seen.insert(SearchSpace::key(&pick));
-            let s = score(std::slice::from_ref(&pick))[0];
-            points.push(ExploredPoint {
-                options: pick,
-                predicted_seconds: s,
-                round: step + 1,
-            });
-            let cur_s = points[cur].predicted_seconds;
-            let t = self.t0 * (self.t1 / self.t0).powf(step as f64 / steps.max(1) as f64);
-            let accept = if !s.is_finite() {
-                false
-            } else if s < cur_s || !cur_s.is_finite() {
-                true
-            } else {
-                let rel = (s - cur_s) / cur_s.abs().max(f64::MIN_POSITIVE);
-                rng.next_f64() < (-rel / t.max(1e-9)).exp()
-            };
-            if accept {
-                cur = points.len() - 1;
-            }
-        }
-        points
-    }
-}
-
 /// One candidate in a [`SearchOutcome`], in evaluation order.
 #[derive(Debug, Clone)]
 pub struct SearchPoint {
@@ -607,7 +492,7 @@ pub struct RoundStats {
 /// Everything a search run produced: the audit trail plus the winner.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// Which strategy ran (`"beam"` / `"anneal"`).
+    /// Which strategy ran (`"beam"`).
     pub strategy: &'static str,
     /// Every scored candidate, in evaluation order, with oracle results
     /// attached to the simulated ones.
@@ -905,40 +790,6 @@ mod tests {
         // No duplicates.
         let keys: HashSet<String> = seeds.iter().map(SearchSpace::key).collect();
         assert_eq!(keys.len(), seeds.len());
-    }
-
-    #[test]
-    fn annealing_walks_are_bit_identical_per_seed() {
-        let arch = GpuArch::kepler_k20c();
-        let space = SearchSpace::for_arch(&arch);
-        let base = CompileOptions::default();
-        // Large enough that the walk runs well past the seed beam
-        // (kepler's seed beam is ~57 points).
-        let budget = SearchBudget::builder().max_model_evals(100).build();
-        // A synthetic, deterministic cost: cheap hash of the options key.
-        let mut cost = |cands: &[CompileOptions]| -> Vec<f64> {
-            cands
-                .iter()
-                .map(|c| {
-                    let k = SearchSpace::key(c);
-                    k.bytes().fold(7u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64)) as f64
-                })
-                .collect()
-        };
-        let sa = SimulatedAnnealing::default();
-        let a = sa.explore(&space, &base, &budget, &mut cost);
-        let b = sa.explore(&space, &base, &budget, &mut cost);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(SearchSpace::key(&x.options), SearchSpace::key(&y.options));
-            assert_eq!(x.predicted_seconds.to_bits(), y.predicted_seconds.to_bits());
-        }
-        // A different seed explores a different walk.
-        let c = SimulatedAnnealing { seed: 99, ..SimulatedAnnealing::default() }
-            .explore(&space, &base, &budget, &mut cost);
-        let ka: Vec<String> = a.iter().map(|p| SearchSpace::key(&p.options)).collect();
-        let kc: Vec<String> = c.iter().map(|p| SearchSpace::key(&p.options)).collect();
-        assert_ne!(ka, kc);
     }
 
     #[test]

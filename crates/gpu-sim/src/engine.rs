@@ -88,7 +88,7 @@ use crate::error::{SimError, SimResult};
 use crate::icache::interleaved_fetch_profile;
 use crate::interp::{
     bank_transactions, barrier_arrive, coalesce, exec_fast, local_out_index, operand, out_chunk,
-    src_vals, BarrierState, BinKind, CtaResult, DecodedInstr, FlatOp, FlatProgram, Src, UnKind,
+    src_vals, BarrierState, CtaResult, DecodedInstr, FlatOp, FlatProgram, Src,
 };
 use crate::isa::*;
 use crate::lanes;
@@ -374,7 +374,7 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
     stats.uops = lw.uops.len() as u64;
     for u in &lw.uops {
         match u {
-            UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, .. }) => stats.exp_ops += 1,
+            UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, .. }) => stats.exp_ops += 1,
             UOp::ExpBatch { n, .. } => {
                 stats.exp_ops += *n as u64;
                 stats.exp_batched += *n as u64;
@@ -389,22 +389,22 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         for u in &lw.uops {
             let k = match u {
                 UOp::Fast(DecodedInstr::Bin { kind, .. }) => match kind {
-                    BinKind::Add => "bin.add",
-                    BinKind::Sub => "bin.sub",
-                    BinKind::Mul => "bin.mul",
-                    BinKind::Div => "bin.div",
-                    BinKind::Pow => "bin.pow",
-                    BinKind::Max => "bin.max",
-                    BinKind::Min => "bin.min",
+                    BinOp::Add => "bin.add",
+                    BinOp::Sub => "bin.sub",
+                    BinOp::Mul => "bin.mul",
+                    BinOp::Div => "bin.div",
+                    BinOp::Pow => "bin.pow",
+                    BinOp::Max => "bin.max",
+                    BinOp::Min => "bin.min",
                 },
                 UOp::Fast(DecodedInstr::Un { kind, .. }) => match kind {
-                    UnKind::Mov => "un.mov",
-                    UnKind::Sqrt => "un.sqrt",
-                    UnKind::Neg => "un.neg",
-                    UnKind::Exp => "un.exp",
-                    UnKind::Log => "un.log",
-                    UnKind::Log10 => "un.log10",
-                    UnKind::Cbrt => "un.cbrt",
+                    UnOp::Mov => "un.mov",
+                    UnOp::Sqrt => "un.sqrt",
+                    UnOp::Neg => "un.neg",
+                    UnOp::Exp => "un.exp",
+                    UnOp::Log => "un.log",
+                    UnOp::Log10 => "un.log10",
+                    UnOp::Cbrt => "un.cbrt",
                 },
                 UOp::Fast(DecodedInstr::Fma { .. }) => "fma",
                 UOp::Fast(DecodedInstr::Sel { .. }) => "sel",
@@ -1250,13 +1250,13 @@ fn fold_const_shuffles(uops: &mut [UOp], f64x: &[f64], t: &mut ChunkTable) {
                 _ => None,
             };
             if let Some(v) = v {
-                *uop = UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a: Src::Imm(v) });
+                *uop = UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a: Src::Imm(v) });
             }
         }
         for_each_write_chunk(uop, |w| t.write(w, i));
         match *uop {
             UOp::ConstV { dst, vals } => t.at(dst as usize).fact = Fact::Table(vals),
-            UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a: Src::Imm(v) }) => {
+            UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a: Src::Imm(v) }) => {
                 t.at(dst).fact = Fact::Splat(v);
             }
             _ => {}
@@ -1296,7 +1296,7 @@ fn copy_propagate(uops: &mut [UOp], t: &mut ChunkTable) {
         }
         for_each_src_mut(uop, |s| *s = resolve(t, *s));
         for_each_write_chunk(uop, |w| t.write(w, i));
-        if let UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a }) = *uop {
+        if let UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a }) = *uop {
             if !matches!(a, Src::Reg(b) if b == dst) {
                 let version = if let Src::Reg(b) = a { t.get(b).version } else { 0 };
                 t.at(dst).fact = Fact::CopyOf(a, version);
@@ -1448,7 +1448,7 @@ fn rewrite_exp_chains(uops: &mut [UOp], stats: &mut EngineStats, t: &mut ChunkTa
 /// lifetime.
 fn rewrite_exp_mul(uops: &mut [UOp], k: usize, stats: &mut EngineStats, t: &ChunkTable) {
     let UOp::Fast(DecodedInstr::Bin {
-        kind: BinKind::Mul,
+        kind: BinOp::Mul,
         dst: d,
         a: Src::Reg(p),
         b: Src::Reg(q),
@@ -1463,7 +1463,7 @@ fn rewrite_exp_mul(uops: &mut [UOp], k: usize, stats: &mut EngineStats, t: &Chun
     let find_exp_def = |reg: usize| -> Option<(usize, Src)> {
         let i = t.get(reg).def.checked_sub(1)? as usize;
         match uops[i] {
-            UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a }) if dst == reg => Some((i, a)),
+            UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst, a }) if dst == reg => Some((i, a)),
             _ => None,
         }
     };
@@ -1526,9 +1526,9 @@ fn rewrite_exp_mul(uops: &mut [UOp], k: usize, stats: &mut EngineStats, t: &Chun
     // -- apply -------------------------------------------------------
     // Add operand order mirrors the mul's (p's argument first): the
     // gate evaluated exactly this expression tree.
-    uops[i1] = UOp::Fast(DecodedInstr::Bin { kind: BinKind::Add, dst: r1, a: arg_p, b: arg_q });
-    uops[i2] = UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst: r2, a: Src::Reg(r1) });
-    uops[k] = UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst: d, a: Src::Reg(r2) });
+    uops[i1] = UOp::Fast(DecodedInstr::Bin { kind: BinOp::Add, dst: r1, a: arg_p, b: arg_q });
+    uops[i2] = UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst: r2, a: Src::Reg(r1) });
+    uops[k] = UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst: d, a: Src::Reg(r2) });
     stats.exp_mul_applied += 1;
 }
 
@@ -1546,7 +1546,7 @@ fn cse_exps(uops: &mut [UOp], stats: &mut EngineStats, t: &mut ChunkTable) {
     t.reset();
     let mut of_imm: WordMap<u64, (usize, u32)> = WordMap::default();
     for i in 0..uops.len() {
-        let UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a }) = uops[i] else {
+        let UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst, a }) = uops[i] else {
             for_each_write_chunk(&uops[i], |w| t.write(w, i));
             continue;
         };
@@ -1563,7 +1563,7 @@ fn cse_exps(uops: &mut [UOp], stats: &mut EngineStats, t: &mut ChunkTable) {
                 // The register already holds this exact value.
                 UOp::Nop
             } else {
-                UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, dst, a: Src::Reg(prev) })
+                UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a: Src::Reg(prev) })
             };
             stats.exp_cse += 1;
         }
@@ -1626,7 +1626,7 @@ fn batch_exps(
         for i in s..e {
             match uops[i] {
                 UOp::Nop => {}
-                UOp::Fast(DecodedInstr::Un { kind: UnKind::Exp, dst, a: Src::Reg(src) }) => {
+                UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst, a: Src::Reg(src) }) => {
                     let joins = batch.is_empty()
                         || (!t.get(src).written && !t.get(dst).live && !t.get(dst).written);
                     if !joins {
@@ -1665,9 +1665,9 @@ fn fuse_mul_bin(uops: &mut [UOp], segs: &[Segment], warp_start: u32) {
         while i + 1 < e {
             let fused = match (&uops[i], &uops[i + 1]) {
                 (
-                    &UOp::Fast(DecodedInstr::Bin { kind: BinKind::Mul, dst: t, a, b }),
+                    &UOp::Fast(DecodedInstr::Bin { kind: BinOp::Mul, dst: t, a, b }),
                     &UOp::Fast(DecodedInstr::Bin {
-                        kind: k2 @ (BinKind::Add | BinKind::Sub),
+                        kind: k2 @ (BinOp::Add | BinOp::Sub),
                         dst: d,
                         a: x,
                         b: y,
@@ -1677,10 +1677,10 @@ fn fuse_mul_bin(uops: &mut [UOp], segs: &[Segment], warp_start: u32) {
                     let yt = matches!(y, Src::Reg(r) if r == t);
                     let kc = match (k2, xt, yt) {
                         (_, true, true) => None,
-                        (BinKind::Add, true, false) => Some((lanes::FusedBin::AddPC, y)),
-                        (BinKind::Add, false, true) => Some((lanes::FusedBin::AddCP, x)),
-                        (BinKind::Sub, true, false) => Some((lanes::FusedBin::SubPC, y)),
-                        (BinKind::Sub, false, true) => Some((lanes::FusedBin::SubCP, x)),
+                        (BinOp::Add, true, false) => Some((lanes::FusedBin::AddPC, y)),
+                        (BinOp::Add, false, true) => Some((lanes::FusedBin::AddCP, x)),
+                        (BinOp::Sub, true, false) => Some((lanes::FusedBin::SubPC, y)),
+                        (BinOp::Sub, false, true) => Some((lanes::FusedBin::SubCP, x)),
                         _ => None,
                     };
                     kc.map(|(kind, c)| UOp::FusedMulBin {
@@ -2342,7 +2342,7 @@ mod tests {
                         ldg: false,
                     }),
                     Node::Op(Instr::LdConst { dst: 1, bank: 0, idx: IdxOp::Imm(2) }),
-                    Node::Op(Instr::DMul { dst: 0, a: Op::Reg(0), b: Op::Reg(1) }),
+                    Node::Op(Instr::Bin { op: BinOp::Mul, dst: 0, a: Op::Reg(0), b: Op::Reg(1) }),
                     Node::Op(Instr::StShared { src: Op::Reg(0), addr: SAddr::lane(0), lane_pred: None }),
                     Node::Op(Instr::BarArrive { bar: 0, warps: 2 }),
                 ],
@@ -2379,7 +2379,7 @@ mod tests {
                 addr: GAddr { array: GlobalId(0), row: IdxOp::Reg(1), point: PointRef::Reg(2) },
                 ldg: false,
             }),
-            Node::Op(Instr::DAdd { dst: 1, a: Op::Reg(0), b: Op::Imm(1.0) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(0), b: Op::Imm(1.0) }),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(1),
                 addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Thread },
@@ -2456,7 +2456,7 @@ mod tests {
 
         // Static dreg overrun (decode-time Invalid -> trap).
         let mut k = base_kernel(1);
-        k.body = vec![Node::Op(Instr::DMov { dst: 200, src: Op::Imm(0.0) })];
+        k.body = vec![Node::Op(Instr::mov(200, Op::Imm(0.0)))];
         differential(&k, &[&input, &[]], 32, 0);
     }
 
@@ -2485,7 +2485,7 @@ mod tests {
         k.body = vec![
             Node::Op(Instr::Idx(IdxInstr::LaneId { dst: 0 })),
             Node::Op(Instr::Idx(IdxInstr::Add { dst: 0, a: IdxOp::Reg(0), b: IdxOp::Imm(1) })),
-            Node::Op(Instr::DMov { dst: 0, src: Op::Imm(2.0) }),
+            Node::Op(Instr::mov(0, Op::Imm(2.0))),
         ];
         let prog = flatten(&k);
         let eng = lower(&k, &prog);
@@ -2516,12 +2516,12 @@ mod tests {
                 ldg: false,
             }),
             // t != d, p + c
-            Node::Op(Instr::DMul { dst: 2, a: Op::Reg(0), b: Op::Reg(1) }),
-            Node::Op(Instr::DAdd { dst: 3, a: Op::Reg(2), b: Op::Reg(0) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a: Op::Reg(0), b: Op::Reg(1) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 3, a: Op::Reg(2), b: Op::Reg(0) }),
             // t == d, c - p (reversed operands)
-            Node::Op(Instr::DMul { dst: 4, a: Op::Reg(1), b: Op::Imm(1.0000001) }),
-            Node::Op(Instr::DSub { dst: 4, a: Op::Reg(3), b: Op::Reg(4) }),
-            Node::Op(Instr::DAdd { dst: 3, a: Op::Reg(3), b: Op::Reg(4) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 4, a: Op::Reg(1), b: Op::Imm(1.0000001) }),
+            Node::Op(Instr::Bin { op: BinOp::Sub, dst: 4, a: Op::Reg(3), b: Op::Reg(4) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 3, a: Op::Reg(3), b: Op::Reg(4) }),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(3),
                 addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
@@ -2552,10 +2552,10 @@ mod tests {
                 addr: GAddr { array: GlobalId(0), row: IdxOp::Imm(0), point: PointRef::Lane },
                 ldg: false,
             }),
-            Node::Op(Instr::DMov { dst: 1, src: Op::Reg(0) }),
-            Node::Op(Instr::DAdd { dst: 2, a: Op::Reg(1), b: Op::Imm(1.0) }),
-            Node::Op(Instr::DMov { dst: 3, src: Op::Imm(2.5) }),
-            Node::Op(Instr::DMul { dst: 2, a: Op::Reg(2), b: Op::Reg(3) }),
+            Node::Op(Instr::mov(1, Op::Reg(0))),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 2, a: Op::Reg(1), b: Op::Imm(1.0) }),
+            Node::Op(Instr::mov(3, Op::Imm(2.5))),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a: Op::Reg(2), b: Op::Reg(3) }),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(2),
                 addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
@@ -2567,7 +2567,7 @@ mod tests {
         assert!(
             !eng.uops.iter().any(|u| matches!(
                 u,
-                UOp::Fast(DecodedInstr::Un { kind: UnKind::Mov, .. })
+                UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, .. })
             )),
             "movs should be propagated away: {:?}",
             eng.uops
@@ -2594,9 +2594,9 @@ mod tests {
                 ldg: false,
             }),
             Node::Op(Instr::Shfl { dst: 1, src: 4, lane: 3 }),
-            Node::Op(Instr::DMul { dst: 2, a: Op::Reg(0), b: Op::Reg(1) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a: Op::Reg(0), b: Op::Reg(1) }),
             Node::Op(Instr::Shfl { dst: 1, src: 4, lane: 29 }),
-            Node::Op(Instr::DAdd { dst: 2, a: Op::Reg(2), b: Op::Reg(1) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 2, a: Op::Reg(2), b: Op::Reg(1) }),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(2),
                 addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
@@ -2633,7 +2633,7 @@ mod tests {
             }),
             Node::Op(Instr::StShared { src: Op::Reg(0), addr: mirror, lane_pred: Some(5) }),
             Node::Op(Instr::LdShared { dst: 1, addr: mirror }),
-            Node::Op(Instr::DAdd { dst: 2, a: Op::Reg(1), b: Op::Reg(0) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 2, a: Op::Reg(1), b: Op::Reg(0) }),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(2),
                 addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
@@ -2666,7 +2666,7 @@ mod tests {
             Node::Op(Instr::StShared { src: Op::Reg(0), addr: SAddr::lane(0), lane_pred: None }),
             Node::Op(Instr::LdShared { dst: 4, addr: SAddr::lane(0) }),
             Node::Op(Instr::Shfl { dst: 1, src: 4, lane: 11 }),
-            Node::Op(Instr::DAdd { dst: 2, a: Op::Reg(1), b: Op::Reg(0) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 2, a: Op::Reg(1), b: Op::Reg(0) }),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(2),
                 addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
@@ -2697,7 +2697,7 @@ mod tests {
         // now report the same OutOfBounds error for lane_pred >= 32.
         let mut k = base_kernel(1);
         k.body = vec![
-            Node::Op(Instr::DMov { dst: 0, src: Op::Imm(3.0) }),
+            Node::Op(Instr::mov(0, Op::Imm(3.0))),
             Node::Op(Instr::StShared {
                 src: Op::Reg(0),
                 addr: SAddr::lane(0),
@@ -2790,9 +2790,9 @@ mod tests {
         k.body = vec![
             ld(0, 0),
             ld(1, 1),
-            Node::Op(Instr::DExp { dst: 2, a: Op::Reg(0) }),
-            Node::Op(Instr::DExp { dst: 3, a: Op::Reg(1) }),
-            Node::Op(Instr::DAdd { dst: 4, a: Op::Reg(2), b: Op::Reg(3) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(0) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 3, a: Op::Reg(1) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 4, a: Op::Reg(2), b: Op::Reg(3) }),
             st(4),
         ];
         let prog = flatten(&k);
@@ -2823,9 +2823,9 @@ mod tests {
         let mut k = base_kernel(1);
         k.body = vec![
             ld(0, 0),
-            Node::Op(Instr::DExp { dst: 1, a: Op::Reg(0) }),
-            Node::Op(Instr::DExp { dst: 2, a: Op::Reg(1) }),
-            Node::Op(Instr::DExp { dst: 3, a: Op::Reg(2) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(1) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 3, a: Op::Reg(2) }),
             st(3),
         ];
         let prog = flatten(&k);
@@ -2850,9 +2850,9 @@ mod tests {
         let mut k = base_kernel(1);
         k.body = vec![
             ld(0, 0),
-            Node::Op(Instr::DExp { dst: 1, a: Op::Reg(0) }),
-            Node::Op(Instr::DExp { dst: 2, a: Op::Reg(0) }),
-            Node::Op(Instr::DMul { dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(0) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
             st(3),
         ];
         let prog = flatten(&k);
@@ -2877,9 +2877,9 @@ mod tests {
         let body = |c: f64| {
             vec![
                 ld(0, 0),
-                Node::Op(Instr::DExp { dst: 1, a: Op::Reg(0) }),
-                Node::Op(Instr::DExp { dst: 2, a: Op::Imm(c) }),
-                Node::Op(Instr::DMul { dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
+                Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
+                Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Imm(c) }),
+                Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
                 st(3),
             ]
         };
@@ -2924,9 +2924,9 @@ mod tests {
         k.global_arrays.push(ArrayDecl { name: "out2".into(), rows: 1, output: true });
         k.body = vec![
             ld(0, 0),
-            Node::Op(Instr::DExp { dst: 1, a: Op::Reg(0) }),
-            Node::Op(Instr::DExp { dst: 2, a: Op::Imm(0.0) }),
-            Node::Op(Instr::DMul { dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Imm(0.0) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
             st(3),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(1),
@@ -2954,9 +2954,9 @@ mod tests {
         // rewrite yielded 1.0.
         let mut k = base_kernel(1);
         k.body = vec![
-            Node::Op(Instr::DExp { dst: 1, a: Op::Imm(0.0) }),
-            Node::Op(Instr::DExp { dst: 2, a: Op::Reg(1) }),
-            Node::Op(Instr::DMul { dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Imm(0.0) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(1) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
             st(3),
         ];
         let prog = flatten(&k);
@@ -2975,9 +2975,9 @@ mod tests {
         let mut k = base_kernel(1);
         k.name = "eng-t-chain2".into();
         k.body = vec![
-            Node::Op(Instr::DExp { dst: 1, a: Op::Imm(0.0) }),
-            Node::Op(Instr::DExp { dst: 2, a: Op::Reg(1) }),
-            Node::Op(Instr::DMul { dst: 2, a: Op::Reg(1), b: Op::Reg(2) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Imm(0.0) }),
+            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(1) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a: Op::Reg(1), b: Op::Reg(2) }),
             st(2),
         ];
         let prog = flatten(&k);
@@ -3060,8 +3060,8 @@ mod tests {
         let mut k = base_kernel(1);
         k.body = vec![
             ld(0, 0),
-            Node::Op(Instr::DMov { dst: 3, src: Op::Imm(-1.0) }),
-            Node::Op(Instr::DAdd { dst: 4, a: Op::Reg(0), b: Op::Reg(0) }),
+            Node::Op(Instr::mov(3, Op::Imm(-1.0))),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 4, a: Op::Reg(0), b: Op::Reg(0) }),
             Node::Op(Instr::Shfl { dst: 1, src: 3, lane: 40 }),
             st(1),
         ];
@@ -3088,8 +3088,8 @@ mod tests {
         k.name = "eng-t-oob-operand".into();
         k.body = vec![
             ld(0, 0),
-            Node::Op(Instr::DAdd { dst: 1, a: Op::Reg(u16::MAX), b: Op::Reg(0) }),
-            Node::Op(Instr::DMov { dst: 2, src: Op::Reg(u16::MAX - 1) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(u16::MAX), b: Op::Reg(0) }),
+            Node::Op(Instr::mov(2, Op::Reg(u16::MAX - 1))),
             st(0),
         ];
         let eng = lower(&k, &flatten(&k));
@@ -3109,9 +3109,10 @@ mod tests {
             k.name = format!("eng-t-scale-{rounds}");
             k.body = vec![Node::Op(Instr::LdConst { dst: 0, bank: 0, idx: IdxOp::Imm(1) }), ld(1, 0)];
             for _ in 0..rounds {
-                k.body.push(Node::Op(Instr::DMul { dst: 2, a: Op::Reg(0), b: Op::Reg(1) }));
-                k.body.push(Node::Op(Instr::DExp { dst: 3, a: Op::Reg(2) }));
-                k.body.push(Node::Op(Instr::DMov { dst: 1, src: Op::Reg(3) }));
+                let (a, b) = (Op::Reg(0), Op::Reg(1));
+                k.body.push(Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a, b }));
+                k.body.push(Node::Op(Instr::Un { op: UnOp::Exp, dst: 3, a: Op::Reg(2) }));
+                k.body.push(Node::Op(Instr::mov(1, Op::Reg(3))));
             }
             k.body.push(st(1));
             let prog = flatten(&k);

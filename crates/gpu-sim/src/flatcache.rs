@@ -24,7 +24,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::engine::EngineProgram;
 use crate::interp::{flatten, FlatProgram};
-use crate::isa::*;
+use crate::isa::codec::{encode_kernel, Sink};
+use crate::isa::Kernel;
 
 const MAX_ENTRIES: usize = 256;
 
@@ -93,14 +94,17 @@ pub fn engine_digest(kernel: &Kernel, prog: &FlatProgram) -> u64 {
 }
 
 /// Two independent structural hashes of the kernel, salted with
-/// [`crate::engine::LOWERING_VERSION`]. Public so other deterministic
-/// per-kernel memos (e.g. the schedule verifier's) can share one identity
-/// scheme instead of re-walking the IR their own way.
+/// [`crate::engine::LOWERING_VERSION`]: the hash of the kernel's
+/// [`crate::isa::codec`] bytes, so it covers exactly what an encoded
+/// artifact carries. Public so other deterministic per-kernel memos (e.g.
+/// the schedule verifier's) can share one identity scheme instead of
+/// re-walking the IR their own way.
 ///
 /// Folding the lowering version in means a semantics bump changes every
 /// fingerprint, so stale flattened/lowered programs can never be replayed
-/// from either the in-memory memos here or the serve layer's on-disk
-/// artifact cache (which keys files by this same fingerprint).
+/// from the in-memory memos here. (The serve layer's on-disk cache does not
+/// key on this: `ArtifactKey::derive` hashes the request identity and folds
+/// the same version in itself.)
 pub fn fingerprint(k: &Kernel) -> (u64, u64) {
     fingerprint_versioned(k, crate::engine::LOWERING_VERSION)
 }
@@ -110,393 +114,24 @@ pub fn fingerprint(k: &Kernel) -> (u64, u64) {
 /// keyed on the fingerprint; production callers always want
 /// [`fingerprint`].
 pub fn fingerprint_versioned(k: &Kernel, lowering_version: u32) -> (u64, u64) {
-    let mut h1 = DefaultHasher::new();
-    let mut h2 = DefaultHasher::new();
+    let mut h = (DefaultHasher::new(), DefaultHasher::new());
     // Distinct prefixes decorrelate the two hash streams.
-    h1.write_u8(0x51);
-    h2.write_u8(0xa7);
-    h1.write_u32(lowering_version);
-    h2.write_u32(lowering_version);
-    hash_kernel(k, &mut h1);
-    hash_kernel(k, &mut h2);
-    (h1.finish(), h2.finish())
-}
-
-fn hash_kernel(k: &Kernel, h: &mut impl Hasher) {
-    h.write(k.name.as_bytes());
-    h.write_usize(k.warps_per_cta);
-    h.write_usize(k.points_per_cta);
-    h.write_usize(k.dregs_per_thread);
-    h.write_usize(k.iregs_per_thread);
-    h.write_usize(k.shared_words);
-    h.write_usize(k.local_words_per_thread);
-    h.write_usize(k.barriers_used);
-    h.write_usize(k.spilled_bytes_per_thread);
-    h.write_u8(k.exp_const_from_registers as u8);
-    h.write_usize(k.const_banks.len());
-    for b in &k.const_banks {
-        h.write_usize(b.len());
-        for v in b {
-            h.write_u64(v.to_bits());
-        }
-    }
-    h.write_usize(k.iconst_banks.len());
-    for b in &k.iconst_banks {
-        h.write_usize(b.len());
-        for v in b {
-            h.write_u32(*v);
-        }
-    }
-    h.write_usize(k.global_arrays.len());
-    for a in &k.global_arrays {
-        h.write(a.name.as_bytes());
-        h.write_usize(a.rows);
-        h.write_u8(a.output as u8);
-    }
-    h.write_usize(k.body.len());
-    hash_nodes(&k.body, h);
-}
-
-fn hash_nodes(nodes: &[Node], h: &mut impl Hasher) {
-    for n in nodes {
-        match n {
-            Node::Op(i) => {
-                h.write_u8(0);
-                hash_instr(i, h);
-            }
-            Node::WarpIf { mask, body } => {
-                h.write_u8(1);
-                h.write_u64(*mask);
-                h.write_usize(body.len());
-                hash_nodes(body, h);
-            }
-            Node::WarpSwitch { case_of_warp, cases } => {
-                h.write_u8(2);
-                h.write_usize(case_of_warp.len());
-                for c in case_of_warp {
-                    h.write_usize(*c);
-                }
-                h.write_usize(cases.len());
-                for c in cases {
-                    h.write_usize(c.len());
-                    hash_nodes(c, h);
-                }
-            }
-            Node::Loop { count, body } => {
-                h.write_u8(3);
-                h.write_u32(*count);
-                h.write_usize(body.len());
-                hash_nodes(body, h);
-            }
-            Node::PointLoop { iters, body } => {
-                h.write_u8(4);
-                h.write_u32(*iters);
-                h.write_usize(body.len());
-                hash_nodes(body, h);
-            }
-        }
-    }
-}
-
-fn hash_op(o: &Op, h: &mut impl Hasher) {
-    match o {
-        Op::Reg(r) => {
-            h.write_u8(0);
-            h.write_u16(*r);
-        }
-        Op::Imm(v) => {
-            h.write_u8(1);
-            h.write_u64(v.to_bits());
-        }
-    }
-}
-
-fn hash_iop(o: &IdxOp, h: &mut impl Hasher) {
-    match o {
-        IdxOp::Imm(v) => {
-            h.write_u8(0);
-            h.write_u32(*v);
-        }
-        IdxOp::Reg(r) => {
-            h.write_u8(1);
-            h.write_u16(*r);
-        }
-    }
-}
-
-fn hash_gaddr(a: &GAddr, h: &mut impl Hasher) {
-    h.write_usize(a.array.0);
-    hash_iop(&a.row, h);
-    match &a.point {
-        PointRef::Lane => h.write_u8(0),
-        PointRef::Thread => h.write_u8(1),
-        PointRef::Reg(r) => {
-            h.write_u8(2);
-            h.write_u16(*r);
-        }
-    }
-}
-
-fn hash_saddr(a: &SAddr, h: &mut impl Hasher) {
-    match a.base {
-        None => h.write_u8(0),
-        Some(r) => {
-            h.write_u8(1);
-            h.write_u16(r);
-        }
-    }
-    h.write_u32(a.imm);
-    h.write_u32(a.lane_stride);
-}
-
-fn hash_cmp(c: &Cmp, h: &mut impl Hasher) {
-    h.write_u8(match c {
-        Cmp::Lt => 0,
-        Cmp::Le => 1,
-        Cmp::Gt => 2,
-        Cmp::Ge => 3,
-        Cmp::Eq => 4,
-        Cmp::Ne => 5,
-    });
-}
-
-fn hash_instr(i: &Instr, h: &mut impl Hasher) {
-    match i {
-        Instr::DMov { dst, src } => {
-            h.write_u8(0);
-            h.write_u16(*dst);
-            hash_op(src, h);
-        }
-        Instr::DAdd { dst, a, b } => {
-            h.write_u8(1);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DSub { dst, a, b } => {
-            h.write_u8(2);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DMul { dst, a, b } => {
-            h.write_u8(3);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DFma { dst, a, b, c, const_c } => {
-            h.write_u8(4);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-            hash_op(c, h);
-            h.write_u8(*const_c as u8);
-        }
-        Instr::DDiv { dst, a, b } => {
-            h.write_u8(5);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DSqrt { dst, a } => {
-            h.write_u8(6);
-            h.write_u16(*dst);
-            hash_op(a, h);
-        }
-        Instr::DExp { dst, a } => {
-            h.write_u8(7);
-            h.write_u16(*dst);
-            hash_op(a, h);
-        }
-        Instr::DLog { dst, a } => {
-            h.write_u8(8);
-            h.write_u16(*dst);
-            hash_op(a, h);
-        }
-        Instr::DLog10 { dst, a } => {
-            h.write_u8(9);
-            h.write_u16(*dst);
-            hash_op(a, h);
-        }
-        Instr::DCbrt { dst, a } => {
-            h.write_u8(10);
-            h.write_u16(*dst);
-            hash_op(a, h);
-        }
-        Instr::DPow { dst, a, b } => {
-            h.write_u8(11);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DMax { dst, a, b } => {
-            h.write_u8(12);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DMin { dst, a, b } => {
-            h.write_u8(13);
-            h.write_u16(*dst);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DNeg { dst, a } => {
-            h.write_u8(14);
-            h.write_u16(*dst);
-            hash_op(a, h);
-        }
-        Instr::DSel { dst, pred, a, b } => {
-            h.write_u8(15);
-            h.write_u16(*dst);
-            h.write_u16(*pred);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::DCmp { dst, cmp, a, b } => {
-            h.write_u8(16);
-            h.write_u16(*dst);
-            hash_cmp(cmp, h);
-            hash_op(a, h);
-            hash_op(b, h);
-        }
-        Instr::LdGlobal { dst, addr, ldg } => {
-            h.write_u8(17);
-            h.write_u16(*dst);
-            hash_gaddr(addr, h);
-            h.write_u8(*ldg as u8);
-        }
-        Instr::StGlobal { src, addr } => {
-            h.write_u8(18);
-            hash_op(src, h);
-            hash_gaddr(addr, h);
-        }
-        Instr::LdShared { dst, addr } => {
-            h.write_u8(19);
-            h.write_u16(*dst);
-            hash_saddr(addr, h);
-        }
-        Instr::StShared { src, addr, lane_pred } => {
-            h.write_u8(20);
-            hash_op(src, h);
-            hash_saddr(addr, h);
-            match lane_pred {
-                None => h.write_u8(0),
-                Some(p) => {
-                    h.write_u8(1);
-                    h.write_u8(*p);
-                }
-            }
-        }
-        Instr::LdConst { dst, bank, idx } => {
-            h.write_u8(21);
-            h.write_u16(*dst);
-            h.write_u16(*bank);
-            hash_iop(idx, h);
-        }
-        Instr::LdLocal { dst, slot } => {
-            h.write_u8(22);
-            h.write_u16(*dst);
-            h.write_u32(*slot);
-        }
-        Instr::StLocal { src, slot } => {
-            h.write_u8(23);
-            hash_op(src, h);
-            h.write_u32(*slot);
-        }
-        Instr::Shfl { dst, src, lane } => {
-            h.write_u8(24);
-            h.write_u16(*dst);
-            h.write_u16(*src);
-            h.write_u8(*lane);
-        }
-        Instr::Idx(ii) => {
-            h.write_u8(25);
-            match ii {
-                IdxInstr::Mov { dst, src } => {
-                    h.write_u8(0);
-                    h.write_u16(*dst);
-                    hash_iop(src, h);
-                }
-                IdxInstr::Add { dst, a, b } => {
-                    h.write_u8(1);
-                    h.write_u16(*dst);
-                    hash_iop(a, h);
-                    hash_iop(b, h);
-                }
-                IdxInstr::Mul { dst, a, b } => {
-                    h.write_u8(2);
-                    h.write_u16(*dst);
-                    hash_iop(a, h);
-                    hash_iop(b, h);
-                }
-                IdxInstr::LaneId { dst } => {
-                    h.write_u8(3);
-                    h.write_u16(*dst);
-                }
-                IdxInstr::WarpId { dst } => {
-                    h.write_u8(4);
-                    h.write_u16(*dst);
-                }
-                IdxInstr::LdConst { dst, bank, idx } => {
-                    h.write_u8(5);
-                    h.write_u16(*dst);
-                    h.write_u16(*bank);
-                    hash_iop(idx, h);
-                }
-                IdxInstr::Shfl { dst, src, lane } => {
-                    h.write_u8(6);
-                    h.write_u16(*dst);
-                    h.write_u16(*src);
-                    h.write_u8(*lane);
-                }
-                IdxInstr::PipeOff { dst, k, stride } => {
-                    h.write_u8(7);
-                    h.write_u16(*dst);
-                    h.write_u8(*k);
-                    h.write_u32(*stride);
-                }
-            }
-        }
-        Instr::BarArrive { bar, warps } => {
-            h.write_u8(26);
-            h.write_u8(*bar);
-            h.write_u16(*warps);
-        }
-        Instr::BarSync { bar, warps } => {
-            h.write_u8(27);
-            h.write_u8(*bar);
-            h.write_u16(*warps);
-        }
-        Instr::BarArriveStage { base, k, warps } => {
-            h.write_u8(28);
-            h.write_u8(*base);
-            h.write_u8(*k);
-            h.write_u16(*warps);
-        }
-        Instr::BarSyncStage { base, k, warps } => {
-            h.write_u8(29);
-            h.write_u8(*base);
-            h.write_u8(*k);
-            h.write_u16(*warps);
-        }
-        Instr::CpAsync { addr, array, row, point } => {
-            h.write_u8(30);
-            hash_saddr(addr, h);
-            hash_gaddr(&GAddr { array: *array, row: *row, point: *point }, h);
-        }
-    }
+    h.0.write_u8(0x51);
+    h.1.write_u8(0xa7);
+    h.u32(lowering_version);
+    encode_kernel(k, &mut h);
+    (h.0.finish(), h.1.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{Instr, Node, Op};
 
     fn kernel(imm: f64) -> Kernel {
         Kernel {
             name: "fc".into(),
-            body: vec![Node::Op(Instr::DMov { dst: 0, src: Op::Imm(imm) })],
+            body: vec![Node::Op(Instr::mov(0, Op::Imm(imm)))],
             warps_per_cta: 1,
             points_per_cta: 32,
             dregs_per_thread: 2,

@@ -49,30 +49,6 @@ pub(crate) enum Src {
     Imm(f64),
 }
 
-/// Two-operand arithmetic kinds for the decoded fast path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Pow,
-    Max,
-    Min,
-}
-
-/// One-operand arithmetic kinds for the decoded fast path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum UnKind {
-    Mov,
-    Sqrt,
-    Exp,
-    Log,
-    Log10,
-    Cbrt,
-    Neg,
-}
-
 /// An instruction pre-decoded at `flatten()` time: register ids resolved to
 /// base offsets, destination ranges pre-validated, and barrier parameters
 /// extracted — so the dynamic execute loop neither re-matches the full
@@ -80,9 +56,9 @@ pub(crate) enum UnKind {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DecodedInstr {
     /// `dst[l] = a[l] <op> b[l]`.
-    Bin { kind: BinKind, dst: usize, a: Src, b: Src },
+    Bin { kind: BinOp, dst: usize, a: Src, b: Src },
     /// `dst[l] = <op>(a[l])`.
-    Un { kind: UnKind, dst: usize, a: Src },
+    Un { kind: UnOp, dst: usize, a: Src },
     /// `dst[l] = fma(a[l], b[l], c[l])`.
     Fma { dst: usize, a: Src, b: Src, c: Src },
     /// Branch-free select.
@@ -128,6 +104,8 @@ pub(crate) struct OpCost {
 
 /// Pre-decode one instruction against the kernel's static limits,
 /// mirroring the check order of the interpreter's original execute path.
+/// Exhaustive on purpose: a new op must pick its executor here.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
     let nd = kernel.dregs_per_thread;
     let bad = |r: Reg| DecodedInstr::Invalid { space: "dreg", addr: r as usize, limit: nd };
@@ -138,95 +116,23 @@ fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
         Op::Imm(v) => Src::Imm(*v),
     };
     match ins {
-        Instr::DMov { dst, src: a } => {
+        Instr::Un { op, dst, a } => {
             if !ok(*dst) {
                 return bad(*dst);
             }
-            DecodedInstr::Un { kind: UnKind::Mov, dst: base(*dst), a: src(a) }
+            DecodedInstr::Un { kind: *op, dst: base(*dst), a: src(a) }
         }
-        Instr::DAdd { dst, a, b } => {
+        Instr::Bin { op, dst, a, b } => {
             if !ok(*dst) {
                 return bad(*dst);
             }
-            DecodedInstr::Bin { kind: BinKind::Add, dst: base(*dst), a: src(a), b: src(b) }
-        }
-        Instr::DSub { dst, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Bin { kind: BinKind::Sub, dst: base(*dst), a: src(a), b: src(b) }
-        }
-        Instr::DMul { dst, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Bin { kind: BinKind::Mul, dst: base(*dst), a: src(a), b: src(b) }
+            DecodedInstr::Bin { kind: *op, dst: base(*dst), a: src(a), b: src(b) }
         }
         Instr::DFma { dst, a, b, c, .. } => {
             if !ok(*dst) {
                 return bad(*dst);
             }
             DecodedInstr::Fma { dst: base(*dst), a: src(a), b: src(b), c: src(c) }
-        }
-        Instr::DDiv { dst, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Bin { kind: BinKind::Div, dst: base(*dst), a: src(a), b: src(b) }
-        }
-        Instr::DSqrt { dst, a } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Un { kind: UnKind::Sqrt, dst: base(*dst), a: src(a) }
-        }
-        Instr::DExp { dst, a } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Un { kind: UnKind::Exp, dst: base(*dst), a: src(a) }
-        }
-        Instr::DLog { dst, a } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Un { kind: UnKind::Log, dst: base(*dst), a: src(a) }
-        }
-        Instr::DLog10 { dst, a } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Un { kind: UnKind::Log10, dst: base(*dst), a: src(a) }
-        }
-        Instr::DCbrt { dst, a } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Un { kind: UnKind::Cbrt, dst: base(*dst), a: src(a) }
-        }
-        Instr::DPow { dst, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Bin { kind: BinKind::Pow, dst: base(*dst), a: src(a), b: src(b) }
-        }
-        Instr::DMax { dst, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Bin { kind: BinKind::Max, dst: base(*dst), a: src(a), b: src(b) }
-        }
-        Instr::DMin { dst, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Bin { kind: BinKind::Min, dst: base(*dst), a: src(a), b: src(b) }
-        }
-        Instr::DNeg { dst, a } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Un { kind: UnKind::Neg, dst: base(*dst), a: src(a) }
         }
         Instr::DSel { dst, pred, a, b } => {
             if !ok(*dst) {
@@ -277,7 +183,13 @@ fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
         Instr::BarSyncStage { base, k, warps } => {
             DecodedInstr::BarSyncStage { base: *base, k: *k, expected: *warps }
         }
-        _ => DecodedInstr::Slow,
+        Instr::LdGlobal { .. }
+        | Instr::StGlobal { .. }
+        | Instr::LdShared { .. }
+        | Instr::StShared { .. }
+        | Instr::LdConst { .. }
+        | Instr::Idx(_)
+        | Instr::CpAsync { .. } => DecodedInstr::Slow,
     }
 }
 
@@ -496,17 +408,7 @@ pub fn flatten(kernel: &Kernel) -> FlatProgram {
             s.iter()
                 .filter_map(|op| match *op {
                     FlatOp::Exec { addr, instr, pset } => {
-                        let relevant = matches!(
-                            instrs[instr as usize],
-                            Instr::Idx(_)
-                                | Instr::LdShared { .. }
-                                | Instr::StShared { .. }
-                                | Instr::CpAsync { .. }
-                                | Instr::BarArrive { .. }
-                                | Instr::BarSync { .. }
-                                | Instr::BarArriveStage { .. }
-                                | Instr::BarSyncStage { .. }
-                        );
+                        let relevant = instrs[instr as usize].is_sync_relevant();
                         relevant.then_some((addr, instr, pset))
                     }
                     FlatOp::Branch { .. } => None,
@@ -971,17 +873,6 @@ pub(crate) unsafe fn out_chunk<'a>(ptr: *mut f64, len: usize, dst: usize) -> &'a
     &mut *(ptr.add(dst) as *mut Lanes)
 }
 
-pub(crate) fn cmp_kind(cmp: Cmp) -> lanes::CmpKind {
-    match cmp {
-        Cmp::Lt => lanes::CmpKind::Lt,
-        Cmp::Le => lanes::CmpKind::Le,
-        Cmp::Gt => lanes::CmpKind::Gt,
-        Cmp::Ge => lanes::CmpKind::Ge,
-        Cmp::Eq => lanes::CmpKind::Eq,
-        Cmp::Ne => lanes::CmpKind::Ne,
-    }
-}
-
 /// Execute a pre-decoded register-only instruction over the fixed-size
 /// lane-chunk kernels in [`crate::lanes`]: exact 32-lane trip counts, no
 /// per-lane bounds checks, zero-copy operands when they cannot alias the
@@ -1015,11 +906,11 @@ pub(crate) fn exec_fast(
             // so the IEEE-exact kinds route aliased shapes to in-place
             // kernels instead of snapshotting 256 bytes per operand.
             let arith = match kind {
-                BinKind::Add => Some(lanes::ArithKind::Add),
-                BinKind::Sub => Some(lanes::ArithKind::Sub),
-                BinKind::Mul => Some(lanes::ArithKind::Mul),
-                BinKind::Div => Some(lanes::ArithKind::Div),
-                BinKind::Pow | BinKind::Max | BinKind::Min => None,
+                BinOp::Add => Some(lanes::ArithKind::Add),
+                BinOp::Sub => Some(lanes::ArithKind::Sub),
+                BinOp::Mul => Some(lanes::ArithKind::Mul),
+                BinOp::Div => Some(lanes::ArithKind::Div),
+                BinOp::Pow | BinOp::Max | BinOp::Min => None,
             };
             let a_is_d = matches!(a, Src::Reg(r) if r == dst);
             let b_is_d = matches!(b, Src::Reg(r) if r == dst);
@@ -1041,23 +932,23 @@ pub(crate) fn exec_fast(
                     let (av, bv) = (av.get(), bv.get());
                     let out = out_chunk(ptr, len, dst);
                     match kind {
-                        BinKind::Add => lanes::add(av, bv, out),
-                        BinKind::Sub => lanes::sub(av, bv, out),
-                        BinKind::Mul => lanes::mul(av, bv, out),
-                        BinKind::Div => lanes::div(av, bv, out),
+                        BinOp::Add => lanes::add(av, bv, out),
+                        BinOp::Sub => lanes::sub(av, bv, out),
+                        BinOp::Mul => lanes::mul(av, bv, out),
+                        BinOp::Div => lanes::div(av, bv, out),
                         // `powf` is a libm call per lane — opaque to the
                         // vectorizer, so the loop is identical in both
                         // compiled copies of the dispatch loops.
                         // `max`/`min` lower to LLVM intrinsics whose
                         // vector forms are not ±0-exact, so they live
                         // behind `#[inline(never)]` in `lanes`.
-                        BinKind::Pow => {
+                        BinOp::Pow => {
                             for l in 0..WARP_SIZE {
                                 out[l] = av[l].powf(bv[l]);
                             }
                         }
-                        BinKind::Max => lanes::max(av, bv, out),
-                        BinKind::Min => lanes::min(av, bv, out),
+                        BinOp::Max => lanes::max(av, bv, out),
+                        BinOp::Min => lanes::min(av, bv, out),
                     }
                 }
             }
@@ -1067,9 +958,9 @@ pub(crate) fn exec_fast(
             let av = av.get();
             let out = out_chunk(ptr, len, dst);
             match kind {
-                UnKind::Mov => *out = *av,
-                UnKind::Sqrt => lanes::sqrt(av, out),
-                UnKind::Neg => lanes::neg(av, out),
+                UnOp::Mov => *out = *av,
+                UnOp::Sqrt => lanes::sqrt(av, out),
+                UnOp::Neg => lanes::neg(av, out),
                 // Transcendentals define the simulator's numerics. `exp`
                 // routes through `vmath` so every call site (this fast
                 // path, the engine's scalar and batched exp uops, and the
@@ -1077,18 +968,18 @@ pub(crate) fn exec_fast(
                 // implementation — libm by default, the polynomial AVX2
                 // family when the `vexp` feature selects it. The rest
                 // stay scalar libm.
-                UnKind::Exp => crate::vmath::exp_lanes(av, out),
-                UnKind::Log => {
+                UnOp::Exp => crate::vmath::exp_lanes(av, out),
+                UnOp::Log => {
                     for l in 0..WARP_SIZE {
                         out[l] = av[l].ln();
                     }
                 }
-                UnKind::Log10 => {
+                UnOp::Log10 => {
                     for l in 0..WARP_SIZE {
                         out[l] = av[l].log10();
                     }
                 }
-                UnKind::Cbrt => {
+                UnOp::Cbrt => {
                     for l in 0..WARP_SIZE {
                         out[l] = av[l].cbrt();
                     }
@@ -1129,7 +1020,7 @@ pub(crate) fn exec_fast(
         DecodedInstr::CmpOp { dst, cmp, a, b } => unsafe {
             let av = operand(ptr, len, tail, a, [dst, dst]);
             let bv = operand(ptr, len, tail, b, [dst, dst]);
-            lanes::cmp(cmp_kind(cmp), av.get(), bv.get(), out_chunk(ptr, len, dst));
+            lanes::cmp(cmp, av.get(), bv.get(), out_chunk(ptr, len, dst));
         },
         DecodedInstr::Shfl { dst, src, lane } => {
             let v = dregs[src + lane];
@@ -1237,119 +1128,6 @@ fn exec_slow(
     };
 
     match ins {
-        Instr::DMov { dst, src } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, src, l);
-            }
-        }
-        Instr::DAdd { dst, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l) + val(warp, b, l);
-            }
-        }
-        Instr::DSub { dst, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l) - val(warp, b, l);
-            }
-        }
-        Instr::DMul { dst, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l) * val(warp, b, l);
-            }
-        }
-        Instr::DFma { dst, a, b, c, .. } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).mul_add(val(warp, b, l), val(warp, c, l));
-            }
-        }
-        Instr::DDiv { dst, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l) / val(warp, b, l);
-            }
-        }
-        Instr::DSqrt { dst, a } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).sqrt();
-            }
-        }
-        Instr::DExp { dst, a } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).exp();
-            }
-        }
-        Instr::DLog { dst, a } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).ln();
-            }
-        }
-        Instr::DLog10 { dst, a } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).log10();
-            }
-        }
-        Instr::DCbrt { dst, a } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).cbrt();
-            }
-        }
-        Instr::DPow { dst, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).powf(val(warp, b, l));
-            }
-        }
-        Instr::DMax { dst, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).max(val(warp, b, l));
-            }
-        }
-        Instr::DMin { dst, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = val(warp, a, l).min(val(warp, b, l));
-            }
-        }
-        Instr::DNeg { dst, a } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = -val(warp, a, l);
-            }
-        }
-        Instr::DSel { dst, pred, a, b } => {
-            chk_d(*dst)?;
-            chk_d(*pred)?;
-            for l in 0..WARP_SIZE {
-                let p = d!(*pred, l);
-                d!(*dst, l) = if p != 0.0 { val(warp, a, l) } else { val(warp, b, l) };
-            }
-        }
-        Instr::DCmp { dst, cmp, a, b } => {
-            chk_d(*dst)?;
-            for l in 0..WARP_SIZE {
-                let (x, y) = (val(warp, a, l), val(warp, b, l));
-                let t = match cmp {
-                    Cmp::Lt => x < y,
-                    Cmp::Le => x <= y,
-                    Cmp::Gt => x > y,
-                    Cmp::Ge => x >= y,
-                    Cmp::Eq => x == y,
-                    Cmp::Ne => x != y,
-                };
-                d!(*dst, l) = if t { 1.0 } else { 0.0 };
-            }
-        }
         Instr::LdGlobal { dst, addr, .. } => {
             chk_d(*dst)?;
             let decl = &kernel.global_arrays[addr.array.0];
@@ -1502,39 +1280,6 @@ fn exec_slow(
                 }
             }
         }
-        Instr::LdLocal { dst, slot } => {
-            chk_d(*dst)?;
-            let lw = kernel.local_words_per_thread;
-            if *slot as usize >= lw {
-                return Err(SimError::OutOfBounds { space: "local", addr: *slot as usize, limit: lw });
-            }
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = warp.local[*slot as usize * WARP_SIZE + l];
-            }
-            if collect {
-                counts.local_bytes += (WARP_SIZE * 8) as u64;
-            }
-        }
-        Instr::StLocal { src, slot } => {
-            let lw = kernel.local_words_per_thread;
-            if *slot as usize >= lw {
-                return Err(SimError::OutOfBounds { space: "local", addr: *slot as usize, limit: lw });
-            }
-            for l in 0..WARP_SIZE {
-                warp.local[*slot as usize * WARP_SIZE + l] = val(warp, src, l);
-            }
-            if collect {
-                counts.local_bytes += (WARP_SIZE * 8) as u64;
-            }
-        }
-        Instr::Shfl { dst, src, lane } => {
-            chk_d(*dst)?;
-            chk_d(*src)?;
-            let v = d!(*src, *lane as usize);
-            for l in 0..WARP_SIZE {
-                d!(*dst, l) = v;
-            }
-        }
         Instr::Idx(ii) => match ii {
             IdxInstr::Mov { dst, src } => {
                 chk_i(*dst)?;
@@ -1645,10 +1390,20 @@ fn exec_slow(
                 counts.shared_conflicts += conf;
             }
         }
-        Instr::BarArrive { .. }
+        Instr::Un { .. }
+        | Instr::Bin { .. }
+        | Instr::DFma { .. }
+        | Instr::DSel { .. }
+        | Instr::DCmp { .. }
+        | Instr::LdLocal { .. }
+        | Instr::StLocal { .. }
+        | Instr::Shfl { .. }
+        | Instr::BarArrive { .. }
         | Instr::BarSync { .. }
         | Instr::BarArriveStage { .. }
-        | Instr::BarSyncStage { .. } => unreachable!("handled by scheduler"),
+        | Instr::BarSyncStage { .. } => {
+            unreachable!("decoded onto the fast path or handled by the scheduler")
+        }
     }
     Ok(())
 }
@@ -1774,10 +1529,10 @@ mod tests {
     fn warp_if_masks_execution() {
         let mut k = base_kernel(2);
         k.body = vec![
-            Node::Op(Instr::DMov { dst: 0, src: Op::Imm(1.0) }),
+            Node::Op(Instr::mov(0, Op::Imm(1.0))),
             Node::WarpIf {
                 mask: 0b10,
-                body: vec![Node::Op(Instr::DMov { dst: 0, src: Op::Imm(5.0) })],
+                body: vec![Node::Op(Instr::mov(0, Op::Imm(5.0)))],
             },
             // Each warp stores its r0 to shared[warp].
             Node::Op(Instr::Idx(IdxInstr::WarpId { dst: 0 })),
@@ -1819,7 +1574,7 @@ mod tests {
                         addr: GAddr { array: GlobalId(0), row: IdxOp::Imm(0), point: PointRef::Lane },
                         ldg: false,
                     }),
-                    Node::Op(Instr::DMul { dst: 0, a: Op::Reg(0), b: Op::Imm(3.0) }),
+                    Node::Op(Instr::Bin { op: BinOp::Mul, dst: 0, a: Op::Reg(0), b: Op::Imm(3.0) }),
                     Node::Op(Instr::StShared { src: Op::Reg(0), addr: SAddr::lane(0), lane_pred: None }),
                     Node::Op(Instr::BarArrive { bar: 0, warps: 2 }),
                 ],
@@ -1869,7 +1624,7 @@ mod tests {
                         addr: GAddr { array: GlobalId(0), row: IdxOp::Imm(0), point: PointRef::Lane },
                         ldg: false,
                     }),
-                    Node::Op(Instr::DMul { dst: 0, a: Op::Reg(0), b: Op::Imm(3.0) }),
+                    Node::Op(Instr::Bin { op: BinOp::Mul, dst: 0, a: Op::Reg(0), b: Op::Imm(3.0) }),
                     Node::Op(Instr::StShared { src: Op::Reg(0), addr: SAddr::lane(0), lane_pred: None }),
                     Node::Op(Instr::BarArrive { bar: 0, warps: 2 }),
                 ],
@@ -1966,10 +1721,15 @@ mod tests {
     fn loop_repeats_with_static_addresses() {
         let mut k = base_kernel(1);
         k.body = vec![
-            Node::Op(Instr::DMov { dst: 0, src: Op::Imm(0.0) }),
+            Node::Op(Instr::mov(0, Op::Imm(0.0))),
             Node::Loop {
                 count: 5,
-                body: vec![Node::Op(Instr::DAdd { dst: 0, a: Op::Reg(0), b: Op::Imm(2.0) })],
+                body: vec![Node::Op(Instr::Bin {
+                    op: BinOp::Add,
+                    dst: 0,
+                    a: Op::Reg(0),
+                    b: Op::Imm(2.0),
+                })],
             },
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(0),
@@ -1996,7 +1756,7 @@ mod tests {
                     addr: GAddr { array: GlobalId(0), row: IdxOp::Imm(0), point: PointRef::Lane },
                     ldg: false,
                 }),
-                Node::Op(Instr::DMul { dst: 0, a: Op::Reg(0), b: Op::Imm(10.0) }),
+                Node::Op(Instr::Bin { op: BinOp::Mul, dst: 0, a: Op::Reg(0), b: Op::Imm(10.0) }),
                 Node::Op(Instr::StGlobal {
                     src: Op::Reg(0),
                     addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
@@ -2083,9 +1843,9 @@ mod tests {
     fn local_spill_roundtrip_and_traffic() {
         let mut k = base_kernel(1);
         k.body = vec![
-            Node::Op(Instr::DMov { dst: 0, src: Op::Imm(7.5) }),
+            Node::Op(Instr::mov(0, Op::Imm(7.5))),
             Node::Op(Instr::StLocal { src: Op::Reg(0), slot: 1 }),
-            Node::Op(Instr::DMov { dst: 0, src: Op::Imm(0.0) }),
+            Node::Op(Instr::mov(0, Op::Imm(0.0))),
             Node::Op(Instr::LdLocal { dst: 0, slot: 1 }),
             Node::Op(Instr::StGlobal {
                 src: Op::Reg(0),
@@ -2123,8 +1883,8 @@ mod tests {
             Node::WarpSwitch {
                 case_of_warp: vec![0, 1, 0],
                 cases: vec![
-                    vec![Node::Op(Instr::DMov { dst: 0, src: Op::Imm(10.0) })],
-                    vec![Node::Op(Instr::DMov { dst: 0, src: Op::Imm(20.0) })],
+                    vec![Node::Op(Instr::mov(0, Op::Imm(10.0)))],
+                    vec![Node::Op(Instr::mov(0, Op::Imm(20.0)))],
                 ],
             },
             Node::Op(Instr::Idx(IdxInstr::WarpId { dst: 0 })),
@@ -2141,8 +1901,8 @@ mod tests {
                     Node::Op(Instr::LdShared { dst: 1, addr: SAddr::uniform(0) }),
                     Node::Op(Instr::LdShared { dst: 2, addr: SAddr::uniform(1) }),
                     Node::Op(Instr::LdShared { dst: 3, addr: SAddr::uniform(2) }),
-                    Node::Op(Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Reg(2) }),
-                    Node::Op(Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Reg(3) }),
+                    Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) }),
+                    Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(3) }),
                     Node::Op(Instr::StGlobal {
                         src: Op::Reg(1),
                         addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },

@@ -17,7 +17,16 @@
 //!   overlaying code-generation techniques of §5 are designed around.
 //! * Named barriers follow PTX `bar.arrive` / `bar.sync` semantics with an
 //!   expected-warp count (§2, Figure 2).
+//! * This module is the single source of an instruction's shape, static
+//!   cost ([`Instr::issue_slots`], [`Instr::flops`]), register operands
+//!   ([`Instr::visit_regs_mut`]), sync relevance and bytes ([`codec`]).
+//!   Every `match` over an ISA enum here is exhaustive — the lint below
+//!   rejects a catch-all arm — so a new op cannot silently inherit a cost
+//!   class, an encoding or an executor.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
+pub mod codec;
 
 /// A per-thread double-precision register id.
 pub type Reg = u16;
@@ -104,21 +113,141 @@ impl SAddr {
     }
 }
 
-/// Floating-point comparison operators for [`Instr::DCmp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
+/// Declares a field-less operator enum together with `ALL`, its variants
+/// in discriminant order: the codec writes `op as u8` and reads it back
+/// through `ALL`, so the list cannot fall out of step with the enum.
+macro_rules! op_enum {
+    ($(#[$m:meta])* $name:ident { $($(#[$vm:meta])* $v:ident),+ $(,)? }) => {
+        $(#[$m])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name { $($(#[$vm])* $v),+ }
+
+        impl $name {
+            /// Every variant, indexed by discriminant.
+            pub const ALL: &'static [$name] = &[$($name::$v),+];
+        }
+    };
+}
+
+op_enum! {
+    /// Floating-point comparison operators for [`Instr::DCmp`].
+    Cmp {
+        /// `<`
+        Lt,
+        /// `<=`
+        Le,
+        /// `>`
+        Gt,
+        /// `>=`
+        Ge,
+        /// `==`
+        Eq,
+        /// `!=`
+        Ne,
+    }
+}
+
+op_enum! {
+    /// One-operand arithmetic of [`Instr::Un`]: `dst = op(a)`.
+    UnOp {
+        /// `a`.
+        Mov,
+        /// `sqrt(a)`.
+        Sqrt,
+        /// `exp(a)` — lowered to a Taylor-series DFMA chain on hardware
+        /// (12 DFMAs with constant-cache operands, §6.1).
+        Exp,
+        /// `ln(a)`.
+        Log,
+        /// `log10(a)`.
+        Log10,
+        /// `cbrt(a)` (Landau-Teller rates).
+        Cbrt,
+        /// `-a`.
+        Neg,
+    }
+}
+
+op_enum! {
+    /// Two-operand arithmetic of [`Instr::Bin`]: `dst = a op b`.
+    BinOp {
+        /// `a + b`.
+        Add,
+        /// `a - b`.
+        Sub,
+        /// `a * b`.
+        Mul,
+        /// `a / b` (Newton's method on real GPUs — costed accordingly).
+        Div,
+        /// `a^b` (general power; rare — non-integer stoichiometry).
+        Pow,
+        /// `max(a, b)`.
+        Max,
+        /// `min(a, b)`.
+        Min,
+    }
+}
+
+impl UnOp {
+    /// Issue slots (warp-instructions). Multi-slot costs reflect the FMA
+    /// chains real hardware expands these into.
+    pub fn issue_slots(self) -> usize {
+        match self {
+            UnOp::Mov | UnOp::Neg => 1,
+            UnOp::Sqrt => 8,
+            UnOp::Exp | UnOp::Log => 12,
+            UnOp::Log10 => 13,
+            UnOp::Cbrt => 14,
+        }
+    }
+
+    /// Double-precision FLOPs per lane.
+    pub fn flops(self) -> usize {
+        match self {
+            UnOp::Mov => 0,
+            UnOp::Neg => 1,
+            UnOp::Sqrt => 16,
+            UnOp::Exp | UnOp::Log => 24,
+            UnOp::Log10 => 26,
+            UnOp::Cbrt => 28,
+        }
+    }
+
+    /// Issue slots whose operand comes from the constant cache: the exp
+    /// chain's series constants, unless the compiler kept them in
+    /// registers.
+    pub fn const_operand_slots(self, exp_from_regs: bool) -> usize {
+        match self {
+            UnOp::Exp if !exp_from_regs => 12,
+            UnOp::Exp
+            | UnOp::Mov
+            | UnOp::Sqrt
+            | UnOp::Log
+            | UnOp::Log10
+            | UnOp::Cbrt
+            | UnOp::Neg => 0,
+        }
+    }
+}
+
+impl BinOp {
+    /// Issue slots (warp-instructions).
+    pub fn issue_slots(self) -> usize {
+        match self {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Max | BinOp::Min => 1,
+            BinOp::Div => 8,
+            BinOp::Pow => 24,
+        }
+    }
+
+    /// Double-precision FLOPs per lane.
+    pub fn flops(self) -> usize {
+        match self {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Max | BinOp::Min => 1,
+            BinOp::Div => 16,
+            BinOp::Pow => 48,
+        }
+    }
 }
 
 /// Index (integer) instructions.
@@ -148,38 +277,13 @@ pub enum IdxInstr {
 /// lock step unless a lane predicate says otherwise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
-    /// `dst = src`.
-    DMov { dst: Reg, src: Op },
-    /// `dst = a + b`.
-    DAdd { dst: Reg, a: Op, b: Op },
-    /// `dst = a - b`.
-    DSub { dst: Reg, a: Op, b: Op },
-    /// `dst = a * b`.
-    DMul { dst: Reg, a: Op, b: Op },
+    /// `dst = op(a)`.
+    Un { op: UnOp, dst: Reg, a: Op },
+    /// `dst = a op b`.
+    Bin { op: BinOp, dst: Reg, a: Op, b: Op },
     /// `dst = a * b + c`. `const_c` marks the third operand as sourced from
     /// the constant cache, which has reduced throughput on Kepler (§6.1).
     DFma { dst: Reg, a: Op, b: Op, c: Op, const_c: bool },
-    /// `dst = a / b` (Newton's method on real GPUs — costed accordingly).
-    DDiv { dst: Reg, a: Op, b: Op },
-    /// `dst = sqrt(a)`.
-    DSqrt { dst: Reg, a: Op },
-    /// `dst = exp(a)` — lowered to a Taylor-series DFMA chain on hardware
-    /// (12 DFMAs with constant-cache operands, §6.1).
-    DExp { dst: Reg, a: Op },
-    /// `dst = ln(a)`.
-    DLog { dst: Reg, a: Op },
-    /// `dst = log10(a)`.
-    DLog10 { dst: Reg, a: Op },
-    /// `dst = cbrt(a)` (Landau-Teller rates).
-    DCbrt { dst: Reg, a: Op },
-    /// `dst = a^b` (general power; rare — non-integer stoichiometry).
-    DPow { dst: Reg, a: Op, b: Op },
-    /// `dst = max(a, b)`.
-    DMax { dst: Reg, a: Op, b: Op },
-    /// `dst = min(a, b)`.
-    DMin { dst: Reg, a: Op, b: Op },
-    /// `dst = -a`.
-    DNeg { dst: Reg, a: Op },
     /// `dst = if pred != 0.0 { a } else { b }` — branch-free select.
     DSel { dst: Reg, pred: Reg, a: Op, b: Op },
     /// `dst = (a cmp b) ? 1.0 : 0.0`.
@@ -227,43 +331,57 @@ pub enum Instr {
     CpAsync { addr: SAddr, array: GlobalId, row: IdxOp, point: PointRef },
 }
 
+/// How an instruction touches a double register ([`Instr::visit_regs_mut`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RegRole {
+    /// The instruction writes the register.
+    Def,
+    /// The instruction reads the register.
+    Use,
+}
+
 impl Instr {
-    /// Issue slots this instruction occupies (warp-instructions). Multi-slot
-    /// costs reflect the FMA chains real hardware expands these into.
-    pub fn issue_slots(&self) -> usize {
+    /// `dst = src`.
+    pub fn mov(dst: Reg, src: Op) -> Instr {
+        Instr::Un { op: UnOp::Mov, dst, a: src }
+    }
+
+    /// `(issue slots, flops per lane, DP slots with a constant-cache
+    /// operand)`: the one cost table behind the accessors below.
+    fn cost(&self, exp_from_regs: bool) -> (usize, usize, usize) {
         match self {
-            Instr::DExp { .. } => 12,
-            Instr::DLog { .. } => 12,
-            Instr::DLog10 { .. } => 13,
-            Instr::DDiv { .. } => 8,
-            Instr::DSqrt { .. } => 8,
-            Instr::DCbrt { .. } => 14,
-            Instr::DPow { .. } => 24,
-            Instr::Shfl { .. } => 2, // hi/lo 32-bit shuffle pair (Listing 3)
-            _ => 1,
+            Instr::Un { op, .. } => {
+                (op.issue_slots(), op.flops(), op.const_operand_slots(exp_from_regs))
+            }
+            Instr::Bin { op, .. } => (op.issue_slots(), op.flops(), 0),
+            Instr::DFma { const_c, .. } => (1, 2, usize::from(*const_c)),
+            Instr::DSel { .. } | Instr::DCmp { .. } => (1, 1, 0),
+            Instr::Shfl { .. } => (2, 0, 0), // hi/lo 32-bit shuffle pair (Listing 3)
+            Instr::LdGlobal { .. }
+            | Instr::StGlobal { .. }
+            | Instr::LdShared { .. }
+            | Instr::StShared { .. }
+            | Instr::LdConst { .. }
+            | Instr::LdLocal { .. }
+            | Instr::StLocal { .. }
+            | Instr::Idx(_)
+            | Instr::BarArrive { .. }
+            | Instr::BarSync { .. }
+            | Instr::BarArriveStage { .. }
+            | Instr::BarSyncStage { .. }
+            | Instr::CpAsync { .. } => (1, 0, 0),
         }
+    }
+
+    /// Issue slots this instruction occupies (warp-instructions).
+    pub fn issue_slots(&self) -> usize {
+        self.cost(false).0
     }
 
     /// Double-precision floating-point operations performed per lane
     /// (FMA = 2, matching how the paper counts GFLOPS).
     pub fn flops(&self) -> usize {
-        match self {
-            Instr::DAdd { .. }
-            | Instr::DSub { .. }
-            | Instr::DMul { .. }
-            | Instr::DMax { .. }
-            | Instr::DMin { .. }
-            | Instr::DNeg { .. }
-            | Instr::DSel { .. }
-            | Instr::DCmp { .. } => 1,
-            Instr::DFma { .. } => 2,
-            Instr::DExp { .. } | Instr::DLog { .. } => 24,
-            Instr::DLog10 { .. } => 26,
-            Instr::DDiv { .. } | Instr::DSqrt { .. } => 16,
-            Instr::DCbrt { .. } => 28,
-            Instr::DPow { .. } => 48,
-            _ => 0,
-        }
+        self.cost(false).1
     }
 
     /// True if the instruction issues on the double-precision pipe.
@@ -274,13 +392,94 @@ impl Instr {
     /// DP issue slots whose operand comes from the constant cache (reduced
     /// throughput on Kepler, §6.1). `exp_from_regs` is the ablation switch:
     /// when the compiler keeps the exp-series constants in registers, the
-    /// DExp chain no longer touches the constant cache.
+    /// exp chain no longer touches the constant cache.
     pub fn const_operand_slots(&self, exp_from_regs: bool) -> usize {
+        self.cost(exp_from_regs).2
+    }
+
+    /// True for the ops a barrier-protocol or shared-memory analysis must
+    /// model: anything that writes an index register, touches shared
+    /// memory, or operates a named barrier. Everything else is arithmetic
+    /// and global/constant/local traffic with no effect on that state.
+    pub fn is_sync_relevant(&self) -> bool {
         match self {
-            Instr::DFma { const_c: true, .. } => 1,
-            Instr::DExp { .. } if !exp_from_regs => 12,
-            _ => 0,
+            Instr::Idx(_)
+            | Instr::LdShared { .. }
+            | Instr::StShared { .. }
+            | Instr::CpAsync { .. }
+            | Instr::BarArrive { .. }
+            | Instr::BarSync { .. }
+            | Instr::BarArriveStage { .. }
+            | Instr::BarSyncStage { .. } => true,
+            Instr::Un { .. }
+            | Instr::Bin { .. }
+            | Instr::DFma { .. }
+            | Instr::DSel { .. }
+            | Instr::DCmp { .. }
+            | Instr::LdGlobal { .. }
+            | Instr::StGlobal { .. }
+            | Instr::LdConst { .. }
+            | Instr::LdLocal { .. }
+            | Instr::StLocal { .. }
+            | Instr::Shfl { .. } => false,
         }
+    }
+
+    /// Visit every double-register operand mutably: the destination first,
+    /// then the sources in operand order. The one place that knows which
+    /// fields of an instruction name a double register.
+    pub fn visit_regs_mut(&mut self, f: &mut impl FnMut(&mut Reg, RegRole)) {
+        fn src(o: &mut Op, f: &mut impl FnMut(&mut Reg, RegRole)) {
+            if let Op::Reg(r) = o {
+                f(r, RegRole::Use);
+            }
+        }
+        match self {
+            Instr::Un { dst, a, .. } => {
+                f(dst, RegRole::Def);
+                src(a, f);
+            }
+            Instr::Bin { dst, a, b, .. } | Instr::DCmp { dst, a, b, .. } => {
+                f(dst, RegRole::Def);
+                src(a, f);
+                src(b, f);
+            }
+            Instr::DFma { dst, a, b, c, .. } => {
+                f(dst, RegRole::Def);
+                src(a, f);
+                src(b, f);
+                src(c, f);
+            }
+            Instr::DSel { dst, pred, a, b } => {
+                f(dst, RegRole::Def);
+                f(pred, RegRole::Use);
+                src(a, f);
+                src(b, f);
+            }
+            Instr::Shfl { dst, src: s, .. } => {
+                f(dst, RegRole::Def);
+                f(s, RegRole::Use);
+            }
+            Instr::LdGlobal { dst, .. }
+            | Instr::LdShared { dst, .. }
+            | Instr::LdConst { dst, .. }
+            | Instr::LdLocal { dst, .. } => f(dst, RegRole::Def),
+            Instr::StGlobal { src: s, .. }
+            | Instr::StShared { src: s, .. }
+            | Instr::StLocal { src: s, .. } => src(s, f),
+            Instr::Idx(_)
+            | Instr::BarArrive { .. }
+            | Instr::BarSync { .. }
+            | Instr::BarArriveStage { .. }
+            | Instr::BarSyncStage { .. }
+            | Instr::CpAsync { .. } => {}
+        }
+    }
+
+    /// Read-only [`Instr::visit_regs_mut`]: the same registers in the same
+    /// order, by value.
+    pub fn visit_regs(&self, mut f: impl FnMut(Reg, RegRole)) {
+        self.clone().visit_regs_mut(&mut |r, role| f(*r, role));
     }
 }
 
@@ -407,9 +606,12 @@ impl Kernel {
         self.const_banks.iter().map(|b| b.len()).sum()
     }
 
-    /// Quick structural sanity checks (register ids in range, barrier ids
-    /// in range, global ids declared). Returns a description of the first
-    /// problem found.
+    /// Quick structural sanity checks (`Mov` register ids in range, barrier
+    /// ids in range, global ids declared). Returns a description of the
+    /// first problem found. Deliberately partial, hence the catch-all arm:
+    /// out-of-range registers in streams that never execute are legal and
+    /// trap positionally at run time.
+    #[allow(clippy::wildcard_enum_match_arm)]
     pub fn check(&self) -> Result<(), String> {
         let mut err = None;
         self.visit_ops(&mut |i| {
@@ -422,9 +624,9 @@ impl Kernel {
                 }
             };
             match i {
-                Instr::DMov { dst, src } => {
+                Instr::Un { op: UnOp::Mov, dst, a } => {
                     chk_reg(*dst, "dst");
-                    if let Op::Reg(r) = src {
+                    if let Op::Reg(r) = a {
                         chk_reg(*r, "src");
                     }
                 }
@@ -483,6 +685,237 @@ impl Kernel {
 mod tests {
     use super::*;
 
+    /// One instruction per [`Instr`] variant and per operator / operand
+    /// shape inside it, each with the double registers the visitor must
+    /// report (distinct ids, so the order is pinned too). The list every
+    /// single-source test drives: costs and visitor here, the codec and the
+    /// fingerprint in [`codec`]. [`samples_cover_every_shape`] keeps it
+    /// exhaustive.
+    pub(super) fn samples() -> Vec<(Instr, Vec<(Reg, RegRole)>)> {
+        use RegRole::{Def, Use};
+        let (ra, ib, imm) = (Op::Reg(2), Op::Reg(3), Op::Imm(-0.5));
+        let ga = |point| GAddr { array: GlobalId(1), row: IdxOp::Reg(4), point };
+        let mut v = Vec::new();
+        for &op in UnOp::ALL {
+            v.push((Instr::Un { op, dst: 1, a: ra }, vec![(1, Def), (2, Use)]));
+        }
+        for &op in BinOp::ALL {
+            v.push((Instr::Bin { op, dst: 1, a: ra, b: ib }, vec![(1, Def), (2, Use), (3, Use)]));
+        }
+        for &cmp in Cmp::ALL {
+            v.push((Instr::DCmp { dst: 1, cmp, a: imm, b: ib }, vec![(1, Def), (3, Use)]));
+        }
+        for const_c in [false, true] {
+            v.push((
+                Instr::DFma { dst: 1, a: ra, b: imm, c: Op::Reg(5), const_c },
+                vec![(1, Def), (2, Use), (5, Use)],
+            ));
+        }
+        v.push((
+            Instr::DSel { dst: 1, pred: 6, a: ra, b: ib },
+            vec![(1, Def), (6, Use), (2, Use), (3, Use)],
+        ));
+        for point in [PointRef::Lane, PointRef::Thread, PointRef::Reg(7)] {
+            v.push((Instr::LdGlobal { dst: 1, addr: ga(point), ldg: true }, vec![(1, Def)]));
+        }
+        v.push((
+            Instr::StGlobal {
+                src: ra,
+                addr: GAddr { array: GlobalId(0), row: IdxOp::Imm(9), point: PointRef::Lane },
+            },
+            vec![(2, Use)],
+        ));
+        for addr in [SAddr::lane(8), SAddr::dyn_uniform(3, 8)] {
+            v.push((Instr::LdShared { dst: 1, addr }, vec![(1, Def)]));
+        }
+        for lane_pred in [None, Some(31)] {
+            let st = Instr::StShared { src: ra, addr: SAddr::dyn_lane(2, 5), lane_pred };
+            v.push((st, vec![(2, Use)]));
+        }
+        v.push((Instr::LdConst { dst: 1, bank: 2, idx: IdxOp::Reg(1) }, vec![(1, Def)]));
+        v.push((Instr::LdLocal { dst: 1, slot: 3 }, vec![(1, Def)]));
+        v.push((Instr::StLocal { src: ra, slot: 3 }, vec![(2, Use)]));
+        v.push((Instr::Shfl { dst: 1, src: 2, lane: 17 }, vec![(1, Def), (2, Use)]));
+        for ii in [
+            IdxInstr::Mov { dst: 1, src: IdxOp::Imm(7) },
+            IdxInstr::Add { dst: 1, a: IdxOp::Reg(2), b: IdxOp::Imm(3) },
+            IdxInstr::Mul { dst: 1, a: IdxOp::Imm(2), b: IdxOp::Reg(3) },
+            IdxInstr::LaneId { dst: 1 },
+            IdxInstr::WarpId { dst: 1 },
+            IdxInstr::LdConst { dst: 1, bank: 2, idx: IdxOp::Reg(3) },
+            IdxInstr::Shfl { dst: 1, src: 2, lane: 3 },
+            IdxInstr::PipeOff { dst: 1, k: 3, stride: 2880 },
+        ] {
+            v.push((Instr::Idx(ii), vec![]));
+        }
+        v.push((Instr::BarArrive { bar: 1, warps: 2 }, vec![]));
+        v.push((Instr::BarSync { bar: 1, warps: 2 }, vec![]));
+        v.push((Instr::BarArriveStage { base: 1, k: 2, warps: 3 }, vec![]));
+        v.push((Instr::BarSyncStage { base: 1, k: 2, warps: 3 }, vec![]));
+        v.push((
+            Instr::CpAsync {
+                addr: SAddr::dyn_lane(1, 7),
+                array: GlobalId(0),
+                row: IdxOp::Reg(2),
+                point: PointRef::Lane,
+            },
+            vec![],
+        ));
+        v
+    }
+
+    /// `(variant, shape within the variant, shapes the variant has)`.
+    /// Exhaustive matches, so a new variant or sub-instruction does not
+    /// compile until it is placed here — and then fails
+    /// [`samples_cover_every_shape`] until [`samples`] has an instance.
+    fn shape(i: &Instr) -> (usize, usize, usize) {
+        match i {
+            Instr::Un { op, .. } => (0, *op as usize, UnOp::ALL.len()),
+            Instr::Bin { op, .. } => (1, *op as usize, BinOp::ALL.len()),
+            Instr::DFma { const_c, .. } => (2, usize::from(*const_c), 2),
+            Instr::DSel { .. } => (3, 0, 1),
+            Instr::DCmp { cmp, .. } => (4, *cmp as usize, Cmp::ALL.len()),
+            Instr::LdGlobal { addr, .. } => {
+                let p = match addr.point {
+                    PointRef::Lane => 0,
+                    PointRef::Thread => 1,
+                    PointRef::Reg(_) => 2,
+                };
+                (5, p, 3)
+            }
+            Instr::StGlobal { .. } => (6, 0, 1),
+            Instr::LdShared { addr, .. } => (7, usize::from(addr.base.is_some()), 2),
+            Instr::StShared { lane_pred, .. } => (8, usize::from(lane_pred.is_some()), 2),
+            Instr::LdConst { .. } => (9, 0, 1),
+            Instr::LdLocal { .. } => (10, 0, 1),
+            Instr::StLocal { .. } => (11, 0, 1),
+            Instr::Shfl { .. } => (12, 0, 1),
+            Instr::Idx(ii) => {
+                let sub = match ii {
+                    IdxInstr::Mov { .. } => 0,
+                    IdxInstr::Add { .. } => 1,
+                    IdxInstr::Mul { .. } => 2,
+                    IdxInstr::LaneId { .. } => 3,
+                    IdxInstr::WarpId { .. } => 4,
+                    IdxInstr::LdConst { .. } => 5,
+                    IdxInstr::Shfl { .. } => 6,
+                    IdxInstr::PipeOff { .. } => 7,
+                };
+                (13, sub, 8)
+            }
+            Instr::BarArrive { .. } => (14, 0, 1),
+            Instr::BarSync { .. } => (15, 0, 1),
+            Instr::BarArriveStage { .. } => (16, 0, 1),
+            Instr::BarSyncStage { .. } => (17, 0, 1),
+            Instr::CpAsync { .. } => (18, 0, 1),
+        }
+    }
+
+    #[test]
+    fn samples_cover_every_shape() {
+        let mut seen: Vec<Vec<bool>> = Vec::new();
+        for (i, _) in samples() {
+            let (variant, sub, n) = shape(&i);
+            if seen.len() <= variant {
+                seen.resize(variant + 1, Vec::new());
+            }
+            seen[variant].resize(n, false);
+            seen[variant][sub] = true;
+        }
+        assert_eq!(seen.len(), 19, "a variant has no sample");
+        for (variant, subs) in seen.iter().enumerate() {
+            assert!(!subs.is_empty() && subs.iter().all(|&s| s), "variant {variant}: {subs:?}");
+        }
+        for (ops, all) in [(UnOp::ALL.len(), 7), (BinOp::ALL.len(), 7), (Cmp::ALL.len(), 6)] {
+            assert_eq!(ops, all);
+        }
+        // `ALL` is indexed by discriminant (the codec reads through it).
+        assert!(UnOp::ALL.iter().enumerate().all(|(i, o)| *o as usize == i));
+        assert!(BinOp::ALL.iter().enumerate().all(|(i, o)| *o as usize == i));
+        assert!(Cmp::ALL.iter().enumerate().all(|(i, o)| *o as usize == i));
+    }
+
+    #[test]
+    fn static_costs_are_pinned_for_every_op() {
+        // (issue slots, flops, const slots exp-from-cache, exp-from-regs).
+        let un = |op| match op {
+            UnOp::Mov => (1, 0, 0, 0),
+            UnOp::Sqrt => (8, 16, 0, 0),
+            UnOp::Exp => (12, 24, 12, 0),
+            UnOp::Log => (12, 24, 0, 0),
+            UnOp::Log10 => (13, 26, 0, 0),
+            UnOp::Cbrt => (14, 28, 0, 0),
+            UnOp::Neg => (1, 1, 0, 0),
+        };
+        let bin = |op| match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Max | BinOp::Min => (1, 1, 0, 0),
+            BinOp::Div => (8, 16, 0, 0),
+            BinOp::Pow => (24, 48, 0, 0),
+        };
+        for (i, _) in samples() {
+            let want = match &i {
+                Instr::Un { op, .. } => un(*op),
+                Instr::Bin { op, .. } => bin(*op),
+                Instr::DFma { const_c: false, .. } => (1, 2, 0, 0),
+                Instr::DFma { const_c: true, .. } => (1, 2, 1, 1),
+                Instr::DSel { .. } | Instr::DCmp { .. } => (1, 1, 0, 0),
+                Instr::Shfl { .. } => (2, 0, 0, 0),
+                Instr::LdGlobal { .. }
+                | Instr::StGlobal { .. }
+                | Instr::LdShared { .. }
+                | Instr::StShared { .. }
+                | Instr::LdConst { .. }
+                | Instr::LdLocal { .. }
+                | Instr::StLocal { .. }
+                | Instr::Idx(_)
+                | Instr::BarArrive { .. }
+                | Instr::BarSync { .. }
+                | Instr::BarArriveStage { .. }
+                | Instr::BarSyncStage { .. }
+                | Instr::CpAsync { .. } => (1, 0, 0, 0),
+            };
+            let got = (
+                i.issue_slots(),
+                i.flops(),
+                i.const_operand_slots(false),
+                i.const_operand_slots(true),
+            );
+            assert_eq!(got, want, "{i:?}");
+            assert_eq!(i.is_dp(), want.1 > 0, "{i:?}");
+        }
+    }
+
+    #[test]
+    fn visitor_reports_and_moves_exactly_the_double_registers() {
+        let regs = |i: &Instr| {
+            let mut v = Vec::new();
+            i.visit_regs(|r, role| v.push((r, role)));
+            v
+        };
+        for (i, want) in samples() {
+            assert_eq!(regs(&i), want, "{i:?}");
+            let mut same = i.clone();
+            same.visit_regs_mut(&mut |_, _| {});
+            assert_eq!(same, i);
+            let mut moved = i.clone();
+            moved.visit_regs_mut(&mut |r, _| *r += 1);
+            let bumped: Vec<_> = want.iter().map(|&(r, role)| (r + 1, role)).collect();
+            assert_eq!(regs(&moved), bumped, "{i:?}");
+            // Nothing but those registers changed: undoing the shift
+            // restores the instruction.
+            moved.visit_regs_mut(&mut |r, _| *r -= 1);
+            assert_eq!(moved, i);
+        }
+    }
+
+    #[test]
+    fn sync_relevance_is_index_shared_and_barrier_ops() {
+        for (i, _) in samples() {
+            let (variant, ..) = shape(&i);
+            assert_eq!(i.is_sync_relevant(), matches!(variant, 7 | 8 | 13..=18), "{i:?}");
+        }
+    }
+
     fn empty_kernel() -> Kernel {
         Kernel {
             name: "t".into(),
@@ -515,7 +948,7 @@ mod tests {
         let fma = Instr::DFma { dst: 0, a: Op::Imm(1.0), b: Op::Imm(2.0), c: Op::Imm(3.0), const_c: false };
         assert_eq!(fma.issue_slots(), 1);
         assert_eq!(fma.flops(), 2);
-        let exp = Instr::DExp { dst: 0, a: Op::Imm(1.0) };
+        let exp = Instr::Un { op: UnOp::Exp, dst: 0, a: Op::Imm(1.0) };
         assert_eq!(exp.issue_slots(), 12);
         assert_eq!(exp.flops(), 24);
         assert!(exp.is_dp());
@@ -527,7 +960,7 @@ mod tests {
 
     #[test]
     fn const_operand_slots_and_ablation() {
-        let exp = Instr::DExp { dst: 0, a: Op::Imm(1.0) };
+        let exp = Instr::Un { op: UnOp::Exp, dst: 0, a: Op::Imm(1.0) };
         assert_eq!(exp.const_operand_slots(false), 12);
         assert_eq!(exp.const_operand_slots(true), 0);
         let fma_c = Instr::DFma { dst: 0, a: Op::Imm(1.0), b: Op::Imm(2.0), c: Op::Imm(3.0), const_c: true };
@@ -539,20 +972,25 @@ mod tests {
     fn static_instruction_count_covers_all_branches() {
         let mut k = empty_kernel();
         k.body = vec![
-            Node::Op(Instr::DMov { dst: 0, src: Op::Imm(0.0) }),
+            Node::Op(Instr::mov(0, Op::Imm(0.0))),
             Node::WarpSwitch {
                 case_of_warp: vec![0, 0, 1, 1],
                 cases: vec![
-                    vec![Node::Op(Instr::DMov { dst: 1, src: Op::Imm(1.0) })],
+                    vec![Node::Op(Instr::mov(1, Op::Imm(1.0)))],
                     vec![
-                        Node::Op(Instr::DMov { dst: 1, src: Op::Imm(2.0) }),
-                        Node::Op(Instr::DMov { dst: 2, src: Op::Imm(3.0) }),
+                        Node::Op(Instr::mov(1, Op::Imm(2.0))),
+                        Node::Op(Instr::mov(2, Op::Imm(3.0))),
                     ],
                 ],
             },
             Node::Loop {
                 count: 4,
-                body: vec![Node::Op(Instr::DAdd { dst: 0, a: Op::Reg(0), b: Op::Imm(1.0) })],
+                body: vec![Node::Op(Instr::Bin {
+                    op: BinOp::Add,
+                    dst: 0,
+                    a: Op::Reg(0),
+                    b: Op::Imm(1.0),
+                })],
             },
         ];
         // 1 + (1 + 1 + 2) + (1 + 1)
@@ -562,7 +1000,7 @@ mod tests {
     #[test]
     fn check_catches_out_of_range() {
         let mut k = empty_kernel();
-        k.body = vec![Node::Op(Instr::DMov { dst: 99, src: Op::Imm(0.0) })];
+        k.body = vec![Node::Op(Instr::mov(99, Op::Imm(0.0)))];
         assert!(k.check().is_err());
         k.body = vec![Node::Op(Instr::BarSync { bar: 3, warps: 2 })];
         assert!(k.check().is_err());

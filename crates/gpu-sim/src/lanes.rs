@@ -31,6 +31,7 @@
 //! operand's payload when both inputs are NaN, so callers that need
 //! `c + p` rather than `p + c` get their own kernel variant.
 
+use crate::isa::Cmp;
 use crate::WARP_SIZE;
 
 /// One warp's worth of f64 lanes — the unit every kernel operates on.
@@ -306,23 +307,11 @@ pub(crate) fn min(a: &Lanes, b: &Lanes, out: &mut Lanes) {
     }
 }
 
-/// Comparison kind for [`cmp`], mirroring [`crate::isa::Cmp`] without
-/// dragging the ISA into this leaf module.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CmpKind {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-}
-
 lane_kernel!(
     /// Compare producing 0.0/1.0 per lane. The kind match sits outside the
     /// lane loop so each arm is an independently vectorizable loop.
     cmp,
-    (kind: CmpKind, a: &Lanes, b: &Lanes, out: &mut Lanes),
+    (kind: Cmp, a: &Lanes, b: &Lanes, out: &mut Lanes),
     {
         macro_rules! arm {
             ($op:tt) => {
@@ -332,12 +321,12 @@ lane_kernel!(
             };
         }
         match kind {
-            CmpKind::Lt => arm!(<),
-            CmpKind::Le => arm!(<=),
-            CmpKind::Gt => arm!(>),
-            CmpKind::Ge => arm!(>=),
-            CmpKind::Eq => arm!(==),
-            CmpKind::Ne => arm!(!=),
+            Cmp::Lt => arm!(<),
+            Cmp::Le => arm!(<=),
+            Cmp::Gt => arm!(>),
+            Cmp::Ge => arm!(>=),
+            Cmp::Eq => arm!(==),
+            Cmp::Ne => arm!(!=),
         }
     }
 );
@@ -452,7 +441,7 @@ mod tests {
         for l in 0..WARP_SIZE {
             assert_eq!(out[l].to_bits(), a[l].mul_add(b[l], c[l]).to_bits());
         }
-        cmp(CmpKind::Lt, &a, &b, &mut out);
+        cmp(Cmp::Lt, &a, &b, &mut out);
         for l in 0..WARP_SIZE {
             assert_eq!(out[l], if a[l] < b[l] { 1.0 } else { 0.0 });
         }

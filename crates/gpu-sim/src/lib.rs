@@ -50,7 +50,8 @@ pub use engine::{EngineStats, LOWERING_VERSION};
 pub use flatcache::flatten_cached;
 pub use error::{SimError, SimResult};
 pub use isa::{
-    ArrayDecl, GAddr, GlobalId, IdxInstr, IdxOp, Instr, Kernel, Node, Op, PointRef, Reg, SAddr,
+    ArrayDecl, BinOp, GAddr, GlobalId, IdxInstr, IdxOp, Instr, Kernel, Node, Op, PointRef, Reg,
+    SAddr, UnOp,
 };
 pub use launch::{launch, launch_with_config, LaunchConfig, LaunchInputs, LaunchMode, LaunchOutput};
 pub use model::{ModelProfile, OpMix, WarpGroup};

@@ -39,7 +39,7 @@ use crate::counts::EventCounts;
 use crate::flatcache::flatten_cached;
 use crate::icache::interleaved_fetch_profile;
 use crate::interp::{FlatOp, FlatProgram};
-use crate::isa::{IdxOp, Instr, Kernel, SAddr};
+use crate::isa::{IdxOp, Instr, Kernel, SAddr, UnOp};
 use crate::profile::{CtaProfile, Profiler, WarpCycles};
 
 /// A set of warps executing the same static instruction stream (same
@@ -357,7 +357,7 @@ pub fn predict_flat(
                             cur.issue += cost.slots;
                             counts.local_bytes += (crate::WARP_SIZE * 8) as u64;
                         }
-                        Instr::DExp { .. } => {
+                        Instr::Un { op: UnOp::Exp, .. } => {
                             cur.issue += cost.slots;
                             exp_ops += 1;
                         }
@@ -524,7 +524,7 @@ pub fn predict_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{ArrayDecl, Node, Op};
+    use crate::isa::{ArrayDecl, BinOp, Node, Op};
 
     fn kernel_with(body: Vec<Node>, warps: usize) -> Kernel {
         Kernel {
@@ -555,7 +555,7 @@ mod tests {
             Node::WarpIf {
                 mask: 0b01,
                 body: vec![
-                    Node::Op(Instr::DExp { dst: 0, a: Op::Imm(1.0) }),
+                    Node::Op(Instr::Un { op: UnOp::Exp, dst: 0, a: Op::Imm(1.0) }),
                     Node::Op(Instr::BarArrive { bar: 0, warps: 2 }),
                 ],
             },
@@ -585,7 +585,7 @@ mod tests {
                 body: vec![
                     Node::Loop {
                         count: 10,
-                        body: vec![Node::Op(Instr::DExp { dst: 0, a: Op::Imm(1.0) })],
+                        body: vec![Node::Op(Instr::Un { op: UnOp::Exp, dst: 0, a: Op::Imm(1.0) })],
                     },
                     Node::Op(Instr::BarArrive { bar: 1, warps: 2 }),
                 ],
@@ -602,9 +602,9 @@ mod tests {
     #[test]
     fn predictions_are_deterministic() {
         let body = vec![
-            Node::Op(Instr::DAdd { dst: 0, a: Op::Imm(1.0), b: Op::Imm(2.0) }),
+            Node::Op(Instr::Bin { op: BinOp::Add, dst: 0, a: Op::Imm(1.0), b: Op::Imm(2.0) }),
             Node::Op(Instr::BarSync { bar: 0, warps: 3 }),
-            Node::Op(Instr::DMul { dst: 0, a: Op::Reg(0), b: Op::Imm(2.0) }),
+            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 0, a: Op::Reg(0), b: Op::Imm(2.0) }),
         ];
         let k = kernel_with(body, 3);
         let a = predict(&k, &arch()).unwrap();
@@ -619,8 +619,13 @@ mod tests {
             Node::WarpSwitch {
                 case_of_warp: vec![0, 0, 1],
                 cases: vec![
-                    vec![Node::Op(Instr::DAdd { dst: 0, a: Op::Imm(1.0), b: Op::Imm(2.0) })],
-                    vec![Node::Op(Instr::DExp { dst: 0, a: Op::Imm(1.0) })],
+                    vec![Node::Op(Instr::Bin {
+                        op: BinOp::Add,
+                        dst: 0,
+                        a: Op::Imm(1.0),
+                        b: Op::Imm(2.0),
+                    })],
+                    vec![Node::Op(Instr::Un { op: UnOp::Exp, dst: 0, a: Op::Imm(1.0) })],
                 ],
             },
         ];

@@ -43,14 +43,16 @@ use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use gpu_sim::isa::codec::{decode_kernel, encode_kernel};
 use gpu_sim::isa::Kernel;
 use singe::codegen::CompileStats;
 
-use crate::wire::{self, R, W, WireError};
+use crate::wire::{self, Sink, WireError, R, W};
 
-/// Bump when the byte layout of anything in this file or `wire.rs`
-/// changes. Old files become misses, never decode errors.
-pub const WIRE_FORMAT_VERSION: u32 = 2;
+/// Bump when the byte layout of anything in this file, `wire.rs` or
+/// `gpu_sim::isa::codec` changes. Old files become misses, never decode
+/// errors.
+pub const WIRE_FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"SNGEART1";
 
@@ -212,18 +214,17 @@ fn dec_meta(r: &mut R) -> Result<ArtifactMeta, WireError> {
 
 /// Serialize an artifact into its on-disk container bytes.
 pub fn encode(a: &Artifact) -> Vec<u8> {
-    let mut body = W::new();
-    wire::enc_kernel(&mut body, &a.kernel);
+    let mut payload = W::new();
+    encode_kernel(&a.kernel, &mut payload);
     match &a.stats {
-        None => body.u8(0),
+        None => payload.u8(0),
         Some(s) => {
-            body.u8(1);
-            wire::enc_stats(&mut body, s);
+            payload.u8(1);
+            wire::enc_stats(&mut payload, s);
         }
     }
-    enc_verdict(&mut body, &a.verdict);
-    enc_meta(&mut body, &a.meta);
-    let payload = body.into_bytes();
+    enc_verdict(&mut payload, &a.verdict);
+    enc_meta(&mut payload, &a.meta);
 
     let mut out = Vec::with_capacity(payload.len() + 32);
     out.extend_from_slice(MAGIC);
@@ -267,7 +268,7 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact, WireError> {
         return Err(WireError("checksum mismatch"));
     }
     let mut r = R::new(payload);
-    let kernel = wire::dec_kernel(&mut r)?;
+    let kernel = decode_kernel(&mut r)?;
     let stats = match r.u8()? {
         0 => None,
         1 => Some(wire::dec_stats(&mut r)?),
@@ -357,7 +358,7 @@ mod tests {
         Artifact {
             kernel: Kernel {
                 name: "t".into(),
-                body: vec![Node::Op(Instr::DMov { dst: 0, src: Op::Imm(2.5) })],
+                body: vec![Node::Op(Instr::mov(0, Op::Imm(2.5)))],
                 warps_per_cta: 1,
                 points_per_cta: 32,
                 dregs_per_thread: 1,

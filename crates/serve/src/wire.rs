@@ -1,7 +1,11 @@
 //! Binary wire format for on-disk compiled-kernel artifacts.
 //!
 //! The workspace is fully offline (no serde), so the format is hand-rolled
-//! little-endian with explicit tags. Design rules:
+//! little-endian with explicit tags. The kernel IR's bytes — and the
+//! [`W`]/[`R`] primitives everything here is written with — belong to
+//! [`gpu_sim::isa::codec`], the one encoder/decoder of the ISA (the same
+//! walk that `gpu_sim::flatcache::fingerprint` hashes); this module adds
+//! the [`CompileStats`] codec and the container checksum. Design rules:
 //!
 //! * **Exactness**: `f64` travels as its bit pattern, so a decoded kernel
 //!   is bit-identical to the encoded one — the durability tests pin warm
@@ -15,29 +19,15 @@
 //! * **Versioning**: the container header carries
 //!   [`crate::artifact::WIRE_FORMAT_VERSION`] and
 //!   [`gpu_sim::LOWERING_VERSION`]; either mismatching the running binary
-//!   is a miss. Instruction tags deliberately mirror the structural-hash
-//!   tags in `gpu_sim::flatcache`, the repo's one identity scheme for
-//!   kernel IR.
+//!   is a miss.
 
-use gpu_sim::isa::*;
+pub use gpu_sim::isa::codec::{DecodeError as WireError, Reader as R, Sink};
 use singe::codegen::CompileStats;
 
-/// Decode failure: the byte stream is truncated, mis-tagged, or otherwise
-/// not a valid artifact of this format version. Deliberately carries only
-/// a static description — decode failures are expected (stale/corrupt
-/// cache entries) and handled by recompiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireError(pub &'static str);
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "wire decode failed: {}", self.0)
-    }
-}
-
-impl std::error::Error for WireError {}
-
 type WResult<T> = Result<T, WireError>;
+
+/// Little-endian byte writer: a plain buffer driven through [`Sink`].
+pub type W = Vec<u8>;
 
 /// FNV-1a 64-bit over a byte slice (the container checksum).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -47,708 +37,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1_0000_01b3);
     }
     h
-}
-
-/// Little-endian byte writer.
-#[derive(Default)]
-pub struct W {
-    buf: Vec<u8>,
-}
-
-// Primitive put/get methods named after the type they move; documenting
-// each would just restate the name.
-#[allow(missing_docs)]
-impl W {
-    pub fn new() -> W {
-        W::default()
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Bounds-checked little-endian reader.
-pub struct R<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-#[allow(missing_docs)]
-impl<'a> R<'a> {
-    pub fn new(b: &'a [u8]) -> R<'a> {
-        R { b, pos: 0 }
-    }
-
-    /// True if every byte has been consumed (decoders require this so
-    /// trailing garbage is a decode failure, not silently ignored data).
-    pub fn exhausted(&self) -> bool {
-        self.pos == self.b.len()
-    }
-
-    fn take(&mut self, n: usize) -> WResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or(WireError("length overflow"))?;
-        if end > self.b.len() {
-            return Err(WireError("truncated"));
-        }
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> WResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn bool(&mut self) -> WResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError("bad bool")),
-        }
-    }
-
-    pub fn u16(&mut self) -> WResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub fn u32(&mut self) -> WResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> WResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn usize(&mut self) -> WResult<usize> {
-        usize::try_from(self.u64()?).map_err(|_| WireError("usize overflow"))
-    }
-
-    /// A usize that also cannot plausibly exceed the remaining payload
-    /// (guards `Vec::with_capacity` against allocating from corrupt
-    /// lengths before the per-element reads would fail).
-    fn len(&mut self) -> WResult<usize> {
-        let n = self.usize()?;
-        if n > self.b.len().saturating_sub(self.pos) {
-            return Err(WireError("length exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    pub fn f64(&mut self) -> WResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn str(&mut self) -> WResult<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError("bad utf8"))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Kernel IR
-// ---------------------------------------------------------------------------
-
-fn enc_op(w: &mut W, o: &Op) {
-    match o {
-        Op::Reg(r) => {
-            w.u8(0);
-            w.u16(*r);
-        }
-        Op::Imm(v) => {
-            w.u8(1);
-            w.f64(*v);
-        }
-    }
-}
-
-fn dec_op(r: &mut R) -> WResult<Op> {
-    Ok(match r.u8()? {
-        0 => Op::Reg(r.u16()?),
-        1 => Op::Imm(r.f64()?),
-        _ => return Err(WireError("bad Op tag")),
-    })
-}
-
-fn enc_iop(w: &mut W, o: &IdxOp) {
-    match o {
-        IdxOp::Imm(v) => {
-            w.u8(0);
-            w.u32(*v);
-        }
-        IdxOp::Reg(r) => {
-            w.u8(1);
-            w.u16(*r);
-        }
-    }
-}
-
-fn dec_iop(r: &mut R) -> WResult<IdxOp> {
-    Ok(match r.u8()? {
-        0 => IdxOp::Imm(r.u32()?),
-        1 => IdxOp::Reg(r.u16()?),
-        _ => return Err(WireError("bad IdxOp tag")),
-    })
-}
-
-fn enc_gaddr(w: &mut W, a: &GAddr) {
-    w.usize(a.array.0);
-    enc_iop(w, &a.row);
-    match &a.point {
-        PointRef::Lane => w.u8(0),
-        PointRef::Thread => w.u8(1),
-        PointRef::Reg(r) => {
-            w.u8(2);
-            w.u16(*r);
-        }
-    }
-}
-
-fn dec_gaddr(r: &mut R) -> WResult<GAddr> {
-    let array = GlobalId(r.usize()?);
-    let row = dec_iop(r)?;
-    let point = match r.u8()? {
-        0 => PointRef::Lane,
-        1 => PointRef::Thread,
-        2 => PointRef::Reg(r.u16()?),
-        _ => return Err(WireError("bad PointRef tag")),
-    };
-    Ok(GAddr { array, row, point })
-}
-
-fn enc_saddr(w: &mut W, a: &SAddr) {
-    match a.base {
-        None => w.u8(0),
-        Some(r) => {
-            w.u8(1);
-            w.u16(r);
-        }
-    }
-    w.u32(a.imm);
-    w.u32(a.lane_stride);
-}
-
-fn dec_saddr(r: &mut R) -> WResult<SAddr> {
-    let base = match r.u8()? {
-        0 => None,
-        1 => Some(r.u16()?),
-        _ => return Err(WireError("bad SAddr tag")),
-    };
-    Ok(SAddr { base, imm: r.u32()?, lane_stride: r.u32()? })
-}
-
-fn enc_cmp(w: &mut W, c: &Cmp) {
-    w.u8(match c {
-        Cmp::Lt => 0,
-        Cmp::Le => 1,
-        Cmp::Gt => 2,
-        Cmp::Ge => 3,
-        Cmp::Eq => 4,
-        Cmp::Ne => 5,
-    });
-}
-
-fn dec_cmp(r: &mut R) -> WResult<Cmp> {
-    Ok(match r.u8()? {
-        0 => Cmp::Lt,
-        1 => Cmp::Le,
-        2 => Cmp::Gt,
-        3 => Cmp::Ge,
-        4 => Cmp::Eq,
-        5 => Cmp::Ne,
-        _ => return Err(WireError("bad Cmp tag")),
-    })
-}
-
-/// Tags intentionally mirror `gpu_sim::flatcache::hash_instr`.
-fn enc_instr(w: &mut W, i: &Instr) {
-    match i {
-        Instr::DMov { dst, src } => {
-            w.u8(0);
-            w.u16(*dst);
-            enc_op(w, src);
-        }
-        Instr::DAdd { dst, a, b } => {
-            w.u8(1);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DSub { dst, a, b } => {
-            w.u8(2);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DMul { dst, a, b } => {
-            w.u8(3);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DFma { dst, a, b, c, const_c } => {
-            w.u8(4);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-            enc_op(w, c);
-            w.bool(*const_c);
-        }
-        Instr::DDiv { dst, a, b } => {
-            w.u8(5);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DSqrt { dst, a } => {
-            w.u8(6);
-            w.u16(*dst);
-            enc_op(w, a);
-        }
-        Instr::DExp { dst, a } => {
-            w.u8(7);
-            w.u16(*dst);
-            enc_op(w, a);
-        }
-        Instr::DLog { dst, a } => {
-            w.u8(8);
-            w.u16(*dst);
-            enc_op(w, a);
-        }
-        Instr::DLog10 { dst, a } => {
-            w.u8(9);
-            w.u16(*dst);
-            enc_op(w, a);
-        }
-        Instr::DCbrt { dst, a } => {
-            w.u8(10);
-            w.u16(*dst);
-            enc_op(w, a);
-        }
-        Instr::DPow { dst, a, b } => {
-            w.u8(11);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DMax { dst, a, b } => {
-            w.u8(12);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DMin { dst, a, b } => {
-            w.u8(13);
-            w.u16(*dst);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DNeg { dst, a } => {
-            w.u8(14);
-            w.u16(*dst);
-            enc_op(w, a);
-        }
-        Instr::DSel { dst, pred, a, b } => {
-            w.u8(15);
-            w.u16(*dst);
-            w.u16(*pred);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::DCmp { dst, cmp, a, b } => {
-            w.u8(16);
-            w.u16(*dst);
-            enc_cmp(w, cmp);
-            enc_op(w, a);
-            enc_op(w, b);
-        }
-        Instr::LdGlobal { dst, addr, ldg } => {
-            w.u8(17);
-            w.u16(*dst);
-            enc_gaddr(w, addr);
-            w.bool(*ldg);
-        }
-        Instr::StGlobal { src, addr } => {
-            w.u8(18);
-            enc_op(w, src);
-            enc_gaddr(w, addr);
-        }
-        Instr::LdShared { dst, addr } => {
-            w.u8(19);
-            w.u16(*dst);
-            enc_saddr(w, addr);
-        }
-        Instr::StShared { src, addr, lane_pred } => {
-            w.u8(20);
-            enc_op(w, src);
-            enc_saddr(w, addr);
-            match lane_pred {
-                None => w.u8(0),
-                Some(p) => {
-                    w.u8(1);
-                    w.u8(*p);
-                }
-            }
-        }
-        Instr::LdConst { dst, bank, idx } => {
-            w.u8(21);
-            w.u16(*dst);
-            w.u16(*bank);
-            enc_iop(w, idx);
-        }
-        Instr::LdLocal { dst, slot } => {
-            w.u8(22);
-            w.u16(*dst);
-            w.u32(*slot);
-        }
-        Instr::StLocal { src, slot } => {
-            w.u8(23);
-            enc_op(w, src);
-            w.u32(*slot);
-        }
-        Instr::Shfl { dst, src, lane } => {
-            w.u8(24);
-            w.u16(*dst);
-            w.u16(*src);
-            w.u8(*lane);
-        }
-        Instr::Idx(ii) => {
-            w.u8(25);
-            match ii {
-                IdxInstr::Mov { dst, src } => {
-                    w.u8(0);
-                    w.u16(*dst);
-                    enc_iop(w, src);
-                }
-                IdxInstr::Add { dst, a, b } => {
-                    w.u8(1);
-                    w.u16(*dst);
-                    enc_iop(w, a);
-                    enc_iop(w, b);
-                }
-                IdxInstr::Mul { dst, a, b } => {
-                    w.u8(2);
-                    w.u16(*dst);
-                    enc_iop(w, a);
-                    enc_iop(w, b);
-                }
-                IdxInstr::LaneId { dst } => {
-                    w.u8(3);
-                    w.u16(*dst);
-                }
-                IdxInstr::WarpId { dst } => {
-                    w.u8(4);
-                    w.u16(*dst);
-                }
-                IdxInstr::LdConst { dst, bank, idx } => {
-                    w.u8(5);
-                    w.u16(*dst);
-                    w.u16(*bank);
-                    enc_iop(w, idx);
-                }
-                IdxInstr::Shfl { dst, src, lane } => {
-                    w.u8(6);
-                    w.u16(*dst);
-                    w.u16(*src);
-                    w.u8(*lane);
-                }
-                IdxInstr::PipeOff { dst, k, stride } => {
-                    w.u8(7);
-                    w.u16(*dst);
-                    w.u8(*k);
-                    w.u32(*stride);
-                }
-            }
-        }
-        Instr::BarArrive { bar, warps } => {
-            w.u8(26);
-            w.u8(*bar);
-            w.u16(*warps);
-        }
-        Instr::BarSync { bar, warps } => {
-            w.u8(27);
-            w.u8(*bar);
-            w.u16(*warps);
-        }
-        Instr::BarArriveStage { base, k, warps } => {
-            w.u8(28);
-            w.u8(*base);
-            w.u8(*k);
-            w.u16(*warps);
-        }
-        Instr::BarSyncStage { base, k, warps } => {
-            w.u8(29);
-            w.u8(*base);
-            w.u8(*k);
-            w.u16(*warps);
-        }
-        Instr::CpAsync { addr, array, row, point } => {
-            w.u8(30);
-            enc_saddr(w, addr);
-            enc_gaddr(w, &GAddr { array: *array, row: *row, point: *point });
-        }
-    }
-}
-
-fn dec_instr(r: &mut R) -> WResult<Instr> {
-    Ok(match r.u8()? {
-        0 => Instr::DMov { dst: r.u16()?, src: dec_op(r)? },
-        1 => Instr::DAdd { dst: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        2 => Instr::DSub { dst: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        3 => Instr::DMul { dst: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        4 => Instr::DFma {
-            dst: r.u16()?,
-            a: dec_op(r)?,
-            b: dec_op(r)?,
-            c: dec_op(r)?,
-            const_c: r.bool()?,
-        },
-        5 => Instr::DDiv { dst: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        6 => Instr::DSqrt { dst: r.u16()?, a: dec_op(r)? },
-        7 => Instr::DExp { dst: r.u16()?, a: dec_op(r)? },
-        8 => Instr::DLog { dst: r.u16()?, a: dec_op(r)? },
-        9 => Instr::DLog10 { dst: r.u16()?, a: dec_op(r)? },
-        10 => Instr::DCbrt { dst: r.u16()?, a: dec_op(r)? },
-        11 => Instr::DPow { dst: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        12 => Instr::DMax { dst: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        13 => Instr::DMin { dst: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        14 => Instr::DNeg { dst: r.u16()?, a: dec_op(r)? },
-        15 => Instr::DSel { dst: r.u16()?, pred: r.u16()?, a: dec_op(r)?, b: dec_op(r)? },
-        16 => Instr::DCmp { dst: r.u16()?, cmp: dec_cmp(r)?, a: dec_op(r)?, b: dec_op(r)? },
-        17 => Instr::LdGlobal { dst: r.u16()?, addr: dec_gaddr(r)?, ldg: r.bool()? },
-        18 => Instr::StGlobal { src: dec_op(r)?, addr: dec_gaddr(r)? },
-        19 => Instr::LdShared { dst: r.u16()?, addr: dec_saddr(r)? },
-        20 => Instr::StShared {
-            src: dec_op(r)?,
-            addr: dec_saddr(r)?,
-            lane_pred: match r.u8()? {
-                0 => None,
-                1 => Some(r.u8()?),
-                _ => return Err(WireError("bad lane_pred tag")),
-            },
-        },
-        21 => Instr::LdConst { dst: r.u16()?, bank: r.u16()?, idx: dec_iop(r)? },
-        22 => Instr::LdLocal { dst: r.u16()?, slot: r.u32()? },
-        23 => Instr::StLocal { src: dec_op(r)?, slot: r.u32()? },
-        24 => Instr::Shfl { dst: r.u16()?, src: r.u16()?, lane: r.u8()? },
-        25 => Instr::Idx(match r.u8()? {
-            0 => IdxInstr::Mov { dst: r.u16()?, src: dec_iop(r)? },
-            1 => IdxInstr::Add { dst: r.u16()?, a: dec_iop(r)?, b: dec_iop(r)? },
-            2 => IdxInstr::Mul { dst: r.u16()?, a: dec_iop(r)?, b: dec_iop(r)? },
-            3 => IdxInstr::LaneId { dst: r.u16()? },
-            4 => IdxInstr::WarpId { dst: r.u16()? },
-            5 => IdxInstr::LdConst { dst: r.u16()?, bank: r.u16()?, idx: dec_iop(r)? },
-            6 => IdxInstr::Shfl { dst: r.u16()?, src: r.u16()?, lane: r.u8()? },
-            7 => IdxInstr::PipeOff { dst: r.u16()?, k: r.u8()?, stride: r.u32()? },
-            _ => return Err(WireError("bad IdxInstr tag")),
-        }),
-        26 => Instr::BarArrive { bar: r.u8()?, warps: r.u16()? },
-        27 => Instr::BarSync { bar: r.u8()?, warps: r.u16()? },
-        28 => Instr::BarArriveStage { base: r.u8()?, k: r.u8()?, warps: r.u16()? },
-        29 => Instr::BarSyncStage { base: r.u8()?, k: r.u8()?, warps: r.u16()? },
-        30 => {
-            let addr = dec_saddr(r)?;
-            let g = dec_gaddr(r)?;
-            Instr::CpAsync { addr, array: g.array, row: g.row, point: g.point }
-        }
-        _ => return Err(WireError("bad Instr tag")),
-    })
-}
-
-fn enc_nodes(w: &mut W, nodes: &[Node]) {
-    w.usize(nodes.len());
-    for n in nodes {
-        match n {
-            Node::Op(i) => {
-                w.u8(0);
-                enc_instr(w, i);
-            }
-            Node::WarpIf { mask, body } => {
-                w.u8(1);
-                w.u64(*mask);
-                enc_nodes(w, body);
-            }
-            Node::WarpSwitch { case_of_warp, cases } => {
-                w.u8(2);
-                w.usize(case_of_warp.len());
-                for c in case_of_warp {
-                    w.usize(*c);
-                }
-                w.usize(cases.len());
-                for c in cases {
-                    enc_nodes(w, c);
-                }
-            }
-            Node::Loop { count, body } => {
-                w.u8(3);
-                w.u32(*count);
-                enc_nodes(w, body);
-            }
-            Node::PointLoop { iters, body } => {
-                w.u8(4);
-                w.u32(*iters);
-                enc_nodes(w, body);
-            }
-        }
-    }
-}
-
-fn dec_nodes(r: &mut R, depth: usize) -> WResult<Vec<Node>> {
-    // The IR's control-flow trees are a few levels deep; a corrupt length
-    // field must not be able to recurse the decoder off the stack.
-    if depth > 64 {
-        return Err(WireError("node tree too deep"));
-    }
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match r.u8()? {
-            0 => Node::Op(dec_instr(r)?),
-            1 => Node::WarpIf { mask: r.u64()?, body: dec_nodes(r, depth + 1)? },
-            2 => {
-                let nc = r.len()?;
-                let mut case_of_warp = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    case_of_warp.push(r.usize()?);
-                }
-                let ncases = r.len()?;
-                let mut cases = Vec::with_capacity(ncases);
-                for _ in 0..ncases {
-                    cases.push(dec_nodes(r, depth + 1)?);
-                }
-                Node::WarpSwitch { case_of_warp, cases }
-            }
-            3 => Node::Loop { count: r.u32()?, body: dec_nodes(r, depth + 1)? },
-            4 => Node::PointLoop { iters: r.u32()?, body: dec_nodes(r, depth + 1)? },
-            _ => return Err(WireError("bad Node tag")),
-        });
-    }
-    Ok(out)
-}
-
-/// Encode a complete [`Kernel`].
-pub fn enc_kernel(w: &mut W, k: &Kernel) {
-    w.str(&k.name);
-    w.usize(k.warps_per_cta);
-    w.usize(k.points_per_cta);
-    w.usize(k.dregs_per_thread);
-    w.usize(k.iregs_per_thread);
-    w.usize(k.shared_words);
-    w.usize(k.local_words_per_thread);
-    w.usize(k.barriers_used);
-    w.usize(k.spilled_bytes_per_thread);
-    w.bool(k.exp_const_from_registers);
-    w.usize(k.const_banks.len());
-    for b in &k.const_banks {
-        w.usize(b.len());
-        for v in b {
-            w.f64(*v);
-        }
-    }
-    w.usize(k.iconst_banks.len());
-    for b in &k.iconst_banks {
-        w.usize(b.len());
-        for v in b {
-            w.u32(*v);
-        }
-    }
-    w.usize(k.global_arrays.len());
-    for a in &k.global_arrays {
-        w.str(&a.name);
-        w.usize(a.rows);
-        w.bool(a.output);
-    }
-    enc_nodes(w, &k.body);
-}
-
-/// Decode a complete [`Kernel`].
-pub fn dec_kernel(r: &mut R) -> WResult<Kernel> {
-    let name = r.str()?;
-    let warps_per_cta = r.usize()?;
-    let points_per_cta = r.usize()?;
-    let dregs_per_thread = r.usize()?;
-    let iregs_per_thread = r.usize()?;
-    let shared_words = r.usize()?;
-    let local_words_per_thread = r.usize()?;
-    let barriers_used = r.usize()?;
-    let spilled_bytes_per_thread = r.usize()?;
-    let exp_const_from_registers = r.bool()?;
-    let nb = r.len()?;
-    let mut const_banks = Vec::with_capacity(nb);
-    for _ in 0..nb {
-        let n = r.len()?;
-        let mut bank = Vec::with_capacity(n);
-        for _ in 0..n {
-            bank.push(r.f64()?);
-        }
-        const_banks.push(bank);
-    }
-    let nib = r.len()?;
-    let mut iconst_banks = Vec::with_capacity(nib);
-    for _ in 0..nib {
-        let n = r.len()?;
-        let mut bank = Vec::with_capacity(n);
-        for _ in 0..n {
-            bank.push(r.u32()?);
-        }
-        iconst_banks.push(bank);
-    }
-    let na = r.len()?;
-    let mut global_arrays = Vec::with_capacity(na);
-    for _ in 0..na {
-        global_arrays.push(ArrayDecl { name: r.str()?, rows: r.usize()?, output: r.bool()? });
-    }
-    let body = dec_nodes(r, 0)?;
-    Ok(Kernel {
-        name,
-        body,
-        warps_per_cta,
-        points_per_cta,
-        dregs_per_thread,
-        iregs_per_thread,
-        shared_words,
-        local_words_per_thread,
-        const_banks,
-        iconst_banks,
-        barriers_used,
-        global_arrays,
-        spilled_bytes_per_thread,
-        exp_const_from_registers,
-    })
 }
 
 /// Encode [`CompileStats`] (every field; the struct is plain-old-data).
@@ -788,6 +76,8 @@ pub fn dec_stats(r: &mut R) -> WResult<CompileStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::isa::codec::{decode_kernel, encode_kernel};
+    use gpu_sim::isa::*;
 
     fn sample_kernel() -> Kernel {
         Kernel {
@@ -860,11 +150,10 @@ mod tests {
     #[test]
     fn kernel_roundtrips_bit_exactly() {
         let k = sample_kernel();
-        let mut w = W::new();
-        enc_kernel(&mut w, &k);
-        let bytes = w.into_bytes();
+        let mut bytes = W::new();
+        encode_kernel(&k, &mut bytes);
         let mut r = R::new(&bytes);
-        let k2 = dec_kernel(&mut r).expect("decodes");
+        let k2 = decode_kernel(&mut r).expect("decodes");
         assert!(r.exhausted());
         // Debug formatting covers every field; NaN prints identically.
         assert_eq!(format!("{k:?}"), format!("{k2:?}"));
@@ -879,14 +168,13 @@ mod tests {
     #[test]
     fn truncation_and_tag_corruption_fail_cleanly() {
         let k = sample_kernel();
-        let mut w = W::new();
-        enc_kernel(&mut w, &k);
-        let bytes = w.into_bytes();
+        let mut bytes = W::new();
+        encode_kernel(&k, &mut bytes);
         // Every prefix must fail to decode (or decode without consuming
         // all input — also treated as failure by callers).
         for cut in 0..bytes.len() {
             let mut r = R::new(&bytes[..cut]);
-            if let Ok(_k) = dec_kernel(&mut r) {
+            if let Ok(_k) = decode_kernel(&mut r) {
                 assert!(!r.exhausted() || cut == bytes.len(), "truncated decode at {cut}");
             }
         }
@@ -897,7 +185,7 @@ mod tests {
             let mut m = bytes.clone();
             m[i] ^= 0xff;
             let mut r = R::new(&m);
-            let _ = dec_kernel(&mut r);
+            let _ = decode_kernel(&mut r);
         }
     }
 
@@ -917,9 +205,8 @@ mod tests {
             pipeline_depth: 2,
             full_barriers: 0,
         };
-        let mut w = W::new();
-        enc_stats(&mut w, &s);
-        let bytes = w.into_bytes();
+        let mut bytes = W::new();
+        enc_stats(&mut bytes, &s);
         let s2 = dec_stats(&mut R::new(&bytes)).unwrap();
         assert_eq!(format!("{s:?}"), format!("{s2:?}"));
     }

@@ -43,7 +43,12 @@ fn figure2_protocol_under_heavy_reuse() {
                             },
                             ldg: false,
                         }),
-                        Node::Op(Instr::DAdd { dst: 0, a: Op::Reg(0), b: Op::Imm(1.0) }),
+                        Node::Op(Instr::Bin {
+                            op: BinOp::Add,
+                            dst: 0,
+                            a: Op::Reg(0),
+                            b: Op::Imm(1.0),
+                        }),
                         Node::Op(Instr::StShared {
                             src: Op::Reg(0),
                             addr: SAddr::lane(0),

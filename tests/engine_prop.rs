@@ -151,7 +151,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use gpu_sim::isa::{
-    ArrayDecl, GAddr, GlobalId, IdxInstr, IdxOp, Instr, Kernel, Node, Op, PointRef, SAddr,
+    ArrayDecl, BinOp, GAddr, GlobalId, IdxInstr, IdxOp, Instr, Kernel, Node, Op, PointRef, SAddr,
+    UnOp,
 };
 
 /// Every awkward IEEE-754 citizen plus a few ordinary values. Selected by
@@ -219,28 +220,34 @@ fn burst(v: u64) -> Vec<Instr> {
         // A guaranteed-fusable mul→add / mul→sub pair through a staging
         // register (the engine's FusedMulBin path).
         0 => vec![
-            Instr::DMul { dst: t, a, b },
-            Instr::DAdd { dst, a: Op::Reg(t), b },
+            Instr::Bin { op: BinOp::Mul, dst: t, a, b },
+            Instr::Bin { op: BinOp::Add, dst, a: Op::Reg(t), b },
         ],
         1 => vec![
-            Instr::DMul { dst: t, a, b },
-            Instr::DSub { dst, a: Op::Reg(t), b: Op::Reg(ra) },
+            Instr::Bin { op: BinOp::Mul, dst: t, a, b },
+            Instr::Bin { op: BinOp::Sub, dst, a: Op::Reg(t), b: Op::Reg(ra) },
         ],
         // A mov chain (copy propagation food).
         2 => vec![
-            Instr::DMov { dst: t, src: a },
-            Instr::DMov { dst, src: Op::Reg(t) },
+            Instr::mov(t, a),
+            Instr::mov(dst, Op::Reg(t)),
         ],
-        3 => vec![Instr::DAdd { dst, a, b }],
-        4 => vec![Instr::DDiv { dst, a, b }],
+        3 => vec![Instr::Bin { op: BinOp::Add, dst, a, b }],
+        4 => vec![Instr::Bin { op: BinOp::Div, dst, a, b }],
         5 => vec![Instr::DFma { dst, a, b, c: Op::Reg(ra), const_c: false }],
-        6 => vec![Instr::DMax { dst, a, b }, Instr::DMin { dst: t, a: Op::Reg(dst), b }],
-        7 => vec![Instr::DNeg { dst, a }, Instr::DSqrt { dst: t, a: Op::Reg(dst) }],
+        6 => vec![
+            Instr::Bin { op: BinOp::Max, dst, a, b },
+            Instr::Bin { op: BinOp::Min, dst: t, a: Op::Reg(dst), b },
+        ],
+        7 => vec![
+            Instr::Un { op: UnOp::Neg, dst, a },
+            Instr::Un { op: UnOp::Sqrt, dst: t, a: Op::Reg(dst) },
+        ],
         // Broadcast one special constant out of the staged chunk — folds
         // to an immediate at lowering, then splats.
         8 => vec![
             Instr::Shfl { dst, src: 7, lane: ((v >> 24) % 32) as u8 },
-            Instr::DMul { dst: t, a: Op::Reg(dst), b },
+            Instr::Bin { op: BinOp::Mul, dst: t, a: Op::Reg(dst), b },
         ],
         // A single-lane store to a stride-0 mirror address read back by
         // all lanes (the LdSharedBcast path), with special values in it.
@@ -274,39 +281,43 @@ fn exp_burst(v: u64) -> Vec<Instr> {
         // disjoint, and the batched evaluation must be bit-identical to
         // the interpreter's one-at-a-time order.
         0 => vec![
-            Instr::DExp { dst, a },
-            Instr::DExp { dst: t, a: Op::Reg(7) },
+            Instr::Un { op: UnOp::Exp, dst, a },
+            Instr::Un { op: UnOp::Exp, dst: t, a: Op::Reg(7) },
         ],
         // Dependent chain exp(exp(x)) — the batcher must flush between
         // the two (overflow saturation and NaN pass through both hops).
         1 => vec![
-            Instr::DExp { dst: t, a },
-            Instr::DExp { dst, a: Op::Reg(t) },
+            Instr::Un { op: UnOp::Exp, dst: t, a },
+            Instr::Un { op: UnOp::Exp, dst, a: Op::Reg(t) },
         ],
         // Repeated operand — exp CSE rewrites the second into a mov.
         2 => vec![
-            Instr::DExp { dst: t, a },
-            Instr::DExp { dst, a },
+            Instr::Un { op: UnOp::Exp, dst: t, a },
+            Instr::Un { op: UnOp::Exp, dst, a },
         ],
         // exp(0)*exp(b): the one input-independent shape the mul rewrite
         // gate may accept (±0.0 operand, corpus-checked); the engine must
         // be bit-identical whether it rewrote or not.
         3 => vec![
-            Instr::DExp { dst: t, a: Op::Imm(if (v >> 24) & 1 == 0 { 0.0 } else { -0.0 }) },
-            Instr::DExp { dst, a },
-            Instr::DMul { dst, a: Op::Reg(t), b: Op::Reg(dst) },
+            Instr::Un {
+                op: UnOp::Exp,
+                dst: t,
+                a: Op::Imm(if (v >> 24) & 1 == 0 { 0.0 } else { -0.0 }),
+            },
+            Instr::Un { op: UnOp::Exp, dst, a },
+            Instr::Bin { op: BinOp::Mul, dst, a: Op::Reg(t), b: Op::Reg(dst) },
         ],
         // exp(c)*exp(b) with a non-zero (often special) immediate — the
         // gate almost always rejects this; rejection must not perturb
         // results.
         4 => vec![
-            Instr::DExp { dst: t, a: Op::Imm(special(v >> 25)) },
-            Instr::DExp { dst, a },
-            Instr::DMul { dst, a: Op::Reg(dst), b: Op::Reg(t) },
+            Instr::Un { op: UnOp::Exp, dst: t, a: Op::Imm(special(v >> 25)) },
+            Instr::Un { op: UnOp::Exp, dst, a },
+            Instr::Bin { op: BinOp::Mul, dst, a: Op::Reg(dst), b: Op::Reg(t) },
         ],
         // Special immediate straight into exp: saturation edges
         // (±709.78.., ±745.13..) and non-finite inputs.
-        5 => vec![Instr::DExp { dst, a: Op::Imm(special(v >> 33)) }],
+        5 => vec![Instr::Un { op: UnOp::Exp, dst, a: Op::Imm(special(v >> 33)) }],
         // Lane-predicated single-lane store, broadcast back, then exp —
         // predication must mask exactly the same lanes in both engines.
         6 => vec![
@@ -316,14 +327,14 @@ fn exp_burst(v: u64) -> Vec<Instr> {
                 lane_pred: Some(((v >> 24) % 32) as u8),
             },
             Instr::LdShared { dst, addr: SAddr { base: None, imm: 11, lane_stride: 0 } },
-            Instr::DExp { dst: t, a: Op::Reg(dst) },
+            Instr::Un { op: UnOp::Exp, dst: t, a: Op::Reg(dst) },
         ],
         // exp feeding the fused mul→add path (FusedMulBin after an
         // ExpBatch member's scatter).
         _ => vec![
-            Instr::DExp { dst: t, a },
-            Instr::DMul { dst, a: Op::Reg(t), b: Op::Reg(ra) },
-            Instr::DAdd { dst, a: Op::Reg(dst), b: Op::Reg(t) },
+            Instr::Un { op: UnOp::Exp, dst: t, a },
+            Instr::Bin { op: BinOp::Mul, dst, a: Op::Reg(t), b: Op::Reg(ra) },
+            Instr::Bin { op: BinOp::Add, dst, a: Op::Reg(dst), b: Op::Reg(t) },
         ],
     }
 }
@@ -357,8 +368,8 @@ proptest! {
         }
         // Fold registers 1..=3 into the stored value; registers 4..=6 may
         // end up dead, which the engine's DCE must not let change results.
-        body.push(Node::Op(Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Reg(2) }));
-        body.push(Node::Op(Instr::DMul { dst: 1, a: Op::Reg(1), b: Op::Reg(3) }));
+        body.push(Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) }));
+        body.push(Node::Op(Instr::Bin { op: BinOp::Mul, dst: 1, a: Op::Reg(1), b: Op::Reg(3) }));
         body.push(Node::Op(Instr::StGlobal {
             src: Op::Reg(1),
             addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
@@ -411,8 +422,8 @@ proptest! {
         for &v in &bursts {
             body.extend(exp_burst(v).into_iter().map(Node::Op));
         }
-        body.push(Node::Op(Instr::DAdd { dst: 1, a: Op::Reg(1), b: Op::Reg(2) }));
-        body.push(Node::Op(Instr::DMul { dst: 1, a: Op::Reg(1), b: Op::Reg(3) }));
+        body.push(Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) }));
+        body.push(Node::Op(Instr::Bin { op: BinOp::Mul, dst: 1, a: Op::Reg(1), b: Op::Reg(3) }));
         body.push(Node::Op(Instr::StGlobal {
             src: Op::Reg(1),
             addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
