@@ -26,7 +26,8 @@
 //! input order, and all ranking ties break toward the earlier candidate —
 //! results are bit-identical at any `--jobs` count.
 
-use crate::autotune::{depth_menu, grid_options, GUIDED_TOP_K};
+use crate::autotune::GUIDED_TOP_K;
+pub use crate::autotune::{depth_menu, grid_options};
 use crate::codegen::{compile_warp_specialized, Compiled};
 use crate::config::{CompileOptions, Placement};
 use crate::dfg::Dfg;
