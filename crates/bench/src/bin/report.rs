@@ -519,7 +519,7 @@ fn engine_bench_report(mech: &Mechanism, archs: &[GpuArch]) {
             r.exp_share,
         )
     };
-    let sweep = rows.iter().map(|r| row_json(r)).collect::<Vec<_>>().join(", ");
+    let sweep = rows.iter().map(row_json).collect::<Vec<_>>().join(", ");
     let (lanes_per_sec, eng, interp) = (prim.lanes_per_sec, prim.eng, prim.interp);
     let speedup = interp / eng;
     let batched_fraction = if prim.exp_uops > 0 {
@@ -701,24 +701,22 @@ fn pipeline_report(dme: &Mechanism) -> bool {
 /// Fermi/Kepler/Hopper and record model-evals vs simulations vs
 /// best-found cycles as the single-line `search` key of
 /// `BENCH_report.json` (preserved across `report all` rewrites, like
-/// `pipeline`). Per row the *grid* baseline is the exhaustive
-/// `candidate_grid_extended` ∪ `candidate_grid_pipelined` sweep (every
-/// candidate simulated); the search scores its candidates with the
-/// static model and simulates only the top-K. The returned gate requires,
+/// `pipeline`). Both sides of a row are one tuner: the *grid* baseline
+/// is a `FixedList` over the extended ∪ pipelined grids with every
+/// compiled candidate simulated; the search is `BeamSearch` at the
+/// default budget, simulating only the top-K. The returned gate requires,
 /// on every row: search winner ≤ grid winner on simulated probe cycles
 /// (strictly better on at least one row), simulations ≤ 25% of the
 /// candidates the search model-scored, and the winning schedule passing
-/// the independent verifier at `Strict`. Probe launches are
-/// deterministic (`TimingOnly`, fixed grid seed), so the recorded
-/// numbers are exact and byte-stable — CI diffs them against the
-/// committed entry.
+/// the independent verifier at `Strict`; a row that errors prints the
+/// error and fails the gate. Probe launches are deterministic
+/// (`TimingOnly`, fixed grid seed), so the recorded numbers are exact
+/// and byte-stable — CI diffs them against the committed entry.
 fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
-    use chemkin::state::{GridDims, GridState};
-    use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
-    use singe::autotune::{autotune_with_jobs, candidate_grid_extended, candidate_grid_pipelined};
-    use singe::kernels::launch_arrays;
-    use singe::search::{autotune_search_with_jobs, SearchBudget};
+    use singe::kernels::{probe_grid, probe_inputs};
+    use singe::search::{depth_menu, grid_options, BeamSearch, FixedList, SearchBudget};
     use singe::verify::verify_kernel;
+    use singe::Compiler;
     use std::collections::HashSet;
 
     const PROBE_POINTS: usize = 4096;
@@ -756,73 +754,76 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
         verified_strict: bool,
     }
 
-    // Simulated probe cycles (normalized to the fixed PROBE_POINTS work
-    // so schedules with different points-per-CTA compare on equal terms)
-    // and probe seconds for one compiled kernel. Deterministic:
-    // fixed-seed grid, TimingOnly probe.
-    let probe = |kernel: &gpu_sim::isa::Kernel, arch: &GpuArch| -> (u64, f64) {
-        let ppc = kernel.points_per_cta;
-        let grid_points = PROBE_POINTS.div_ceil(ppc) * ppc;
-        let g = GridState::random(GridDims { nx: grid_points, ny: 1, nz: 1 }, n_species, 1234);
-        let arrays = launch_arrays(&kernel.global_arrays, &g).expect("known arrays");
-        let out = launch(kernel, arch, &LaunchInputs { arrays }, grid_points, LaunchMode::TimingOnly)
-            .expect("probe launch");
-        let r = &out.report;
+    // A winner's simulated probe cycles (normalized to the fixed
+    // PROBE_POINTS work so schedules with different points-per-CTA compare
+    // on equal terms) and probe seconds. Deterministic: fixed-seed grid,
+    // TimingOnly probe.
+    let inputs = probe_inputs(n_species, 1234);
+    let probed = |r: &singe::SearchResult, arch: &GpuArch| -> (u64, f64) {
+        let seconds = r.outcome.best_seconds;
+        let grid_points = probe_grid(&r.best.kernel, PROBE_POINTS);
         let cycles_fixed_work =
-            r.seconds * arch.sm_clock_hz() * PROBE_POINTS as f64 / grid_points as f64;
-        (cycles_fixed_work.round() as u64, r.seconds)
+            seconds * arch.sm_clock_hz() * PROBE_POINTS as f64 / grid_points as f64;
+        (cycles_fixed_work.round() as u64, seconds)
+    };
+
+    let search_row = |kind: Kind, arch: &GpuArch| -> Result<SearchRow, String> {
+        let base = ws_options(kind, n_species, arch);
+        let dfg = dfg_for(kind, dme, base.warps);
+        let tuner = Compiler::new(arch).options(base.clone()).search().jobs(jobs);
+
+        // The committed-grid baseline: exhaustive sweep (every compiled
+        // candidate simulated) over the unified grids.
+        let mut grid_cands = grid_options(base.placement, &[1, 2, 4], &[1]);
+        grid_cands.extend(grid_options(base.placement, &[1, 4], depth_menu(arch)));
+        let mut seen = HashSet::new();
+        grid_cands.retain(|c| seen.insert(format!("{c:?}")));
+        let every = SearchBudget::builder().sim_top_k(grid_cands.len()).build();
+        let grid = tuner
+            .clone()
+            .budget(every)
+            .tune(&dfg, &FixedList(&grid_cands), PROBE_POINTS, &inputs)
+            .map_err(|e| format!("grid sweep: {e}"))?;
+        let (grid_best_cycles, grid_best_secs) = probed(&grid, arch);
+
+        // The search: model as cost, simulation as oracle.
+        let search = tuner
+            .budget(budget.clone())
+            .tune(&dfg, &BeamSearch, PROBE_POINTS, &inputs)
+            .map_err(|e| format!("search: {e}"))?;
+        let (search_best_cycles, search_best_secs) = probed(&search, arch);
+        let model_cycles = gpu_sim::model::predict_cycles(&search.best.kernel, arch)
+            .map_err(|e| format!("model rejects the search winner: {e}"))?;
+        Ok(SearchRow {
+            kernel: kind.name(),
+            arch: arch.name,
+            grid_candidates: grid_cands.len(),
+            grid_simulations: grid.outcome.simulations,
+            grid_best_cycles,
+            grid_best_us: grid_best_secs * 1e6,
+            model_evals: search.outcome.model_evals,
+            simulations: search.outcome.simulations,
+            search_best_cycles,
+            search_best_us: search_best_secs * 1e6,
+            model_cycles,
+            win: search_best_cycles <= grid_best_cycles,
+            strictly_better: search_best_cycles < grid_best_cycles,
+            verified_strict: verify_kernel(&search.best.kernel, arch).is_ok(),
+            best: search.outcome.best_options,
+        })
     };
 
     let mut rows: Vec<SearchRow> = Vec::new();
+    let mut failed_rows = 0usize;
     for kind in [Kind::Viscosity, Kind::Diffusion] {
         for arch in archs {
-            let base = ws_options(kind, n_species, arch);
-            let dfg = dfg_for(kind, dme, base.warps);
-            let inputs = |k: &gpu_sim::isa::Kernel, pts: usize| {
-                let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, n_species, 1234);
-                launch_arrays(&k.global_arrays, &g)
-                    .expect("known arrays")
-                    .iter()
-                    .map(|s| s.to_vec())
-                    .collect::<Vec<_>>()
-            };
-
-            // The committed-grid baseline: exhaustive sweep (every
-            // candidate simulated) over the unified grids.
-            let mut grid_cands = candidate_grid_extended(base.placement);
-            grid_cands.extend(candidate_grid_pipelined(base.placement, arch));
-            let mut seen = HashSet::new();
-            grid_cands.retain(|c| seen.insert(format!("{c:?}")));
-            let grid = autotune_with_jobs(&dfg, arch, &grid_cands, PROBE_POINTS, &inputs, jobs)
-                .expect("some grid candidate compiles");
-            let grid_simulations = grid.points.iter().filter(|p| p.seconds.is_some()).count();
-            let (grid_best_cycles, grid_best_secs) = probe(&grid.best.kernel, arch);
-
-            // The search: model as cost, simulation as oracle.
-            let search =
-                autotune_search_with_jobs(&dfg, arch, &base, &budget, PROBE_POINTS, &inputs, jobs)
-                    .expect("search finds a runnable schedule");
-            let (search_best_cycles, search_best_secs) = probe(&search.best.kernel, arch);
-            let model_cycles = gpu_sim::model::predict_cycles(&search.best.kernel, arch)
-                .expect("model scores verified kernels");
-            let verified_strict = verify_kernel(&search.best.kernel, arch).is_ok();
-
-            let row = SearchRow {
-                kernel: kind.name(),
-                arch: arch.name,
-                grid_candidates: grid_cands.len(),
-                grid_simulations,
-                grid_best_cycles,
-                grid_best_us: grid_best_secs * 1e6,
-                model_evals: search.outcome.model_evals,
-                simulations: search.outcome.simulations,
-                search_best_cycles,
-                search_best_us: search_best_secs * 1e6,
-                model_cycles,
-                best: search.outcome.best_options.clone(),
-                win: search_best_cycles <= grid_best_cycles,
-                strictly_better: search_best_cycles < grid_best_cycles,
-                verified_strict,
+            let row = match search_row(kind, arch) {
+                Ok(row) => row,
+                Err(e) => {
+                    println!("{} x {}: {e}", kind.name(), arch.name);
+                    failed_rows += 1;
+                    continue;
+                }
             };
             println!(
                 "{:<10} {:<13} {:>5}/{:<5} {:>10} {:>5}/{:<5} {:>10} {:>8} {:>24}",
@@ -849,7 +850,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
     let any_strict = rows.iter().any(|r| r.strictly_better);
     let budget_ok = rows.iter().all(|r| r.simulations * 4 <= r.model_evals);
     let all_verified = rows.iter().all(|r| r.verified_strict);
-    let gate = all_win && any_strict && budget_ok && all_verified;
+    let gate = failed_rows == 0 && all_win && any_strict && budget_ok && all_verified;
     println!(
         "gate: every row <= grid winner: {all_win}; strictly better somewhere: {any_strict}; \
          simulated <= 25% of scored: {budget_ok}; Strict-verified winners: {all_verified}"

@@ -229,9 +229,8 @@ fn try_serve(
 }
 
 /// Build a kernel kind's dataflow graph at `dfg_warps` warps — the input
-/// the autotuners and the schedule search ([`singe::search`]) take
-/// directly, bypassing the compile memo (they compile many option points
-/// against one dfg).
+/// the tuner ([`singe::search`]) takes directly, bypassing the compile
+/// memo (it compiles many option points against one dfg).
 pub fn dfg_for(kind: Kind, mech: &Mechanism, dfg_warps: usize) -> singe::Dfg {
     match kind {
         Kind::Viscosity => viscosity::viscosity_dfg(&ViscosityTables::build(mech), dfg_warps),

@@ -1,12 +1,12 @@
 //! Differential test harness for the analytical performance model
 //! (§4/§5/§6 features, no interpretation) against the simulator:
 //!
-//! * over the full extended autotune candidate grid for the DME-sized
+//! * over the full extended candidate grid for the DME-sized
 //!   viscosity and diffusion kernels on both architectures, the model's
 //!   predicted seconds rank-correlate with simulated seconds at
 //!   Spearman ρ ≥ [`SPEARMAN_GOLDEN`], and the exhaustive winner is
-//!   always inside the model's top-[`singe::autotune::GUIDED_TOP_K`];
-//! * model-guided autotuning simulates ≤ 25% of the grid yet lands
+//!   always inside the model's top-K (the default `sim_top_k`);
+//! * the model-guided sweep simulates ≤ 25% of the grid yet lands
 //!   within [`WINNER_TOLERANCE`] of the exhaustive winner's simulated
 //!   time — on all three kernels (chemistry included) × both arches;
 //! * the model's per-warp-group attribution agrees with the runtime
@@ -17,16 +17,13 @@
 //! diff, not a silent regression.
 
 use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
-use chemkin::state::{GridDims, GridState};
 use chemkin::synth;
 use chemkin::Mechanism;
 use gpu_sim::arch::GpuArch;
-use singe::autotune::{
-    autotune, autotune_guided, candidate_grid_extended, TuneResult, GUIDED_TOP_K,
-};
 use singe::config::{CompileOptions, Placement};
 use singe::dfg::Dfg;
-use singe::kernels::{chemistry, diffusion, launch_arrays, viscosity};
+use singe::kernels::{chemistry, diffusion, probe_inputs, viscosity};
+use singe::search::{grid_options, FixedList, SearchBudget, SearchPoint};
 use singe_bench::{build_with_options, predict_built, profile_built, spearman, Kind, Variant};
 
 /// Golden: minimum Spearman rank correlation between predicted and
@@ -73,24 +70,11 @@ fn grid_for(kind: Kind) -> Vec<CompileOptions> {
         Kind::Diffusion => Placement::Mixed(176),
         Kind::Chemistry => Placement::Buffer(176),
     };
-    candidate_grid_extended(placement)
-}
-
-fn inputs_closure(
-    n_species: usize,
-) -> impl Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync {
-    move |k: &gpu_sim::isa::Kernel, pts: usize| {
-        let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, n_species, 7);
-        launch_arrays(&k.global_arrays, &g)
-            .expect("known arrays")
-            .iter()
-            .map(|s| s.to_vec())
-            .collect()
-    }
+    grid_options(placement, &[1, 2, 4], &[1])
 }
 
 /// Identity of a tune point for cross-result comparison.
-fn key(p: &singe::autotune::TunePoint) -> (usize, u32) {
+fn key(p: &SearchPoint) -> (usize, u32) {
     (p.options.warps, p.options.point_iters)
 }
 
@@ -100,15 +84,22 @@ fn check_sweep(kind: Kind, mech: &Mechanism, arch: &GpuArch) {
     let label = format!("{} {} {}", kind.name(), mech.name, arch.name);
     let dfg = sweep_dfg(kind, mech);
     let cands = grid_for(kind);
-    let inputs = inputs_closure(mech.n_transported());
-    let exhaustive = autotune(&dfg, arch, &cands, 256, &inputs).expect("exhaustive sweep runs");
+    let inputs = probe_inputs(mech.n_transported(), 7);
+    let guided_k = SearchBudget::default().sim_top_k;
+    let tuner = singe::Compiler::new(arch).search();
+    let exhaustive = tuner
+        .clone()
+        .budget(SearchBudget::builder().sim_top_k(cands.len()).build())
+        .tune(&dfg, &FixedList(&cands), 256, &inputs)
+        .expect("exhaustive sweep runs")
+        .outcome;
 
     // Differential: model ranking vs simulated truth over every candidate
     // that both compiled and ran.
     let mut preds = Vec::new();
     let mut sims = Vec::new();
     for p in &exhaustive.points {
-        if let (Some(pr), Some(s)) = (p.predicted_seconds, p.seconds) {
+        if let (Some(pr), Some(s)) = (p.predicted_seconds, p.simulated_seconds) {
             preds.push(pr);
             sims.push(s);
         }
@@ -129,46 +120,37 @@ fn check_sweep(kind: Kind, mech: &Mechanism, arch: &GpuArch) {
     let best_sim = exhaustive
         .points
         .iter()
-        .filter(|p| p.seconds.is_some())
-        .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"))
+        .filter(|p| p.simulated_seconds.is_some())
+        .min_by(|a, b| a.simulated_seconds.partial_cmp(&b.simulated_seconds).expect("finite"))
         .expect("some candidate ran");
-    let mut by_pred: Vec<&singe::autotune::TunePoint> =
+    let mut by_pred: Vec<&SearchPoint> =
         exhaustive.points.iter().filter(|p| p.predicted_seconds.is_some()).collect();
     by_pred.sort_by(|a, b| {
         a.predicted_seconds.partial_cmp(&b.predicted_seconds).expect("finite")
     });
-    let top_k: Vec<(usize, u32)> = by_pred.iter().take(GUIDED_TOP_K).map(|p| key(p)).collect();
+    let top_k: Vec<(usize, u32)> = by_pred.iter().take(guided_k).map(|p| key(p)).collect();
     assert!(
         top_k.contains(&key(best_sim)),
-        "{label}: exhaustive winner {:?} not in model top-{GUIDED_TOP_K} {top_k:?}",
+        "{label}: exhaustive winner {:?} not in model top-{guided_k} {top_k:?}",
         key(best_sim)
     );
 
     // Guided search: simulates at most 25% of the grid, lands within 2%.
     let guided =
-        autotune_guided(&dfg, arch, &cands, 256, GUIDED_TOP_K, &inputs).expect("guided runs");
-    let simulated = guided.points.iter().filter(|p| p.seconds.is_some()).count();
+        tuner.tune(&dfg, &FixedList(&cands), 256, &inputs).expect("guided runs").outcome;
+    let simulated = guided.points.iter().filter(|p| p.simulated_seconds.is_some()).count();
     assert!(
         (simulated as f64) <= SIMULATED_FRACTION * cands.len() as f64,
         "{label}: guided simulated {simulated} of {} candidates (> {SIMULATED_FRACTION:.0e})",
         cands.len()
     );
-    let guided_best = winner_seconds(&guided);
-    let exhaustive_best = best_sim.seconds.expect("winner ran");
+    let guided_best = guided.best_seconds;
+    let exhaustive_best = best_sim.simulated_seconds.expect("winner ran");
     assert!(
         guided_best <= exhaustive_best * WINNER_TOLERANCE,
         "{label}: guided winner {guided_best:.4e}s misses exhaustive {exhaustive_best:.4e}s \
          by more than {WINNER_TOLERANCE}x"
     );
-}
-
-fn winner_seconds(r: &TuneResult) -> f64 {
-    let k = (r.best_options.warps, r.best_options.point_iters);
-    r.points
-        .iter()
-        .filter(|p| key(p) == k)
-        .find_map(|p| p.seconds)
-        .expect("winner has a simulated time")
 }
 
 #[test]

@@ -119,27 +119,12 @@ impl Compiler {
         crate::perfmodel::predict(kernel, &self.arch, grid_points)
     }
 
-    /// Model-driven schedule search over the full options space
-    /// ([`crate::search`]): beam-search candidates scored by
-    /// [`Compiler::predict`]'s model, simulate only the top-K survivors
-    /// as the oracle, seeded at this compiler's options. `inputs_for`
-    /// supplies probe-launch inputs per candidate kernel, exactly as in
-    /// [`crate::autotune::autotune`].
-    pub fn search(
-        &self,
-        dfg: &Dfg,
-        budget: &crate::search::SearchBudget,
-        probe_points: usize,
-        inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
-    ) -> CResult<crate::search::SearchResult> {
-        crate::search::autotune_search(
-            dfg,
-            &self.arch,
-            &self.options,
-            budget,
-            probe_points,
-            inputs_for,
-        )
+    /// The tuner ([`crate::search`]) for this compiler's architecture,
+    /// seeded at its options: candidates are scored by
+    /// [`Compiler::predict`]'s model and only the top-K survivors are
+    /// simulated as the oracle.
+    pub fn search(&self) -> crate::search::Tuner {
+        crate::search::Tuner::new(self)
     }
 
     fn compile_inner(

@@ -20,7 +20,8 @@ pub mod diffusion;
 pub mod viscosity;
 
 use crate::{CResult, CompileError};
-use chemkin::state::GridState;
+use chemkin::state::{GridDims, GridState};
+use gpu_sim::isa::Kernel;
 
 /// Build the flat SoA input slices a kernel launch expects, given a grid
 /// state and the kernel's array declarations. Outputs get empty slices.
@@ -51,10 +52,32 @@ pub fn launch_arrays<'a>(
         .collect()
 }
 
+/// `points` rounded up to a whole number of `kernel`'s CTAs: the grid a
+/// tuner probes a candidate on, so schedules with different
+/// points-per-CTA are predicted and simulated at the size they launch.
+pub fn probe_grid(kernel: &Kernel, points: usize) -> usize {
+    points.div_ceil(kernel.points_per_cta) * kernel.points_per_cta
+}
+
+/// The tuner's `inputs_for` closure: owned launch arrays of a random
+/// `n_species` grid state (fixed `seed`, so probes are deterministic) at
+/// the size asked. A kernel declaring an array the grid state lacks gets
+/// no arrays, so its probe launch fails and is recorded on its point.
+pub fn probe_inputs(
+    n_species: usize,
+    seed: u64,
+) -> impl Fn(&Kernel, usize) -> Vec<Vec<f64>> + Sync {
+    move |kernel, points| {
+        let g = GridState::random(GridDims { nx: points, ny: 1, nz: 1 }, n_species, seed);
+        launch_arrays(&kernel.global_arrays, &g)
+            .map(|arrays| arrays.into_iter().map(<[f64]>::to_vec).collect())
+            .unwrap_or_default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chemkin::state::GridDims;
     use gpu_sim::isa::ArrayDecl;
 
     #[test]

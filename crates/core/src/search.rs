@@ -1,20 +1,32 @@
-//! Model-driven schedule search (ROADMAP item 5).
+//! The tuner (paper §4): one driver, two explorers.
 //!
-//! The autotuner's grids ([`crate::autotune`]) enumerate a fixed, coarse
-//! slice of the schedule space. This module searches the *full*
-//! [`CompileOptions`] space — warps, `point_iters`, [`Placement`],
-//! `uniform_shared_reads`, `exp_const_from_registers`, the mapping
-//! weights on a coarse lattice, and the arch-clamped `pipeline_depth` —
-//! with the static performance model ([`crate::perfmodel`], milliseconds
-//! per evaluation) as the cost function and the simulator as the final
-//! oracle, mirroring [`crate::autotune::autotune_guided`]'s contract:
+//! "We used a brute-force exhaustive autotuning script to drive Singe when
+//! tuning our kernels. ... the search space was never more than a few
+//! hundred points because warp-specialized decisions dealt with very
+//! coarse-grained properties such as the number of target warps."
 //!
-//! 1. a strategy ([`BeamSearch`], behind the [`ScheduleSearch`] trait)
-//!    expands candidates and scores every one with the model (compile +
-//!    predict, no interpretation); candidates that fail to compile score
-//!    `+inf`, exactly as in serve's autotune;
-//! 2. only the `sim_top_k` best-predicted survivors are *simulated*,
-//!    and the winner is the best **simulated** time among those.
+//! [`run_search`] is the only place that ranks, caps, simulates and folds
+//! a winner:
+//!
+//! 1. an explorer (behind the [`ScheduleSearch`] trait) proposes
+//!    candidates and scores every one with the static performance model
+//!    ([`crate::perfmodel`]: compile + predict, no interpretation);
+//!    candidates that fail to compile score `+inf`;
+//! 2. only the `sim_top_k` best-predicted survivors are *simulated*
+//!    (`TimingOnly` probe launches, whose representative CTA runs on the
+//!    segment-compiled engine), and the winner is the best **simulated**
+//!    time among those.
+//!
+//! The two explorers are [`FixedList`] — the caller's candidates verbatim
+//! (a grid from [`grid_options`], say): the paper's exhaustive sweep at
+//! `sim_top_k >= len`, the model-guided sweep below that — and
+//! [`BeamSearch`], which searches the *full* [`CompileOptions`] space:
+//! warps, `point_iters`, [`Placement`], `uniform_shared_reads`,
+//! `exp_const_from_registers`, the mapping weights on a coarse lattice,
+//! and the arch-clamped `pipeline_depth`. Every point records its
+//! prediction next to its measured seconds, so the model's ranking is
+//! auditable from any [`SearchOutcome`]. [`Tuner`] binds the driver to
+//! the compiler and the simulator.
 //!
 //! Neighbor generation respects architecture feasibility up front
 //! ([`SearchSpace::canonical`]: warp budget, largest-fitting pipeline
@@ -26,22 +38,44 @@
 //! input order, and all ranking ties break toward the earlier candidate —
 //! results are bit-identical at any `--jobs` count.
 
-use crate::autotune::GUIDED_TOP_K;
-pub use crate::autotune::{depth_menu, grid_options};
 use crate::codegen::{compile_warp_specialized, Compiled};
+use crate::compiler::Compiler;
 use crate::config::{CompileOptions, Placement};
 use crate::dfg::Dfg;
+use crate::kernels::probe_grid;
 use crate::pool::run_ordered;
 use crate::CResult;
 use gpu_sim::arch::GpuArch;
 use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-/// How much work a schedule search (or budgeted guided autotune) may do.
+/// Why a candidate produced no time: compilation and execution failures
+/// are different tuner outcomes (a config that does not fit is a legal
+/// probe result; a kernel that compiled but failed to launch points at a
+/// harness or compiler bug) and must not be conflated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TuneFailure {
+    /// The candidate did not compile (message from the compiler).
+    Compile(String),
+    /// The candidate compiled but the probe launch failed (message from
+    /// the simulator).
+    Launch(String),
+}
+
+impl std::fmt::Display for TuneFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TuneFailure::Compile(m) => write!(f, "did not compile: {m}"),
+            TuneFailure::Launch(m) => write!(f, "compiled but failed to run: {m}"),
+        }
+    }
+}
+
+/// How much work a tuning run may do. `sim_top_k` caps the oracle under
+/// every explorer; the other three cap [`BeamSearch`]'s exploration.
 ///
 /// `#[non_exhaustive]` so new knobs can ride along without breaking
-/// downstream code; construct with [`SearchBudget::default`] (which
-/// reproduces the historical behavior everywhere it is consumed) or the
+/// downstream code; construct with [`SearchBudget::default`] or the
 /// fluent [`SearchBudget::builder`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -51,8 +85,9 @@ pub struct SearchBudget {
     pub beam_width: usize,
     /// Neighbor-expansion rounds after the seed beam is scored.
     pub rounds: usize,
-    /// How many top-predicted candidates the simulation oracle runs
-    /// (the lifted [`GUIDED_TOP_K`] cap — no longer a silent constant).
+    /// How many top-predicted candidates the simulation oracle runs: the
+    /// exhaustive↔guided dial (at or above the candidate count, every
+    /// compiled candidate is simulated).
     pub sim_top_k: usize,
     /// Hard cap on model scorings (each is one compile + one static
     /// prediction); expansion stops when the cap is reached.
@@ -61,7 +96,7 @@ pub struct SearchBudget {
 
 impl Default for SearchBudget {
     fn default() -> SearchBudget {
-        SearchBudget { beam_width: 8, rounds: 4, sim_top_k: GUIDED_TOP_K, max_model_evals: 160 }
+        SearchBudget { beam_width: 8, rounds: 4, sim_top_k: 5, max_model_evals: 160 }
     }
 }
 
@@ -108,6 +143,54 @@ impl SearchBudgetBuilder {
     /// Finish the builder.
     pub fn build(self) -> SearchBudget {
         self.budget
+    }
+}
+
+/// The warp-count axis every candidate grid shares (paper §4: "the search
+/// space was never more than a few hundred points").
+pub const GRID_WARPS: &[usize] = &[2, 3, 4, 6, 8, 10, 12, 16];
+
+/// The one grid builder behind every candidate menu: the cartesian product
+/// of `GRID_WARPS` x `iters` x `depths`, holding the placement fixed.
+/// Depth only matters on streamed schedules, so K > 1 candidates are
+/// generated only where `point_iters` can absorb the depth (the compiler
+/// would clamp K to the stream depth anyway, producing duplicates).
+///
+/// The committed grids (`&[1, 2, 4]` x `&[1]` extended, `&[1, 4]` x
+/// [`depth_menu`] pipelined) and the beam's seeds
+/// ([`SearchSpace::seeds`]) are all parameterizations of this function —
+/// a single source of truth for the enumeration order, which the
+/// deterministic tuner depends on for first-best-wins ties.
+pub fn grid_options(placement: Placement, iters: &[u32], depths: &[usize]) -> Vec<CompileOptions> {
+    let mut v = Vec::new();
+    for &warps in GRID_WARPS {
+        for &iters in iters {
+            for &k in depths {
+                if k as u32 > iters {
+                    continue; // the compiler would clamp K to the stream depth
+                }
+                v.push(CompileOptions {
+                    warps,
+                    point_iters: iters,
+                    placement,
+                    pipeline_depth: k,
+                    ..Default::default()
+                });
+            }
+        }
+    }
+    v
+}
+
+/// The pipeline-depth menu an architecture's named-barrier file supports:
+/// wider where the file is large (every sync color costs K ids instead of
+/// one). Candidates whose rotated-barrier demand still exceeds the file
+/// are legal probes — they record a `Compile` failure and lose.
+pub fn depth_menu(arch: &GpuArch) -> &'static [usize] {
+    if arch.named_barriers_per_sm >= 64 {
+        &[1, 2, 4]
+    } else {
+        &[1, 2]
     }
 }
 
@@ -201,8 +284,7 @@ impl SearchSpace {
 
     /// The seed beam: `base` itself plus the unified grid
     /// ([`grid_options`]) over this space's warp/iteration/depth menus at
-    /// the base placement — the same single source of truth the legacy
-    /// candidate grids are built from.
+    /// the base placement.
     pub fn seeds(&self, base: &CompileOptions) -> Vec<CompileOptions> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
@@ -365,12 +447,12 @@ pub struct ExploredPoint {
 /// the corresponding [`SearchPoint`]).
 pub type SimulateFn<'a> = dyn FnMut(&[CompileOptions]) -> Vec<Result<f64, String>> + 'a;
 
-/// A search strategy: expand candidates, score them in batches through
-/// the caller's cost closure, return every scored point in evaluation
-/// order. Strategies never simulate — the oracle split lives in
+/// An explorer: propose candidates, score them in batches through the
+/// caller's cost closure, return every scored point in evaluation
+/// order. Explorers never simulate — the oracle split lives in
 /// [`run_search`], shared by every implementation.
 pub trait ScheduleSearch: Sync {
-    /// Strategy name (for logs and reports).
+    /// Explorer name (recorded as [`SearchOutcome::strategy`]).
     fn name(&self) -> &'static str;
 
     /// Explore the space from `base` under `budget`. `score` maps a
@@ -460,6 +542,34 @@ impl ScheduleSearch for BeamSearch {
     }
 }
 
+/// The caller's candidate list, verbatim and in order, as one round-0
+/// batch — no canonicalisation, no dedup, and none of the budget's
+/// exploration caps (`beam_width`, `rounds`, `max_model_evals` bound a
+/// search, not a list the caller supplied). With `sim_top_k >= len` this
+/// is the paper's exhaustive sweep; with a smaller K, the model-guided
+/// one that simulates only the K best-predicted candidates.
+#[derive(Debug, Clone, Copy)]
+pub struct FixedList<'a>(pub &'a [CompileOptions]);
+
+impl ScheduleSearch for FixedList<'_> {
+    fn name(&self) -> &'static str {
+        "fixed-list"
+    }
+
+    fn explore(
+        &self,
+        _space: &SearchSpace,
+        _base: &CompileOptions,
+        _budget: &SearchBudget,
+        score: &mut dyn FnMut(&[CompileOptions]) -> Vec<f64>,
+    ) -> Vec<ExploredPoint> {
+        let scored = self.0.iter().cloned().zip(score(self.0));
+        scored
+            .map(|(options, predicted_seconds)| ExploredPoint { options, predicted_seconds, round: 0 })
+            .collect()
+    }
+}
+
 /// One candidate in a [`SearchOutcome`], in evaluation order.
 #[derive(Debug, Clone)]
 pub struct SearchPoint {
@@ -468,10 +578,13 @@ pub struct SearchPoint {
     /// Model-predicted probe seconds (`None` = did not compile).
     pub predicted_seconds: Option<f64>,
     /// Oracle-simulated probe seconds (`None` = pruned from simulation,
-    /// or the simulation failed — see `failure`).
+    /// or the candidate failed — see `failure`).
     pub simulated_seconds: Option<f64>,
-    /// Simulation-failure message, when the oracle ran and failed.
-    pub failure: Option<String>,
+    /// Why a candidate that was not pruned has no time. [`run_search`]
+    /// records the oracle's `Launch` failures; compile messages are
+    /// attached by the binding that saw them
+    /// ([`SearchOutcome::record_compile_failures`]).
+    pub failure: Option<TuneFailure>,
     /// Expansion round that produced the candidate (0 = seed beam).
     pub round: usize,
 }
@@ -493,7 +606,7 @@ pub struct RoundStats {
 /// Everything a search run produced: the audit trail plus the winner.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// Which strategy ran (`"beam"`).
+    /// Which explorer ran (`"beam"` or `"fixed-list"`).
     pub strategy: &'static str,
     /// Every scored candidate, in evaluation order, with oracle results
     /// attached to the simulated ones.
@@ -521,19 +634,29 @@ impl SearchOutcome {
             self.simulations as f64 / self.model_evals as f64
         }
     }
+
+    /// Attach the compile messages a `score` closure collected (keyed by
+    /// [`SearchSpace::key`]) to the points that did not compile — the
+    /// closure's frozen type can only say `+inf`.
+    pub fn record_compile_failures(&mut self, messages: &HashMap<String, String>) {
+        for p in self.points.iter_mut().filter(|p| p.predicted_seconds.is_none()) {
+            if let Some(m) = messages.get(&SearchSpace::key(&p.options)) {
+                p.failure = Some(TuneFailure::Compile(m.clone()));
+            }
+        }
+    }
 }
 
-/// Run a strategy end to end with caller-supplied cost and oracle
+/// Run an explorer end to end with caller-supplied cost and oracle
 /// closures, returning the full [`SearchOutcome`].
 ///
-/// This is the engine behind [`autotune_search`] and the serve layer's
-/// budgeted autotune: `score` maps a candidate batch to model-predicted
-/// seconds (`+inf` = did not compile), `simulate` maps the chosen
-/// survivors to measured probe seconds (`Err` = launch failure). The
-/// oracle phase ranks every finite-scored candidate by (prediction,
-/// evaluation order), simulates the top `budget.sim_top_k`, logs how
-/// many scored candidates were dropped, and picks the best simulated
-/// time (strict `<`, first-best-wins in rank order).
+/// This is the driver behind [`Tuner::tune`] and the serve layer's
+/// mirror: `score` maps a candidate batch to model-predicted seconds
+/// (`+inf` = did not compile), `simulate` maps the chosen survivors to
+/// measured probe seconds (`Err` = launch failure). The oracle phase
+/// ranks every finite-scored candidate by (prediction, evaluation
+/// order), simulates the top `budget.sim_top_k`, and picks the best
+/// simulated time (strict `<`, first-best-wins in rank order).
 pub fn run_search(
     strategy: &dyn ScheduleSearch,
     space: &SearchSpace,
@@ -551,15 +674,7 @@ pub fn run_search(
     ranked.sort_by(|&a, &b| {
         explored[a].predicted_seconds.total_cmp(&explored[b].predicted_seconds).then(a.cmp(&b))
     });
-    let feasible = ranked.len();
     let chosen: Vec<usize> = ranked.into_iter().take(budget.sim_top_k).collect();
-    eprintln!(
-        "[search({}): scored {model_evals} candidates ({feasible} compiled), simulating {}, \
-         {} dropped from simulation]",
-        strategy.name(),
-        chosen.len(),
-        feasible - chosen.len()
-    );
     let chosen_opts: Vec<CompileOptions> =
         chosen.iter().map(|&i| explored[i].options.clone()).collect();
     let sims = simulate(&chosen_opts);
@@ -585,7 +700,7 @@ pub fn run_search(
                     best = Some((*sec, i));
                 }
             }
-            Err(e) => points[i].failure = Some(e.clone()),
+            Err(e) => points[i].failure = Some(TuneFailure::Launch(e.clone())),
         }
     }
     let (best_seconds, bi) = best.ok_or_else(|| {
@@ -636,33 +751,111 @@ pub struct SearchResult {
     pub outcome: SearchOutcome,
 }
 
-/// Beam-search the full schedule space for `dfg` on `arch`, seeded at
-/// `base` (the caller's default options — e.g. the serve layer's
-/// per-kernel defaults), using the static model as the cost function and
-/// `TimingOnly` probe launches as the oracle. See the module docs for
-/// the contract; see [`autotune_search_with_jobs`] for determinism.
-pub fn autotune_search(
-    dfg: &Dfg,
-    arch: &GpuArch,
-    base: &CompileOptions,
-    budget: &SearchBudget,
-    probe_points: usize,
-    inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
-) -> CResult<SearchResult> {
-    autotune_search_with_jobs(
-        dfg,
-        arch,
-        base,
-        budget,
-        probe_points,
-        inputs_for,
-        crate::pool::default_jobs(),
-    )
+/// The one compile + simulate binding of [`run_search`]: candidates are
+/// compiled on the ordered pool and scored by the static model; survivors
+/// are recompiled (nothing compiled is kept across the score phase — a
+/// beam scores 160 kernels) and probed with a `TimingOnly` launch.
+/// Built by [`Compiler::search`], which supplies the arch and the base
+/// options; space, budget and worker count start at their defaults.
+#[derive(Debug, Clone)]
+#[must_use = "a tuner does nothing until .tune() is called"]
+pub struct Tuner {
+    compiler: Compiler,
+    space: SearchSpace,
+    budget: SearchBudget,
+    jobs: usize,
 }
 
-/// [`autotune_search`] with an explicit worker count. Batches are scored
-/// and simulated on the ordered pool and folded in input order, so the
-/// result is bit-identical at any worker count.
+impl Tuner {
+    pub(crate) fn new(compiler: &Compiler) -> Tuner {
+        Tuner {
+            compiler: compiler.clone(),
+            space: SearchSpace::for_arch(compiler.arch()),
+            budget: SearchBudget::default(),
+            jobs: crate::pool::default_jobs(),
+        }
+    }
+
+    /// Replace the schedule space ([`SearchSpace::for_arch`] by default).
+    pub fn space(mut self, space: SearchSpace) -> Tuner {
+        self.space = space;
+        self
+    }
+
+    /// Replace the budget ([`SearchBudget::default`] by default).
+    pub fn budget(mut self, budget: SearchBudget) -> Tuner {
+        self.budget = budget;
+        self
+    }
+
+    /// Replace the worker count ([`crate::pool::default_jobs`] by
+    /// default). Batches are scored and simulated on the ordered pool and
+    /// folded in input order, so the result is bit-identical at any count.
+    pub fn jobs(mut self, jobs: usize) -> Tuner {
+        self.jobs = jobs;
+        self
+    }
+
+    /// Tune `dfg`: run `explorer` through [`run_search`] and compile the
+    /// winner. Each candidate is probed on `probe_points` points rounded
+    /// up to whole CTAs ([`probe_grid`]); `inputs_for` supplies the launch
+    /// arrays for a kernel and that grid size
+    /// ([`crate::kernels::probe_inputs`]).
+    pub fn tune(
+        &self,
+        dfg: &Dfg,
+        explorer: &dyn ScheduleSearch,
+        probe_points: usize,
+        inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
+    ) -> CResult<SearchResult> {
+        let (arch, jobs) = (self.compiler.arch(), self.jobs);
+        // A candidate's kernel and the grid it is probed on.
+        let build = |o: &CompileOptions| -> Result<(Compiled, usize), String> {
+            let c = compile_warp_specialized(dfg, o, arch, None).map_err(|e| e.to_string())?;
+            let grid = probe_grid(&c.kernel, probe_points);
+            Ok((c, grid))
+        };
+        let mut compile_failures = HashMap::new();
+        let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
+            let scored = run_ordered(jobs, cands.len(), |i| {
+                let (c, grid) = build(&cands[i])?;
+                let predicted = crate::perfmodel::predict_seconds(&c.kernel, arch, grid);
+                Ok(predicted.unwrap_or(f64::INFINITY))
+            });
+            // Failed compiles score +inf: never chosen for simulation.
+            let or_inf = |(r, o): (Result<f64, String>, &CompileOptions)| {
+                r.unwrap_or_else(|message| {
+                    compile_failures.insert(SearchSpace::key(o), message);
+                    f64::INFINITY
+                })
+            };
+            scored.into_iter().zip(cands).map(or_inf).collect()
+        };
+        let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
+            run_ordered(jobs, cands.len(), |i| {
+                let (c, grid) = build(&cands[i])?;
+                let owned = inputs_for(&c.kernel, grid);
+                let arrays: Vec<&[f64]> = owned.iter().map(|v| v.as_slice()).collect();
+                launch(&c.kernel, arch, &LaunchInputs { arrays }, grid, LaunchMode::TimingOnly)
+                    .map(|out| out.report.seconds)
+                    .map_err(|e| e.to_string())
+            })
+        };
+        let base = self.compiler.options_ref();
+        let mut outcome =
+            run_search(explorer, &self.space, base, &self.budget, &mut score, &mut simulate)?;
+        outcome.record_compile_failures(&compile_failures);
+        // Re-compile the winner (compilation is deterministic and cached
+        // upstream where it matters) so callers get a runnable artifact.
+        let best = compile_warp_specialized(dfg, &outcome.best_options, arch, None)?;
+        Ok(SearchResult { best, outcome })
+    }
+}
+
+/// [`BeamSearch`] over [`SearchSpace::for_arch`] seeded at `base`: a
+/// [`Tuner::tune`] call spelled as a free function. Kept because the
+/// frozen `benchmark/` crate imports it by this path and signature; new
+/// code uses [`Compiler::search`].
 pub fn autotune_search_with_jobs(
     dfg: &Dfg,
     arch: &GpuArch,
@@ -672,74 +865,191 @@ pub fn autotune_search_with_jobs(
     inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
     jobs: usize,
 ) -> CResult<SearchResult> {
-    let space = SearchSpace::for_arch(arch);
-    autotune_search_in_space_with_jobs(
-        dfg, arch, &space, base, &BeamSearch, budget, probe_points, inputs_for, jobs,
-    )
-}
-
-/// The fully-parameterized search entry: explicit space and strategy.
-/// [`autotune_search`] is this with [`SearchSpace::for_arch`] and
-/// [`BeamSearch`].
-#[allow(clippy::too_many_arguments)]
-pub fn autotune_search_in_space_with_jobs(
-    dfg: &Dfg,
-    arch: &GpuArch,
-    space: &SearchSpace,
-    base: &CompileOptions,
-    strategy: &dyn ScheduleSearch,
-    budget: &SearchBudget,
-    probe_points: usize,
-    inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
-    jobs: usize,
-) -> CResult<SearchResult> {
-    let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
-        run_ordered(jobs, cands.len(), |i| {
-            match compile_warp_specialized(dfg, &cands[i], arch, None) {
-                // Failed compiles score +inf, exactly as in serve's
-                // autotune — they can never be chosen for simulation.
-                Err(_) => f64::INFINITY,
-                Ok(c) => {
-                    let ppc = c.kernel.points_per_cta;
-                    let grid = probe_points.div_ceil(ppc) * ppc;
-                    crate::perfmodel::predict_seconds(&c.kernel, arch, grid)
-                        .unwrap_or(f64::INFINITY)
-                }
-            }
-        })
-    };
-    let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
-        run_ordered(jobs, cands.len(), |i| {
-            let c = compile_warp_specialized(dfg, &cands[i], arch, None)
-                .map_err(|e| e.to_string())?;
-            let ppc = c.kernel.points_per_cta;
-            let grid = probe_points.div_ceil(ppc) * ppc;
-            let owned = inputs_for(&c.kernel, grid);
-            let arrays: Vec<&[f64]> = owned.iter().map(|v| v.as_slice()).collect();
-            launch(&c.kernel, arch, &LaunchInputs { arrays }, grid, LaunchMode::TimingOnly)
-                .map(|out| out.report.seconds)
-                .map_err(|e| e.to_string())
-        })
-    };
-    let outcome = run_search(strategy, space, base, budget, &mut score, &mut simulate)?;
-    // Re-compile the winner (compilation is deterministic and cached
-    // upstream where it matters) so callers get a runnable artifact.
-    let best = compile_warp_specialized(dfg, &outcome.best_options, arch, None)?;
-    Ok(SearchResult { best, outcome })
+    let tuner = Compiler::new(arch).options(base.clone()).search();
+    tuner.budget(budget.clone()).jobs(jobs).tune(dfg, &BeamSearch, probe_points, inputs_for)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::probe_inputs;
+    use crate::kernels::viscosity::viscosity_dfg;
+    use chemkin::reference::tables::ViscosityTables;
+    use chemkin::synth;
+
+    /// A six-species viscosity graph at three warps.
+    fn small_dfg() -> Dfg {
+        let m = synth::via_text(&synth::SynthConfig {
+            name: "at".into(),
+            n_species: 6,
+            n_reactions: 8,
+            n_qssa: 0,
+            n_stiff: 0,
+            seed: 4,
+        });
+        viscosity_dfg(&ViscosityTables::build(&m), 3)
+    }
+
+    /// `FixedList(cands)` on `arch` with `sim_top_k` simulations.
+    fn sweep(arch: &GpuArch, cands: &[CompileOptions], sim_top_k: usize) -> SearchOutcome {
+        let budget = SearchBudget::builder().sim_top_k(sim_top_k).build();
+        let tuner = Compiler::new(arch).search().budget(budget);
+        tuner.tune(&small_dfg(), &FixedList(cands), 256, &probe_inputs(6, 1)).unwrap().outcome
+    }
+
+    fn with_warps(warps: &[usize]) -> Vec<CompileOptions> {
+        warps.iter().map(|&w| CompileOptions::with_warps(w)).collect()
+    }
 
     #[test]
     fn budget_defaults_reproduce_the_historical_caps() {
         let b = SearchBudget::default();
-        assert_eq!(b.sim_top_k, GUIDED_TOP_K);
+        assert_eq!((b.beam_width, b.rounds, b.sim_top_k, b.max_model_evals), (8, 4, 5, 160));
         let built = SearchBudget::builder().beam_width(3).rounds(1).build();
         assert_eq!(built.beam_width, 3);
         assert_eq!(built.rounds, 1);
-        assert_eq!(built.sim_top_k, GUIDED_TOP_K);
+        assert_eq!(built.sim_top_k, 5);
+    }
+
+    #[test]
+    fn exhaustive_sweep_picks_a_valid_config() {
+        let r = sweep(&GpuArch::kepler_k20c(), &with_warps(&[2, 3, 4]), 3);
+        assert_eq!(r.strategy, "fixed-list");
+        assert_eq!(r.points.len(), 3);
+        assert!(r.points.iter().any(|p| p.simulated_seconds.is_some()));
+        assert!(r.best_options.warps >= 2);
+    }
+
+    #[test]
+    fn candidate_grid_has_coarse_dimensions() {
+        assert_eq!(grid_options(Placement::Store, &[1, 4], &[1]).len(), 16);
+    }
+
+    #[test]
+    fn extended_grid_has_finer_streaming_axis() {
+        let g = grid_options(Placement::Store, &[1, 2, 4], &[1]);
+        assert_eq!(g.len(), 24);
+        // Guided search at the default K never simulates more than 25%.
+        assert!(SearchBudget::default().sim_top_k * 4 <= g.len());
+    }
+
+    #[test]
+    fn pipelined_grid_scales_depth_menu_with_the_barrier_file() {
+        let pipelined = |arch: &GpuArch| grid_options(Placement::Store, &[1, 4], depth_menu(arch));
+        let hopper = pipelined(&GpuArch::hopper());
+        let kepler = pipelined(&GpuArch::kepler_k20c());
+        // 8 warp counts x (iters=1 -> K=1 only, iters=4 -> full menu).
+        assert_eq!(hopper.len(), 8 * (1 + 3));
+        assert_eq!(kepler.len(), 8 * (1 + 2));
+        assert!(hopper.iter().any(|o| o.pipeline_depth == 4));
+        assert!(kepler.iter().all(|o| o.pipeline_depth <= 2));
+        // Depth never exceeds what the stream can absorb.
+        for o in hopper.iter().chain(&kepler) {
+            assert!(o.pipeline_depth as u32 <= o.point_iters.max(1));
+        }
+    }
+
+    #[test]
+    fn failed_candidates_record_distinct_reasons() {
+        // Absurd warp count: cannot fit the SM, must record a Compile
+        // failure (not a bare seconds=None).
+        let r = sweep(&GpuArch::kepler_k20c(), &with_warps(&[3, 4096]), 2);
+        assert!(r.points[0].simulated_seconds.is_some());
+        assert!(r.points[0].failure.is_none());
+        assert!(r.points[1].simulated_seconds.is_none());
+        assert!(matches!(r.points[1].failure, Some(TuneFailure::Compile(_))));
+    }
+
+    #[test]
+    fn compile_and_launch_failures_are_distinct() {
+        let arch = GpuArch::kepler_k20c();
+        // Candidate 0: valid. Candidate 1: a one-slot buffered placement
+        // that cannot fit the kernel's simultaneously-live values ->
+        // Compile failure. Candidate 2: compiles, but the harness hands it
+        // truncated input arrays -> Launch failure.
+        let cands = vec![
+            CompileOptions::with_warps(3),
+            CompileOptions::builder().warps(3).placement(Placement::Buffer(1)).build(),
+            CompileOptions::with_warps(4),
+        ];
+        let inputs = probe_inputs(6, 1);
+        let sabotaged = |k: &gpu_sim::isa::Kernel, pts: usize| {
+            let mut arrays = inputs(k, pts);
+            if k.warps_per_cta == 4 {
+                // Sabotage only this candidate's probe inputs.
+                for a in &mut arrays {
+                    a.truncate(1);
+                }
+            }
+            arrays
+        };
+        let budget = SearchBudget::builder().sim_top_k(cands.len()).build();
+        let tuner = Compiler::new(&arch).search().budget(budget);
+        let r = tuner.tune(&small_dfg(), &FixedList(&cands), 256, &sabotaged).unwrap().outcome;
+
+        // The valid probe: a time, no failure.
+        assert!(r.points[0].simulated_seconds.is_some());
+        assert!(r.points[0].failure.is_none());
+        // The unfittable placement: Compile, never Launch.
+        assert!(r.points[1].simulated_seconds.is_none());
+        assert!(matches!(r.points[1].failure, Some(TuneFailure::Compile(_))));
+        // The sabotaged probe: Launch, never Compile.
+        assert!(r.points[2].simulated_seconds.is_none());
+        assert!(matches!(r.points[2].failure, Some(TuneFailure::Launch(_))));
+        // The two failure kinds render distinctly.
+        let c = r.points[1].failure.as_ref().unwrap().to_string();
+        let l = r.points[2].failure.as_ref().unwrap().to_string();
+        assert!(c.starts_with("did not compile:"), "{c}");
+        assert!(l.starts_with("compiled but failed to run:"), "{l}");
+        // And the winner is the valid probe, not a failed one.
+        assert_eq!(r.best_options.warps, 3);
+    }
+
+    #[test]
+    fn exhaustive_sweep_probes_the_pipeline_depth_axis() {
+        let depth = |k| CompileOptions::builder().warps(3).point_iters(4).pipeline_depth(k).build();
+        let r = sweep(&GpuArch::hopper(), &[depth(1), depth(2), depth(4)], 3);
+        // Every depth compiles and runs on Hopper; the winner is whichever
+        // depth the timing model scores best — the axis is genuinely live.
+        assert!(r.points.iter().all(|p| p.simulated_seconds.is_some()), "{:?}", r.points);
+        assert!(r.best_options.pipeline_depth >= 1);
+    }
+
+    #[test]
+    fn sim_top_k_dials_from_exhaustive_to_guided() {
+        let arch = GpuArch::kepler_k20c();
+        let cands = with_warps(&[2, 3, 4, 6, 8, 12]);
+        let sims = |o: &SearchOutcome| -> Vec<f64> {
+            o.points.iter().filter_map(|p| p.simulated_seconds).collect()
+        };
+        let exhaustive = sweep(&arch, &cands, cands.len());
+        let guided = sweep(&arch, &cands, 3);
+        // warps=2 cannot compile for this DFG; every other candidate
+        // carries a prediction, and at K = len every one of those is
+        // simulated.
+        let compiled: Vec<&SearchPoint> =
+            exhaustive.points.iter().filter(|p| p.predicted_seconds.is_some()).collect();
+        assert_eq!(compiled.len(), 5);
+        assert!(matches!(exhaustive.points[0].failure, Some(TuneFailure::Compile(_))));
+        assert!(compiled.iter().all(|p| p.simulated_seconds.is_some()));
+        assert_eq!(exhaustive.simulations, 5);
+        // At K = 3 exactly the three best-predicted carry simulated times.
+        let mut by_pred: Vec<&SearchPoint> =
+            guided.points.iter().filter(|p| p.predicted_seconds.is_some()).collect();
+        by_pred.sort_by(|a, b| a.predicted_seconds.partial_cmp(&b.predicted_seconds).unwrap());
+        assert_eq!(by_pred.len(), 5);
+        for (rank, p) in by_pred.iter().enumerate() {
+            assert_eq!(p.simulated_seconds.is_some(), rank < 3, "{:?}", p.options.warps);
+        }
+        assert_eq!(guided.simulations, 3);
+        // In both, the winner is bit-equal to the minimum simulated time.
+        for o in [&exhaustive, &guided] {
+            let min = sims(o).into_iter().fold(f64::MAX, f64::min);
+            assert_eq!(o.best_seconds.to_bits(), min.to_bits());
+        }
+        // The guided winner's simulated time is within 2% of exhaustive.
+        let (best_gd, best_ex) = (guided.best_seconds, exhaustive.best_seconds);
+        assert!(best_gd <= best_ex * 1.02, "guided {best_gd} vs exhaustive {best_ex}");
     }
 
     #[test]
@@ -781,7 +1091,7 @@ mod tests {
         let seeds = space.seeds(&base);
         // The extended grid (iters 1/2/4, depth 1) is a subset of the
         // seed beam at the same placement.
-        for g in crate::autotune::candidate_grid_extended(base.placement) {
+        for g in grid_options(base.placement, &[1, 2, 4], &[1]) {
             let g = space.canonical(g).unwrap();
             assert!(
                 seeds.iter().any(|s| SearchSpace::key(s) == SearchSpace::key(&g)),

@@ -9,7 +9,7 @@
 //! 1. **Session API** ([`session`]) — [`ServeSession::open`] owns a
 //!    mechanism registry and a typed request surface:
 //!    [`CompileRequest`] `->` [`ArtifactHandle`], plus `probe` /
-//!    `predict` / `autotune` built on the same cached artifacts.
+//!    `predict` / `tune` built on the same cached artifacts.
 //! 2. **Persistent artifact cache** ([`artifact`]) — versioned,
 //!    content-addressed compiled-kernel artifacts on disk. Corrupt or
 //!    stale entries are recompiled, never surfaced as errors;
@@ -57,4 +57,4 @@ pub use session::{
     default_options, viscosity_warps, ArtifactHandle, ArtifactSource, CompileRequest,
     ServeSession, ServeSessionBuilder,
 };
-pub use singe::search::{SearchBudget, SearchOutcome};
+pub use singe::search::{BeamSearch, FixedList, SearchBudget, SearchOutcome};

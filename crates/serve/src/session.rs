@@ -22,6 +22,7 @@
 //!          ── cold: dfg → compile → verify → persist
 //! ```
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -34,8 +35,8 @@ use gpu_sim::arch::GpuArch;
 use gpu_sim::counts::EventCounts;
 use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 use gpu_sim::timing::{estimate, SimReport};
-use singe::kernels::{chemistry, diffusion, launch_arrays, viscosity};
-use singe::search::{SearchBudget, SearchOutcome};
+use singe::kernels::{chemistry, diffusion, launch_arrays, probe_grid, viscosity};
+use singe::search::{run_search, ScheduleSearch, SearchBudget, SearchOutcome, SearchSpace};
 use singe::{CompileOptions, Compiler, Placement, Variant, VerifyLevel};
 
 use crate::artifact::{Artifact, ArtifactKey, ArtifactMeta, Store, VerifyVerdict};
@@ -395,64 +396,25 @@ impl ServeSession {
         Ok(estimate(&handle.artifact.kernel, &req.arch.arch(), &counts, grid_points))
     }
 
-    /// Autotune across `candidates`: compile each (through the cache and
-    /// scheduler — shared candidates across sessions hit warm), predict
-    /// each at `grid_points`, return `(best index, predicted seconds per
-    /// candidate)`. Candidates that fail to compile predict as infinity.
-    pub fn autotune(
-        &self,
-        req: &CompileRequest,
-        candidates: &[CompileOptions],
-        grid_points: usize,
-    ) -> ServeResult<(usize, Vec<f64>)> {
-        if candidates.is_empty() {
-            return Err(ServeError::Internal("autotune with no candidates".into()));
-        }
-        // Queue all compiles first so the farm works them concurrently...
-        let tickets: Vec<_> = candidates
-            .iter()
-            .map(|opts| self.submit(&req.clone().with_options(opts.clone())))
-            .collect();
-        // ...then collect and predict.
-        let mut seconds = Vec::with_capacity(candidates.len());
-        for (ticket, opts) in tickets.into_iter().zip(candidates) {
-            let creq = req.clone().with_options(opts.clone());
-            let s = match ticket.and_then(|t| t.wait()) {
-                Ok(_) => self.predict(&creq, grid_points)?.seconds,
-                Err(ServeError::Compile(_)) => f64::INFINITY,
-                Err(e) => return Err(e),
-            };
-            seconds.push(s);
-        }
-        let best = seconds
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        if seconds[best].is_infinite() {
-            return Err(ServeError::Internal("no autotune candidate compiled".into()));
-        }
-        Ok((best, seconds))
-    }
-
-    /// Model-driven schedule search ([`singe::search`]) under a
-    /// [`SearchBudget`], instead of a caller-supplied candidate list:
-    /// beam-search the full options space seeded at the request's
-    /// options (or the per-kernel defaults), scoring every candidate
-    /// with the static model over *cached* artifacts — compiles ride
-    /// the scheduler and artifact store exactly like
-    /// [`ServeSession::autotune`], so repeated searches and overlapping
-    /// beams hit warm — and simulating only the top-K survivors through
-    /// the memoized probe ([`ServeSession::predict`]), which reuses the
-    /// artifact cache for the oracle too. Candidates that fail to
-    /// compile score infinity, as in [`ServeSession::autotune`];
-    /// service-level errors (overload, shutdown) abort the search.
+    /// Tune the request's kernel: the serve mirror of
+    /// [`singe::search::Tuner::tune`], with the same explorers and budget
+    /// ([`FixedList`](singe::search::FixedList) for a caller-supplied
+    /// candidate list, [`BeamSearch`](singe::search::BeamSearch) for the
+    /// full options space seeded at the request's options or the
+    /// per-kernel defaults). Candidates are model-scored over *cached*
+    /// artifacts — compiles ride the scheduler and artifact store, so
+    /// repeated runs, overlapping beams and candidates shared across
+    /// sessions hit warm — and the top-K survivors are simulated through
+    /// the memoized probe ([`ServeSession::predict`]).
     ///
-    /// Returns the winning options plus the full audit trail.
-    pub fn autotune_search(
+    /// A candidate that fails to compile or launch is recorded on its
+    /// point and loses; any other error (overload, shutdown) aborts the
+    /// run and is returned as itself. Returns the winning options plus
+    /// the full audit trail.
+    pub fn tune(
         &self,
         req: &CompileRequest,
+        explorer: &dyn ScheduleSearch,
         budget: &SearchBudget,
         grid_points: usize,
     ) -> ServeResult<(CompileOptions, SearchOutcome)> {
@@ -462,58 +424,26 @@ impl ServeSession {
             Some(opts) => opts.clone(),
             None => default_options(req.kernel, n_species, &arch),
         };
-        let space = singe::search::SearchSpace::for_arch(&arch);
-        // Service-level failures inside the scoring closures surface
-        // here after the search returns.
-        let service_err: Mutex<Option<ServeError>> = Mutex::new(None);
-        let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
-            // Queue the whole batch first so the farm works it
-            // concurrently, then collect and predict in input order.
-            let tickets: Vec<_> = cands
-                .iter()
-                .map(|opts| self.submit(&req.clone().with_options(opts.clone())))
-                .collect();
-            tickets
-                .into_iter()
-                .map(|t| match t.and_then(|t| t.wait()) {
-                    Ok(handle) => {
-                        let ppc = handle.artifact.kernel.points_per_cta;
-                        let grid = grid_points.div_ceil(ppc) * ppc;
-                        singe::perfmodel::predict_seconds(&handle.artifact.kernel, &arch, grid)
-                            .unwrap_or(f64::INFINITY)
-                    }
-                    Err(ServeError::Compile(_)) => f64::INFINITY,
-                    Err(e) => {
-                        service_err.lock().unwrap().get_or_insert(e);
-                        f64::INFINITY
-                    }
-                })
-                .collect()
-        };
-        let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
-            cands
-                .iter()
-                .map(|opts| {
-                    let creq = req.clone().with_options(opts.clone());
-                    self.predict(&creq, grid_points)
-                        .map(|r| r.seconds)
-                        .map_err(|e| e.to_string())
-                })
-                .collect()
-        };
-        let outcome = singe::search::run_search(
-            &singe::search::BeamSearch,
-            &space,
+        let candidate = |opts: &CompileOptions| req.clone().with_options(opts.clone());
+        tune_with(
+            explorer,
+            &SearchSpace::for_arch(&arch),
             &base,
             budget,
-            &mut score,
-            &mut simulate,
+            |cands| {
+                // Queue the whole batch first so the farm works it
+                // concurrently, then collect and predict in input order.
+                let submit = |o| self.submit(&candidate(o));
+                let tickets: Vec<_> = cands.iter().map(submit).collect();
+                let predict = |handle: ArtifactHandle| {
+                    let kernel = &handle.artifact.kernel;
+                    let grid = probe_grid(kernel, grid_points);
+                    singe::perfmodel::predict_seconds(kernel, &arch, grid).unwrap_or(f64::INFINITY)
+                };
+                tickets.into_iter().map(|t| t.and_then(|t| t.wait()).map(predict)).collect()
+            },
+            |opts| self.predict(&candidate(opts), grid_points).map(|r| r.seconds),
         )
-        .map_err(|e| ServeError::Internal(format!("schedule search: {e}")))?;
-        if let Some(e) = service_err.into_inner().unwrap() {
-            return Err(e);
-        }
-        Ok((outcome.best_options.clone(), outcome))
     }
 
     fn n_species_of(&self, id: &MechanismId) -> ServeResult<usize> {
@@ -526,6 +456,65 @@ impl ServeSession {
             }),
         }
     }
+}
+
+/// [`ServeSession::tune`] over any compile farm and probe: `score_batch`
+/// model-scores a batch of candidates, `probe` simulates one survivor.
+/// The error rule lives here, once, for both: `Compile` and `Launch` are
+/// candidate outcomes (the candidate loses, the run continues); the first
+/// error of any other kind stops further work and is what the call
+/// returns.
+fn tune_with(
+    explorer: &dyn ScheduleSearch,
+    space: &SearchSpace,
+    base: &CompileOptions,
+    budget: &SearchBudget,
+    mut score_batch: impl FnMut(&[CompileOptions]) -> Vec<ServeResult<f64>>,
+    mut probe: impl FnMut(&CompileOptions) -> ServeResult<f64>,
+) -> ServeResult<(CompileOptions, SearchOutcome)> {
+    let abort: RefCell<Option<ServeError>> = RefCell::new(None);
+    let candidate_outcome = |r: ServeResult<f64>| -> Result<f64, String> {
+        r.map_err(|e| match e {
+            ServeError::Compile(e) => e.to_string(),
+            ServeError::Launch(message) => message,
+            service => {
+                let message = service.to_string();
+                abort.borrow_mut().get_or_insert(service);
+                message
+            }
+        })
+    };
+    let mut compile_failures = HashMap::new();
+    let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
+        if abort.borrow().is_some() {
+            return vec![f64::INFINITY; cands.len()];
+        }
+        let scored = score_batch(cands).into_iter().zip(cands);
+        scored
+            .map(|(r, o)| {
+                candidate_outcome(r).unwrap_or_else(|message| {
+                    compile_failures.insert(SearchSpace::key(o), message);
+                    f64::INFINITY
+                })
+            })
+            .collect()
+    };
+    let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
+        let one = |o| {
+            if abort.borrow().is_some() {
+                return Err(String::new()); // the outcome is discarded below
+            }
+            candidate_outcome(probe(o))
+        };
+        cands.iter().map(one).collect()
+    };
+    let outcome = run_search(explorer, space, base, budget, &mut score, &mut simulate);
+    if let Some(e) = abort.into_inner() {
+        return Err(e);
+    }
+    let mut outcome = outcome.map_err(|e| ServeError::Internal(format!("tuner: {e}")))?;
+    outcome.record_compile_failures(&compile_failures);
+    Ok((outcome.best_options.clone(), outcome))
 }
 
 /// Content fingerprint of a mechanism (the same Debug-form hash the bench
@@ -699,4 +688,73 @@ fn serve_one(
         c.add(&c.save_errors, 1);
     }
     Ok((artifact, ArtifactSource::ColdCompile))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use singe::search::{BeamSearch, FixedList, TuneFailure};
+
+    /// The tuner's error rule, over a fake farm that fails candidates by
+    /// warp count: scoring predicts `warps` seconds, probing measures
+    /// `1 / warps`.
+    #[test]
+    fn candidate_failures_are_recorded_and_service_errors_abort() {
+        type Fail = fn(usize) -> Option<ServeError>;
+        let space = SearchSpace::for_arch(&GpuArch::kepler_k20c());
+        let cands = [3, 4, 6, 8].map(CompileOptions::with_warps);
+        let budget = SearchBudget::builder().sim_top_k(cands.len()).build();
+        let run = |explorer: &dyn ScheduleSearch, score_fails: Fail, probe_fails: Fail| {
+            tune_with(
+                explorer,
+                &space,
+                &CompileOptions::default(),
+                &budget,
+                |cs| {
+                    let predict = |w: usize| score_fails(w).map_or(Ok(w as f64), Err);
+                    cs.iter().map(|o| predict(o.warps)).collect()
+                },
+                |o| probe_fails(o.warps).map_or(Ok(1.0 / o.warps as f64), Err),
+            )
+        };
+        let none: Fail = |_| None;
+        // Low warp counts predict best, so either explorer's oracle
+        // reaches one.
+        let overloaded: Fail = |w| {
+            let retry_after = std::time::Duration::from_millis(5);
+            (w <= 4).then_some(ServeError::Overloaded { retry_after, queued: 1, capacity: 1 })
+        };
+        let shutting_down: Fail = |w| (w <= 4).then_some(ServeError::ShuttingDown);
+
+        // Compile (scorer) and Launch (oracle) are candidate outcomes:
+        // recorded on the point, and the sweep carries on to a winner.
+        let no_fit: Fail = |w| {
+            let e = singe::CompileError::ResourceExhausted("no fit".into());
+            (w == 3).then_some(ServeError::Compile(e))
+        };
+        let bad_arrays: Fail = |w| (w == 8).then_some(ServeError::Launch("bad arrays".into()));
+        let (best, outcome) = run(&FixedList(&cands), no_fit, bad_arrays).expect("sweep completes");
+        assert_eq!(best.warps, 6);
+        let failures: Vec<Option<String>> =
+            outcome.points.iter().map(|p| p.failure.as_ref().map(TuneFailure::to_string)).collect();
+        let compile = "did not compile: resource exhausted: no fit".to_string();
+        let launch = "compiled but failed to run: bad arrays".to_string();
+        assert_eq!(failures, [Some(compile), None, None, Some(launch)]);
+        assert_eq!(outcome.simulations, 3);
+
+        // Every other error aborts the call and comes back as itself,
+        // from the scorer and from the oracle, under either explorer.
+        for explorer in [&FixedList(&cands) as &dyn ScheduleSearch, &BeamSearch] {
+            let err = run(explorer, overloaded, none).unwrap_err();
+            assert!(matches!(err, ServeError::Overloaded { .. }), "{err}");
+            let err = run(explorer, none, overloaded).unwrap_err();
+            assert!(matches!(err, ServeError::Overloaded { .. }), "{err}");
+            let err = run(explorer, shutting_down, bad_arrays).unwrap_err();
+            assert!(matches!(err, ServeError::ShuttingDown), "{err}");
+        }
+
+        // No candidates is an error, not a panic.
+        let err = run(&FixedList(&[]), none, none).unwrap_err();
+        assert!(matches!(err, ServeError::Internal(_)), "{err}");
+    }
 }

@@ -3,7 +3,7 @@
 //! byte-for-byte, corruption must degrade to a recompile (never an
 //! error), and identical concurrent requests must compile exactly once.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use chemkin::synth::{self, SynthConfig};
 use singe::Variant;
@@ -18,7 +18,7 @@ fn cache_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn open(dir: &PathBuf) -> ServeSession {
+fn open(dir: &Path) -> ServeSession {
     ServeSession::builder(dir).builtins(false).open().expect("open session")
 }
 
@@ -250,9 +250,9 @@ fn typed_errors_list_valid_ids() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Predict and autotune both ride the same cached artifacts: a predict
-/// after a compile must not add a cold compile, and autotune returns a
-/// finite best.
+/// Predict and tune both ride the same cached artifacts: a predict
+/// after a compile must not add a cold compile, and an exhaustive sweep
+/// over a candidate list returns a finite best.
 #[test]
 fn predict_and_autotune_reuse_cached_artifacts() {
     let dir = cache_dir("predict");
@@ -275,10 +275,13 @@ fn predict_and_autotune_reuse_cached_artifacts() {
         singe_serve::default_options(KernelId::Viscosity, n, &ArchId::Kepler.arch()),
         singe::CompileOptions::with_warps(8),
     ];
-    let (best, seconds) =
-        session.autotune(&req, &candidates, 64 * 64 * 64).expect("autotune");
-    assert!(best < candidates.len());
-    assert!(seconds[best].is_finite() && seconds[best] > 0.0);
+    let budget = singe_serve::SearchBudget::builder().sim_top_k(candidates.len()).build();
+    let (best, outcome) = session
+        .tune(&req, &singe_serve::FixedList(&candidates), &budget, 64 * 64 * 64)
+        .expect("sweep runs");
+    assert!(candidates.iter().any(|c| format!("{c:?}") == format!("{best:?}")));
+    assert_eq!(outcome.simulations, candidates.len());
+    assert!(outcome.best_seconds.is_finite() && outcome.best_seconds > 0.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -301,7 +304,7 @@ fn schedule_search_runs_through_the_cache() {
         .build();
 
     let (best, outcome) =
-        session.autotune_search(&req, &budget, 64 * 64).expect("search runs");
+        session.tune(&req, &singe_serve::BeamSearch, &budget, 64 * 64).expect("search runs");
     assert!(best.warps > 0);
     assert!(outcome.best_seconds.is_finite() && outcome.best_seconds > 0.0);
     assert!(outcome.model_evals <= 10, "eval cap violated: {}", outcome.model_evals);
@@ -311,7 +314,7 @@ fn schedule_search_runs_through_the_cache() {
     // new — every candidate is answered from disk or memory.
     let cold_before = session.stats().cold_compiles;
     let (best2, outcome2) =
-        session.autotune_search(&req, &budget, 64 * 64).expect("warm search runs");
+        session.tune(&req, &singe_serve::BeamSearch, &budget, 64 * 64).expect("warm search runs");
     assert_eq!(session.stats().cold_compiles, cold_before, "warm search recompiled");
     assert_eq!(format!("{best:?}"), format!("{best2:?}"), "search is not deterministic");
     assert_eq!(outcome.best_seconds.to_bits(), outcome2.best_seconds.to_bits());

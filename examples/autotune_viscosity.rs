@@ -1,8 +1,8 @@
-//! Drive the autotuner (paper §4) over the viscosity kernel in both
-//! modes: the brute-force exhaustive sweep scores every candidate with
-//! the simulator's timing model, and the model-guided mode ranks every
-//! candidate with the static analytical performance model first and only
-//! simulates the top-K predictions.
+//! Drive the tuner (paper §4) over the viscosity kernel at both ends of
+//! its `sim_top_k` dial: the brute-force exhaustive sweep simulates every
+//! candidate, and the model-guided sweep ranks every candidate with the
+//! static analytical performance model first and only simulates the
+//! top-K predictions.
 //!
 //! Run with: `cargo run --release --example autotune_viscosity`
 //!
@@ -13,31 +13,29 @@
 //! prints the beam trajectory round by round.
 
 use chemkin::reference::tables::ViscosityTables;
-use chemkin::state::{GridDims, GridState};
 use chemkin::synth;
 use gpu_sim::arch::GpuArch;
-use singe::autotune::{autotune, autotune_guided, candidate_grid_extended, GUIDED_TOP_K};
 use singe::config::{CompileOptions, Placement};
-use singe::kernels::launch_arrays;
+use singe::kernels::probe_inputs;
 use singe::kernels::viscosity::viscosity_dfg;
-use singe::search::{autotune_search, SearchBudget};
+use singe::search::{grid_options, BeamSearch, FixedList, SearchBudget};
+use singe::Compiler;
 
 /// `--search` mode: beam search over the full schedule space, with the
 /// per-round trajectory (best model prediction vs best oracle time).
 fn search_mode(t: &ViscosityTables, arch: &GpuArch) {
-    let n = t.n;
     let base = CompileOptions::with_warps(4);
     let dfg = viscosity_dfg(t, base.warps);
-    let budget = SearchBudget::builder().build();
+    let budget = SearchBudget::default();
     println!(
         "beam search: width {}, {} rounds, top-{} simulated, <= {} model evals",
         budget.beam_width, budget.rounds, budget.sim_top_k, budget.max_model_evals
     );
-    let search = autotune_search(&dfg, arch, &base, &budget, 4096, &|k, pts| {
-        let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, n, 7);
-        launch_arrays(&k.global_arrays, &g).expect("known arrays").iter().map(|s| s.to_vec()).collect()
-    })
-    .expect("search runs");
+    let search = Compiler::new(arch)
+        .options(base)
+        .search()
+        .tune(&dfg, &BeamSearch, 4096, &probe_inputs(t.n, 7))
+        .expect("search runs");
     let o = &search.outcome;
 
     println!("\n{:>6} {:>10} {:>18} {:>18}", "round", "scored", "best model us", "best sim us");
@@ -83,29 +81,27 @@ fn main() {
     // The paper: "the search space for Singe was never more than a few
     // hundred points because warp-specialized decisions dealt with very
     // coarse-grained properties such as the number of target warps."
-    let candidates = candidate_grid_extended(Placement::Store);
+    let candidates = grid_options(Placement::Store, &[1, 2, 4], &[1]);
     println!("{} candidate configurations", candidates.len());
 
     // One DFG per warp count (the partitioning is warp-count-dependent —
     // the §4 stage-1 input includes the target warp count). Each
     // candidate is both simulated and predicted by the static model, so
     // the table doubles as a model-accuracy readout.
-    let n = t.n;
+    let tuner = Compiler::new(&arch).search();
+    let inputs = probe_inputs(t.n, 7);
     let mut results = Vec::new();
     let mut failures = Vec::new();
     for cand in &candidates {
         let dfg = viscosity_dfg(&t, cand.warps);
-        let r = autotune(&dfg, &arch, std::slice::from_ref(cand), 4096, &|k, pts| {
-            let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, n, 7);
-            launch_arrays(&k.global_arrays, &g).expect("known arrays").iter().map(|s| s.to_vec()).collect()
-        });
-        match r {
-            Ok(r) => match (r.points[0].seconds, &r.points[0].failure) {
-                (Some(sec), _) => results.push((cand.clone(), sec, r.points[0].predicted_seconds)),
-                (None, Some(why)) => failures.push((cand.clone(), why.to_string())),
-                (None, None) => failures.push((cand.clone(), "unknown failure".into())),
-            },
-            Err(e) => failures.push((cand.clone(), format!("did not compile: {e}"))),
+        match tuner.tune(&dfg, &FixedList(std::slice::from_ref(cand)), 4096, &inputs) {
+            Ok(r) => {
+                let o = r.outcome;
+                let predicted = o.best_predicted_seconds.expect("winners are model-scored");
+                results.push((cand.clone(), o.best_seconds, predicted));
+            }
+            // A lone candidate that fails is the sweep's error.
+            Err(e) => failures.push((cand.clone(), e.to_string())),
         }
     }
     results.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
@@ -115,16 +111,8 @@ fn main() {
         "warps", "iters", "sim us / 4096pt", "model us"
     );
     for (opts, sec, pred) in results.iter().take(8) {
-        match pred {
-            Some(p) => println!(
-                "{:>6} {:>6} {:>16.1} {:>16.1}",
-                opts.warps,
-                opts.point_iters,
-                sec * 1e6,
-                p * 1e6
-            ),
-            None => println!("{:>6} {:>6} {:>16.1} {:>16}", opts.warps, opts.point_iters, sec * 1e6, "-"),
-        }
+        let (warps, iters) = (opts.warps, opts.point_iters);
+        println!("{warps:>6} {iters:>6} {:>16.1} {:>16.1}", sec * 1e6, pred * 1e6);
     }
     if !failures.is_empty() {
         println!("\n{} candidate(s) failed:", failures.len());
@@ -138,15 +126,15 @@ fn main() {
     // Model-guided mode over a single fixed DFG parameterization: rank
     // all candidates with the static model, simulate only the top-K.
     let dfg = viscosity_dfg(&t, 2);
-    let guided = autotune_guided(&dfg, &arch, &candidates, 4096, GUIDED_TOP_K, &|k, pts| {
-        let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, n, 7);
-        launch_arrays(&k.global_arrays, &g).expect("known arrays").iter().map(|s| s.to_vec()).collect()
-    })
-    .expect("guided autotune runs");
-    let simulated = guided.points.iter().filter(|p| p.seconds.is_some()).count();
+    let guided = tuner
+        .tune(&dfg, &FixedList(&candidates), 4096, &inputs)
+        .expect("guided sweep runs")
+        .outcome;
     println!(
-        "\nmodel-guided (top-{GUIDED_TOP_K}): simulated {simulated}/{} candidates, \
+        "\nmodel-guided (top-{}): simulated {}/{} candidates, \
          best {} warps, {} point iterations",
+        SearchBudget::default().sim_top_k,
+        guided.simulations,
         candidates.len(),
         guided.best_options.warps,
         guided.best_options.point_iters

@@ -63,7 +63,7 @@ fn main() {
     let expect = reference_viscosity(&tables, &grid);
 
     for (name, kernel) in [("warp-specialized", &ws.kernel), ("baseline", &base.kernel)] {
-        let pts = points.div_ceil(kernel.points_per_cta) * kernel.points_per_cta;
+        let pts = singe::kernels::probe_grid(kernel, points);
         let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, tables.n, 42);
         let arrays = launch_arrays(&kernel.global_arrays, &g).expect("known arrays");
         let out = launch(kernel, &arch, &LaunchInputs { arrays }, pts, LaunchMode::Full)

@@ -8,27 +8,24 @@
 //!   sweep's winner (bit-identical simulated seconds) over the same
 //!   enumerated space — the beam is a pruning of the sweep, never a
 //!   different optimum.
-//! * **Determinism**: search results (winner, every predicted and
+//! * **Determinism**: tuning results (winner, every predicted and
 //!   simulated value, evaluation order) are bit-stable across `--jobs 1`
-//!   vs `--jobs 8`.
+//!   vs `--jobs 8`, under either explorer.
 //! * **Safety**: every schedule the search returns — the winner and
 //!   every oracle-simulated survivor — passes the independent PR 1
 //!   verifier at `Strict`.
 
 use chemkin::reference::tables::ViscosityTables;
-use chemkin::state::{GridDims, GridState};
 use chemkin::synth;
 use gpu_sim::arch::GpuArch;
-use singe::autotune::autotune_with_jobs;
 use singe::config::{CompileOptions, Placement};
-use singe::kernels::launch_arrays;
+use singe::kernels::probe_inputs;
 use singe::kernels::viscosity::viscosity_dfg;
 use singe::search::{
-    autotune_search_in_space_with_jobs, autotune_search_with_jobs, BeamSearch, SearchBudget,
-    SearchSpace,
+    grid_options, BeamSearch, FixedList, ScheduleSearch, SearchBudget, SearchSpace,
 };
 use singe::verify::verify_kernel;
-use singe::VerifyLevel;
+use singe::{Compiler, VerifyLevel};
 
 fn synth_mech(n_species: usize, seed: u64) -> chemkin::Mechanism {
     synth::via_text(&synth::SynthConfig {
@@ -39,17 +36,6 @@ fn synth_mech(n_species: usize, seed: u64) -> chemkin::Mechanism {
         n_stiff: 0,
         seed,
     })
-}
-
-fn inputs_for(n_species: usize) -> impl Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync {
-    move |k: &gpu_sim::isa::Kernel, pts: usize| {
-        let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, n_species, 1234);
-        launch_arrays(&k.global_arrays, &g)
-            .expect("known arrays")
-            .iter()
-            .map(|s| s.to_vec())
-            .collect()
-    }
 }
 
 /// A small space whose exhaustive enumeration stays cheap: two warp
@@ -79,15 +65,22 @@ fn full_width_beam_matches_the_exhaustive_sweep() {
     // them as extra seeds), but the equality property wants the beam's
     // reachable set to be exactly the enumerated space.
     let base = CompileOptions::builder().warps(3).point_iters(2).build();
-    let inputs = inputs_for(6);
+    let inputs = probe_inputs(6, 1234);
 
     // The exhaustive sweep over the whole enumerated space: every
     // candidate compiled and simulated.
     let all = space.enumerate(&base);
     assert!(all.len() >= 8 && all.len() <= 32, "space should be small, got {}", all.len());
-    let sweep = autotune_with_jobs(&dfg, &arch, &all, 256, &inputs, 2).expect("sweep runs");
+    let tuner = Compiler::new(&arch).options(base).search().space(space).jobs(2);
+    let every = SearchBudget::builder().sim_top_k(all.len()).build();
+    let sweep = tuner
+        .clone()
+        .budget(every)
+        .tune(&dfg, &FixedList(&all), 256, &inputs)
+        .expect("sweep runs")
+        .outcome;
     let sweep_best =
-        sweep.points.iter().filter_map(|p| p.seconds).fold(f64::INFINITY, f64::min);
+        sweep.points.iter().filter_map(|p| p.simulated_seconds).fold(f64::INFINITY, f64::min);
 
     // Full-width beam, full simulation budget: the beam prunes nothing,
     // so its oracle must see (at least) every candidate the sweep ran.
@@ -97,10 +90,7 @@ fn full_width_beam_matches_the_exhaustive_sweep() {
         .sim_top_k(all.len())
         .max_model_evals(10 * all.len())
         .build();
-    let search = autotune_search_in_space_with_jobs(
-        &dfg, &arch, &space, &base, &BeamSearch, &budget, 256, &inputs, 2,
-    )
-    .expect("search runs");
+    let search = tuner.budget(budget).tune(&dfg, &BeamSearch, 256, &inputs).expect("search runs");
     assert_eq!(
         search.outcome.best_seconds.to_bits(),
         sweep_best.to_bits(),
@@ -121,29 +111,34 @@ fn search_is_bit_stable_across_worker_counts() {
     let base = CompileOptions::with_warps(3);
     let budget =
         SearchBudget::builder().beam_width(4).rounds(2).sim_top_k(3).max_model_evals(72).build();
-    let inputs = inputs_for(6);
+    let inputs = probe_inputs(6, 1234);
+    let tuner = Compiler::new(&arch).options(base).search().budget(budget);
 
-    let a = autotune_search_with_jobs(&dfg, &arch, &base, &budget, 256, &inputs, 1)
-        .expect("search at jobs=1");
-    let b = autotune_search_with_jobs(&dfg, &arch, &base, &budget, 256, &inputs, 8)
-        .expect("search at jobs=8");
+    // The guided sweep (top-3 of the committed 16-point grid) and the beam.
+    let grid = grid_options(Placement::Store, &[1, 4], &[1]);
+    for explorer in [&FixedList(&grid) as &dyn ScheduleSearch, &BeamSearch] {
+        let run = |jobs| tuner.clone().jobs(jobs).tune(&dfg, explorer, 256, &inputs);
+        let a = run(1).expect("jobs=1").outcome;
+        let b = run(8).expect("jobs=8").outcome;
 
-    assert_eq!(format!("{:?}", a.outcome.best_options), format!("{:?}", b.outcome.best_options));
-    assert_eq!(a.outcome.best_seconds.to_bits(), b.outcome.best_seconds.to_bits());
-    assert_eq!(a.outcome.model_evals, b.outcome.model_evals);
-    assert_eq!(a.outcome.simulations, b.outcome.simulations);
-    assert_eq!(a.outcome.points.len(), b.outcome.points.len());
-    for (pa, pb) in a.outcome.points.iter().zip(&b.outcome.points) {
-        assert_eq!(format!("{:?}", pa.options), format!("{:?}", pb.options));
-        assert_eq!(
-            pa.predicted_seconds.map(f64::to_bits),
-            pb.predicted_seconds.map(f64::to_bits)
-        );
-        assert_eq!(
-            pa.simulated_seconds.map(f64::to_bits),
-            pb.simulated_seconds.map(f64::to_bits)
-        );
-        assert_eq!(pa.round, pb.round);
+        assert_eq!(format!("{:?}", a.best_options), format!("{:?}", b.best_options));
+        assert_eq!(a.best_seconds.to_bits(), b.best_seconds.to_bits());
+        assert_eq!(a.model_evals, b.model_evals);
+        assert_eq!(a.simulations, b.simulations);
+        assert_eq!(a.points.len(), b.points.len());
+        for (pa, pb) in a.points.iter().zip(&b.points) {
+            assert_eq!(format!("{:?}", pa.options), format!("{:?}", pb.options));
+            assert_eq!(
+                pa.predicted_seconds.map(f64::to_bits),
+                pb.predicted_seconds.map(f64::to_bits)
+            );
+            assert_eq!(
+                pa.simulated_seconds.map(f64::to_bits),
+                pb.simulated_seconds.map(f64::to_bits)
+            );
+            assert_eq!(pa.failure, pb.failure);
+            assert_eq!(pa.round, pb.round);
+        }
     }
 }
 
@@ -152,7 +147,7 @@ fn every_returned_schedule_passes_strict_verification() {
     let mech = synth_mech(8, 43);
     let t = ViscosityTables::build(&mech);
     let dfg = viscosity_dfg(&t, 4);
-    let inputs = inputs_for(8);
+    let inputs = probe_inputs(8, 1234);
     for arch in [GpuArch::kepler_k20c(), GpuArch::hopper()] {
         let base = CompileOptions::with_warps(4);
         let budget = SearchBudget::builder()
@@ -161,8 +156,8 @@ fn every_returned_schedule_passes_strict_verification() {
             .sim_top_k(4)
             .max_model_evals(64)
             .build();
-        let search = autotune_search_with_jobs(&dfg, &arch, &base, &budget, 256, &inputs, 2)
-            .expect("search runs");
+        let tuner = Compiler::new(&arch).options(base).search().budget(budget).jobs(2);
+        let search = tuner.tune(&dfg, &BeamSearch, 256, &inputs).expect("search runs");
         // The winner passes the independent verifier...
         assert!(
             verify_kernel(&search.best.kernel, &arch).is_ok(),
@@ -171,7 +166,7 @@ fn every_returned_schedule_passes_strict_verification() {
         );
         // ...and so does every oracle-simulated survivor, recompiled
         // with Strict enforcement turned on in the compiler itself.
-        let compiler = singe::Compiler::new(&arch);
+        let compiler = Compiler::new(&arch);
         for p in search.outcome.points.iter().filter(|p| p.simulated_seconds.is_some()) {
             let mut opts = p.options.clone();
             opts.verify = VerifyLevel::Strict;
