@@ -17,7 +17,7 @@
 
 use crate::config::CompileOptions;
 use crate::dfg::Dfg;
-use crate::expr::{emit_stmts, EmitCtx, RowRef, VarId};
+use crate::expr::{emit_stmts, EmitCtx, NodeSink, RowRef, VarId};
 use crate::{CResult, CompileError};
 use gpu_sim::arch::GpuArch;
 use gpu_sim::isa::{GlobalId, IdxOp, Instr, Kernel, Node, Op, PointRef, Reg};
@@ -75,13 +75,13 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
         self.scratch_free.push(r);
     }
 
-    fn const_op(&mut self, slot: u16, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)> {
+    fn const_op(&mut self, slot: u16, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         let tmp = self.alloc_temp()?;
-        code.push(Node::Op(Instr::LdConst {
+        code.emit(Node::Op(Instr::LdConst {
             dst: tmp,
             bank: 0,
             idx: IdxOp::Imm((self.const_base + slot as usize) as u32),
-        }));
+        }))?;
         Ok((Op::Reg(tmp), Some(tmp)))
     }
 
@@ -89,7 +89,7 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
         true
     }
 
-    fn row_idx(&mut self, row: &RowRef, _code: &mut Vec<Node>) -> CResult<IdxOp> {
+    fn row_idx(&mut self, row: &RowRef, _code: &mut dyn NodeSink) -> CResult<IdxOp> {
         // All instances are inlined sequentially, so per-instance rows
         // resolve statically.
         Ok(match row {
@@ -98,31 +98,31 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
         })
     }
 
-    fn read_var(&mut self, v: VarId, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)> {
+    fn read_var(&mut self, v: VarId, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         match self.home[v as usize] {
             Home::Reg(r) => Ok((Op::Reg(self.local_base + r), None)),
             Home::Spill(slot) => {
                 let tmp = self.alloc_temp()?;
-                code.push(Node::Op(Instr::LdLocal { dst: tmp, slot }));
+                code.emit(Node::Op(Instr::LdLocal { dst: tmp, slot }))?;
                 Ok((Op::Reg(tmp), Some(tmp)))
             }
         }
     }
 
-    fn write_var(&mut self, v: VarId, val: Op, code: &mut Vec<Node>) -> CResult<()> {
+    fn write_var(&mut self, v: VarId, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
         match self.home[v as usize] {
-            Home::Reg(r) => code.push(Node::Op(Instr::mov(self.local_base + r, val))),
-            Home::Spill(slot) => code.push(Node::Op(Instr::StLocal { src: val, slot })),
+            Home::Reg(r) => code.emit(Node::Op(Instr::mov(self.local_base + r, val)))?,
+            Home::Spill(slot) => code.emit(Node::Op(Instr::StLocal { src: val, slot }))?,
         }
         Ok(())
     }
 
-    fn read_local(&mut self, l: u16, _code: &mut Vec<Node>) -> CResult<Op> {
+    fn read_local(&mut self, l: u16, _code: &mut dyn NodeSink) -> CResult<Op> {
         Ok(Op::Reg(self.local_base + 512 + l))
     }
 
-    fn write_local(&mut self, l: u16, val: Op, code: &mut Vec<Node>) -> CResult<()> {
-        code.push(Node::Op(Instr::mov(self.local_base + 512 + l, val)));
+    fn write_local(&mut self, l: u16, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
+        code.emit(Node::Op(Instr::mov(self.local_base + 512 + l, val)))?;
         Ok(())
     }
 

@@ -25,16 +25,18 @@
 
 use crate::barrier_alloc::{allocate, BarrierAssignment};
 use crate::config::CompileOptions;
-use crate::dfg::{Dfg, OpId};
-use crate::expr::{emit_stmts, EmitCtx, Expr, RowRef, Stmt, VarId};
+use crate::dfg::{Dfg, GraphFacts, OpId};
+use crate::expr::{emit_stmts, EmitCtx, Expr, NodeSink, RowRef, Stmt, VarId};
 use crate::mapping::{map_ops, Mapping};
 use crate::sync::{schedule, Item, Schedule};
 use crate::{CResult, CompileError};
 use gpu_sim::arch::{BroadcastKind, GpuArch};
+use gpu_sim::interp::FlatProgram;
 use gpu_sim::isa::{
     GlobalId, IdxInstr, IdxOp, Instr, Kernel, Node, Op, PointRef, Reg, SAddr,
 };
 use gpu_sim::WARP_SIZE;
+use std::sync::Arc;
 
 /// Compilation statistics (autotuner and report inputs).
 #[derive(Debug, Clone, Default)]
@@ -75,6 +77,21 @@ pub struct Compiled {
     pub kernel: Kernel,
     /// Statistics.
     pub stats: CompileStats,
+    /// `kernel`'s flattening, when compiling produced one (the verifier
+    /// flattens what it checks): see [`Compiled::flat`].
+    pub(crate) flat: Option<Arc<FlatProgram>>,
+}
+
+impl Compiled {
+    /// The flattening of `kernel`: the one the compile already made, handed
+    /// on so that scoring ([`crate::perfmodel::predict_flat`]) or launching
+    /// ([`gpu_sim::launch::launch_flat`]) a fresh kernel does not encode and
+    /// hash it a second time to find that flattening in the cache; failing
+    /// that, [`gpu_sim::flatcache::flatten_cached`]. It is of `kernel` as
+    /// compiled, so not for a caller that has edited `kernel` since.
+    pub fn flat(&self) -> Arc<FlatProgram> {
+        self.flat.clone().unwrap_or_else(|| gpu_sim::flatcache::flatten_cached(&self.kernel))
+    }
 }
 
 // Virtual register bases (remapped after emission).
@@ -125,8 +142,21 @@ pub(crate) fn compile_warp_specialized(
     spans: Option<&mut Vec<gpu_sim::TraceEvent>>,
 ) -> CResult<Compiled> {
     let mut timer = crate::compiler::StageTimer::new(spans);
-    dfg.validate()?;
+    let facts = dfg.facts()?;
     timer.mark("validate");
+    compile_analysed(dfg, &facts, options, arch, timer)
+}
+
+/// [`compile_warp_specialized`] from the mapping stage on, for a caller
+/// that compiles one graph many times (the tuner) and so analyses it once.
+/// `facts` must be `dfg.facts()`.
+pub(crate) fn compile_analysed(
+    dfg: &Dfg,
+    facts: &GraphFacts,
+    options: &CompileOptions,
+    arch: &GpuArch,
+    mut timer: crate::compiler::StageTimer<'_>,
+) -> CResult<Compiled> {
     let mapping = map_ops(dfg, options)?;
     timer.mark("mapping");
     let max_sync = sync_barrier_budget(arch);
@@ -136,9 +166,9 @@ pub(crate) fn compile_warp_specialized(
     timer.mark("schedule-verify");
     let barriers = allocate(&sched, max_sync)?;
     timer.mark("barrier-alloc");
-    let compiled = emit(dfg, &mapping, &sched, &barriers, options, arch)?;
+    let mut compiled = emit(dfg, facts, &mapping, &sched, &barriers, options, arch)?;
     timer.mark("emit");
-    crate::verify::enforce(&compiled.kernel, arch, options)?;
+    compiled.flat = crate::verify::enforce(&compiled.kernel, arch, options)?;
     timer.mark("verify");
     Ok(compiled)
 }
@@ -153,6 +183,7 @@ struct RegPlan {
 /// Linear-scan allocation of var home registers for one warp.
 fn plan_registers(
     dfg: &Dfg,
+    facts: &GraphFacts,
     mapping: &Mapping,
     sched: &Schedule,
     warp: usize,
@@ -160,18 +191,18 @@ fn plan_registers(
     uniform_shared_reads: bool,
 ) -> CResult<RegPlan> {
     let items = &sched.items[warp];
-    let producers = dfg.producers()?;
+    let producers = &facts.producers;
     // def/last-use item indices per var produced in this warp.
     let mut def = vec![usize::MAX; dfg.n_vars as usize];
     let mut last = vec![0usize; dfg.n_vars as usize];
     for (i, (_, it)) in items.iter().enumerate() {
         match it {
             Item::Op(o) => {
-                for v in dfg.ops[*o].outputs() {
+                for &v in &facts.outputs[*o] {
                     def[v as usize] = i;
                     last[v as usize] = last[v as usize].max(i);
                 }
-                for v in dfg.ops[*o].inputs() {
+                for &v in &facts.inputs[*o] {
                     // Same-warp consumers keep the register home alive —
                     // unless uniform shared reads route them through shared
                     // memory (then the home only lives until the store).
@@ -272,7 +303,7 @@ struct WsCtx<'a> {
     uniform_reads: bool,
     /// Outputs of the op currently being emitted (always read from their
     /// register home — they may not be stored to shared yet).
-    cur_outputs: Vec<VarId>,
+    cur_outputs: &'a [VarId],
 }
 
 impl<'a> WsCtx<'a> {
@@ -305,7 +336,7 @@ impl<'a> EmitCtx for WsCtx<'a> {
         self.scratch_free.push(r);
     }
 
-    fn const_op(&mut self, slot: u16, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)> {
+    fn const_op(&mut self, slot: u16, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         let g = self.seg_base + slot as usize;
         let creg = VR_CREG + (g / WARP_SIZE) as Reg;
         let lane = (g % WARP_SIZE) as u8;
@@ -313,17 +344,17 @@ impl<'a> EmitCtx for WsCtx<'a> {
         match self.broadcast {
             BroadcastKind::Shuffle => {
                 // Listing 3: pair of 32-bit shuffles, modeled as one Shfl.
-                code.push(Node::Op(Instr::Shfl { dst: tmp, src: creg, lane }));
+                code.emit(Node::Op(Instr::Shfl { dst: tmp, src: creg, lane }))?;
             }
             BroadcastKind::SharedMirror => {
                 // Listing 2: one lane writes the mirror, everyone reads it.
                 let addr = SAddr { base: Some(IR_WARP), imm: self.mirror_word, lane_stride: 0 };
-                code.push(Node::Op(Instr::StShared {
+                code.emit(Node::Op(Instr::StShared {
                     src: Op::Reg(creg),
                     addr,
                     lane_pred: Some(lane),
-                }));
-                code.push(Node::Op(Instr::LdShared { dst: tmp, addr }));
+                }))?;
+                code.emit(Node::Op(Instr::LdShared { dst: tmp, addr }))?;
             }
         }
         Ok((Op::Reg(tmp), Some(tmp)))
@@ -333,28 +364,28 @@ impl<'a> EmitCtx for WsCtx<'a> {
         false
     }
 
-    fn row_idx(&mut self, row: &RowRef, code: &mut Vec<Node>) -> CResult<IdxOp> {
+    fn row_idx(&mut self, row: &RowRef, code: &mut dyn NodeSink) -> CResult<IdxOp> {
         match row {
             RowRef::Fixed(r) => Ok(IdxOp::Imm(*r)),
             RowRef::Slot(s) => {
                 let g = (self.iseg_base + *s as usize) as u32;
                 // index = ibase + g, then load the per-warp row constant.
-                code.push(Node::Op(Instr::Idx(IdxInstr::Add {
+                code.emit(Node::Op(Instr::Idx(IdxInstr::Add {
                     dst: IR_SCRATCH,
                     a: IdxOp::Reg(IR_IBASE),
                     b: IdxOp::Imm(g),
-                })));
-                code.push(Node::Op(Instr::Idx(IdxInstr::LdConst {
+                })))?;
+                code.emit(Node::Op(Instr::Idx(IdxInstr::LdConst {
                     dst: IR_SCRATCH + 1,
                     bank: 0,
                     idx: IdxOp::Reg(IR_SCRATCH),
-                })));
+                })))?;
                 Ok(IdxOp::Reg(IR_SCRATCH + 1))
             }
         }
     }
 
-    fn read_var(&mut self, v: VarId, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)> {
+    fn read_var(&mut self, v: VarId, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         let producer_warp = self.mapping.warp_of[self.producers[v as usize]];
         let from_reg = self.cur_outputs.contains(&v)
             || (producer_warp == self.warp
@@ -364,7 +395,7 @@ impl<'a> EmitCtx for WsCtx<'a> {
                 VarHome::Reg(r) => Ok((Op::Reg(VR_VAR + r), None)),
                 VarHome::Spill(slot) => {
                     let tmp = self.alloc_temp()?;
-                    code.push(Node::Op(Instr::LdLocal { dst: tmp, slot }));
+                    code.emit(Node::Op(Instr::LdLocal { dst: tmp, slot }))?;
                     Ok((Op::Reg(tmp), Some(tmp)))
                 }
             }
@@ -377,42 +408,42 @@ impl<'a> EmitCtx for WsCtx<'a> {
             // across warps reading different values (Listing 4).
             let g = (self.iseg_base + self.irows_len + self.extra_irows.len()) as u32;
             self.extra_irows.push((slot * WARP_SIZE) as u32);
-            code.push(Node::Op(Instr::Idx(IdxInstr::Add {
+            code.emit(Node::Op(Instr::Idx(IdxInstr::Add {
                 dst: IR_SCRATCH,
                 a: IdxOp::Reg(IR_IBASE),
                 b: IdxOp::Imm(g),
-            })));
-            code.push(Node::Op(Instr::Idx(IdxInstr::LdConst {
+            })))?;
+            code.emit(Node::Op(Instr::Idx(IdxInstr::LdConst {
                 dst: IR_SCRATCH + 1,
                 bank: 0,
                 idx: IdxOp::Reg(IR_SCRATCH),
-            })));
+            })))?;
             // Pipelined schedules need no extra displacement here: IR_IBASE
             // already points at the stage-r segment copy, whose slot-offset
             // entries are pre-displaced into ring entry r.
             let tmp = self.alloc_temp()?;
-            code.push(Node::Op(Instr::LdShared {
+            code.emit(Node::Op(Instr::LdShared {
                 dst: tmp,
                 addr: SAddr { base: Some(IR_SCRATCH + 1), imm: 0, lane_stride: 1 },
-            }));
+            }))?;
             Ok((Op::Reg(tmp), Some(tmp)))
         }
     }
 
-    fn write_var(&mut self, v: VarId, val: Op, code: &mut Vec<Node>) -> CResult<()> {
+    fn write_var(&mut self, v: VarId, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
         match self.home_of(v)? {
-            VarHome::Reg(r) => code.push(Node::Op(Instr::mov(VR_VAR + r, val))),
-            VarHome::Spill(slot) => code.push(Node::Op(Instr::StLocal { src: val, slot })),
+            VarHome::Reg(r) => code.emit(Node::Op(Instr::mov(VR_VAR + r, val)))?,
+            VarHome::Spill(slot) => code.emit(Node::Op(Instr::StLocal { src: val, slot }))?,
         }
         Ok(())
     }
 
-    fn read_local(&mut self, l: u16, _code: &mut Vec<Node>) -> CResult<Op> {
+    fn read_local(&mut self, l: u16, _code: &mut dyn NodeSink) -> CResult<Op> {
         Ok(Op::Reg(self.local_base + l))
     }
 
-    fn write_local(&mut self, l: u16, val: Op, code: &mut Vec<Node>) -> CResult<()> {
-        code.push(Node::Op(Instr::mov(self.local_base + l, val)));
+    fn write_local(&mut self, l: u16, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
+        code.emit(Node::Op(Instr::mov(self.local_base + l, val)))?;
         Ok(())
     }
 
@@ -429,6 +460,7 @@ impl<'a> EmitCtx for WsCtx<'a> {
 #[allow(clippy::too_many_arguments)]
 fn emit(
     dfg: &Dfg,
+    facts: &GraphFacts,
     mapping: &Mapping,
     sched: &Schedule,
     barriers: &BarrierAssignment,
@@ -436,7 +468,7 @@ fn emit(
     arch: &GpuArch,
 ) -> CResult<Compiled> {
     let w = options.warps;
-    let producers = dfg.producers()?;
+    let producers = &facts.producers;
 
     // Register budget: leave room for scratch, locals, and an estimate of
     // constant registers.
@@ -460,7 +492,7 @@ fn emit(
     let uniform_reads = options.uniform_shared_reads
         && !matches!(options.placement, crate::config::Placement::Buffer(_));
     let plans: Vec<RegPlan> = (0..w)
-        .map(|wi| plan_registers(dfg, mapping, sched, wi, var_budget, uniform_reads))
+        .map(|wi| plan_registers(dfg, facts, mapping, sched, wi, var_budget, uniform_reads))
         .collect::<CResult<Vec<_>>>()?;
 
     // --- Pipeline depth (K-stage multi-buffered producer/consumer). ---
@@ -558,10 +590,10 @@ fn emit(
         scratch_free: Vec::new(),
         scratch_hwm: 0,
         mirror_word,
-        producers: &producers,
+        producers,
         ldg: arch.has_ldg,
         uniform_reads,
-        cur_outputs: Vec::new(),
+        cur_outputs: &[],
     };
     let max_var_regs = plans.iter().map(|p| p.n_var_regs).max().unwrap_or(0) as u16;
 
@@ -674,7 +706,7 @@ fn emit(
                     let mut ctx = emit_ctx(seed_w, 0, 0, max_var_regs);
                     // The value must come from its register/spill home — the
                     // shared slot is exactly what this item is about to fill.
-                    ctx.cur_outputs = vec![v];
+                    ctx.cur_outputs = std::slice::from_ref(&v);
                     let (src, tmp) = ctx.read_var(v, &mut code)?;
                     code.push(Node::Op(Instr::StShared { src, addr, lane_pred: None }));
                     if let Some(t) = tmp {
@@ -695,7 +727,7 @@ fn emit(
                 {
                     let mut ctx = emit_ctx(seed_w, seg, iseg, max_var_regs);
                     ctx.irows_len = op.irows.len();
-                    ctx.cur_outputs = op.outputs();
+                    ctx.cur_outputs = &facts.outputs[seed_op];
                     emit_stmts(&op.body, &mut ctx, &mut seed_code)?;
                     seed_extras = ctx.extra_irows;
                 }
@@ -708,15 +740,19 @@ fn emit(
                     }
                     let (_, it) = sched.items[wi][cursors[wi]];
                     let Item::Op(cand) = it else { continue };
-                    if !dfg.ops[cand].same_skeleton(op) {
+                    if facts.class[cand] != facts.class[seed_op] {
                         continue;
                     }
-                    let mut cand_code = Vec::new();
                     let mut ctx = emit_ctx(wi, seg, iseg, max_var_regs);
                     ctx.irows_len = dfg.ops[cand].irows.len();
-                    ctx.cur_outputs = dfg.ops[cand].outputs();
-                    emit_stmts(&dfg.ops[cand].body, &mut ctx, &mut cand_code)?;
-                    if cand_code == seed_code {
+                    ctx.cur_outputs = &facts.outputs[cand];
+                    let mut against = SeedMatch { seed: &seed_code, matched: 0, diverged: false };
+                    let emitted = emit_stmts(&dfg.ops[cand].body, &mut ctx, &mut against);
+                    if against.diverged {
+                        continue;
+                    }
+                    emitted?;
+                    if against.matched == seed_code.len() {
                         mask |= 1 << wi;
                         members.push((wi, cand, ctx.extra_irows));
                     }
@@ -985,7 +1021,32 @@ fn emit(
         exp_const_from_registers: options.exp_const_from_registers,
     };
     kernel.check().map_err(CompileError::Internal)?;
-    Ok(Compiled { kernel, stats })
+    Ok(Compiled { kernel, stats, flat: None })
+}
+
+/// An overlay candidate's code (§5.1), held against the seed's node by node
+/// as it is lowered instead of being built and compared afterwards. The
+/// first node that is not the seed's next one is refused, which ends the
+/// candidate's lowering there: a rejected candidate costs the prefix it
+/// shares with the seed, not a whole emission. A candidate that lowers to
+/// the end with `matched == seed.len()` emitted exactly the seed's code —
+/// the equality footnote 2 asks for before two warps may share it.
+struct SeedMatch<'a> {
+    seed: &'a [Node],
+    matched: usize,
+    diverged: bool,
+}
+
+impl NodeSink for SeedMatch<'_> {
+    fn emit(&mut self, node: Node) -> CResult<()> {
+        if self.seed.get(self.matched) == Some(&node) {
+            self.matched += 1;
+            Ok(())
+        } else {
+            self.diverged = true;
+            Err(CompileError::Internal("overlay candidate diverged from its seed".into()))
+        }
+    }
 }
 
 /// Push a node, guarded by a `WarpIf` unless every warp participates.
@@ -1029,6 +1090,7 @@ pub(crate) fn remap_nodes(nodes: &mut [Node], f: &dyn Fn(Reg) -> Reg) {
 mod tests {
     use super::*;
     use crate::dfg::test_support::diamond;
+    use crate::dfg::Operation;
     use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 
     fn run_diamond(warps: usize, arch: &GpuArch) -> Vec<f64> {
@@ -1083,6 +1145,111 @@ mod tests {
         let arch = GpuArch::fermi_c2070();
         let out = run_diamond(3, &arch);
         assert_eq!(out, expected(out.len()));
+    }
+
+    /// Two warps running the same two ops each: a load, then a twin that
+    /// scales a warp-indexed input row and adds its own warp's load. As
+    /// built, each pair emits the same code. Forcing warp 0's load into
+    /// shared memory makes warp 0's twin read it from its slot (uniform
+    /// shared reads) where warp 1's reads a register: the twins then differ
+    /// — in their last statement only. That read sits under `selects`
+    /// nested selects, each of which holds two scratch registers across it.
+    fn twins(force_shared: &[VarId], selects: usize) -> Dfg {
+        let mut d = diamond();
+        let op = |name: &str, warp: usize, phase: u32, body: Vec<Stmt>| Operation {
+            name: name.into(),
+            body,
+            n_locals: 1,
+            consts: vec![2.0],
+            irows: vec![0],
+            pinned_warp: Some(warp),
+            phase,
+        };
+        let load = |v| vec![Stmt::DefVar(v, Expr::Input { array: 0, row: RowRef::Fixed(0) })];
+        let input = || Expr::Input { array: 0, row: RowRef::Fixed(0) };
+        let under = |e: Expr, _| input().select_gt(Expr::Lit(0.0), input(), e);
+        let twin = |v: VarId, own_load: VarId| {
+            vec![
+                Stmt::Local(0, Expr::Input { array: 0, row: RowRef::Slot(0) }.mul(Expr::Const(0))),
+                Stmt::DefVar(v, Expr::Local(0).add((0..selects).fold(Expr::Var(own_load), under))),
+            ]
+        };
+        let sum = Stmt::Store {
+            array: 1,
+            row: RowRef::Fixed(0),
+            value: Expr::Var(2).add(Expr::Var(3)),
+        };
+        d.ops = vec![
+            op("load0", 0, 0, load(0)),
+            op("load1", 1, 0, load(1)),
+            op("twin0", 0, 1, twin(2, 0)),
+            op("twin1", 1, 1, twin(3, 1)),
+            op("out", 0, 2, vec![sum]),
+        ];
+        d.n_vars = 4;
+        d.force_shared = force_shared.to_vec();
+        d
+    }
+
+    #[test]
+    fn identical_twins_overlay_and_late_differing_ones_do_not() {
+        let arch = GpuArch::kepler_k20c();
+        let groups = |force_shared: &[VarId]| {
+            let opts = CompileOptions::with_warps(2);
+            let c = compile_warp_specialized(&twins(force_shared, 0), &opts, &arch, None).unwrap();
+            (c.stats.overlay_groups, c.stats.solo_groups)
+        };
+        // The loads share one emission and the twins another; the store is
+        // solo.
+        assert_eq!(groups(&[]), (2, 1));
+        // The second twin matches the first up to its last statement, and
+        // is still refused: each twin is emitted on its own.
+        assert_eq!(groups(&[0]), (1, 3));
+    }
+
+    #[test]
+    fn a_diverged_candidate_that_cannot_be_emitted_still_fails_the_compile() {
+        // Seven selects deep, a twin reads its own load with all 14 scratch
+        // registers held: free from a register (warp 0, the seed), one
+        // register too many from shared memory (warp 1). Warp 1's twin
+        // leaves the seed's code at that read, before it runs out, and is
+        // dropped as a candidate with no error seen; the compile meets the
+        // error when that twin is emitted on its own, and fails with what
+        // it failed with when candidates were emitted in full.
+        let arch = GpuArch::kepler_k20c();
+        let compile = |selects| {
+            let opts = CompileOptions::with_warps(2);
+            compile_warp_specialized(&twins(&[1], selects), &opts, &arch, None)
+        };
+        match compile(N_SCRATCH / 2) {
+            Err(CompileError::ResourceExhausted(what)) => {
+                assert_eq!(what, "expression scratch registers exhausted")
+            }
+            other => panic!("expected to run out of scratch registers: {:?}", other.map(|c| c.stats)),
+        }
+        // One select less and both twins fit, each emitted on its own.
+        let fits = compile(N_SCRATCH / 2 - 1).unwrap();
+        assert_eq!((fits.stats.overlay_groups, fits.stats.solo_groups), (1, 3));
+    }
+
+    #[test]
+    fn seed_match_accepts_the_seed_and_nothing_else() {
+        let node = |r: Reg| Node::Op(Instr::mov(r, Op::Imm(1.0)));
+        let seed = [node(0), node(1), node(2)];
+        let fed = |nodes: &[Node]| {
+            let mut m = SeedMatch { seed: &seed, matched: 0, diverged: false };
+            let refused = nodes.iter().position(|n| m.emit(n.clone()).is_err());
+            (m.matched, m.diverged, refused)
+        };
+        // The seed itself: every node taken, none refused.
+        assert_eq!(fed(&seed), (3, false, None));
+        // A difference in the last node is refused at that node.
+        assert_eq!(fed(&[node(0), node(1), node(9)]), (2, true, Some(2)));
+        // So is a node past the seed's end.
+        assert_eq!(fed(&[node(0), node(1), node(2), node(3)]), (3, true, Some(3)));
+        // A proper prefix is never refused: `matched` falls short of the
+        // seed's length, which is what the overlay loop checks.
+        assert_eq!(fed(&seed[..2]), (2, false, None));
     }
 
     #[test]

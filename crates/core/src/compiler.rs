@@ -144,6 +144,7 @@ impl Compiler {
                 Ok(Compiled {
                     kernel: b.kernel,
                     stats: CompileStats { spilled_vars: b.spilled_words, ..Default::default() },
+                    flat: None,
                 })
             }
             Variant::Naive => {

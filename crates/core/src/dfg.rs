@@ -3,7 +3,8 @@
 //! computation, which we refer to as operations, and edges indicating data
 //! dependences between operations").
 
-use crate::expr::{Expr, Stmt, VarId};
+use crate::expr::{Expr, RowRef, Stmt, VarId};
+use std::collections::HashMap;
 
 use crate::{CResult, CompileError};
 use gpu_sim::isa::ArrayDecl;
@@ -38,6 +39,11 @@ impl Operation {
 
     /// Dataflow variables read by this op.
     pub fn inputs(&self) -> Vec<VarId> {
+        self.inputs_given(&self.outputs())
+    }
+
+    /// [`Operation::inputs`], given the op's [`Operation::outputs`].
+    fn inputs_given(&self, defs: &[VarId]) -> Vec<VarId> {
         let mut v = Vec::new();
         for s in &self.body {
             match s {
@@ -49,7 +55,6 @@ impl Operation {
         v.sort_unstable();
         v.dedup();
         // Reads of vars this op itself defines are internal.
-        let defs = self.outputs();
         v.retain(|x| !defs.contains(x));
         v
     }
@@ -98,9 +103,15 @@ pub struct Dfg {
 impl Dfg {
     /// Producer op of each var. Errors if a var has zero or two producers.
     pub fn producers(&self) -> CResult<Vec<OpId>> {
+        let outputs: Vec<Vec<VarId>> = self.ops.iter().map(Operation::outputs).collect();
+        self.producers_given(&outputs)
+    }
+
+    /// [`Dfg::producers`], given every op's [`Operation::outputs`].
+    fn producers_given(&self, outputs: &[Vec<VarId>]) -> CResult<Vec<OpId>> {
         let mut prod = vec![usize::MAX; self.n_vars as usize];
-        for (oi, op) in self.ops.iter().enumerate() {
-            for v in op.outputs() {
+        for (oi, outs) in outputs.iter().enumerate() {
+            for &v in outs {
                 if prod[v as usize] != usize::MAX {
                     return Err(CompileError::Internal(format!(
                         "var {v} defined by ops {} and {oi}",
@@ -132,12 +143,17 @@ impl Dfg {
     /// Topological order of ops (phase-major, then declaration order) —
     /// the linearization used for sync-point numbering (§4.2).
     pub fn topo_order(&self) -> CResult<Vec<OpId>> {
-        let prod = self.producers()?;
+        let inputs: Vec<Vec<VarId>> = self.ops.iter().map(Operation::inputs).collect();
+        self.topo_order_of(&self.producers()?, &inputs)
+    }
+
+    /// [`Dfg::topo_order`] over already-computed producers and per-op inputs.
+    fn topo_order_of(&self, prod: &[OpId], inputs: &[Vec<VarId>]) -> CResult<Vec<OpId>> {
         let n = self.ops.len();
         let mut deps: Vec<Vec<OpId>> = vec![Vec::new(); n];
         let mut indeg = vec![0usize; n];
-        for (oi, op) in self.ops.iter().enumerate() {
-            for v in op.inputs() {
+        for (oi, ins) in inputs.iter().enumerate() {
+            for &v in ins {
                 let p = prod[v as usize];
                 deps[p].push(oi);
                 indeg[oi] += 1;
@@ -170,7 +186,19 @@ impl Dfg {
 
     /// Validate SSA-ness, const-slot ranges, and acyclicity.
     pub fn validate(&self) -> CResult<()> {
-        let _ = self.topo_order()?;
+        self.facts().map(|_| ())
+    }
+
+    /// Validate the graph ([`Dfg::validate`]'s verdict is this call's
+    /// `Err`) and tabulate what the stages of a compile ask of it op by op.
+    /// None of it depends on the compile options, so one table serves
+    /// every stage of a compile and every candidate of a search.
+    pub(crate) fn facts(&self) -> CResult<GraphFacts> {
+        let outputs: Vec<Vec<VarId>> = self.ops.iter().map(Operation::outputs).collect();
+        let producers = self.producers_given(&outputs)?;
+        let inputs: Vec<Vec<VarId>> =
+            self.ops.iter().zip(&outputs).map(|(op, outs)| op.inputs_given(outs)).collect();
+        let _ = self.topo_order_of(&producers, &inputs)?;
         for (oi, op) in self.ops.iter().enumerate() {
             let mut max_const = None;
             let mut max_row = None;
@@ -193,11 +221,8 @@ impl Dfg {
                     )));
                 }
             }
-            if let Some(w) = op.pinned_warp {
-                let _ = w;
-            }
         }
-        Ok(())
+        Ok(GraphFacts { producers, inputs, outputs, class: skeleton_classes(&self.ops) })
     }
 
     /// Total FLOPs across all ops (per grid point).
@@ -206,12 +231,139 @@ impl Dfg {
     }
 }
 
+/// Per-op facts of a valid [`Dfg`], computed once by [`Dfg::facts`].
+pub(crate) struct GraphFacts {
+    /// Producer op of each var ([`Dfg::producers`]).
+    pub(crate) producers: Vec<OpId>,
+    /// [`Operation::inputs`] of each op.
+    pub(crate) inputs: Vec<Vec<VarId>>,
+    /// [`Operation::outputs`] of each op.
+    pub(crate) outputs: Vec<Vec<VarId>>,
+    /// Skeleton class of each op: `class[a] == class[b]` exactly when
+    /// `ops[a].same_skeleton(&ops[b])` — the paper's "standardized variable
+    /// names" (§5.1), worked out once per op instead of once per pair.
+    pub(crate) class: Vec<u32>,
+}
+
+/// Number the equivalence classes of [`Operation::same_skeleton`] in order
+/// of first appearance: each op is spelled once as its [`skeleton_words`],
+/// and equal spellings share a class.
+fn skeleton_classes(ops: &[Operation]) -> Vec<u32> {
+    let mut class_of: HashMap<Vec<u64>, u32> = HashMap::new();
+    let mut n_classes = 0;
+    let mut words = Vec::new();
+    ops.iter()
+        .map(|op| {
+            // An op that is not even its own skeleton — a NaN literal equals
+            // nothing — gets a class nobody joins: its spelling is not kept.
+            let own_skeleton = skeleton_words(op, &mut words);
+            if let Some(&met) = class_of.get(&words).filter(|_| own_skeleton) {
+                return met;
+            }
+            if own_skeleton {
+                class_of.insert(words.clone(), n_classes);
+            }
+            n_classes += 1;
+            n_classes - 1
+        })
+        .collect()
+}
+
+/// Spell `op`'s skeleton into `words` (cleared first): a prefix code of
+/// `n_locals` and the body with dataflow variables numbered by first
+/// appearance, exactly as [`canonical_body`] numbers them, so two ops spell
+/// alike exactly when [`Operation::same_skeleton`] holds. Literals are
+/// spelled by value as `f64` equality sees it: the two zeros alike, and a
+/// NaN — equal to nothing — makes the function return false.
+fn skeleton_words(op: &Operation, words: &mut Vec<u64>) -> bool {
+    struct Speller<'a> {
+        words: &'a mut Vec<u64>,
+        vars: Vec<VarId>,
+        own_skeleton: bool,
+    }
+    impl Speller<'_> {
+        fn var(&mut self, v: VarId) {
+            let n = self.vars.iter().position(|&seen| seen == v).unwrap_or_else(|| {
+                self.vars.push(v);
+                self.vars.len() - 1
+            });
+            self.words.push(n as u64);
+        }
+        fn row(&mut self, row: &RowRef) {
+            match row {
+                RowRef::Fixed(r) => self.words.extend([0, u64::from(*r)]),
+                RowRef::Slot(s) => self.words.extend([1, u64::from(*s)]),
+            }
+        }
+        fn expr(&mut self, e: &Expr) {
+            match e {
+                Expr::Local(l) => self.words.extend([0, u64::from(*l)]),
+                Expr::Lit(v) => {
+                    self.own_skeleton &= !v.is_nan();
+                    self.words.extend([1, if *v == 0.0 { 0 } else { v.to_bits() }]);
+                }
+                Expr::Const(c) => self.words.extend([2, u64::from(*c)]),
+                Expr::Var(v) => {
+                    self.words.push(3);
+                    self.var(*v);
+                }
+                Expr::Input { array, row } => {
+                    self.words.extend([4, u64::from(*array)]);
+                    self.row(row);
+                }
+                Expr::Un(op, a) => {
+                    self.words.extend([5, *op as u64]);
+                    self.expr(a);
+                }
+                Expr::Bin(op, a, b) => {
+                    self.words.extend([6, *op as u64]);
+                    self.expr(a);
+                    self.expr(b);
+                }
+                Expr::CmpGt(a, b) => {
+                    self.words.push(7);
+                    self.expr(a);
+                    self.expr(b);
+                }
+                Expr::Tri(op, a, b, c) => {
+                    self.words.extend([8, *op as u64]);
+                    self.expr(a);
+                    self.expr(b);
+                    self.expr(c);
+                }
+            }
+        }
+    }
+    words.clear();
+    words.extend([u64::from(op.n_locals), op.body.len() as u64]);
+    let mut sp = Speller { words, vars: Vec::new(), own_skeleton: true };
+    for s in &op.body {
+        match s {
+            Stmt::Local(l, e) => {
+                sp.words.extend([0, u64::from(*l)]);
+                sp.expr(e);
+            }
+            // `canonical_body` numbers a definition after its expression.
+            Stmt::DefVar(v, e) => {
+                sp.words.push(1);
+                sp.expr(e);
+                sp.var(*v);
+            }
+            Stmt::Store { array, row, value } => {
+                sp.words.extend([2, u64::from(*array)]);
+                sp.row(row);
+                sp.expr(value);
+            }
+        }
+    }
+    sp.own_skeleton
+}
+
 /// Renumber var ids by first appearance so structurally identical ops with
 /// different vars compare equal.
 fn canonical_body(body: &[Stmt]) -> Vec<Stmt> {
-    use std::collections::HashMap;
     let mut map: HashMap<VarId, VarId> = HashMap::new();
-    fn canon_expr(e: &Expr, map: &mut std::collections::HashMap<VarId, VarId>) -> Expr {
+    fn canon_expr(e: &Expr, map: &mut HashMap<VarId, VarId>) -> Expr {
         match e {
             Expr::Var(v) => {
                 let n = map.len() as VarId;
@@ -262,7 +414,7 @@ fn scan_slots(e: &Expr, max_const: &mut Option<u16>, max_row: &mut Option<u16>) 
     };
     match e {
         Expr::Const(c) => upd(max_const, *c),
-        Expr::Input { row: crate::expr::RowRef::Slot(s), .. } => upd(max_row, *s),
+        Expr::Input { row: RowRef::Slot(s), .. } => upd(max_row, *s),
         Expr::Un(_, a) => scan_slots(a, max_const, max_row),
         Expr::Bin(_, a, b) | Expr::CmpGt(a, b) => {
             scan_slots(a, max_const, max_row);
@@ -345,7 +497,104 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::diamond;
     use super::*;
-    use crate::expr::RowRef;
+    use crate::kernels::{chemistry, diffusion, viscosity};
+    use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
+    use chemkin::synth;
+    use proptest::prelude::*;
+
+    /// `class[a] == class[b]` exactly when `a.same_skeleton(b)`, for every
+    /// pair of distinct ops, asked of `same_skeleton` itself.
+    fn classes_are_same_skeleton_for_every_pair(d: &Dfg) {
+        let class = d.facts().expect("valid graph").class;
+        for (a, op_a) in d.ops.iter().enumerate() {
+            for (b, op_b) in d.ops.iter().enumerate().skip(a + 1) {
+                let same = op_a.same_skeleton(op_b);
+                assert_eq!(class[a] == class[b], same, "{}: ops {a} and {b}", d.name);
+            }
+        }
+    }
+
+    /// The same, for graphs too large to ask about every pair: every op is
+    /// the skeleton of its class's first member and of no other class's.
+    /// `same_skeleton` is an equivalence (it is equality of canonical
+    /// forms), so that settles every pair.
+    fn classes_are_same_skeleton_by_representative(d: &Dfg) {
+        let class = d.facts().expect("valid graph").class;
+        let mut firsts: Vec<usize> = Vec::new();
+        for (oi, &c) in class.iter().enumerate() {
+            assert!(c as usize <= firsts.len(), "{}: classes number by first appearance", d.name);
+            if c as usize == firsts.len() {
+                firsts.push(oi);
+            }
+        }
+        for (oi, op) in d.ops.iter().enumerate() {
+            for (c, &first) in firsts.iter().enumerate() {
+                let same = op.same_skeleton(&d.ops[first]);
+                assert_eq!(class[oi] as usize == c, same, "{}: op {oi}, class {c}", d.name);
+            }
+        }
+    }
+
+    #[test]
+    fn skeleton_classes_of_the_shipped_graphs() {
+        for mech in [synth::dme(), synth::heptane()] {
+            let shipped = [
+                viscosity::viscosity_dfg(&ViscosityTables::build(&mech), 8),
+                diffusion::diffusion_dfg(&DiffusionTables::build(&mech), 8),
+                chemistry::chemistry_dfg(&ChemistrySpec::build(&mech), 16),
+            ];
+            for d in &shipped {
+                if d.ops.len() <= 400 {
+                    classes_are_same_skeleton_for_every_pair(d);
+                } else {
+                    classes_are_same_skeleton_by_representative(d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skeleton_classes_tell_zeros_and_nans_as_equality_does() {
+        let mut d = diamond();
+        let lits = [0.0, -0.0, f64::NAN, f64::NAN];
+        d.ops = (0..4)
+            .map(|i| Operation {
+                body: vec![Stmt::DefVar(i as VarId, Expr::Lit(lits[i]))],
+                ..d.ops[0].clone()
+            })
+            .collect();
+        d.n_vars = 4;
+        let class = d.facts().unwrap().class;
+        assert_eq!(class[0], class[1], "0.0 == -0.0");
+        assert_ne!(class[2], class[3], "NaN != NaN, though spelled alike");
+        classes_are_same_skeleton_for_every_pair(&d);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn skeleton_classes_of_synthetic_mechanisms(
+            n_species in 4usize..10,
+            seed in 0u64..1000,
+            warps in 2usize..6,
+        ) {
+            let mech = synth::via_text(&synth::SynthConfig {
+                name: format!("sk{n_species}_{seed}"),
+                n_species,
+                n_reactions: n_species * 2,
+                n_qssa: 0,
+                n_stiff: 0,
+                seed,
+            });
+            classes_are_same_skeleton_for_every_pair(
+                &viscosity::viscosity_dfg(&ViscosityTables::build(&mech), warps));
+            classes_are_same_skeleton_for_every_pair(
+                &diffusion::diffusion_dfg(&DiffusionTables::build(&mech), warps));
+            classes_are_same_skeleton_for_every_pair(
+                &chemistry::chemistry_dfg(&ChemistrySpec::build(&mech), warps));
+        }
+    }
 
     #[test]
     fn diamond_validates_and_orders() {

@@ -223,6 +223,22 @@ pub struct ScalarProgram {
     pub n_locals: u16,
 }
 
+/// Where lowered code goes, node by node. A `Vec<Node>` keeps it; the
+/// overlay matcher of [`crate::codegen`] compares it with code that already
+/// exists and refuses the first node that differs, which ends the lowering
+/// there (the `Err` travels up through [`emit_stmts`]).
+pub trait NodeSink {
+    /// Take the next node of the code being lowered.
+    fn emit(&mut self, node: Node) -> CResult<()>;
+}
+
+impl NodeSink for Vec<Node> {
+    fn emit(&mut self, node: Node) -> CResult<()> {
+        self.push(node);
+        Ok(())
+    }
+}
+
 /// How the emitter materializes the context-dependent leaves.
 pub trait EmitCtx {
     /// Point selector for global accesses.
@@ -234,22 +250,22 @@ pub trait EmitCtx {
     /// Materialize per-instance constant `slot` as an operand (may emit
     /// broadcast/load code). Returns the operand plus the scratch register
     /// the caller must free (if the operand lives in one).
-    fn const_op(&mut self, slot: u16, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)>;
+    fn const_op(&mut self, slot: u16, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)>;
     /// True if constants come from the constant cache (baseline) rather
     /// than registers (warp-specialized §5.2).
     fn consts_in_cache(&self) -> bool;
     /// Materialize a row reference as an index operand. Any index scratch
     /// register is managed by the context (released on the next `row_idx`).
-    fn row_idx(&mut self, row: &RowRef, code: &mut Vec<Node>) -> CResult<IdxOp>;
+    fn row_idx(&mut self, row: &RowRef, code: &mut dyn NodeSink) -> CResult<IdxOp>;
     /// Read a dataflow variable; same temp-ownership contract as
     /// [`EmitCtx::const_op`].
-    fn read_var(&mut self, v: VarId, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)>;
+    fn read_var(&mut self, v: VarId, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)>;
     /// Write a dataflow variable.
-    fn write_var(&mut self, v: VarId, val: Op, code: &mut Vec<Node>) -> CResult<()>;
+    fn write_var(&mut self, v: VarId, val: Op, code: &mut dyn NodeSink) -> CResult<()>;
     /// Read an op-local temporary.
-    fn read_local(&mut self, l: LocalId, code: &mut Vec<Node>) -> CResult<Op>;
+    fn read_local(&mut self, l: LocalId, code: &mut dyn NodeSink) -> CResult<Op>;
     /// Write an op-local temporary.
-    fn write_local(&mut self, l: LocalId, val: Op, code: &mut Vec<Node>) -> CResult<()>;
+    fn write_local(&mut self, l: LocalId, val: Op, code: &mut dyn NodeSink) -> CResult<()>;
     /// Map a frontend array id to the kernel's global array.
     fn array_global(&self, array: u16) -> GlobalId;
     /// Use LDG texture loads for global reads (Kepler baselines, §6).
@@ -257,7 +273,7 @@ pub trait EmitCtx {
 }
 
 /// Emit a list of statements into `code`.
-pub fn emit_stmts(stmts: &[Stmt], ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<()> {
+pub fn emit_stmts(stmts: &[Stmt], ctx: &mut dyn EmitCtx, code: &mut dyn NodeSink) -> CResult<()> {
     for s in stmts {
         match s {
             Stmt::Local(l, e) => {
@@ -277,10 +293,10 @@ pub fn emit_stmts(stmts: &[Stmt], ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -
             Stmt::Store { array, row, value } => {
                 let (op, tmp) = lower(value, ctx, code)?;
                 let ridx = ctx.row_idx(row, code)?;
-                code.push(Node::Op(Instr::StGlobal {
+                code.emit(Node::Op(Instr::StGlobal {
                     src: op,
                     addr: GAddr { array: ctx.array_global(*array), row: ridx, point: ctx.point() },
-                }));
+                }))?;
                 if let Some(t) = tmp {
                     ctx.free_temp(t);
                 }
@@ -304,7 +320,7 @@ fn depth(e: &Expr) -> usize {
 
 /// Lower an expression; returns the result operand and the temp register to
 /// free (if the result lives in a scratch register owned by this call).
-fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)> {
+fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
     match e {
         Expr::Lit(v) => Ok((Op::Imm(*v), None)),
         Expr::Local(l) => Ok((ctx.read_local(*l, code)?, None)),
@@ -313,11 +329,11 @@ fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<(Op, 
         Expr::Input { array, row } => {
             let ridx = ctx.row_idx(row, code)?;
             let dst = ctx.alloc_temp()?;
-            code.push(Node::Op(Instr::LdGlobal {
+            code.emit(Node::Op(Instr::LdGlobal {
                 dst,
                 addr: GAddr { array: ctx.array_global(*array), row: ridx, point: ctx.point() },
                 ldg: ctx.ldg(),
-            }));
+            }))?;
             Ok((Op::Reg(dst), Some(dst)))
         }
         Expr::Un(op, a) => {
@@ -326,7 +342,7 @@ fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<(Op, 
                 Some(t) => t, // reuse the operand's temp
                 None => ctx.alloc_temp()?,
             };
-            code.push(Node::Op(Instr::Un { op: *op, dst, a: av }));
+            code.emit(Node::Op(Instr::Un { op: *op, dst, a: av }))?;
             Ok((Op::Reg(dst), Some(dst)))
         }
         Expr::Bin(op, a, b) => {
@@ -356,7 +372,7 @@ fn lower(e: &Expr, ctx: &mut dyn EmitCtx, code: &mut Vec<Node>) -> CResult<(Op, 
             let (av, at) = lower(a, ctx, code)?;
             let (bv, bt) = lower(b, ctx, code)?;
             let dst = pt.ok_or_else(|| CompileError::Internal("predicate temp expected".into()))?;
-            code.push(Node::Op(Instr::DSel { dst, pred, a: av, b: bv }));
+            code.emit(Node::Op(Instr::DSel { dst, pred, a: av, b: bv }))?;
             for t in [at, bt].into_iter().flatten() {
                 if t != dst {
                     ctx.free_temp(t);
@@ -374,7 +390,7 @@ fn lower_pair(
     a: &Expr,
     b: &Expr,
     ctx: &mut dyn EmitCtx,
-    code: &mut Vec<Node>,
+    code: &mut dyn NodeSink,
     make: impl FnOnce(Reg, Op, Op) -> Instr,
 ) -> CResult<(Op, Option<Reg>)> {
     let (av, at, bv, bt);
@@ -389,7 +405,7 @@ fn lower_pair(
         Some(t) => t,
         None => ctx.alloc_temp()?,
     };
-    code.push(Node::Op(make(dst, av, bv)));
+    code.emit(Node::Op(make(dst, av, bv)))?;
     // Free whichever operand temp we did not reuse as dst.
     for t in [at, bt].into_iter().flatten() {
         if t != dst {
@@ -407,7 +423,7 @@ fn lower_fma(
     b: &Expr,
     c: &Expr,
     ctx: &mut dyn EmitCtx,
-    code: &mut Vec<Node>,
+    code: &mut dyn NodeSink,
 ) -> CResult<(Op, Option<Reg>)> {
     let const_c = ctx.consts_in_cache()
         && (matches!(c, Expr::Const(_)) || matches!(b, Expr::Const(_)));
@@ -428,7 +444,7 @@ fn lower_fma(
     let (bv, bt) = slots[1].take().unwrap();
     let (cv, ct) = slots[2].take().unwrap();
     let dst = at.or(bt).or(ct).map(Ok).unwrap_or_else(|| ctx.alloc_temp())?;
-    code.push(Node::Op(Instr::DFma { dst, a: av, b: bv, c: cv, const_c }));
+    code.emit(Node::Op(Instr::DFma { dst, a: av, b: bv, c: cv, const_c }))?;
     for t in [at, bt, ct].into_iter().flatten() {
         if t != dst {
             ctx.free_temp(t);
@@ -549,6 +565,83 @@ mod tests {
         assert_eq!(body1, body2);
         let different = Expr::Const(0).mul(Expr::Var(4)).add(Expr::Const(1));
         assert_ne!(body1, different);
+    }
+
+    /// Everything lives in a register named after its id; nothing emits.
+    struct Registers(Reg);
+
+    impl EmitCtx for Registers {
+        fn point(&self) -> PointRef {
+            PointRef::Lane
+        }
+        fn alloc_temp(&mut self) -> CResult<Reg> {
+            self.0 += 1;
+            Ok(100 + self.0)
+        }
+        fn free_temp(&mut self, _r: Reg) {}
+        fn const_op(&mut self, slot: u16, _code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
+            Ok((Op::Reg(200 + slot), None))
+        }
+        fn consts_in_cache(&self) -> bool {
+            false
+        }
+        fn row_idx(&mut self, _row: &RowRef, _code: &mut dyn NodeSink) -> CResult<IdxOp> {
+            Ok(IdxOp::Imm(0))
+        }
+        fn read_var(&mut self, v: VarId, _code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
+            Ok((Op::Reg(300 + v as Reg), None))
+        }
+        fn write_var(&mut self, v: VarId, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
+            code.emit(Node::Op(Instr::mov(300 + v as Reg, val)))
+        }
+        fn read_local(&mut self, l: LocalId, _code: &mut dyn NodeSink) -> CResult<Op> {
+            Ok(Op::Reg(400 + l))
+        }
+        fn write_local(&mut self, l: LocalId, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
+            code.emit(Node::Op(Instr::mov(400 + l, val)))
+        }
+        fn array_global(&self, array: u16) -> GlobalId {
+            GlobalId(array as usize)
+        }
+        fn ldg(&self) -> bool {
+            false
+        }
+    }
+
+    /// Takes `room` nodes, refuses the next, and counts what it was offered.
+    struct Room {
+        room: usize,
+        offered: usize,
+    }
+
+    impl NodeSink for Room {
+        fn emit(&mut self, _node: Node) -> CResult<()> {
+            self.offered += 1;
+            if self.offered > self.room {
+                return Err(CompileError::Internal("full".into()));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_refused_node_is_the_last_one_lowered() {
+        // Three statements, ten nodes: wherever the sink refuses, lowering
+        // ends with that node — nothing after it is even offered.
+        let chain = |v| Expr::Var(v).mul(Expr::Const(0)).sub(Expr::Lit(1.0)).exp();
+        let body = [
+            Stmt::Local(0, chain(1)),
+            Stmt::DefVar(2, Expr::Local(0).add(chain(3))),
+            Stmt::Store { array: 0, row: RowRef::Fixed(0), value: Expr::Var(2) },
+        ];
+        let mut all = Vec::new();
+        emit_stmts(&body, &mut Registers(0), &mut all).unwrap();
+        assert_eq!(all.len(), 10);
+        for room in 0..all.len() {
+            let mut sink = Room { room, offered: 0 };
+            assert!(emit_stmts(&body, &mut Registers(0), &mut sink).is_err());
+            assert_eq!(sink.offered, room + 1);
+        }
     }
 
     #[test]

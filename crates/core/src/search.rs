@@ -38,15 +38,15 @@
 //! input order, and all ranking ties break toward the earlier candidate —
 //! results are bit-identical at any `--jobs` count.
 
-use crate::codegen::{compile_warp_specialized, Compiled};
-use crate::compiler::Compiler;
+use crate::codegen::{compile_analysed, Compiled};
+use crate::compiler::{Compiler, StageTimer};
 use crate::config::{CompileOptions, Placement};
 use crate::dfg::Dfg;
 use crate::kernels::probe_grid;
 use crate::pool::run_ordered;
 use crate::CResult;
 use gpu_sim::arch::GpuArch;
-use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
+use gpu_sim::launch::{launch_flat, LaunchConfig, LaunchInputs, LaunchMode};
 use std::collections::{HashMap, HashSet};
 
 /// Why a candidate produced no time: compilation and execution failures
@@ -751,10 +751,14 @@ pub struct SearchResult {
     pub outcome: SearchOutcome,
 }
 
-/// The one compile + simulate binding of [`run_search`]: candidates are
-/// compiled on the ordered pool and scored by the static model; survivors
-/// are recompiled (nothing compiled is kept across the score phase — a
-/// beam scores 160 kernels) and probed with a `TimingOnly` launch.
+/// The one compile + simulate binding of [`run_search`]: the graph is
+/// analysed once for all candidates, which are compiled on the ordered
+/// pool and scored by the static model over the flattening their compile
+/// already made. Nothing compiled is kept across the score phase (a beam
+/// scores 160 kernels): the `sim_top_k` survivors are compiled again to be
+/// probed with a `TimingOnly` launch over that compile's flattening, and so
+/// is the winner to be handed back — one emit, one hash and a verifier memo
+/// hit each.
 /// Built by [`Compiler::search`], which supplies the arch and the base
 /// options; space, budget and worker count start at their defaults.
 #[derive(Debug, Clone)]
@@ -809,18 +813,20 @@ impl Tuner {
         inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
     ) -> CResult<SearchResult> {
         let (arch, jobs) = (self.compiler.arch(), self.jobs);
-        // A candidate's kernel and the grid it is probed on.
-        let build = |o: &CompileOptions| -> Result<(Compiled, usize), String> {
-            let c = compile_warp_specialized(dfg, o, arch, None).map_err(|e| e.to_string())?;
-            let grid = probe_grid(&c.kernel, probe_points);
-            Ok((c, grid))
+        // One analysis of the graph serves every candidate; a graph that
+        // does not validate fails each of them with that verdict.
+        let facts = dfg.facts();
+        let build = |o: &CompileOptions| -> CResult<Compiled> {
+            let facts = facts.as_ref().map_err(Clone::clone)?;
+            compile_analysed(dfg, facts, o, arch, StageTimer::new(None))
         };
         let mut compile_failures = HashMap::new();
         let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
             let scored = run_ordered(jobs, cands.len(), |i| {
-                let (c, grid) = build(&cands[i])?;
-                let predicted = crate::perfmodel::predict_seconds(&c.kernel, arch, grid);
-                Ok(predicted.unwrap_or(f64::INFINITY))
+                let c = build(&cands[i]).map_err(|e| e.to_string())?;
+                let grid = probe_grid(&c.kernel, probe_points);
+                let predicted = crate::perfmodel::predict_flat(&c.kernel, &c.flat(), arch, grid);
+                Ok(predicted.map_or(f64::INFINITY, |m| m.seconds()))
             });
             // Failed compiles score +inf: never chosen for simulation.
             let or_inf = |(r, o): (Result<f64, String>, &CompileOptions)| {
@@ -833,10 +839,12 @@ impl Tuner {
         };
         let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
             run_ordered(jobs, cands.len(), |i| {
-                let (c, grid) = build(&cands[i])?;
+                let c = build(&cands[i]).map_err(|e| e.to_string())?;
+                let grid = probe_grid(&c.kernel, probe_points);
                 let owned = inputs_for(&c.kernel, grid);
                 let arrays: Vec<&[f64]> = owned.iter().map(|v| v.as_slice()).collect();
-                launch(&c.kernel, arch, &LaunchInputs { arrays }, grid, LaunchMode::TimingOnly)
+                let config = LaunchConfig { mode: LaunchMode::TimingOnly, ..LaunchConfig::default() };
+                launch_flat(&c.kernel, &c.flat(), arch, &LaunchInputs { arrays }, grid, config)
                     .map(|out| out.report.seconds)
                     .map_err(|e| e.to_string())
             })
@@ -845,9 +853,9 @@ impl Tuner {
         let mut outcome =
             run_search(explorer, &self.space, base, &self.budget, &mut score, &mut simulate)?;
         outcome.record_compile_failures(&compile_failures);
-        // Re-compile the winner (compilation is deterministic and cached
-        // upstream where it matters) so callers get a runnable artifact.
-        let best = compile_warp_specialized(dfg, &outcome.best_options, arch, None)?;
+        // Re-compile the winner (compilation is deterministic, and the
+        // verifier remembers its verdict) so callers get a runnable artifact.
+        let best = build(&outcome.best_options)?;
         Ok(SearchResult { best, outcome })
     }
 }

@@ -39,13 +39,13 @@
 use crate::config::CompileOptions;
 use crate::{CResult, CompileError};
 use gpu_sim::arch::GpuArch;
-use gpu_sim::flatcache::{fingerprint, flatten_cached};
+use gpu_sim::flatcache::flatten_cached;
 use gpu_sim::interp::FlatProgram;
 use gpu_sim::isa::{IdxInstr, IdxOp, Instr, Kernel, SAddr};
 use gpu_sim::WARP_SIZE;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How much verification [`enforce`] performs after codegen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,7 +154,13 @@ pub struct VerifyReport {
     pub generations: u64,
 }
 
-type VerifyMemo = Mutex<HashMap<((u64, u64), &'static str), Result<VerifyReport, Vec<Violation>>>>;
+/// What a verdict is a function of: the kernel, and every [`GpuArch`] field
+/// the verifier reads — the limits it checks against and the name its
+/// messages quote. `GpuArch` has public fields, so two architectures of one
+/// name need not share limits.
+type VerifyKey = ((u64, u64), &'static str, usize, usize);
+type Verdict = Result<VerifyReport, Vec<Violation>>;
+type VerifyMemo = Mutex<HashMap<VerifyKey, Verdict>>;
 
 fn verify_memo() -> &'static VerifyMemo {
     static CACHE: OnceLock<VerifyMemo> = OnceLock::new();
@@ -168,44 +174,64 @@ const VERIFY_MEMO_MAX: usize = 256;
 /// Verify `kernel` against `arch`. Returns statistics on success or the
 /// full list of violations (not just the first) on failure.
 ///
-/// Memoized per (kernel fingerprint, arch): verification is deterministic,
-/// and the same kernel is typically verified twice — once by [`enforce`]
-/// right after codegen and again by the `report verify` sweep.
-pub fn verify_kernel(kernel: &Kernel, arch: &GpuArch) -> Result<VerifyReport, Vec<Violation>> {
-    let key = (fingerprint(kernel), arch.name);
-    if let Some(hit) = verify_memo().lock().unwrap().get(&key) {
-        return hit.clone();
+/// Memoized per (kernel fingerprint, arch limits): verification is
+/// deterministic, and the same kernel is typically verified twice — once by
+/// [`enforce`] right after codegen and again by the `report verify` sweep.
+pub fn verify_kernel(kernel: &Kernel, arch: &GpuArch) -> Verdict {
+    verify_flat(kernel, arch).1
+}
+
+/// [`verify_kernel`], also handing back the flattening it checked. The one
+/// `flatten_cached` call is the one pass over the kernel: the memo is keyed
+/// off the fingerprint the flattening carries. The flattening comes first
+/// because a compile wants it whatever the memo says; the price is that a
+/// memo hit on a kernel the flat cache has since dropped (it clears after
+/// 256 kernels) flattens it again.
+fn verify_flat(kernel: &Kernel, arch: &GpuArch) -> (Arc<FlatProgram>, Verdict) {
+    let prog = flatten_cached(kernel);
+    let print = prog.fingerprint().expect("flatten_cached files a program under its fingerprint");
+    let key = (print, arch.name, arch.shared_per_sm, arch.named_barriers_per_sm);
+    let memo_poisoned = "verify memo poisoned";
+    if let Some(hit) = verify_memo().lock().expect(memo_poisoned).get(&key) {
+        return (prog, hit.clone());
     }
     // Verify outside the lock: the dynamic protocol run is the expensive
     // part, and parallel sweep workers must not serialize on it.
-    let prog = flatten_cached(kernel);
     let mut v = Verifier::new(kernel, arch, &prog);
     v.check_static();
     v.run();
     let result =
         if v.violations.is_empty() { Ok(v.report) } else { Err(v.violations) };
-    let mut memo = verify_memo().lock().unwrap();
+    let mut memo = verify_memo().lock().expect(memo_poisoned);
     if memo.len() >= VERIFY_MEMO_MAX {
         memo.clear();
     }
-    memo.entry(key).or_insert(result).clone()
+    let verdict = memo.entry(key).or_insert(result).clone();
+    (prog, verdict)
 }
 
 /// Policy wrapper used by the compilers: run [`verify_kernel`] according
 /// to `options.verify` and convert violations into a hard
-/// [`CompileError::Verification`].
-pub fn enforce(kernel: &Kernel, arch: &GpuArch, options: &CompileOptions) -> CResult<()> {
+/// [`CompileError::Verification`]. A kernel that was verified comes back
+/// with the flattening the verifier made of it, for [`Compiled::flat`].
+///
+/// [`Compiled::flat`]: crate::codegen::Compiled::flat
+pub fn enforce(
+    kernel: &Kernel,
+    arch: &GpuArch,
+    options: &CompileOptions,
+) -> CResult<Option<Arc<FlatProgram>>> {
     let run = match options.verify {
         VerifyLevel::Off => false,
         VerifyLevel::Basic => !options.unsafe_remove_barriers,
         VerifyLevel::Strict => true,
     };
     if !run {
-        return Ok(());
+        return Ok(None);
     }
-    match verify_kernel(kernel, arch) {
-        Ok(_) => Ok(()),
-        Err(violations) => Err(CompileError::Verification(VerifyFailure {
+    match verify_flat(kernel, arch) {
+        (prog, Ok(_)) => Ok(Some(prog)),
+        (_, Err(violations)) => Err(CompileError::Verification(VerifyFailure {
             kernel: kernel.name.clone(),
             violations,
         })),

@@ -216,6 +216,9 @@ pub struct FlatProgram {
     pub(crate) sync_streams: Vec<Vec<(u32, u32, u32)>>,
     /// Total static instructions (address space size).
     pub static_size: u32,
+    /// [`crate::flatcache::fingerprint`] of the kernel this was flattened
+    /// from, when the flattener was told it ([`flatten`] does not hash).
+    pub(crate) fingerprint: Option<(u64, u64)>,
     /// Lazily-lowered segment-engine program for this exact flattening.
     /// Riding on the `FlatProgram` (instead of a separate fingerprint-keyed
     /// memo) ties the lowered artifact's lifetime to its flattening and
@@ -239,6 +242,15 @@ pub struct FlatStep<'a> {
 }
 
 impl FlatProgram {
+    /// The fingerprint of the kernel this program was flattened from, for
+    /// a program out of [`crate::flatcache::flatten_cached`]: the key it is
+    /// filed under there, and the key for any other per-kernel memo, with
+    /// no second pass over the kernel. `None` for a bare [`flatten`], which
+    /// never hashes.
+    pub fn fingerprint(&self) -> Option<(u64, u64)> {
+        self.fingerprint
+    }
+
     /// Number of per-warp streams (= warps per CTA).
     pub fn n_warps(&self) -> usize {
         self.streams.len()
@@ -284,6 +296,11 @@ impl FlatProgram {
 
 /// Flatten a kernel's structured body into per-warp streams.
 pub fn flatten(kernel: &Kernel) -> FlatProgram {
+    flatten_as(kernel, None)
+}
+
+/// [`flatten`], recording the fingerprint of `kernel` its caller holds.
+pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> FlatProgram {
     let w = kernel.warps_per_cta;
     let mut instrs: Vec<Instr> = Vec::new();
     let mut streams: Vec<Vec<FlatOp>> = vec![Vec::new(); w];
@@ -425,6 +442,7 @@ pub fn flatten(kernel: &Kernel) -> FlatProgram {
         addr_streams,
         sync_streams,
         static_size: counter,
+        fingerprint,
         engine: std::sync::OnceLock::new(),
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! [`encode_kernel`] walks a [`Kernel`] once and writes little-endian,
 //! explicitly tagged bytes to a [`Sink`]; [`decode_kernel`] reads them back
-//! through a bounds-checked [`Reader`]. Two sinks exist: a `Vec<u8>` (the
-//! serve layer's on-disk artifacts) and a pair of hashers (the in-memory
-//! kernel fingerprint of `crate::flatcache`, which is therefore the hash of
+//! through a bounds-checked [`Reader`]. The one sink is a `Vec<u8>`: the
+//! serve layer's on-disk artifacts, and the buffer the in-memory kernel
+//! fingerprint of `crate::flatcache` hashes (which is therefore the hash of
 //! exactly these bytes). Both directions of every type come from one
 //! declaration — a tag and a field list per variant — so they cannot drift
 //! apart and a new variant is one line.
@@ -13,8 +13,6 @@
 //!   is bit-identical to the encoded one.
 //! * **Corruption tolerance**: every read is bounds-checked and every tag
 //!   validated; any mismatch is a [`DecodeError`], never a panic.
-
-use std::hash::Hasher;
 
 use super::*;
 
@@ -66,14 +64,6 @@ impl Sink for Vec<u8> {
     #[inline] // called per field from other crates; encode is 1.6x slower without
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
-    }
-}
-
-/// Two hash streams fed by one walk of the encoder.
-impl<A: Hasher, B: Hasher> Sink for (A, B) {
-    fn put(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
-        self.1.write(bytes);
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::arch::GpuArch;
 use crate::error::{SimError, SimResult};
 use crate::flatcache::flatten_cached;
-use crate::interp::{run_cta, run_cta_profiled, CtaResult};
+use crate::interp::{run_cta, run_cta_profiled, CtaResult, FlatProgram};
 use crate::isa::Kernel;
 use crate::occupancy::occupancy;
 use crate::profile::{CtaProfile, Profiler};
@@ -97,6 +97,23 @@ pub fn launch_with_config(
     total_points: usize,
     config: LaunchConfig,
 ) -> SimResult<LaunchOutput> {
+    // Memoized: sweeps re-launch the same kernel many times; the flatten
+    // (loop expansion + pre-decode) is shared across launches.
+    launch_flat(kernel, &flatten_cached(kernel), arch, inputs, total_points, config)
+}
+
+/// [`launch_with_config`] over an already-flattened program, for a caller
+/// that holds `kernel`'s flattening (as [`crate::model::predict_flat`] is
+/// to [`crate::model::predict`]): no second pass over the kernel to find
+/// it in the cache. `prog` must be `kernel`'s own.
+pub fn launch_flat(
+    kernel: &Kernel,
+    prog: &FlatProgram,
+    arch: &GpuArch,
+    inputs: &LaunchInputs<'_>,
+    total_points: usize,
+    config: LaunchConfig,
+) -> SimResult<LaunchOutput> {
     let mode = config.mode;
     kernel.check().map_err(SimError::InvalidKernel)?;
     if inputs.arrays.len() != kernel.global_arrays.len() {
@@ -128,9 +145,6 @@ pub fn launch_with_config(
         ));
     }
 
-    // Memoized: sweeps re-launch the same kernel many times; the flatten
-    // (loop expansion + pre-decode) is shared across launches.
-    let prog = flatten_cached(kernel);
     let n_ctas = match mode {
         LaunchMode::Full => total_points / kernel.points_per_cta,
         LaunchMode::TimingOnly => 1,
@@ -151,9 +165,9 @@ pub fn launch_with_config(
     });
     let first = match profiler.as_mut() {
         Some(p) => run_cta_profiled(
-            kernel, &prog, &inputs.arrays, total_points, 0, true, arch, Some(p),
+            kernel, prog, &inputs.arrays, total_points, 0, true, arch, Some(p),
         )?,
-        None => run_cta(kernel, &prog, &inputs.arrays, total_points, 0, true, arch)?,
+        None => run_cta(kernel, prog, &inputs.arrays, total_points, 0, true, arch)?,
     };
     scatter(kernel, total_points, 0, &first, &mut outputs);
     let counts = first.counts;
@@ -166,7 +180,7 @@ pub fn launch_with_config(
         let jobs = if config.jobs == 0 { crate::pool::default_jobs() } else { config.jobs };
         let results: Vec<SimResult<CtaResult>> =
             crate::pool::run_ordered(jobs, n_ctas - 1, |i| {
-                run_cta(kernel, &prog, &inputs.arrays, total_points, 1 + i, false, arch)
+                run_cta(kernel, prog, &inputs.arrays, total_points, 1 + i, false, arch)
             });
         for (i, r) in results.into_iter().enumerate() {
             scatter(kernel, total_points, 1 + i, &r?, &mut outputs);

@@ -129,6 +129,28 @@ fn barrier_id_overflow_is_rejected() {
     );
 }
 
+/// The verdict memo is keyed on the limits the verifier checks, not on the
+/// architecture's name: `GpuArch` has public fields, so one name can carry
+/// two barrier files. Each direction uses its own kernel, so each verdict
+/// asked second would have been the other's cached one.
+#[test]
+fn same_name_smaller_barrier_file_is_a_resource_violation_in_either_order() {
+    let kepler = GpuArch::kepler_k20c();
+    let one_barrier = GpuArch { named_barriers_per_sm: 1, ..kepler.clone() };
+    assert_eq!(one_barrier.name, kepler.name);
+    let overflows = |r: Result<_, Vec<singe::Violation>>| {
+        r.is_err_and(|errs| errs.iter().any(|v| v.kind == ViolationKind::Resource))
+    };
+    // Clean on stock Kepler first, then the shrunken file.
+    let k = figure2_kernel(3, false);
+    verify_kernel(&k, &kepler).expect("two barriers fit Kepler's sixteen");
+    assert!(overflows(verify_kernel(&k, &one_barrier)), "a clean verdict leaked across archs");
+    // The shrunken file first, then stock Kepler.
+    let k = figure2_kernel(5, false);
+    assert!(overflows(verify_kernel(&k, &one_barrier)));
+    verify_kernel(&k, &kepler).expect("a cached failure poisoned stock Kepler");
+}
+
 /// Slot recycling across PointLoop generations: the consumer frees the
 /// producer's buffer *before* loading from it, so the next generation's
 /// store overlaps the previous generation's load — flagged as a race,
