@@ -2,7 +2,7 @@
 //!
 //! Usage: `report [figure] [--jobs N]` where figure is one of
 //! `mechanisms fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 gflops
-//! ablate-barriers spills verify profile all` (default `all`). Results
+//! ablate-barriers spills verify profile fidelity all` (default `all`). Results
 //! also land in `target/report.json`. `verify` runs the independent
 //! schedule verifier over every kernel × mechanism × architecture ×
 //! compiler combination and exits non-zero on any violation. `profile`
@@ -30,6 +30,12 @@
 //! the `pipeline` line of `BENCH_report.json` (also carried across
 //! rewrites), and exits non-zero unless some K>1 beats the single-buffered
 //! schedule — the simulator is deterministic, so this is an exact gate.
+//! `fidelity` prints every Fermi and Kepler cell against the paper's band
+//! (the bands of `benchmark/paper_reference.json`, so the table and the
+//! benchmark's `paper_gap_geomean` cannot disagree) with its constant
+//! registers and registers per thread, records the rows as the `fidelity`
+//! line of `BENCH_report.json`, and exits non-zero if a cell's gap is
+//! wider than in the committed line; it runs solo.
 //!
 //! Figures are computed on a worker pool (`--jobs`, `SINGE_JOBS`, default
 //! = available parallelism) but every figure renders into its own buffer
@@ -51,7 +57,7 @@ const FIGURES: &[&str] = &[
     "mechanisms", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
     "fig15", "fig16", "gflops", "ablate-barriers", "spills", "verify",
     "profile", "model", "engine-bench", "serve-bench", "pipeline",
-    "search", "all",
+    "search", "fidelity", "all",
 ];
 
 /// Wall-clock of the serial `report all` before the fast-path/memoization/
@@ -172,6 +178,16 @@ fn main() {
     if which == "search" {
         if !search_report(&dme, &archs, jobs) {
             eprintln!("\nschedule search: gate FAILED (win/simulation-budget/verification)");
+            std::process::exit(1);
+        }
+        return;
+    }
+
+    // `fidelity` also runs solo: it is a gate against the committed table,
+    // not a figure.
+    if which == "fidelity" {
+        if !fidelity_report(&[&dme, &heptane]) {
+            eprintln!("\nfidelity: a cell moved away from the paper's band (say so in EXPERIMENTS.md)");
             std::process::exit(1);
         }
         return;
@@ -321,7 +337,9 @@ fn bench_report_json(
     // `"pipeline": {...}` from `report pipeline`, `"search": {...}` from
     // `report search`).
     if let Some(prior) = prior {
-        for key in ["\"engine\": {", "\"serve\": {", "\"pipeline\": {", "\"search\": {"] {
+        for key in [
+            "\"engine\": {", "\"serve\": {", "\"pipeline\": {", "\"search\": {", "\"fidelity\": {",
+        ] {
             for line in prior.lines() {
                 let entry = line.trim().trim_end_matches(',');
                 if entry.starts_with(key) && entry.ends_with('}') {
@@ -581,6 +599,39 @@ fn upsert_solo_entry(key: &str, entry: &str) {
         Ok(()) => eprintln!("[wrote {key} entry to {path}]"),
         Err(e) => eprintln!("[could not write {path}: {e}]"),
     }
+}
+
+/// `fidelity`: the Fermi and Kepler cells against the paper's bands
+/// ([`singe_bench::fidelity`]), printed and recorded as the single-line
+/// `fidelity` key of `BENCH_report.json`. False when a cell's gap is wider
+/// than the committed line has it; the fresh rows are recorded either way
+/// (unless `SINGE_BENCH_JSON=0`), so committing them is the way to accept.
+fn fidelity_report(mechs: &[&Mechanism]) -> bool {
+    use singe_bench::fidelity;
+
+    let rows = fidelity::fidelity_rows(mechs);
+    print!("{}", fidelity::render(&rows));
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
+    let committed = std::fs::read_to_string(path).unwrap_or_default();
+    let widened = fidelity::widened(&rows, &committed);
+    for (cell, before, now) in &widened {
+        println!("widened: {cell} gap {before:.4} -> {now:.4}");
+    }
+    if std::env::var("SINGE_BENCH_JSON").as_deref() != Ok("0") {
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git").args(args).output().ok()?;
+            out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        let sha = match (git(&["rev-parse", "--short", "HEAD"]), git(&["status", "--porcelain"])) {
+            (Some(sha), Some(changes)) if changes.is_empty() => sha,
+            (Some(sha), _) => format!("{sha}-dirty"),
+            _ => "unknown".into(),
+        };
+        let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let host = format!("{cpus} cpus, {}/{}", std::env::consts::OS, std::env::consts::ARCH);
+        upsert_solo_entry("fidelity", &fidelity::entry(&rows, &sha, &host));
+    }
+    widened.is_empty()
 }
 
 /// `pipeline`: sweep the software pipeline depth K=1..4 for the

@@ -25,6 +25,8 @@ use singe::config::CompileOptions;
 use singe::kernels::{chemistry, diffusion, launch_arrays, viscosity};
 use singe::Compiler;
 
+pub mod fidelity;
+
 pub use singe::Variant;
 // The typed id surface lives in the serve layer (it keys the persistent
 // artifact cache); the harness re-exports it so CLI code has one spelling.
@@ -112,13 +114,6 @@ fn build_cache() -> &'static BuildCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Fingerprint a mechanism by content (names are not unique across tests).
-fn mech_fingerprint(mech: &Mechanism) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{mech:?}").hash(&mut h);
-    h.finish()
-}
-
 /// Cache key over (kind, variant, arch, mechanism, dfg warp count,
 /// options). `dfg_warps` is keyed separately from `opts.warps` because the
 /// default Baseline path compiles a dfg built for the warp-specialized
@@ -136,7 +131,7 @@ fn build_key(
 ) -> u64 {
     let mut h = DefaultHasher::new();
     format!("{kind:?}|{variant:?}|{}|{dfg_warps}", arch.name).hash(&mut h);
-    mech_fingerprint(mech).hash(&mut h);
+    singe_serve::mechanism_fingerprint(mech).hash(&mut h);
     format!("{opts:?}").hash(&mut h);
     h.finish()
 }
@@ -209,7 +204,7 @@ fn try_serve(
     let arch_id = ArchId::ALL.into_iter().find(|a| a.arch().name == arch.name)?;
     // Content-derived id: identical mechanisms share artifacts no matter
     // what the caller named them.
-    let id: MechanismId = format!("m{:016x}", mech_fingerprint(mech)).parse().ok()?;
+    let id: MechanismId = format!("m{:016x}", singe_serve::mechanism_fingerprint(mech)).parse().ok()?;
     session.register_mechanism(id.clone(), mech.clone()).ok()?;
     let req = singe_serve::CompileRequest::new(id, kind.into(), variant, arch_id)
         .with_options(opts.clone())

@@ -11,9 +11,14 @@
 //!   "standardizing variable names" corresponds to our code-equality
 //!   check: a candidate warp joins the group only if its resolved code is
 //!   bit-identical to the seed's.
-//! * **Constant arrays with padding** (§5.2): each overlaid emission
-//!   allocates a constant segment at the same offset in every warp's
-//!   constant array; warps not participating keep padding values there.
+//! * **Constant arrays with padding** (§5.2): every warp has its own
+//!   constant array, as long as its own operations need. A warp-private
+//!   emission appends to its warp's array alone. An overlaid emission reads
+//!   one offset in each member's array — where the longest member's array
+//!   ends — so the shorter members pad up to it, and warps outside the
+//!   group get nothing. The arrays' stride, and with it the constant
+//!   registers every thread preloads, is the longest warp's array: the
+//!   per-warp maximum, not the sum over warps.
 //! * **Constant deduplication** (§5.2): per-warp constant arrays are
 //!   striped across the 32 lanes into registers loaded once in the kernel
 //!   preamble (hoisted above the streaming point loop), and broadcast at
@@ -25,7 +30,7 @@
 
 use crate::barrier_alloc::{allocate, BarrierAssignment};
 use crate::config::CompileOptions;
-use crate::dfg::{Dfg, GraphFacts, OpId};
+use crate::dfg::{Dfg, GraphFacts, OpId, Operation};
 use crate::expr::{emit_stmts, EmitCtx, Expr, NodeSink, RowRef, Stmt, VarId};
 use crate::mapping::{map_ops, Mapping};
 use crate::sync::{schedule, Item, Schedule};
@@ -37,6 +42,17 @@ use gpu_sim::isa::{
 };
 use gpu_sim::WARP_SIZE;
 use std::sync::Arc;
+
+/// Version of what this module emits. A persistent cache of compiled
+/// kernels (`singe_serve::artifact`) folds it into its keys and container
+/// header, so a cache directory never outlives the code generator that
+/// filled it. Bump it with any change that moves an emitted byte —
+/// `tests/emission_digest.rs` is the tripwire — and re-record the digests.
+///
+/// History: 1 was the union constant layout (every warp's array carried
+/// every emission's segment; never recorded in a key); 2 packs each warp's
+/// constants to its own maximum and merges adjacent same-mask guards.
+pub const CODEGEN_VERSION: u32 = 2;
 
 /// Compilation statistics (autotuner and report inputs).
 #[derive(Debug, Clone, Default)]
@@ -272,6 +288,45 @@ fn plan_registers(
         }
     }
     Ok(RegPlan { home, n_var_regs: next_reg as usize, n_spill: n_spill as usize })
+}
+
+/// One warp's constant arrays (§5.2) as emission grows them.
+#[derive(Debug, Clone, Default)]
+struct WarpConsts {
+    /// The double constants, striped over the lanes into registers.
+    doubles: Vec<f64>,
+    /// The index constants (§5.3): global rows and shared slot offsets.
+    idx: Vec<u32>,
+    /// Which `idx` entries are shared slot offsets. A pipelined kernel keeps
+    /// K copies of the array, slot entries displaced into ring entry r and
+    /// row entries repeated; warps lay their arrays out differently, so the
+    /// flags are the warp's own.
+    idx_is_slot: Vec<bool>,
+}
+
+impl WarpConsts {
+    /// Where the double and the index array end.
+    fn ends(&self) -> (usize, usize) {
+        (self.doubles.len(), self.idx.len())
+    }
+
+    /// Append `op`'s constants (and `extras`, the slot offsets its code
+    /// reads) at the segment offsets its code names, padding up to them.
+    /// An op without constants of a kind costs no padding of that kind.
+    fn place(&mut self, seg: usize, iseg: usize, op: &Operation, extras: &[u32]) {
+        debug_assert!(self.doubles.len() <= seg && self.idx.len() <= iseg, "segment inside the array");
+        if !op.consts.is_empty() {
+            self.doubles.resize(seg, 0.0);
+            self.doubles.extend_from_slice(&op.consts);
+        }
+        if !(op.irows.is_empty() && extras.is_empty()) {
+            self.idx.resize(iseg, 0);
+            self.idx.extend_from_slice(&op.irows);
+            self.idx.extend_from_slice(extras);
+            self.idx_is_slot.resize(iseg + op.irows.len(), false);
+            self.idx_is_slot.resize(self.idx.len(), true);
+        }
+    }
 }
 
 /// The emission context for one warp group.
@@ -555,15 +610,7 @@ fn emit(
     // Walker state.
     let mut cursors = vec![0usize; w];
     let mut body: Vec<Node> = Vec::new();
-    let mut const_arrays: Vec<Vec<f64>> = vec![Vec::new(); w];
-    let mut iconst_arrays: Vec<Vec<u32>> = vec![Vec::new(); w];
-    let mut layout_len = 0usize;
-    let mut ilayout_len = 0usize;
-    // Which index-constant layout entries hold shared slot offsets (vs
-    // global row indices). Pipelined kernels replicate each warp's segment
-    // K times with slot entries displaced into ring entry r; row entries
-    // must stay identical across copies.
-    let mut islot_flags: Vec<bool> = Vec::new();
+    let mut consts: Vec<WarpConsts> = vec![WarpConsts::default(); w];
     let mut stats = CompileStats {
         sync_points: sched.sync_points.len(),
         merged_syncs: sched.merged_syncs,
@@ -596,6 +643,40 @@ fn emit(
         cur_outputs: &[],
     };
     let max_var_regs = plans.iter().map(|p| p.n_var_regs).max().unwrap_or(0) as u16;
+    // One overlaid emission (§5.1 + footnote 2) with its constant segment
+    // at `seg`/`iseg`: the seed's code, and the group of warps sharing it
+    // as (warp, op, slot-offset constants) — the seed, then every sharer
+    // whose op resolves to the seed's code node for node.
+    type Member = (usize, OpId, Vec<u32>);
+    let emit_group = |seed: (usize, OpId),
+                      sharers: &[(usize, OpId)],
+                      seg: usize,
+                      iseg: usize|
+     -> CResult<(Vec<Node>, Vec<Member>)> {
+        let op_ctx = |(wi, o): (usize, OpId)| {
+            let mut ctx = emit_ctx(wi, seg, iseg, max_var_regs);
+            ctx.irows_len = dfg.ops[o].irows.len();
+            ctx.cur_outputs = &facts.outputs[o];
+            ctx
+        };
+        let mut seed_code = Vec::new();
+        let mut ctx = op_ctx(seed);
+        emit_stmts(&dfg.ops[seed.1].body, &mut ctx, &mut seed_code)?;
+        let mut members = vec![(seed.0, seed.1, ctx.extra_irows)];
+        for &(wi, cand) in sharers {
+            let mut ctx = op_ctx((wi, cand));
+            let mut against = SeedMatch { seed: &seed_code, matched: 0, diverged: false };
+            let emitted = emit_stmts(&dfg.ops[cand].body, &mut ctx, &mut against);
+            if against.diverged {
+                continue;
+            }
+            emitted?;
+            if against.matched == seed_code.len() {
+                members.push((wi, cand, ctx.extra_irows));
+            }
+        }
+        Ok((seed_code, members))
+    };
 
     loop {
         // Find the unfinished warp with the smallest (key, kind) head.
@@ -716,72 +797,46 @@ fn emit(
                 }
             }
             Item::Op(seed_op) => {
-                // Tentatively emit the seed's code, then try to overlay
-                // other warps whose head op has the same skeleton and
-                // resolves to identical code (§5.1 + footnote 2).
-                let seg = layout_len;
-                let iseg = ilayout_len;
-                let op = &dfg.ops[seed_op];
-                let mut seed_code = Vec::new();
-                let seed_extras;
-                {
-                    let mut ctx = emit_ctx(seed_w, seg, iseg, max_var_regs);
-                    ctx.irows_len = op.irows.len();
-                    ctx.cur_outputs = &facts.outputs[seed_op];
-                    emit_stmts(&op.body, &mut ctx, &mut seed_code)?;
-                    seed_extras = ctx.extra_irows;
-                }
-                let mut mask: u64 = 1 << seed_w;
-                let mut members: Vec<(usize, OpId, Vec<u32>)> =
-                    vec![(seed_w, seed_op, seed_extras)];
-                for wi in 0..w {
-                    if wi == seed_w || cursors[wi] >= sched.items[wi].len() {
-                        continue;
+                // Warps whose head op has the seed's skeleton: the ones that
+                // may come to share its code (§5.1).
+                let mut sharers: Vec<(usize, OpId)> = (0..w)
+                    .filter(|&wi| wi != seed_w && cursors[wi] < sched.items[wi].len())
+                    .filter_map(|wi| match sched.items[wi][cursors[wi]].1 {
+                        Item::Op(cand) if facts.class[cand] == facts.class[seed_op] => {
+                            Some((wi, cand))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                // Shared code names one offset into each member's constant
+                // arrays, so a group's segment starts where its longest
+                // member's arrays end (§5.2). Who the members are is known
+                // only once their code has been held against the seed's at
+                // some offset. Start at the seed's own end, which is where a
+                // warp-private emission stays, and while a member's arrays
+                // reach further, move there and hold the members against
+                // the seed again: every member of the final group emitted
+                // the seed's code at the final offset, node for node.
+                let (mut seg, mut iseg) = consts[seed_w].ends();
+                let (seed_code, members) = loop {
+                    let (code, members) = emit_group((seed_w, seed_op), &sharers, seg, iseg)?;
+                    let ends = members
+                        .iter()
+                        .map(|(wi, _, _)| consts[*wi].ends())
+                        .fold((0, 0), |(s, i), (ws, wi)| (s.max(ws), i.max(wi)));
+                    if ends == (seg, iseg) {
+                        break (code, members);
                     }
-                    let (_, it) = sched.items[wi][cursors[wi]];
-                    let Item::Op(cand) = it else { continue };
-                    if facts.class[cand] != facts.class[seed_op] {
-                        continue;
-                    }
-                    let mut ctx = emit_ctx(wi, seg, iseg, max_var_regs);
-                    ctx.irows_len = dfg.ops[cand].irows.len();
-                    ctx.cur_outputs = &facts.outputs[cand];
-                    let mut against = SeedMatch { seed: &seed_code, matched: 0, diverged: false };
-                    let emitted = emit_stmts(&dfg.ops[cand].body, &mut ctx, &mut against);
-                    if against.diverged {
-                        continue;
-                    }
-                    emitted?;
-                    if against.matched == seed_code.len() {
-                        mask |= 1 << wi;
-                        members.push((wi, cand, ctx.extra_irows));
-                    }
-                }
-                for (wi, _, _) in &members {
+                    (seg, iseg) = ends;
+                    sharers = members[1..].iter().map(|(wi, o, _)| (*wi, *o)).collect();
+                };
+                // Commit the segment to the members' arrays, and to no
+                // other warp's.
+                let mut mask = 0u64;
+                for (wi, o, extras) in &members {
+                    mask |= 1 << wi;
                     cursors[*wi] += 1;
-                }
-                // Commit constant segments: same offsets for every warp,
-                // padding elsewhere (§5.2).
-                let clen = op.consts.len();
-                let ilen = op.irows.len() + members[0].2.len();
-                layout_len += clen;
-                ilayout_len += ilen;
-                islot_flags.extend(std::iter::repeat_n(false, op.irows.len()));
-                islot_flags.extend(std::iter::repeat_n(true, members[0].2.len()));
-                for wi in 0..w {
-                    let member = members.iter().find(|(mw, _, _)| *mw == wi);
-                    match member {
-                        Some((_, o, extras)) => {
-                            const_arrays[wi].extend_from_slice(&dfg.ops[*o].consts);
-                            iconst_arrays[wi].extend_from_slice(&dfg.ops[*o].irows);
-                            iconst_arrays[wi].extend_from_slice(extras);
-                        }
-                        None => {
-                            // Padding values (never read by this warp).
-                            const_arrays[wi].extend(std::iter::repeat_n(0.0, clen));
-                            iconst_arrays[wi].extend(std::iter::repeat_n(0u32, ilen));
-                        }
-                    }
+                    consts[*wi].place(seg, iseg, &dfg.ops[*o], extras);
                 }
                 if members.len() > 1 {
                     stats.overlay_groups += 1;
@@ -795,9 +850,10 @@ fn emit(
 
     // --- Preamble: lane/warp ids, constant-array bases, striped constant
     // preload (hoisted above the point loop for amortization, §5.2). ---
-    let cstride = layout_len.div_ceil(WARP_SIZE) * WARP_SIZE;
-    let n_cregs = cstride / WARP_SIZE;
-    let istride = ilayout_len;
+    let n_cregs =
+        consts.iter().map(|c| c.doubles.len()).max().unwrap_or(0).div_ceil(WARP_SIZE);
+    let cstride = n_cregs * WARP_SIZE;
+    let istride = consts.iter().map(|c| c.idx.len()).max().unwrap_or(0);
     let mut preamble: Vec<Node> = vec![
         Node::Op(Instr::Idx(IdxInstr::WarpId { dst: IR_WARP })),
         Node::Op(Instr::Idx(IdxInstr::LaneId { dst: IR_LANE })),
@@ -960,22 +1016,19 @@ fn emit(
 
     // Constant banks: warp-major with per-warp stride.
     let mut bank = vec![0.0f64; cstride * w];
-    for (wi, arr) in const_arrays.iter().enumerate() {
-        bank[wi * cstride..wi * cstride + arr.len()].copy_from_slice(arr);
+    for (wi, c) in consts.iter().enumerate() {
+        bank[wi * cstride..wi * cstride + c.doubles.len()].copy_from_slice(&c.doubles);
     }
     let mut ibank = vec![0u32; istride * w * k_pipe];
-    for (wi, arr) in iconst_arrays.iter().enumerate() {
+    for (wi, c) in consts.iter().enumerate() {
         for r in 0..k_pipe {
             // Stage-r copy of the warp's segment: shared slot offsets are
             // pre-displaced into ring entry r; global row indices repeat
             // verbatim (K = 1 degenerates to the classic flat layout).
             let base = (wi * k_pipe + r) * istride;
-            for (j, &v) in arr.iter().enumerate() {
-                ibank[base + j] = if islot_flags[j] {
-                    v + (r * sched.n_slots * WARP_SIZE) as u32
-                } else {
-                    v
-                };
+            for (j, (&v, &is_slot)) in c.idx.iter().zip(&c.idx_is_slot).enumerate() {
+                ibank[base + j] =
+                    if is_slot { v + (r * sched.n_slots * WARP_SIZE) as u32 } else { v };
             }
         }
     }
@@ -1051,22 +1104,24 @@ impl NodeSink for SeedMatch<'_> {
 
 /// Push a node, guarded by a `WarpIf` unless every warp participates.
 fn push_guarded(body: &mut Vec<Node>, mask: u64, all: u64, node: Node) {
-    if mask == all {
-        body.push(node);
-    } else {
-        body.push(Node::WarpIf { mask, body: vec![node] });
-    }
+    push_all_guarded(body, mask, all, vec![node]);
 }
 
-/// Push a code block, guarded unless all warps participate.
+/// Push a code block, guarded unless all warps participate. A block that
+/// directly follows a guard with the same mask goes into that guard's
+/// body: the same warps run the same code in the same order, for one
+/// branch instead of two.
 fn push_all_guarded(body: &mut Vec<Node>, mask: u64, all: u64, code: Vec<Node>) {
     if code.is_empty() {
         return;
     }
     if mask == all {
         body.extend(code);
-    } else {
-        body.push(Node::WarpIf { mask, body: code });
+        return;
+    }
+    match body.last_mut() {
+        Some(Node::WarpIf { mask: last, body: guarded }) if *last == mask => guarded.extend(code),
+        _ => body.push(Node::WarpIf { mask, body: code }),
     }
 }
 
@@ -1090,7 +1145,6 @@ pub(crate) fn remap_nodes(nodes: &mut [Node], f: &dyn Fn(Reg) -> Reg) {
 mod tests {
     use super::*;
     use crate::dfg::test_support::diamond;
-    use crate::dfg::Operation;
     use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 
     fn run_diamond(warps: usize, arch: &GpuArch) -> Vec<f64> {
@@ -1186,9 +1240,143 @@ mod tests {
             op("twin1", 1, 1, twin(3, 1)),
             op("out", 0, 2, vec![sum]),
         ];
+        // Tell the ops' constants apart in the banks: op `i` carries 10 + i.
+        for (i, o) in d.ops.iter_mut().enumerate() {
+            o.consts = vec![10.0 + i as f64];
+        }
         d.n_vars = 4;
         d.force_shared = force_shared.to_vec();
         d
+    }
+
+    /// Warp `wi`'s row of the kernel's double-constant bank.
+    fn const_row(k: &Kernel, wi: usize) -> &[f64] {
+        let stride = k.const_banks[0].len() / k.warps_per_cta;
+        &k.const_banks[0][wi * stride..(wi + 1) * stride]
+    }
+
+    fn padded(own: &[f64], len: usize) -> Vec<f64> {
+        own.iter().copied().chain(std::iter::repeat(0.0)).take(len).collect()
+    }
+
+    #[test]
+    fn place_pads_to_the_segment_and_flags_slot_offsets() {
+        let op = |consts: Vec<f64>, irows: Vec<u32>| Operation {
+            name: "op".into(),
+            body: vec![],
+            n_locals: 0,
+            consts,
+            irows,
+            pinned_warp: None,
+            phase: 0,
+        };
+        let mut c = WarpConsts::default();
+        c.place(0, 0, &op(vec![1.0], vec![7]), &[64]);
+        assert_eq!((c.doubles.as_slice(), c.idx.as_slice()), (&[1.0][..], &[7, 64][..]));
+        // Two entries of padding for a group whose longest member ends at 3
+        // and 4; the slot offsets are the entries after the op's rows.
+        c.place(3, 4, &op(vec![2.0, 3.0], vec![]), &[96, 128]);
+        assert_eq!(c.doubles, [1.0, 0.0, 0.0, 2.0, 3.0]);
+        assert_eq!(c.idx, [7, 64, 0, 0, 96, 128]);
+        assert_eq!(c.idx_is_slot, [false, true, false, false, true, true]);
+        // An op without constants of a kind costs no padding of that kind.
+        c.place(9, 9, &op(vec![], vec![5]), &[]);
+        assert_eq!(c.ends(), (5, 10));
+        c.place(20, 20, &op(vec![], vec![]), &[]);
+        assert_eq!(c.ends(), (5, 10));
+    }
+
+    #[test]
+    fn a_warp_private_emission_extends_only_its_own_warps_arrays() {
+        // The loads overlay; each twin and the store is emitted on its own.
+        let arch = GpuArch::kepler_k20c();
+        let opts = CompileOptions::with_warps(2);
+        let c = compile_warp_specialized(&twins(&[0], 0), &opts, &arch, None).unwrap();
+        assert_eq!((c.stats.overlay_groups, c.stats.solo_groups), (1, 3));
+        // Warp 0 holds its load's, its twin's and the store's constant and
+        // warp 1 its load's and its twin's: nothing for the other warp's
+        // twin, nothing in warp 1 for the store.
+        assert_eq!(const_row(&c.kernel, 0), padded(&[10.0, 12.0, 14.0], WARP_SIZE));
+        assert_eq!(const_row(&c.kernel, 1), padded(&[11.0, 13.0], WARP_SIZE));
+        assert_eq!(c.stats.const_regs_per_thread, 1);
+        // Index constants likewise: warp 0 has a row per op, the slot its
+        // twin reads its load from and the slot the store reads warp 1's
+        // twin from; warp 1 has its two rows.
+        let ibank = &c.kernel.iconst_banks[0];
+        assert_eq!(ibank.len(), 2 * 5, "the stride is the longer warp's array");
+        assert_eq!(ibank[5 + 2..], [0, 0, 0]);
+    }
+
+    /// Two warps with a twin each (`x * c0 + c1`, overlaid), and before it,
+    /// on `extra_warp` alone, an op with a constant of its own. The arrays
+    /// of the twins' warps have different lengths when the twins meet.
+    fn staggered(extra_warp: usize) -> Dfg {
+        let mut d = diamond();
+        let input = || Expr::Input { array: 0, row: RowRef::Fixed(0) };
+        let op = |name: &str, warp: usize, phase: u32, consts: Vec<f64>, body: Vec<Stmt>| {
+            Operation {
+                name: name.into(),
+                body,
+                n_locals: 0,
+                consts,
+                irows: vec![],
+                pinned_warp: Some(warp),
+                phase,
+            }
+        };
+        let twin = |v: VarId, load: VarId| {
+            vec![Stmt::DefVar(v, Expr::Var(load).fma(Expr::Const(0), Expr::Const(1)))]
+        };
+        let store = |row, value| vec![Stmt::Store { array: 1, row: RowRef::Fixed(row), value }];
+        d.ops = vec![
+            op("load0", 0, 0, vec![], vec![Stmt::DefVar(0, input())]),
+            op("load1", 1, 0, vec![], vec![Stmt::DefVar(1, input())]),
+            op("extra", extra_warp, 1, vec![5.0], store(1, input().mul(Expr::Const(0)))),
+            op("twin0", 0, 2, vec![2.0, 100.0], twin(2, 0)),
+            op("twin1", 1, 2, vec![3.0, 200.0], twin(3, 1)),
+            op("out", 0, 3, vec![], store(0, Expr::Var(2).add(Expr::Var(3)))),
+        ];
+        d.n_vars = 4;
+        d.arrays[1].rows = 2;
+        d
+    }
+
+    #[test]
+    fn an_overlay_group_shares_one_offset_and_each_member_reads_its_own_constants() {
+        let arch = GpuArch::kepler_k20c();
+        // The longer array is the seed's (warp 0), then the other member's:
+        // there the group is first tried at the seed's end and moves out.
+        for extra_warp in [0, 1] {
+            let opts = CompileOptions::with_warps(2);
+            let c = compile_warp_specialized(&staggered(extra_warp), &opts, &arch, None).unwrap();
+            assert_eq!((c.stats.overlay_groups, c.stats.solo_groups), (2, 2));
+            // The twins' segment is at offset 1 in both arrays, past the
+            // one constant `extra_warp` already holds; the other warp pads.
+            // Neither array is longer than its warp's own constants plus
+            // the padding that group required.
+            for (wi, twin) in [[2.0, 100.0], [3.0, 200.0]].iter().enumerate() {
+                let first = if wi == extra_warp { 5.0 } else { 0.0 };
+                assert_eq!(const_row(&c.kernel, wi), padded(&[first, twin[0], twin[1]], WARP_SIZE));
+            }
+
+            // And the shared code reads each warp's own pair there.
+            let points = c.kernel.points_per_cta;
+            let x: Vec<f64> = (0..points).map(|i| i as f64 * 0.25 + 1.0).collect();
+            let out = launch(
+                &c.kernel,
+                &arch,
+                &LaunchInputs { arrays: vec![&x, &[]] },
+                points,
+                LaunchMode::Full,
+            )
+            .unwrap();
+            let want: Vec<f64> = x
+                .iter()
+                .map(|x| x.mul_add(2.0, 100.0) + x.mul_add(3.0, 200.0))
+                .chain(x.iter().map(|x| x * 5.0))
+                .collect();
+            assert_eq!(out.outputs[1], want);
+        }
     }
 
     #[test]
@@ -1230,6 +1418,24 @@ mod tests {
         // One select less and both twins fit, each emitted on its own.
         let fits = compile(N_SCRATCH / 2 - 1).unwrap();
         assert_eq!((fits.stats.overlay_groups, fits.stats.solo_groups), (1, 3));
+    }
+
+    #[test]
+    fn a_guard_directly_after_one_with_its_mask_joins_it() {
+        let node = |r: Reg| Node::Op(Instr::mov(r, Op::Imm(1.0)));
+        let guard = |mask, regs: &[Reg]| Node::WarpIf {
+            mask,
+            body: regs.iter().map(|&r| node(r)).collect(),
+        };
+        let mut body = Vec::new();
+        push_guarded(&mut body, 0b01, 0b11, node(0));
+        push_all_guarded(&mut body, 0b01, 0b11, vec![node(1), node(2)]);
+        push_guarded(&mut body, 0b10, 0b11, node(3));
+        push_guarded(&mut body, 0b11, 0b11, node(4));
+        push_guarded(&mut body, 0b10, 0b11, node(5));
+        // Same mask and adjacent: one branch. Another mask, or code of all
+        // warps in between: a guard of its own.
+        assert_eq!(body, [guard(0b01, &[0, 1, 2]), guard(0b10, &[3]), node(4), guard(0b10, &[5])]);
     }
 
     #[test]

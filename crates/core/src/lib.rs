@@ -51,6 +51,7 @@ pub mod verify;
 /// launches can fan CTAs over it; re-exported here for existing users).
 pub use gpu_sim::pool;
 
+pub use codegen::CODEGEN_VERSION;
 pub use compiler::{Compiler, Variant};
 pub use config::{CompileOptions, CompileOptionsBuilder, Placement};
 pub use perfmodel::ModelReport;

@@ -12,7 +12,10 @@
 //! every time the lowering optimizer learns a trick. Persisting only the
 //! ISA and folding [`gpu_sim::LOWERING_VERSION`] into both the artifact
 //! key and the container header makes a stale lowering *unrepresentable*
-//! rather than merely unlikely.
+//! rather than merely unlikely. [`singe::CODEGEN_VERSION`] rides beside it
+//! for the same reason one stage earlier: the stored kernel is what the
+//! code generator emitted, so a cache directory must not outlive the code
+//! generator that filled it.
 //!
 //! ## Key anatomy
 //!
@@ -23,7 +26,7 @@
 //! ```text
 //! (mechanism content fingerprint, kernel id, variant, arch name,
 //!  dfg warp count, CompileOptions debug form,
-//!  WIRE_FORMAT_VERSION, LOWERING_VERSION)
+//!  WIRE_FORMAT_VERSION, LOWERING_VERSION, CODEGEN_VERSION)
 //! ```
 //!
 //! The key is derived from the *request*, never the compiled output, so a
@@ -34,8 +37,11 @@
 //! ## Corruption policy
 //!
 //! A cache entry that is truncated, bit-flipped, from an older format, or
-//! from a different lowering version is a **miss**: [`Store::load`]
-//! returns `None` and the caller recompiles. The only errors this module
+//! from a different lowering or code-generator version is a **miss**:
+//! [`Store::load`] returns `None` and the caller recompiles. (An entry
+//! written under other versions also has another key, so in practice it
+//! is never looked at; the header check covers a file put under the wrong
+//! name.) The only errors this module
 //! surfaces are session-root problems (cannot create the directory).
 
 use std::fs;
@@ -52,7 +58,7 @@ use crate::wire::{self, Sink, WireError, R, W};
 /// Bump when the byte layout of anything in this file, `wire.rs` or
 /// `gpu_sim::isa::codec` changes. Old files become misses, never decode
 /// errors.
-pub const WIRE_FORMAT_VERSION: u32 = 3;
+pub const WIRE_FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"SNGEART1";
 
@@ -77,31 +83,39 @@ impl ArtifactKey {
         dfg_warps: usize,
         options_debug: &str,
     ) -> ArtifactKey {
-        fn feed<H: Hasher>(
-            h: &mut H,
-            mech_fingerprint: u64,
-            kernel: &str,
-            variant: &str,
-            arch: &str,
-            dfg_warps: usize,
-            options_debug: &str,
-        ) {
+        let codegen = singe::CODEGEN_VERSION;
+        Self::derive_versioned(
+            mech_fingerprint, kernel, variant, arch, dfg_warps, options_debug, codegen,
+        )
+    }
+
+    /// [`ArtifactKey::derive`] as a binary whose code generator is at
+    /// `codegen_version` derives it: what a cache directory filled by an
+    /// older (or newer) compiler holds its entries under.
+    pub fn derive_versioned(
+        mech_fingerprint: u64,
+        kernel: &str,
+        variant: &str,
+        arch: &str,
+        dfg_warps: usize,
+        options_debug: &str,
+        codegen_version: u32,
+    ) -> ArtifactKey {
+        let feed = |salt: u8| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            h.write_u8(salt);
             h.write_u32(WIRE_FORMAT_VERSION);
             h.write_u32(gpu_sim::LOWERING_VERSION);
+            h.write_u32(codegen_version);
             h.write_u64(mech_fingerprint);
-            kernel.hash(h);
-            variant.hash(h);
-            arch.hash(h);
+            kernel.hash(&mut h);
+            variant.hash(&mut h);
+            arch.hash(&mut h);
             h.write_u64(dfg_warps as u64);
-            options_debug.hash(h);
-        }
-        let mut h1 = std::collections::hash_map::DefaultHasher::new();
-        let mut h2 = std::collections::hash_map::DefaultHasher::new();
-        h1.write_u8(0x5e);
-        h2.write_u8(0xc4);
-        feed(&mut h1, mech_fingerprint, kernel, variant, arch, dfg_warps, options_debug);
-        feed(&mut h2, mech_fingerprint, kernel, variant, arch, dfg_warps, options_debug);
-        ArtifactKey { k1: h1.finish(), k2: h2.finish() }
+            options_debug.hash(&mut h);
+            h.finish()
+        };
+        ArtifactKey { k1: feed(0x5e), k2: feed(0xc4) }
     }
 
     /// The content-addressed file name under the cache root.
@@ -230,6 +244,7 @@ pub fn encode(a: &Artifact) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&WIRE_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&gpu_sim::LOWERING_VERSION.to_le_bytes());
+    out.extend_from_slice(&singe::CODEGEN_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
     out.extend_from_slice(&wire::fnv1a(&payload).to_le_bytes());
@@ -254,9 +269,12 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact, WireError> {
     if r.u32()? != gpu_sim::LOWERING_VERSION {
         return Err(WireError("lowering version skew"));
     }
+    if r.u32()? != singe::CODEGEN_VERSION {
+        return Err(WireError("code generator version skew"));
+    }
     let payload_len = r.usize()?;
     // Re-slice so the checksum covers exactly the payload.
-    let header: usize = 8 + 4 + 4 + 8;
+    let header: usize = 8 + 4 + 4 + 4 + 8;
     let payload_end =
         header.checked_add(payload_len).ok_or(WireError("length overflow"))?;
     if payload_end + 8 != bytes.len() {
@@ -458,5 +476,19 @@ mod tests {
         assert_ne!(base, ArtifactKey::derive(1, "viscosity", "ws", "k20c", 8, "o"));
         assert_ne!(base, ArtifactKey::derive(1, "viscosity", "ws", "k20c", 7, "p"));
         assert_eq!(base, ArtifactKey::derive(1, "viscosity", "ws", "k20c", 7, "o"));
+        // ... and on the code generator that would fill it.
+        let at = |v| ArtifactKey::derive_versioned(1, "viscosity", "ws", "k20c", 7, "o", v);
+        assert_eq!(base, at(singe::CODEGEN_VERSION));
+        assert_ne!(base, at(singe::CODEGEN_VERSION - 1));
+        assert_ne!(base, at(singe::CODEGEN_VERSION + 1));
+    }
+
+    #[test]
+    fn a_container_of_another_code_generator_does_not_decode() {
+        // Offset 16: 8-byte magic, wire-format version, lowering version.
+        let mut bytes = encode(&tiny_artifact());
+        assert_eq!(bytes[16..20], singe::CODEGEN_VERSION.to_le_bytes());
+        bytes[16..20].copy_from_slice(&(singe::CODEGEN_VERSION + 1).to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err().0, "code generator version skew");
     }
 }

@@ -13,8 +13,9 @@
 //! 2. **Persistent artifact cache** ([`artifact`]) — versioned,
 //!    content-addressed compiled-kernel artifacts on disk. Corrupt or
 //!    stale entries are recompiled, never surfaced as errors;
-//!    `gpu_sim::LOWERING_VERSION` participates in both the key and the
-//!    container header, so a cache can never replay a stale lowering.
+//!    `gpu_sim::LOWERING_VERSION` and `singe::CODEGEN_VERSION` participate
+//!    in both the key and the container header, so a cache can never
+//!    replay a stale lowering or a kernel an older code generator emitted.
 //! 3. **Sharded job scheduler** ([`sched`]) — per-tenant FIFO fairness,
 //!    work stealing, bounded queue with retry-after backpressure.
 //!
@@ -54,7 +55,7 @@ pub use ids::{ArchId, KernelId, MechanismId, UnknownIdError};
 pub use metrics::ServeStats;
 pub use sched::{Scheduler, Ticket};
 pub use session::{
-    default_options, viscosity_warps, ArtifactHandle, ArtifactSource, CompileRequest,
+    default_options, diffusion_warps, mechanism_fingerprint, viscosity_warps, ArtifactHandle, ArtifactSource, CompileRequest,
     ServeSession, ServeSessionBuilder,
 };
 pub use singe::search::{BeamSearch, FixedList, SearchBudget, SearchOutcome};

@@ -58,6 +58,16 @@ pub fn viscosity_warps(n_species: usize) -> usize {
     8
 }
 
+/// Pick a warp count for the warp-specialized diffusion kernel: the largest
+/// divisor of the species count in 4..=16, or 8 when there is none. With
+/// `W` dividing `N` every warp owns `N / W` adjacent columns, so the
+/// rotation rounds of different warps have one skeleton and codegen
+/// overlays them (§5.1); an uneven split leaves every round warp-private
+/// and the kernel outgrows the instruction cache, the cliff of Figure 9.
+pub fn diffusion_warps(n_species: usize) -> usize {
+    (4..=16).rev().find(|w| n_species.is_multiple_of(*w)).unwrap_or(8)
+}
+
 /// Default warp-specialized options per kernel, sized to the mechanism
 /// and architecture — the paper's per-kernel configurations (§6).
 pub fn default_options(kernel: KernelId, n_species: usize, arch: &GpuArch) -> CompileOptions {
@@ -75,7 +85,7 @@ pub fn default_options(kernel: KernelId, n_species: usize, arch: &GpuArch) -> Co
             .pipeline_depth(pipe)
             .build(),
         KernelId::Diffusion => CompileOptions::builder()
-            .warps(8)
+            .warps(diffusion_warps(n_species))
             .point_iters(4)
             .placement(Placement::Mixed(176))
             .build(),
@@ -324,7 +334,7 @@ impl ServeSession {
     /// changed chemistry needs a new id, which also gives it a disjoint
     /// artifact keyspace).
     pub fn register_mechanism(&self, id: MechanismId, mech: Mechanism) -> ServeResult<()> {
-        let fingerprint = mech_fingerprint(&mech);
+        let fingerprint = mechanism_fingerprint(&mech);
         let mut reg = self.inner.registry.lock().unwrap();
         if let Some(existing) = reg.get(id.as_str()) {
             if existing.fingerprint == fingerprint {
@@ -517,9 +527,11 @@ fn tune_with(
     Ok((outcome.best_options.clone(), outcome))
 }
 
-/// Content fingerprint of a mechanism (the same Debug-form hash the bench
-/// memo uses — any field change reflows into the artifact keyspace).
-fn mech_fingerprint(mech: &Mechanism) -> u64 {
+/// Content fingerprint of a mechanism: the hash of its `Debug` form, so any
+/// field change reflows into the artifact keyspace. It is the
+/// `mech_fingerprint` of [`ArtifactKey::derive`], and what the bench memo
+/// tells mechanisms apart by.
+pub fn mechanism_fingerprint(mech: &Mechanism) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     format!("{mech:?}").hash(&mut h);
@@ -694,6 +706,25 @@ fn serve_one(
 mod tests {
     use super::*;
     use singe::search::{BeamSearch, FixedList, TuneFailure};
+
+    #[test]
+    fn diffusion_warps_divide_the_species_count_or_fall_back_to_eight() {
+        // The largest divisor in range: DME and the DME-shaped held-out
+        // mechanisms (30 transported species), heptane (52).
+        assert_eq!(diffusion_warps(30), 15);
+        assert_eq!(diffusion_warps(52), 13);
+        assert_eq!(diffusion_warps(64), 16);
+        assert_eq!(diffusion_warps(20), 10);
+        for n in 2..=200 {
+            let w = diffusion_warps(n);
+            // Inside the range the W = 2..16 sweep covered (EXPERIMENTS.md).
+            assert!((4..=16).contains(&w), "n = {n}: {w} warps");
+            let divisor = (4..=16).rev().find(|d| n % d == 0);
+            assert_eq!(w, divisor.unwrap_or(8), "n = {n}");
+        }
+        // No divisor in range: primes, and twice or three times a prime.
+        assert_eq!([31, 37, 34, 51].map(diffusion_warps), [8; 4]);
+    }
 
     /// The tuner's error rule, over a fake farm that fails candidates by
     /// warp count: scoring predicts `warps` seconds, probing measures

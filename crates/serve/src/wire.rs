@@ -17,9 +17,9 @@
 //!   A whole-payload FNV-1a checksum in the container header catches
 //!   bit-flips that still decode cleanly.
 //! * **Versioning**: the container header carries
-//!   [`crate::artifact::WIRE_FORMAT_VERSION`] and
-//!   [`gpu_sim::LOWERING_VERSION`]; either mismatching the running binary
-//!   is a miss.
+//!   [`crate::artifact::WIRE_FORMAT_VERSION`],
+//!   [`gpu_sim::LOWERING_VERSION`] and [`singe::CODEGEN_VERSION`]; any of
+//!   them mismatching the running binary is a miss.
 
 pub use gpu_sim::isa::codec::{DecodeError as WireError, Reader as R, Sink};
 use singe::codegen::CompileStats;

@@ -7,8 +7,10 @@ use std::path::{Path, PathBuf};
 
 use chemkin::synth::{self, SynthConfig};
 use singe::Variant;
+use singe_serve::artifact::ArtifactKey;
 use singe_serve::{
-    ArchId, ArtifactSource, CompileRequest, KernelId, ServeError, ServeSession,
+    default_options, mechanism_fingerprint, ArchId, ArtifactSource, CompileRequest, KernelId,
+    ServeError, ServeSession,
 };
 
 /// Fresh cache directory under the crate's `target/`, unique per test.
@@ -214,6 +216,62 @@ fn hopper_pipelined_artifact_roundtrips_and_rejects_stale_lowering() {
         format!("{:?}", cold.artifact.kernel),
         "recompile after version skew produced a different kernel"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cache directory outlives the binary that filled it, and the kernels in
+/// it are what that binary's code generator emitted. An entry saved under
+/// `CODEGEN_VERSION` N has another key under N + 1, so the newer binary
+/// never looks at it: the request is a plain cold compile — not a warm hit
+/// serving the old kernel, and not a `corrupt_reload` either.
+#[test]
+fn an_artifact_of_an_older_code_generator_is_recompiled_not_served() {
+    let dir = cache_dir("codegen-version");
+    let req = dme_request(KernelId::Diffusion);
+    let mech = synth::via_text(&synth::dme_config());
+
+    let session = open(&dir);
+    session.register_synth(&synth::dme_config()).unwrap();
+    let cold = session.compile(&req).expect("cold compile");
+    assert_eq!(cold.source, ArtifactSource::ColdCompile);
+    drop(session);
+
+    // The request's key, as this binary and as its predecessor derive it.
+    let arch = ArchId::Kepler.arch();
+    let opts = default_options(req.kernel, mech.n_transported(), &arch);
+    let key_at = |codegen_version| {
+        ArtifactKey::derive_versioned(
+            mechanism_fingerprint(&mech),
+            req.kernel.name(),
+            req.variant.name(),
+            arch.name,
+            opts.warps,
+            &format!("{opts:?}"),
+            codegen_version,
+        )
+    };
+    assert_eq!(key_at(singe::CODEGEN_VERSION), cold.key, "the test derives the session's key");
+    let old_key = key_at(singe::CODEGEN_VERSION - 1);
+    assert_ne!(old_key, cold.key);
+
+    // What the predecessor left behind: the artifact under its own key,
+    // its own version in the header (offset 16: magic, wire-format version,
+    // lowering version).
+    let path = dir.join(cold.key.file_name());
+    let old_path = dir.join(old_key.file_name());
+    let mut bytes = std::fs::read(&path).expect("artifact on disk");
+    bytes[16..20].copy_from_slice(&(singe::CODEGEN_VERSION - 1).to_le_bytes());
+    std::fs::write(&old_path, &bytes).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    let session = open(&dir);
+    session.register_synth(&synth::dme_config()).unwrap();
+    let fresh = session.compile(&req).expect("compile beside the old artifact");
+    assert_eq!(fresh.source, ArtifactSource::ColdCompile, "an older code generator's kernel was served");
+    assert_eq!(fresh.key, cold.key);
+    let stats = session.stats();
+    assert_eq!((stats.cold_compiles, stats.corrupt_reloads), (1, 0));
+    assert!(old_path.exists(), "the old entry is not this binary's to touch");
     std::fs::remove_dir_all(&dir).ok();
 }
 

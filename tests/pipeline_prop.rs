@@ -9,6 +9,12 @@
 //!   fits the named-barrier file; and at every depth the segment engine
 //!   must agree bit-for-bit with the profiled interpreter on outputs
 //!   *and* `EventCounts`.
+//! * **Reference**: every kernel × warp count × placement × depth
+//!   K ∈ {1,2,3} that compiles on Hopper passes the strict verifier and
+//!   equals the CPU reference. Each warp lays its constant arrays out on
+//!   its own (§5.2), so the K stage copies of a warp's index constants
+//!   displace that warp's own slot entries; a copy made with another
+//!   warp's flags reads the wrong ring entry or a shifted global row.
 //! * **Mutation**: each of three schedule-breaking mutations (drop a
 //!   buffer-empty signal, swap a data barrier with the empty ring,
 //!   shrink the slot ring by one entry) must be rejected by the
@@ -21,7 +27,8 @@
 //!   The canonical kernel has no such back edges, so every mutation is
 //!   provably a protocol break.
 
-use chemkin::reference::tables::{DiffusionTables, ViscosityTables};
+use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
+use chemkin::reference::{reference_chemistry, reference_diffusion, reference_viscosity};
 use chemkin::state::{GridDims, GridState};
 use chemkin::synth;
 use gpu_sim::arch::GpuArch;
@@ -29,10 +36,10 @@ use gpu_sim::interp::{run_cta, run_cta_profiled};
 use gpu_sim::isa::{IdxInstr, Instr, Kernel, Node, Op, SAddr};
 use gpu_sim::flatten_cached;
 use proptest::prelude::*;
-use singe::config::CompileOptions;
+use singe::config::{CompileOptions, Placement};
 use singe::kernels::launch_arrays;
 use singe::verify::verify_kernel;
-use singe::{CompileError, Compiler, Variant};
+use singe::{CompileError, Compiler, Variant, VerifyLevel};
 
 fn synth_mech(n_species: usize, seed: u64) -> chemkin::Mechanism {
     synth::via_text(&synth::SynthConfig {
@@ -175,6 +182,62 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Per-warp constant layouts under every placement and depth: the
+    /// compiled kernel is strict-verifier-clean and equals the reference.
+    #[test]
+    fn every_depth_and_placement_matches_the_cpu_reference_on_hopper(
+        n_species in 4usize..9,
+        seed in 0u64..1000,
+        kernel in 0usize..3,
+        warps in 2usize..7,
+        placement in 0usize..3,
+        k in 1usize..4,
+    ) {
+        let arch = GpuArch::hopper();
+        let mech = synth_mech(n_species, seed);
+        let n = mech.n_transported();
+        let (visc, diff, chem) =
+            (ViscosityTables::build(&mech), DiffusionTables::build(&mech), ChemistrySpec::build(&mech));
+        let dfg = match kernel {
+            0 => singe::kernels::viscosity::viscosity_dfg(&visc, warps),
+            1 => singe::kernels::diffusion::diffusion_dfg(&diff, warps),
+            _ => singe::kernels::chemistry::chemistry_dfg(&chem, warps),
+        };
+        let opts = CompileOptions::builder()
+            .warps(warps)
+            .point_iters(4)
+            .pipeline_depth(k)
+            .placement([Placement::Store, Placement::Mixed(48), Placement::Buffer(48)][placement])
+            .verify(VerifyLevel::Strict)
+            .build();
+        // Strict verification is part of the compile: `Ok` is verifier-clean.
+        let compiled = match Compiler::new(&arch).options(opts).compile(&dfg, Variant::WarpSpecialized) {
+            Ok(c) => c,
+            Err(CompileError::ResourceExhausted(_)) => return Ok(()),
+            Err(e) => return Err(TestCaseError::Fail(format!("compile: {e}"))),
+        };
+        let points = compiled.kernel.points_per_cta;
+        let grid = GridState::random(GridDims { nx: points, ny: 1, nz: 1 }, n, seed ^ 0x51f1);
+        let arrays = launch_arrays(&compiled.kernel.global_arrays, &grid).expect("arrays");
+        let out = run_both(&compiled.kernel, &arrays, &arch)?;
+        let want = match kernel {
+            0 => reference_viscosity(&visc, &grid),
+            1 => reference_diffusion(&diff, &grid),
+            _ => reference_chemistry(&chem, &grid),
+        };
+        let got = out.iter().find(|b| !b.is_empty()).expect("an output array");
+        prop_assert_eq!(got.len(), want.len());
+        let scale = want.iter().fold(0.0f64, |a, v| a.max(v.abs())).max(1e-300);
+        for (g, w) in got.iter().zip(&want) {
+            let tol = 1e-9 * (g.abs() + w.abs()) + if kernel == 2 { 1e-9 * scale } else { 0.0 };
+            prop_assert!((g - w).abs() <= tol, "kernel {} K={}: {:e} vs {:e}", kernel, k, g, w);
         }
     }
 }
