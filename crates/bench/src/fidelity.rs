@@ -35,10 +35,10 @@ const GRID_POINTS: usize = 64 * 64 * 64;
 fn field<'a>(object: &'a str, key: &str) -> Option<&'a str> {
     let start = object.find(&format!("\"{key}\":"))? + key.len() + 3;
     let rest = object[start..].trim_start();
-    let end = match rest.strip_prefix('"') {
-        Some(quoted) => return quoted.split('"').next(),
-        None => rest.find([',', '}']).unwrap_or(rest.len()),
-    };
+    if let Some(quoted) = rest.strip_prefix('"') {
+        return quoted.split('"').next();
+    }
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
     Some(rest[..end].trim())
 }
 

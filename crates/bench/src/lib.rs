@@ -204,7 +204,8 @@ fn try_serve(
     let arch_id = ArchId::ALL.into_iter().find(|a| a.arch().name == arch.name)?;
     // Content-derived id: identical mechanisms share artifacts no matter
     // what the caller named them.
-    let id: MechanismId = format!("m{:016x}", singe_serve::mechanism_fingerprint(mech)).parse().ok()?;
+    let fingerprint = singe_serve::mechanism_fingerprint(mech);
+    let id: MechanismId = format!("m{fingerprint:016x}").parse().ok()?;
     session.register_mechanism(id.clone(), mech.clone()).ok()?;
     let req = singe_serve::CompileRequest::new(id, kind.into(), variant, arch_id)
         .with_options(opts.clone())

@@ -310,6 +310,12 @@ impl WarpConsts {
         (self.doubles.len(), self.idx.len())
     }
 
+    /// Where the longest double and the longest index array of `arrays` end.
+    fn longest<'a>(arrays: impl IntoIterator<Item = &'a WarpConsts>) -> (usize, usize) {
+        let ends = arrays.into_iter().map(WarpConsts::ends);
+        ends.fold((0, 0), |(d, i), (wd, wi)| (d.max(wd), i.max(wi)))
+    }
+
     /// Append `op`'s constants (and `extras`, the slot offsets its code
     /// reads) at the segment offsets its code names, padding up to them.
     /// An op without constants of a kind costs no padding of that kind.
@@ -820,10 +826,7 @@ fn emit(
                 let (mut seg, mut iseg) = consts[seed_w].ends();
                 let (seed_code, members) = loop {
                     let (code, members) = emit_group((seed_w, seed_op), &sharers, seg, iseg)?;
-                    let ends = members
-                        .iter()
-                        .map(|(wi, _, _)| consts[*wi].ends())
-                        .fold((0, 0), |(s, i), (ws, wi)| (s.max(ws), i.max(wi)));
+                    let ends = WarpConsts::longest(members.iter().map(|(wi, _, _)| &consts[*wi]));
                     if ends == (seg, iseg) {
                         break (code, members);
                     }
@@ -850,10 +853,9 @@ fn emit(
 
     // --- Preamble: lane/warp ids, constant-array bases, striped constant
     // preload (hoisted above the point loop for amortization, §5.2). ---
-    let n_cregs =
-        consts.iter().map(|c| c.doubles.len()).max().unwrap_or(0).div_ceil(WARP_SIZE);
+    let (longest_doubles, istride) = WarpConsts::longest(&consts);
+    let n_cregs = longest_doubles.div_ceil(WARP_SIZE);
     let cstride = n_cregs * WARP_SIZE;
-    let istride = consts.iter().map(|c| c.idx.len()).max().unwrap_or(0);
     let mut preamble: Vec<Node> = vec![
         Node::Op(Instr::Idx(IdxInstr::WarpId { dst: IR_WARP })),
         Node::Op(Instr::Idx(IdxInstr::LaneId { dst: IR_LANE })),

@@ -83,9 +83,14 @@ impl ArtifactKey {
         dfg_warps: usize,
         options_debug: &str,
     ) -> ArtifactKey {
-        let codegen = singe::CODEGEN_VERSION;
         Self::derive_versioned(
-            mech_fingerprint, kernel, variant, arch, dfg_warps, options_debug, codegen,
+            mech_fingerprint,
+            kernel,
+            variant,
+            arch,
+            dfg_warps,
+            options_debug,
+            singe::CODEGEN_VERSION,
         )
     }
 

@@ -55,7 +55,7 @@ pub use ids::{ArchId, KernelId, MechanismId, UnknownIdError};
 pub use metrics::ServeStats;
 pub use sched::{Scheduler, Ticket};
 pub use session::{
-    default_options, diffusion_warps, mechanism_fingerprint, viscosity_warps, ArtifactHandle, ArtifactSource, CompileRequest,
-    ServeSession, ServeSessionBuilder,
+    default_options, diffusion_warps, mechanism_fingerprint, viscosity_warps, ArtifactHandle,
+    ArtifactSource, CompileRequest, ServeSession, ServeSessionBuilder,
 };
 pub use singe::search::{BeamSearch, FixedList, SearchBudget, SearchOutcome};

@@ -50,12 +50,12 @@ use crate::sched::{Scheduler, Ticket};
 /// evenly divide the number of species"). This is the canonical home of
 /// the heuristic; the bench harness delegates here.
 pub fn viscosity_warps(n_species: usize) -> usize {
-    for w in (4..=14).rev() {
-        if n_species.is_multiple_of(w) {
-            return w;
-        }
-    }
-    8
+    largest_divisor(n_species, 4..=14).unwrap_or(8)
+}
+
+/// The largest warp count in `warps` that divides `n_species` evenly.
+fn largest_divisor(n_species: usize, warps: std::ops::RangeInclusive<usize>) -> Option<usize> {
+    warps.rev().find(|w| n_species.is_multiple_of(*w))
 }
 
 /// Pick a warp count for the warp-specialized diffusion kernel: the largest
@@ -65,7 +65,7 @@ pub fn viscosity_warps(n_species: usize) -> usize {
 /// overlays them (§5.1); an uneven split leaves every round warp-private
 /// and the kernel outgrows the instruction cache, the cliff of Figure 9.
 pub fn diffusion_warps(n_species: usize) -> usize {
-    (4..=16).rev().find(|w| n_species.is_multiple_of(*w)).unwrap_or(8)
+    largest_divisor(n_species, 4..=16).unwrap_or(8)
 }
 
 /// Default warp-specialized options per kernel, sized to the mechanism
@@ -719,8 +719,11 @@ mod tests {
             let w = diffusion_warps(n);
             // Inside the range the W = 2..16 sweep covered (EXPERIMENTS.md).
             assert!((4..=16).contains(&w), "n = {n}: {w} warps");
-            let divisor = (4..=16).rev().find(|d| n % d == 0);
-            assert_eq!(w, divisor.unwrap_or(8), "n = {n}");
+            if (4..=16).any(|d| n % d == 0) {
+                assert!(n % w == 0 && (w + 1..=16).all(|d| n % d != 0), "n = {n}: {w} warps");
+            } else {
+                assert_eq!(w, 8, "n = {n}");
+            }
         }
         // No divisor in range: primes, and twice or three times a prime.
         assert_eq!([31, 37, 34, 51].map(diffusion_warps), [8; 4]);

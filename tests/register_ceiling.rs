@@ -39,11 +39,22 @@ fn cregs_est(dfg: &Dfg, opts: &CompileOptions) -> usize {
     own.iter().max().expect("at least one warp").div_ceil(WARP_SIZE) + 1
 }
 
+/// A canonical warp-specialized cell with its graph and options.
+struct Cell {
+    /// For messages: mechanism, kernel, architecture.
+    name: String,
+    dme: bool,
+    kernel: KernelId,
+    dfg: Dfg,
+    opts: CompileOptions,
+    compiled: Compiled,
+}
+
 /// Every canonical warp-specialized cell (2 mechanisms x 3 kernels at the
-/// serve defaults) on `arch`, with its graph and options.
-fn canonical(arch: &GpuArch) -> Vec<(String, Dfg, CompileOptions, Compiled)> {
+/// serve defaults) on `arch`.
+fn canonical(arch: &GpuArch) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for cfg in [synth::dme_config(), synth::heptane_config()] {
+    for (dme, cfg) in [(true, synth::dme_config()), (false, synth::heptane_config())] {
         let mech = synth::via_text(&cfg);
         for kernel in KERNELS {
             let opts = default_options(kernel, mech.n_transported(), arch);
@@ -52,7 +63,8 @@ fn canonical(arch: &GpuArch) -> Vec<(String, Dfg, CompileOptions, Compiled)> {
                 .options(opts.clone())
                 .compile(&dfg, Variant::WarpSpecialized)
                 .expect("canonical cell compiles");
-            cells.push((format!("{} {kernel:?} {}", cfg.name, arch.name), dfg, opts, compiled));
+            let name = format!("{} {kernel:?} {}", cfg.name, arch.name);
+            cells.push(Cell { name, dme, kernel, dfg, opts, compiled });
         }
     }
     cells
@@ -68,9 +80,10 @@ fn canonical(arch: &GpuArch) -> Vec<(String, Dfg, CompileOptions, Compiled)> {
 #[test]
 fn constant_registers_stay_within_overlay_padding_of_the_estimate() {
     for arch in [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()] {
-        for (cell, dfg, opts, compiled) in canonical(&arch) {
-            let (got, est) = (compiled.stats.const_regs_per_thread, cregs_est(&dfg, &opts));
-            assert!(got <= est + 2, "{cell}: {got} constant registers, estimate {est}");
+        for cell in canonical(&arch) {
+            let got = cell.compiled.stats.const_regs_per_thread;
+            let est = cregs_est(&cell.dfg, &cell.opts);
+            assert!(got <= est + 2, "{}: {got} constant registers, estimate {est}", cell.name);
         }
     }
 }
@@ -83,11 +96,12 @@ fn constant_registers_stay_within_overlay_padding_of_the_estimate() {
 #[test]
 fn canonical_kernels_fit_the_register_file_on_kepler_and_hopper() {
     for arch in [GpuArch::kepler_k20c(), GpuArch::hopper()] {
-        for (cell, _, _, compiled) in canonical(&arch) {
-            let regs = compiled.kernel.regs32_per_thread();
+        for cell in canonical(&arch) {
+            let regs = cell.compiled.kernel.regs32_per_thread();
             assert!(
                 regs <= arch.max_regs_per_thread,
-                "{cell}: {regs} registers a thread against a ceiling of {}",
+                "{}: {regs} registers a thread against a ceiling of {}",
+                cell.name,
                 arch.max_regs_per_thread
             );
         }
@@ -99,10 +113,10 @@ fn canonical_kernels_fit_the_register_file_on_kepler_and_hopper() {
 /// and 20/126/98).
 #[test]
 fn figure10_constant_registers_on_kepler() {
-    for (cell, _, _, compiled) in canonical(&GpuArch::kepler_k20c()) {
-        let ceiling = if cell.starts_with("dme") { 12 } else { 26 };
-        let got = compiled.stats.const_regs_per_thread;
-        assert!(got <= ceiling, "{cell}: {got} constant registers, gate {ceiling}");
+    for cell in canonical(&GpuArch::kepler_k20c()) {
+        let ceiling = if cell.dme { 12 } else { 26 };
+        let got = cell.compiled.stats.const_regs_per_thread;
+        assert!(got <= ceiling, "{}: {got} constant registers, gate {ceiling}", cell.name);
     }
 }
 
@@ -114,17 +128,13 @@ fn figure10_constant_registers_on_kepler() {
 #[test]
 fn diffusion_defaults_overlay_and_dme_fits_the_instruction_cache() {
     let arch = GpuArch::kepler_k20c();
-    for (cell, _, opts, compiled) in canonical(&arch) {
-        if !cell.contains("Diffusion") {
-            continue;
-        }
-        let dme = cell.starts_with("dme");
-        assert_eq!(opts.warps, if dme { 15 } else { 13 }, "{cell}");
-        let groups = compiled.stats.overlay_groups;
-        assert!(groups >= if dme { 16 } else { 15 }, "{cell}: {groups} overlay groups");
-        if dme {
-            let bytes = compiled.kernel.static_instructions() * arch.instr_bytes;
-            assert!(bytes <= arch.icache_bytes, "{cell}: {bytes} B of code");
+    for cell in canonical(&arch).iter().filter(|c| c.kernel == KernelId::Diffusion) {
+        assert_eq!(cell.opts.warps, if cell.dme { 15 } else { 13 }, "{}", cell.name);
+        let groups = cell.compiled.stats.overlay_groups;
+        assert!(groups >= if cell.dme { 16 } else { 15 }, "{}: {groups} overlay groups", cell.name);
+        if cell.dme {
+            let bytes = cell.compiled.kernel.static_instructions() * arch.instr_bytes;
+            assert!(bytes <= arch.icache_bytes, "{}: {bytes} B of code", cell.name);
         }
     }
 }
