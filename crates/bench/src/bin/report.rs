@@ -2,47 +2,53 @@
 //!
 //! Usage: `report [figure] [--jobs N]` where figure is one of
 //! `mechanisms fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 gflops
-//! ablate-barriers spills verify profile fidelity all` (default `all`). Results
-//! also land in `target/report.json`. `verify` runs the independent
-//! schedule verifier over every kernel × mechanism × architecture ×
-//! compiler combination and exits non-zero on any violation. `profile`
-//! runs the per-warp cycle-attribution profiler over every kernel ×
-//! variant × architecture, prints the paper-style stall breakdown,
-//! writes `target/profile.json`, and exports a Chrome trace to
-//! `target/profile_trace.json`; it is deliberately NOT part of `all` so
-//! `BENCH_report.json` wall-clock stays comparable across runs. `model`
-//! compares the static analytical performance model against the simulator
-//! for every kernel × variant × architecture, writes `target/model.json`,
-//! and exits non-zero if the accuracy gate (Spearman ≥ 0.8, ratio within
-//! 2x) fails; like `profile` it runs solo, never under `all`.
-//! `engine-bench` times the segment-compiled engine against the legacy
-//! interpreter on one warp-specialized DME viscosity CTA and records
-//! lanes/second into the `engine` line of `BENCH_report.json` (preserved
-//! across `report all` rewrites); it too runs solo. `serve-bench`
-//! measures the compile-farm service layer — cold vs warm (post-restart)
-//! compile latency, sustained compiles/second across a fleet of synth
-//! mechanisms, cache hit rate, and in-flight dedup — and records the
-//! `serve` line of `BENCH_report.json` (also carried across rewrites);
-//! `--kernel`/`--arch` select the primary combination (typed ids: an
-//! unknown name lists the valid ones). `pipeline` sweeps the software
-//! pipeline depth K=1..4 for the warp-specialized DME viscosity kernel on
-//! the Hopper-class architecture, records the per-CTA cycle trajectory as
-//! the `pipeline` line of `BENCH_report.json` (also carried across
-//! rewrites), and exits non-zero unless some K>1 beats the single-buffered
-//! schedule — the simulator is deterministic, so this is an exact gate.
-//! `fidelity` prints every Fermi and Kepler cell against the paper's band
-//! (the bands of `benchmark/paper_reference.json`, so the table and the
-//! benchmark's `paper_gap_geomean` cannot disagree) with its constant
-//! registers and registers per thread, records the rows as the `fidelity`
-//! line of `BENCH_report.json`, and exits non-zero if a cell's gap is
-//! wider than in the committed line; it runs solo.
+//! ablate-barriers spills verify all` (default `all`), or one of the solo
+//! subcommands below. Figure rows also land in `target/report.json`.
+//! `verify` runs the independent schedule verifier over every kernel ×
+//! mechanism × architecture × compiler combination and exits non-zero on
+//! any violation.
+//!
+//! Solo subcommands (never part of `all`):
+//!
+//! - `profile` runs the per-warp cycle-attribution profiler over every
+//!   kernel × variant × architecture, prints the paper-style stall
+//!   breakdown, writes `target/profile.json`, and exports a Chrome trace to
+//!   `target/profile_trace.json`; exits non-zero if a warp's reasons do not
+//!   sum to its cycles.
+//! - `model` compares the static analytical performance model against the
+//!   simulator for every kernel × variant × architecture, writes
+//!   `target/model.json`, and exits non-zero if the accuracy gate
+//!   (Spearman ≥ 0.8, ratio within 2x) fails.
+//! - `pipeline` sweeps the software pipeline depth K=1..4 for the
+//!   warp-specialized DME viscosity kernel on the Hopper-class
+//!   architecture and exits non-zero unless some K>1 beats the
+//!   single-buffered schedule — the simulator is deterministic, so this is
+//!   an exact gate.
+//! - `search` runs the model-driven schedule search against the committed
+//!   candidate grids and exits non-zero unless every row is at least as
+//!   good as its grid (one strictly better), at most 25 % of the scored
+//!   candidates were simulated, and every winner verifies at `Strict`.
+//! - `fidelity` prints every Fermi and Kepler cell against the paper's band
+//!   (the bands of `benchmark/paper_reference.json`, so the table and the
+//!   benchmark's `paper_gap_geomean` cannot disagree) with its constant
+//!   registers and registers per thread, and exits non-zero if a cell's gap
+//!   is wider than in the committed `BENCH_report.json`.
+//! - `record` measures the `fidelity`, `search` and `pipeline` entries and
+//!   writes them, under one provenance stamp, to `BENCH_report.json` at the
+//!   repo root ([`singe_bench::record`]). It is the only subcommand that
+//!   writes outside `target/`.
+//! - `check` measures the same entries, applies the same gates, and exits
+//!   non-zero naming the first field that differs from the committed
+//!   `BENCH_report.json`. `check <path>` reads another record instead (the
+//!   base commit's, in any layout the file has had) and applies only the
+//!   monotone fidelity gate: no cell's gap wider than there.
 //!
 //! Figures are computed on a worker pool (`--jobs`, `SINGE_JOBS`, default
 //! = available parallelism) but every figure renders into its own buffer
 //! and the buffers are printed in input order, so stdout and
 //! `target/report.json` are byte-identical at any worker count. Wall-clock
-//! per figure goes to **stderr**, and `report all` additionally writes a
-//! `BENCH_report.json` at the repo root to track the perf trajectory.
+//! per figure goes to **stderr** only: host time is `benchmark/`'s to
+//! record.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -51,20 +57,18 @@ use chemkin::synth;
 use chemkin::Mechanism;
 use gpu_sim::arch::GpuArch;
 use singe::config::CompileOptions;
+use singe_bench::record::{self, Json};
 use singe_bench::*;
 
 const FIGURES: &[&str] = &[
     "mechanisms", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
     "fig15", "fig16", "gflops", "ablate-barriers", "spills", "verify",
-    "profile", "model", "engine-bench", "serve-bench", "pipeline",
-    "search", "fidelity", "all",
+    "profile", "model", "pipeline", "search", "fidelity", "record", "check",
+    "all",
 ];
 
-/// Wall-clock of the serial `report all` before the fast-path/memoization/
-/// pool overhaul, measured on the CI machine. `BENCH_report.json` records
-/// the current run against it; override with `SINGE_BASELINE_SECONDS` when
-/// re-baselining on different hardware.
-const PRE_PR_SEQUENTIAL_SECONDS: f64 = 4.297;
+/// The committed record.
+const RECORD_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
 
 /// One figure's rendered output: stdout text, JSON rows, and the number of
 /// verification failures (non-zero only for `verify`).
@@ -74,13 +78,19 @@ struct FigOutput {
     failures: usize,
 }
 
+/// Exit 1 with `message` unless `ok`.
+fn gate(ok: bool, message: &str) {
+    if !ok {
+        eprintln!("\n{message}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let mut which: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    // `serve-bench` selectors; typed parses so a typo prints the valid
-    // ids instead of silently benchmarking the wrong thing.
-    let mut sb_kernel = KernelId::Viscosity;
-    let mut sb_arch = ArchId::Kepler;
+    // `check`'s other record.
+    let mut against: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--jobs" {
@@ -92,24 +102,10 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if a == "--kernel" {
-            match args.next().unwrap_or_default().parse::<KernelId>() {
-                Ok(k) => sb_kernel = k,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--arch" {
-            match args.next().unwrap_or_default().parse::<ArchId>() {
-                Ok(a) => sb_arch = a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
         } else if which.is_none() {
             which = Some(a);
+        } else if which.as_deref() == Some("check") && against.is_none() {
+            against = Some(a);
         } else {
             eprintln!("unexpected argument '{a}'");
             std::process::exit(2);
@@ -126,71 +122,45 @@ fn main() {
     let heptane = synth::heptane();
     let archs = [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()];
 
-    // `profile` runs solo (never under `all`): its probe launches would
-    // shift the wall-clock figures `BENCH_report.json` tracks.
-    if which == "profile" {
-        let failures = profile_report(&dme, &archs);
-        if failures > 0 {
-            eprintln!("\ncycle attribution: {failures} failure(s)");
-            std::process::exit(1);
+    // The solo subcommands: diagnostics and gates, not paper figures.
+    match (which.as_str(), against.as_deref()) {
+        ("profile", _) => {
+            let failures = profile_report(&dme, &archs);
+            return gate(failures == 0, &format!("cycle attribution: {failures} failure(s)"));
         }
-        return;
-    }
-
-    // `model` also runs solo: it shares `profile`'s probe launches and
-    // would likewise shift the `BENCH_report.json` wall-clock figures.
-    if which == "model" {
-        if !model_report(&dme, &archs) {
-            eprintln!("\nmodel accuracy gate FAILED");
-            std::process::exit(1);
+        ("model", _) => return gate(model_report(&dme, &archs), "model accuracy gate FAILED"),
+        ("pipeline", _) => return gate(pipeline_report(&dme).1, PIPELINE_GATE),
+        ("search", _) => return gate(search_report(&dme, &archs, jobs).1, SEARCH_GATE),
+        ("fidelity", _) => {
+            return gate(fidelity_report(&[&dme, &heptane], RECORD_PATH), FIDELITY_GATE)
         }
-        return;
-    }
-
-    // `engine-bench` also runs solo: it is a throughput probe of the
-    // execution engine itself, not a paper figure, and must not shift the
-    // figure wall-clocks `BENCH_report.json` tracks.
-    if which == "engine-bench" {
-        engine_bench_report(&dme, &archs);
-        return;
-    }
-
-    // `serve-bench` also runs solo: it measures the compile-farm service
-    // layer, not a paper figure.
-    if which == "serve-bench" {
-        serve_bench_report(sb_kernel, sb_arch, jobs);
-        return;
-    }
-
-    // `pipeline` also runs solo: its profiled depth-sweep launches would
-    // shift the figure wall-clocks `BENCH_report.json` tracks.
-    if which == "pipeline" {
-        if !pipeline_report(&dme) {
-            eprintln!("\npipeline depth sweep: no K>1 win over the single-buffered schedule");
-            std::process::exit(1);
+        ("check", Some(path)) => {
+            return gate(fidelity_report(&[&dme, &heptane], path), FIDELITY_GATE)
         }
-        return;
-    }
-
-    // `search` also runs solo: the model-driven schedule search compiles
-    // hundreds of candidates and would shift the figure wall-clocks
-    // `BENCH_report.json` tracks.
-    if which == "search" {
-        if !search_report(&dme, &archs, jobs) {
-            eprintln!("\nschedule search: gate FAILED (win/simulation-budget/verification)");
-            std::process::exit(1);
+        ("record" | "check", _) => {
+            let rows = fidelity::fidelity_rows(&[&dme, &heptane]);
+            print!("{}", fidelity::render(&rows));
+            let (search, search_ok) = search_report(&dme, &archs, jobs);
+            let (pipeline, pipeline_ok) = pipeline_report(&dme);
+            let fresh = singe_bench::object! {
+                "provenance": provenance(jobs),
+                "fidelity": fidelity::entry(&rows),
+                "search": search,
+                "pipeline": pipeline,
+            };
+            if which == "record" {
+                std::fs::write(RECORD_PATH, fresh.document() + "\n").expect("write the record");
+                eprintln!("[wrote {RECORD_PATH}]");
+            } else {
+                match record::compare(&fresh, &read_record(RECORD_PATH)) {
+                    Ok(()) => println!("check: BENCH_report.json is what this tree measures"),
+                    Err(m) => gate(false, &format!("check: {m}\n(`report record` rewrites it)")),
+                }
+            }
+            gate(search_ok, SEARCH_GATE);
+            return gate(pipeline_ok, PIPELINE_GATE);
         }
-        return;
-    }
-
-    // `fidelity` also runs solo: it is a gate against the committed table,
-    // not a figure.
-    if which == "fidelity" {
-        if !fidelity_report(&[&dme, &heptane]) {
-            eprintln!("\nfidelity: a cell moved away from the paper's band (say so in EXPERIMENTS.md)");
-            std::process::exit(1);
-        }
-        return;
+        _ => {}
     }
 
     // Every figure as a (name, render) pair; rendering is pure with respect
@@ -242,394 +212,104 @@ fn main() {
     let total_seconds = t_all.elapsed().as_secs_f64();
 
     // Commit output in input order: stdout is deterministic at any --jobs.
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
     let mut failures = 0usize;
-    let mut timings: Vec<(&'static str, f64, usize)> = Vec::new();
-    for ((name, _), (out, seconds)) in figs.iter().zip(&results) {
+    for (out, _) in &results {
         print!("{}", out.text);
         failures += out.failures;
-        timings.push((name, *seconds, out.rows.len()));
-        rows.extend(out.rows.iter().cloned());
+        rows.extend(out.rows.iter().map(Row::to_json));
     }
 
     if !rows.is_empty() {
-        let json = rows_to_json(&rows);
         std::fs::create_dir_all("target").ok();
-        std::fs::write("target/report.json", json).expect("write report.json");
-        eprintln!("\n[wrote {} rows to target/report.json]", rows.len());
+        let n_rows = rows.len();
+        std::fs::write("target/report.json", Json::Array(rows).document()).expect("write report.json");
+        eprintln!("\n[wrote {n_rows} rows to target/report.json]");
     }
 
     // Wall-clock summary on stderr (stdout stays byte-comparable).
     eprintln!("\n[timing: jobs={jobs}]");
-    for (name, seconds, n_rows) in &timings {
-        eprintln!("[  {name:<16} {seconds:8.3}s  {n_rows:>3} rows]");
+    for ((name, _), (out, seconds)) in figs.iter().zip(&results) {
+        eprintln!("[  {name:<16} {seconds:8.3}s  {:>3} rows]", out.rows.len());
     }
     eprintln!("[  {:<16} {total_seconds:8.3}s]", "total");
 
-    // SINGE_BENCH_JSON=0 keeps wall-clock bookkeeping out of runs whose
-    // outputs are compared byte-for-byte (the determinism test).
-    if which == "all" && std::env::var("SINGE_BENCH_JSON").as_deref() != Ok("0") {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
-        let prior = std::fs::read_to_string(path).ok();
-        let bench = bench_report_json(jobs, total_seconds, &timings, prior.as_deref());
-        match std::fs::write(path, bench) {
-            Ok(()) => eprintln!("[wrote {path}]"),
-            Err(e) => eprintln!("[could not write {path}: {e}]"),
-        }
-    }
+    gate(failures == 0, &format!("schedule verification: {failures} failure(s)"));
+}
 
-    if failures > 0 {
-        eprintln!("\nschedule verification: {failures} failure(s)");
-        std::process::exit(1);
+const PIPELINE_GATE: &str = "pipeline depth sweep: no K>1 win over the single-buffered schedule";
+const SEARCH_GATE: &str = "schedule search: gate FAILED (win/simulation-budget/verification)";
+const FIDELITY_GATE: &str =
+    "fidelity: a cell moved away from the paper's band (say so in EXPERIMENTS.md)";
+
+/// The record at `path`, parsed; exit 1 if it cannot be read as one.
+fn read_record(path: &str) -> Json {
+    let parsed = std::fs::read(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| record::parse(&text).map_err(|e| e.to_string()));
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Where and how a record was measured. The entries do not depend on any
+/// of it (the simulator is deterministic); it says where to reproduce them.
+/// `sha` is the commit the tree was at, `-dirty` when it had uncommitted
+/// changes. Every field of the entries that is not a plain count has its
+/// unit here.
+fn provenance(jobs: usize) -> Json {
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git").args(args).output().ok()?;
+        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let sha = match (git(&["rev-parse", "--short", "HEAD"]), git(&["status", "--porcelain"])) {
+        (Some(sha), Some(changes)) if changes.is_empty() => sha,
+        (Some(sha), _) => format!("{sha}-dirty"),
+        _ => "unknown".into(),
+    };
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let speedup = "x (ws over baseline points/s at 64^3)";
+    let gap = "x (max(measured/paper, paper/measured) against the band's midpoint; 1 is a match)";
+    let fixed_work = "SM cycles for the fixed 4096-point probe, so that schedules with \
+                      different points per CTA compare on equal work";
+    let probe_us = "simulated microseconds for that probe";
+    let per_cta = "SM cycles per CTA";
+    singe_bench::object! {
+        "sha": sha,
+        "host": format!("{cpus} cpus, {}/{}", std::env::consts::OS, std::env::consts::ARCH),
+        "features": if cfg!(feature = "vexp") { "vexp" } else { "default" },
+        "jobs": jobs,
+        "units": singe_bench::object! {
+            "fidelity.speedup": speedup,
+            "fidelity.paper_lo": speedup,
+            "fidelity.paper_hi": speedup,
+            "fidelity.gap": gap,
+            "fidelity.paper_gap_geomean": gap,
+            "search.grid_best_cycles": fixed_work,
+            "search.search_best_cycles": fixed_work,
+            "search.grid_best_us": probe_us,
+            "search.search_best_us": probe_us,
+            "search.model_cycles": "SM cycles per CTA, as the model predicts the winner",
+            "search.sim_fraction": "share (simulations / model_evals)",
+            "pipeline.k1_cycles": per_cta,
+            "pipeline.best_cycles": per_cta,
+            "pipeline.delta_cycles": per_cta,
+            "pipeline.cta_cycles": per_cta,
+            "pipeline.barrier_wait_cycles": "cycles summed over the CTA's warps",
+        },
     }
 }
 
-/// Render `BENCH_report.json`: current wall-clock vs the recorded pre-PR
-/// sequential baseline, plus a `runs` history keyed by worker count.
-///
-/// Each `runs` entry is one line of JSON. `prior` is the previous file's
-/// contents (if any): its entries for *other* job counts are kept, so one
-/// `report all --jobs 1` followed by `--jobs 8` leaves both timings on
-/// record (the CI smoke job regresses against the slowest committed run).
-fn bench_report_json(
-    jobs: usize,
-    total_seconds: f64,
-    timings: &[(&'static str, f64, usize)],
-    prior: Option<&str>,
-) -> String {
-    let baseline = std::env::var("SINGE_BASELINE_SECONDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .unwrap_or(PRE_PR_SEQUENTIAL_SECONDS);
-    // Carry forward prior runs with a different `jobs` value (line-based:
-    // every runs entry this function ever wrote is a single line starting
-    // with `{"jobs": N,`).
-    let mut runs: Vec<(usize, String)> = Vec::new();
-    for line in prior.unwrap_or("").lines() {
-        let entry = line.trim().trim_end_matches(',');
-        if let Some(rest) = entry.strip_prefix("{\"jobs\": ") {
-            if let Some(j) = rest.split(',').next().and_then(|v| v.parse::<usize>().ok()) {
-                if j != jobs && entry.ends_with('}') {
-                    runs.push((j, entry.to_string()));
-                }
-            }
-        }
-    }
-    runs.push((
-        jobs,
-        format!(
-            "{{\"jobs\": {jobs}, \"total_seconds\": {total_seconds:.3}, \
-             \"speedup_vs_pre_pr\": {:.2}}}",
-            baseline / total_seconds
-        ),
-    ));
-    runs.sort_by_key(|(j, _)| *j);
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"jobs\": {jobs},");
-    let _ = writeln!(out, "  \"total_seconds\": {total_seconds:.3},");
-    let _ = writeln!(out, "  \"pre_pr_sequential_seconds\": {baseline:.3},");
-    let _ = writeln!(out, "  \"speedup_vs_pre_pr\": {:.2},", baseline / total_seconds);
-    // Carry the solo-benchmark entries forward: like every `runs` entry,
-    // each is a single line this binary wrote (`"engine": {...}` from
-    // `report engine-bench`, `"serve": {...}` from `report serve-bench`,
-    // `"pipeline": {...}` from `report pipeline`, `"search": {...}` from
-    // `report search`).
-    if let Some(prior) = prior {
-        for key in [
-            "\"engine\": {", "\"serve\": {", "\"pipeline\": {", "\"search\": {", "\"fidelity\": {",
-        ] {
-            for line in prior.lines() {
-                let entry = line.trim().trim_end_matches(',');
-                if entry.starts_with(key) && entry.ends_with('}') {
-                    let _ = writeln!(out, "  {entry},");
-                    break;
-                }
-            }
-        }
-    }
-    out.push_str("  \"runs\": [\n");
-    for (i, (_, entry)) in runs.iter().enumerate() {
-        let _ = write!(out, "    {entry}");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"figures\": [\n");
-    for (i, (name, seconds, n_rows)) in timings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"figure\": \"{name}\", \"seconds\": {seconds:.3}, \"rows\": {n_rows}}}"
-        );
-        out.push_str(if i + 1 < timings.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// `engine-bench`: wall-clock sweep of the segment-compiled engine vs the
-/// legacy per-instruction interpreter across both DME transport kernels ×
-/// every architecture × warp-specialized/baseline. Best-of-N timing (the
-/// minimum absorbs scheduler noise on shared CI machines); throughput is
-/// reported as executed *lanes* per second (warp instructions × 32). Each
-/// row also carries the kernel's exp profile: how many exp uops the
-/// lowered program executes, what fraction the optimizer folded into SoA
-/// batches, the exp-chain rewrite ledger, and an *estimated* share of
-/// engine wall-clock spent in exp (exp lanes × a calibrated per-lane exp
-/// cost ÷ measured seconds — an estimate, not a measurement, since exp is
-/// not timed in situ). The result lands on stdout and, unless
-/// `SINGE_BENCH_JSON=0`, as the single-line `engine` key of
-/// `BENCH_report.json` (primary fields = the DME-viscosity/WS/Hopper row,
-/// keeping the key's schema backward compatible; the sweep rides in
-/// `rows`), which `report all` preserves when it rewrites the file — so
-/// the engine's throughput trajectory is tracked alongside the figure
-/// wall-clocks.
-fn engine_bench_report(mech: &Mechanism, archs: &[GpuArch]) {
-    use chemkin::state::{GridDims, GridState};
-    use gpu_sim::interp::{run_cta, run_cta_profiled};
-    use gpu_sim::{flatten_cached, WARP_SIZE};
-    use singe::kernels::launch_arrays;
-
-    let time_best = |n: usize, f: &dyn Fn()| {
-        for _ in 0..3 {
-            f();
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..n {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    // Calibrate the per-lane cost of the process's exp path (libm or the
-    // vectorized vmath kernel, whichever dispatch selected) on a buffer of
-    // in-range arguments comparable to Arrhenius/transport exponents.
-    let exp_ns_per_lane = {
-        let xs: Vec<f64> = (0..4096).map(|i| (i as f64) * 0.0043 - 8.0).collect();
-        let out = std::cell::RefCell::new(vec![0.0; xs.len()]);
-        let best = time_best(20, &|| {
-            let mut o = out.borrow_mut();
-            // black_box: the buffer is never read afterwards, and without
-            // an opaque use the optimizer deletes the entire computation.
-            gpu_sim::vmath::exp_slice(std::hint::black_box(&xs), &mut o);
-            std::hint::black_box(&mut o[0]);
-        });
-        best / xs.len() as f64 * 1e9
-    };
-    let vexp = gpu_sim::vmath::vexp_active();
-
-    struct SweepRow {
-        kernel: &'static str,
-        arch: String,
-        variant: &'static str,
-        lanes_per_sec: f64,
-        eng: f64,
-        interp: f64,
-        exp_uops: u64,
-        exp_batched: u64,
-        exp_share: f64,
-        stats: gpu_sim::EngineStats,
-    }
-    let mut rows: Vec<SweepRow> = Vec::new();
-    // The primary combo (committed trajectory row) runs with more reps.
-    let primary_arch = archs.len() - 1;
-    for kind in [Kind::Viscosity, Kind::Diffusion] {
-        for (ai, arch) in archs.iter().enumerate() {
-            for variant in [Variant::WarpSpecialized, Variant::Baseline] {
-                let primary =
-                    kind == Kind::Viscosity && ai == primary_arch && variant == Variant::WarpSpecialized;
-                let built = build(kind, mech, arch, variant);
-                let prog = flatten_cached(&built.kernel);
-                let points = built.kernel.points_per_cta;
-                let grid =
-                    GridState::random(GridDims { nx: points, ny: 1, nz: 1 }, built.n_species, 1234);
-                let arrays = launch_arrays(&built.kernel.global_arrays, &grid).expect("known arrays");
-                let lanes: u64 = (0..prog.n_warps()).map(|w| prog.stream_len(w) as u64).sum::<u64>()
-                    * WARP_SIZE as u64;
-                let eng = time_best(if primary { 30 } else { 10 }, &|| {
-                    run_cta(&built.kernel, &prog, &arrays, points, 0, false, arch)
-                        .expect("engine CTA");
-                });
-                let interp = time_best(if primary { 10 } else { 3 }, &|| {
-                    run_cta_profiled(&built.kernel, &prog, &arrays, points, 0, false, arch, None)
-                        .expect("interp CTA");
-                });
-                let stats = gpu_sim::flatcache::engine_stats(&built.kernel, &prog);
-                let exp_lanes = stats.exp_ops * WARP_SIZE as u64;
-                rows.push(SweepRow {
-                    kernel: kind.name(),
-                    arch: arch.name.split_whitespace().last().unwrap_or(arch.name).to_string(),
-                    variant: variant.name(),
-                    lanes_per_sec: lanes as f64 / eng,
-                    eng,
-                    interp,
-                    exp_uops: stats.exp_ops,
-                    exp_batched: stats.exp_batched,
-                    exp_share: (exp_lanes as f64 * exp_ns_per_lane * 1e-9 / eng).min(1.0),
-                    stats,
-                });
-            }
-        }
-    }
-
-    println!(
-        "== engine throughput sweep ({} kernels, engine vs interp, vexp {}) ==",
-        mech.name,
-        if vexp { "on" } else { "off" }
-    );
-    println!(
-        "{:<10} {:<10} {:<18} {:>9} {:>10} {:>8} {:>6} {:>9}",
-        "kernel", "arch", "variant", "ms/CTA", "Mlanes/s", "speedup", "exp%", "batched%"
-    );
-    for r in &rows {
-        let batched_pct = if r.exp_uops > 0 {
-            r.exp_batched as f64 / r.exp_uops as f64 * 100.0
-        } else {
-            0.0
-        };
-        println!(
-            "{:<10} {:<10} {:<18} {:>9.3} {:>10.1} {:>7.2}x {:>5.0}% {:>8.0}%",
-            r.kernel,
-            r.arch,
-            r.variant,
-            r.eng * 1e3,
-            r.lanes_per_sec / 1e6,
-            r.interp / r.eng,
-            r.exp_share * 100.0,
-            batched_pct
-        );
-    }
-    // The primary row: viscosity/WS on the last (Hopper) arch.
-    let p = rows
-        .iter()
-        .rposition(|r| {
-            r.kernel == Kind::Viscosity.name() && r.variant == Variant::WarpSpecialized.name()
-        })
-        .expect("primary row present");
-    let prim = &rows[p];
-    println!(
-        "rewrites (viscosity ws): cse {} | exp*exp applied {} rejected {} infeasible {}",
-        prim.stats.exp_cse,
-        prim.stats.exp_mul_applied,
-        prim.stats.exp_mul_rejected,
-        prim.stats.exp_mul_infeasible
-    );
-
-    if std::env::var("SINGE_BENCH_JSON").as_deref() == Ok("0") {
-        return;
-    }
-    let row_json = |r: &SweepRow| {
-        format!(
-            "{{\"kernel\": \"{}\", \"arch\": \"{}\", \"variant\": \"{}\", \
-             \"lanes_per_sec\": {:.0}, \"engine_seconds\": {:.6}, \
-             \"speedup_vs_interp\": {:.2}, \"exp_uops\": {}, \"exp_batched\": {}, \
-             \"exp_share_est\": {:.3}}}",
-            r.kernel,
-            r.arch,
-            r.variant,
-            r.lanes_per_sec,
-            r.eng,
-            r.interp / r.eng,
-            r.exp_uops,
-            r.exp_batched,
-            r.exp_share,
-        )
-    };
-    let sweep = rows.iter().map(row_json).collect::<Vec<_>>().join(", ");
-    let (lanes_per_sec, eng, interp) = (prim.lanes_per_sec, prim.eng, prim.interp);
-    let speedup = interp / eng;
-    let batched_fraction = if prim.exp_uops > 0 {
-        prim.exp_batched as f64 / prim.exp_uops as f64
-    } else {
-        0.0
-    };
-    let entry = format!(
-        "\"engine\": {{\"kernel\": \"dme-viscosity-ws\", \"arch\": \"{}\", \
-         \"lanes_per_sec\": {lanes_per_sec:.0}, \"engine_seconds\": {eng:.6}, \
-         \"interp_seconds\": {interp:.6}, \"speedup_vs_interp\": {speedup:.2}, \
-         \"vexp\": {vexp}, \"exp_uops\": {}, \"exp_batched\": {}, \
-         \"exp_batched_fraction\": {batched_fraction:.3}, \"exp_share_est\": {:.3}, \
-         \"exp_cse\": {}, \"exp_mul_applied\": {}, \"exp_mul_rejected\": {}, \
-         \"rows\": [{sweep}]}}",
-        prim.arch, prim.exp_uops, prim.exp_batched, prim.exp_share,
-        prim.stats.exp_cse, prim.stats.exp_mul_applied, prim.stats.exp_mul_rejected,
-    );
-    upsert_solo_entry("engine", &entry);
-}
-
-/// Insert or replace a solo benchmark's single-line entry (`"engine":
-/// {...}` / `"serve": {...}`) in `BENCH_report.json`: replace the
-/// existing line, or place a new one right after `speedup_vs_pre_pr`
-/// (where `bench_report_json` keeps it on rewrite). Creates a minimal
-/// document if the file doesn't exist yet.
-fn upsert_solo_entry(key: &str, entry: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
-    let prefix = format!("\"{key}\": {{");
-    let doc = match std::fs::read_to_string(path) {
-        Ok(prior) => {
-            let mut out = String::new();
-            let mut placed = false;
-            for line in prior.lines() {
-                let k = line.trim_start();
-                if k.starts_with(&prefix) {
-                    if !placed {
-                        let _ = writeln!(out, "  {entry},");
-                        placed = true;
-                    }
-                    continue;
-                }
-                out.push_str(line);
-                out.push('\n');
-                if !placed && k.starts_with("\"speedup_vs_pre_pr\":") {
-                    let _ = writeln!(out, "  {entry},");
-                    placed = true;
-                }
-            }
-            if !placed {
-                eprintln!("[unrecognized {path} layout; file left unchanged]");
-                return;
-            }
-            out
-        }
-        Err(_) => format!("{{\n  {entry}\n}}\n"),
-    };
-    match std::fs::write(path, &doc) {
-        Ok(()) => eprintln!("[wrote {key} entry to {path}]"),
-        Err(e) => eprintln!("[could not write {path}: {e}]"),
-    }
-}
-
-/// `fidelity`: the Fermi and Kepler cells against the paper's bands
-/// ([`singe_bench::fidelity`]), printed and recorded as the single-line
-/// `fidelity` key of `BENCH_report.json`. False when a cell's gap is wider
-/// than the committed line has it; the fresh rows are recorded either way
-/// (unless `SINGE_BENCH_JSON=0`), so committing them is the way to accept.
-fn fidelity_report(mechs: &[&Mechanism]) -> bool {
-    use singe_bench::fidelity;
-
+/// `fidelity` and `check <path>`: the Fermi and Kepler cells against the
+/// paper's bands ([`singe_bench::fidelity`]), printed. False when a cell's
+/// gap is wider than the record at `path` has it.
+fn fidelity_report(mechs: &[&Mechanism], path: &str) -> bool {
     let rows = fidelity::fidelity_rows(mechs);
     print!("{}", fidelity::render(&rows));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
-    let committed = std::fs::read_to_string(path).unwrap_or_default();
-    let widened = fidelity::widened(&rows, &committed);
+    let widened = fidelity::widened(&rows, &read_record(path));
     for (cell, before, now) in &widened {
         println!("widened: {cell} gap {before:.4} -> {now:.4}");
-    }
-    if std::env::var("SINGE_BENCH_JSON").as_deref() != Ok("0") {
-        let git = |args: &[&str]| {
-            let out = std::process::Command::new("git").args(args).output().ok()?;
-            out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        };
-        let sha = match (git(&["rev-parse", "--short", "HEAD"]), git(&["status", "--porcelain"])) {
-            (Some(sha), Some(changes)) if changes.is_empty() => sha,
-            (Some(sha), _) => format!("{sha}-dirty"),
-            _ => "unknown".into(),
-        };
-        let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-        let host = format!("{cpus} cpus, {}/{}", std::env::consts::OS, std::env::consts::ARCH);
-        upsert_solo_entry("fidelity", &fidelity::entry(&rows, &sha, &host));
     }
     widened.is_empty()
 }
@@ -637,14 +317,13 @@ fn fidelity_report(mechs: &[&Mechanism]) -> bool {
 /// `pipeline`: sweep the software pipeline depth K=1..4 for the
 /// warp-specialized DME viscosity kernel on the Hopper-class architecture
 /// (the only built-in arch whose barrier file fits a K-deep schedule for
-/// the DME kernels) and record the per-CTA cycle trajectory as the
-/// single-line `pipeline` key of `BENCH_report.json` (preserved across
-/// `report all` rewrites, like `engine` and `serve`). Every depth runs
-/// the full simulated CTA under the cycle profiler at the serve-layer
-/// default configuration, so cycles and barrier-wait are deterministic —
-/// the returned gate (some K>1 strictly beats K=1 on per-CTA cycles) is
-/// exact, not statistical.
-fn pipeline_report(dme: &Mechanism) -> bool {
+/// the DME kernels), printed; returns the per-CTA cycle trajectory as the
+/// `pipeline` entry of `BENCH_report.json`. Every depth runs the full
+/// simulated CTA under the cycle profiler at the serve-layer default
+/// configuration, so cycles and barrier-wait are deterministic — the
+/// returned gate (some K>1 strictly beats K=1 on per-CTA cycles) is exact,
+/// not statistical.
+fn pipeline_report(dme: &Mechanism) -> (Json, bool) {
     use chemkin::state::{GridDims, GridState};
     use gpu_sim::launch::{launch_with_config, LaunchConfig, LaunchInputs, LaunchMode};
     use singe::kernels::launch_arrays;
@@ -715,44 +394,40 @@ fn pipeline_report(dme: &Mechanism) -> bool {
         best.cycles as i64 - k1.cycles as i64
     );
 
-    if std::env::var("SINGE_BENCH_JSON").as_deref() == Ok("0") {
-        return win;
-    }
-    let sweep = rows
+    let sweep: Vec<Json> = rows
         .iter()
         .map(|r| {
-            format!(
-                "{{\"k_requested\": {}, \"depth\": {}, \"cta_cycles\": {}, \
-                 \"barrier_wait_cycles\": {}, \"issue_slots\": {}, \
-                 \"shared_slots\": {}, \"kernel_barriers\": {}}}",
-                r.k_requested, r.depth, r.cycles, r.barrier_wait, r.issue_slots,
-                r.shared_slots, r.barriers
-            )
+            singe_bench::object! {
+                "k_requested": r.k_requested,
+                "depth": r.depth,
+                "cta_cycles": r.cycles,
+                "barrier_wait_cycles": r.barrier_wait,
+                "issue_slots": r.issue_slots,
+                "shared_slots": r.shared_slots,
+                "kernel_barriers": r.barriers,
+            }
         })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let entry = format!(
-        "\"pipeline\": {{\"kernel\": \"dme-viscosity-ws\", \"arch\": \"{}\", \
-         \"warps\": {}, \"point_iters\": {}, \"k1_cycles\": {}, \"best_depth\": {}, \
-         \"best_cycles\": {}, \"delta_cycles\": {}, \"win\": {win}, \"rows\": [{sweep}]}}",
-        arch.name,
-        base_opts.warps,
-        base_opts.point_iters,
-        k1.cycles,
-        best.depth,
-        best.cycles,
-        best.cycles as i64 - k1.cycles as i64,
-    );
-    upsert_solo_entry("pipeline", &entry);
-    win
+        .collect();
+    let entry = singe_bench::object! {
+        "kernel": "dme-viscosity-ws",
+        "arch": arch.name,
+        "warps": base_opts.warps,
+        "point_iters": u64::from(base_opts.point_iters),
+        "k1_cycles": k1.cycles,
+        "best_depth": best.depth,
+        "best_cycles": best.cycles,
+        "delta_cycles": best.cycles as i64 - k1.cycles as i64,
+        "win": win,
+        "rows": sweep,
+    };
+    (entry, win)
 }
 
 /// `search`: run the model-driven schedule search ([`singe::search`])
 /// against the committed candidate grids for DME viscosity + diffusion ×
-/// Fermi/Kepler/Hopper and record model-evals vs simulations vs
-/// best-found cycles as the single-line `search` key of
-/// `BENCH_report.json` (preserved across `report all` rewrites, like
-/// `pipeline`). Both sides of a row are one tuner: the *grid* baseline
+/// Fermi/Kepler/Hopper, printed; returns model-evals vs simulations vs
+/// best-found cycles as the `search` entry of `BENCH_report.json`. Both
+/// sides of a row are one tuner: the *grid* baseline
 /// is a `FixedList` over the extended ∪ pipelined grids with every
 /// compiled candidate simulated; the search is `BeamSearch` at the
 /// default budget, simulating only the top-K. The returned gate requires,
@@ -762,8 +437,8 @@ fn pipeline_report(dme: &Mechanism) -> bool {
 /// the independent verifier at `Strict`; a row that errors prints the
 /// error and fails the gate. Probe launches are deterministic
 /// (`TimingOnly`, fixed grid seed), so the recorded numbers are exact
-/// and byte-stable — CI diffs them against the committed entry.
-fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
+/// and byte-stable — `report check` holds them to the committed entry.
+fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool) {
     use singe::kernels::{probe_grid, probe_inputs};
     use singe::search::{depth_menu, grid_options, BeamSearch, FixedList, SearchBudget};
     use singe::verify::verify_kernel;
@@ -907,235 +582,52 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
          simulated <= 25% of scored: {budget_ok}; Strict-verified winners: {all_verified}"
     );
 
-    if std::env::var("SINGE_BENCH_JSON").as_deref() == Ok("0") {
-        return gate;
-    }
-    let sweep = rows
+    // Microseconds as the table has always recorded them: three decimals.
+    let us = |v: f64| -> f64 { format!("{v:.3}").parse().expect("a formatted float parses") };
+    let sweep: Vec<Json> = rows
         .iter()
         .map(|r| {
-            format!(
-                "{{\"kernel\": \"{}\", \"arch\": \"{}\", \"grid_candidates\": {}, \
-                 \"grid_simulations\": {}, \"grid_best_cycles\": {}, \"grid_best_us\": {:.3}, \
-                 \"model_evals\": {}, \"simulations\": {}, \"search_best_cycles\": {}, \
-                 \"search_best_us\": {:.3}, \"model_cycles\": {}, \"best_warps\": {}, \
-                 \"best_iters\": {}, \"best_depth\": {}, \"best_placement\": \"{:?}\", \
-                 \"win\": {}, \"strictly_better\": {}, \"verified_strict\": {}}}",
-                r.kernel, r.arch, r.grid_candidates, r.grid_simulations, r.grid_best_cycles,
-                r.grid_best_us, r.model_evals, r.simulations, r.search_best_cycles,
-                r.search_best_us, r.model_cycles, r.best.warps, r.best.point_iters,
-                r.best.pipeline_depth, r.best.placement, r.win, r.strictly_better,
-                r.verified_strict
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let total_evals: usize = rows.iter().map(|r| r.model_evals).sum();
-    let total_sims: usize = rows.iter().map(|r| r.simulations).sum();
-    let entry = format!(
-        "\"search\": {{\"strategy\": \"beam\", \"probe_points\": {PROBE_POINTS}, \
-         \"beam_width\": {}, \"rounds\": {}, \"sim_top_k\": {}, \"max_model_evals\": {}, \
-         \"model_evals\": {total_evals}, \"simulations\": {total_sims}, \
-         \"sim_fraction\": {:.3}, \"all_rows_win\": {all_win}, \
-         \"any_strictly_better\": {any_strict}, \"verified_strict\": {all_verified}, \
-         \"win\": {gate}, \"rows\": [{sweep}]}}",
-        budget.beam_width,
-        budget.rounds,
-        budget.sim_top_k,
-        budget.max_model_evals,
-        total_sims as f64 / total_evals.max(1) as f64,
-    );
-    upsert_solo_entry("search", &entry);
-    gate
-}
-
-/// `serve-bench`: measure the compile-farm service layer end to end and
-/// record the single-line `serve` key of `BENCH_report.json` (preserved
-/// across `report all` rewrites, like `engine`). Three phases, each in a
-/// fresh cache directory under `target/`:
-///
-/// 1. **Latency** — cold compile of the primary combination (the
-///    artifact is deleted between reps) vs warm load through a *new*
-///    session over the same cache (simulating a process restart);
-///    best-of-N for both. Exits non-zero if warm isn't at least 2x
-///    faster than cold (the committed trajectory expects far more).
-/// 2. **Farm throughput** — a fleet of small synthetic mechanisms
-///    compiled through the sharded scheduler, cold pass then
-///    post-restart warm pass; sustained compiles/second and hit rate.
-/// 3. **In-flight dedup** — N identical concurrent requests must
-///    trigger exactly one compiler run (exit non-zero otherwise).
-fn serve_bench_report(kernel: KernelId, arch: ArchId, jobs: usize) {
-    use chemkin::synth::SynthConfig;
-    use singe_serve::{ArtifactSource, CompileRequest, ServeSession};
-
-    let root = std::path::PathBuf::from(format!("target/serve-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let variant = Variant::WarpSpecialized;
-    let mk_req = |mech: &str| {
-        CompileRequest::new(mech.parse().expect("valid mechanism id"), kernel, variant, arch)
-    };
-    let open = |dir: &std::path::Path| {
-        ServeSession::builder(dir).jobs(jobs).builtins(false).open().expect("open serve session")
-    };
-    let primary = format!("dme-{}-ws", kernel.name());
-    let arch_short = {
-        let name = arch.arch().name;
-        name.split_whitespace().last().unwrap_or(name).to_string()
-    };
-
-    // -- Phase 1: cold vs warm latency on the primary combination -------
-    let lat_dir = root.join("latency");
-    let reps = 7;
-    let session = open(&lat_dir);
-    session.register_synth(&synth::dme_config()).expect("register dme");
-    let req = mk_req("dme");
-    let t0 = Instant::now();
-    let first = session.compile(&req).expect("cold compile");
-    let cold_first = t0.elapsed().as_secs_f64();
-    assert_eq!(first.source, ArtifactSource::ColdCompile, "fresh cache must compile cold");
-    let artifact_path = session.cache_dir().join(first.key.file_name());
-    let mut cold_best = cold_first;
-    for _ in 1..reps {
-        std::fs::remove_file(&artifact_path).expect("cold rep: remove artifact");
-        let t0 = Instant::now();
-        let h = session.compile(&req).expect("cold compile");
-        assert_eq!(h.source, ArtifactSource::ColdCompile);
-        cold_best = cold_best.min(t0.elapsed().as_secs_f64());
-    }
-    drop(session);
-    let mut warm_best = f64::INFINITY;
-    for _ in 0..reps {
-        // A fresh session over the same cache dir = a process restart as
-        // far as the artifact store is concerned.
-        let session = open(&lat_dir);
-        session.register_synth(&synth::dme_config()).expect("register dme");
-        let t0 = Instant::now();
-        let h = session.compile(&req).expect("warm compile");
-        warm_best = warm_best.min(t0.elapsed().as_secs_f64());
-        assert_eq!(h.source, ArtifactSource::WarmDisk, "artifact must survive the restart");
-        assert_eq!(
-            format!("{:?}", h.artifact.kernel),
-            format!("{:?}", first.artifact.kernel),
-            "warm artifact must be identical to the cold compile"
-        );
-    }
-    let warm_speedup = cold_best / warm_best;
-
-    // -- Phase 2: farm throughput over a fleet of small mechanisms ------
-    let farm_dir = root.join("farm");
-    let n_farm = 24usize;
-    let cfgs: Vec<SynthConfig> = (0..n_farm)
-        .map(|i| SynthConfig {
-            name: format!("farm{i:02}"),
-            n_species: 10 + (i % 6),
-            n_reactions: 20 + 2 * (i % 5),
-            n_qssa: i % 3,
-            n_stiff: 2 + (i % 4),
-            seed: 9000 + i as u64,
+            singe_bench::object! {
+                "kernel": r.kernel,
+                "arch": r.arch,
+                "grid_candidates": r.grid_candidates,
+                "grid_simulations": r.grid_simulations,
+                "grid_best_cycles": r.grid_best_cycles,
+                "grid_best_us": us(r.grid_best_us),
+                "model_evals": r.model_evals,
+                "simulations": r.simulations,
+                "search_best_cycles": r.search_best_cycles,
+                "search_best_us": us(r.search_best_us),
+                "model_cycles": r.model_cycles,
+                "best_warps": r.best.warps,
+                "best_iters": u64::from(r.best.point_iters),
+                "best_depth": r.best.pipeline_depth,
+                "best_placement": format!("{:?}", r.best.placement),
+                "win": r.win,
+                "strictly_better": r.strictly_better,
+                "verified_strict": r.verified_strict,
+            }
         })
         .collect();
-    let farm_pass = |expect_warm: bool| -> (f64, f64) {
-        let session = open(&farm_dir);
-        for cfg in &cfgs {
-            session.register_synth(cfg).expect("register farm mechanism");
-        }
-        let t0 = Instant::now();
-        let tickets: Vec<_> = cfgs
-            .iter()
-            .map(|c| session.submit(&mk_req(&c.name).with_tenant(&c.name)).expect("submit"))
-            .collect();
-        for t in tickets {
-            t.wait().expect("farm compile");
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        let stats = session.stats();
-        if expect_warm {
-            assert_eq!(stats.warm_hits as usize, n_farm, "warm pass must be all disk hits");
-        }
-        (seconds, stats.hit_rate().unwrap_or(0.0))
+    let total_evals: usize = rows.iter().map(|r| r.model_evals).sum();
+    let total_sims: usize = rows.iter().map(|r| r.simulations).sum();
+    let entry = singe_bench::object! {
+        "strategy": "beam",
+        "probe_points": PROBE_POINTS,
+        "beam_width": budget.beam_width,
+        "rounds": budget.rounds,
+        "sim_top_k": budget.sim_top_k,
+        "max_model_evals": budget.max_model_evals,
+        "model_evals": total_evals,
+        "simulations": total_sims,
+        "sim_fraction": us(total_sims as f64 / total_evals.max(1) as f64),
+        "all_rows_win": all_win,
+        "any_strictly_better": any_strict,
+        "verified_strict": all_verified,
+        "win": gate,
+        "rows": sweep,
     };
-    let (farm_cold_s, _) = farm_pass(false);
-    let (farm_warm_s, warm_hit_rate) = farm_pass(true);
-
-    // -- Phase 3: in-flight dedup ---------------------------------------
-    let dedup_dir = root.join("dedup");
-    let n_dedup = 8usize;
-    let session = ServeSession::builder(&dedup_dir)
-        .jobs(jobs.max(4))
-        .builtins(false)
-        .open()
-        .expect("open serve session");
-    session
-        .register_synth(&SynthConfig { name: "dedup".into(), seed: 0xded, ..synth::dme_config() })
-        .expect("register dedup mechanism");
-    let dreq = mk_req("dedup");
-    let tickets: Vec<_> =
-        (0..n_dedup).map(|_| session.submit(&dreq).expect("submit")).collect();
-    for t in tickets {
-        t.wait().expect("dedup compile");
-    }
-    let dstats = session.stats();
-    drop(session);
-    let _ = std::fs::remove_dir_all(&root);
-
-    println!("== serve-bench (compile-farm service layer) ==");
-    println!("primary: {primary} on {} (jobs={jobs})", arch.arch().name);
-    println!("  cold first         {:>9.3} ms", cold_first * 1e3);
-    println!("  cold best-of-{reps}     {:>9.3} ms", cold_best * 1e3);
-    println!(
-        "  warm best-of-{reps}     {:>9.3} ms   ({warm_speedup:.1}x vs cold, post-restart)",
-        warm_best * 1e3
-    );
-    println!("farm: {n_farm} mechanisms through the sharded scheduler");
-    println!(
-        "  cold pass          {:>9.3} s    ({:.1} compiles/s)",
-        farm_cold_s,
-        n_farm as f64 / farm_cold_s
-    );
-    println!(
-        "  warm pass          {:>9.3} s    ({:.1} compiles/s, hit rate {:.2})",
-        farm_warm_s,
-        n_farm as f64 / farm_warm_s,
-        warm_hit_rate
-    );
-    println!(
-        "dedup: {n_dedup} identical concurrent requests -> {} cold compile(s), \
-         {} joined, {} warm",
-        dstats.cold_compiles, dstats.inflight_joins, dstats.warm_hits
-    );
-
-    let mut failed = false;
-    if dstats.cold_compiles != 1 {
-        eprintln!(
-            "serve-bench FAILED: expected exactly 1 cold compile under dedup, got {}",
-            dstats.cold_compiles
-        );
-        failed = true;
-    }
-    if warm_speedup < 2.0 {
-        eprintln!("serve-bench FAILED: warm speedup {warm_speedup:.2}x < 2x");
-        failed = true;
-    }
-
-    if std::env::var("SINGE_BENCH_JSON").as_deref() != Ok("0") {
-        let entry = format!(
-            "\"serve\": {{\"kernel\": \"{primary}\", \"arch\": \"{arch_short}\", \
-             \"cold_first_ms\": {:.3}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \
-             \"warm_speedup\": {warm_speedup:.1}, \"farm_mechs\": {n_farm}, \
-             \"cold_compiles_per_sec\": {:.1}, \"warm_compiles_per_sec\": {:.1}, \
-             \"warm_hit_rate\": {warm_hit_rate:.2}, \"dedup_requests\": {n_dedup}, \
-             \"dedup_cold_compiles\": {}}}",
-            cold_first * 1e3,
-            cold_best * 1e3,
-            warm_best * 1e3,
-            n_farm as f64 / farm_cold_s,
-            n_farm as f64 / farm_warm_s,
-            dstats.cold_compiles,
-        );
-        upsert_solo_entry("serve", &entry);
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    (entry, gate)
 }
 
 /// Figure 3: mechanism characteristics table.
@@ -1562,8 +1054,8 @@ fn profile_report(dme: &Mechanism, archs: &[GpuArch]) -> usize {
     }
     println!();
     std::fs::create_dir_all("target").ok();
-    std::fs::write("target/profile.json", profile_rows_to_json(&rows))
-        .expect("write profile.json");
+    let profile = Json::Array(rows.iter().map(ProfileRow::to_json).collect());
+    std::fs::write("target/profile.json", profile.document()).expect("write profile.json");
     let groups: Vec<(&str, &[gpu_sim::TraceEvent])> =
         traces.iter().map(|(n, e)| (n.as_str(), e.as_slice())).collect();
     std::fs::write("target/profile_trace.json", gpu_sim::chrome_trace_json(&groups))
@@ -1643,10 +1135,10 @@ fn model_report(dme: &Mechanism, archs: &[GpuArch]) -> bool {
     let sims: Vec<f64> = rows.iter().map(|r| r.simulated_seconds).collect();
     let rho = spearman(&preds, &sims);
     println!("\nSpearman(predicted, simulated) over {} rows: {rho:.4}", rows.len());
-    let json = model_report_json(&rows);
-    let gate_ok = json.contains("\"gate_ok\": true");
+    let report = model_report_json(&rows);
+    let gate_ok = report.get("summary").and_then(|s| s.get("gate_ok")) == Some(&Json::Bool(true));
     std::fs::create_dir_all("target").ok();
-    std::fs::write("target/model.json", &json).expect("write model.json");
+    std::fs::write("target/model.json", report.document()).expect("write model.json");
     eprintln!("[wrote {} rows to target/model.json, gate_ok={gate_ok}]", rows.len());
     gate_ok
 }

@@ -10,16 +10,18 @@
 //! constant registers and its 32-bit registers per thread against the
 //! architecture's ceiling.
 //!
-//! The rows land in the one-line `fidelity` entry of `BENCH_report.json`.
-//! The gate is monotone: against the committed entry, no cell's gap may
-//! widen (CI lets a widening through only with an EXPERIMENTS.md change
-//! that says so).
+//! The rows are the `fidelity` entry of `BENCH_report.json`
+//! ([`crate::record`]). The gate is monotone: against a committed record,
+//! no cell's gap may widen (CI lets a widening through only with an
+//! EXPERIMENTS.md change that says so).
 
 use std::fmt::Write as _;
 
 use chemkin::Mechanism;
 use gpu_sim::arch::GpuArch;
 
+use crate::object;
+use crate::record::{self, Json};
 use crate::{build, timing_report, Kind, Variant};
 
 const PAPER_REFERENCE: &str =
@@ -28,24 +30,6 @@ const PAPER_REFERENCE: &str =
 /// Grid the speedups are read at (the benchmark's: the middle of 32^3,
 /// 64^3 and 128^3).
 const GRID_POINTS: usize = 64 * 64 * 64;
-
-/// The value of `"key": value` in a flat JSON object's text, quotes
-/// stripped. Enough for the two sources read here, both written one flat
-/// object per cell: the benchmark's reference file and this module's rows.
-fn field<'a>(object: &'a str, key: &str) -> Option<&'a str> {
-    let start = object.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let rest = object[start..].trim_start();
-    if let Some(quoted) = rest.strip_prefix('"') {
-        return quoted.split('"').next();
-    }
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// The flat objects of `text` that have a `key` field, in order.
-fn objects_with<'a>(text: &'a str, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-    text.split('{').filter(move |o| field(o, key).is_some())
-}
 
 /// One cell of the paper's figures 11–16: the band its speedup was read as.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,16 +50,18 @@ pub struct PaperBand {
 
 /// The twelve bands of `benchmark/paper_reference.json`.
 pub fn paper_bands() -> Vec<PaperBand> {
-    objects_with(PAPER_REFERENCE, "kernel")
+    let reference = record::parse(PAPER_REFERENCE.as_bytes()).expect("the paper reference parses");
+    let cells = reference.get("cells").expect("the paper reference lists cells").items();
+    cells
+        .iter()
         .map(|o| {
-            let text =
-                |key| field(o, key).unwrap_or_else(|| panic!("paper cell without {key}: {o}"));
-            let num =
-                |key| text(key).parse::<f64>().unwrap_or_else(|e| panic!("{key} in {o}: {e}"));
+            let field = |key| o.get(key).unwrap_or_else(|| panic!("paper cell without {key}: {o:?}"));
+            let text = |key| field(key).as_str().unwrap_or_else(|| panic!("{key} of {o:?} is no string"));
+            let num = |key| field(key).as_f64().unwrap_or_else(|| panic!("{key} of {o:?} is no number"));
             let (kernel, mech, arch) = (text("kernel"), text("mech"), text("arch"));
             PaperBand {
                 cell: format!("{kernel}-{mech}-{arch}"),
-                kind: kernel.parse().unwrap_or_else(|e| panic!("paper cell {o}: {e}")),
+                kind: kernel.parse().unwrap_or_else(|e| panic!("paper cell {o:?}: {e}")),
                 mech: mech.to_string(),
                 arch: arch.to_string(),
                 lo: num("lo"),
@@ -108,19 +94,17 @@ impl FidelityRow {
         (self.speedup / paper).max(paper / self.speedup)
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"cell\": \"{}\", \"speedup\": {}, \"paper_lo\": {}, \"paper_hi\": {}, \
-             \"gap\": {}, \"const_regs\": {}, \"regs32\": {}, \"reg_ceiling\": {}}}",
-            self.band.cell,
-            self.speedup,
-            self.band.lo,
-            self.band.hi,
-            self.gap(),
-            self.const_regs,
-            self.regs32,
-            self.reg_ceiling
-        )
+    fn json(&self) -> Json {
+        object! {
+            "cell": &self.band.cell,
+            "speedup": self.speedup,
+            "paper_lo": self.band.lo,
+            "paper_hi": self.band.hi,
+            "gap": self.gap(),
+            "const_regs": self.const_regs,
+            "regs32": self.regs32,
+            "reg_ceiling": self.reg_ceiling,
+        }
     }
 }
 
@@ -190,37 +174,31 @@ pub fn render(rows: &[FidelityRow]) -> String {
     out
 }
 
-/// The one-line `fidelity` entry of `BENCH_report.json`: the rows, with
-/// where and how they were measured (`sha` is the commit the tree was at,
-/// `-dirty` when it had uncommitted changes; the simulated numbers do not
-/// depend on the host, which is recorded all the same).
-pub fn entry(rows: &[FidelityRow], sha: &str, host: &str) -> String {
-    let cells: Vec<String> = rows.iter().map(FidelityRow::json).collect();
-    format!(
-        "\"fidelity\": {{\"sha\": \"{sha}\", \"host\": \"{host}\", \"options\": \"serve defaults; \
-         baseline at 8 warps from the same graph; 64^3; bands of benchmark/paper_reference.json\", \
-         \"unit\": \"x (ws over baseline points/s)\", \"paper_gap_geomean\": {}, \"rows\": [{}]}}",
-        gap_geomean(rows),
-        cells.join(", ")
-    )
+/// The `fidelity` entry of `BENCH_report.json`: the rows and how they
+/// were measured (units and host are the record's `provenance`).
+pub fn entry(rows: &[FidelityRow]) -> Json {
+    object! {
+        "options": "serve defaults; baseline at 8 warps from the same graph; 64^3; \
+                    bands of benchmark/paper_reference.json",
+        "paper_gap_geomean": gap_geomean(rows),
+        "rows": rows.iter().map(FidelityRow::json).collect::<Vec<_>>(),
+    }
 }
 
-/// The cells whose gap is wider than in `committed` (the text of a
-/// `BENCH_report.json`), as (cell, committed gap, gap now). A cell the
-/// committed table lacks has nothing to widen against.
-pub fn widened(rows: &[FidelityRow], committed: &str) -> Vec<(String, f64, f64)> {
-    let Some(line) = committed.lines().find(|l| l.trim_start().starts_with("\"fidelity\":")) else {
-        return Vec::new();
-    };
-    let was: Vec<(&str, f64)> = objects_with(line, "cell")
-        .filter_map(|o| Some((field(o, "cell")?, field(o, "gap")?.parse().ok()?)))
-        .collect();
+/// The cells whose gap is wider than in `committed` (a parsed
+/// `BENCH_report.json`, of this layout or an older one: the `fidelity`
+/// entry's rows have always named their `cell` and `gap`), as (cell,
+/// committed gap, gap now). A cell the committed table lacks has nothing to
+/// widen against.
+pub fn widened(rows: &[FidelityRow], committed: &Json) -> Vec<(String, f64, f64)> {
+    let was = committed.get("fidelity").and_then(|f| f.get("rows")).map_or(&[][..], Json::items);
     rows.iter()
         .filter_map(|r| {
-            let (_, before) = was.iter().find(|(cell, _)| *cell == r.band.cell)?;
+            let row = was.iter().find(|o| o.get("cell").and_then(Json::as_str) == Some(&r.band.cell))?;
+            let before = row.get("gap")?.as_f64()?;
             // The simulated numbers repeat exactly; the slack is for a
             // libm that rounds a last digit differently.
-            (r.gap() > before * (1.0 + 1e-9)).then(|| (r.band.cell.clone(), *before, r.gap()))
+            (r.gap() > before * (1.0 + 1e-9)).then(|| (r.band.cell.clone(), before, r.gap()))
         })
         .collect()
 }
@@ -260,7 +238,8 @@ mod tests {
         let rows = [row("a", 2.0, 1.0, 1.0), row("b", 0.5, 0.9, 1.1), row("c", 1.4, 1.33, 1.5)];
         assert_eq!([rows[0].gap(), rows[1].gap()], [2.0, 2.0]);
         assert!((gap_geomean(&rows[..2]) - 2.0).abs() < 1e-12);
-        let doc = format!("{{\n  {},\n  \"runs\": []\n}}\n", entry(&rows, "abc1234", "host"));
+        let doc = object! { "fidelity": entry(&rows) };
+        let doc = record::parse(doc.document().as_bytes()).expect("the entry parses back");
         // Nothing widens against itself, whatever the digits.
         assert_eq!(widened(&rows, &doc), []);
         // Closer to the band: fine. Further, on either side: reported.
@@ -269,7 +248,32 @@ mod tests {
         assert_eq!(wide.iter().map(|w| w.0.as_str()).collect::<Vec<_>>(), ["b", "c"]);
         assert_eq!((wide[0].1, wide[0].2), (2.0, 2.5));
         // No committed table, or a new cell: nothing to compare with.
-        assert_eq!(widened(&now, "{}"), []);
+        assert_eq!(widened(&now, &object! {}), []);
         assert_eq!(widened(&[row("new", 9.0, 1.0, 1.0)], &doc), []);
+    }
+
+    #[test]
+    fn the_gate_reads_the_layout_the_record_had_before_it_was_one_document() {
+        // The file as committed at ab9893d, abridged: one entry per line,
+        // wall-clock lines around them.
+        let old = record::parse(
+            br#"{
+  "jobs": 2,
+  "total_seconds": 16.423,
+  "fidelity": {"sha": "3cc6ad1", "host": "2 cpus, linux/x86_64", "unit": "x (ws over baseline points/s)", "paper_gap_geomean": 1.3176641665660613, "rows": [{"cell": "viscosity-dme-fermi", "speedup": 1.1735645575259317, "paper_lo": 1.2, "paper_hi": 1.3, "gap": 1.065131007905698, "const_regs": 8, "regs32": 58, "reg_ceiling": 63}, {"cell": "diffusion-dme-kepler", "speedup": 2.41, "paper_lo": 2.5, "paper_hi": 2.5, "gap": 1.0373443983402488, "const_regs": 5, "regs32": 66, "reg_ceiling": 255}]},
+  "runs": [
+    {"jobs": 2, "total_seconds": 16.423}
+  ],
+  "figures": [
+    {"figure": "verify", "seconds": 6.436, "rows": 54}
+  ]
+}
+"#,
+        )
+        .expect("the old layout is JSON");
+        let now = [row("viscosity-dme-fermi", 1.1735645575259317, 1.2, 1.3), row("diffusion-dme-kepler", 2.2, 2.5, 2.5)];
+        let wide = widened(&now, &old);
+        assert_eq!(wide.len(), 1, "{wide:?}");
+        assert_eq!((wide[0].0.as_str(), wide[0].1), ("diffusion-dme-kepler", 1.0373443983402488));
     }
 }

@@ -26,6 +26,9 @@ use singe::kernels::{chemistry, diffusion, launch_arrays, viscosity};
 use singe::Compiler;
 
 pub mod fidelity;
+pub mod record;
+
+use record::Json;
 
 pub use singe::Variant;
 // The typed id surface lives in the serve layer (it keys the persistent
@@ -426,45 +429,26 @@ pub fn profile_row(
 }
 
 impl ProfileRow {
-    /// JSON object for this row (hand-rolled; the build is offline).
-    pub fn to_json(&self) -> String {
-        let by_id: Vec<String> = self.barrier_wait_by_id.iter().map(|v| v.to_string()).collect();
-        format!(
-            "{{\"kernel\": {}, \"mechanism\": {}, \"arch\": {}, \"variant\": {}, \
-             \"warps\": {}, \"total_cycles\": {}, \"issue\": {}, \"barrier_wait\": {}, \
-             \"icache_miss\": {}, \"const_replay\": {}, \"overhead\": {}, \"idle\": {}, \
-             \"barrier_wait_by_id\": [{}], \"attribution_ok\": {}}}",
-            json_string(&self.kernel),
-            json_string(&self.mechanism),
-            json_string(&self.arch),
-            json_string(&self.variant),
-            self.warps,
-            self.total_cycles,
-            self.issue,
-            self.barrier_wait,
-            self.icache_miss,
-            self.const_replay,
-            self.overhead,
-            self.idle,
-            by_id.join(", "),
-            self.attribution_ok,
-        )
-    }
-}
-
-/// Serialize profile rows as a pretty-printed JSON array.
-pub fn profile_rows_to_json(rows: &[ProfileRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&r.to_json());
-        if i + 1 < rows.len() {
-            out.push(',');
+    /// This row as an element of `target/profile.json`.
+    pub fn to_json(&self) -> Json {
+        let by_id: Vec<Json> = self.barrier_wait_by_id.iter().map(|&v| Json::from(v)).collect();
+        object! {
+            "kernel": &self.kernel,
+            "mechanism": &self.mechanism,
+            "arch": &self.arch,
+            "variant": &self.variant,
+            "warps": self.warps,
+            "total_cycles": self.total_cycles,
+            "issue": self.issue,
+            "barrier_wait": self.barrier_wait,
+            "icache_miss": self.icache_miss,
+            "const_replay": self.const_replay,
+            "overhead": self.overhead,
+            "idle": self.idle,
+            "barrier_wait_by_id": by_id,
+            "attribution_ok": self.attribution_ok,
         }
-        out.push('\n');
     }
-    out.push(']');
-    out
 }
 
 /// Predict `built`'s performance on `arch` for `grid_points` using the
@@ -552,25 +536,21 @@ pub struct ModelRow {
 }
 
 impl ModelRow {
-    /// JSON object for this row (hand-rolled; the build is offline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kernel\": {}, \"mechanism\": {}, \"arch\": {}, \"variant\": {}, \
-             \"warps\": {}, \"grid_points\": {}, \"predicted_seconds\": {}, \
-             \"simulated_seconds\": {}, \"ratio\": {}, \"predicted_cycles\": {}, \
-             \"profiled_cycles\": {}}}",
-            json_string(&self.kernel),
-            json_string(&self.mechanism),
-            json_string(&self.arch),
-            json_string(&self.variant),
-            self.warps,
-            self.grid_points,
-            json_f64(self.predicted_seconds),
-            json_f64(self.simulated_seconds),
-            json_f64(self.ratio),
-            self.predicted_cycles,
-            self.profiled_cycles,
-        )
+    /// This row as an element of `target/model.json`'s `rows`.
+    pub fn to_json(&self) -> Json {
+        object! {
+            "kernel": &self.kernel,
+            "mechanism": &self.mechanism,
+            "arch": &self.arch,
+            "variant": &self.variant,
+            "warps": self.warps,
+            "grid_points": self.grid_points,
+            "predicted_seconds": self.predicted_seconds,
+            "simulated_seconds": self.simulated_seconds,
+            "ratio": self.ratio,
+            "predicted_cycles": self.predicted_cycles,
+            "profiled_cycles": self.profiled_cycles,
+        }
     }
 }
 
@@ -582,9 +562,9 @@ pub const MODEL_GATE_SPEARMAN: f64 = 0.8;
 /// `[1/MODEL_GATE_RATIO, MODEL_GATE_RATIO]`.
 pub const MODEL_GATE_RATIO: f64 = 2.0;
 
-/// Serialize the model-accuracy report: a summary object (Spearman, ratio
-/// envelope, gate verdict) followed by the per-kernel rows.
-pub fn model_report_json(rows: &[ModelRow]) -> String {
+/// The model-accuracy report (`target/model.json`): a summary object
+/// (Spearman, ratio envelope, gate verdict) and the per-kernel rows.
+pub fn model_report_json(rows: &[ModelRow]) -> Json {
     let preds: Vec<f64> = rows.iter().map(|r| r.predicted_seconds).collect();
     let sims: Vec<f64> = rows.iter().map(|r| r.simulated_seconds).collect();
     let rho = spearman(&preds, &sims);
@@ -594,29 +574,16 @@ pub fn model_report_json(rows: &[ModelRow]) -> String {
         && rho >= MODEL_GATE_SPEARMAN
         && ratio_min >= 1.0 / MODEL_GATE_RATIO
         && ratio_max <= MODEL_GATE_RATIO;
-    let mut out = String::from("{\n  \"summary\": ");
-    out.push_str(&format!(
-        "{{\"rows\": {}, \"spearman\": {}, \"ratio_min\": {}, \"ratio_max\": {}, \
-         \"gate_spearman\": {}, \"gate_ratio\": {}, \"gate_ok\": {}}},\n",
-        rows.len(),
-        json_f64(rho),
-        json_f64(if ratio_min.is_finite() { ratio_min } else { 0.0 }),
-        json_f64(if ratio_max.is_finite() { ratio_max } else { 0.0 }),
-        json_f64(MODEL_GATE_SPEARMAN),
-        json_f64(MODEL_GATE_RATIO),
-        gate_ok,
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.to_json());
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}");
-    out
+    let summary = object! {
+        "rows": rows.len(),
+        "spearman": rho,
+        "ratio_min": if ratio_min.is_finite() { ratio_min } else { 0.0 },
+        "ratio_max": if ratio_max.is_finite() { ratio_max } else { 0.0 },
+        "gate_spearman": MODEL_GATE_SPEARMAN,
+        "gate_ratio": MODEL_GATE_RATIO,
+        "gate_ok": gate_ok,
+    };
+    object! { "summary": summary, "rows": rows.iter().map(ModelRow::to_json).collect::<Vec<_>>() }
 }
 
 /// One output row (a point in a paper figure).
@@ -669,66 +636,22 @@ pub fn row(figure: &str, kind: Kind, mech: &str, arch: &GpuArch, variant: Varian
 }
 
 impl Row {
-    /// JSON object for this row (the build is offline, so serialization
-    /// is hand-rolled rather than serde-derived).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"figure\": {}, \"kernel\": {}, \"mechanism\": {}, \"arch\": {}, \
-             \"variant\": {}, \"x\": {}, \"points_per_sec\": {}, \"gflops\": {}, \
-             \"bandwidth_gbs\": {}, \"spilled_bytes\": {}, \"limiter\": {}, \"seconds\": {}}}",
-            json_string(&self.figure),
-            json_string(&self.kernel),
-            json_string(&self.mechanism),
-            json_string(&self.arch),
-            json_string(&self.variant),
-            self.x,
-            json_f64(self.points_per_sec),
-            json_f64(self.gflops),
-            json_f64(self.bandwidth_gbs),
-            self.spilled_bytes,
-            json_string(&self.limiter),
-            json_f64(self.seconds),
-        )
-    }
-}
-
-/// Serialize a slice of rows as a pretty-printed JSON array.
-pub fn rows_to_json(rows: &[Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&r.to_json());
-        if i + 1 < rows.len() {
-            out.push(',');
+    /// This row as an element of `target/report.json`.
+    pub fn to_json(&self) -> Json {
+        object! {
+            "figure": &self.figure,
+            "kernel": &self.kernel,
+            "mechanism": &self.mechanism,
+            "arch": &self.arch,
+            "variant": &self.variant,
+            "x": self.x,
+            "points_per_sec": self.points_per_sec,
+            "gflops": self.gflops,
+            "bandwidth_gbs": self.bandwidth_gbs,
+            "spilled_bytes": self.spilled_bytes,
+            "limiter": &self.limiter,
+            "seconds": self.seconds,
         }
-        out.push('\n');
-    }
-    out.push(']');
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 
@@ -773,13 +696,12 @@ mod tests {
             predicted_cycles: 100,
             profiled_cycles: 100,
         };
-        let good = model_report_json(&[row(1.0, 1.1), row(2.0, 1.9), row(3.0, 3.2)]);
-        assert!(good.contains("\"gate_ok\": true"), "{good}");
+        let gate = |rows: &[ModelRow]| model_report_json(rows).get("summary")?.get("gate_ok").cloned();
+        assert_eq!(gate(&[row(1.0, 1.1), row(2.0, 1.9), row(3.0, 3.2)]), Some(Json::Bool(true)));
         // A 3x over-prediction violates the ratio band even though ranks
         // still agree.
-        let bad = model_report_json(&[row(1.0, 1.1), row(6.0, 2.0), row(9.0, 3.2)]);
-        assert!(bad.contains("\"gate_ok\": false"), "{bad}");
-        assert!(model_report_json(&[]).contains("\"gate_ok\": false"));
+        assert_eq!(gate(&[row(1.0, 1.1), row(6.0, 2.0), row(9.0, 3.2)]), Some(Json::Bool(false)));
+        assert_eq!(gate(&[]), Some(Json::Bool(false)));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use chemkin::synth;
 use gpu_sim::arch::GpuArch;
 use singe::config::CompileOptions;
 use singe_bench::{
-    build_with_options, profile_built, profile_row, profile_rows_to_json, Kind, ProfileRow,
+    build_with_options, profile_built, profile_row, Kind, ProfileRow,
     Variant,
 };
 
@@ -87,7 +87,7 @@ fn breakdown_is_bit_stable_across_runs_and_jobs() {
             let prof = profile_built(&b, &arch, false);
             profile_row(Kind::Diffusion, &m.name, &arch, variant, &prof)
         });
-        profile_rows_to_json(&rows)
+        rows.iter().map(|r| r.to_json().line()).collect()
     };
     assert_eq!(rows_at(1), rows_at(8), "profile rows must not depend on pool width");
 }

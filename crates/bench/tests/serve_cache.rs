@@ -9,10 +9,7 @@ use std::process::Command;
 fn run_report(figure: &str, dir: &Path, serve_cache: Option<&Path>) -> Vec<u8> {
     std::fs::create_dir_all(dir).expect("mkdir");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_report"));
-    cmd.args([figure, "--jobs", "2"])
-        .current_dir(dir)
-        // Timing JSON is wall-clock and never identical; keep it out.
-        .env("SINGE_BENCH_JSON", "0");
+    cmd.args([figure, "--jobs", "2"]).current_dir(dir);
     match serve_cache {
         Some(cache) => cmd.env("SINGE_SERVE_CACHE", cache),
         None => cmd.env_remove("SINGE_SERVE_CACHE"),
@@ -34,6 +31,8 @@ fn report_is_bit_identical_through_serve_cache() {
     let base = std::env::temp_dir().join(format!("singe-serve-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let cache = base.join("cache");
+    let record_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
+    let record_before = std::fs::read(record_path).expect("the committed record");
 
     let direct = run_report(figure, &base.join("direct"), None);
     let cold = run_report(figure, &base.join("cold"), Some(&cache));
@@ -48,6 +47,8 @@ fn report_is_bit_identical_through_serve_cache() {
     std::fs::remove_dir_all(&base).ok();
 
     assert!(!direct.is_empty(), "report produced no output");
+    let record_after = std::fs::read(record_path).expect("the committed record");
+    assert!(record_before == record_after, "report {figure} rewrote BENCH_report.json");
     assert!(n_artifacts > 0, "serve-routed run persisted no artifacts");
     assert_eq!(
         direct, cold,

@@ -442,6 +442,11 @@ pub struct ExploredPoint {
     pub round: usize,
 }
 
+/// Batch cost closure: candidates in, model-predicted probe seconds out, in
+/// input order (`Err` = why the candidate did not compile, carried onto
+/// the corresponding [`SearchPoint`]).
+pub type ScoreFn<'a> = dyn FnMut(&[CompileOptions]) -> Vec<Result<f64, String>> + 'a;
+
 /// Batch oracle closure: chosen survivors in, measured probe seconds
 /// out, in input order (`Err` = launch failure, carried verbatim onto
 /// the corresponding [`SearchPoint`]).
@@ -580,10 +585,9 @@ pub struct SearchPoint {
     /// Oracle-simulated probe seconds (`None` = pruned from simulation,
     /// or the candidate failed — see `failure`).
     pub simulated_seconds: Option<f64>,
-    /// Why a candidate that was not pruned has no time. [`run_search`]
-    /// records the oracle's `Launch` failures; compile messages are
-    /// attached by the binding that saw them
-    /// ([`SearchOutcome::record_compile_failures`]).
+    /// Why a candidate that was not pruned has no time: the oracle's
+    /// `Launch` error, or the message `score` gave for a compile that
+    /// failed ([`run_search_explained`]).
     pub failure: Option<TuneFailure>,
     /// Expansion round that produced the candidate (0 = seed beam).
     pub round: usize,
@@ -634,29 +638,11 @@ impl SearchOutcome {
             self.simulations as f64 / self.model_evals as f64
         }
     }
-
-    /// Attach the compile messages a `score` closure collected (keyed by
-    /// [`SearchSpace::key`]) to the points that did not compile — the
-    /// closure's frozen type can only say `+inf`.
-    pub fn record_compile_failures(&mut self, messages: &HashMap<String, String>) {
-        for p in self.points.iter_mut().filter(|p| p.predicted_seconds.is_none()) {
-            if let Some(m) = messages.get(&SearchSpace::key(&p.options)) {
-                p.failure = Some(TuneFailure::Compile(m.clone()));
-            }
-        }
-    }
 }
 
-/// Run an explorer end to end with caller-supplied cost and oracle
-/// closures, returning the full [`SearchOutcome`].
-///
-/// This is the driver behind [`Tuner::tune`] and the serve layer's
-/// mirror: `score` maps a candidate batch to model-predicted seconds
-/// (`+inf` = did not compile), `simulate` maps the chosen survivors to
-/// measured probe seconds (`Err` = launch failure). The oracle phase
-/// ranks every finite-scored candidate by (prediction, evaluation
-/// order), simulates the top `budget.sim_top_k`, and picks the best
-/// simulated time (strict `<`, first-best-wins in rank order).
+/// [`run_search_explained`] for a `score` that can only say `+inf` of a
+/// candidate that did not compile: such a point carries no `failure`. Kept
+/// with this signature because the frozen `benchmark/` crate calls it.
 pub fn run_search(
     strategy: &dyn ScheduleSearch,
     space: &SearchSpace,
@@ -665,7 +651,43 @@ pub fn run_search(
     score: &mut dyn FnMut(&[CompileOptions]) -> Vec<f64>,
     simulate: &mut SimulateFn<'_>,
 ) -> CResult<SearchOutcome> {
-    let explored = strategy.explore(space, base, budget, score);
+    let mut score = |cands: &[CompileOptions]| score(cands).into_iter().map(Ok).collect();
+    run_search_explained(strategy, space, base, budget, &mut score, simulate)
+}
+
+/// Run an explorer end to end with caller-supplied cost and oracle
+/// closures, returning the full [`SearchOutcome`].
+///
+/// This is the driver behind [`Tuner::tune`] and the serve layer's
+/// mirror: `score` maps a candidate batch to model-predicted seconds
+/// (`Err` = the compile message of a candidate that did not compile),
+/// `simulate` maps the chosen survivors to measured probe seconds (`Err` =
+/// launch failure). The oracle phase ranks every finite-scored candidate
+/// by (prediction, evaluation order), simulates the top
+/// `budget.sim_top_k`, and picks the best simulated time (strict `<`,
+/// first-best-wins in rank order). When no candidate ran, the error
+/// carries the first failure in candidate order.
+pub fn run_search_explained(
+    strategy: &dyn ScheduleSearch,
+    space: &SearchSpace,
+    base: &CompileOptions,
+    budget: &SearchBudget,
+    score: &mut ScoreFn<'_>,
+    simulate: &mut SimulateFn<'_>,
+) -> CResult<SearchOutcome> {
+    // The explorers see a failed compile as +inf (never chosen for
+    // simulation); its message waits here, by candidate, for the points.
+    let mut compile_failures: HashMap<String, String> = HashMap::new();
+    let mut seconds = |cands: &[CompileOptions]| -> Vec<f64> {
+        let or_inf = |(scored, o): (Result<f64, String>, &CompileOptions)| {
+            scored.unwrap_or_else(|message| {
+                compile_failures.insert(SearchSpace::key(o), message);
+                f64::INFINITY
+            })
+        };
+        score(cands).into_iter().zip(cands).map(or_inf).collect()
+    };
+    let explored = strategy.explore(space, base, budget, &mut seconds);
     let model_evals = explored.len();
 
     // Oracle phase: rank by (predicted, eval order), simulate the top K.
@@ -681,12 +703,16 @@ pub fn run_search(
 
     let mut points: Vec<SearchPoint> = explored
         .into_iter()
-        .map(|p| SearchPoint {
-            options: p.options,
-            predicted_seconds: p.predicted_seconds.is_finite().then_some(p.predicted_seconds),
-            simulated_seconds: None,
-            failure: None,
-            round: p.round,
+        .map(|p| {
+            let compiled = p.predicted_seconds.is_finite();
+            let message = if compiled { None } else { compile_failures.get(&SearchSpace::key(&p.options)) };
+            SearchPoint {
+                predicted_seconds: compiled.then_some(p.predicted_seconds),
+                simulated_seconds: None,
+                failure: message.map(|m| TuneFailure::Compile(m.clone())),
+                round: p.round,
+                options: p.options,
+            }
         })
         .collect();
     let mut best: Option<(f64, usize)> = None;
@@ -704,7 +730,11 @@ pub fn run_search(
         }
     }
     let (best_seconds, bi) = best.ok_or_else(|| {
-        crate::CompileError::ResourceExhausted("no schedule-search candidate ran".into())
+        let why = match points.iter().find_map(|p| p.failure.as_ref()) {
+            Some(first) => format!("no schedule-search candidate ran; the first {first}"),
+            None => "no schedule-search candidate ran".into(),
+        };
+        crate::CompileError::ResourceExhausted(why)
     })?;
 
     // Trajectory rollup: cumulative bests per round.
@@ -820,22 +850,13 @@ impl Tuner {
             let facts = facts.as_ref().map_err(Clone::clone)?;
             compile_analysed(dfg, facts, o, arch, StageTimer::new(None))
         };
-        let mut compile_failures = HashMap::new();
-        let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
-            let scored = run_ordered(jobs, cands.len(), |i| {
+        let mut score = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
+            run_ordered(jobs, cands.len(), |i| {
                 let c = build(&cands[i]).map_err(|e| e.to_string())?;
                 let grid = probe_grid(&c.kernel, probe_points);
                 let predicted = crate::perfmodel::predict_flat(&c.kernel, &c.flat(), arch, grid);
                 Ok(predicted.map_or(f64::INFINITY, |m| m.seconds()))
-            });
-            // Failed compiles score +inf: never chosen for simulation.
-            let or_inf = |(r, o): (Result<f64, String>, &CompileOptions)| {
-                r.unwrap_or_else(|message| {
-                    compile_failures.insert(SearchSpace::key(o), message);
-                    f64::INFINITY
-                })
-            };
-            scored.into_iter().zip(cands).map(or_inf).collect()
+            })
         };
         let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
             run_ordered(jobs, cands.len(), |i| {
@@ -850,9 +871,9 @@ impl Tuner {
             })
         };
         let base = self.compiler.options_ref();
-        let mut outcome =
-            run_search(explorer, &self.space, base, &self.budget, &mut score, &mut simulate)?;
-        outcome.record_compile_failures(&compile_failures);
+        let outcome = run_search_explained(
+            explorer, &self.space, base, &self.budget, &mut score, &mut simulate,
+        )?;
         // Re-compile the winner (compilation is deterministic, and the
         // verifier remembers its verdict) so callers get a runnable artifact.
         let best = build(&outcome.best_options)?;
@@ -966,6 +987,26 @@ mod tests {
         assert!(r.points[0].failure.is_none());
         assert!(r.points[1].simulated_seconds.is_none());
         assert!(matches!(r.points[1].failure, Some(TuneFailure::Compile(_))));
+    }
+
+    #[test]
+    fn a_lone_failing_candidate_is_returned_with_its_reason() {
+        // The one-slot buffered placement cannot hold the kernel's live
+        // values: no candidate runs, and the error says why the first did
+        // not, in the compiler's words.
+        let arch = GpuArch::kepler_k20c();
+        let lone = CompileOptions::builder().warps(3).placement(Placement::Buffer(1)).build();
+        let reason = Compiler::new(&arch).options(lone.clone()).compile(&small_dfg(), crate::Variant::WarpSpecialized);
+        let reason = reason.expect_err("a one-slot buffer does not fit").to_string();
+        let tuned = Compiler::new(&arch).search().tune(
+            &small_dfg(),
+            &FixedList(std::slice::from_ref(&lone)),
+            256,
+            &probe_inputs(6, 1),
+        );
+        let error = tuned.expect_err("no candidate ran").to_string();
+        assert!(error.contains("no schedule-search candidate ran"), "{error}");
+        assert!(error.contains(&reason), "{error} should carry {reason}");
     }
 
     #[test]

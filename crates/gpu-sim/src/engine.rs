@@ -53,8 +53,8 @@
 //! register file.
 //!
 //! Lowering is linear in the stream. Every pass is one walk over the
-//! warp's uops that asks its questions — who wrote this chunk last, is
-//! this copy still valid, is the chunk live, what constant does it hold —
+//! warp's uops that asks its questions — is this copy still valid, is the
+//! chunk live, what constant does it hold —
 //! of one dense, generation-stamped `ChunkTable` indexed by register
 //! chunk: an array read per operand, an O(1) reset per pass, no hashing
 //! and no rescans. Three visitors (`for_each_read_chunk`,
@@ -62,15 +62,8 @@
 //! enumerate micro-op operands, so a pass states its transfer function
 //! once instead of re-matching the ISA. The body around the passes
 //! resolves addresses on the stack and deduplicates address/constant
-//! chunks through a word-at-a-time hash; tombstones compact in place. The
-//! one super-linear corner is deliberate: an `exp(a)*exp(b)` *structural*
-//! candidate (both operands last written by an `Exp` — found in O(1)) has
-//! its feasibility proven by scans from the earlier `Exp` to the operand
-//! registers' next use after the mul.
-//!
-//! Set `SINGE_ENGINE_STATS=1` for a post-optimization
-//! micro-op histogram on stderr, plus `SINGE_ENGINE_DUMP=<warp>` to dump
-//! that warp's segments and micro-ops.
+//! chunks through a word-at-a-time hash; tombstones compact in place.
+//! [`crate::flatcache::engine_stats`] returns the lowered program's op mix.
 //!
 //! Lowered programs are cached process-wide by the kernel's structural
 //! fingerprint (see [`crate::flatcache::engine_cached`]); lowering is
@@ -192,19 +185,6 @@ enum UOp {
     CpAsync { addrs: u32, array: u32, rows: u32, pts: PtsRef },
     /// Deferred execution-time error discovered at lowering time.
     Trap(u32),
-    /// A run of independent `Exp` micro-ops batched at lowering time
-    /// (`pairs..pairs+n` into [`EngineProgram::exp_pairs`]): execution
-    /// gathers every member's source chunk into one contiguous SoA
-    /// buffer, evaluates it with a single [`crate::vmath::exp_slice`]
-    /// call, and scatters the results to the destination chunks. The
-    /// batching pass proved the members independent of each other and
-    /// of every intervening op (see `batch_exps`), so gather-then-
-    /// scatter is bit-identical to the original op-at-a-time order.
-    /// `Exp` uops are always full-warp (the only predicated micro-op in
-    /// this IR is the `StShared` lane form, which is never batched), so
-    /// exactly the architectural lanes each original op would write are
-    /// evaluated — no masked lanes exist to leak into.
-    ExpBatch { pairs: u32, n: u32 },
     /// Tombstone left by the optimization passes (fused second halves,
     /// dead copies); compaction removes every one before execution.
     Nop,
@@ -234,43 +214,28 @@ pub(crate) struct EngineProgram {
     dreg_tail: Vec<f64>,
     /// Deferred errors referenced by [`UOp::Trap`].
     traps: Vec<SimError>,
-    /// `(dst, src)` register-chunk bases of batched exp members,
-    /// referenced by [`UOp::ExpBatch`] ranges. Sources may address the
-    /// constant tail (base past the architectural file).
-    exp_pairs: Vec<(u32, u32)>,
-    /// Lowering statistics: per-op mix and what the exp passes did.
+    /// Lowering statistics: the final program's op mix.
     stats: EngineStats,
 }
 
-/// What the lowering's transcendental passes found and did — the per-op
-/// mix `report engine-bench` surfaces (through
-/// [`crate::flatcache::engine_stats`]), plus the applied/rejected ledger
-/// of the exp-chain rewriter.
+/// The op mix of a lowered program, through
+/// [`crate::flatcache::engine_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Micro-ops surviving optimization and compaction.
     pub uops: u64,
-    /// Scalar-equivalent exp micro-ops in the final program (unbatched
-    /// `Exp` uops plus every batched member).
+    /// `Exp` micro-ops in the final program.
     pub exp_ops: u64,
-    /// Of [`Self::exp_ops`], how many were folded into `UOp::ExpBatch`.
+    /// Always 0: lowering no longer batches `exp`s (the pass fired on none
+    /// of the 54 canonical kernels). Kept because the frozen benchmark
+    /// catalogue reads the field.
     pub exp_batched: u64,
-    /// Number of `ExpBatch` uops emitted.
-    pub exp_batches: u64,
-    /// Repeated-operand exps replaced by register copies (always
-    /// bit-identical: `exp` is a pure function of the operand chunk).
+    /// Always 0, kept for the same reader: repeated-operand `exp`s are no
+    /// longer replaced by copies.
     pub exp_cse: u64,
-    /// `exp(a)*exp(b) → exp(a+b)` rewrites applied — every one passed
-    /// the lowering-time bit-identity gate (`exp_mul_rewrite_ok`).
+    /// Always 0, kept for the same reader: `exp(a)*exp(b)` is no longer
+    /// rewritten to `exp(a+b)`.
     pub exp_mul_applied: u64,
-    /// Structural `exp(a)*exp(b)` candidates rejected because the
-    /// differential corpus (or the provability condition) showed the
-    /// rewrite would change output bits.
-    pub exp_mul_rejected: u64,
-    /// Structural candidates rejected for scheduling reasons (an
-    /// operand or result register is live elsewhere), before the
-    /// numeric gate was consulted.
-    pub exp_mul_infeasible: u64,
     /// `CpAsync` micro-ops in the final program — fused global→shared
     /// copies that bypass the register file (Hopper-class pipelines).
     pub async_copies: u64,
@@ -282,12 +247,18 @@ impl EngineProgram {
     }
 
     /// FNV-1a digest of everything lowering produced: segments (ranges,
-    /// bulk counts, terminators), micro-ops, traps and stats through their
-    /// `Debug` form — lossless, since `splat_immediates` leaves no `f64`
-    /// operand in a micro-op — and the arenas by bit pattern. Two
+    /// bulk counts, terminators), micro-ops and traps through their `Debug`
+    /// form — lossless, since `splat_immediates` leaves no `f64` operand in
+    /// a micro-op — the op mix, and the arenas by bit pattern. Two
     /// lowerings with equal digests replay identically, so pinned digests
     /// (`tests/lowering_digest.rs`) prove an optimizer change needs no
     /// [`LOWERING_VERSION`] bump.
+    ///
+    /// The op mix is written in the layout [`EngineStats`] had when the
+    /// digests of `LOWERING_VERSION` 9 were recorded (five exp-pass counters
+    /// and an empty batch arena after it), so those values also prove that
+    /// removing the exp passes changed no lowering. The next version bump
+    /// re-records anyway and can hash `self.stats` directly.
     pub(crate) fn digest(&self) -> u64 {
         struct Fnv(u64);
         impl Fnv {
@@ -307,8 +278,16 @@ impl EngineProgram {
         std::fmt::Write::write_fmt(
             &mut h,
             format_args!(
-                "{:?}{:?}{:?}{:?}{:?}{:?}",
-                self.warps, self.uops, self.traps, self.stats, self.exp_pairs, self.f64x.len()
+                "{:?}{:?}{:?}EngineStats {{ uops: {}, exp_ops: {}, exp_batched: 0, \
+                 exp_batches: 0, exp_cse: 0, exp_mul_applied: 0, exp_mul_rejected: 0, \
+                 exp_mul_infeasible: 0, async_copies: {} }}[]{:?}",
+                self.warps,
+                self.uops,
+                self.traps,
+                self.stats.uops,
+                self.stats.exp_ops,
+                self.stats.async_copies,
+                self.f64x.len()
             ),
         )
         .expect("hashing never fails");
@@ -334,10 +313,8 @@ struct Lowerer<'k> {
     f64_dedup: WordMap<[u64; WARP_SIZE], u32>,
     dreg_tail: Vec<f64>,
     imm_dedup: WordMap<u64, u32>,
-    exp_pairs: Vec<(u32, u32)>,
     /// The optimizer's def/use table, shared by every pass of every warp.
     chunks: ChunkTable,
-    stats: EngineStats,
 }
 
 /// Lower a flattened program into its segment-compiled form. Infallible:
@@ -364,99 +341,16 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         f64_dedup: WordMap::default(),
         dreg_tail: Vec::new(),
         imm_dedup: WordMap::default(),
-        exp_pairs: Vec::new(),
         chunks: ChunkTable::new(),
-        stats: EngineStats::default(),
     };
     let warps: Vec<Vec<Segment>> =
         (0..prog.n_warps()).map(|w| lw.lower_warp(prog, w)).collect();
-    let mut stats = std::mem::take(&mut lw.stats);
-    stats.uops = lw.uops.len() as u64;
+    let mut stats = EngineStats { uops: lw.uops.len() as u64, ..EngineStats::default() };
     for u in &lw.uops {
         match u {
             UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, .. }) => stats.exp_ops += 1,
-            UOp::ExpBatch { n, .. } => {
-                stats.exp_ops += *n as u64;
-                stats.exp_batched += *n as u64;
-                stats.exp_batches += 1;
-            }
             UOp::CpAsync { .. } => stats.async_copies += 1,
             _ => {}
-        }
-    }
-    if std::env::var_os("SINGE_ENGINE_STATS").is_some() {
-        let mut hist: HashMap<&'static str, usize> = HashMap::new();
-        for u in &lw.uops {
-            let k = match u {
-                UOp::Fast(DecodedInstr::Bin { kind, .. }) => match kind {
-                    BinOp::Add => "bin.add",
-                    BinOp::Sub => "bin.sub",
-                    BinOp::Mul => "bin.mul",
-                    BinOp::Div => "bin.div",
-                    BinOp::Pow => "bin.pow",
-                    BinOp::Max => "bin.max",
-                    BinOp::Min => "bin.min",
-                },
-                UOp::Fast(DecodedInstr::Un { kind, .. }) => match kind {
-                    UnOp::Mov => "un.mov",
-                    UnOp::Sqrt => "un.sqrt",
-                    UnOp::Neg => "un.neg",
-                    UnOp::Exp => "un.exp",
-                    UnOp::Log => "un.log",
-                    UnOp::Log10 => "un.log10",
-                    UnOp::Cbrt => "un.cbrt",
-                },
-                UOp::Fast(DecodedInstr::Fma { .. }) => "fma",
-                UOp::Fast(DecodedInstr::Sel { .. }) => "sel",
-                UOp::Fast(DecodedInstr::CmpOp { .. }) => "cmp",
-                UOp::Fast(DecodedInstr::Shfl { .. }) => "shfl",
-                UOp::Fast(DecodedInstr::LdLocal { .. }) => "ldlocal",
-                UOp::Fast(DecodedInstr::StLocal { .. }) => "stlocal",
-                UOp::Fast(_) => "fast.other",
-                UOp::FusedMulBin { .. } => "fused_mul_bin",
-                UOp::ConstV { .. } => "constv",
-                UOp::LdShared { .. } => "ldshared",
-                UOp::LdSharedBcast { .. } => "ldshared_bcast",
-                UOp::StShared { .. } => "stshared",
-                UOp::LdGlobal { .. } => "ldglobal",
-                UOp::StGlobal { .. } => "stglobal",
-                UOp::CpAsync { .. } => "cp_async",
-                UOp::Trap(_) => "trap",
-                UOp::ExpBatch { .. } => "exp_batch",
-                UOp::Nop => "nop",
-            };
-            *hist.entry(k).or_default() += 1;
-        }
-        let mut v: Vec<_> = hist.into_iter().collect();
-        v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        eprintln!(
-            "engine stats: {} uops total, {} splatted immediates",
-            lw.uops.len(),
-            lw.dreg_tail.len() / WARP_SIZE
-        );
-        for (k, n) in v {
-            eprintln!("  {k:14} {n}");
-        }
-        eprintln!(
-            "engine exp: {} scalar-equivalent ops, {} batched into {} batches; \
-             cse {}, exp-mul rewrites applied {}, rejected by bit-identity gate {}, \
-             scheduling-infeasible {}",
-            stats.exp_ops,
-            stats.exp_batched,
-            stats.exp_batches,
-            stats.exp_cse,
-            stats.exp_mul_applied,
-            stats.exp_mul_rejected,
-            stats.exp_mul_infeasible,
-        );
-        if let Ok(w) = std::env::var("SINGE_ENGINE_DUMP") {
-            let w: usize = w.parse().unwrap_or(0);
-            for (si, seg) in warps.get(w).map_or(&[][..], |v| v).iter().enumerate() {
-                eprintln!("-- warp {w} seg {si} ({:?})", seg.uops);
-                for u in &lw.uops[seg.uops.start as usize..seg.uops.end as usize] {
-                    eprintln!("  {u:?}");
-                }
-            }
         }
     }
     EngineProgram {
@@ -467,7 +361,6 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         lines: lw.lines,
         dreg_tail: lw.dreg_tail,
         traps: lw.traps,
-        exp_pairs: lw.exp_pairs,
         stats,
     }
 }
@@ -606,11 +499,10 @@ impl Lowerer<'_> {
         segs
     }
 
-    /// Post-lowering optimization over one warp's uops: copy propagation,
-    /// exp-chain rewriting (CSE plus the bit-identity-gated
-    /// `exp(a)*exp(b) → exp(a+b)`), the mul→add/sub fusion peephole,
-    /// dead-code elimination, immediate splatting, exp batching, and
-    /// compaction. Bulk counts derive from the *pre*-fusion instruction
+    /// Post-lowering optimization over one warp's uops: constant-shuffle
+    /// folding, copy propagation, the mul→add/sub fusion peephole,
+    /// dead-code elimination, immediate splatting, and compaction. Bulk
+    /// counts derive from the *pre*-fusion instruction
     /// stream and are untouched, so `EventCounts` stay bit-identical to
     /// the interpreter's per-instruction bookkeeping; every rewrite below
     /// preserves observable values bit-for-bit (registers are warp-private
@@ -621,19 +513,11 @@ impl Lowerer<'_> {
         let t = &mut self.chunks;
         fold_const_shuffles(uops, &self.f64x, t);
         copy_propagate(uops, t);
-        // After copy propagation (so lowering-time-known exp operands
-        // have been folded to immediates the rewrite gate can evaluate),
-        // before fusion (so the product mul is still a plain `Bin`).
-        rewrite_exp_chains(uops, &mut self.stats, t);
         fuse_mul_bin(uops, segs, warp_start as u32);
         eliminate_dead_uops(uops, dreg_len, &self.u32x, segs, warp_start as u32, t);
         // After liveness: the virtual bases it introduces sit past
         // `dreg_len` and must never reach the DCE's range checks.
         splat_immediates(uops, dreg_len, &mut self.dreg_tail, &mut self.imm_dedup);
-        // Last before compaction: batches index the final operand form
-        // (every source a register or constant-tail chunk), and the pass
-        // steps over tombstones rather than remapping them.
-        batch_exps(uops, segs, warp_start as u32, &mut self.exp_pairs, t);
         // Compact tombstones out in place, segment by segment (the
         // segments tile the warp's uops in order, so each one's survivors
         // slide down to where the previous one's ended).
@@ -970,10 +854,10 @@ impl Lowerer<'_> {
 }
 
 /// Word-at-a-time multiplicative hasher (the Fx scheme) behind the
-/// lowering's value-keyed dedup maps: address and constant chunks, splatted
-/// immediates, `exp` of an immediate. Lowering produces these keys itself
-/// and hashes one per address vector, so SipHash's flood resistance bought
-/// nothing for the 16–32 rounds a 128- or 256-byte key cost.
+/// lowering's value-keyed dedup maps: address and constant chunks and
+/// splatted immediates. Lowering produces these keys itself and hashes one
+/// per address vector, so SipHash's flood resistance bought nothing for the
+/// 16–32 rounds a 128- or 256-byte key cost.
 #[derive(Default)]
 struct WordHasher(u64);
 
@@ -1013,9 +897,6 @@ enum Fact {
     /// The chunk holds exactly the operand's bits, for as long as a
     /// register operand stays at the recorded version (`copy_propagate`).
     CopyOf(Src, u32),
-    /// `exp` of this chunk sits in register chunk `holder`, for as long as
-    /// the holder stays at the recorded version (`cse_exps`).
-    ExpIn { holder: usize, version: u32 },
 }
 
 /// One register chunk's row of the [`ChunkTable`].
@@ -1024,16 +905,12 @@ struct ChunkSlot {
     /// Table generation this row belongs to; a row of an older generation
     /// reads as `ChunkSlot::default()`.
     gen: u32,
-    /// 1 + index of the uop that last wrote the chunk (0: not yet written).
-    def: u32,
     /// Bumped by every write: a fact recorded *about another chunk* at
     /// version `v` holds exactly while `version == v`.
     version: u32,
     /// Read later in the stream before being overwritten (backward
-    /// liveness), or read since the batch anchor (`batch_exps`).
+    /// liveness).
     live: bool,
-    /// Written since the batch anchor (`batch_exps`).
-    written: bool,
     /// What is known of the chunk's current value; any write forgets it.
     fact: Fact,
 }
@@ -1042,10 +919,10 @@ struct ChunkSlot {
 /// [`ChunkSlot`] rows indexed by register chunk (`base / WARP_SIZE`;
 /// every register base in a uop is chunk-aligned, and an element index
 /// such as `Shfl`'s `src + lane` divides down to the chunk it lands in).
-/// "Who wrote this chunk last", "is this copy still valid", "is it live"
+/// "Is this copy still valid", "is it live", "what constant does it hold"
 /// are single array reads, and [`ChunkTable::reset`] empties the table in
-/// O(1) by moving to a new generation, so a pass — or every batch anchor
-/// inside one — starts clean without touching the rows. The array grows
+/// O(1) by moving to a new generation, so a pass starts clean without
+/// touching the rows. The array grows
 /// to the highest chunk *written to* (architectural registers plus the
 /// constant tail; `Reg` is a `u16`, so at most 65 536 + tail rows); chunks
 /// never touched read as the default row.
@@ -1085,12 +962,10 @@ impl ChunkTable {
         s
     }
 
-    /// Uop `i` overwrites the chunk: it becomes the last writer, facts
-    /// recorded against the old version go stale, and whatever was known
-    /// of the old value is forgotten.
-    fn write(&mut self, base: usize, i: usize) {
+    /// A uop overwrites the chunk: facts recorded against the old version
+    /// go stale, and whatever was known of the old value is forgotten.
+    fn write(&mut self, base: usize) {
         let s = self.at(base);
-        s.def = i as u32 + 1;
         s.version += 1;
         s.fact = Fact::Unknown;
     }
@@ -1147,7 +1022,6 @@ fn for_each_read_chunk(u: &UOp, mut f: impl FnMut(usize)) {
         | UOp::CpAsync { .. }
         | UOp::Trap(_)
         | UOp::Nop => {}
-        UOp::ExpBatch { .. } => unreachable!("batching is the last pass"),
     }
 }
 
@@ -1180,7 +1054,6 @@ fn for_each_write_chunk(u: &UOp, mut f: impl FnMut(usize)) {
         | UOp::LdSharedBcast { dst, .. }
         | UOp::LdGlobal { dst, .. } => f(dst as usize),
         UOp::StShared { .. } | UOp::StGlobal { .. } | UOp::CpAsync { .. } | UOp::Trap(_) | UOp::Nop => {}
-        UOp::ExpBatch { .. } => unreachable!("batching is the last pass"),
     }
 }
 
@@ -1222,7 +1095,6 @@ fn for_each_src_mut(u: &mut UOp, mut f: impl FnMut(&mut Src)) {
         | UOp::LdSharedBcast { .. }
         | UOp::LdGlobal { .. }
         | UOp::CpAsync { .. }
-        | UOp::ExpBatch { .. }
         | UOp::Trap(_)
         | UOp::Nop => {}
     }
@@ -1241,7 +1113,7 @@ fn for_each_src_mut(u: &mut UOp, mut f: impl FnMut(&mut Src)) {
 /// traffic for register-staged constants.
 fn fold_const_shuffles(uops: &mut [UOp], f64x: &[f64], t: &mut ChunkTable) {
     t.reset();
-    for (i, uop) in uops.iter_mut().enumerate() {
+    for uop in uops.iter_mut() {
         if let UOp::Fast(DecodedInstr::Shfl { dst, src, lane }) = *uop {
             let elem = src + lane;
             let v = match t.get(elem).fact {
@@ -1253,7 +1125,7 @@ fn fold_const_shuffles(uops: &mut [UOp], f64x: &[f64], t: &mut ChunkTable) {
                 *uop = UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a: Src::Imm(v) });
             }
         }
-        for_each_write_chunk(uop, |w| t.write(w, i));
+        for_each_write_chunk(uop, |w| t.write(w));
         match *uop {
             UOp::ConstV { dst, vals } => t.at(dst as usize).fact = Fact::Table(vals),
             UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a: Src::Imm(v) }) => {
@@ -1286,7 +1158,7 @@ fn copy_propagate(uops: &mut [UOp], t: &mut ChunkTable) {
         s
     }
     t.reset();
-    for (i, uop) in uops.iter_mut().enumerate() {
+    for uop in uops.iter_mut() {
         // The predicate is a raw register base; it can only be redirected
         // to another register, not an immediate.
         if let UOp::Fast(DecodedInstr::Sel { pred, .. }) = uop {
@@ -1295,359 +1167,13 @@ fn copy_propagate(uops: &mut [UOp], t: &mut ChunkTable) {
             }
         }
         for_each_src_mut(uop, |s| *s = resolve(t, *s));
-        for_each_write_chunk(uop, |w| t.write(w, i));
+        for_each_write_chunk(uop, |w| t.write(w));
         if let UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a }) = *uop {
             if !matches!(a, Src::Reg(b) if b == dst) {
                 let version = if let Src::Reg(b) = a { t.get(b).version } else { 0 };
                 t.at(dst).fact = Fact::CopyOf(a, version);
             }
         }
-    }
-}
-
-/// Differential corpus for the exp-chain rewrite gate: every
-/// special-value class the engine's differential proptests push through
-/// `exp` (NaN payloads, ±inf, ±0, subnormals, huge/tiny normals) plus a
-/// spread of magnitudes across the exp range — the overflow edge, the
-/// subnormal-result band, and ordinary Arrhenius-sized arguments. A
-/// candidate rewrite is evaluated on this corpus with the *runtime's
-/// own* exp ([`crate::vmath::exp1`] follows the per-process dispatch),
-/// so a pass/fail verdict at lowering time is a verdict about the bits
-/// execution would produce.
-const EXP_REWRITE_CORPUS: [f64; 36] = [
-    f64::from_bits(0x0000_0000_0000_0000), // +0.0
-    f64::from_bits(0x8000_0000_0000_0000), // -0.0
-    f64::from_bits(0x0000_0000_0000_0001), // smallest subnormal
-    f64::from_bits(0x8000_0000_0000_0001), // -smallest subnormal
-    f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
-    f64::from_bits(0x7fef_ffff_ffff_ffff), // f64::MAX
-    f64::from_bits(0xffef_ffff_ffff_ffff), // -f64::MAX
-    f64::from_bits(0x7ff0_0000_0000_0000), // +inf
-    f64::from_bits(0xfff0_0000_0000_0000), // -inf
-    f64::from_bits(0x7ff8_0000_0000_0000), // canonical quiet NaN
-    f64::from_bits(0x7ff8_dead_beef_0001), // quiet NaN with a payload
-    f64::from_bits(0x7e37_e43c_8800_759c), // 1e300
-    1.0,
-    -1.0,
-    0.5,
-    -0.5,
-    1.5,
-    -1.5,
-    3.75,
-    -3.75,
-    19.3,
-    -19.3,
-    88.7,
-    -88.7,
-    350.0,
-    -350.0,
-    700.1,
-    -700.1,
-    709.78,
-    710.0,
-    -708.4,
-    -745.0,
-    -745.2,
-    1e-300,
-    -1e-300,
-    6.25e-3,
-];
-
-/// Decide whether rewriting `exp(a) * exp(b)` (operand order exactly as
-/// in the original mul) into `exp(a + b)` is bit-identical for every
-/// input the kernel can produce, using the runtime's own exp:
-///
-/// * both operands lowering-time constants — evaluate both forms on the
-///   actual values; the "corpus" is the exact input.
-/// * one constant `c` — sample the corpus for the unknown side AND
-///   require the identity to be input-independent, which holds only for
-///   `c == ±0.0`: `x + ±0.0` bit-equals `x` (apart from `-0.0 → +0.0`,
-///   where exp agrees), and `exp(±0.0) == 1.0` exactly, so multiplying
-///   by it is the identity. The provability condition keeps a finite
-///   sample from admitting a rewrite that differs on some runtime input
-///   outside the corpus.
-/// * both unknown — always rejected: `exp(a)*exp(b)` and `exp(a+b)`
-///   genuinely differ in the last ulp for most argument pairs.
-fn exp_mul_rewrite_ok(a: Option<f64>, b: Option<f64>) -> bool {
-    let check = |x: f64, y: f64| {
-        let orig = crate::vmath::exp1(x) * crate::vmath::exp1(y);
-        let new = crate::vmath::exp1(x + y);
-        orig.to_bits() == new.to_bits()
-    };
-    match (a, b) {
-        (Some(ca), Some(cb)) => check(ca, cb),
-        (Some(c), None) => c == 0.0 && EXP_REWRITE_CORPUS.iter().all(|&x| check(c, x)),
-        (None, Some(c)) => c == 0.0 && EXP_REWRITE_CORPUS.iter().all(|&x| check(x, c)),
-        (None, None) => false,
-    }
-}
-
-/// Whether register chunk `reg` is dead from `uops[from..]` onward: a
-/// warp's uop stream is the register's entire lifetime (registers are
-/// warp-private and discarded at CTA end), so "overwritten before read,
-/// or never touched again" is an exact answer, not an approximation.
-fn reg_dead_after(uops: &[UOp], from: usize, reg: usize) -> bool {
-    for u in &uops[from..] {
-        let mut read = false;
-        for_each_read_chunk(u, |r| read |= r == reg);
-        if read {
-            return false;
-        }
-        let mut written = false;
-        for_each_write_chunk(u, |w| written |= w == reg);
-        if written {
-            return true;
-        }
-    }
-    true
-}
-
-/// The exp-chain rewriter: recognize the repeated-operand and
-/// `exp(a)*exp(b)` patterns the chemistry frontends emit, and rewrite
-/// them **only** where the result is provably bit-identical. Everything
-/// else is rejected and logged ([`EngineStats::exp_mul_rejected`] /
-/// [`EngineStats::exp_mul_infeasible`]; `SINGE_ENGINE_STATS=1` prints
-/// the ledger). Runs over the whole warp stream — barriers order shared
-/// memory, not the warp-private registers these rewrites touch.
-fn rewrite_exp_chains(uops: &mut [UOp], stats: &mut EngineStats, t: &mut ChunkTable) {
-    // CSE first: a repeated-operand pair like `exp(a) * exp(a)` becomes a
-    // copy, rather than reaching the mul rewriter as an unknown×unknown
-    // pair it would (correctly, but noisily) reject.
-    cse_exps(uops, stats, t);
-    // The mul rewriter asks one question of every reg×reg `Mul` — "is each
-    // operand's last writer an `Exp`?" — and the table's last-writer
-    // column answers it in O(1), however far back the writer is (the
-    // start of the stream, for the register-resident constants the
-    // warp-specialized kernels multiply by). A rewrite changes what its
-    // three slots read, never what they write, so the column stays exact.
-    t.reset();
-    for k in 0..uops.len() {
-        rewrite_exp_mul(uops, k, stats, t);
-        for_each_write_chunk(&uops[k], |w| t.write(w, k));
-    }
-}
-
-/// `exp(a) * exp(b) → exp(a + b)` at `uops[k]`, gated by
-/// [`exp_mul_rewrite_ok`]. The structural pattern is `Exp r1, A; …;
-/// Exp r2, B; …; Mul d, p, q` with `{p, q} = {r1, r2}` (each exp the last
-/// write of its register before the mul, per `t`). The rewrite reuses the
-/// three slots:
-///
-/// ```text
-/// earlier def slot:  Add r1, A, B     (operand order = mul order)
-/// later def slot:    Exp r2, r1
-/// mul slot:          Mov d,  r2
-/// ```
-///
-/// Scheduling feasibility (checked before the numeric gate, and only for
-/// the rare mul that matches the structure; its scans run from the
-/// earlier exp to `p`/`q`'s next use after the mul): `A`/`B` unchanged
-/// between the slot where they were read and where they are read now;
-/// `r1`/`r2` read by nothing but this pattern until dead; the whole
-/// lifetime check is exact because a warp's stream is the register's
-/// lifetime.
-fn rewrite_exp_mul(uops: &mut [UOp], k: usize, stats: &mut EngineStats, t: &ChunkTable) {
-    let UOp::Fast(DecodedInstr::Bin {
-        kind: BinOp::Mul,
-        dst: d,
-        a: Src::Reg(p),
-        b: Src::Reg(q),
-    }) = uops[k]
-    else {
-        return;
-    };
-    if p == q {
-        return; // exp(a)^2: CSE territory, and the gate would reject it.
-    }
-    // Last write of `reg` before `k`, if it is an Exp into `reg`.
-    let find_exp_def = |reg: usize| -> Option<(usize, Src)> {
-        let i = t.get(reg).def.checked_sub(1)? as usize;
-        match uops[i] {
-            UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst, a }) if dst == reg => Some((i, a)),
-            _ => None,
-        }
-    };
-    let (Some((def_p, arg_p)), Some((def_q, arg_q))) = (find_exp_def(p), find_exp_def(q)) else {
-        return; // not the structural pattern — nothing to log.
-    };
-    let (i1, i2) = (def_p.min(def_q), def_p.max(def_q));
-    let (r1, r2) = if def_p < def_q { (p, q) } else { (q, p) };
-
-    // -- scheduling feasibility --------------------------------------
-    let mut feasible = true;
-    // The operand whose exp sat at i2 is now read at i1: its chunk
-    // must be unchanged in (i1, i2). (The i1 operand keeps its read
-    // position.)
-    let moved_arg = if def_p == i2 { arg_p } else { arg_q };
-    // A dependent chain — the later exp consuming one of the pattern's
-    // own destinations, e.g. `r1 = exp(A); r2 = exp(r1); d = r1 * r2`
-    // — is not the two-independent-exp shape: the moved read would
-    // observe i1's new Add result instead of the exp it replaced, and
-    // exempting i2 from the read scan below is only sound when i2's
-    // read is not of p/q. Reject before either scan.
-    if matches!(moved_arg, Src::Reg(b) if b == p || b == q) {
-        stats.exp_mul_infeasible += 1;
-        return;
-    }
-    if let Src::Reg(mb) = moved_arg {
-        for u in &uops[i1 + 1..i2] {
-            for_each_write_chunk(u, |w| feasible &= w != mb);
-        }
-    }
-    // r1 and r2 may be read only by this pattern's own ops between
-    // their defs and the mul… (skipping i2 is sound: its only read is
-    // `moved_arg`, which the dependent-chain guard proved is not p/q)
-    for (i, u) in uops.iter().enumerate().take(k).skip(i1 + 1) {
-        if i != i2 {
-            for_each_read_chunk(u, |r| feasible &= r != p && r != q);
-        }
-    }
-    // …and must be dead after it (their architectural values change
-    // under the rewrite). A register that *is* the mul destination
-    // holds the identical product either way.
-    feasible = feasible
-        && (p == d || reg_dead_after(uops, k + 1, p))
-        && (q == d || reg_dead_after(uops, k + 1, q));
-    if !feasible {
-        stats.exp_mul_infeasible += 1;
-        return;
-    }
-
-    // -- numeric gate ------------------------------------------------
-    let known = |s: Src| match s {
-        Src::Imm(v) => Some(v),
-        Src::Reg(_) => None,
-    };
-    if !exp_mul_rewrite_ok(known(arg_p), known(arg_q)) {
-        stats.exp_mul_rejected += 1;
-        return;
-    }
-
-    // -- apply -------------------------------------------------------
-    // Add operand order mirrors the mul's (p's argument first): the
-    // gate evaluated exactly this expression tree.
-    uops[i1] = UOp::Fast(DecodedInstr::Bin { kind: BinOp::Add, dst: r1, a: arg_p, b: arg_q });
-    uops[i2] = UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst: r2, a: Src::Reg(r1) });
-    uops[k] = UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst: d, a: Src::Reg(r2) });
-    stats.exp_mul_applied += 1;
-}
-
-/// Repeated-operand exp CSE: a second `Exp dst2, a` whose operand chunk
-/// is unchanged since an earlier `Exp dst1, a` (with `dst1` also
-/// unchanged) becomes `Mov dst2, dst1`. Unconditionally bit-identical —
-/// `exp` is a pure function, so the register already holds exactly the
-/// bits the recomputation would produce; the trivial corpus check
-/// (`exp(x) == exp(x)`) is an identity, so no gate is consulted. The
-/// memo "operand → register holding its exp" is the operand chunk's
-/// [`Fact::ExpIn`] (a write to the operand forgets it, a write to the
-/// holder outdates its version); immediates, which have no chunk, are
-/// memoized by value bits.
-fn cse_exps(uops: &mut [UOp], stats: &mut EngineStats, t: &mut ChunkTable) {
-    t.reset();
-    let mut of_imm: WordMap<u64, (usize, u32)> = WordMap::default();
-    for i in 0..uops.len() {
-        let UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst, a }) = uops[i] else {
-            for_each_write_chunk(&uops[i], |w| t.write(w, i));
-            continue;
-        };
-        let memo = match a {
-            Src::Reg(b) => match t.get(b).fact {
-                Fact::ExpIn { holder, version } => Some((holder, version)),
-                _ => None,
-            },
-            Src::Imm(v) => of_imm.get(&v.to_bits()).copied(),
-        };
-        let valid = memo.filter(|&(holder, version)| t.get(holder).version == version);
-        if let Some((prev, _)) = valid {
-            uops[i] = if prev == dst {
-                // The register already holds this exact value.
-                UOp::Nop
-            } else {
-                UOp::Fast(DecodedInstr::Un { kind: UnOp::Mov, dst, a: Src::Reg(prev) })
-            };
-            stats.exp_cse += 1;
-        }
-        // Computed or copied, `dst` is now the register holding exp(a) —
-        // unless the op overwrote its own operand.
-        t.write(dst, i);
-        let version = t.get(dst).version;
-        match a {
-            Src::Reg(b) if b == dst => {}
-            Src::Reg(b) => t.at(b).fact = Fact::ExpIn { holder: dst, version },
-            Src::Imm(v) => {
-                of_imm.insert(v.to_bits(), (dst, version));
-            }
-        }
-    }
-}
-
-/// Fold independent `Exp` uops into [`UOp::ExpBatch`] runs, per
-/// segment. A batch executes at its first member's slot: every member's
-/// source is gathered, one [`crate::vmath::exp_slice`] call evaluates
-/// the whole SoA buffer, and the results scatter to the destinations.
-/// Hoisting member `j` to the anchor slot is bit-invisible iff, over
-/// the intervening ops: `j`'s source chunk is unwritten (same gathered
-/// bits), `j`'s destination chunk is unread (nothing observes the early
-/// write) and unwritten (nothing is lost to the early write) — tracked
-/// with the table's read (`live`) and `written` marks, reset at each
-/// batch anchor. Members are mutually independent by the same marks (a
-/// member's source and destination join them), so gather-then-scatter
-/// preserves op-at-a-time semantics. Intervening ops are never reordered
-/// among themselves; runs of one stay scalar `Exp` uops.
-///
-/// Predication: `Exp` is warp-wide in this IR — the only lane-predicated
-/// micro-op is the `StShared` single-lane form, which is never batched —
-/// so a batch evaluates exactly the architectural lanes each original
-/// op would have, and no predicated-off lane is ever evaluated or
-/// stored.
-fn batch_exps(
-    uops: &mut [UOp],
-    segs: &[Segment],
-    warp_start: u32,
-    pairs: &mut Vec<(u32, u32)>,
-    t: &mut ChunkTable,
-) {
-    // (uop index, dst, src) of the current batch's members.
-    let mut batch: Vec<(usize, u32, u32)> = Vec::new();
-    let flush = |batch: &mut Vec<(usize, u32, u32)>, uops: &mut [UOp], pairs: &mut Vec<(u32, u32)>| {
-        if batch.len() >= 2 {
-            let start = pairs.len() as u32;
-            pairs.extend(batch.iter().map(|&(_, d, sr)| (d, sr)));
-            uops[batch[0].0] = UOp::ExpBatch { pairs: start, n: batch.len() as u32 };
-            for &(idx, _, _) in &batch[1..] {
-                uops[idx] = UOp::Nop;
-            }
-        }
-        batch.clear();
-    };
-    for seg in segs {
-        let s = (seg.uops.start - warp_start) as usize;
-        let e = (seg.uops.end - warp_start) as usize;
-        for i in s..e {
-            match uops[i] {
-                UOp::Nop => {}
-                UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, dst, a: Src::Reg(src) }) => {
-                    let joins = batch.is_empty()
-                        || (!t.get(src).written && !t.get(dst).live && !t.get(dst).written);
-                    if !joins {
-                        flush(&mut batch, uops, pairs);
-                    }
-                    if batch.is_empty() {
-                        t.reset();
-                    }
-                    batch.push((i, dst as u32, src as u32));
-                    t.at(src).live = true;
-                    t.at(dst).written = true;
-                }
-                ref u => {
-                    if !batch.is_empty() {
-                        for_each_read_chunk(u, |r| t.at(r).live = true);
-                        for_each_write_chunk(u, |w| t.at(w).written = true);
-                    }
-                }
-            }
-        }
-        flush(&mut batch, uops, pairs);
     }
 }
 
@@ -1854,10 +1380,6 @@ fn splat_immediates(
 struct EngWarp {
     dregs: Vec<f64>,
     local: Vec<f64>,
-    /// Gather/scatter staging for [`UOp::ExpBatch`]: first half inputs,
-    /// second half outputs. Grown lazily to the largest batch seen, so
-    /// warps that never batch pay nothing.
-    scratch: Vec<f64>,
     seg: usize,
     done: bool,
     blocked: Option<(u8, u64)>,
@@ -1900,7 +1422,6 @@ pub(crate) fn run_cta_engine(
             EngWarp {
                 dregs: vec![0.0; kernel.dregs_per_thread * WARP_SIZE],
                 local: vec![0.0; kernel.local_words_per_thread * WARP_SIZE],
-                scratch: Vec::new(),
                 seg: 0,
                 done: false,
                 blocked: None,
@@ -2050,35 +1571,6 @@ fn exec_uop(
         // run the op itself with collection off.
         UOp::Fast(dec) => {
             exec_fast(dec, &mut warp.dregs, &eng.dreg_tail, &mut warp.local, false, counts)?
-        }
-        UOp::ExpBatch { pairs, n } => {
-            // Gather every member's source chunk into one contiguous SoA
-            // buffer, evaluate it with a single `exp_slice` call, scatter
-            // to the destinations. `batch_exps` proved the members
-            // independent, so gather-all-then-scatter-all matches
-            // op-at-a-time execution bit-for-bit; event counts were folded
-            // into the segment bulk like any other fast op.
-            let ps = &eng.exp_pairs[pairs as usize..(pairs + n) as usize];
-            let nn = ps.len() * WARP_SIZE;
-            if warp.scratch.len() < 2 * nn {
-                warp.scratch.resize(2 * nn, 0.0);
-            }
-            let dregs = &mut warp.dregs;
-            let (inb, outb) = warp.scratch.split_at_mut(nn);
-            for (j, &(_, src)) in ps.iter().enumerate() {
-                let s = src as usize;
-                let chunk = if s < dregs.len() {
-                    &dregs[s..s + WARP_SIZE]
-                } else {
-                    &eng.dreg_tail[s - dregs.len()..][..WARP_SIZE]
-                };
-                inb[j * WARP_SIZE..(j + 1) * WARP_SIZE].copy_from_slice(chunk);
-            }
-            crate::vmath::exp_slice(&inb[..nn], &mut outb[..nn]);
-            for (j, &(dst, _)) in ps.iter().enumerate() {
-                let d = dst as usize;
-                dregs[d..d + WARP_SIZE].copy_from_slice(&outb[j * WARP_SIZE..(j + 1) * WARP_SIZE]);
-            }
         }
         UOp::FusedMulBin { kind, t, d, a, b, c } => {
             let dregs = &mut warp.dregs[..];
@@ -2782,224 +2274,16 @@ mod tests {
     }
 
     #[test]
-    fn independent_exps_batch_and_stay_bit_identical() {
-        // Two loads, two independent exps, a sum: the exps fold into one
-        // ExpBatch of 2 and the batch's gather/exp_slice/scatter matches
-        // the interpreter's op-at-a-time execution bit-for-bit.
-        let mut k = base_kernel(1);
-        k.body = vec![
-            ld(0, 0),
-            ld(1, 1),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(0) }),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 3, a: Op::Reg(1) }),
-            Node::Op(Instr::Bin { op: BinOp::Add, dst: 4, a: Op::Reg(2), b: Op::Reg(3) }),
-            st(4),
-        ];
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        assert!(
-            eng.uops.iter().any(|u| matches!(u, UOp::ExpBatch { n: 2, .. })),
-            "independent exps must batch: {:?}",
-            eng.uops
-        );
-        let s = eng.stats();
-        assert_eq!((s.exp_ops, s.exp_batched, s.exp_batches), (2, 2, 1), "{s:?}");
-        // Inputs span the special-value classes the batch must preserve.
-        let mut input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.31 - 9.5).collect();
-        input[3] = f64::NAN;
-        input[7] = f64::INFINITY;
-        input[11] = f64::NEG_INFINITY;
-        input[13] = -0.0;
-        input[17] = 710.0;
-        input[19] = -745.2;
-        input[23] = f64::from_bits(1); // smallest subnormal
-        differential(&k, &[&input, &[]], 32, 0);
-    }
-
-    #[test]
-    fn dependent_exp_chain_never_batches() {
-        // exp(exp(exp(x))): each op reads the previous destination, so no
-        // two may share a batch; all stay scalar uops.
-        let mut k = base_kernel(1);
-        k.body = vec![
-            ld(0, 0),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(1) }),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 3, a: Op::Reg(2) }),
-            st(3),
-        ];
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        assert!(
-            !eng.uops.iter().any(|u| matches!(u, UOp::ExpBatch { .. })),
-            "dependent exps must not batch: {:?}",
-            eng.uops
-        );
-        let s = eng.stats();
-        assert_eq!((s.exp_ops, s.exp_batched, s.exp_batches), (3, 0, 0), "{s:?}");
-        let input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.02 - 0.5).collect();
-        differential(&k, &[&input, &[]], 32, 0);
-    }
-
-    #[test]
-    fn repeated_operand_exp_is_csed() {
-        // exp(x) computed twice with the operand unchanged: the second
-        // becomes a register copy, and the engine still matches the
-        // interpreter (which computes it twice) bit-for-bit because exp is
-        // a pure function of the bits.
-        let mut k = base_kernel(1);
-        k.body = vec![
-            ld(0, 0),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(0) }),
-            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
-            st(3),
-        ];
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        let s = eng.stats();
-        assert_eq!(s.exp_cse, 1, "{s:?}");
-        assert_eq!(s.exp_ops, 1, "one exp survives: {:?}", eng.uops);
-        // The CSE also kept the mul rewriter quiet: exp(a)*exp(a) is not
-        // an exp*exp pattern once one side is a copy.
-        assert_eq!((s.exp_mul_applied, s.exp_mul_rejected), (0, 0), "{s:?}");
-        let input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.17 - 3.0).collect();
-        differential(&k, &[&input, &[]], 32, 0);
-    }
-
-    #[test]
-    fn exp_mul_rewrite_applied_only_when_provably_bit_identical() {
-        // exp(x) * exp(0.0): multiplying by exp(0) == 1.0 is the identity
-        // and x + 0.0 preserves bits (up to -0.0 -> +0.0, where exp
-        // agrees), so the rewrite gate accepts — and the rewritten program
-        // must still match the interpreter (which runs the original
-        // two-exp form) bit-for-bit on special values.
-        let body = |c: f64| {
-            vec![
-                ld(0, 0),
-                Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
-                Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Imm(c) }),
-                Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
-                st(3),
-            ]
-        };
-        let mut input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.43 - 13.0).collect();
-        input[5] = f64::NAN;
-        input[9] = f64::INFINITY;
-        input[21] = f64::NEG_INFINITY;
-        input[27] = -0.0;
-        input[31] = 709.9;
-
-        let mut k = base_kernel(1);
-        k.body = body(0.0);
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        let s = eng.stats();
-        assert_eq!(s.exp_mul_applied, 1, "{s:?}");
-        assert_eq!(s.exp_mul_rejected, 0, "{s:?}");
-        assert_eq!(s.exp_ops, 1, "the pair collapsed to one exp: {:?}", eng.uops);
-        differential(&k, &[&input, &[]], 32, 0);
-
-        // exp(x) * exp(1.5): not provably bit-identical for unknown x
-        // (the product double-rounds), so the gate must reject and log.
-        let mut k = base_kernel(1);
-        k.name = "eng-t-rej".into();
-        k.body = body(1.5);
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        let s = eng.stats();
-        assert_eq!(s.exp_mul_applied, 0, "{s:?}");
-        assert_eq!(s.exp_mul_rejected, 1, "{s:?}");
-        assert_eq!(s.exp_ops, 2, "both exps survive rejection: {:?}", eng.uops);
-        differential(&k, &[&input, &[]], 32, 0);
-    }
-
-    #[test]
-    fn exp_mul_rewrite_skipped_when_operand_still_live() {
-        // exp(a)'s result is also stored directly, so rewriting would
-        // change its architectural value: the feasibility check must
-        // refuse before the numeric gate is even consulted.
-        let mut k = base_kernel(1);
-        k.points_per_cta = 32;
-        k.global_arrays.push(ArrayDecl { name: "out2".into(), rows: 1, output: true });
-        k.body = vec![
-            ld(0, 0),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Reg(0) }),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Imm(0.0) }),
-            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
-            st(3),
-            Node::Op(Instr::StGlobal {
-                src: Op::Reg(1),
-                addr: GAddr { array: GlobalId(2), row: IdxOp::Imm(0), point: PointRef::Lane },
-            }),
-        ];
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        let s = eng.stats();
-        assert_eq!(s.exp_mul_applied, 0, "{s:?}");
-        assert_eq!(s.exp_mul_infeasible, 1, "{s:?}");
-        let input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.11 - 2.0).collect();
-        differential(&k, &[&input, &[]], 32, 0);
-    }
-
-    #[test]
-    fn exp_mul_rewrite_skipped_on_dependent_chain() {
-        // r1 = exp(0.0); r2 = exp(r1); d = r1 * r2 — the second exp
-        // consumes the first's result, so moving its read to the first's
-        // slot would observe the rewritten Add instead of exp(0.0), and
-        // r1 is read (by i2) between the defs and the mul. The numeric
-        // gate would accept (one operand is 0.0), so only the dependent-
-        // chain feasibility guard stands between this and a miscompile:
-        // the interpreter yields exp(0)*exp(exp(0)) = e, the broken
-        // rewrite yielded 1.0.
-        let mut k = base_kernel(1);
-        k.body = vec![
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Imm(0.0) }),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(1) }),
-            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
-            st(3),
-        ];
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        let s = eng.stats();
-        assert_eq!(s.exp_mul_applied, 0, "{s:?}");
-        assert_eq!(s.exp_mul_infeasible, 1, "{s:?}");
-        assert_eq!(s.exp_ops, 2, "both exps survive: {:?}", eng.uops);
-        let input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.07 - 1.0).collect();
-        differential(&k, &[&input, &[]], 32, 0);
-
-        // Same chain with the mul destination aliasing the second exp's
-        // register (the exp_burst proptest's case-3 shape when ra == t):
-        // d == q changes nothing about the hazard, so it must still be
-        // rejected as infeasible.
-        let mut k = base_kernel(1);
-        k.name = "eng-t-chain2".into();
-        k.body = vec![
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 1, a: Op::Imm(0.0) }),
-            Node::Op(Instr::Un { op: UnOp::Exp, dst: 2, a: Op::Reg(1) }),
-            Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a: Op::Reg(1), b: Op::Reg(2) }),
-            st(2),
-        ];
-        let prog = flatten(&k);
-        let eng = lower(&k, &prog);
-        let s = eng.stats();
-        assert_eq!(s.exp_mul_applied, 0, "{s:?}");
-        assert_eq!(s.exp_mul_infeasible, 1, "{s:?}");
-        let input: Vec<f64> = (0..64).map(|i| (i as f64) * 0.07 - 1.0).collect();
-        differential(&k, &[&input, &[]], 32, 0);
-    }
-
-    #[test]
     fn chunk_table_agrees_with_a_hashmap_model() {
         // Drive the dense table and a `HashMap` model with the same seeded
         // operation stream over architectural chunks, element indices
         // inside them, and out-of-range bases up to `Reg = u16::MAX` (the
         // table must neither misplace nor panic on them), then compare
         // every row either side has touched.
-        type Row = (u32, u32, bool, bool, Option<u32>);
+        type Row = (u32, bool, Option<u32>);
         let row = |s: ChunkSlot| -> Row {
             let known = if let Fact::Table(v) = s.fact { Some(v) } else { None };
-            (s.def, s.version, s.live, s.written, known)
+            (s.version, s.live, known)
         };
         let mut t = ChunkTable::new();
         let mut model: HashMap<usize, Row> = HashMap::new();
@@ -3020,21 +2304,17 @@ mod tests {
                     model.clear();
                 }
                 1..=5 => {
-                    t.write(base, i);
-                    *m = (i as u32 + 1, m.1 + 1, m.2, m.3, None);
+                    t.write(base);
+                    *m = (m.0 + 1, m.1, None);
                 }
                 6..=8 => {
                     let live = next(2) == 0;
                     t.at(base).live = live;
-                    m.2 = live;
+                    m.1 = live;
                 }
-                9..=10 => {
-                    t.at(base).written = true;
-                    m.3 = true;
-                }
-                11..=12 => {
+                9..=12 => {
                     t.at(base).fact = Fact::Table(i as u32);
-                    m.4 = Some(i as u32);
+                    m.2 = Some(i as u32);
                 }
                 _ => {}
             }
@@ -3100,10 +2380,11 @@ mod tests {
     fn lowering_time_is_linear_in_the_stream() {
         // One constant loaded into a register once, then N rounds of
         // reg×reg `Mul` by it, `Exp` and `Mov`: every Mul's operand was
-        // last written at the very start of the stream, which is what made
-        // the exp-mul rewriter's backward scan quadratic (16× the time for
-        // 4× the stream). With the last-writer table, 4× the stream must
-        // cost well under 8× the time (best of three against timer noise).
+        // last written at the very start of the stream, the shape a pass
+        // that scans back for a writer goes quadratic on (16× the time for
+        // 4× the stream). With every question answered from the chunk
+        // table, 4× the stream must cost well under 8× the time (best of
+        // three against timer noise).
         let lower_secs = |rounds: usize| {
             let mut k = base_kernel(1);
             k.name = format!("eng-t-scale-{rounds}");

@@ -118,11 +118,10 @@ pub(crate) fn engine_cached(kernel: &Kernel, prog: &FlatProgram) -> Arc<EnginePr
     prog.engine.get_or_init(|| Arc::new(crate::engine::lower(kernel, prog))).clone()
 }
 
-/// Lowering-time statistics of the engine program for `kernel` (uop
-/// counts, exp batching coverage, exp-chain rewrite ledger). Lowers and
-/// caches the program if this is the first request. This is the public
-/// window the benchmark harnesses use to report the per-op exp mix
-/// without reaching into the engine internals.
+/// The op mix of the engine program for `kernel` (micro-ops, `exp`s, async
+/// copies). Lowers and caches the program if this is the first request.
+/// This is the public window the benchmark uses to report the lowered
+/// program's shape without reaching into the engine internals.
 pub fn engine_stats(kernel: &Kernel, prog: &FlatProgram) -> crate::engine::EngineStats {
     engine_cached(kernel, prog).stats().clone()
 }

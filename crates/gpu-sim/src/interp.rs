@@ -981,8 +981,7 @@ pub(crate) fn exec_fast(
                 UnOp::Neg => lanes::neg(av, out),
                 // Transcendentals define the simulator's numerics. `exp`
                 // routes through `vmath` so every call site (this fast
-                // path, the engine's scalar and batched exp uops, and the
-                // lowering rewrite gate) shares one per-process
+                // path and the engine's exp uops) shares one per-process
                 // implementation — libm by default, the polynomial AVX2
                 // family when the `vexp` feature selects it. The rest
                 // stay scalar libm.

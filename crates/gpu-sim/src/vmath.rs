@@ -26,8 +26,7 @@
 //! the AVX-512 intrinsics mirror of the same algorithm produce
 //! identical bits — which implementation *family* is active changes the
 //! numerics, but within a process every `exp` call site (interpreter
-//! fast path, engine scalar uop, engine batched `exp_slice`,
-//! lowering-time rewrite corpus checks) agrees bit for bit. That is
+//! fast path, engine exp uop) agrees bit for bit. That is
 //! what keeps the engine-vs-interpreter differential suite green by
 //! construction with the feature on or off.
 
@@ -52,12 +51,11 @@ pub fn vexp_active() -> bool {
 }
 
 /// `out[i] = exp(xs[i])` for every element, through the process-wide
-/// implementation. The engine's batched `ExpBatch` uop funnels a whole
-/// segment's worth of gathered operand lanes through one call here.
+/// implementation.
 ///
 /// Position independence: `exp_slice` applies a pure per-element
 /// function, so `exp_slice(xs)[i] == exp1(xs[i])` bitwise regardless of
-/// slice length, alignment, or how operands were batched together.
+/// slice length or alignment.
 #[inline]
 pub fn exp_slice(xs: &[f64], out: &mut [f64]) {
     assert_eq!(xs.len(), out.len(), "exp_slice operand/result length mismatch");
@@ -78,23 +76,21 @@ pub fn exp_slice(xs: &[f64], out: &mut [f64]) {
 }
 
 /// One warp chunk of `exp`, for the interpreter's `UnKind::Exp` fast
-/// path and the engine's unbatched exp uops.
+/// path and the engine's exp uops.
 #[inline(always)]
 pub(crate) fn exp_lanes(a: &Lanes, out: &mut Lanes) {
     exp_slice(a, out);
 }
 
-/// Single-value `exp` through the process-wide implementation. Used by
-/// the lowering optimizer's rewrite gate: candidate `exp`-chain
-/// rewrites are evaluated with exactly the numerics the runtime will
-/// use, so a lowering-time bit-identity check is decisive.
+/// Single-value `exp` through the process-wide implementation: the
+/// element-wise reference [`exp_slice`] is tested against.
 #[inline]
 pub fn exp1(x: f64) -> f64 {
     #[cfg(feature = "vexp")]
     if vexp_active() {
         // Outside the target_feature wrapper `mul_add` may fall back to
         // libm `fma`, which is the same correctly-rounded operation —
-        // identical bits, just slower. Fine for lowering-time checks.
+        // identical bits, just slower.
         return exp_poly(x);
     }
     x.exp()

@@ -150,8 +150,8 @@ pub struct VerifyVerdict {
     pub generations: u64,
 }
 
-/// How an artifact came to be — for humans (`serve-bench` output, cache
-/// inspection), not for cache identity, which lives in [`ArtifactKey`].
+/// How an artifact came to be — for humans (cache inspection), not for
+/// cache identity, which lives in [`ArtifactKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct ArtifactMeta {

@@ -1,6 +1,6 @@
 //! Service counters: lock-free, sampled into a [`ServeStats`] snapshot.
 //!
-//! Counters feed the `report serve-bench` subcommand's JSON (cold/warm
+//! Counters feed the benchmark's `serve.session.*` metrics (cold/warm
 //! latency, hit rate) and the durability tests (exactly-one-compile under
 //! concurrent identical requests is asserted via `cold_compiles`).
 

@@ -36,7 +36,9 @@ use gpu_sim::counts::EventCounts;
 use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 use gpu_sim::timing::{estimate, SimReport};
 use singe::kernels::{chemistry, diffusion, launch_arrays, probe_grid, viscosity};
-use singe::search::{run_search, ScheduleSearch, SearchBudget, SearchOutcome, SearchSpace};
+use singe::search::{
+    run_search_explained, ScheduleSearch, SearchBudget, SearchOutcome, SearchSpace,
+};
 use singe::{CompileOptions, Compiler, Placement, Variant, VerifyLevel};
 
 use crate::artifact::{Artifact, ArtifactKey, ArtifactMeta, Store, VerifyVerdict};
@@ -494,20 +496,11 @@ fn tune_with(
             }
         })
     };
-    let mut compile_failures = HashMap::new();
-    let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
+    let mut score = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
         if abort.borrow().is_some() {
-            return vec![f64::INFINITY; cands.len()];
+            return vec![Ok(f64::INFINITY); cands.len()];
         }
-        let scored = score_batch(cands).into_iter().zip(cands);
-        scored
-            .map(|(r, o)| {
-                candidate_outcome(r).unwrap_or_else(|message| {
-                    compile_failures.insert(SearchSpace::key(o), message);
-                    f64::INFINITY
-                })
-            })
-            .collect()
+        score_batch(cands).into_iter().map(candidate_outcome).collect()
     };
     let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
         let one = |o| {
@@ -518,12 +511,11 @@ fn tune_with(
         };
         cands.iter().map(one).collect()
     };
-    let outcome = run_search(explorer, space, base, budget, &mut score, &mut simulate);
+    let outcome = run_search_explained(explorer, space, base, budget, &mut score, &mut simulate);
     if let Some(e) = abort.into_inner() {
         return Err(e);
     }
-    let mut outcome = outcome.map_err(|e| ServeError::Internal(format!("tuner: {e}")))?;
-    outcome.record_compile_failures(&compile_failures);
+    let outcome = outcome.map_err(|e| ServeError::Internal(format!("tuner: {e}")))?;
     Ok((outcome.best_options.clone(), outcome))
 }
 
@@ -773,7 +765,7 @@ mod tests {
             outcome.points.iter().map(|p| p.failure.as_ref().map(TuneFailure::to_string)).collect();
         let compile = "did not compile: resource exhausted: no fit".to_string();
         let launch = "compiled but failed to run: bad arrays".to_string();
-        assert_eq!(failures, [Some(compile), None, None, Some(launch)]);
+        assert_eq!(failures, [Some(compile.clone()), None, None, Some(launch.clone())]);
         assert_eq!(outcome.simulations, 3);
 
         // Every other error aborts the call and comes back as itself,
@@ -786,6 +778,14 @@ mod tests {
             let err = run(explorer, shutting_down, bad_arrays).unwrap_err();
             assert!(matches!(err, ServeError::ShuttingDown), "{err}");
         }
+
+        // When no candidate runs, the error carries the first failure in
+        // candidate order: the compile message here, ahead of the launches.
+        let no_launch: Fail = |_| Some(ServeError::Launch("bad arrays".into()));
+        let err = run(&FixedList(&cands), no_fit, no_launch).unwrap_err().to_string();
+        assert!(err.contains(&compile), "{err}");
+        let err = run(&FixedList(&cands), none, no_launch).unwrap_err().to_string();
+        assert!(err.contains(&launch), "{err}");
 
         // No candidates is an error, not a panic.
         let err = run(&FixedList(&[]), none, none).unwrap_err();

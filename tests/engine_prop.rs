@@ -262,14 +262,12 @@ fn burst(v: u64) -> Vec<Instr> {
     }
 }
 
-/// Decode one drawn `u64` into an exp-heavy burst aimed at the engine's
-/// transcendental paths: adjacent independent exps (the `ExpBatch`
-/// grouping), dependent exp-of-exp chains (must never batch), repeated
-/// operands (exp CSE), `exp(a)*exp(b)` shapes with immediate operands
-/// (the lowering rewrite gate — applied only when provably
-/// bit-identical, rejected otherwise), exps of special immediates
-/// (±inf, NaN payloads, subnormals, overflow/underflow edges), and a
-/// lane-predicated shared-memory stage feeding an exp.
+/// Decode one drawn `u64` into an exp-heavy burst, the shapes an optimizer
+/// is most tempted to touch: adjacent independent exps, dependent
+/// exp-of-exp chains, repeated operands, `exp(a)*exp(b)` shapes with
+/// immediate operands, exps of special immediates (±inf, NaN payloads,
+/// subnormals, overflow/underflow edges), and a lane-predicated
+/// shared-memory stage feeding an exp.
 fn exp_burst(v: u64) -> Vec<Instr> {
     // Registers: 0 = global input, 7 = staged constants, 1..=6 general.
     let dst = 1 + ((v >> 8) % 6) as u16;
@@ -277,27 +275,24 @@ fn exp_burst(v: u64) -> Vec<Instr> {
     let ra = ((v >> 16) % 8) as u16;
     let a = if (v >> 32) & 1 == 0 { Op::Reg(ra) } else { Op::Imm(special(v >> 33)) };
     match v % 8 {
-        // Adjacent independent exps: batchable when dst/src chunks stay
-        // disjoint, and the batched evaluation must be bit-identical to
-        // the interpreter's one-at-a-time order.
+        // Adjacent independent exps.
         0 => vec![
             Instr::Un { op: UnOp::Exp, dst, a },
             Instr::Un { op: UnOp::Exp, dst: t, a: Op::Reg(7) },
         ],
-        // Dependent chain exp(exp(x)) — the batcher must flush between
-        // the two (overflow saturation and NaN pass through both hops).
+        // Dependent chain exp(exp(x)): overflow saturation and NaN pass
+        // through both hops.
         1 => vec![
             Instr::Un { op: UnOp::Exp, dst: t, a },
             Instr::Un { op: UnOp::Exp, dst, a: Op::Reg(t) },
         ],
-        // Repeated operand — exp CSE rewrites the second into a mov.
+        // Repeated operand.
         2 => vec![
             Instr::Un { op: UnOp::Exp, dst: t, a },
             Instr::Un { op: UnOp::Exp, dst, a },
         ],
-        // exp(0)*exp(b): the one input-independent shape the mul rewrite
-        // gate may accept (±0.0 operand, corpus-checked); the engine must
-        // be bit-identical whether it rewrote or not.
+        // exp(±0)*exp(b): the one shape where exp(a)*exp(b) and exp(a+b)
+        // agree for every b.
         3 => vec![
             Instr::Un {
                 op: UnOp::Exp,
@@ -307,9 +302,7 @@ fn exp_burst(v: u64) -> Vec<Instr> {
             Instr::Un { op: UnOp::Exp, dst, a },
             Instr::Bin { op: BinOp::Mul, dst, a: Op::Reg(t), b: Op::Reg(dst) },
         ],
-        // exp(c)*exp(b) with a non-zero (often special) immediate — the
-        // gate almost always rejects this; rejection must not perturb
-        // results.
+        // exp(c)*exp(b) with a non-zero (often special) immediate.
         4 => vec![
             Instr::Un { op: UnOp::Exp, dst: t, a: Op::Imm(special(v >> 25)) },
             Instr::Un { op: UnOp::Exp, dst, a },
@@ -329,8 +322,7 @@ fn exp_burst(v: u64) -> Vec<Instr> {
             Instr::LdShared { dst, addr: SAddr { base: None, imm: 11, lane_stride: 0 } },
             Instr::Un { op: UnOp::Exp, dst: t, a: Op::Reg(dst) },
         ],
-        // exp feeding the fused mul→add path (FusedMulBin after an
-        // ExpBatch member's scatter).
+        // exp feeding the fused mul→add path (FusedMulBin).
         _ => vec![
             Instr::Un { op: UnOp::Exp, dst: t, a },
             Instr::Bin { op: BinOp::Mul, dst, a: Op::Reg(t), b: Op::Reg(ra) },
@@ -397,9 +389,9 @@ proptest! {
         }
     }
 
-    /// Exp-heavy streams: batched groups, dependent chains, CSE'd
-    /// repeats, gated `exp(a)*exp(b)` rewrites, saturation edges, and
-    /// predicated lanes all stay bit-identical — EventCounts included —
+    /// Exp-heavy streams: adjacent groups, dependent chains, repeats,
+    /// `exp(a)*exp(b)` products, saturation edges, and predicated lanes
+    /// all stay bit-identical — EventCounts included —
     /// between the engine and the profiled interpreter. Runs under
     /// whichever exp family the build selected (libm by default, the
     /// vectorized vmath kernel with `--features vexp`); CI exercises
