@@ -142,7 +142,7 @@ fn main() {
             print!("{}", fidelity::render(&rows));
             let (search, search_ok) = search_report(&dme, &archs, jobs);
             let (pipeline, pipeline_ok) = pipeline_report(&dme);
-            let fresh = singe_bench::object! {
+            let fresh = object! {
                 "provenance": provenance(jobs),
                 "fidelity": fidelity::entry(&rows),
                 "search": search,
@@ -275,12 +275,12 @@ fn provenance(jobs: usize) -> Json {
                       different points per CTA compare on equal work";
     let probe_us = "simulated microseconds for that probe";
     let per_cta = "SM cycles per CTA";
-    singe_bench::object! {
+    object! {
         "sha": sha,
         "host": format!("{cpus} cpus, {}/{}", std::env::consts::OS, std::env::consts::ARCH),
         "features": if cfg!(feature = "vexp") { "vexp" } else { "default" },
         "jobs": jobs,
-        "units": singe_bench::object! {
+        "units": object! {
             "fidelity.speedup": speedup,
             "fidelity.paper_lo": speedup,
             "fidelity.paper_hi": speedup,
@@ -305,9 +305,10 @@ fn provenance(jobs: usize) -> Json {
 /// paper's bands ([`singe_bench::fidelity`]), printed. False when a cell's
 /// gap is wider than the record at `path` has it.
 fn fidelity_report(mechs: &[&Mechanism], path: &str) -> bool {
+    let committed = read_record(path);
     let rows = fidelity::fidelity_rows(mechs);
     print!("{}", fidelity::render(&rows));
-    let widened = fidelity::widened(&rows, &read_record(path));
+    let widened = fidelity::widened(&rows, &committed);
     for (cell, before, now) in &widened {
         println!("widened: {cell} gap {before:.4} -> {now:.4}");
     }
@@ -397,7 +398,7 @@ fn pipeline_report(dme: &Mechanism) -> (Json, bool) {
     let sweep: Vec<Json> = rows
         .iter()
         .map(|r| {
-            singe_bench::object! {
+            object! {
                 "k_requested": r.k_requested,
                 "depth": r.depth,
                 "cta_cycles": r.cycles,
@@ -408,7 +409,7 @@ fn pipeline_report(dme: &Mechanism) -> (Json, bool) {
             }
         })
         .collect();
-    let entry = singe_bench::object! {
+    let entry = object! {
         "kernel": "dme-viscosity-ws",
         "arch": arch.name,
         "warps": base_opts.warps,
@@ -587,7 +588,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
     let sweep: Vec<Json> = rows
         .iter()
         .map(|r| {
-            singe_bench::object! {
+            object! {
                 "kernel": r.kernel,
                 "arch": r.arch,
                 "grid_candidates": r.grid_candidates,
@@ -611,7 +612,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
         .collect();
     let total_evals: usize = rows.iter().map(|r| r.model_evals).sum();
     let total_sims: usize = rows.iter().map(|r| r.simulations).sum();
-    let entry = singe_bench::object! {
+    let entry = object! {
         "strategy": "beam",
         "probe_points": PROBE_POINTS,
         "beam_width": budget.beam_width,

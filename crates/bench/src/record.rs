@@ -297,13 +297,14 @@ impl Parser<'_> {
         }
         self.skip_space();
         match self.next()? {
-            b'{' => self.container(b'}', |p| {
-                p.expect(b'"')?;
-                let key = p.string()?;
-                p.expect(b':')?;
-                Ok((key, p.value(depth + 1)?))
-            })
-            .map(Json::Object),
+            b'{' => self
+                .container(b'}', |p| {
+                    p.expect(b'"')?;
+                    let key = p.string()?;
+                    p.expect(b':')?;
+                    Ok((key, p.value(depth + 1)?))
+                })
+                .map(Json::Object),
             b'[' => self.container(b']', |p| p.value(depth + 1)).map(Json::Array),
             b'"' => self.string().map(Json::Str),
             b't' => self.word(b"rue", Json::Bool(true)),
@@ -421,7 +422,8 @@ impl Parser<'_> {
         let mut code = 0u32;
         for _ in 0..4 {
             let digit = (self.next()? as char).to_digit(16);
-            code = code * 16 + digit.ok_or(ParseError { at: start, kind: ParseErrorKind::BadEscape })?;
+            code = code * 16
+                + digit.ok_or(ParseError { at: start, kind: ParseErrorKind::BadEscape })?;
         }
         char::from_u32(code).ok_or(ParseError { at: start, kind: ParseErrorKind::BadEscape })
     }
@@ -471,9 +473,8 @@ pub fn compare(fresh: &Json, committed: &Json) -> Result<(), Mismatch> {
 }
 
 fn same(path: &str, fresh: &Json, committed: &Json) -> Result<(), Mismatch> {
-    let differs = || {
-        Err(Mismatch { field: path.into(), fresh: fresh.line(), committed: committed.line() })
-    };
+    let differs =
+        || Err(Mismatch { field: path.into(), fresh: fresh.line(), committed: committed.line() });
     match (fresh, committed) {
         (Json::Object(a), Json::Object(b)) => {
             for (key, value) in a {
@@ -481,7 +482,11 @@ fn same(path: &str, fresh: &Json, committed: &Json) -> Result<(), Mismatch> {
                 match committed.get(key) {
                     Some(other) => same(&field, value, other)?,
                     None => {
-                        return Err(Mismatch { field, fresh: value.line(), committed: "nothing".into() })
+                        return Err(Mismatch {
+                            field,
+                            fresh: value.line(),
+                            committed: "nothing".into(),
+                        })
                     }
                 }
             }
@@ -502,10 +507,12 @@ fn same(path: &str, fresh: &Json, committed: &Json) -> Result<(), Mismatch> {
                     committed: b.len().to_string(),
                 });
             }
-            a.iter().zip(b).enumerate().try_for_each(|(i, (x, y))| same(&format!("{path}[{i}]"), x, y))
+            a.iter()
+                .zip(b)
+                .enumerate()
+                .try_for_each(|(i, (x, y))| same(&format!("{path}[{i}]"), x, y))
         }
-        (Json::Int(a), Json::Int(b)) if a == b => Ok(()),
-        (Json::Int(_), Json::Int(_)) => differs(),
+        (Json::Int(a), Json::Int(b)) if a != b => differs(),
         (a, b) => match (a.as_f64(), b.as_f64()) {
             (Some(x), Some(y)) if (x - y).abs() <= 1e-9 * y.abs() => Ok(()),
             (None, None) if a == b => Ok(()),
@@ -518,7 +525,8 @@ fn same(path: &str, fresh: &Json, committed: &Json) -> Result<(), Mismatch> {
 mod tests {
     use super::*;
 
-    const COMMITTED: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json"));
+    const COMMITTED: &str =
+        include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json"));
 
     fn committed() -> Json {
         parse(COMMITTED.as_bytes()).expect("the committed record parses")
@@ -580,7 +588,8 @@ mod tests {
 
     #[test]
     fn the_layout_is_the_one_the_target_files_had() {
-        let rows = Json::from(vec![object! { "figure": "fig9", "x": 2_usize }, object! { "x": 0.5 }]);
+        let rows =
+            Json::from(vec![object! { "figure": "fig9", "x": 2_usize }, object! { "x": 0.5 }]);
         assert_eq!(rows.document(), "[\n  {\"figure\": \"fig9\", \"x\": 2},\n  {\"x\": 0.5}\n]");
         let report = object! { "summary": object! { "rows": 1_usize }, "rows": vec![object! { "ok": true }] };
         assert_eq!(
@@ -614,7 +623,10 @@ mod tests {
         for text in [sample().document(), COMMITTED.trim_end().to_string()] {
             let value = parse(text.as_bytes()).expect("valid");
             for cut in 0..text.len() {
-                assert!(parse(&text.as_bytes()[..cut]).is_err(), "accepted the prefix of {cut} bytes");
+                assert!(
+                    parse(&text.as_bytes()[..cut]).is_err(),
+                    "accepted the prefix of {cut} bytes"
+                );
             }
             for at in 0..text.len() {
                 let mut flipped = text.clone().into_bytes();
@@ -627,8 +639,14 @@ mod tests {
             }
         }
         let error = |text: &str| parse(text.as_bytes()).unwrap_err();
-        assert_eq!(error("[1, ]"), ParseError { at: 4, kind: ParseErrorKind::UnexpectedByte(b']') });
-        assert_eq!(error("{\"a\": 1} x"), ParseError { at: 9, kind: ParseErrorKind::TrailingBytes });
+        assert_eq!(
+            error("[1, ]"),
+            ParseError { at: 4, kind: ParseErrorKind::UnexpectedByte(b']') }
+        );
+        assert_eq!(
+            error("{\"a\": 1} x"),
+            ParseError { at: 9, kind: ParseErrorKind::TrailingBytes }
+        );
         assert_eq!(error("\"\\q\"").kind, ParseErrorKind::BadEscape);
         assert_eq!(error("\"\\ud800\"").kind, ParseErrorKind::BadEscape);
         assert_eq!(error("\"a\nb\"").kind, ParseErrorKind::BadString);
@@ -645,7 +663,9 @@ mod tests {
                 return;
             };
             let child = match value {
-                Json::Object(members) => members.iter_mut().find(|(k, _)| k == head).map(|(_, v)| v),
+                Json::Object(members) => {
+                    members.iter_mut().find(|(k, _)| k == head).map(|(_, v)| v)
+                }
                 Json::Array(items) => items.get_mut(head.parse::<usize>().expect("array index")),
                 _ => None,
             };
@@ -676,8 +696,14 @@ mod tests {
         let without = Json::Object(members.into_iter().filter(|(k, _)| k != "pipeline").collect());
         assert_eq!(field(&without), "pipeline");
         assert_eq!(compare(&without, &fresh).unwrap_err().field, "pipeline");
-        assert_eq!(field(&tampered(&["pipeline", "rows"], |_| Json::from(vec![]))), "pipeline.rows.len");
-        assert_eq!(field(&tampered(&["search", "rows", "0"], |_| object! {})), "search.rows[0].kernel");
+        assert_eq!(
+            field(&tampered(&["pipeline", "rows"], |_| Json::from(vec![]))),
+            "pipeline.rows.len"
+        );
+        assert_eq!(
+            field(&tampered(&["search", "rows", "0"], |_| object! {})),
+            "search.rows[0].kernel"
+        );
         let extra = tampered(&["pipeline"], |p| {
             let Json::Object(mut members) = p.clone() else { panic!("an object") };
             members.push(("seconds".into(), Json::from(1.5)));
@@ -686,9 +712,18 @@ mod tests {
         assert_eq!(field(&extra), "pipeline.seconds");
         // A flag or a string is held exactly; the provenance is not held.
         assert_eq!(field(&tampered(&["search", "win"], |_| Json::from(false))), "search.win");
-        assert_eq!(field(&tampered(&["pipeline", "arch"], |_| Json::from("H100"))), "pipeline.arch");
-        assert_eq!(compare(&fresh, &tampered(&["provenance", "sha"], |_| Json::from("0000000"))), Ok(()));
+        assert_eq!(
+            field(&tampered(&["pipeline", "arch"], |_| Json::from("H100"))),
+            "pipeline.arch"
+        );
+        assert_eq!(
+            compare(&fresh, &tampered(&["provenance", "sha"], |_| Json::from("0000000"))),
+            Ok(())
+        );
         let message = compare(&fresh, &moved).unwrap_err().to_string();
-        assert!(message.starts_with("search.rows[3].search_best_cycles: this tree measures "), "{message}");
+        assert!(
+            message.starts_with("search.rows[3].search_best_cycles: this tree measures "),
+            "{message}"
+        );
     }
 }

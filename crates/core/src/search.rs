@@ -705,7 +705,8 @@ pub fn run_search_explained(
         .into_iter()
         .map(|p| {
             let compiled = p.predicted_seconds.is_finite();
-            let message = if compiled { None } else { compile_failures.get(&SearchSpace::key(&p.options)) };
+            let message =
+                if compiled { None } else { compile_failures.get(&SearchSpace::key(&p.options)) };
             SearchPoint {
                 predicted_seconds: compiled.then_some(p.predicted_seconds),
                 simulated_seconds: None,
@@ -996,8 +997,11 @@ mod tests {
         // not, in the compiler's words.
         let arch = GpuArch::kepler_k20c();
         let lone = CompileOptions::builder().warps(3).placement(Placement::Buffer(1)).build();
-        let reason = Compiler::new(&arch).options(lone.clone()).compile(&small_dfg(), crate::Variant::WarpSpecialized);
-        let reason = reason.expect_err("a one-slot buffer does not fit").to_string();
+        let compiler = Compiler::new(&arch).options(lone.clone());
+        let reason = compiler
+            .compile(&small_dfg(), crate::Variant::WarpSpecialized)
+            .expect_err("a one-slot buffer does not fit")
+            .to_string();
         let tuned = Compiler::new(&arch).search().tune(
             &small_dfg(),
             &FixedList(std::slice::from_ref(&lone)),
