@@ -427,7 +427,8 @@ fn pipeline_report(dme: &Mechanism) -> (Json, bool) {
 /// `search`: run the model-driven schedule search ([`singe::search`])
 /// against the committed candidate grids for DME viscosity + diffusion ×
 /// Fermi/Kepler/Hopper, printed; returns model-evals vs simulations vs
-/// best-found cycles as the `search` entry of `BENCH_report.json`. Both
+/// best-found cycles as the `search` entry of `BENCH_report.json`, with
+/// how many distinct kernels each row's scored candidates came to. Both
 /// sides of a row are one tuner: the *grid* baseline
 /// is a `FixedList` over the extended ∪ pipelined grids with every
 /// compiled candidate simulated; the search is `BeamSearch` at the
@@ -458,9 +459,9 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
         budget.beam_width, budget.rounds, budget.max_model_evals, budget.sim_top_k
     );
     println!(
-        "{:<10} {:<13} {:>5}/{:<5} {:>10} {:>5}/{:<5} {:>10} {:>8} {:>24}",
-        "kernel", "arch", "grid", "sims", "grid-cyc", "evals", "sims", "search-cyc", "delta",
-        "winner"
+        "{:<10} {:<13} {:>5}/{:<5} {:>10} {:>5}/{:<5} {:>7} {:>10} {:>8} {:>24}",
+        "kernel", "arch", "grid", "sims", "grid-cyc", "evals", "sims", "emitted", "search-cyc",
+        "delta", "winner"
     );
 
     struct SearchRow {
@@ -471,6 +472,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
         grid_best_cycles: u64,
         grid_best_us: f64,
         model_evals: usize,
+        kernels_emitted: usize,
         simulations: usize,
         search_best_cycles: u64,
         search_best_us: f64,
@@ -529,6 +531,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
             grid_best_cycles,
             grid_best_us: grid_best_secs * 1e6,
             model_evals: search.outcome.model_evals,
+            kernels_emitted: search.kernels_emitted,
             simulations: search.outcome.simulations,
             search_best_cycles,
             search_best_us: search_best_secs * 1e6,
@@ -553,7 +556,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
                 }
             };
             println!(
-                "{:<10} {:<13} {:>5}/{:<5} {:>10} {:>5}/{:<5} {:>10} {:>8} {:>24}",
+                "{:<10} {:<13} {:>5}/{:<5} {:>10} {:>5}/{:<5} {:>7} {:>10} {:>8} {:>24}",
                 row.kernel,
                 row.arch,
                 row.grid_candidates,
@@ -561,6 +564,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
                 row.grid_best_cycles,
                 row.model_evals,
                 row.simulations,
+                row.kernels_emitted,
                 row.search_best_cycles,
                 row.search_best_cycles as i64 - row.grid_best_cycles as i64,
                 format!(
@@ -596,6 +600,7 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> (Json, bool
                 "grid_best_cycles": r.grid_best_cycles,
                 "grid_best_us": us(r.grid_best_us),
                 "model_evals": r.model_evals,
+                "kernels_emitted": r.kernels_emitted,
                 "simulations": r.simulations,
                 "search_best_cycles": r.search_best_cycles,
                 "search_best_us": us(r.search_best_us),

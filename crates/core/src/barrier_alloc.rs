@@ -23,7 +23,7 @@ use crate::{CResult, CompileError};
 pub const MAX_SYNC_BARRIERS: u8 = 15;
 
 /// Result of barrier allocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BarrierAssignment {
     /// Physical barrier per sync point.
     pub of_sync: Vec<u8>,

@@ -34,6 +34,8 @@ pub struct BaselineCompiled {
     pub const_bytes: usize,
     /// Maximum simultaneously-live dataflow values (working-set metric).
     pub max_live_vars: usize,
+    /// What the verifier found, when it ran ([`crate::verify::runs_for`]).
+    pub(crate) verified: Option<crate::verify::Verified>,
 }
 
 const N_SCRATCH: usize = 14;
@@ -262,12 +264,14 @@ pub(crate) fn baseline_impl(
         exp_const_from_registers: false,
     };
     kernel.check().map_err(CompileError::Internal)?;
-    crate::verify::enforce(&kernel, arch, options)?;
+    let verified =
+        crate::verify::runs_for(options).then(|| crate::verify::enforce(&kernel, arch)).transpose()?;
     Ok(BaselineCompiled {
         kernel,
         spilled_words: n_spill as usize,
         const_bytes: bank.len() * 8,
         max_live_vars: max_live,
+        verified,
     })
 }
 

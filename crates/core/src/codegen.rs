@@ -29,11 +29,12 @@
 //!   code performs warp-dependent addressing without branching.
 
 use crate::barrier_alloc::{allocate, BarrierAssignment};
-use crate::config::CompileOptions;
+use crate::config::{CompileOptions, Placement};
 use crate::dfg::{Dfg, GraphFacts, OpId, Operation};
 use crate::expr::{emit_stmts, EmitCtx, Expr, NodeSink, RowRef, Stmt, VarId};
 use crate::mapping::{map_ops, Mapping};
 use crate::sync::{schedule, Item, Schedule};
+use crate::verify::{Verified, VerifyReport};
 use crate::{CResult, CompileError};
 use gpu_sim::arch::{BroadcastKind, GpuArch};
 use gpu_sim::interp::FlatProgram;
@@ -55,7 +56,7 @@ use std::sync::Arc;
 pub const CODEGEN_VERSION: u32 = 2;
 
 /// Compilation statistics (autotuner and report inputs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompileStats {
     /// Synchronization points after grouping.
     pub sync_points: usize,
@@ -93,9 +94,10 @@ pub struct Compiled {
     pub kernel: Kernel,
     /// Statistics.
     pub stats: CompileStats,
-    /// `kernel`'s flattening, when compiling produced one (the verifier
-    /// flattens what it checks): see [`Compiled::flat`].
-    pub(crate) flat: Option<Arc<FlatProgram>>,
+    /// What the verifier found of `kernel`, when compiling ran it
+    /// ([`crate::verify::runs_for`] the options): see [`Compiled::flat`]
+    /// and [`Compiled::verdict`].
+    pub(crate) verified: Option<Verified>,
 }
 
 impl Compiled {
@@ -106,7 +108,19 @@ impl Compiled {
     /// that, [`gpu_sim::flatcache::flatten_cached`]. It is of `kernel` as
     /// compiled, so not for a caller that has edited `kernel` since.
     pub fn flat(&self) -> Arc<FlatProgram> {
-        self.flat.clone().unwrap_or_else(|| gpu_sim::flatcache::flatten_cached(&self.kernel))
+        match &self.verified {
+            Some(verified) => verified.flat.clone(),
+            None => gpu_sim::flatcache::flatten_cached(&self.kernel),
+        }
+    }
+
+    /// The verifier's report on `kernel`: `Some` exactly when the compile's
+    /// options ran the verifier ([`crate::verify::runs_for`]) — which then
+    /// passed, a violation being a compile error. The one verdict of the
+    /// compile: asking [`crate::verify::verify_kernel`] instead hashes the
+    /// kernel again to find this report in its memo.
+    pub fn verdict(&self) -> Option<&VerifyReport> {
+        self.verified.as_ref().map(|verified| &verified.report)
     }
 }
 
@@ -150,7 +164,7 @@ pub(crate) fn sync_barrier_budget(arch: &GpuArch) -> u8 {
 
 /// Compile a dataflow graph into a warp-specialized kernel, optionally
 /// recording a per-stage timing span for each Figure 8 pipeline stage
-/// (see [`crate::compiler::StageTimer`]).
+/// (see [`crate::compiler::StageTimer`]): [`plan`], then [`finish`].
 pub(crate) fn compile_warp_specialized(
     dfg: &Dfg,
     options: &CompileOptions,
@@ -160,19 +174,115 @@ pub(crate) fn compile_warp_specialized(
     let mut timer = crate::compiler::StageTimer::new(spans);
     let facts = dfg.facts()?;
     timer.mark("validate");
-    compile_analysed(dfg, &facts, options, arch, timer)
+    let plan = plan(dfg, options, arch, &mut timer)?;
+    finish(dfg, &facts, &plan, arch, &mut timer)
 }
 
-/// [`compile_warp_specialized`] from the mapping stage on, for a caller
-/// that compiles one graph many times (the tuner) and so analyses it once.
-/// `facts` must be `dfg.facts()`.
-pub(crate) fn compile_analysed(
+/// What of [`CompileOptions`] is still read once a schedule is planned — by
+/// [`emit`] and by the verifier after it — with every "request" resolved to
+/// what it comes to for the schedule in hand. [`emit`] takes no options and
+/// destructures this, so an option cannot reach emitted code without being
+/// a field here, and so without entering [`EmitPlan`]'s equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct EmitFlags {
+    /// Warps per CTA.
+    warps: usize,
+    /// Streaming point-sets per CTA.
+    point_iters: u32,
+    /// Pipeline depth K the kernel runs at ([`effective_depth`]), not the
+    /// one requested.
+    depth: usize,
+    /// Uniform shared reads as in force: requested, and not under
+    /// `Placement::Buffer`.
+    uniform_reads: bool,
+    /// §6.2 ablation: emit no barrier.
+    unsafe_remove_barriers: bool,
+    /// §6.1 ablation, a field of the kernel.
+    exp_const_from_registers: bool,
+    /// Whether [`finish`] runs the verifier on the emitted kernel.
+    verify: bool,
+}
+
+impl EmitFlags {
+    /// The only reader of `options` from here on (with the depth clamp).
+    fn resolve(
+        options: &CompileOptions,
+        sched: &Schedule,
+        barriers: &BarrierAssignment,
+        arch: &GpuArch,
+    ) -> EmitFlags {
+        EmitFlags {
+            warps: options.warps,
+            point_iters: options.point_iters,
+            depth: effective_depth(options, sched, barriers, arch),
+            uniform_reads: options.uniform_shared_reads
+                && !matches!(options.placement, Placement::Buffer(_)),
+            unsafe_remove_barriers: options.unsafe_remove_barriers,
+            exp_const_from_registers: options.exp_const_from_registers,
+            verify: crate::verify::runs_for(options),
+        }
+    }
+}
+
+/// The pipeline depth K a schedule runs at (K-stage multi-buffered
+/// producer/consumer). K > 1 replicates every communicated slot K times and
+/// rotates per-stage full/empty barrier pairs so producers may run up to K
+/// point sets ahead of consumers. Schedules that already rendezvous the
+/// whole CTA (pass barriers), have nothing to communicate, or ablate
+/// barriers away fall back to the classic single-buffered protocol. The
+/// option is a *request*: it is lowered to the largest value the stream, the
+/// arch's barrier file and its shared memory can host, so an autotuner may
+/// probe aggressive depths without tripping resource errors — and most of
+/// what it probes comes to a depth it has already seen.
+fn effective_depth(
+    options: &CompileOptions,
+    sched: &Schedule,
+    barriers: &BarrierAssignment,
+    arch: &GpuArch,
+) -> usize {
+    let mut k = options.pipeline_depth.max(1).min(options.point_iters.max(1) as usize);
+    if sched.sync_points.is_empty()
+        || !sched.full_barriers.is_empty()
+        || options.unsafe_remove_barriers
+        || options.point_iters <= 1
+    {
+        k = 1;
+    }
+    // K rotated ids per sync-point color plus the K-entry empty ring must
+    // fit the barrier file; K copies of every slot must fit SMEM.
+    while k > 1
+        && ((barriers.barriers_used + 1) * k > arch.named_barriers_per_sm
+            || k * sched.n_slots * WARP_SIZE * 8 > arch.shared_per_sm)
+    {
+        k -= 1;
+    }
+    k
+}
+
+/// A compile at the one point where all that follows — the kernel, its
+/// statistics, the verifier's verdict, the model's score — is a pure
+/// function of what is in hand (and of the graph and the arch): two option
+/// sets with equal plans compile to the same bytes. Most of a beam's
+/// candidates differ from an earlier one in a mapping weight that moves no
+/// op, a toggle the placement overrides or a depth that clamps to one
+/// already tried, and so arrive here equal to it; [`crate::search::Tuner`]
+/// finishes and scores each distinct plan once.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct EmitPlan {
+    mapping: Mapping,
+    sched: Schedule,
+    barriers: BarrierAssignment,
+    flags: EmitFlags,
+}
+
+/// The first half of a compile, for a graph that validates: map, schedule,
+/// check the schedule, allocate barriers, resolve the options.
+pub(crate) fn plan(
     dfg: &Dfg,
-    facts: &GraphFacts,
     options: &CompileOptions,
     arch: &GpuArch,
-    mut timer: crate::compiler::StageTimer<'_>,
-) -> CResult<Compiled> {
+    timer: &mut crate::compiler::StageTimer<'_>,
+) -> CResult<EmitPlan> {
     let mapping = map_ops(dfg, options)?;
     timer.mark("mapping");
     let max_sync = sync_barrier_budget(arch);
@@ -182,9 +292,25 @@ pub(crate) fn compile_analysed(
     timer.mark("schedule-verify");
     let barriers = allocate(&sched, max_sync)?;
     timer.mark("barrier-alloc");
-    let mut compiled = emit(dfg, facts, &mapping, &sched, &barriers, options, arch)?;
+    let flags = EmitFlags::resolve(options, &sched, &barriers, arch);
+    Ok(EmitPlan { mapping, sched, barriers, flags })
+}
+
+/// The second half: emit the planned kernel and, if the plan says so, hold
+/// it to the verifier. `facts` must be `dfg.facts()`, and `dfg` and `arch`
+/// the ones the plan was made for.
+pub(crate) fn finish(
+    dfg: &Dfg,
+    facts: &GraphFacts,
+    plan: &EmitPlan,
+    arch: &GpuArch,
+    timer: &mut crate::compiler::StageTimer<'_>,
+) -> CResult<Compiled> {
+    let mut compiled = emit(dfg, facts, plan, arch)?;
     timer.mark("emit");
-    compiled.flat = crate::verify::enforce(&compiled.kernel, arch, options)?;
+    if plan.flags.verify {
+        compiled.verified = Some(crate::verify::enforce(&compiled.kernel, arch)?);
+    }
     timer.mark("verify");
     Ok(compiled)
 }
@@ -518,17 +644,17 @@ impl<'a> EmitCtx for WsCtx<'a> {
 }
 
 /// Emit the kernel from the scheduled program.
-#[allow(clippy::too_many_arguments)]
-fn emit(
-    dfg: &Dfg,
-    facts: &GraphFacts,
-    mapping: &Mapping,
-    sched: &Schedule,
-    barriers: &BarrierAssignment,
-    options: &CompileOptions,
-    arch: &GpuArch,
-) -> CResult<Compiled> {
-    let w = options.warps;
+fn emit(dfg: &Dfg, facts: &GraphFacts, plan: &EmitPlan, arch: &GpuArch) -> CResult<Compiled> {
+    let EmitPlan { mapping, sched, barriers, flags } = plan;
+    let EmitFlags {
+        warps: w,
+        point_iters,
+        depth: k_pipe,
+        uniform_reads,
+        unsafe_remove_barriers,
+        exp_const_from_registers,
+        verify: _,
+    } = *flags;
     let producers = &facts.producers;
 
     // Register budget: leave room for scratch, locals, and an estimate of
@@ -550,40 +676,10 @@ fn emit(
         .saturating_sub(N_SCRATCH + max_locals + cregs_est)
         .max(4);
 
-    let uniform_reads = options.uniform_shared_reads
-        && !matches!(options.placement, crate::config::Placement::Buffer(_));
     let plans: Vec<RegPlan> = (0..w)
         .map(|wi| plan_registers(dfg, facts, mapping, sched, wi, var_budget, uniform_reads))
         .collect::<CResult<Vec<_>>>()?;
 
-    // --- Pipeline depth (K-stage multi-buffered producer/consumer). ---
-    // K > 1 replicates every communicated slot K times and rotates per-
-    // stage full/empty barrier pairs so producers may run up to K point
-    // sets ahead of consumers. Schedules that already rendezvous the whole
-    // CTA (pass barriers), have nothing to communicate, or ablate barriers
-    // away fall back to the classic single-buffered protocol. The depth is
-    // a *request*: it is lowered to the largest value the arch's barrier
-    // file and shared memory can actually host, so an autotuner may probe
-    // aggressive depths without tripping resource errors.
-    let k_pipe = {
-        let mut k = options.pipeline_depth.max(1).min(options.point_iters.max(1) as usize);
-        if sched.sync_points.is_empty()
-            || !sched.full_barriers.is_empty()
-            || options.unsafe_remove_barriers
-            || options.point_iters <= 1
-        {
-            k = 1;
-        }
-        // K rotated ids per sync-point color plus the K-entry empty ring
-        // must fit the barrier file; K copies of every slot must fit SMEM.
-        while k > 1
-            && ((barriers.barriers_used + 1) * k > arch.named_barriers_per_sm
-                || k * sched.n_slots * WARP_SIZE * 8 > arch.shared_per_sm)
-        {
-            k -= 1;
-        }
-        k
-    };
     let pipelined = k_pipe > 1;
 
     let mirror_word = (k_pipe * sched.n_slots * WARP_SIZE) as u32;
@@ -705,7 +801,7 @@ fn emit(
                     debug_assert!(matches!(sched.items[wi][*c].1, Item::FullBarrier(_)));
                     *c += 1;
                 }
-                if !options.unsafe_remove_barriers {
+                if !unsafe_remove_barriers {
                     body.push(Node::Op(Instr::BarSync {
                         bar: barriers.full_barrier,
                         warps: w as u16,
@@ -723,7 +819,7 @@ fn emit(
                         cursors[wi] += 1;
                     }
                 }
-                if !options.unsafe_remove_barriers {
+                if !unsafe_remove_barriers {
                     let sp = &sched.sync_points[s];
                     let warps = sp.warps().len() as u16;
                     let node = if pipelined {
@@ -740,7 +836,7 @@ fn emit(
             }
             Item::Arrive(s) => {
                 cursors[seed_w] += 1;
-                if !options.unsafe_remove_barriers {
+                if !unsafe_remove_barriers {
                     let sp = &sched.sync_points[s];
                     let warps = sp.warps().len() as u16;
                     let node = if pipelined {
@@ -955,8 +1051,8 @@ fn emit(
         // next point set without racing ahead.
         loop_body = body;
         if !sched.sync_points.is_empty()
-            && !options.unsafe_remove_barriers
-            && options.point_iters > 1
+            && !unsafe_remove_barriers
+            && point_iters > 1
         {
             loop_body
                 .push(Node::Op(Instr::BarSync { bar: barriers.full_barrier, warps: w as u16 }));
@@ -979,7 +1075,7 @@ fn emit(
             );
         }
     }
-    full_body.push(Node::PointLoop { iters: options.point_iters, body: loop_body });
+    full_body.push(Node::PointLoop { iters: point_iters, body: loop_body });
     if pipelined && reader_only_mask != 0 {
         // Epilogue: drain the readers' final free-signals so every barrier
         // ends a completed generation (no dangling arrivals).
@@ -1052,8 +1148,8 @@ fn emit(
     } else {
         let uses_full = !sched.full_barriers.is_empty()
             || (!sched.sync_points.is_empty()
-                && !options.unsafe_remove_barriers
-                && options.point_iters > 1);
+                && !unsafe_remove_barriers
+                && point_iters > 1);
         (barriers.barriers_used + usize::from(uses_full)).max(1).min(arch.named_barriers_per_sm)
     };
     stats.barriers_used = kernel_barriers;
@@ -1063,7 +1159,7 @@ fn emit(
         name: format!("{}_ws", dfg.name),
         body: full_body,
         warps_per_cta: w,
-        points_per_cta: WARP_SIZE * options.point_iters as usize,
+        points_per_cta: WARP_SIZE * point_iters as usize,
         dregs_per_thread: dregs,
         iregs_per_thread: if pipelined { N_IREGS + 2 } else { N_IREGS },
         shared_words,
@@ -1073,10 +1169,10 @@ fn emit(
         barriers_used: kernel_barriers,
         global_arrays: dfg.arrays.clone(),
         spilled_bytes_per_thread: n_spill * 8,
-        exp_const_from_registers: options.exp_const_from_registers,
+        exp_const_from_registers,
     };
     kernel.check().map_err(CompileError::Internal)?;
-    Ok(Compiled { kernel, stats, flat: None })
+    Ok(Compiled { kernel, stats, verified: None })
 }
 
 /// An overlay candidate's code (§5.1), held against the seed's node by node
@@ -1147,7 +1243,13 @@ pub(crate) fn remap_nodes(nodes: &mut [Node], f: &dyn Fn(Reg) -> Reg) {
 mod tests {
     use super::*;
     use crate::dfg::test_support::diamond;
+    use crate::kernels::{chemistry, diffusion, viscosity};
+    use crate::search::SearchSpace;
+    use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
+    use chemkin::synth;
     use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn run_diamond(warps: usize, arch: &GpuArch) -> Vec<f64> {
         let mut d = diamond();
@@ -1458,6 +1560,68 @@ mod tests {
         // A proper prefix is never refused: `matched` falls short of the
         // seed's length, which is what the overlay loop checks.
         assert_eq!(fed(&seed[..2]), (2, false, None));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// What follows a plan is a function of the plan: a point of the
+        /// search space and its single-step neighbours (the pairs a beam
+        /// scores), on each of the three kernels — wherever two of them
+        /// plan alike, they emit the same bytes and the same statistics.
+        #[test]
+        fn equal_plans_emit_equal_kernels(
+            n_species in 4usize..10,
+            seed in 0u64..1000,
+            warps in 2usize..6,
+            arch in 0usize..3,
+            pick in 0usize..1000,
+        ) {
+            let mech = synth::via_text(&synth::SynthConfig {
+                name: format!("ep{n_species}_{seed}"),
+                n_species,
+                n_reactions: n_species * 2,
+                n_qssa: 0,
+                n_stiff: 0,
+                seed,
+            });
+            let arch = [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()][arch].clone();
+            let space = SearchSpace::for_arch(&arch);
+            let of = |menu: &[f64], salt: usize| menu[(pick / salt) % menu.len()];
+            let point = CompileOptions {
+                warps,
+                point_iters: space.point_iters[pick % space.point_iters.len()],
+                placement: space.placements[(pick / 3) % space.placements.len()],
+                pipeline_depth: space.pipeline_depths[(pick / 5) % space.pipeline_depths.len()],
+                w_flops: of(&space.w_flops, 7),
+                w_regs: of(&space.w_regs, 11),
+                w_locality: of(&space.w_locality, 13),
+                uniform_shared_reads: pick % 2 == 0,
+                ..Default::default()
+            };
+            let mut options = space.neighbors(&point);
+            options.push(point);
+            for dfg in [
+                viscosity::viscosity_dfg(&ViscosityTables::build(&mech), warps),
+                diffusion::diffusion_dfg(&DiffusionTables::build(&mech), warps),
+                chemistry::chemistry_dfg(&ChemistrySpec::build(&mech), warps),
+            ] {
+                let facts = dfg.facts().expect("valid graph");
+                let mut timer = crate::compiler::StageTimer::new(None);
+                // What each plan came to: its kernel's fingerprint and its
+                // statistics, or nothing if it would not finish.
+                type Emitted = Option<((u64, u64), CompileStats)>;
+                let mut emitted: HashMap<EmitPlan, Emitted> = HashMap::new();
+                for o in &options {
+                    let Ok(plan) = plan(&dfg, o, &arch, &mut timer) else { continue };
+                    let this = finish(&dfg, &facts, &plan, &arch, &mut timer)
+                        .ok()
+                        .map(|c| (gpu_sim::flatcache::fingerprint(&c.kernel), c.stats));
+                    let first = emitted.entry(plan).or_insert_with(|| this.clone());
+                    assert_eq!(*first, this, "{} on {}: {:?}", dfg.name, arch.name, o);
+                }
+            }
+        }
     }
 
     #[test]

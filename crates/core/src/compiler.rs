@@ -144,7 +144,7 @@ impl Compiler {
                 Ok(Compiled {
                     kernel: b.kernel,
                     stats: CompileStats { spilled_vars: b.spilled_words, ..Default::default() },
-                    flat: None,
+                    verified: b.verified,
                 })
             }
             Variant::Naive => {
@@ -234,6 +234,30 @@ mod tests {
         // Spans tile the timeline: each starts where the previous ended.
         for pair in spans.windows(2) {
             assert_eq!(pair[0].ts + pair[0].dur, pair[1].ts);
+        }
+    }
+
+    #[test]
+    fn a_compile_carries_its_verdict_exactly_when_the_verifier_ran() {
+        use crate::verify::{verify_kernel, VerifyLevel};
+        let arch = GpuArch::kepler_k20c();
+        let dfg = small_dfg();
+        let compiler = |verify, unsafe_remove_barriers| {
+            let options =
+                CompileOptions { verify, unsafe_remove_barriers, ..CompileOptions::with_warps(4) };
+            Compiler::new(&arch).options(options)
+        };
+        for variant in [Variant::WarpSpecialized, Variant::Baseline, Variant::Naive] {
+            // Verified: the report is the verifier's own.
+            let out = compiler(VerifyLevel::Basic, false).compile(&dfg, variant).unwrap();
+            let own = verify_kernel(&out.kernel, &arch).expect("it passed");
+            let carried = out.verdict().unwrap_or_else(|| panic!("{variant:?} ran the verifier"));
+            assert_eq!(format!("{carried:?}"), format!("{own:?}"), "{variant:?}");
+            // Not verified: switched off, or the §6.2 ablation under Basic.
+            let off = compiler(VerifyLevel::Off, false).compile(&dfg, variant).unwrap();
+            assert!(off.verdict().is_none(), "{variant:?}");
+            let ablated = compiler(VerifyLevel::Basic, true).compile(&dfg, variant).unwrap();
+            assert!(ablated.verdict().is_none(), "{variant:?}");
         }
     }
 

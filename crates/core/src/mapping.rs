@@ -11,7 +11,7 @@ use crate::expr::VarId;
 use crate::{CResult, CompileError};
 
 /// Where a dataflow value lives (§4.1 second mapping step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarPlace {
     /// Producer warp's registers only (no cross-warp consumers).
     Reg,
@@ -21,7 +21,7 @@ pub enum VarPlace {
 }
 
 /// Result of the mapping stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mapping {
     /// Warp of each op.
     pub warp_of: Vec<usize>,

@@ -242,7 +242,8 @@ pub(crate) fn naive_impl(dfg: &Dfg, options: &CompileOptions, arch: &GpuArch) ->
         exp_const_from_registers: options.exp_const_from_registers,
     };
     kernel.check().map_err(CompileError::Internal)?;
-    let flat = crate::verify::enforce(&kernel, arch, options)?;
+    let verified =
+        crate::verify::runs_for(options).then(|| crate::verify::enforce(&kernel, arch)).transpose()?;
     let stats = CompileStats {
         sync_points: sched.sync_points.len(),
         merged_syncs: sched.merged_syncs,
@@ -252,7 +253,7 @@ pub(crate) fn naive_impl(dfg: &Dfg, options: &CompileOptions, arch: &GpuArch) ->
         flop_imbalance: mapping.flop_imbalance(),
         ..Default::default()
     };
-    Ok(Compiled { kernel, stats, flat })
+    Ok(Compiled { kernel, stats, verified })
 }
 
 #[cfg(test)]

@@ -30,15 +30,17 @@
 //!
 //! Neighbor generation respects architecture feasibility up front
 //! ([`SearchSpace::canonical`]: warp budget, largest-fitting pipeline
-//! depth, Buffer-placement read discipline), so structurally doomed or
-//! duplicate candidates are pruned before they are ever scored.
+//! depth, Buffer-placement read discipline), so what those three clamps
+//! doom or duplicate is pruned before it is ever scored; candidates that
+//! turn out to compile to one kernel for any other reason are scored once
+//! between them ([`Tuner`]).
 //!
 //! Determinism: candidate expansion is pure, batches are scored on the
 //! ordered worker pool ([`crate::pool::run_ordered`]) and folded in
 //! input order, and all ranking ties break toward the earlier candidate —
 //! results are bit-identical at any `--jobs` count.
 
-use crate::codegen::{compile_analysed, Compiled};
+use crate::codegen::{self, Compiled, EmitPlan};
 use crate::compiler::{Compiler, StageTimer};
 use crate::config::{CompileOptions, Placement};
 use crate::dfg::Dfg;
@@ -249,11 +251,15 @@ impl SearchSpace {
         }
     }
 
-    /// Admit a candidate: apply the feasibility clamps the compiler
-    /// would apply anyway, so textually distinct options that compile to
-    /// the same schedule collapse to one candidate, and reject what the
-    /// architecture can never run (warp budget). Returns `None` for
-    /// rejected candidates — they are pruned, not scored.
+    /// Admit a candidate: apply three clamps the compiler would apply
+    /// anyway — depth to the stream and the arch's menu, no uniform shared
+    /// reads under `Placement::Buffer`, the warp budget (rejected: `None`,
+    /// pruned, not scored) — so options that differ only in those collapse
+    /// to one candidate. Only in those: two canonical candidates may still
+    /// compile to one kernel (a mapping weight that moves no op, a depth
+    /// the schedule's barriers or slots clamp further), which is known
+    /// only once they are planned. [`Tuner`] recognises them there and
+    /// finishes each distinct plan once.
     pub fn canonical(&self, mut o: CompileOptions) -> Option<CompileOptions> {
         if o.warps == 0 || o.warps > self.max_warps || o.point_iters == 0 {
             return None;
@@ -780,16 +786,31 @@ pub struct SearchResult {
     pub best: Compiled,
     /// The full search outcome (every scored point, rounds, counts).
     pub outcome: SearchOutcome,
+    /// How much of the score phase was new: the distinct plans handed to
+    /// the code generator, against `outcome.model_evals` candidates scored.
+    /// The rest arrived at the plan of an earlier candidate and took its
+    /// score (see [`Tuner`]).
+    pub kernels_emitted: usize,
 }
 
-/// The one compile + simulate binding of [`run_search`]: the graph is
-/// analysed once for all candidates, which are compiled on the ordered
-/// pool and scored by the static model over the flattening their compile
-/// already made. Nothing compiled is kept across the score phase (a beam
-/// scores 160 kernels): the `sim_top_k` survivors are compiled again to be
-/// probed with a `TimingOnly` launch over that compile's flattening, and so
-/// is the winner to be handed back — one emit, one hash and a verifier memo
-/// hit each.
+/// The one compile + simulate binding of [`run_search`]. The graph is
+/// analysed once for all candidates, and a candidate costs what is new
+/// about it: every candidate of a batch is *planned* on the ordered pool
+/// (map, schedule, check, allocate, resolve the options: the first half of
+/// a compile), and only the plans this `tune` call has not met are
+/// emitted, verified and scored by the static model over the flattening
+/// the verifier made, in the order they were first seen. A candidate whose
+/// plan equals an earlier one's takes that one's score, or its failure
+/// message: equal plans compile to equal bytes. The memo holding this is a
+/// local of the call, keyed by the whole plan under full equality, so
+/// nothing outlives the search and no hash collision can lend a candidate
+/// another's score.
+///
+/// Nothing compiled is kept across the score phase (a beam scores 160
+/// candidates): the `sim_top_k` survivors are compiled again to be probed
+/// with a `TimingOnly` launch over that compile's flattening, and so is the
+/// winner to be handed back — one emit, one hash and a verifier memo hit
+/// each.
 /// Built by [`Compiler::search`], which supplies the arch and the base
 /// options; space, budget and worker count start at their defaults.
 #[derive(Debug, Clone)]
@@ -847,17 +868,34 @@ impl Tuner {
         // One analysis of the graph serves every candidate; a graph that
         // does not validate fails each of them with that verdict.
         let facts = dfg.facts();
-        let build = |o: &CompileOptions| -> CResult<Compiled> {
-            let facts = facts.as_ref().map_err(Clone::clone)?;
-            compile_analysed(dfg, facts, o, arch, StageTimer::new(None))
+        let plan = |o: &CompileOptions| -> CResult<EmitPlan> {
+            facts.as_ref().map_err(Clone::clone)?;
+            codegen::plan(dfg, o, arch, &mut StageTimer::new(None))
         };
+        let finish = |plan: &EmitPlan| -> CResult<Compiled> {
+            let facts = facts.as_ref().map_err(Clone::clone)?;
+            codegen::finish(dfg, facts, plan, arch, &mut StageTimer::new(None))
+        };
+        let build = |o: &CompileOptions| finish(&plan(o)?);
+        // The score, or the compiler's message, of every plan finished so far.
+        let mut scored: HashMap<EmitPlan, Result<f64, String>> = HashMap::new();
         let mut score = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
-            run_ordered(jobs, cands.len(), |i| {
-                let c = build(&cands[i]).map_err(|e| e.to_string())?;
+            let plans = run_ordered(jobs, cands.len(), |i| plan(&cands[i]).map_err(|e| e.to_string()));
+            let mut fresh: Vec<&EmitPlan> = Vec::new();
+            let mut batch: HashSet<&EmitPlan> = HashSet::new();
+            for p in plans.iter().flatten() {
+                if !scored.contains_key(p) && batch.insert(p) {
+                    fresh.push(p);
+                }
+            }
+            let scores = run_ordered(jobs, fresh.len(), |i| {
+                let c = finish(fresh[i]).map_err(|e| e.to_string())?;
                 let grid = probe_grid(&c.kernel, probe_points);
                 let predicted = crate::perfmodel::predict_flat(&c.kernel, &c.flat(), arch, grid);
                 Ok(predicted.map_or(f64::INFINITY, |m| m.seconds()))
-            })
+            });
+            scored.extend(fresh.into_iter().cloned().zip(scores));
+            plans.into_iter().map(|p| scored[&p?].clone()).collect()
         };
         let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
             run_ordered(jobs, cands.len(), |i| {
@@ -878,7 +916,7 @@ impl Tuner {
         // Re-compile the winner (compilation is deterministic, and the
         // verifier remembers its verdict) so callers get a runnable artifact.
         let best = build(&outcome.best_options)?;
-        Ok(SearchResult { best, outcome })
+        Ok(SearchResult { best, outcome, kernels_emitted: scored.len() })
     }
 }
 
@@ -902,9 +940,11 @@ pub fn autotune_search_with_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VerifyLevel;
+    use crate::kernels::diffusion::diffusion_dfg;
     use crate::kernels::probe_inputs;
     use crate::kernels::viscosity::viscosity_dfg;
-    use chemkin::reference::tables::ViscosityTables;
+    use chemkin::reference::tables::{DiffusionTables, ViscosityTables};
     use chemkin::synth;
 
     /// A six-species viscosity graph at three warps.
@@ -1011,6 +1051,136 @@ mod tests {
         let error = tuned.expect_err("no candidate ran").to_string();
         assert!(error.contains("no schedule-search candidate ran"), "{error}");
         assert!(error.contains(&reason), "{error} should carry {reason}");
+    }
+
+    /// Every point of `found` against a compile of its options on their
+    /// own, through the public compiler and the public model: the same
+    /// score to the bit, or the same message.
+    fn assert_points_are_lone_compiles(dfg: &Dfg, arch: &GpuArch, points: usize, found: &SearchOutcome) {
+        for p in &found.points {
+            let compiler = Compiler::new(arch).options(p.options.clone());
+            match compiler.compile(dfg, crate::Variant::WarpSpecialized) {
+                Ok(lone) => {
+                    let grid = probe_grid(&lone.kernel, points);
+                    let want = crate::perfmodel::predict_seconds(&lone.kernel, arch, grid);
+                    let bits = |s: Option<f64>| s.map(f64::to_bits);
+                    assert_eq!(bits(p.predicted_seconds), bits(want), "{:?}", p.options);
+                    assert!(!matches!(p.failure, Some(TuneFailure::Compile(_))), "{:?}", p.options);
+                }
+                Err(e) => {
+                    assert_eq!(p.predicted_seconds, None, "{:?}", p.options);
+                    assert_eq!(p.failure, Some(TuneFailure::Compile(e.to_string())), "{:?}", p.options);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_candidate_that_repeats_a_plan_scores_as_a_compile_of_its_own() {
+        let dfg = small_dfg();
+        let o = CompileOptions::builder().warps(3).point_iters(4).build();
+        let depth = |k| CompileOptions { pipeline_depth: k, ..o.clone() };
+        // The §6.2 ablation under the Strict verifier: planned, emitted,
+        // and then refused — a failure the memo has to remember.
+        let ablated = CompileOptions { unsafe_remove_barriers: true, verify: VerifyLevel::Strict, ..o.clone() };
+        let list = vec![
+            // The same options twice.
+            o.clone(),
+            o.clone(),
+            // Three weights that move none of the graph's pinned ops.
+            CompileOptions { w_flops: 0.5, ..o.clone() },
+            CompileOptions { w_regs: 0.0, ..o.clone() },
+            CompileOptions { w_locality: 1.0, ..o.clone() },
+            // Three depths of one schedule.
+            depth(1),
+            depth(2),
+            depth(4),
+            // Two spellings of a plan that fails after it is made, and two
+            // options that never get one (the graph is built for 3 warps).
+            ablated.clone(),
+            CompileOptions { w_regs: 1.0, ..ablated },
+            CompileOptions { warps: 2, ..o.clone() },
+            CompileOptions { warps: 2, w_flops: 2.0, ..o.clone() },
+        ];
+        for arch in [GpuArch::kepler_k20c(), GpuArch::hopper()] {
+            for jobs in [1, 8] {
+                let budget = SearchBudget::builder().sim_top_k(list.len()).build();
+                let tuner = Compiler::new(&arch).search().budget(budget).jobs(jobs);
+                let found = tuner.tune(&dfg, &FixedList(&list), 256, &probe_inputs(6, 1)).unwrap();
+                assert_points_are_lone_compiles(&dfg, &arch, 256, &found.outcome);
+                let compiled = found.outcome.points.iter().filter(|p| p.predicted_seconds.is_some());
+                assert_eq!(compiled.count(), 8, "{}", arch.name);
+                // One plan for the five spellings of `o` and `depth(1)`, at
+                // most one each for the two deeper rings, one refused.
+                assert!((2..=4).contains(&found.kernels_emitted), "{}", found.kernels_emitted);
+            }
+        }
+        // And a whole search of the same graph, whose beam is mostly
+        // weight, toggle and depth moves.
+        let arch = GpuArch::kepler_k20c();
+        for jobs in [1, 8] {
+            let tuner = Compiler::new(&arch).options(o.clone()).search().jobs(jobs);
+            let found = tuner.tune(&dfg, &BeamSearch, 256, &probe_inputs(6, 1)).unwrap();
+            assert_points_are_lone_compiles(&dfg, &arch, 256, &found.outcome);
+            let compiled = found.outcome.points.iter().filter(|p| p.predicted_seconds.is_some());
+            assert!(found.kernels_emitted < compiled.count(), "{}", found.kernels_emitted);
+        }
+    }
+
+    /// The two `search_tune`-shaped rows: DME viscosity on Kepler and DME
+    /// diffusion on Hopper, at `singe_serve::default_options`' values.
+    fn default_rows() -> [(Dfg, GpuArch, CompileOptions); 2] {
+        let mech = synth::dme();
+        let options = |warps, placement| {
+            CompileOptions::builder().warps(warps).point_iters(4).placement(placement).build()
+        };
+        let viscosity = options(10, Placement::Store);
+        let diffusion = options(15, Placement::Mixed(176));
+        [
+            (
+                viscosity_dfg(&ViscosityTables::build(&mech), viscosity.warps),
+                GpuArch::kepler_k20c(),
+                viscosity,
+            ),
+            (
+                diffusion_dfg(&DiffusionTables::build(&mech), diffusion.warps),
+                GpuArch::hopper(),
+                diffusion,
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_default_row_finishes_each_distinct_kernel_once() {
+        let mut emitted_of_compiled = Vec::new();
+        for (dfg, arch, base) in default_rows() {
+            let tuner = Compiler::new(&arch).options(base).search();
+            let found = tuner.tune(&dfg, &BeamSearch, 4096, &probe_inputs(30, 1)).unwrap();
+            assert_eq!(found.outcome.model_evals, SearchBudget::default().max_model_evals);
+            if dfg.name.contains("viscosity") {
+                assert_points_are_lone_compiles(&dfg, &arch, 4096, &found.outcome);
+            }
+            // Among the candidates that compile, two have one plan exactly
+            // when they have one kernel: the memo's key is neither finer
+            // than what `emit` reads (a repeat it would miss) nor, which
+            // would be a wrong score, coarser.
+            let mut kernel_of_plan: HashMap<EmitPlan, (u64, u64)> = HashMap::new();
+            let mut kernels = HashSet::new();
+            let compiling = found.outcome.points.iter().filter(|p| p.predicted_seconds.is_some());
+            let compiled = compiling.clone().count();
+            for p in compiling {
+                let plan = codegen::plan(&dfg, &p.options, &arch, &mut StageTimer::new(None)).unwrap();
+                let compiler = Compiler::new(&arch).options(p.options.clone());
+                let lone = compiler.compile(&dfg, crate::Variant::WarpSpecialized).unwrap();
+                let print = gpu_sim::flatcache::fingerprint(&lone.kernel);
+                kernels.insert(print);
+                assert_eq!(*kernel_of_plan.entry(plan).or_insert(print), print, "{:?}", p.options);
+            }
+            assert_eq!(kernel_of_plan.len(), kernels.len(), "{}: plans and kernels", dfg.name);
+            assert_eq!(found.kernels_emitted, kernels.len(), "{}: no plan failed late", dfg.name);
+            emitted_of_compiled.push((found.kernels_emitted, compiled));
+        }
+        assert_eq!(emitted_of_compiled, [(30, 116), (27, 90)]);
     }
 
     #[test]

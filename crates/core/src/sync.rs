@@ -31,7 +31,7 @@ pub type SyncId = usize;
 
 /// A synchronization point: one producer op communicating one or more
 /// values to a fixed set of consumer warps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SyncPoint {
     /// Total-order id.
     pub id: SyncId,
@@ -66,7 +66,7 @@ impl SyncPoint {
 }
 
 /// A schedule item for one warp.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Item {
     /// Execute an operation.
     Op(OpId),
@@ -81,7 +81,7 @@ pub enum Item {
 }
 
 /// Complete schedule: per-warp item lists plus communication metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schedule {
     /// Per-warp `(key, item)` lists, sorted by key.
     pub items: Vec<Vec<(u64, Item)>>,

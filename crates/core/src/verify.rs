@@ -210,27 +210,41 @@ fn verify_flat(kernel: &Kernel, arch: &GpuArch) -> (Arc<FlatProgram>, Verdict) {
     (prog, verdict)
 }
 
-/// Policy wrapper used by the compilers: run [`verify_kernel`] according
-/// to `options.verify` and convert violations into a hard
-/// [`CompileError::Verification`]. A kernel that was verified comes back
-/// with the flattening the verifier made of it, for [`Compiled::flat`].
+/// Whether a compile with `options` runs the verifier on what it emits.
+/// The one spelling of [`VerifyLevel`]'s policy: the compilers ask it before
+/// they call [`enforce`], and whoever wants to know afterwards reads
+/// [`Compiled::verdict`], which is `Some` exactly when this said yes.
 ///
-/// [`Compiled::flat`]: crate::codegen::Compiled::flat
-pub fn enforce(
-    kernel: &Kernel,
-    arch: &GpuArch,
-    options: &CompileOptions,
-) -> CResult<Option<Arc<FlatProgram>>> {
-    let run = match options.verify {
+/// [`Compiled::verdict`]: crate::codegen::Compiled::verdict
+pub fn runs_for(options: &CompileOptions) -> bool {
+    match options.verify {
         VerifyLevel::Off => false,
         VerifyLevel::Basic => !options.unsafe_remove_barriers,
         VerifyLevel::Strict => true,
-    };
-    if !run {
-        return Ok(None);
     }
+}
+
+/// What [`enforce`] found of a kernel that passed.
+#[derive(Debug, Clone)]
+pub struct Verified {
+    /// The flattening the verifier checked, for [`Compiled::flat`].
+    ///
+    /// [`Compiled::flat`]: crate::codegen::Compiled::flat
+    pub flat: Arc<FlatProgram>,
+    /// The verifier's statistics, for [`Compiled::verdict`].
+    ///
+    /// [`Compiled::verdict`]: crate::codegen::Compiled::verdict
+    pub report: VerifyReport,
+}
+
+/// [`verify_kernel`] as the compilers run it (when [`runs_for`] their
+/// options): violations become a hard [`CompileError::Verification`], and a
+/// kernel that passed comes back with the flattening the verifier made of it
+/// and the report it wrote, so nobody hashes the kernel again to ask for
+/// either.
+pub fn enforce(kernel: &Kernel, arch: &GpuArch) -> CResult<Verified> {
     match verify_flat(kernel, arch) {
-        (prog, Ok(_)) => Ok(Some(prog)),
+        (flat, Ok(report)) => Ok(Verified { flat, report }),
         (_, Err(violations)) => Err(CompileError::Verification(VerifyFailure {
             kernel: kernel.name.clone(),
             violations,

@@ -39,7 +39,7 @@ use singe::kernels::{chemistry, diffusion, launch_arrays, probe_grid, viscosity}
 use singe::search::{
     run_search_explained, ScheduleSearch, SearchBudget, SearchOutcome, SearchSpace,
 };
-use singe::{CompileOptions, Compiler, Placement, Variant, VerifyLevel};
+use singe::{CompileOptions, Compiler, Placement, Variant};
 
 use crate::artifact::{Artifact, ArtifactKey, ArtifactMeta, Store, VerifyVerdict};
 use crate::error::{ServeError, ServeResult};
@@ -638,32 +638,16 @@ fn serve_one(
         KernelId::Chemistry => chemistry::chemistry_dfg(&ChemistrySpec::build(mech), dfg_warps),
     };
     let compiled = Compiler::new(arch).options(opts.clone()).compile(&dfg, req.variant)?;
-    // Record the verdict exactly when compile-time verification ran
-    // (mirrors `verify::enforce`); re-running `verify_kernel` here is a
-    // memo hit, not a second dynamic pass.
-    let verification_ran = match opts.verify {
-        VerifyLevel::Off => false,
-        VerifyLevel::Basic => !opts.unsafe_remove_barriers,
-        VerifyLevel::Strict => true,
-    };
-    let verdict = if verification_ran {
-        match singe::verify::verify_kernel(&compiled.kernel, arch) {
-            Ok(r) => VerifyVerdict {
-                verified: true,
-                warps: r.warps,
-                barrier_ops: r.barrier_ops,
-                shared_accesses: r.shared_accesses,
-                barrier_ids: r.barrier_ids,
-                generations: r.generations,
-            },
-            // compile() already enforced; a failure here would be an
-            // enforce/verdict skew — record it as unverified rather than
-            // failing a compile that succeeded.
-            Err(_) => VerifyVerdict::default(),
-        }
-    } else {
-        VerifyVerdict::default()
-    };
+    // The compile's own verdict: present exactly when its options ran the
+    // verifier, which then passed.
+    let verdict = compiled.verdict().map_or_else(VerifyVerdict::default, |r| VerifyVerdict {
+        verified: true,
+        warps: r.warps,
+        barrier_ops: r.barrier_ops,
+        shared_accesses: r.shared_accesses,
+        barrier_ids: r.barrier_ids,
+        generations: r.generations,
+    });
     let compile_nanos = t0.elapsed().as_nanos() as u64;
     // Baseline builds keep the historical `None` stats so report code
     // doesn't mistake them for warp-specialization statistics.
