@@ -174,8 +174,8 @@ pub(crate) fn compile_warp_specialized(
     let mut timer = crate::compiler::StageTimer::new(spans);
     let facts = dfg.facts()?;
     timer.mark("validate");
-    let plan = plan(dfg, options, arch, &mut timer)?;
-    finish(dfg, &facts, &plan, arch, &mut timer)
+    let planned = plan(dfg, options, arch, &mut timer)?;
+    finish(dfg, &facts, &planned, arch, &mut timer)
 }
 
 /// What of [`CompileOptions`] is still read once a schedule is planned — by

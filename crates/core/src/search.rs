@@ -811,6 +811,7 @@ pub struct SearchResult {
 /// with a `TimingOnly` launch over that compile's flattening, and so is the
 /// winner to be handed back — one emit, one hash and a verifier memo hit
 /// each.
+///
 /// Built by [`Compiler::search`], which supplies the arch and the base
 /// options; space, budget and worker count start at their defaults.
 #[derive(Debug, Clone)]
@@ -967,6 +968,11 @@ mod tests {
         tuner.tune(&small_dfg(), &FixedList(cands), 256, &probe_inputs(6, 1)).unwrap().outcome
     }
 
+    /// How many of a search's candidates compiled (and so were scored).
+    fn compiled(found: &SearchOutcome) -> usize {
+        found.points.iter().filter(|p| p.predicted_seconds.is_some()).count()
+    }
+
     fn with_warps(warps: &[usize]) -> Vec<CompileOptions> {
         warps.iter().map(|&w| CompileOptions::with_warps(w)).collect()
     }
@@ -1108,8 +1114,7 @@ mod tests {
                 let tuner = Compiler::new(&arch).search().budget(budget).jobs(jobs);
                 let found = tuner.tune(&dfg, &FixedList(&list), 256, &probe_inputs(6, 1)).unwrap();
                 assert_points_are_lone_compiles(&dfg, &arch, 256, &found.outcome);
-                let compiled = found.outcome.points.iter().filter(|p| p.predicted_seconds.is_some());
-                assert_eq!(compiled.count(), 8, "{}", arch.name);
+                assert_eq!(compiled(&found.outcome), 8, "{}", arch.name);
                 // One plan for the five spellings of `o` and `depth(1)`, at
                 // most one each for the two deeper rings, one refused.
                 assert!((2..=4).contains(&found.kernels_emitted), "{}", found.kernels_emitted);
@@ -1122,8 +1127,7 @@ mod tests {
             let tuner = Compiler::new(&arch).options(o.clone()).search().jobs(jobs);
             let found = tuner.tune(&dfg, &BeamSearch, 256, &probe_inputs(6, 1)).unwrap();
             assert_points_are_lone_compiles(&dfg, &arch, 256, &found.outcome);
-            let compiled = found.outcome.points.iter().filter(|p| p.predicted_seconds.is_some());
-            assert!(found.kernels_emitted < compiled.count(), "{}", found.kernels_emitted);
+            assert!(found.kernels_emitted < compiled(&found.outcome), "{}", found.kernels_emitted);
         }
     }
 
@@ -1166,9 +1170,7 @@ mod tests {
             // would be a wrong score, coarser.
             let mut kernel_of_plan: HashMap<EmitPlan, (u64, u64)> = HashMap::new();
             let mut kernels = HashSet::new();
-            let compiling = found.outcome.points.iter().filter(|p| p.predicted_seconds.is_some());
-            let compiled = compiling.clone().count();
-            for p in compiling {
+            for p in found.outcome.points.iter().filter(|p| p.predicted_seconds.is_some()) {
                 let plan = codegen::plan(&dfg, &p.options, &arch, &mut StageTimer::new(None)).unwrap();
                 let compiler = Compiler::new(&arch).options(p.options.clone());
                 let lone = compiler.compile(&dfg, crate::Variant::WarpSpecialized).unwrap();
@@ -1178,7 +1180,7 @@ mod tests {
             }
             assert_eq!(kernel_of_plan.len(), kernels.len(), "{}: plans and kernels", dfg.name);
             assert_eq!(found.kernels_emitted, kernels.len(), "{}: no plan failed late", dfg.name);
-            emitted_of_compiled.push((found.kernels_emitted, compiled));
+            emitted_of_compiled.push((found.kernels_emitted, compiled(&found.outcome)));
         }
         assert_eq!(emitted_of_compiled, [(30, 116), (27, 90)]);
     }

@@ -140,7 +140,7 @@ impl fmt::Display for VerifyFailure {
 impl std::error::Error for VerifyFailure {}
 
 /// Statistics from a successful verification.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyReport {
     /// Warps analyzed.
     pub warps: usize,
