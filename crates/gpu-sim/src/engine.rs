@@ -99,7 +99,7 @@ use crate::WARP_SIZE;
 /// would silently replay stale lowered programs cached under the old
 /// semantics (in-memory across test-harness reconfigurations, on-disk
 /// across process restarts).
-pub const LOWERING_VERSION: u32 = 9;
+pub const LOWERING_VERSION: u32 = 10;
 
 /// How a segment ends: the end of the warp's stream, or a named-barrier
 /// operation handled at scheduler level.
@@ -132,9 +132,13 @@ struct Segment {
 /// Where a global access takes its per-lane point index from.
 #[derive(Debug, Clone, Copy)]
 enum PtsRef {
-    /// `point = base_point + delta + lane` (PointRef::Lane / ::Thread,
-    /// with the point-set or warp offset folded into `delta`).
+    /// `point = base_point + delta + lane` (PointRef::Lane, with the
+    /// point-set offset folded into `delta`).
     Rel(u32),
+    /// `point = base_point + warp * WARP_SIZE + lane` (PointRef::Thread):
+    /// completed from the executing warp's id at run time, as `base_point`
+    /// is, so the warps of a class share the micro-op.
+    Thread,
     /// Statically-resolved absolute points (PointRef::Reg): a 32-lane
     /// chunk index into the u32 arena.
     Abs(u32),
@@ -190,12 +194,20 @@ enum UOp {
     Nop,
 }
 
-/// A lowered CTA program: per-warp segment lists over shared micro-op and
-/// operand arenas. Arch/grid/CTA independent — cache freely.
+/// Bytes of one stored micro-op — the unit [`EngineStats::uops`] counts
+/// and the bulk of what [`FlatProgram::heap_bytes`] reports.
+pub const UOP_BYTES: usize = std::mem::size_of::<UOp>();
+
+/// A lowered CTA program: segment lists over shared micro-op and operand
+/// arenas, one list per warp class (per warp only where the warp id
+/// reached lowering). Arch/grid/CTA independent — cache freely.
 #[derive(Debug)]
 pub(crate) struct EngineProgram {
-    /// Per-warp segments, in stream order.
-    warps: Vec<Vec<Segment>>,
+    /// Lowered streams: each one's segments, in stream order.
+    lowered: Vec<Vec<Segment>>,
+    /// Warp → index into `lowered`. The warps of a class share one entry
+    /// unless the class executes `IdxInstr::WarpId`.
+    lowered_of: Vec<u32>,
     uops: Vec<UOp>,
     /// 32-lane u32 chunks (shared addresses, global rows, absolute
     /// points), deduplicated; indexed by chunk (byte offset = idx * 32).
@@ -214,11 +226,12 @@ pub(crate) struct EngineProgram {
     dreg_tail: Vec<f64>,
     /// Deferred errors referenced by [`UOp::Trap`].
     traps: Vec<SimError>,
-    /// Lowering statistics: the final program's op mix.
+    /// Lowering statistics: the op mix one CTA executes.
     stats: EngineStats,
 }
 
-/// The op mix of a lowered program, through
+/// The op mix of the program one CTA executes — each warp's lowered stream
+/// counted once per warp, however many warps share its storage — through
 /// [`crate::flatcache::engine_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
@@ -246,19 +259,28 @@ impl EngineProgram {
         &self.stats
     }
 
-    /// FNV-1a digest of everything lowering produced: segments (ranges,
-    /// bulk counts, terminators), micro-ops and traps through their `Debug`
-    /// form — lossless, since `splat_immediates` leaves no `f64` operand in
-    /// a micro-op — the op mix, and the arenas by bit pattern. Two
-    /// lowerings with equal digests replay identically, so pinned digests
+    /// Heap bytes the lowered program retains, from lengths times element
+    /// sizes (the inputs of [`FlatProgram::heap_bytes`]).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let segments: usize = self.lowered.iter().map(Vec::len).sum();
+        self.uops.len() * UOP_BYTES
+            + segments * size_of::<Segment>()
+            + self.lowered_of.len() * size_of::<u32>()
+            + self.u32x.len() * size_of::<u32>()
+            + (self.f64x.len() + self.dreg_tail.len()) * size_of::<f64>()
+            + self.lines.len() * size_of::<u64>()
+            + self.traps.len() * size_of::<SimError>()
+    }
+
+    /// FNV-1a digest of everything lowering produced: the lowered streams'
+    /// segments (ranges, bulk counts, terminators) and the warp map onto
+    /// them, micro-ops and traps through their `Debug` form — lossless,
+    /// since `splat_immediates` leaves no `f64` operand in a micro-op — the
+    /// op mix, and the arenas by bit pattern. Two lowerings with equal
+    /// digests replay identically, so pinned digests
     /// (`tests/lowering_digest.rs`) prove an optimizer change needs no
     /// [`LOWERING_VERSION`] bump.
-    ///
-    /// The op mix is written in the layout [`EngineStats`] had when the
-    /// digests of `LOWERING_VERSION` 9 were recorded (five exp-pass counters
-    /// and an empty batch arena after it), so those values also prove that
-    /// removing the exp passes changed no lowering. The next version bump
-    /// re-records anyway and can hash `self.stats` directly.
     pub(crate) fn digest(&self) -> u64 {
         struct Fnv(u64);
         impl Fnv {
@@ -278,15 +300,12 @@ impl EngineProgram {
         std::fmt::Write::write_fmt(
             &mut h,
             format_args!(
-                "{:?}{:?}{:?}EngineStats {{ uops: {}, exp_ops: {}, exp_batched: 0, \
-                 exp_batches: 0, exp_cse: 0, exp_mul_applied: 0, exp_mul_rejected: 0, \
-                 exp_mul_infeasible: 0, async_copies: {} }}[]{:?}",
-                self.warps,
+                "{:?}{:?}{:?}{:?}{:?}{:?}",
+                self.lowered,
+                self.lowered_of,
                 self.uops,
                 self.traps,
-                self.stats.uops,
-                self.stats.exp_ops,
-                self.stats.async_copies,
+                self.stats,
                 self.f64x.len()
             ),
         )
@@ -343,19 +362,49 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         imm_dedup: WordMap::default(),
         chunks: ChunkTable::new(),
     };
-    let warps: Vec<Vec<Segment>> =
-        (0..prog.n_warps()).map(|w| lw.lower_warp(prog, w)).collect();
-    let mut stats = EngineStats { uops: lw.uops.len() as u64, ..EngineStats::default() };
-    for u in &lw.uops {
-        match u {
-            UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, .. }) => stats.exp_ops += 1,
-            UOp::CpAsync { .. } => stats.async_copies += 1,
-            _ => {}
-        }
+    // Lower each class at its first warp and let the later members share
+    // the result, unless that lowering read the warp id: then every member
+    // gets its own. The op mix stays what one CTA executes: each warp adds
+    // its lowered stream's, shared or not.
+    let mut lowered: Vec<Vec<Segment>> = Vec::new();
+    let mut mixes: Vec<EngineStats> = Vec::new();
+    let mut shared: Vec<Option<u32>> = vec![None; prog.n_classes()];
+    let mut lowered_of: Vec<u32> = Vec::with_capacity(prog.n_warps());
+    let mut stats = EngineStats::default();
+    for w in 0..prog.n_warps() {
+        let class = prog.class_of(w);
+        let at = match shared[class] {
+            Some(at) => at,
+            None => {
+                let start = lw.uops.len();
+                let (segs, read_warp_id) = lw.lower_warp(prog, w);
+                lowered.push(segs);
+                mixes.push(op_mix(&lw.uops[start..]));
+                let at = (lowered.len() - 1) as u32;
+                if !read_warp_id {
+                    shared[class] = Some(at);
+                }
+                at
+            }
+        };
+        let mix = &mixes[at as usize];
+        stats.uops += mix.uops;
+        stats.exp_ops += mix.exp_ops;
+        stats.async_copies += mix.async_copies;
+        lowered_of.push(at);
     }
+    // Hand the arenas back at their length: `uops` grew to each stream's
+    // pre-optimization size before compaction truncated it.
+    let mut uops = lw.uops;
+    uops.shrink_to_fit();
+    lw.u32x.shrink_to_fit();
+    lw.f64x.shrink_to_fit();
+    lw.lines.shrink_to_fit();
+    lw.dreg_tail.shrink_to_fit();
     EngineProgram {
-        warps,
-        uops: lw.uops,
+        lowered,
+        lowered_of,
+        uops,
         u32x: lw.u32x,
         f64x: lw.f64x,
         lines: lw.lines,
@@ -363,6 +412,19 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         traps: lw.traps,
         stats,
     }
+}
+
+/// The op mix of one lowered stream's micro-ops.
+fn op_mix(uops: &[UOp]) -> EngineStats {
+    let mut mix = EngineStats { uops: uops.len() as u64, ..EngineStats::default() };
+    for u in uops {
+        match u {
+            UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, .. }) => mix.exp_ops += 1,
+            UOp::CpAsync { .. } => mix.async_copies += 1,
+            _ => {}
+        }
+    }
+    mix
 }
 
 impl Lowerer<'_> {
@@ -416,9 +478,14 @@ impl Lowerer<'_> {
         *seg_start = self.uops.len() as u32;
     }
 
-    fn lower_warp(&mut self, prog: &FlatProgram, w: usize) -> Vec<Segment> {
+    /// Lower warp `w`'s stream. The flag reports whether lowering read the
+    /// warp id (an executed `IdxInstr::WarpId`): if not, the segments are
+    /// every class member's, because the one other use of the warp — a
+    /// `PointRef::Thread` global address — is completed at run time.
+    fn lower_warp(&mut self, prog: &FlatProgram, w: usize) -> (Vec<Segment>, bool) {
         let kernel = self.kernel;
         let warp_start = self.uops.len();
+        let mut read_warp_id = false;
         // Concrete per-warp index-register state, abstractly interpreted
         // in stream order. Values are CTA-invariant (see module docs).
         let mut iregs = vec![0u32; kernel.iregs_per_thread * WARP_SIZE];
@@ -426,7 +493,7 @@ impl Lowerer<'_> {
         let mut seg_start = self.uops.len() as u32;
         let mut bulk = StaticSegCounts::default();
         'stream: {
-            for op in &prog.streams[w] {
+            for op in prog.stream(w) {
                 match *op {
                     FlatOp::Branch { .. } => {
                         bulk.issue_slots += 1;
@@ -435,11 +502,11 @@ impl Lowerer<'_> {
                     FlatOp::Exec { instr, pset, .. } => {
                         let i = instr as usize;
                         let cost = prog.costs[i];
-                        bulk.issue_slots += cost.slots;
+                        bulk.issue_slots += cost.slots();
                         if cost.dp {
-                            bulk.dp_slots += cost.slots;
-                            bulk.flops += cost.flops_warp;
-                            bulk.dp_const_slots += cost.const_slots;
+                            bulk.dp_slots += cost.slots();
+                            bulk.flops += cost.flops_warp();
+                            bulk.dp_const_slots += cost.const_slots();
                         }
                         match prog.decoded[i] {
                             DecodedInstr::BarArrive { bar, expected } => {
@@ -476,8 +543,9 @@ impl Lowerer<'_> {
                                 break 'stream;
                             }
                             DecodedInstr::Slow => {
-                                if let Err(e) =
-                                    self.lower_slow(&prog.instrs[i], pset, w, &mut iregs, &mut bulk)
+                                let ins = &prog.instrs[i];
+                                read_warp_id |= matches!(ins, Instr::Idx(IdxInstr::WarpId { .. }));
+                                if let Err(e) = self.lower_slow(ins, pset, w, &mut iregs, &mut bulk)
                                 {
                                     self.trap(e);
                                     self.flush_seg(&mut segs, &mut seg_start, &mut bulk, SegTerm::End);
@@ -496,7 +564,7 @@ impl Lowerer<'_> {
             self.flush_seg(&mut segs, &mut seg_start, &mut bulk, SegTerm::End);
         }
         self.optimize_warp(warp_start, &mut segs);
-        segs
+        (segs, read_warp_id)
     }
 
     /// Post-lowering optimization over one warp's uops: constant-shuffle
@@ -600,7 +668,7 @@ impl Lowerer<'_> {
                 }
                 let pts = match a.point {
                     PointRef::Lane => PtsRef::Rel(pset * WARP_SIZE as u32),
-                    PointRef::Thread => PtsRef::Rel((wid * WARP_SIZE) as u32),
+                    PointRef::Thread => PtsRef::Thread,
                     PointRef::Reg(r) => {
                         let mut pv = [0u32; WARP_SIZE];
                         for l in 0..WARP_SIZE {
@@ -1474,7 +1542,7 @@ pub(crate) fn run_cta_engine(
         counts.const_hits = ccache.hits();
         counts.const_misses = ccache.misses();
         let fp = interleaved_fetch_profile(
-            &prog.addr_streams,
+            &prog.addr_streams(),
             arch.instr_bytes,
             arch.icache_bytes,
             arch.icache_line_bytes,
@@ -1506,7 +1574,7 @@ fn run_warp(
     collect: bool,
     counts: &mut EventCounts,
 ) -> SimResult<bool> {
-    let segs = &eng.warps[w];
+    let segs = &eng.lowered[eng.lowered_of[w] as usize];
     let mut ran = false;
     loop {
         let Some(seg) = segs.get(warp.seg) else {
@@ -1523,8 +1591,8 @@ fn run_warp(
         }
         for uop in &eng.uops[seg.uops.start as usize..seg.uops.end as usize] {
             exec_uop(
-                eng, uop, kernel, inputs, total_points, base_point, warp, shared, out_buffers,
-                collect, counts,
+                eng, uop, kernel, inputs, total_points, base_point, w, warp, shared,
+                out_buffers, collect, counts,
             )?;
         }
         warp.seg += 1;
@@ -1560,6 +1628,7 @@ fn exec_uop(
     inputs: &[&[f64]],
     total_points: usize,
     base_point: usize,
+    wid: usize,
     warp: &mut EngWarp,
     shared: &mut [f64],
     out_buffers: &mut [Vec<f64>],
@@ -1634,7 +1703,7 @@ fn exec_uop(
         }
         UOp::LdGlobal { dst, array, rows, pts } => {
             let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point);
+            let idxs = gidx(eng, rows, pts, total_points, base_point, wid);
             let decl = &kernel.global_arrays[ai];
             let out = &mut warp.dregs[dst as usize..dst as usize + WARP_SIZE];
             if decl.output {
@@ -1661,7 +1730,7 @@ fn exec_uop(
         }
         UOp::StGlobal { src, array, rows, pts } => {
             let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point);
+            let idxs = gidx(eng, rows, pts, total_points, base_point, wid);
             let sv = src_vals(&warp.dregs, &eng.dreg_tail, src);
             for l in 0..WARP_SIZE {
                 let local = local_out_index(idxs[l], total_points, base_point, kernel)?;
@@ -1687,7 +1756,7 @@ fn exec_uop(
             // grid placement) is checked before the shared store, lane by
             // lane, so the first failing lane reports the same error.
             let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point);
+            let idxs = gidx(eng, rows, pts, total_points, base_point, wid);
             let a = &eng.u32x[addrs as usize * WARP_SIZE..][..WARP_SIZE];
             let decl = &kernel.global_arrays[ai];
             for l in 0..WARP_SIZE {
@@ -1725,7 +1794,8 @@ fn exec_uop(
 }
 
 /// Complete pre-resolved global addressing with the runtime grid
-/// placement: `idx[l] = rows[l] * total_points + point(l)`.
+/// placement and the executing warp:
+/// `idx[l] = rows[l] * total_points + point(l)`.
 #[inline]
 fn gidx(
     eng: &EngineProgram,
@@ -1733,16 +1803,18 @@ fn gidx(
     pts: PtsRef,
     total_points: usize,
     base_point: usize,
+    wid: usize,
 ) -> [usize; WARP_SIZE] {
     let r = &eng.u32x[rows as usize * WARP_SIZE..][..WARP_SIZE];
     let mut idxs = [0usize; WARP_SIZE];
-    match pts {
-        PtsRef::Rel(d) => {
-            let b = base_point + d as usize;
-            for l in 0..WARP_SIZE {
-                idxs[l] = r[l] as usize * total_points + b + l;
-            }
+    let rel = |b: usize, idxs: &mut [usize; WARP_SIZE]| {
+        for l in 0..WARP_SIZE {
+            idxs[l] = r[l] as usize * total_points + b + l;
         }
+    };
+    match pts {
+        PtsRef::Rel(d) => rel(base_point + d as usize, &mut idxs),
+        PtsRef::Thread => rel(base_point + wid * WARP_SIZE, &mut idxs),
         PtsRef::Abs(p) => {
             let pv = &eng.u32x[p as usize * WARP_SIZE..][..WARP_SIZE];
             for l in 0..WARP_SIZE {
@@ -1985,8 +2057,8 @@ mod tests {
         // eliminated as a dead copy: no uops survive at all.
         assert_eq!(eng.uops.len(), 0);
         // But every issue slot is still charged in bulk.
-        assert_eq!(eng.warps[0].len(), 1);
-        assert_eq!(eng.warps[0][0].bulk.issue_slots, 3);
+        assert_eq!(eng.lowered[0].len(), 1);
+        assert_eq!(eng.lowered[0][0].bulk.issue_slots, 3);
     }
 
     #[test]

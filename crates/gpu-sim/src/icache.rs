@@ -91,7 +91,7 @@ pub struct FetchProfile {
 /// granularity — paper §5.1 notes the prefetcher handles divergence for
 /// code regions up to a few hundred instructions).
 pub fn interleaved_fetch_trace(
-    streams: &[Vec<u32>],
+    streams: &[impl AsRef<[u32]>],
     instr_bytes: usize,
     capacity_bytes: usize,
     line_bytes: usize,
@@ -103,9 +103,10 @@ pub fn interleaved_fetch_trace(
 }
 
 /// Same simulation as [`interleaved_fetch_trace`], also attributing each
-/// miss to the warp whose fetch missed.
+/// miss to the warp whose fetch missed. One stream per warp, owned or
+/// borrowed: warps that run the same code may pass the same slice.
 pub fn interleaved_fetch_profile(
-    streams: &[Vec<u32>],
+    streams: &[impl AsRef<[u32]>],
     instr_bytes: usize,
     capacity_bytes: usize,
     line_bytes: usize,
@@ -115,11 +116,12 @@ pub fn interleaved_fetch_profile(
     let mut cache = ICache::new(capacity_bytes, line_bytes, assoc);
     let mut per_warp = vec![0u64; streams.len()];
     let mut cursors = vec![0usize; streams.len()];
-    let mut live = streams.iter().filter(|s| !s.is_empty()).count();
+    let mut live = streams.iter().filter(|s| !s.as_ref().is_empty()).count();
     let group = group.max(1);
     while live > 0 {
         live = 0;
         for (w, stream) in streams.iter().enumerate() {
+            let stream = stream.as_ref();
             let c = cursors[w];
             if c >= stream.len() {
                 continue;

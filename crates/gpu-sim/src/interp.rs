@@ -21,7 +21,7 @@ use crate::profile::Profiler;
 use crate::WARP_SIZE;
 
 /// One flattened operation in a warp's instruction stream.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlatOp {
     /// Execute instruction `instr` (arena index) at static address `addr`,
     /// within point-set `pset` of the streaming point loop.
@@ -89,17 +89,43 @@ pub(crate) enum DecodedInstr {
 }
 
 /// Static per-instruction costs, precomputed once at `flatten()` time so
-/// event collection stops re-deriving them per executed op.
+/// event collection stops re-deriving them per executed op. Eight bytes a
+/// static instruction: the ISA's cost tables top out at 24 slots and
+/// 48 x 32 FLOPs, and the accumulators widen through the accessors.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OpCost {
-    /// Issue slots (warp-instructions).
-    pub(crate) slots: u64,
-    /// DP FLOPs per warp (per-lane flops * WARP_SIZE).
-    pub(crate) flops_warp: u64,
-    /// DP slots reading the constant cache (respects the §6.1 ablation).
-    pub(crate) const_slots: u64,
+    slots: u16,
+    flops_warp: u16,
+    const_slots: u16,
     /// Issues on the double-precision pipe.
     pub(crate) dp: bool,
+}
+
+impl OpCost {
+    fn of(i: &Instr, exp_const_from_registers: bool) -> OpCost {
+        let narrow = |v: usize| u16::try_from(v).expect("the ISA's static costs fit u16");
+        OpCost {
+            slots: narrow(i.issue_slots()),
+            flops_warp: narrow(i.flops() * WARP_SIZE),
+            const_slots: narrow(i.const_operand_slots(exp_const_from_registers)),
+            dp: i.is_dp(),
+        }
+    }
+
+    /// Issue slots (warp-instructions).
+    pub(crate) fn slots(self) -> u64 {
+        u64::from(self.slots)
+    }
+
+    /// DP FLOPs per warp (per-lane flops * WARP_SIZE).
+    pub(crate) fn flops_warp(self) -> u64 {
+        u64::from(self.flops_warp)
+    }
+
+    /// DP slots reading the constant cache (respects the §6.1 ablation).
+    pub(crate) fn const_slots(self) -> u64 {
+        u64::from(self.const_slots)
+    }
 }
 
 /// Pre-decode one instruction against the kernel's static limits,
@@ -193,27 +219,37 @@ fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
     }
 }
 
-/// Per-warp flattened program: the exact instruction sequence each warp
+/// A kernel's flattened program: the exact instruction sequence each warp
 /// executes, with static addresses shared across warps (overlaid code keeps
-/// these streams on common addresses; naïve switches give them disjoint
+/// the streams on common addresses; naïve switches give them disjoint
 /// ranges).
+///
+/// Streams are stored once per **warp class** — a maximal set of warps
+/// whose flattened streams are equal ([`FlatProgram::class_of`]). Every
+/// warp of a data-parallel kernel runs the same code, so such a kernel has
+/// one class and one stream however many warps it launches; a fully
+/// warp-specialized kernel has one class per warp. Consumers keep their
+/// per-warp view through the accessors, which go through the class map.
 #[derive(Debug)]
 pub struct FlatProgram {
-    pub(crate) streams: Vec<Vec<FlatOp>>,
+    /// Warp → class. Classes are numbered by their lowest warp, ascending.
+    class_of: Vec<u32>,
+    /// One stream per class.
+    streams: Vec<Vec<FlatOp>>,
     pub(crate) instrs: Vec<Instr>,
     /// Pre-decoded fast-path table, parallel to `instrs`.
     pub(crate) decoded: Vec<DecodedInstr>,
     /// Precomputed static costs, parallel to `instrs`.
     pub(crate) costs: Vec<OpCost>,
-    /// Per-warp static fetch address streams (icache model input),
+    /// Per-class static fetch address streams (icache model input),
     /// precomputed so event collection stops rebuilding them per CTA.
-    pub(crate) addr_streams: Vec<Vec<u32>>,
-    /// Per-warp substreams of only the synchronization-relevant ops
+    addr_streams: Vec<Vec<u32>>,
+    /// Per-class substreams of only the synchronization-relevant ops
     /// (index ISA, shared accesses, async copies, named barriers) as
     /// (static address, arena index, point set) triples. The point set
     /// is part of the tuple because stage-rotated barriers and pipeline
     /// offsets resolve against it.
-    pub(crate) sync_streams: Vec<Vec<(u32, u32, u32)>>,
+    sync_streams: Vec<Vec<(u32, u32, u32)>>,
     /// Total static instructions (address space size).
     pub static_size: u32,
     /// [`crate::flatcache::fingerprint`] of the kernel this was flattened
@@ -251,19 +287,43 @@ impl FlatProgram {
         self.fingerprint
     }
 
-    /// Number of per-warp streams (= warps per CTA).
+    /// Warps per CTA.
     pub fn n_warps(&self) -> usize {
+        self.class_of.len()
+    }
+
+    /// Number of warp classes: distinct flattened streams among the warps.
+    pub fn n_classes(&self) -> usize {
         self.streams.len()
+    }
+
+    /// The class of `warp`. Two warps share a class exactly when their
+    /// flattened streams are equal; classes are numbered in order of their
+    /// lowest warp.
+    pub fn class_of(&self, warp: usize) -> usize {
+        self.class_of[warp] as usize
+    }
+
+    /// One warp's stream (its class's).
+    pub(crate) fn stream(&self, warp: usize) -> &[FlatOp] {
+        &self.streams[self.class_of(warp)]
+    }
+
+    /// Every warp's static fetch address stream, in warp order — the
+    /// instruction-cache model's input. The slices of one class's members
+    /// are the same slice.
+    pub(crate) fn addr_streams(&self) -> Vec<&[u32]> {
+        self.class_of.iter().map(|&c| self.addr_streams[c as usize].as_slice()).collect()
     }
 
     /// Length of one warp's stream.
     pub fn stream_len(&self, warp: usize) -> usize {
-        self.streams[warp].len()
+        self.stream(warp).len()
     }
 
     /// One step of a warp's stream.
     pub fn step(&self, warp: usize, pos: usize) -> FlatStep<'_> {
-        match self.streams[warp][pos] {
+        match self.stream(warp)[pos] {
             FlatOp::Exec { addr, instr, pset } => {
                 FlatStep { addr, pset, instr: Some(&self.instrs[instr as usize]) }
             }
@@ -273,12 +333,12 @@ impl FlatProgram {
 
     /// Iterate one warp's flattened stream.
     pub fn warp_stream(&self, warp: usize) -> impl Iterator<Item = FlatStep<'_>> + '_ {
-        (0..self.streams[warp].len()).map(move |i| self.step(warp, i))
+        (0..self.stream_len(warp)).map(move |i| self.step(warp, i))
     }
 
     /// Length of one warp's synchronization-relevant substream.
     pub fn sync_stream_len(&self, warp: usize) -> usize {
-        self.sync_streams[warp].len()
+        self.sync_streams[self.class_of(warp)].len()
     }
 
     /// One step of a warp's synchronization-relevant substream — exactly
@@ -289,129 +349,77 @@ impl FlatProgram {
     /// skipped is arithmetic with no effect on index registers, shared
     /// memory, or barrier state.
     pub fn sync_step(&self, warp: usize, pos: usize) -> (u32, u32, &Instr) {
-        let (addr, idx, pset) = self.sync_streams[warp][pos];
+        let (addr, idx, pset) = self.sync_streams[self.class_of(warp)][pos];
         (addr, pset, &self.instrs[idx as usize])
+    }
+
+    /// Heap bytes this program retains, from lengths times element sizes:
+    /// the streams (once per class), the class map, the static side tables,
+    /// and the lowered engine program once there is one. Deterministic —
+    /// what a test can pin where resident-set size is only a reading.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let per_op = size_of::<FlatOp>() + size_of::<u32>();
+        let ops: usize = self.streams.iter().map(Vec::len).sum();
+        let sync_ops: usize = self.sync_streams.iter().map(Vec::len).sum();
+        let per_instr = size_of::<Instr>() + size_of::<DecodedInstr>() + size_of::<OpCost>();
+        ops * per_op
+            + sync_ops * size_of::<(u32, u32, u32)>()
+            + self.class_of.len() * size_of::<u32>()
+            + self.instrs.len() * per_instr
+            + self.engine.get().map_or(0, |e| e.heap_bytes())
     }
 }
 
-/// Flatten a kernel's structured body into per-warp streams.
+/// Flatten a kernel's structured body into its warp classes' streams.
 pub fn flatten(kernel: &Kernel) -> FlatProgram {
     flatten_as(kernel, None)
 }
 
 /// [`flatten`], recording the fingerprint of `kernel` its caller holds.
+///
+/// Three steps. [`refine`] partitions the warps by the path they take:
+/// it walks the static tree once and, at each `WarpIf`/`WarpSwitch`, splits
+/// the classes of the warps that reach it by the branch they take. `walk`
+/// then expands the tree with one *class* per active slot, so every stream
+/// is built once and its cost follows the number of classes, not of warps.
+/// Path equality is sufficient for stream equality but not necessary (an
+/// empty-bodied branch leaves no trace in the stream), so last the classes
+/// whose streams compare equal are merged: the partition is exactly stream
+/// equality.
 pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> FlatProgram {
-    let w = kernel.warps_per_cta;
-    let mut instrs: Vec<Instr> = Vec::new();
-    let mut streams: Vec<Vec<FlatOp>> = vec![Vec::new(); w];
-
-    // Assign addresses in tree order; every warp walking the same tree sees
-    // the same addresses. `emit` is called per warp with that warp's path.
-    //
-    // Loop bodies are re-walked per iteration with the address counter
-    // reset, so a static address always denotes the same instruction; the
-    // arena is memoized by address (`addr_to_idx`, u32::MAX = unassigned)
-    // to keep it — and the decode/cost tables built from it — sized by
-    // static code, not by trip counts.
-    fn walk(
-        nodes: &[Node],
-        counter: &mut u32,
-        instrs: &mut Vec<Instr>,
-        addr_to_idx: &mut Vec<u32>,
-        streams: &mut [Vec<FlatOp>],
-        active: &[usize],
-        pset: u32,
-    ) {
-        for node in nodes {
-            match node {
-                Node::Op(i) => {
-                    let addr = *counter;
-                    *counter += 1;
-                    if addr_to_idx.len() <= addr as usize {
-                        addr_to_idx.resize(addr as usize + 1, u32::MAX);
-                    }
-                    let idx = match addr_to_idx[addr as usize] {
-                        u32::MAX => {
-                            let idx = instrs.len() as u32;
-                            instrs.push(i.clone());
-                            addr_to_idx[addr as usize] = idx;
-                            idx
-                        }
-                        idx => idx,
-                    };
-                    for &wid in active {
-                        streams[wid].push(FlatOp::Exec { addr, instr: idx, pset });
-                    }
-                }
-                Node::WarpIf { mask, body } => {
-                    let addr = *counter;
-                    *counter += 1;
-                    for &wid in active {
-                        streams[wid].push(FlatOp::Branch { addr });
-                    }
-                    let taken: Vec<usize> = active
-                        .iter()
-                        .copied()
-                        .filter(|&wid| mask & (1u64 << wid) != 0)
-                        .collect();
-                    walk(body, counter, instrs, addr_to_idx, streams, &taken, pset);
-                }
-                Node::WarpSwitch { case_of_warp, cases } => {
-                    let addr = *counter;
-                    *counter += 1;
-                    for &wid in active {
-                        streams[wid].push(FlatOp::Branch { addr });
-                    }
-                    for (ci, case) in cases.iter().enumerate() {
-                        let taken: Vec<usize> = active
-                            .iter()
-                            .copied()
-                            .filter(|&wid| case_of_warp.get(wid) == Some(&ci))
-                            .collect();
-                        walk(case, counter, instrs, addr_to_idx, streams, &taken, pset);
-                    }
-                }
-                Node::Loop { count, body } => {
-                    let start = *counter;
-                    for _ in 0..*count {
-                        *counter = start;
-                        walk(body, counter, instrs, addr_to_idx, streams, active, pset);
-                    }
-                    if *count == 0 {
-                        // Still reserve the addresses.
-                        let mut c = start;
-                        walk(body, &mut c, instrs, addr_to_idx, &mut vec![Vec::new(); streams.len()], &[], pset);
-                        *counter = c;
-                    }
-                }
-                Node::PointLoop { iters, body } => {
-                    let start = *counter;
-                    for it in 0..*iters {
-                        *counter = start;
-                        walk(body, counter, instrs, addr_to_idx, streams, active, it);
-                    }
-                }
-            }
+    let paths = refine(kernel);
+    // One representative warp per path class, and the streams they walk.
+    let mut reps: Vec<usize> = Vec::new();
+    for (w, &c) in paths.iter().enumerate() {
+        if c == reps.len() {
+            reps.push(w);
         }
     }
+    let (mut streams, instrs, static_size) = expand(kernel, &reps);
 
-    let all: Vec<usize> = (0..w).collect();
-    let mut counter = 0u32;
-    let mut addr_to_idx: Vec<u32> = Vec::new();
-    walk(&kernel.body, &mut counter, &mut instrs, &mut addr_to_idx, &mut streams, &all, 0);
+    // Merge path classes with equal streams (length first, so unequal
+    // streams are usually told apart without reading them), renumbering in
+    // order of first occurrence — which is still order of lowest warp.
+    let mut kept: Vec<Vec<FlatOp>> = Vec::new();
+    let merged: Vec<u32> = streams
+        .drain(..)
+        .map(|s| {
+            let at = kept.iter().position(|k| k.len() == s.len() && *k == s).unwrap_or_else(|| {
+                kept.push(s);
+                kept.len() - 1
+            });
+            at as u32
+        })
+        .collect();
+    let class_of: Vec<u32> = paths.iter().map(|&c| merged[c]).collect();
+    let streams = kept;
 
     // Pre-decode each arena instruction once: fast-path form, static costs,
     // and the fetch address streams the icache model replays.
     let decoded: Vec<DecodedInstr> = instrs.iter().map(|i| decode(i, kernel)).collect();
-    let costs: Vec<OpCost> = instrs
-        .iter()
-        .map(|i| OpCost {
-            slots: i.issue_slots() as u64,
-            flops_warp: (i.flops() * WARP_SIZE) as u64,
-            const_slots: i.const_operand_slots(kernel.exp_const_from_registers) as u64,
-            dp: i.is_dp(),
-        })
-        .collect();
+    let costs: Vec<OpCost> =
+        instrs.iter().map(|i| OpCost::of(i, kernel.exp_const_from_registers)).collect();
     let addr_streams: Vec<Vec<u32>> =
         streams.iter().map(|s| s.iter().map(|op| op.addr()).collect()).collect();
 
@@ -435,16 +443,199 @@ pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> Fl
         .collect();
 
     FlatProgram {
+        class_of,
         streams,
         instrs,
         decoded,
         costs,
         addr_streams,
         sync_streams,
-        static_size: counter,
+        static_size,
         fingerprint,
         engine: std::sync::OnceLock::new(),
     }
+}
+
+/// Partition the warps of `kernel` by the path they take through its body:
+/// `result[w]` is warp `w`'s path class, numbered densely in order of
+/// lowest warp. Two warps in one class take the same branch at every
+/// `WarpIf`/`WarpSwitch` either reaches, so their streams are equal.
+fn refine(kernel: &Kernel) -> Vec<usize> {
+    /// Move `taken` — the warps entering one branch — out of the classes
+    /// they shared with warps that do not enter it.
+    fn split(taken: &[usize], class_of: &mut [usize], n_classes: &mut usize) {
+        let mut renamed: Vec<(usize, usize)> = Vec::new();
+        for &w in taken {
+            let old = class_of[w];
+            class_of[w] = match renamed.iter().find(|r| r.0 == old) {
+                Some(r) => r.1,
+                None => {
+                    renamed.push((old, *n_classes));
+                    *n_classes += 1;
+                    *n_classes - 1
+                }
+            };
+        }
+    }
+    // Loop bodies are walked once: what a warp does at a branch does not
+    // depend on the trip. A body that never runs is not reached.
+    fn visit(nodes: &[Node], active: &[usize], class_of: &mut [usize], n_classes: &mut usize) {
+        if active.is_empty() {
+            return;
+        }
+        for node in nodes {
+            match node {
+                Node::Op(_) => {}
+                Node::WarpIf { mask, body } => {
+                    let taken: Vec<usize> =
+                        active.iter().copied().filter(|&w| takes_if(*mask, w)).collect();
+                    split(&taken, class_of, n_classes);
+                    visit(body, &taken, class_of, n_classes);
+                }
+                Node::WarpSwitch { case_of_warp, cases } => {
+                    for (ci, case) in cases.iter().enumerate() {
+                        let taken: Vec<usize> = active
+                            .iter()
+                            .copied()
+                            .filter(|&w| case_of_warp.get(w) == Some(&ci))
+                            .collect();
+                        split(&taken, class_of, n_classes);
+                        visit(case, &taken, class_of, n_classes);
+                    }
+                }
+                Node::Loop { count: trips, body } | Node::PointLoop { iters: trips, body } => {
+                    if *trips > 0 {
+                        visit(body, active, class_of, n_classes);
+                    }
+                }
+            }
+        }
+    }
+    let w = kernel.warps_per_cta;
+    let all: Vec<usize> = (0..w).collect();
+    let mut class_of = vec![0usize; w];
+    let mut n_classes = 1;
+    visit(&kernel.body, &all, &mut class_of, &mut n_classes);
+    // Splitting hands out ids in tree order; renumber by lowest warp.
+    let mut dense: Vec<usize> = Vec::new();
+    class_of
+        .iter()
+        .map(|c| {
+            dense.iter().position(|d| d == c).unwrap_or_else(|| {
+                dense.push(*c);
+                dense.len() - 1
+            })
+        })
+        .collect()
+}
+
+/// Whether `warp` enters a `WarpIf` with this mask.
+fn takes_if(mask: u64, warp: usize) -> bool {
+    mask & (1u64 << warp) != 0
+}
+
+/// Expand `kernel`'s body into one stream per representative warp in
+/// `reps`, returning the streams, the instruction arena and the static size.
+/// A representative stands for every warp that takes its path
+/// ([`refine`]); with every warp its own representative this is the plain
+/// per-warp flatten.
+fn expand(kernel: &Kernel, reps: &[usize]) -> (Vec<Vec<FlatOp>>, Vec<Instr>, u32) {
+    let mut instrs: Vec<Instr> = Vec::new();
+    let mut streams: Vec<Vec<FlatOp>> = vec![Vec::new(); reps.len()];
+
+    // Assign addresses in tree order; every warp walking the same tree sees
+    // the same addresses. `active` holds the stream slots whose
+    // representative is on the path being walked.
+    //
+    // Loop bodies are re-walked per iteration with the address counter
+    // reset, so a static address always denotes the same instruction; the
+    // arena is memoized by address (`addr_to_idx`, u32::MAX = unassigned)
+    // to keep it — and the decode/cost tables built from it — sized by
+    // static code, not by trip counts.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        nodes: &[Node],
+        counter: &mut u32,
+        instrs: &mut Vec<Instr>,
+        addr_to_idx: &mut Vec<u32>,
+        streams: &mut [Vec<FlatOp>],
+        reps: &[usize],
+        active: &[usize],
+        pset: u32,
+    ) {
+        for node in nodes {
+            match node {
+                Node::Op(i) => {
+                    let addr = *counter;
+                    *counter += 1;
+                    if addr_to_idx.len() <= addr as usize {
+                        addr_to_idx.resize(addr as usize + 1, u32::MAX);
+                    }
+                    let idx = match addr_to_idx[addr as usize] {
+                        u32::MAX => {
+                            let idx = instrs.len() as u32;
+                            instrs.push(i.clone());
+                            addr_to_idx[addr as usize] = idx;
+                            idx
+                        }
+                        idx => idx,
+                    };
+                    for &slot in active {
+                        streams[slot].push(FlatOp::Exec { addr, instr: idx, pset });
+                    }
+                }
+                Node::WarpIf { mask, body } => {
+                    let addr = *counter;
+                    *counter += 1;
+                    for &slot in active {
+                        streams[slot].push(FlatOp::Branch { addr });
+                    }
+                    let taken: Vec<usize> =
+                        active.iter().copied().filter(|&s| takes_if(*mask, reps[s])).collect();
+                    walk(body, counter, instrs, addr_to_idx, streams, reps, &taken, pset);
+                }
+                Node::WarpSwitch { case_of_warp, cases } => {
+                    let addr = *counter;
+                    *counter += 1;
+                    for &slot in active {
+                        streams[slot].push(FlatOp::Branch { addr });
+                    }
+                    for (ci, case) in cases.iter().enumerate() {
+                        let taken: Vec<usize> = active
+                            .iter()
+                            .copied()
+                            .filter(|&s| case_of_warp.get(reps[s]) == Some(&ci))
+                            .collect();
+                        walk(case, counter, instrs, addr_to_idx, streams, reps, &taken, pset);
+                    }
+                }
+                Node::Loop { count, body } => {
+                    let start = *counter;
+                    for _ in 0..*count {
+                        *counter = start;
+                        walk(body, counter, instrs, addr_to_idx, streams, reps, active, pset);
+                    }
+                    if *count == 0 {
+                        // Still reserve the addresses.
+                        walk(body, counter, instrs, addr_to_idx, streams, reps, &[], pset);
+                    }
+                }
+                Node::PointLoop { iters, body } => {
+                    let start = *counter;
+                    for it in 0..*iters {
+                        *counter = start;
+                        walk(body, counter, instrs, addr_to_idx, streams, reps, active, it);
+                    }
+                }
+            }
+        }
+    }
+
+    let all: Vec<usize> = (0..reps.len()).collect();
+    let mut counter = 0u32;
+    let mut addr_to_idx: Vec<u32> = Vec::new();
+    walk(&kernel.body, &mut counter, &mut instrs, &mut addr_to_idx, &mut streams, reps, &all, 0);
+    (streams, instrs, counter)
 }
 
 /// Named-barrier state. `generation` increments on every completion so a
@@ -616,7 +807,7 @@ pub fn run_cta_profiled(
         // Instruction-cache simulation over the interleaved fetch streams
         // (precomputed at flatten time).
         let fp = interleaved_fetch_profile(
-            &prog.addr_streams,
+            &prog.addr_streams(),
             arch.instr_bytes,
             arch.icache_bytes,
             arch.icache_line_bytes,
@@ -656,7 +847,7 @@ fn step_warp(
     counts: &mut EventCounts,
     mut profiler: Option<&mut Profiler>,
 ) -> SimResult<bool> {
-    let stream = &prog.streams[w];
+    let stream = prog.stream(w);
     let mut ran = false;
     loop {
         let pc = warps[w].pc;
@@ -693,18 +884,18 @@ fn step_warp(
                             | DecodedInstr::BarSyncStage { .. }
                     );
                     let cost = prog.costs[i];
-                    counts.issue_slots += cost.slots;
+                    counts.issue_slots += cost.slots();
                     if cost.dp {
-                        counts.dp_slots += cost.slots;
-                        counts.flops += cost.flops_warp;
-                        counts.dp_const_slots += cost.const_slots;
+                        counts.dp_slots += cost.slots();
+                        counts.flops += cost.flops_warp();
+                        counts.dp_const_slots += cost.const_slots();
                     }
                     if !is_barrier {
                         // Barrier instructions are charged by the profiler
                         // as overhead (with the architectural sync cost),
                         // not as plain issue.
                         if let Some(p) = profiler.as_deref_mut() {
-                            p.on_issue(w, cost.slots);
+                            p.on_issue(w, cost.slots());
                         }
                     }
                 }
@@ -1561,7 +1752,7 @@ mod tests {
         ];
         let prog = flatten(&k);
         // Warp 0 skips the masked block: its stream is shorter.
-        assert!(prog.streams[0].len() < prog.streams[1].len());
+        assert!(prog.stream_len(0) < prog.stream_len(1));
         let arch = GpuArch::kepler_k20c();
         let input: Vec<f64> = vec![0.0; 64];
         let r = run_cta(&k, &prog, &[&input, &[]], 32, 0, false, &arch).unwrap();
@@ -1755,7 +1946,7 @@ mod tests {
         ];
         let prog = flatten(&k);
         // 1 mov + 5 adds + 1 store executed; static size 3.
-        assert_eq!(prog.streams[0].len(), 7);
+        assert_eq!(prog.stream_len(0), 7);
         assert_eq!(prog.static_size, 3);
         let r = run(&k, &vec![0.0; 64]).unwrap();
         assert_eq!(r.out_buffers[1][0], 10.0);

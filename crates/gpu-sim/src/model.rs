@@ -42,13 +42,13 @@ use crate::interp::{FlatOp, FlatProgram};
 use crate::isa::{IdxOp, Instr, Kernel, SAddr, UnOp};
 use crate::profile::{CtaProfile, Profiler, WarpCycles};
 
-/// A set of warps executing the same static instruction stream (same
-/// flattened fetch-address sequence) — the model's unit of reporting,
-/// matching the paper's producer/consumer warp groups.
+/// A set of warps executing the same static instruction stream (one warp
+/// class of the flattening, [`FlatProgram::class_of`]) — the model's unit
+/// of reporting, matching the paper's producer/consumer warp groups.
 #[derive(Debug, Clone)]
 pub struct WarpGroup {
-    /// Warp ids in the group (stream order; groups are keyed by first
-    /// occurrence).
+    /// Warp ids in the group, ascending; groups are in order of their
+    /// lowest warp.
     pub warps: Vec<usize>,
     /// Cycle attribution summed over the group's warps.
     pub cycles: WarpCycles,
@@ -267,7 +267,7 @@ pub fn predict_flat(
     prog: &FlatProgram,
     arch: &GpuArch,
 ) -> Result<ModelProfile, String> {
-    let nw = prog.streams.len();
+    let nw = prog.n_warps();
     let n_bars = kernel.barriers_used.max(16);
     let mut counts = EventCounts::default();
 
@@ -275,9 +275,9 @@ pub fn predict_flat(
     // segments, accumulating the static-exact event counts as we go.
     let mut exp_ops = 0u64;
     let mut segs: Vec<Vec<Segment>> = vec![Vec::new(); nw];
-    for (w, stream) in prog.streams.iter().enumerate() {
+    for w in 0..nw {
         let mut cur = Segment::default();
-        for op in stream {
+        for op in prog.stream(w) {
             match *op {
                 FlatOp::Branch { .. } => {
                     counts.issue_slots += 1;
@@ -287,11 +287,11 @@ pub fn predict_flat(
                 FlatOp::Exec { instr, pset, .. } => {
                     let i = instr as usize;
                     let cost = prog.costs[i];
-                    counts.issue_slots += cost.slots;
+                    counts.issue_slots += cost.slots();
                     if cost.dp {
-                        counts.dp_slots += cost.slots;
-                        counts.flops += cost.flops_warp;
-                        counts.dp_const_slots += cost.const_slots;
+                        counts.dp_slots += cost.slots();
+                        counts.flops += cost.flops_warp();
+                        counts.dp_const_slots += cost.const_slots();
                     }
                     match &prog.instrs[i] {
                         Instr::BarArrive { bar, warps } => {
@@ -320,7 +320,7 @@ pub fn predict_flat(
                             segs[w].push(std::mem::take(&mut cur));
                         }
                         Instr::CpAsync { addr, .. } => {
-                            cur.issue += cost.slots;
+                            cur.issue += cost.slots();
                             // One coalesced global read plus one shared
                             // store, registers untouched.
                             counts.global_transactions += 2;
@@ -330,38 +330,38 @@ pub fn predict_flat(
                             counts.shared_conflicts += conf;
                         }
                         Instr::LdConst { bank, idx, .. } => {
-                            cur.issue += cost.slots;
+                            cur.issue += cost.slots();
                             cur.const_ops += 1;
                             cur.const_lines += const_lines_estimate(kernel, *bank, idx);
                         }
                         Instr::LdShared { addr, .. } => {
-                            cur.issue += cost.slots;
+                            cur.issue += cost.slots();
                             let (tx, conf) = shared_tx_estimate(addr, None);
                             counts.shared_accesses += tx;
                             counts.shared_conflicts += conf;
                         }
                         Instr::StShared { addr, lane_pred, .. } => {
-                            cur.issue += cost.slots;
+                            cur.issue += cost.slots();
                             let (tx, conf) = shared_tx_estimate(addr, *lane_pred);
                             counts.shared_accesses += tx;
                             counts.shared_conflicts += conf;
                         }
                         Instr::LdGlobal { .. } | Instr::StGlobal { .. } => {
-                            cur.issue += cost.slots;
+                            cur.issue += cost.slots();
                             // 32 consecutive doubles span two 128-byte
                             // transactions (the codegen's point layout).
                             counts.global_transactions += 2;
                             counts.global_bytes += 256;
                         }
                         Instr::LdLocal { .. } | Instr::StLocal { .. } => {
-                            cur.issue += cost.slots;
+                            cur.issue += cost.slots();
                             counts.local_bytes += (crate::WARP_SIZE * 8) as u64;
                         }
                         Instr::Un { op: UnOp::Exp, .. } => {
-                            cur.issue += cost.slots;
+                            cur.issue += cost.slots();
                             exp_ops += 1;
                         }
-                        _ => cur.issue += cost.slots,
+                        _ => cur.issue += cost.slots(),
                     }
                 }
             }
@@ -480,7 +480,7 @@ pub fn predict_flat(
     // the same computation the interpreter performs, so this term is
     // exact (prefetch run length 128, as in `run_cta`).
     let fp = interleaved_fetch_profile(
-        &prog.addr_streams,
+        &prog.addr_streams(),
         arch.instr_bytes,
         arch.icache_bytes,
         arch.icache_line_bytes,
@@ -493,17 +493,10 @@ pub fn predict_flat(
 
     let cta = p.finish();
 
-    // Warp groups: key by identical static fetch streams.
-    let mut reps: Vec<usize> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
+    // Warp groups: the flattening's warp classes.
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); prog.n_classes()];
     for w in 0..nw {
-        match reps.iter().position(|&r| prog.addr_streams[r] == prog.addr_streams[w]) {
-            Some(g) => members[g].push(w),
-            None => {
-                reps.push(w);
-                members.push(vec![w]);
-            }
-        }
+        members[prog.class_of(w)].push(w);
     }
     let groups = members
         .into_iter()

@@ -1,18 +1,28 @@
 //! Golden lowering digests: the engine programs of the benchmark's steady
 //! kernels, pinned by `gpu_sim::flatcache::engine_digest`.
 //!
-//! The lowering is that of `LOWERING_VERSION` 9 (first recorded at commit
-//! 4f92d55, PR 11). A change to `gpu_sim::engine` that claims identical
+//! The lowering is that of `LOWERING_VERSION` 10 (PR 21: one program per
+//! warp class). A change to `gpu_sim::engine` that claims identical
 //! lowering output — and therefore keeps `LOWERING_VERSION`, so warm serve
 //! artifacts stay warm — must leave every one of them unchanged; a change
 //! that moves one must bump the version and re-record.
 //!
+//! Why version 10 re-recorded all seven. A baseline kernel's eight warps
+//! are one class: it is lowered once, its eight warps share one segment
+//! list, and its `PointRef::Thread` accesses are completed from the warp id
+//! at run time, so its program is a different artifact. The
+//! warp-specialized rows moved by layout only — their classes are
+//! singletons, and hashed in the version-9 layout their programs still
+//! give the version-9 values (0x0e6b…3c0a, 0x7faa…1c64, 0xfd1d…97bd,
+//! 0xe720…4a2b). The layout: the digest now covers the warp → lowered
+//! stream map and hashes `EngineStats` through its `Debug` form, in place
+//! of the hand-written field list of the version-9 record.
+//!
 //! A digest also moves when the kernel that is lowered does. The
-//! warp-specialized rows and the diffusion baseline were re-recorded with
-//! `singe::CODEGEN_VERSION` 2 (constants packed per warp, merged guards,
-//! and a diffusion graph built for 15 warps, from which the baseline
-//! compiles too); `gpu_sim::engine` did not change, and the viscosity and
-//! chemistry baselines kept their values.
+//! warp-specialized rows and the diffusion baseline were last re-recorded
+//! for that reason with `singe::CODEGEN_VERSION` 2 (constants packed per
+//! warp, merged guards, and a diffusion graph built for 15 warps, from
+//! which the baseline compiles too).
 
 use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
 use chemkin::synth;
@@ -42,7 +52,7 @@ fn digest(mech: &chemkin::Mechanism, kernel: KernelId, variant: Variant, arch: &
 
 #[test]
 fn steady_kernels_lower_to_the_recorded_programs() {
-    assert_eq!(gpu_sim::LOWERING_VERSION, 9, "re-record the digests with the bump");
+    assert_eq!(gpu_sim::LOWERING_VERSION, 10, "re-record the digests with the bump");
     let mech = synth::via_text(&synth::dme_config());
     let kepler = GpuArch::kepler_k20c();
     let hopper = GpuArch::hopper();
@@ -51,13 +61,13 @@ fn steady_kernels_lower_to_the_recorded_programs() {
     // The three DME kernels in both variants on Kepler, and the K = 2
     // pipelined viscosity kernel (the serve default on Hopper).
     let golden = [
-        (Viscosity, WarpSpecialized, &kepler, 0x0e6b_684a_4d21_3c0a_u64),
-        (Viscosity, Baseline, &kepler, 0x3153_0bcb_6949_74f2),
-        (Diffusion, WarpSpecialized, &kepler, 0x7faa_fc6f_1819_1c64),
-        (Diffusion, Baseline, &kepler, 0x5cba_3525_f7c1_1dc7),
-        (Chemistry, WarpSpecialized, &kepler, 0xfd1d_5f2e_be2a_97bd),
-        (Chemistry, Baseline, &kepler, 0x5ae6_ad04_5447_1094),
-        (Viscosity, WarpSpecialized, &hopper, 0xe720_d361_9054_4a2b),
+        (Viscosity, WarpSpecialized, &kepler, 0x7cd2_00ce_0061_5f17_u64),
+        (Viscosity, Baseline, &kepler, 0x2426_c8f0_7e47_3742),
+        (Diffusion, WarpSpecialized, &kepler, 0x677e_527e_2bc1_4a46),
+        (Diffusion, Baseline, &kepler, 0xd016_c401_6453_904a),
+        (Chemistry, WarpSpecialized, &kepler, 0xe634_0173_4234_ca25),
+        (Chemistry, Baseline, &kepler, 0x78bc_2152_fd97_6e21),
+        (Viscosity, WarpSpecialized, &hopper, 0xe11e_8412_af27_45de),
     ];
     let got: Vec<u64> = golden.iter().map(|&(k, v, arch, _)| digest(&mech, k, v, arch)).collect();
     let want: Vec<u64> = golden.iter().map(|g| g.3).collect();
