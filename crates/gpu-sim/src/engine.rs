@@ -11,8 +11,23 @@
 //! time*, and emits barrier-separated **segments** of dense micro-ops in
 //! which shared-memory addresses, constant values (and the constant-cache
 //! lines they touch), and global row/point offsets are already resolved.
-//! Only the grid placement (`total_points`, `base_point`) is supplied at
-//! run time, completing global indices as `row * total_points + point`.
+//! Only the grid placement (`total_points`, `base_point`) and the
+//! executing warp are supplied at run time, completing global indices as
+//! `row * total_points + point`.
+//!
+//! The unit of lowering is the flattening's **warp class**
+//! ([`FlatProgram::class_of`]): warps with equal streams are lowered and
+//! optimized once and replay one segment list. The warp id reaches
+//! lowering in exactly two places, and each is met head-on. A
+//! `PointRef::Thread` global address (`base_point + warp * 32 + lane`)
+//! stays symbolic in the warp, which the executing warp supplies exactly
+//! as the CTA supplies `base_point`. `IdxInstr::WarpId` is the one
+//! instruction whose value lowering folds into addresses: a class whose
+//! stream executes it is lowered once per member instead. A singleton
+//! class — every class of a warp-specialized kernel — is simply the
+//! per-warp path. [`EngineStats`] keeps describing the program one CTA
+//! *executes* (each warp's lowered stream counted per warp), so nothing a
+//! figure or the model reads depends on how much storage the warps share.
 //!
 //! Execution replays the segments over the same SoA lane vectors the
 //! interpreter uses (32 contiguous `f64` slots per register), but:
@@ -41,7 +56,7 @@
 //! structured `OutOfBounds { space: "ireg", .. }` trap instead — no
 //! compiler in this repo emits such code.)
 //!
-//! After lowering, each warp's micro-op stream runs a
+//! After lowering, each stream's micro-ops run a
 //! bit-identity-preserving optimization pipeline (`optimize_warp`, pass
 //! order is load-bearing): shuffles reading a lowering-time-known
 //! constant chunk fold to immediates, mov chains are copy-propagated, a
@@ -65,9 +80,13 @@
 //! chunks through a word-at-a-time hash; tombstones compact in place.
 //! [`crate::flatcache::engine_stats`] returns the lowered program's op mix.
 //!
-//! Lowered programs are cached process-wide by the kernel's structural
-//! fingerprint (see [`crate::flatcache::engine_cached`]); lowering is
-//! independent of the grid, the architecture, and the CTA index. The
+//! A lowered program is cached on the flattening it was lowered from
+//! (see [`crate::flatcache::engine_cached`]), which the process-wide memo
+//! files under the kernel's structural fingerprint; lowering is
+//! independent of the grid, the architecture, and the CTA index. What an
+//! entry retains is [`FlatProgram::heap_bytes`]: the micro-ops at
+//! [`UOP_BYTES`] each — one copy per class, which is where a data-parallel
+//! kernel's eight-fold redundancy went — and the operand arenas. The
 //! profiled path ([`crate::interp::run_cta_profiled`] with a profiler)
 //! stays on the interpreter, whose per-instruction hooks the
 //! cycle-attribution model needs; differential tests pin the two paths
@@ -2343,6 +2362,211 @@ mod tests {
             src: Op::Reg(src),
             addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
         })
+    }
+
+    /// A global access of row `row` at the executing thread's own point.
+    fn thread_point(row: u32) -> GAddr {
+        GAddr { array: GlobalId(0), row: IdxOp::Imm(row), point: PointRef::Thread }
+    }
+
+    fn st_thread(src: Reg) -> Node {
+        Node::Op(Instr::StGlobal {
+            src: Op::Reg(src),
+            addr: GAddr { array: GlobalId(1), ..thread_point(0) },
+        })
+    }
+
+    /// [`differential`] on the first CTA and on the last of a three-CTA
+    /// grid (`base_point` != 0), over inputs that differ at every point.
+    fn differential_first_and_later_cta(kernel: &Kernel) {
+        let total = 3 * kernel.points_per_cta;
+        let input: Vec<f64> = (0..2 * total).map(|i| (i as f64) * 0.375 - 7.0).collect();
+        differential(kernel, &[&input, &[]], total, 0);
+        differential(kernel, &[&input, &[]], total, 2);
+    }
+
+    /// An 8-warp data-parallel kernel skeleton: one point per thread.
+    fn one_class_kernel(name: &str, body: Vec<Node>) -> Kernel {
+        let mut k = base_kernel(8);
+        k.name = name.into();
+        k.points_per_cta = 8 * WARP_SIZE;
+        k.body = body;
+        k
+    }
+
+    #[test]
+    fn one_class_kernel_is_lowered_once_and_completes_thread_points_per_warp() {
+        // Every warp runs the same code on its own 32 points: loads and a
+        // store through `PointRef::Thread`, a constant, a spill round trip.
+        // One class, lowered once; each warp's run-time completion of the
+        // thread point must land on its own points, in any CTA.
+        let k = one_class_kernel(
+            "eng-t-one-class",
+            vec![
+                Node::Op(Instr::LdGlobal { dst: 0, addr: thread_point(0), ldg: false }),
+                Node::Op(Instr::LdGlobal { dst: 1, addr: thread_point(1), ldg: false }),
+                Node::Op(Instr::LdConst { dst: 2, bank: 0, idx: IdxOp::Imm(3) }),
+                Node::Op(Instr::DFma {
+                    dst: 3,
+                    a: Op::Reg(0),
+                    b: Op::Reg(2),
+                    c: Op::Reg(1),
+                    const_c: false,
+                }),
+                Node::Op(Instr::StLocal { src: Op::Reg(3), slot: 1 }),
+                Node::Op(Instr::mov(3, Op::Imm(0.0))),
+                Node::Op(Instr::LdLocal { dst: 4, slot: 1 }),
+                st_thread(4),
+            ],
+        );
+        let prog = flatten(&k);
+        assert_eq!(prog.n_classes(), 1);
+        let eng = lower(&k, &prog);
+        assert_eq!(eng.lowered.len(), 1, "one class, one lowering");
+        assert_eq!(eng.lowered_of, [0; 8]);
+        // The op mix is still the CTA's: eight warps execute what is
+        // stored once.
+        assert_eq!(eng.stats().uops, 8 * eng.uops.len() as u64);
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn one_class_async_copies_complete_thread_points_per_warp() {
+        // The same through `CpAsync`: each warp copies its own 32 points
+        // into the (contended, deterministically scheduled) staging words
+        // and reads them straight back.
+        let k = one_class_kernel(
+            "eng-t-one-class-async",
+            vec![
+                Node::Op(Instr::CpAsync {
+                    addr: SAddr::lane(32),
+                    array: GlobalId(0),
+                    row: IdxOp::Imm(1),
+                    point: PointRef::Thread,
+                }),
+                Node::Op(Instr::LdShared { dst: 0, addr: SAddr::lane(32) }),
+                Node::Op(Instr::Bin { op: BinOp::Mul, dst: 1, a: Op::Reg(0), b: Op::Imm(-2.5) }),
+                st_thread(1),
+            ],
+        );
+        let eng = lower(&k, &flatten(&k));
+        assert_eq!(eng.lowered.len(), 1);
+        assert_eq!(eng.stats().async_copies, 8, "one stored copy, eight executed");
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn a_class_that_reads_the_warp_id_is_lowered_per_member() {
+        // Two warps, one stream, but the shared address each stores to is
+        // derived from `WarpId`, which lowering folds into the address
+        // chunk: sharing one lowering would make both warps hit warp 0's
+        // words. The class stays one class; the engine lowers it twice.
+        let mut k = base_kernel(2);
+        k.name = "eng-t-warp-id-class".into();
+        k.points_per_cta = 2 * WARP_SIZE;
+        k.body = vec![
+            Node::Op(Instr::Idx(IdxInstr::WarpId { dst: 0 })),
+            Node::Op(Instr::Idx(IdxInstr::Mul { dst: 1, a: IdxOp::Reg(0), b: IdxOp::Imm(32) })),
+            Node::Op(Instr::LdGlobal { dst: 0, addr: thread_point(0), ldg: false }),
+            Node::Op(Instr::StShared {
+                src: Op::Reg(0),
+                addr: SAddr { base: Some(1), imm: 0, lane_stride: 1 },
+                lane_pred: None,
+            }),
+            Node::Op(Instr::BarSync { bar: 0, warps: 2 }),
+            // Each warp sums both warps' words.
+            Node::Op(Instr::LdShared { dst: 1, addr: SAddr::lane(0) }),
+            Node::Op(Instr::LdShared { dst: 2, addr: SAddr::lane(32) }),
+            Node::Op(Instr::Bin { op: BinOp::Sub, dst: 3, a: Op::Reg(1), b: Op::Reg(2) }),
+            st_thread(3),
+        ];
+        let prog = flatten(&k);
+        assert_eq!(prog.n_classes(), 1);
+        let eng = lower(&k, &prog);
+        assert_eq!(eng.lowered_of, [0, 1], "one lowering per member");
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn one_class_traps_and_deadlocks_like_the_interpreter() {
+        // A shared overrun every warp of the class would hit: the trap is
+        // stored once and the first warp scheduled raises it.
+        let k = one_class_kernel(
+            "eng-t-one-class-trap",
+            vec![
+                Node::Op(Instr::LdGlobal { dst: 0, addr: thread_point(0), ldg: false }),
+                Node::Op(Instr::LdShared {
+                    dst: 1,
+                    addr: SAddr { base: None, imm: 1000, lane_stride: 1 },
+                }),
+                st_thread(1),
+            ],
+        );
+        assert_eq!(lower(&k, &flatten(&k)).traps.len(), 1);
+        differential_first_and_later_cta(&k);
+
+        // A barrier that waits for a ninth warp: all eight block, and the
+        // report names each of them.
+        let k = one_class_kernel(
+            "eng-t-one-class-deadlock",
+            vec![Node::Op(Instr::BarSync { bar: 1, warps: 9 }), st_thread(0)],
+        );
+        let prog = flatten(&k);
+        let eng = lower(&k, &prog);
+        let inputs: &[&[f64]] = &[&[0.0; 512], &[]];
+        let err = run_cta_engine(&k, &eng, &prog, inputs, 256, 0, false, &GpuArch::hopper())
+            .unwrap_err();
+        assert_eq!(err, SimError::Deadlock { cta: 0, blocked: (0..8).map(|w| (w, 1)).collect() });
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn mixed_kernel_shares_the_big_class_and_keeps_the_singletons() {
+        // Four compute warps in one class feed two specialized warps: warp
+        // 4 reduces what they staged, warp 5 only signals. Three classes,
+        // three lowerings, six warps.
+        let mut k = base_kernel(6);
+        k.name = "eng-t-mixed-classes".into();
+        k.points_per_cta = 6 * WARP_SIZE;
+        k.body = vec![
+            Node::WarpIf {
+                mask: 0b00_1111,
+                body: vec![
+                    Node::Op(Instr::LdGlobal { dst: 0, addr: thread_point(1), ldg: false }),
+                    Node::Op(Instr::Bin { op: BinOp::Add, dst: 0, a: Op::Reg(0), b: Op::Imm(0.5) }),
+                    Node::Op(Instr::StShared {
+                        src: Op::Reg(0),
+                        addr: SAddr::lane(0),
+                        lane_pred: None,
+                    }),
+                    st_thread(0),
+                    Node::Op(Instr::BarArrive { bar: 0, warps: 6 }),
+                ],
+            },
+            Node::WarpSwitch {
+                case_of_warp: vec![2, 2, 2, 2, 0, 1],
+                cases: vec![
+                    vec![
+                        Node::Op(Instr::BarSync { bar: 0, warps: 6 }),
+                        Node::Op(Instr::LdShared { dst: 1, addr: SAddr::lane(0) }),
+                        Node::Op(Instr::LdConst { dst: 2, bank: 0, idx: IdxOp::Imm(1) }),
+                        Node::Op(Instr::Bin {
+                            op: BinOp::Mul,
+                            dst: 1,
+                            a: Op::Reg(1),
+                            b: Op::Reg(2),
+                        }),
+                        st_thread(1),
+                    ],
+                    vec![Node::Op(Instr::BarArrive { bar: 0, warps: 6 }), st_thread(7)],
+                ],
+            },
+        ];
+        let prog = flatten(&k);
+        assert_eq!((0..6).map(|w| prog.class_of(w)).collect::<Vec<_>>(), [0, 0, 0, 0, 1, 2]);
+        let eng = lower(&k, &prog);
+        assert_eq!(eng.lowered_of, [0, 0, 0, 0, 1, 2]);
+        differential_first_and_later_cta(&k);
     }
 
     #[test]

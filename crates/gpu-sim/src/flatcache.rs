@@ -6,9 +6,12 @@
 //! re-expands every loop and rebuilds the pre-decoded side tables each
 //! time. This cache keys a shared [`FlatProgram`] on a structural
 //! fingerprint of the kernel, so repeated launches reuse one flatten.
-//! Lowered engine programs are memoized by the same fingerprint (lowering
-//! is arch/grid/CTA independent), so every CTA of every launch of one
-//! kernel replays a single compiled artifact.
+//! Lowered engine programs ride on the flattening (lowering is
+//! arch/grid/CTA independent), so every CTA of every launch of one kernel
+//! replays a single compiled artifact. An entry holds the kernel's streams
+//! and micro-ops once per warp class, not once per warp —
+//! [`FlatProgram::heap_bytes`] is what it retains, [`resident_bytes`] the
+//! sum over the memo.
 //!
 //! The fingerprint covers every kernel field (f64s by bit pattern) and is
 //! two independent 64-bit hashes, making accidental collisions between the
@@ -68,6 +71,17 @@ pub fn identity_counts() -> IdentityCounts {
         flatten_hits: FLATTEN_HITS.load(Ordering::Relaxed),
         flatten_misses: FLATTEN_MISSES.load(Ordering::Relaxed),
     }
+}
+
+/// Heap bytes the memo retains right now: Σ [`FlatProgram::heap_bytes`]
+/// over the flattenings it holds, each with its lowered program if it has
+/// one. A count from lengths and sizes, so it repeats exactly — the
+/// deterministic counterpart of a resident-set reading. (Not a field of
+/// [`IdentityCounts`]: those only grow, this falls when the memo clears.)
+pub fn resident_bytes() -> u64 {
+    let Some(cache) = CACHE.get() else { return 0 };
+    let g = cache.lock().expect("kernel memo cache poisoned");
+    g.values().filter_map(|slot| slot.get()).map(|p| p.heap_bytes() as u64).sum()
 }
 
 /// Claim (or join) `key`'s slot under the lock, then run `make` outside it.

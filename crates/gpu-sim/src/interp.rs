@@ -10,6 +10,17 @@
 //! model consumes: issue slots, shared-memory transactions with bank
 //! conflicts, global coalescing, constant-cache and instruction-cache
 //! behavior, and barrier stalls.
+//!
+//! What executes is a [`FlatProgram`]: [`flatten`] expands the kernel's
+//! structured body (warp branches resolved, loops unrolled) into the
+//! instruction stream of each **warp class** — the warps whose streams are
+//! equal. Warp specialization is what makes warps differ; the paper's
+//! data-parallel baseline is one class however many warps it launches, and
+//! its stream, fetch-address stream and sync substream are built and kept
+//! once. The interpreter, the profiler, the verifier and the model read
+//! the shared streams per warp through [`FlatProgram`]'s accessors; the
+//! warp id itself enters execution only where an instruction asks for it
+//! (`IdxInstr::WarpId`, `PointRef::Thread`).
 
 use crate::ccache::ConstCache;
 use crate::counts::EventCounts;
@@ -1757,6 +1768,124 @@ mod tests {
         let input: Vec<f64> = vec![0.0; 64];
         let r = run_cta(&k, &prog, &[&input, &[]], 32, 0, false, &arch).unwrap();
         let _ = r;
+    }
+
+    /// Seeded xorshift, as elsewhere in this crate's tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// A random body over `warps` warps: ops of both kinds the sync
+    /// substream keeps and drops, `WarpIf`s whose masks may select nobody
+    /// or everybody, `WarpSwitch`es whose table may be short of the warp
+    /// count or name a case that does not exist, loops of 0 to 2 trips —
+    /// and any branch body may be empty.
+    fn random_body(rng: &mut Rng, warps: usize, depth: usize) -> Vec<Node> {
+        let n = rng.below(4) as usize;
+        (0..n)
+            .map(|_| match rng.below(if depth == 0 { 2 } else { 6 }) {
+                0 => Node::Op(Instr::mov(rng.below(8) as Reg, Op::Imm(rng.below(3) as f64))),
+                1 => Node::Op(Instr::BarArrive { bar: rng.below(4) as u8, warps: 1 }),
+                2 => {
+                    let mask = match rng.below(4) {
+                        0 => 0,
+                        1 => u64::MAX,
+                        _ => rng.below(1 << warps),
+                    };
+                    Node::WarpIf { mask, body: random_body(rng, warps, depth - 1) }
+                }
+                3 => {
+                    let n_cases = 1 + rng.below(3) as usize;
+                    let table = rng.below(warps as u64 + 2) as usize;
+                    Node::WarpSwitch {
+                        case_of_warp: (0..table)
+                            .map(|_| rng.below(n_cases as u64 + 1) as usize)
+                            .collect(),
+                        cases: (0..n_cases).map(|_| random_body(rng, warps, depth - 1)).collect(),
+                    }
+                }
+                4 => Node::Loop {
+                    count: rng.below(3) as u32,
+                    body: random_body(rng, warps, depth - 1),
+                },
+                _ => Node::PointLoop {
+                    iters: rng.below(3) as u32,
+                    body: random_body(rng, warps, depth - 1),
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warp_classes_are_exactly_stream_equality() {
+        // The oracle is the per-warp flatten: `expand` with every warp its
+        // own representative, which is the walk as it was before streams
+        // were shared. Against it, on random trees: two warps share a class
+        // exactly when their oracle streams are equal, classes are numbered
+        // by lowest warp, and every per-warp accessor reads what the oracle
+        // holds for that warp.
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut multi_member, mut merged_paths) = (0, 0);
+        for case in 0..600 {
+            let warps = 1 + rng.below(16) as usize;
+            let mut k = base_kernel(warps);
+            k.body = random_body(&mut rng, warps, 3);
+            let prog = flatten(&k);
+            let all: Vec<usize> = (0..warps).collect();
+            let (oracle, instrs, static_size) = expand(&k, &all);
+            assert_eq!(prog.static_size, static_size, "case {case}");
+            assert_eq!(prog.n_warps(), warps);
+
+            let mut next_class = 0;
+            for a in 0..warps {
+                for b in 0..a {
+                    assert_eq!(
+                        prog.class_of(a) == prog.class_of(b),
+                        oracle[a] == oracle[b],
+                        "case {case}: warps {b} and {a} of {:?}",
+                        k.body
+                    );
+                }
+                assert!(prog.class_of(a) <= next_class, "case {case}: numbered by lowest warp");
+                next_class = next_class.max(prog.class_of(a) + 1);
+            }
+            assert_eq!(prog.n_classes(), next_class);
+            multi_member += usize::from(next_class < warps);
+            merged_paths += usize::from(next_class < 1 + *refine(&k).iter().max().unwrap());
+
+            for w in 0..warps {
+                assert_eq!(prog.stream_len(w), oracle[w].len(), "case {case} warp {w}");
+                assert_eq!(prog.warp_stream(w).count(), oracle[w].len());
+                let mut sync_pos = 0;
+                for (pos, op) in oracle[w].iter().enumerate() {
+                    let step = prog.step(w, pos);
+                    match *op {
+                        FlatOp::Exec { addr, instr, pset } => {
+                            let ins = &instrs[instr as usize];
+                            assert_eq!((step.addr, step.pset, step.instr), (addr, pset, Some(ins)));
+                            if ins.is_sync_relevant() {
+                                assert_eq!(prog.sync_step(w, sync_pos), (addr, pset, ins));
+                                sync_pos += 1;
+                            }
+                        }
+                        FlatOp::Branch { addr } => {
+                            assert_eq!((step.addr, step.pset, step.instr), (addr, 0, None));
+                        }
+                    }
+                }
+                assert_eq!(prog.sync_stream_len(w), sync_pos, "case {case} warp {w}");
+            }
+        }
+        // The generator reaches both interesting shapes, often.
+        assert!(multi_member > 100, "{multi_member} cases with a shared class");
+        assert!(merged_paths > 20, "{merged_paths} cases where distinct paths gave equal streams");
     }
 
     #[test]

@@ -62,14 +62,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Engine and interpreter agree bit-for-bit on outputs and
-    /// EventCounts for one CTA of a synthesized kernel, with and without
-    /// event collection.
+    /// EventCounts for a CTA of a synthesized kernel, with and without
+    /// event collection: the first CTA, and the last of a two-CTA grid,
+    /// where `base_point` is not 0 — up to 8 warps, so a baseline kernel's
+    /// one warp class has up to 8 members completing `PointRef::Thread`
+    /// addresses from their own ids.
     #[test]
     fn engine_matches_interpreter_bit_for_bit(
         n_species in 4usize..9,
         seed in 0u64..1000,
         diffusion in proptest::bool::ANY,
-        warps in 2usize..6,
+        warps in 2usize..9,
         kepler in proptest::bool::ANY,
         variant_ix in 0usize..3,
     ) {
@@ -79,18 +82,18 @@ proptest! {
         let mech = synth_mech(n_species, seed);
         let kernel = synth_kernel(&mech, diffusion, warps, variant, &arch);
         let prog = flatten_cached(&kernel);
-        let points = kernel.points_per_cta;
+        let total = 2 * kernel.points_per_cta;
         let grid = GridState::random(
-            GridDims { nx: points, ny: 1, nz: 1 },
+            GridDims { nx: total, ny: 1, nz: 1 },
             mech.n_transported(),
             seed ^ 0x9e37,
         );
         let arrays = launch_arrays(&kernel.global_arrays, &grid).expect("known arrays");
 
-        for collect in [false, true] {
-            let eng = run_cta(&kernel, &prog, &arrays, points, 0, collect, &arch)
+        for (cta, collect) in [(0, false), (0, true), (1, false), (1, true)] {
+            let eng = run_cta(&kernel, &prog, &arrays, total, cta, collect, &arch)
                 .expect("engine runs");
-            let itp = run_cta_profiled(&kernel, &prog, &arrays, points, 0, collect, &arch, None)
+            let itp = run_cta_profiled(&kernel, &prog, &arrays, total, cta, collect, &arch, None)
                 .expect("interpreter runs");
             prop_assert_eq!(&eng.counts, &itp.counts);
             prop_assert_eq!(eng.out_buffers.len(), itp.out_buffers.len());

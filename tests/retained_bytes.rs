@@ -1,0 +1,91 @@
+//! What the 36 canonical figure kernels keep in memory, as a count: warp
+//! classes, the op mix a CTA executes, and `FlatProgram::heap_bytes` —
+//! streams once per warp class plus the lowered program, from lengths
+//! times sizes. A memory regression fails here, not only as a resident-set
+//! reading of the benchmark.
+
+use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
+use chemkin::synth;
+use gpu_sim::arch::GpuArch;
+use gpu_sim::flatcache::{engine_stats, flatten_cached, resident_bytes};
+use singe::kernels::{chemistry, diffusion, viscosity};
+use singe::{CompileOptions, Compiler, Variant};
+use singe_serve::{default_options, KernelId};
+
+#[test]
+fn canonical_kernels_keep_one_program_per_warp_class() {
+    let archs = [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()];
+    let (mut stream_ops, mut uops, mut exp_ops, mut async_copies) = (0, 0, 0, 0);
+    let (mut retained, mut distinct) = (0, 0);
+    let mut seen = std::collections::HashSet::new();
+    let resident_before = resident_bytes();
+    let mut kernels = 0;
+    for mech in [synth::via_text(&synth::dme_config()), synth::via_text(&synth::heptane_config())] {
+        for kernel in [KernelId::Viscosity, KernelId::Diffusion, KernelId::Chemistry] {
+            for arch in &archs {
+                // The figure conventions: warp-specialized at the serve
+                // defaults, the baseline at 8 warps from the same graph.
+                let ws = default_options(kernel, mech.n_transported(), arch);
+                let dfg = match kernel {
+                    KernelId::Viscosity => {
+                        viscosity::viscosity_dfg(&ViscosityTables::build(&mech), ws.warps)
+                    }
+                    KernelId::Diffusion => {
+                        diffusion::diffusion_dfg(&DiffusionTables::build(&mech), ws.warps)
+                    }
+                    KernelId::Chemistry => {
+                        chemistry::chemistry_dfg(&ChemistrySpec::build(&mech), ws.warps)
+                    }
+                };
+                for variant in [Variant::WarpSpecialized, Variant::Baseline] {
+                    let opts = match variant {
+                        Variant::Baseline => CompileOptions::with_warps(8),
+                        _ => ws.clone(),
+                    };
+                    let k = Compiler::new(arch).options(opts).compile(&dfg, variant);
+                    let k = k.expect("canonical kernel compiles").kernel;
+                    let prog = flatten_cached(&k);
+                    let stats = engine_stats(&k, &prog);
+                    let id = format!("{kernel:?} {} {variant:?} {}", mech.name, arch.name);
+
+                    let per_warp_ops: usize = (0..prog.n_warps()).map(|w| prog.stream_len(w)).sum();
+                    stream_ops += per_warp_ops;
+                    uops += stats.uops;
+                    exp_ops += stats.exp_ops;
+                    async_copies += stats.async_copies;
+                    retained += prog.heap_bytes();
+                    if seen.insert(prog.fingerprint()) {
+                        distinct += prog.heap_bytes();
+                    }
+
+                    if variant == Variant::Baseline {
+                        assert_eq!(prog.n_classes(), 1, "{id}: every warp runs the same code");
+                        // What storing each warp's stream and micro-ops
+                        // would hold. Eight warps share one copy, an
+                        // eighth; the static tables and operand arenas,
+                        // never per warp, bring the whole to 35-39 %.
+                        let per_warp = per_warp_ops * 20 + stats.uops as usize * gpu_sim::UOP_BYTES;
+                        assert!(
+                            prog.heap_bytes() * 5 <= per_warp * 2,
+                            "{id}: {} B retained, {per_warp} B per-warp",
+                            prog.heap_bytes()
+                        );
+                    } else {
+                        assert_eq!(prog.n_classes(), k.warps_per_cta, "{id}: every warp specialized");
+                    }
+                    kernels += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(kernels, 36);
+    // What one CTA of each executes has not moved (values at 6f471b1).
+    assert_eq!(stream_ops, 4_780_787);
+    assert_eq!((uops, exp_ops, async_copies), (3_734_779, 353_264, 0));
+    // What they retain: 249 077 864 B when this was recorded (PR 21), so
+    // the ceiling leaves 8 % headroom.
+    assert!(retained <= 270_000_000, "{retained} B retained over the 36 kernels");
+    // The memo of this process holds these programs and nothing else, each
+    // once (Kepler and Hopper compile some of them to the same kernel).
+    assert_eq!(resident_bytes() - resident_before, distinct as u64);
+}
