@@ -390,14 +390,14 @@ pub fn flatten(kernel: &Kernel) -> FlatProgram {
 /// [`flatten`], recording the fingerprint of `kernel` its caller holds.
 ///
 /// Three steps. [`refine`] partitions the warps by the path they take:
-/// it walks the static tree once and, at each `WarpIf`/`WarpSwitch`, splits
-/// the classes of the warps that reach it by the branch they take. `walk`
-/// then expands the tree with one *class* per active slot, so every stream
-/// is built once and its cost follows the number of classes, not of warps.
+/// the branch each takes at every `WarpIf`/`WarpSwitch` it reaches, read
+/// off the static tree (no loop is expanded). `expand` then walks the tree
+/// with one *class* per active slot, so every stream is built once and its
+/// cost follows the number of classes, not of warps.
 /// Path equality is sufficient for stream equality but not necessary (an
 /// empty-bodied branch leaves no trace in the stream), so last the classes
-/// whose streams compare equal are merged: the partition is exactly stream
-/// equality.
+/// whose streams compare equal (length first) are merged: the partition is
+/// exactly stream equality.
 pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> FlatProgram {
     let paths = refine(kernel);
     // One representative warp per path class, and the streams they walk.
@@ -407,24 +407,25 @@ pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> Fl
             reps.push(w);
         }
     }
-    let (mut streams, instrs, static_size) = expand(kernel, &reps);
+    let (path_streams, instrs, static_size) = expand(kernel, &reps);
 
-    // Merge path classes with equal streams (length first, so unequal
-    // streams are usually told apart without reading them), renumbering in
-    // order of first occurrence — which is still order of lowest warp.
-    let mut kept: Vec<Vec<FlatOp>> = Vec::new();
-    let merged: Vec<u32> = streams
-        .drain(..)
+    // Merge path classes with equal streams, renumbering in order of first
+    // occurrence — which is still order of lowest warp. (Slice equality
+    // compares lengths first, so unequal streams are usually told apart
+    // without being read.)
+    let mut streams: Vec<Vec<FlatOp>> = Vec::new();
+    let merged: Vec<u32> = path_streams
+        .into_iter()
         .map(|s| {
-            let at = kept.iter().position(|k| k.len() == s.len() && *k == s).unwrap_or_else(|| {
-                kept.push(s);
-                kept.len() - 1
+            let at = streams.iter().position(|kept| *kept == s).unwrap_or_else(|| {
+                streams.push(s);
+                streams.len() - 1
             });
             at as u32
         })
         .collect();
     let class_of: Vec<u32> = paths.iter().map(|&c| merged[c]).collect();
-    let streams = kept;
+    streams.iter_mut().for_each(Vec::shrink_to_fit);
 
     // Pre-decode each arena instruction once: fast-path form, static costs,
     // and the fetch address streams the icache model replays.
@@ -472,69 +473,44 @@ pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> Fl
 /// lowest warp. Two warps in one class take the same branch at every
 /// `WarpIf`/`WarpSwitch` either reaches, so their streams are equal.
 fn refine(kernel: &Kernel) -> Vec<usize> {
-    /// Move `taken` — the warps entering one branch — out of the classes
-    /// they shared with warps that do not enter it.
-    fn split(taken: &[usize], class_of: &mut [usize], n_classes: &mut usize) {
-        let mut renamed: Vec<(usize, usize)> = Vec::new();
-        for &w in taken {
-            let old = class_of[w];
-            class_of[w] = match renamed.iter().find(|r| r.0 == old) {
-                Some(r) => r.1,
-                None => {
-                    renamed.push((old, *n_classes));
-                    *n_classes += 1;
-                    *n_classes - 1
-                }
-            };
-        }
-    }
-    // Loop bodies are walked once: what a warp does at a branch does not
-    // depend on the trip. A body that never runs is not reached.
-    fn visit(nodes: &[Node], active: &[usize], class_of: &mut [usize], n_classes: &mut usize) {
-        if active.is_empty() {
-            return;
-        }
+    /// Append warp `w`'s decision at each branch it reaches, in tree order.
+    /// Loop bodies are walked once — what a warp does at a branch does not
+    /// depend on the trip — and a body that never runs is not reached.
+    fn decisions(nodes: &[Node], w: usize, out: &mut Vec<u32>) {
         for node in nodes {
             match node {
                 Node::Op(_) => {}
                 Node::WarpIf { mask, body } => {
-                    let taken: Vec<usize> =
-                        active.iter().copied().filter(|&w| takes_if(*mask, w)).collect();
-                    split(&taken, class_of, n_classes);
-                    visit(body, &taken, class_of, n_classes);
+                    out.push(u32::from(takes_if(*mask, w)));
+                    if takes_if(*mask, w) {
+                        decisions(body, w, out);
+                    }
                 }
                 Node::WarpSwitch { case_of_warp, cases } => {
-                    for (ci, case) in cases.iter().enumerate() {
-                        let taken: Vec<usize> = active
-                            .iter()
-                            .copied()
-                            .filter(|&w| case_of_warp.get(w) == Some(&ci))
-                            .collect();
-                        split(&taken, class_of, n_classes);
-                        visit(case, &taken, class_of, n_classes);
+                    let case = case_of_warp.get(w).filter(|&&ci| ci < cases.len());
+                    out.push(case.map_or(0, |&ci| ci as u32 + 1));
+                    if let Some(&ci) = case {
+                        decisions(&cases[ci], w, out);
                     }
                 }
                 Node::Loop { count: trips, body } | Node::PointLoop { iters: trips, body } => {
                     if *trips > 0 {
-                        visit(body, active, class_of, n_classes);
+                        decisions(body, w, out);
                     }
                 }
             }
         }
     }
-    let w = kernel.warps_per_cta;
-    let all: Vec<usize> = (0..w).collect();
-    let mut class_of = vec![0usize; w];
-    let mut n_classes = 1;
-    visit(&kernel.body, &all, &mut class_of, &mut n_classes);
-    // Splitting hands out ids in tree order; renumber by lowest warp.
-    let mut dense: Vec<usize> = Vec::new();
-    class_of
-        .iter()
-        .map(|c| {
-            dense.iter().position(|d| d == c).unwrap_or_else(|| {
-                dense.push(*c);
-                dense.len() - 1
+    // Equal decision sequences are equal paths: by induction the next
+    // branch either warp reaches is the same one.
+    let mut paths: Vec<Vec<u32>> = Vec::new();
+    (0..kernel.warps_per_cta)
+        .map(|w| {
+            let mut path = Vec::new();
+            decisions(&kernel.body, w, &mut path);
+            paths.iter().position(|p| *p == path).unwrap_or_else(|| {
+                paths.push(path);
+                paths.len() - 1
             })
         })
         .collect()
