@@ -100,7 +100,7 @@ use crate::error::{SimError, SimResult};
 use crate::icache::interleaved_fetch_profile;
 use crate::interp::{
     bank_transactions, barrier_arrive, coalesce, exec_fast, local_out_index, operand, out_chunk,
-    src_vals, BarrierState, CtaResult, DecodedInstr, FlatOp, FlatProgram, Src,
+    src_vals, BarrierState, CtaResult, DecodedInstr, FlatOp, FlatProgram, Run, Src,
 };
 use crate::isa::*;
 use crate::lanes;
@@ -118,18 +118,24 @@ use crate::WARP_SIZE;
 /// would silently replay stale lowered programs cached under the old
 /// semantics (in-memory across test-harness reconfigurations, on-disk
 /// across process restarts).
-pub const LOWERING_VERSION: u32 = 10;
+pub const LOWERING_VERSION: u32 = 11;
 
-/// How a segment ends: the end of the warp's stream, or a named-barrier
-/// operation handled at scheduler level.
+/// How a segment ends: by falling through, with a named-barrier operation
+/// handled at scheduler level, or by closing a rolled loop body.
 #[derive(Debug, Clone, Copy)]
 enum SegTerm {
-    /// Stream exhausted after this segment's micro-ops.
+    /// Nothing to do: execution continues with the next segment, and the
+    /// stream is exhausted if there is none.
     End,
     /// Non-blocking `bar.arrive`.
     Arrive { bar: u8, expected: u16 },
     /// Potentially-blocking `bar.sync`.
     Sync { bar: u8, expected: u16 },
+    /// End of a rolled loop body — segments `to..=` this one, one period of
+    /// the loop's trips — which executes `reps` times in all: go back to
+    /// segment `to` with every [`PtsRef::Rel`] point moved on by `advance`,
+    /// or fall through after the last repetition.
+    Repeat { to: u32, reps: u32, advance: u32 },
 }
 
 /// One barrier-separated superblock of a warp's stream: a dense micro-op
@@ -152,7 +158,9 @@ struct Segment {
 #[derive(Debug, Clone, Copy)]
 enum PtsRef {
     /// `point = base_point + delta + lane` (PointRef::Lane, with the
-    /// point-set offset folded into `delta`).
+    /// point-set offset folded into `delta`), plus, inside a rolled loop
+    /// body, the points the repetitions before this one advanced by —
+    /// completed at run time as `base_point` is.
     Rel(u32),
     /// `point = base_point + warp * WARP_SIZE + lane` (PointRef::Thread):
     /// completed from the executing warp's id at run time, as `base_point`
@@ -247,6 +255,24 @@ pub(crate) struct EngineProgram {
     traps: Vec<SimError>,
     /// Lowering statistics: the op mix one CTA executes.
     stats: EngineStats,
+    /// What is stored, as against executed.
+    shape: LoweringShape,
+}
+
+/// How much of a program lowering stored, and how its loops went: the
+/// counts [`EngineStats`] — the mix *executed* — cannot show once a loop
+/// body is kept once ([`crate::flatcache::lowering_shape`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoweringShape {
+    /// Micro-ops stored, over all lowered streams.
+    pub stored_uops: u64,
+    /// Runs of two or more trips lowered as one period closed by a repeat,
+    /// over all lowered streams.
+    pub rolled_runs: u32,
+    /// Runs of two or more trips lowered trip after trip: fewer than two
+    /// periods, a trip count the period does not divide, or an index
+    /// register the body carries from one trip into the next.
+    pub unrolled_runs: u32,
 }
 
 /// The op mix of the program one CTA executes — each warp's lowered stream
@@ -276,6 +302,10 @@ pub struct EngineStats {
 impl EngineProgram {
     pub(crate) fn stats(&self) -> &EngineStats {
         &self.stats
+    }
+
+    pub(crate) fn shape(&self) -> LoweringShape {
+        self.shape
     }
 
     /// Heap bytes the lowered program retains, from lengths times element
@@ -353,6 +383,105 @@ struct Lowerer<'k> {
     imm_dedup: WordMap<u64, u32>,
     /// The optimizer's def/use table, shared by every pass of every warp.
     chunks: ChunkTable,
+    shape: LoweringShape,
+}
+
+/// One warp's index registers under abstract interpretation (values are
+/// CTA-invariant, see the module docs), with what rolling a loop needs to
+/// know of them: which registers the period being lowered read before it
+/// wrote them, and what they held when it began.
+struct IdxRegs {
+    vals: Vec<u32>,
+    /// Per register, since [`IdxRegs::begin_period`]: written.
+    written: Vec<bool>,
+    /// Per register, since [`IdxRegs::begin_period`]: read while unwritten.
+    carried_in: Vec<bool>,
+    /// `vals` at [`IdxRegs::begin_period`].
+    at_start: Vec<u32>,
+}
+
+impl IdxRegs {
+    fn new(regs: usize) -> IdxRegs {
+        IdxRegs {
+            vals: vec![0; regs * WARP_SIZE],
+            written: vec![false; regs],
+            carried_in: vec![false; regs],
+            at_start: Vec::new(),
+        }
+    }
+
+    /// Element `elem` (`reg * WARP_SIZE + lane`, raw), if in range.
+    fn get(&mut self, elem: usize) -> Option<u32> {
+        let v = *self.vals.get(elem)?;
+        let r = elem / WARP_SIZE;
+        self.carried_in[r] |= !self.written[r];
+        Some(v)
+    }
+
+    /// Write element `elem` of a register the caller bounds-checked.
+    fn set(&mut self, elem: usize, v: u32) {
+        self.written[elem / WARP_SIZE] = true;
+        self.vals[elem] = v;
+    }
+
+    fn begin_period(&mut self) {
+        self.written.fill(false);
+        self.carried_in.fill(false);
+        self.at_start.clone_from(&self.vals);
+    }
+
+    /// Whether the period lowered since [`IdxRegs::begin_period`] left
+    /// every register it read before writing as it found it. If so the
+    /// next period reads what this one read, and — index registers being
+    /// the only state lowering folds — lowers to the same micro-ops.
+    fn period_closed(&self) -> bool {
+        self.carried_in.iter().enumerate().all(|(r, &carried)| {
+            let lanes = r * WARP_SIZE..(r + 1) * WARP_SIZE;
+            !carried || self.vals[lanes.clone()] == self.at_start[lanes]
+        })
+    }
+}
+
+/// One stream's lowering in progress: the segments closed so far, the open
+/// one, and the index registers.
+struct Lowering {
+    segs: Vec<Segment>,
+    /// First micro-op of the open segment.
+    seg_start: u32,
+    /// Static event counts of the open segment.
+    bulk: StaticSegCounts,
+    iregs: IdxRegs,
+    /// Whether an `IdxInstr::WarpId` was lowered.
+    read_warp_id: bool,
+}
+
+/// A trap was planted: lowering of the stream stops there.
+struct Trapped;
+
+/// Trips after which the ops of a run whose point set advances by
+/// `pset_step` a trip resolve as they did: the lcm of `k` over the
+/// stage-rotated barriers and pipeline offsets (`pset % k`) among `ops`,
+/// so a K-stage ring rotates inside one period. Saturates.
+fn period_of(prog: &FlatProgram, ops: &[FlatOp], pset_step: u32) -> u32 {
+    if pset_step == 0 {
+        return 1;
+    }
+    let gcd = |mut a: u64, mut b: u64| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let period = ops.iter().filter_map(|op| op.instr()).fold(1u64, |p, i| match prog.instrs[i] {
+        Instr::BarArriveStage { k, .. }
+        | Instr::BarSyncStage { k, .. }
+        | Instr::Idx(IdxInstr::PipeOff { k, .. }) => {
+            let k = u64::from(k.max(1));
+            (p / gcd(p, k) * k).min(u64::from(u32::MAX))
+        }
+        _ => p,
+    });
+    period as u32
 }
 
 /// Lower a flattened program into its segment-compiled form. Infallible:
@@ -380,6 +509,7 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         dreg_tail: Vec::new(),
         imm_dedup: WordMap::default(),
         chunks: ChunkTable::new(),
+        shape: LoweringShape::default(),
     };
     // Lower each class at its first warp and let the later members share
     // the result, unless that lowering read the warp id: then every member
@@ -395,10 +525,9 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         let at = match shared[class] {
             Some(at) => at,
             None => {
-                let start = lw.uops.len();
                 let (segs, read_warp_id) = lw.lower_warp(prog, w);
+                mixes.push(op_mix(&segs, &lw.uops));
                 lowered.push(segs);
-                mixes.push(op_mix(&lw.uops[start..]));
                 let at = (lowered.len() - 1) as u32;
                 if !read_warp_id {
                     shared[class] = Some(at);
@@ -420,6 +549,7 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
     lw.f64x.shrink_to_fit();
     lw.lines.shrink_to_fit();
     lw.dreg_tail.shrink_to_fit();
+    let shape = LoweringShape { stored_uops: uops.len() as u64, ..lw.shape };
     EngineProgram {
         lowered,
         lowered_of,
@@ -430,17 +560,29 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         dreg_tail: lw.dreg_tail,
         traps: lw.traps,
         stats,
+        shape,
     }
 }
 
-/// The op mix of one lowered stream's micro-ops.
-fn op_mix(uops: &[UOp]) -> EngineStats {
-    let mut mix = EngineStats { uops: uops.len() as u64, ..EngineStats::default() };
-    for u in uops {
-        match u {
-            UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, .. }) => mix.exp_ops += 1,
-            UOp::CpAsync { .. } => mix.async_copies += 1,
-            _ => {}
+/// The op mix one warp executes off a lowered stream: each segment's
+/// micro-ops, those of a rolled body once per repetition.
+fn op_mix(segs: &[Segment], uops: &[UOp]) -> EngineStats {
+    let mut times = vec![1u64; segs.len()];
+    for (at, seg) in segs.iter().enumerate() {
+        if let SegTerm::Repeat { to, reps, .. } = seg.term {
+            times[to as usize..=at].fill(u64::from(reps));
+        }
+    }
+    let mut mix = EngineStats::default();
+    for (seg, times) in segs.iter().zip(times) {
+        let uops = &uops[seg.uops.start as usize..seg.uops.end as usize];
+        mix.uops += times * uops.len() as u64;
+        for u in uops {
+            match u {
+                UOp::Fast(DecodedInstr::Un { kind: UnOp::Exp, .. }) => mix.exp_ops += times,
+                UOp::CpAsync { .. } => mix.async_copies += times,
+                _ => {}
+            }
         }
     }
     mix
@@ -470,120 +612,160 @@ impl Lowerer<'_> {
 
     /// Close the current segment: commit its uop range, drain its
     /// accumulated constant-line script, and take its bulk counts.
-    fn flush_seg(
-        &mut self,
-        segs: &mut Vec<Segment>,
-        seg_start: &mut u32,
-        bulk: &mut StaticSegCounts,
-        term: SegTerm,
-    ) {
-        let range = *seg_start..self.uops.len() as u32;
-        // A trailing empty segment would make a finished warp look
-        // like it still ran an instruction; skip it (a warp whose
-        // stream ends exactly at a barrier, or is empty, has no
-        // trailing work — matching the interpreter's `ran` logic).
+    fn flush_seg(&mut self, lo: &mut Lowering, term: SegTerm) {
+        let range = lo.seg_start..self.uops.len() as u32;
+        // An empty segment that only falls through would make a finished
+        // warp look like it still ran an instruction; skip it (a warp whose
+        // stream ends exactly at a barrier, or is empty, has no trailing
+        // work — matching the interpreter's `ran` logic).
         let keep = !range.is_empty()
-            || *bulk != StaticSegCounts::default()
+            || lo.bulk != StaticSegCounts::default()
             || !matches!(term, SegTerm::End);
         if keep {
             let lstart = self.lines.len() as u32;
             self.lines.append(&mut self.cur_lines);
             let lines = lstart..self.lines.len() as u32;
-            segs.push(Segment { uops: range, lines, bulk: std::mem::take(bulk), term });
+            lo.segs.push(Segment { uops: range, lines, bulk: std::mem::take(&mut lo.bulk), term });
         } else {
             // Lines only accumulate from constant loads, which push uops.
             debug_assert!(self.cur_lines.is_empty());
         }
-        *seg_start = self.uops.len() as u32;
+        lo.seg_start = self.uops.len() as u32;
     }
 
-    /// Lower warp `w`'s stream. The flag reports whether lowering read the
-    /// warp id (an executed `IdxInstr::WarpId`): if not, the segments are
-    /// every class member's, because the one other use of the warp — a
-    /// `PointRef::Thread` global address — is completed at run time.
+    /// Lower warp `w`'s stream, run by run. The flag reports whether
+    /// lowering read the warp id (an executed `IdxInstr::WarpId`): if not,
+    /// the segments are every class member's, because the one other use of
+    /// the warp — a `PointRef::Thread` global address — is completed at run
+    /// time.
     fn lower_warp(&mut self, prog: &FlatProgram, w: usize) -> (Vec<Segment>, bool) {
-        let kernel = self.kernel;
         let warp_start = self.uops.len();
-        let mut read_warp_id = false;
-        // Concrete per-warp index-register state, abstractly interpreted
-        // in stream order. Values are CTA-invariant (see module docs).
-        let mut iregs = vec![0u32; kernel.iregs_per_thread * WARP_SIZE];
-        let mut segs: Vec<Segment> = Vec::new();
-        let mut seg_start = self.uops.len() as u32;
-        let mut bulk = StaticSegCounts::default();
-        'stream: {
-            for op in prog.stream(w) {
-                match *op {
-                    FlatOp::Branch { .. } => {
-                        bulk.issue_slots += 1;
-                        bulk.warp_branches += 1;
-                    }
-                    FlatOp::Exec { instr, pset, .. } => {
-                        let i = instr as usize;
-                        let cost = prog.costs[i];
-                        bulk.issue_slots += cost.slots();
-                        if cost.dp {
-                            bulk.dp_slots += cost.slots();
-                            bulk.flops += cost.flops_warp();
-                            bulk.dp_const_slots += cost.const_slots();
-                        }
-                        match prog.decoded[i] {
-                            DecodedInstr::BarArrive { bar, expected } => {
-                                bulk.barrier_arrives += 1;
-                                self.flush_seg(&mut segs, &mut seg_start, &mut bulk,
-                                      SegTerm::Arrive { bar, expected });
-                            }
-                            DecodedInstr::BarSync { bar, expected } => {
-                                bulk.barrier_syncs += 1;
-                                self.flush_seg(&mut segs, &mut seg_start, &mut bulk,
-                                      SegTerm::Sync { bar, expected });
-                            }
-                            // Stage barriers resolve statically: each
-                            // iteration's Exec carries its own pset, so the
-                            // rotated physical barrier is known at lowering
-                            // and the scheduler sees a plain Arrive/Sync —
-                            // the same remap the interpreter applies at
-                            // dispatch (`step_warp`).
-                            DecodedInstr::BarArriveStage { base, k, expected } => {
-                                bulk.barrier_arrives += 1;
-                                let bar = base + (pset % u32::from(k.max(1))) as u8;
-                                self.flush_seg(&mut segs, &mut seg_start, &mut bulk,
-                                      SegTerm::Arrive { bar, expected });
-                            }
-                            DecodedInstr::BarSyncStage { base, k, expected } => {
-                                bulk.barrier_syncs += 1;
-                                let bar = base + (pset % u32::from(k.max(1))) as u8;
-                                self.flush_seg(&mut segs, &mut seg_start, &mut bulk,
-                                      SegTerm::Sync { bar, expected });
-                            }
-                            DecodedInstr::Invalid { space, addr, limit } => {
-                                self.trap(SimError::OutOfBounds { space, addr, limit });
-                                self.flush_seg(&mut segs, &mut seg_start, &mut bulk, SegTerm::End);
-                                break 'stream;
-                            }
-                            DecodedInstr::Slow => {
-                                let ins = &prog.instrs[i];
-                                read_warp_id |= matches!(ins, Instr::Idx(IdxInstr::WarpId { .. }));
-                                if let Err(e) = self.lower_slow(ins, pset, w, &mut iregs, &mut bulk)
-                                {
-                                    self.trap(e);
-                                    self.flush_seg(&mut segs, &mut seg_start, &mut bulk, SegTerm::End);
-                                    break 'stream;
-                                }
-                            }
-                            dec @ (DecodedInstr::LdLocal { .. } | DecodedInstr::StLocal { .. }) => {
-                                bulk.local_bytes += (WARP_SIZE * 8) as u64;
-                                self.uops.push(UOp::Fast(dec));
-                            }
-                            dec => self.uops.push(UOp::Fast(dec)),
-                        }
+        let mut lo = Lowering {
+            segs: Vec::new(),
+            seg_start: warp_start as u32,
+            bulk: StaticSegCounts::default(),
+            iregs: IdxRegs::new(self.kernel.iregs_per_thread),
+            read_warp_id: false,
+        };
+        // (A trap closed the last segment itself.)
+        if prog.runs(w).iter().try_for_each(|run| self.lower_run(prog, &mut lo, run, w)).is_ok() {
+            self.flush_seg(&mut lo, SegTerm::End);
+        }
+        self.optimize_warp(warp_start, &mut lo.segs);
+        (lo.segs, lo.read_warp_id)
+    }
+
+    /// Lower one run of warp `w`'s stream, trip by trip through
+    /// [`Lowerer::lower_trip`]. A run of two or more *periods*
+    /// ([`period_of`]) is first tried rolled: its first period is lowered
+    /// into segments of its own, and if the index registers it read are as
+    /// it found them ([`IdxRegs::period_closed`]), every later period would
+    /// lower to the same micro-ops, so a [`SegTerm::Repeat`] stands for
+    /// them. Otherwise lowering just carries on with the next trip.
+    fn lower_run(
+        &mut self,
+        prog: &FlatProgram,
+        lo: &mut Lowering,
+        run: &Run,
+        w: usize,
+    ) -> Result<(), Trapped> {
+        let ops = prog.run_ops(w, run);
+        let period = period_of(prog, ops, run.pset_step);
+        let mut lowered = 0;
+        if run.trips % period == 0 && run.trips / period >= 2 {
+            // The body gets segments of its own: the repeat jumps to its
+            // first, and no fusion may pair a micro-op in it with one
+            // outside.
+            self.flush_seg(lo, SegTerm::End);
+            lo.iregs.begin_period();
+            let to = lo.segs.len() as u32;
+            for trip in 0..period {
+                self.lower_trip(prog, lo, ops, run.pset(trip), w)?;
+            }
+            if lo.iregs.period_closed() {
+                let advance = period * run.pset_step * WARP_SIZE as u32;
+                self.flush_seg(lo, SegTerm::Repeat { to, reps: run.trips / period, advance });
+                self.shape.rolled_runs += 1;
+                return Ok(());
+            }
+            lowered = period;
+        }
+        for trip in lowered..run.trips {
+            self.lower_trip(prog, lo, ops, run.pset(trip), w)?;
+        }
+        self.shape.unrolled_runs += u32::from(run.trips >= 2);
+        Ok(())
+    }
+
+    /// Lower one trip of a run — `ops` at point set `pset` — onto the open
+    /// segment: the one routine behind every micro-op, whether the trip is
+    /// a rolled period's or one of many taken one by one.
+    fn lower_trip(
+        &mut self,
+        prog: &FlatProgram,
+        lo: &mut Lowering,
+        ops: &[FlatOp],
+        pset: u32,
+        w: usize,
+    ) -> Result<(), Trapped> {
+        for op in ops {
+            let Some(i) = op.instr() else {
+                lo.bulk.issue_slots += 1;
+                lo.bulk.warp_branches += 1;
+                continue;
+            };
+            let cost = prog.costs[i];
+            lo.bulk.issue_slots += cost.slots();
+            if cost.dp {
+                lo.bulk.dp_slots += cost.slots();
+                lo.bulk.flops += cost.flops_warp();
+                lo.bulk.dp_const_slots += cost.const_slots();
+            }
+            match prog.decoded[i] {
+                DecodedInstr::BarArrive { bar, expected } => {
+                    lo.bulk.barrier_arrives += 1;
+                    self.flush_seg(lo, SegTerm::Arrive { bar, expected });
+                }
+                DecodedInstr::BarSync { bar, expected } => {
+                    lo.bulk.barrier_syncs += 1;
+                    self.flush_seg(lo, SegTerm::Sync { bar, expected });
+                }
+                // Stage barriers resolve statically against the trip's
+                // point set, so the scheduler sees a plain Arrive/Sync —
+                // the same remap the interpreter applies at dispatch
+                // (`step_warp`).
+                DecodedInstr::BarArriveStage { base, k, expected } => {
+                    lo.bulk.barrier_arrives += 1;
+                    let bar = base + (pset % u32::from(k.max(1))) as u8;
+                    self.flush_seg(lo, SegTerm::Arrive { bar, expected });
+                }
+                DecodedInstr::BarSyncStage { base, k, expected } => {
+                    lo.bulk.barrier_syncs += 1;
+                    let bar = base + (pset % u32::from(k.max(1))) as u8;
+                    self.flush_seg(lo, SegTerm::Sync { bar, expected });
+                }
+                DecodedInstr::Invalid { space, addr, limit } => {
+                    self.trap(SimError::OutOfBounds { space, addr, limit });
+                    self.flush_seg(lo, SegTerm::End);
+                    return Err(Trapped);
+                }
+                DecodedInstr::Slow => {
+                    let ins = &prog.instrs[i];
+                    lo.read_warp_id |= matches!(ins, Instr::Idx(IdxInstr::WarpId { .. }));
+                    if let Err(e) = self.lower_slow(ins, pset, w, &mut lo.iregs, &mut lo.bulk) {
+                        self.trap(e);
+                        self.flush_seg(lo, SegTerm::End);
+                        return Err(Trapped);
                     }
                 }
+                dec @ (DecodedInstr::LdLocal { .. } | DecodedInstr::StLocal { .. }) => {
+                    lo.bulk.local_bytes += (WARP_SIZE * 8) as u64;
+                    self.uops.push(UOp::Fast(dec));
+                }
+                dec => self.uops.push(UOp::Fast(dec)),
             }
-            self.flush_seg(&mut segs, &mut seg_start, &mut bulk, SegTerm::End);
         }
-        self.optimize_warp(warp_start, &mut segs);
-        (segs, read_warp_id)
+        Ok(())
     }
 
     /// Post-lowering optimization over one warp's uops: constant-shuffle
@@ -594,14 +776,35 @@ impl Lowerer<'_> {
     /// the interpreter's per-instruction bookkeeping; every rewrite below
     /// preserves observable values bit-for-bit (registers are warp-private
     /// and only observable through stores, outputs, and errors).
+    ///
+    /// A rolled loop body's micro-ops run once per repetition, so a pass
+    /// may assume of its head only what holds on every entry and of its end
+    /// only what holds on every exit. Two rules cover it. The forward
+    /// passes forget, on entering a body, every chunk the body writes
+    /// ([`forget_body_writes`]): what they then know at its head held before
+    /// the loop and survives a trip. Backward liveness takes the body's end
+    /// as live for what follows the loop *or* the body's own head, to a
+    /// fixed point. The fusions need no rule: each pairs micro-ops of one
+    /// segment, and a body's first and last segments are its own.
     fn optimize_warp(&mut self, warp_start: usize, segs: &mut [Segment]) {
         let dreg_len = self.kernel.dregs_per_thread * WARP_SIZE;
-        let uops = &mut self.uops[warp_start..];
         let t = &mut self.chunks;
-        fold_const_shuffles(uops, &self.f64x, t);
-        copy_propagate(uops, t);
+        let rel = |at: u32| at as usize - warp_start;
+        let bodies: Vec<Body> = segs
+            .iter()
+            .filter_map(|seg| match seg.term {
+                SegTerm::Repeat { to, .. } => {
+                    let uops = rel(segs[to as usize].uops.start)..rel(seg.uops.end);
+                    Some(Body::new(uops, &self.uops[warp_start..], t))
+                }
+                _ => None,
+            })
+            .collect();
+        let uops = &mut self.uops[warp_start..];
+        fold_const_shuffles(uops, &self.f64x, &bodies, t);
+        copy_propagate(uops, &bodies, t);
         fuse_mul_bin(uops, segs, warp_start as u32);
-        eliminate_dead_uops(uops, dreg_len, &self.u32x, segs, warp_start as u32, t);
+        eliminate_dead_uops(uops, dreg_len, &self.u32x, segs, warp_start as u32, &bodies, t);
         // After liveness: the virtual bases it introduces sit past
         // `dreg_len` and must never reach the DCE's range checks.
         splat_immediates(uops, dreg_len, &mut self.dreg_tail, &mut self.imm_dedup);
@@ -639,7 +842,7 @@ impl Lowerer<'_> {
         ins: &Instr,
         pset: u32,
         wid: usize,
-        iregs: &mut [u32],
+        iregs: &mut IdxRegs,
         bulk: &mut StaticSegCounts,
     ) -> SimResult<()> {
         let kernel = self.kernel;
@@ -662,12 +865,11 @@ impl Lowerer<'_> {
         // Static index-operand read. The interpreter indexes the register
         // file raw here (panicking when out of range); the engine reports
         // the same condition as a structured trap instead.
-        let ival = |iregs: &[u32], o: &IdxOp, l: usize| -> SimResult<u32> {
+        let ival = |iregs: &mut IdxRegs, o: &IdxOp, l: usize| -> SimResult<u32> {
             match o {
                 IdxOp::Imm(v) => Ok(*v),
                 IdxOp::Reg(r) => iregs
                     .get(*r as usize * WARP_SIZE + l)
-                    .copied()
                     .ok_or(SimError::OutOfBounds { space: "ireg", addr: *r as usize, limit: ni }),
             }
         };
@@ -847,33 +1049,34 @@ impl Lowerer<'_> {
                 IdxInstr::Mov { dst, src } => {
                     chk_i(*dst)?;
                     for l in 0..WARP_SIZE {
-                        iregs[*dst as usize * WARP_SIZE + l] = ival(iregs, src, l)?;
+                        let v = ival(iregs, src, l)?;
+                        iregs.set(*dst as usize * WARP_SIZE + l, v);
                     }
                 }
                 IdxInstr::Add { dst, a, b } => {
                     chk_i(*dst)?;
                     for l in 0..WARP_SIZE {
-                        iregs[*dst as usize * WARP_SIZE + l] =
-                            ival(iregs, a, l)?.wrapping_add(ival(iregs, b, l)?);
+                        let v = ival(iregs, a, l)?.wrapping_add(ival(iregs, b, l)?);
+                        iregs.set(*dst as usize * WARP_SIZE + l, v);
                     }
                 }
                 IdxInstr::Mul { dst, a, b } => {
                     chk_i(*dst)?;
                     for l in 0..WARP_SIZE {
-                        iregs[*dst as usize * WARP_SIZE + l] =
-                            ival(iregs, a, l)?.wrapping_mul(ival(iregs, b, l)?);
+                        let v = ival(iregs, a, l)?.wrapping_mul(ival(iregs, b, l)?);
+                        iregs.set(*dst as usize * WARP_SIZE + l, v);
                     }
                 }
                 IdxInstr::LaneId { dst } => {
                     chk_i(*dst)?;
                     for l in 0..WARP_SIZE {
-                        iregs[*dst as usize * WARP_SIZE + l] = l as u32;
+                        iregs.set(*dst as usize * WARP_SIZE + l, l as u32);
                     }
                 }
                 IdxInstr::WarpId { dst } => {
                     chk_i(*dst)?;
                     for l in 0..WARP_SIZE {
-                        iregs[*dst as usize * WARP_SIZE + l] = wid as u32;
+                        iregs.set(*dst as usize * WARP_SIZE + l, wid as u32);
                     }
                 }
                 IdxInstr::LdConst { dst, bank, idx } => {
@@ -886,12 +1089,12 @@ impl Lowerer<'_> {
                         })?;
                     for l in 0..WARP_SIZE {
                         let i = ival(iregs, idx, l)? as usize;
-                        iregs[*dst as usize * WARP_SIZE + l] =
-                            *bankv.get(i).ok_or(SimError::OutOfBounds {
-                                space: "iconst",
-                                addr: i,
-                                limit: bankv.len(),
-                            })?;
+                        let v = *bankv.get(i).ok_or(SimError::OutOfBounds {
+                            space: "iconst",
+                            addr: i,
+                            limit: bankv.len(),
+                        })?;
+                        iregs.set(*dst as usize * WARP_SIZE + l, v);
                     }
                 }
                 IdxInstr::Shfl { dst, src, lane } => {
@@ -900,20 +1103,20 @@ impl Lowerer<'_> {
                     // Raw index like the interpreter (a >=32 lane reads
                     // across registers deterministically; replicate it).
                     let raw = *src as usize * WARP_SIZE + *lane as usize;
-                    let v = *iregs.get(raw).ok_or(SimError::OutOfBounds {
+                    let v = iregs.get(raw).ok_or(SimError::OutOfBounds {
                         space: "ireg",
                         addr: *src as usize,
                         limit: ni,
                     })?;
                     for l in 0..WARP_SIZE {
-                        iregs[*dst as usize * WARP_SIZE + l] = v;
+                        iregs.set(*dst as usize * WARP_SIZE + l, v);
                     }
                 }
                 IdxInstr::PipeOff { dst, k, stride } => {
                     chk_i(*dst)?;
                     let v = (pset % u32::from((*k).max(1))).wrapping_mul(*stride);
                     for l in 0..WARP_SIZE {
-                        iregs[*dst as usize * WARP_SIZE + l] = v;
+                        iregs.set(*dst as usize * WARP_SIZE + l, v);
                     }
                 }
             },
@@ -1055,6 +1258,64 @@ impl ChunkTable {
         let s = self.at(base);
         s.version += 1;
         s.fact = Fact::Unknown;
+    }
+
+    /// Which chunks are live, by chunk index.
+    fn live_chunks(&self) -> Vec<bool> {
+        self.slots.iter().map(|s| s.gen == self.gen && s.live).collect()
+    }
+
+    /// Make live every chunk that is in `live` (a [`ChunkTable::live_chunks`]
+    /// of this table's past). Returns whether some chunk was already live
+    /// that `live` does not have: whether the union is more than `live`.
+    fn join_live(&mut self, live: &[bool]) -> bool {
+        let mut more = false;
+        for c in 0..self.slots.len() {
+            let was = live.get(c).copied().unwrap_or(false);
+            if was {
+                self.at(c * WARP_SIZE).live = true;
+            } else {
+                more |= self.get(c * WARP_SIZE).live;
+            }
+        }
+        more
+    }
+}
+
+/// A rolled loop body among one warp's uops, as the optimizer sees it.
+struct Body {
+    /// The body's uops (warp-relative): one period of the loop's trips.
+    uops: std::ops::Range<usize>,
+    /// The chunk bases the body writes, each once.
+    writes: Vec<usize>,
+}
+
+impl Body {
+    fn new(uops: std::ops::Range<usize>, warp_uops: &[UOp], t: &mut ChunkTable) -> Body {
+        // `live` is free to mark the chunks already listed.
+        t.reset();
+        let mut writes = Vec::new();
+        for uop in &warp_uops[uops.clone()] {
+            for_each_write_chunk(uop, |w| {
+                if !std::mem::replace(&mut t.at(w).live, true) {
+                    writes.push(w);
+                }
+            });
+        }
+        Body { uops, writes }
+    }
+}
+
+/// A forward pass is about to visit uop `at`: if rolled bodies begin there
+/// (`bodies` holds those not yet entered, in order), forget every chunk
+/// they write. The pass walks a body once, but the body runs many times,
+/// and from its second entry on those chunks hold what the trip before
+/// left, not what the code above the loop did — and a copy *of* such a
+/// chunk is stale with it, which moving the chunk's version on records.
+fn forget_body_writes(bodies: &mut std::slice::Iter<'_, Body>, at: usize, t: &mut ChunkTable) {
+    while let Some(body) = bodies.as_slice().first().filter(|b| b.uops.start == at) {
+        body.writes.iter().for_each(|&w| t.write(w));
+        bodies.next();
     }
 }
 
@@ -1198,9 +1459,17 @@ fn for_each_src_mut(u: &mut UOp, mut f: impl FnMut(&mut Src)) {
 /// reader has folded — the staging `ConstV` itself. In the
 /// warp-specialized kernels this erases the entire shuffle-broadcast
 /// traffic for register-staged constants.
-fn fold_const_shuffles(uops: &mut [UOp], f64x: &[f64], t: &mut ChunkTable) {
+fn fold_const_shuffles(
+    uops: &mut [UOp],
+    f64x: &[f64],
+    bodies: &[Body],
+    t: &mut ChunkTable,
+) {
     t.reset();
-    for uop in uops.iter_mut() {
+    let mut bodies = bodies.iter();
+    for at in 0..uops.len() {
+        forget_body_writes(&mut bodies, at, t);
+        let uop = &mut uops[at];
         if let UOp::Fast(DecodedInstr::Shfl { dst, src, lane }) = *uop {
             let elem = src + lane;
             let v = match t.get(elem).fact {
@@ -1233,7 +1502,7 @@ fn fold_const_shuffles(uops: &mut [UOp], f64x: &[f64], t: &mut ChunkTable) {
 /// fact was recorded at. Shfl's cross-chunk element read is never
 /// rewritten (it is not a full-chunk read), so it only participates as an
 /// invalidation barrier via its destination.
-fn copy_propagate(uops: &mut [UOp], t: &mut ChunkTable) {
+fn copy_propagate(uops: &mut [UOp], bodies: &[Body], t: &mut ChunkTable) {
     fn resolve(t: &ChunkTable, s: Src) -> Src {
         if let Src::Reg(b) = s {
             if let Fact::CopyOf(of, version) = t.get(b).fact {
@@ -1245,7 +1514,10 @@ fn copy_propagate(uops: &mut [UOp], t: &mut ChunkTable) {
         s
     }
     t.reset();
-    for uop in uops.iter_mut() {
+    let mut bodies = bodies.iter();
+    for at in 0..uops.len() {
+        forget_body_writes(&mut bodies, at, t);
+        let uop = &mut uops[at];
         // The predicate is a raw register base; it can only be redirected
         // to another register, not an immediate.
         if let UOp::Fast(DecodedInstr::Sel { pred, .. }) = uop {
@@ -1347,12 +1619,19 @@ fn fuse_mul_bin(uops: &mut [UOp], segs: &[Segment], warp_start: u32) {
 /// where the interpreter would. Event counts are unaffected by
 /// construction — segment bulk counts are derived from the
 /// pre-optimization instruction stream.
+///
+/// A rolled loop body may be walked more than once. What is live at its end
+/// is what is live after the loop or live into its own head — the next
+/// repetition. The walk first assumes the former alone; if the body's head
+/// turns out to need more, what the walk did to the body is undone and it
+/// is walked again from the union, until the union stops growing.
 fn eliminate_dead_uops(
     uops: &mut [UOp],
     dreg_len: usize,
     u32x: &[u32],
     segs: &[Segment],
     warp_start: u32,
+    bodies: &[Body],
     t: &mut ChunkTable,
 ) {
     // Uop indices (warp-relative) that begin a segment: a fusion pair may
@@ -1361,12 +1640,52 @@ fn eliminate_dead_uops(
     for s in segs {
         seg_start[(s.uops.start - warp_start) as usize] = true;
     }
+    t.reset();
+    let mut end = uops.len();
+    let mut undo: Vec<(usize, UOp)> = Vec::new();
+    for body in bodies.iter().rev() {
+        liveness_walk(uops, body.uops.end..end, None, dreg_len, u32x, &seg_start, t);
+        loop {
+            let live_out = t.live_chunks();
+            undo.clear();
+            let range = body.uops.clone();
+            liveness_walk(uops, range, Some(&mut undo), dreg_len, u32x, &seg_start, t);
+            if !t.join_live(&live_out) {
+                break;
+            }
+            for &(at, uop) in undo.iter().rev() {
+                uops[at] = uop;
+            }
+        }
+        end = body.uops.start;
+    }
+    liveness_walk(uops, 0..end, None, dreg_len, u32x, &seg_start, t);
+}
+
+/// One backward liveness walk over `uops[range]`, from the live set in `t`
+/// to the one at the range's start, eliminating and fusing as
+/// [`eliminate_dead_uops`] describes. Every uop it is about to change goes
+/// to `undo` first, if there is one.
+fn liveness_walk(
+    uops: &mut [UOp],
+    range: std::ops::Range<usize>,
+    mut undo: Option<&mut Vec<(usize, UOp)>>,
+    dreg_len: usize,
+    u32x: &[u32],
+    seg_start: &[bool],
+    t: &mut ChunkTable,
+) {
+    let mut set = |uops: &mut [UOp], at: usize, uop: UOp| {
+        if let Some(undo) = undo.as_deref_mut() {
+            undo.push((at, uops[at]));
+        }
+        uops[at] = uop;
+    };
     // A `Shfl` at index `i + 1` eligible for fusion with an `LdShared` at
     // index `i`: (shfl index, gather chunk base, element offset in chunk,
     // shfl dst).
     let mut pending: Option<(usize, usize, usize, usize)> = None;
-    t.reset();
-    for i in (0..uops.len()).rev() {
+    for i in range.rev() {
         // Stage-and-broadcast fusion: the previous iteration saw a `Shfl`
         // whose source chunk dies here; if this op is the adjacent
         // staging gather, collapse the pair.
@@ -1375,8 +1694,8 @@ fn eliminate_dead_uops(
                 if let UOp::LdShared { dst, addrs } = uops[i] {
                     if dst as usize == chunk {
                         let addr = u32x[addrs as usize * WARP_SIZE + elem];
-                        uops[i] = UOp::Nop;
-                        uops[shfl_idx] = UOp::LdSharedBcast { dst: shfl_dst as u32, addr };
+                        set(uops, i, UOp::Nop);
+                        set(uops, shfl_idx, UOp::LdSharedBcast { dst: shfl_dst as u32, addr });
                         // The shuffle no longer reads the chunk, so
                         // earlier writers of it can cascade-die.
                         t.at(chunk).live = false;
@@ -1411,7 +1730,7 @@ fn eliminate_dead_uops(
             for_each_read_chunk(&uop, |r| dead &= r + WARP_SIZE <= dreg_len);
         }
         if dead {
-            uops[i] = UOp::Nop;
+            set(uops, i, UOp::Nop);
             continue;
         }
         // Kill this op's writes, then gen its reads.
@@ -1468,6 +1787,11 @@ struct EngWarp {
     dregs: Vec<f64>,
     local: Vec<f64>,
     seg: usize,
+    /// Inside a rolled loop body: repetitions completed, and the points
+    /// they advanced [`PtsRef::Rel`] by. Both 0 outside (bodies do not
+    /// nest).
+    rep: u32,
+    pts_off: usize,
     done: bool,
     blocked: Option<(u8, u64)>,
 }
@@ -1510,6 +1834,8 @@ pub(crate) fn run_cta_engine(
                 dregs: vec![0.0; kernel.dregs_per_thread * WARP_SIZE],
                 local: vec![0.0; kernel.local_words_per_thread * WARP_SIZE],
                 seg: 0,
+                rep: 0,
+                pts_off: 0,
                 done: false,
                 blocked: None,
             }
@@ -1561,7 +1887,7 @@ pub(crate) fn run_cta_engine(
         counts.const_hits = ccache.hits();
         counts.const_misses = ccache.misses();
         let fp = interleaved_fetch_profile(
-            &prog.addr_streams(),
+            &mut prog.fetch_streams(),
             arch.instr_bytes,
             arch.icache_bytes,
             arch.icache_line_bytes,
@@ -1615,9 +1941,22 @@ fn run_warp(
             )?;
         }
         warp.seg += 1;
-        ran = true;
+        // Every stream op costs an issue slot; only the segment that closes
+        // a rolled body ending on a barrier covers none, and running it is
+        // not the warp running an instruction.
+        ran |= seg.bulk.issue_slots > 0;
         match seg.term {
             SegTerm::End => {}
+            SegTerm::Repeat { to, reps, advance } => {
+                warp.rep += 1;
+                if warp.rep < reps {
+                    warp.seg = to as usize;
+                    warp.pts_off += advance as usize;
+                } else {
+                    warp.rep = 0;
+                    warp.pts_off = 0;
+                }
+            }
             SegTerm::Arrive { bar, expected } => {
                 barrier_arrive(barriers, bar, expected)?;
             }
@@ -1722,7 +2061,7 @@ fn exec_uop(
         }
         UOp::LdGlobal { dst, array, rows, pts } => {
             let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point, wid);
+            let idxs = gidx(eng, rows, pts, total_points, base_point, warp.pts_off, wid);
             let decl = &kernel.global_arrays[ai];
             let out = &mut warp.dregs[dst as usize..dst as usize + WARP_SIZE];
             if decl.output {
@@ -1749,7 +2088,7 @@ fn exec_uop(
         }
         UOp::StGlobal { src, array, rows, pts } => {
             let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point, wid);
+            let idxs = gidx(eng, rows, pts, total_points, base_point, warp.pts_off, wid);
             let sv = src_vals(&warp.dregs, &eng.dreg_tail, src);
             for l in 0..WARP_SIZE {
                 let local = local_out_index(idxs[l], total_points, base_point, kernel)?;
@@ -1775,7 +2114,7 @@ fn exec_uop(
             // grid placement) is checked before the shared store, lane by
             // lane, so the first failing lane reports the same error.
             let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point, wid);
+            let idxs = gidx(eng, rows, pts, total_points, base_point, warp.pts_off, wid);
             let a = &eng.u32x[addrs as usize * WARP_SIZE..][..WARP_SIZE];
             let decl = &kernel.global_arrays[ai];
             for l in 0..WARP_SIZE {
@@ -1813,8 +2152,9 @@ fn exec_uop(
 }
 
 /// Complete pre-resolved global addressing with the runtime grid
-/// placement and the executing warp:
-/// `idx[l] = rows[l] * total_points + point(l)`.
+/// placement, the executing warp and — for a point relative to the
+/// streaming loop — the points `pts_off` a rolled body's repetitions so far
+/// advanced by: `idx[l] = rows[l] * total_points + point(l)`.
 #[inline]
 fn gidx(
     eng: &EngineProgram,
@@ -1822,6 +2162,7 @@ fn gidx(
     pts: PtsRef,
     total_points: usize,
     base_point: usize,
+    pts_off: usize,
     wid: usize,
 ) -> [usize; WARP_SIZE] {
     let r = &eng.u32x[rows as usize * WARP_SIZE..][..WARP_SIZE];
@@ -1832,7 +2173,7 @@ fn gidx(
         }
     };
     match pts {
-        PtsRef::Rel(d) => rel(base_point + d as usize, &mut idxs),
+        PtsRef::Rel(d) => rel(base_point + pts_off + d as usize, &mut idxs),
         PtsRef::Thread => rel(base_point + wid * WARP_SIZE, &mut idxs),
         PtsRef::Abs(p) => {
             let pv = &eng.u32x[p as usize * WARP_SIZE..][..WARP_SIZE];
@@ -2569,6 +2910,476 @@ mod tests {
         differential_first_and_later_cta(&k);
     }
 
+    /// A kernel over `trips` point sets of 32 points: one warp unless the
+    /// body says otherwise.
+    fn looped_kernel(name: &str, warps: usize, trips: usize, body: Vec<Node>) -> Kernel {
+        let mut k = base_kernel(warps);
+        k.name = name.into();
+        k.points_per_cta = trips * WARP_SIZE;
+        k.const_banks = vec![(0..32).map(|i| 0.75 + i as f64 * 1.25).collect()];
+        k.body = body;
+        k
+    }
+
+    /// Every rolled body of a lowered program, as (repetitions, points
+    /// advanced per repetition), in stream order over the lowered streams.
+    fn repeats(eng: &EngineProgram) -> Vec<(u32, u32)> {
+        eng.lowered
+            .iter()
+            .flatten()
+            .filter_map(|seg| match seg.term {
+                SegTerm::Repeat { reps, advance, .. } => Some((reps, advance)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn shuffle(dst: Reg, src: Reg, lane: u8) -> Node {
+        Node::Op(Instr::Shfl { dst, src, lane })
+    }
+
+    fn bin(op: BinOp, dst: Reg, a: Op, b: Op) -> Node {
+        Node::Op(Instr::Bin { op, dst, a, b })
+    }
+
+    #[test]
+    fn rolled_point_loop_keeps_the_fold_of_a_constant_staged_above_it() {
+        // The paper's shape (§5.2): constants staged in a register chunk
+        // once, then four point sets streamed through a body that
+        // broadcasts from it. The body is stored once and repeated; the
+        // staged chunk is not written in it, so both shuffles still fold
+        // and the staging load still dies. The code after the loop is back
+        // at point set 0.
+        let k = looped_kernel(
+            "eng-t-rolled-fold",
+            1,
+            4,
+            vec![
+                Node::Op(Instr::Idx(IdxInstr::LaneId { dst: 0 })),
+                Node::Op(Instr::LdConst { dst: 4, bank: 0, idx: IdxOp::Reg(0) }),
+                Node::PointLoop {
+                    iters: 4,
+                    body: vec![
+                        ld(0, 0),
+                        shuffle(1, 4, 3),
+                        bin(BinOp::Mul, 2, Op::Reg(0), Op::Reg(1)),
+                        shuffle(1, 4, 29),
+                        bin(BinOp::Add, 2, Op::Reg(2), Op::Reg(1)),
+                        st(2),
+                    ],
+                },
+                ld(5, 1),
+                st(5),
+            ],
+        );
+        let prog = flatten(&k);
+        assert_eq!(prog.stored_ops(), 2 + 6 + 2);
+        assert_eq!(prog.stream_len(0), 2 + 4 * 6 + 2);
+        let eng = lower(&k, &prog);
+        assert_eq!(repeats(&eng), [(4, 32)]);
+        assert!(
+            !eng.uops
+                .iter()
+                .any(|u| matches!(u, UOp::Fast(DecodedInstr::Shfl { .. }) | UOp::ConstV { .. })),
+            "shuffles off the staged chunk fold, the staging dies: {:?}",
+            eng.uops
+        );
+        // ld, mul, add, st — stored once, executed four times.
+        assert_eq!(eng.uops.len(), 4 + 2);
+        assert_eq!(eng.stats().uops, 4 * 4 + 2);
+        assert_eq!(eng.shape(), LoweringShape { stored_uops: 6, rolled_runs: 1, unrolled_runs: 0 });
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn a_body_that_overwrites_the_staged_chunk_keeps_its_shuffle_and_its_copy() {
+        // The same staging, but the body ends by overwriting the staged
+        // chunk: from the second trip on the shuffle reads what the trip
+        // before left there, so it must not fold to the constant. And r5,
+        // a copy of the chunk made above the loop, stops being one at that
+        // write: the body's read of r5 must not be redirected to r4.
+        let k = looped_kernel(
+            "eng-t-rolled-overwrite",
+            1,
+            4,
+            vec![
+                Node::Op(Instr::Idx(IdxInstr::LaneId { dst: 0 })),
+                Node::Op(Instr::LdConst { dst: 4, bank: 0, idx: IdxOp::Reg(0) }),
+                Node::Op(Instr::mov(5, Op::Reg(4))),
+                Node::PointLoop {
+                    iters: 4,
+                    body: vec![
+                        ld(0, 0),
+                        shuffle(1, 4, 3),
+                        bin(BinOp::Mul, 2, Op::Reg(0), Op::Reg(1)),
+                        bin(BinOp::Add, 2, Op::Reg(2), Op::Reg(5)),
+                        st(2),
+                        Node::Op(Instr::mov(4, Op::Reg(2))),
+                    ],
+                },
+            ],
+        );
+        let eng = lower(&k, &flatten(&k));
+        assert_eq!(repeats(&eng), [(4, 32)]);
+        assert!(
+            eng.uops.iter().any(|u| matches!(u, UOp::Fast(DecodedInstr::Shfl { .. }))),
+            "the shuffle reads a chunk the body writes: {:?}",
+            eng.uops
+        );
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn liveness_reaches_its_fixed_point_around_a_rolled_body() {
+        // r3 accumulates over the trips and is stored after the loop. r5 is
+        // written at the end of a trip and read only at the top of the
+        // next: nothing after the loop reads it, so it is dead in the last
+        // trip only, and live at the body's end all the same.
+        let k = looped_kernel(
+            "eng-t-rolled-carried",
+            1,
+            4,
+            vec![
+                Node::Op(Instr::mov(3, Op::Imm(0.0))),
+                Node::Op(Instr::mov(5, Op::Imm(1.5))),
+                Node::PointLoop {
+                    iters: 4,
+                    body: vec![
+                        ld(0, 0),
+                        bin(BinOp::Mul, 1, Op::Reg(0), Op::Reg(5)),
+                        bin(BinOp::Add, 3, Op::Reg(3), Op::Reg(1)),
+                        st(1),
+                        bin(BinOp::Sub, 5, Op::Reg(0), Op::Imm(0.25)),
+                    ],
+                },
+                st(3),
+            ],
+        );
+        assert_eq!(repeats(&lower(&k, &flatten(&k))), [(4, 32)]);
+        differential_first_and_later_cta(&k);
+
+        // Carried through two registers, and read nowhere after the loop:
+        // r2 is live at the body's end only because the next trip's first
+        // op reads it, which makes r3's write live, which the walk can see
+        // only once r2's is.
+        let k = looped_kernel(
+            "eng-t-rolled-carried-chain",
+            1,
+            4,
+            vec![
+                Node::Op(Instr::mov(2, Op::Imm(-2.0))),
+                Node::Op(Instr::mov(3, Op::Imm(0.5))),
+                Node::PointLoop {
+                    iters: 4,
+                    body: vec![
+                        ld(0, 0),
+                        bin(BinOp::Add, 1, Op::Reg(2), Op::Reg(0)),
+                        st(1),
+                        bin(BinOp::Mul, 2, Op::Reg(3), Op::Imm(0.5)),
+                        bin(BinOp::Add, 3, Op::Reg(1), Op::Imm(1.0)),
+                    ],
+                },
+            ],
+        );
+        let eng = lower(&k, &flatten(&k));
+        assert_eq!(repeats(&eng), [(4, 32)]);
+        assert_eq!(eng.stats().uops, 2 + 4 * 5, "nothing in the body is dead: {:?}", eng.uops);
+        differential_first_and_later_cta(&k);
+    }
+
+    /// A K-stage ring in the shape codegen emits: shared slot `s` holds
+    /// the constant `s` (staged above the loop); every trip both warps
+    /// select entry `pset % K`, warp 0 signals the entry's barrier and
+    /// warp 1 waits on it, then adds the entry's constant to its points.
+    fn ring_kernel(k_stages: u8, trips: u32) -> Kernel {
+        let mut body = Vec::new();
+        for s in 0..k_stages {
+            body.push(Node::Op(Instr::StShared {
+                src: Op::Imm(f64::from(s) + 0.5),
+                addr: SAddr::lane(u32::from(s) * 32),
+                lane_pred: None,
+            }));
+        }
+        body.push(Node::Op(Instr::BarSync { bar: 3, warps: 2 }));
+        body.push(Node::PointLoop {
+            iters: trips,
+            body: vec![
+                Node::Op(Instr::Idx(IdxInstr::PipeOff { dst: 1, k: k_stages, stride: 32 })),
+                Node::WarpIf {
+                    mask: 0b01,
+                    body: vec![Node::Op(Instr::BarArriveStage { base: 0, k: k_stages, warps: 2 })],
+                },
+                Node::WarpIf {
+                    mask: 0b10,
+                    body: vec![
+                        Node::Op(Instr::BarSyncStage { base: 0, k: k_stages, warps: 2 }),
+                        ld(0, 0),
+                        Node::Op(Instr::LdShared {
+                            dst: 1,
+                            addr: SAddr { base: Some(1), imm: 0, lane_stride: 1 },
+                        }),
+                        bin(BinOp::Add, 2, Op::Reg(0), Op::Reg(1)),
+                        st(2),
+                    ],
+                },
+            ],
+        });
+        looped_kernel(&format!("eng-t-ring-{k_stages}-{trips}"), 2, trips as usize, body)
+    }
+
+    #[test]
+    fn stage_rotated_rings_roll_at_their_period() {
+        for k_stages in [2u8, 3] {
+            let period = u32::from(k_stages);
+            // Two periods: each warp's loop is one body of K trips,
+            // repeated twice, and the ring's barriers rotate inside it.
+            let k = ring_kernel(k_stages, 2 * period);
+            let eng = lower(&k, &flatten(&k));
+            assert_eq!(repeats(&eng), [(2, period * 32); 2], "K = {k_stages}");
+            for segs in &eng.lowered {
+                let body: Vec<u8> = segs
+                    .iter()
+                    .skip(1) // the staging, up to the first rendezvous
+                    .filter_map(|seg| match seg.term {
+                        SegTerm::Arrive { bar, .. } | SegTerm::Sync { bar, .. } => Some(bar),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(body, (0..k_stages).collect::<Vec<u8>>(), "one period, K barriers");
+            }
+            assert_eq!(eng.shape().rolled_runs, 2);
+            differential_first_and_later_cta(&k);
+
+            // One period is one repetition, and a trip count the period
+            // does not divide has no whole number of them: both are
+            // lowered trip after trip.
+            for trips in [period, 2 * period + 1] {
+                let k = ring_kernel(k_stages, trips);
+                let eng = lower(&k, &flatten(&k));
+                assert_eq!(repeats(&eng), [], "K = {k_stages}, {trips} trips");
+                assert_eq!(eng.shape().unrolled_runs, 2);
+                differential_first_and_later_cta(&k);
+            }
+        }
+    }
+
+    #[test]
+    fn a_body_that_carries_an_index_register_is_lowered_trip_after_trip() {
+        // r1 counts the trips and bases the shared address: every trip
+        // lowers to different addresses, so no repeat can stand for them.
+        let k = looped_kernel(
+            "eng-t-index-carried",
+            1,
+            4,
+            vec![Node::PointLoop {
+                iters: 4,
+                body: vec![
+                    Node::Op(Instr::Idx(IdxInstr::Add { dst: 1, a: IdxOp::Reg(1), b: IdxOp::Imm(1) })),
+                    ld(0, 0),
+                    Node::Op(Instr::StShared {
+                        src: Op::Reg(0),
+                        addr: SAddr { base: Some(1), imm: 0, lane_stride: 1 },
+                        lane_pred: None,
+                    }),
+                    Node::Op(Instr::LdShared {
+                        dst: 1,
+                        addr: SAddr { base: Some(1), imm: 1, lane_stride: 1 },
+                    }),
+                    st(1),
+                ],
+            }],
+        );
+        let eng = lower(&k, &flatten(&k));
+        assert_eq!(repeats(&eng), []);
+        assert_eq!((eng.shape().rolled_runs, eng.shape().unrolled_runs), (0, 1));
+        assert_eq!(eng.shape().stored_uops, eng.stats().uops);
+        differential_first_and_later_cta(&k);
+
+        // Rewritten from scratch every trip, the same register rolls.
+        let mut k = k;
+        k.name = "eng-t-index-rewritten".into();
+        let Node::PointLoop { body, .. } = &mut k.body[0] else { unreachable!() };
+        body[0] = Node::Op(Instr::Idx(IdxInstr::Mov { dst: 1, src: IdxOp::Imm(7) }));
+        assert_eq!(repeats(&lower(&k, &flatten(&k))), [(4, 32)]);
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn rolled_bodies_with_absolute_points_plain_loops_and_a_second_loop() {
+        // `PointRef::Reg`: absolute points from an index register the body
+        // only reads, the same every trip, next to `PointRef::Lane` stores
+        // that move with the trip.
+        let k = looped_kernel(
+            "eng-t-rolled-abs",
+            1,
+            4,
+            vec![
+                Node::Op(Instr::Idx(IdxInstr::LaneId { dst: 2 })),
+                Node::PointLoop {
+                    iters: 4,
+                    body: vec![
+                        Node::Op(Instr::LdGlobal {
+                            dst: 0,
+                            addr: GAddr {
+                                array: GlobalId(0),
+                                row: IdxOp::Imm(1),
+                                point: PointRef::Reg(2),
+                            },
+                            ldg: false,
+                        }),
+                        ld(1, 0),
+                        bin(BinOp::Sub, 2, Op::Reg(1), Op::Reg(0)),
+                        st(2),
+                    ],
+                },
+            ],
+        );
+        assert_eq!(repeats(&lower(&k, &flatten(&k))), [(4, 32)]);
+        differential_first_and_later_cta(&k);
+
+        // A plain loop repeats without moving the points; inside a point
+        // loop it is a run of its own per outer trip. A second point loop
+        // after it starts again from point set 0.
+        let k = looped_kernel(
+            "eng-t-rolled-plain",
+            1,
+            2,
+            vec![
+                Node::PointLoop {
+                    iters: 2,
+                    body: vec![
+                        ld(0, 0),
+                        Node::Op(Instr::mov(1, Op::Imm(0.0))),
+                        Node::Loop {
+                            count: 3,
+                            body: vec![
+                                bin(BinOp::Add, 1, Op::Reg(1), Op::Reg(0)),
+                                bin(BinOp::Mul, 0, Op::Reg(0), Op::Imm(0.5)),
+                            ],
+                        },
+                        st(1),
+                    ],
+                },
+                Node::PointLoop {
+                    iters: 2,
+                    body: vec![ld(0, 1), ld(1, 0), bin(BinOp::Div, 2, Op::Reg(0), Op::Reg(1)), st(2)],
+                },
+            ],
+        );
+        assert_eq!(repeats(&lower(&k, &flatten(&k))), [(3, 0), (3, 0), (2, 32)]);
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn traps_and_deadlocks_in_a_loop_are_the_interpreters() {
+        // A shared overrun in trip 0: the trap is planted, lowering stops,
+        // nothing rolls.
+        let k = looped_kernel(
+            "eng-t-rolled-trap",
+            1,
+            4,
+            vec![Node::PointLoop {
+                iters: 4,
+                body: vec![
+                    ld(0, 0),
+                    Node::Op(Instr::LdShared {
+                        dst: 1,
+                        addr: SAddr { base: None, imm: 1000, lane_stride: 1 },
+                    }),
+                    st(1),
+                ],
+            }],
+        );
+        let eng = lower(&k, &flatten(&k));
+        assert_eq!((eng.traps.len(), repeats(&eng)), (1, vec![]));
+        differential_first_and_later_cta(&k);
+
+        // Warp 0 waits four times on a barrier warp 1 arrives at twice: it
+        // blocks for good in the third repetition of its rolled body.
+        let sync = |mask, iters| Node::WarpIf {
+            mask,
+            body: vec![Node::PointLoop {
+                iters,
+                body: vec![ld(0, 0), st(0), Node::Op(Instr::BarSync { bar: 2, warps: 2 })],
+            }],
+        };
+        let k = looped_kernel("eng-t-rolled-deadlock", 2, 4, vec![sync(0b01, 4), sync(0b10, 2)]);
+        let prog = flatten(&k);
+        let eng = lower(&k, &prog);
+        assert_eq!(repeats(&eng), [(4, 32), (2, 32)]);
+        let inputs: &[&[f64]] = &[&[1.0; 256], &[]];
+        let err = run_cta_engine(&k, &eng, &prog, inputs, 128, 0, true, &GpuArch::hopper())
+            .unwrap_err();
+        assert_eq!(err, SimError::Deadlock { cta: 0, blocked: vec![(0, 2)] });
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn a_body_ending_on_a_barrier_closes_with_an_empty_repeat_segment() {
+        // Both warps end every trip on a rendezvous: the body's last
+        // segment ends with the barrier, so the repeat has a segment to
+        // itself that covers no instruction — running it is not progress.
+        let k = looped_kernel(
+            "eng-t-rolled-barrier-end",
+            2,
+            4,
+            vec![Node::PointLoop {
+                iters: 4,
+                body: vec![
+                    Node::WarpIf { mask: 0b01, body: vec![ld(0, 0), st(0)] },
+                    Node::Op(Instr::BarSync { bar: 1, warps: 2 }),
+                ],
+            }],
+        );
+        let eng = lower(&k, &flatten(&k));
+        assert_eq!(repeats(&eng), [(4, 32), (4, 32)]);
+        for segs in &eng.lowered {
+            let last = segs.last().expect("a rolled body");
+            assert!(matches!(last.term, SegTerm::Repeat { to: 0, .. }));
+            assert!(last.uops.is_empty() && last.bulk == StaticSegCounts::default());
+        }
+        differential_first_and_later_cta(&k);
+    }
+
+    #[test]
+    fn a_class_that_reads_the_warp_id_in_its_loop_rolls_per_member() {
+        // One stream for both warps, with the warp id folded into a shared
+        // address inside the loop: lowered per member, each rolled. The
+        // thread-point accesses do not move with the trip.
+        let k = looped_kernel(
+            "eng-t-rolled-warp-id",
+            2,
+            4,
+            vec![Node::PointLoop {
+                iters: 4,
+                body: vec![
+                    Node::Op(Instr::Idx(IdxInstr::WarpId { dst: 0 })),
+                    Node::Op(Instr::Idx(IdxInstr::Mul { dst: 1, a: IdxOp::Reg(0), b: IdxOp::Imm(32) })),
+                    Node::Op(Instr::LdGlobal { dst: 0, addr: thread_point(0), ldg: false }),
+                    ld(1, 1),
+                    bin(BinOp::Add, 0, Op::Reg(0), Op::Reg(1)),
+                    Node::Op(Instr::StShared {
+                        src: Op::Reg(0),
+                        addr: SAddr { base: Some(1), imm: 0, lane_stride: 1 },
+                        lane_pred: None,
+                    }),
+                    Node::Op(Instr::BarSync { bar: 0, warps: 2 }),
+                    Node::Op(Instr::LdShared { dst: 1, addr: SAddr::lane(0) }),
+                    Node::Op(Instr::LdShared { dst: 2, addr: SAddr::lane(32) }),
+                    bin(BinOp::Sub, 3, Op::Reg(1), Op::Reg(2)),
+                    st_thread(3),
+                    Node::Op(Instr::BarSync { bar: 1, warps: 2 }),
+                ],
+            }],
+        );
+        let prog = flatten(&k);
+        assert_eq!(prog.n_classes(), 1);
+        let eng = lower(&k, &prog);
+        assert_eq!(eng.lowered_of, [0, 1], "one lowering per member");
+        assert_eq!(repeats(&eng), [(4, 32), (4, 32)]);
+        differential_first_and_later_cta(&k);
+    }
+
     #[test]
     fn chunk_table_agrees_with_a_hashmap_model() {
         // Drive the dense table and a `HashMap` model with the same seeded
@@ -2677,37 +3488,54 @@ mod tests {
         // One constant loaded into a register once, then N rounds of
         // reg×reg `Mul` by it, `Exp` and `Mov`: every Mul's operand was
         // last written at the very start of the stream, the shape a pass
-        // that scans back for a writer goes quadratic on (16× the time for
-        // 4× the stream). With every question answered from the chunk
-        // table, 4× the stream must cost well under 8× the time (best of
-        // three against timer noise).
-        let lower_secs = |rounds: usize| {
+        // that scans back for a writer goes quadratic on (64× the time for
+        // 8× the stream). With every question answered from the chunk
+        // table, 8× the stream must cost well under 32× the time: linear,
+        // with room for the larger stream leaving the cache and for timer
+        // noise (best of three).
+        //
+        // The rounds sit in a point loop of `trips` trips. One trip is the
+        // straight-line stream; eight are the same body rolled, which must
+        // cost about what one does — within 2× — not eight times it.
+        let lower_secs = |rounds: usize, trips: u32| {
             let mut k = base_kernel(1);
-            k.name = format!("eng-t-scale-{rounds}");
-            k.body = vec![Node::Op(Instr::LdConst { dst: 0, bank: 0, idx: IdxOp::Imm(1) }), ld(1, 0)];
+            k.name = format!("eng-t-scale-{rounds}-{trips}");
+            k.points_per_cta = trips as usize * WARP_SIZE;
+            let mut body = vec![ld(1, 0)];
             for _ in 0..rounds {
                 let (a, b) = (Op::Reg(0), Op::Reg(1));
-                k.body.push(Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a, b }));
-                k.body.push(Node::Op(Instr::Un { op: UnOp::Exp, dst: 3, a: Op::Reg(2) }));
-                k.body.push(Node::Op(Instr::mov(1, Op::Reg(3))));
+                body.push(Node::Op(Instr::Bin { op: BinOp::Mul, dst: 2, a, b }));
+                body.push(Node::Op(Instr::Un { op: UnOp::Exp, dst: 3, a: Op::Reg(2) }));
+                body.push(Node::Op(Instr::mov(1, Op::Reg(3))));
             }
-            k.body.push(st(1));
+            body.push(st(1));
+            k.body = vec![
+                Node::Op(Instr::LdConst { dst: 0, bank: 0, idx: IdxOp::Imm(1) }),
+                Node::PointLoop { iters: trips, body },
+            ];
             let prog = flatten(&k);
             (0..3)
                 .map(|_| {
                     let t0 = std::time::Instant::now();
                     let eng = lower(&k, &prog);
                     let dt = t0.elapsed().as_secs_f64();
-                    assert_eq!(eng.stats().exp_ops, rounds as u64);
+                    assert_eq!(eng.stats().exp_ops, u64::from(trips) * rounds as u64);
+                    assert_eq!(eng.shape().rolled_runs, u32::from(trips > 1));
                     dt
                 })
                 .fold(f64::INFINITY, f64::min)
         };
-        let (small, large) = (lower_secs(8_000), lower_secs(32_000));
+        let (small, large) = (lower_secs(4_000, 1), lower_secs(32_000, 1));
         assert!(
-            large < 8.0 * small,
-            "lowering 4x the stream took {:.1}x the time ({small:.4} s -> {large:.4} s)",
+            large < 32.0 * small,
+            "lowering 8x the stream took {:.1}x the time ({small:.4} s -> {large:.4} s)",
             large / small
+        );
+        let rolled = lower_secs(32_000, 8);
+        assert!(
+            rolled < 2.0 * large,
+            "lowering 8 trips of a rollable body took {:.1}x one trip ({large:.4} s -> {rolled:.4} s)",
+            rolled / large
         );
     }
 }

@@ -140,6 +140,13 @@ pub fn engine_stats(kernel: &Kernel, prog: &FlatProgram) -> crate::engine::Engin
     engine_cached(kernel, prog).stats().clone()
 }
 
+/// What the engine program for `kernel` stores, as against executes: the
+/// micro-ops kept, and how many multi-trip runs were lowered as one rolled
+/// period or trip after trip. Lowers and caches like [`engine_stats`].
+pub fn lowering_shape(kernel: &Kernel, prog: &FlatProgram) -> crate::engine::LoweringShape {
+    engine_cached(kernel, prog).shape()
+}
+
 /// Digest of the lowered engine program for `kernel` (segments, micro-ops,
 /// arenas, stats — see `EngineProgram::digest`): equal digests mean the
 /// engine replays the same program, so tests pin it across optimizer

@@ -80,6 +80,31 @@ pub struct FetchProfile {
     pub per_warp_misses: Vec<u64>,
 }
 
+/// One warp's fetch-address stream, handed to the model a slice at a time,
+/// so a stream that is stored rolled (a loop body's addresses once, see
+/// [`crate::interp::FlatProgram`]) is replayed without being expanded and
+/// the model's inner loop still walks plain slices.
+pub trait FetchStream {
+    /// The next addresses of the stream, at most `n` of them; fewer than
+    /// `n` does not mean the stream ended, an empty slice does.
+    fn next_addrs(&mut self, n: usize) -> &[u32];
+
+    /// Whether every address has been handed out.
+    fn is_done(&self) -> bool;
+}
+
+impl FetchStream for &[u32] {
+    fn next_addrs(&mut self, n: usize) -> &[u32] {
+        let (head, rest) = self.split_at(n.min(self.len()));
+        *self = rest;
+        head
+    }
+
+    fn is_done(&self) -> bool {
+        self.is_empty()
+    }
+}
+
 /// Simulate an interleaved round-robin fetch of per-warp instruction
 /// address streams, the way an SM's scheduler rotates among resident
 /// warps. Returns `(fetches, misses)`; use [`interleaved_fetch_profile`]
@@ -98,15 +123,17 @@ pub fn interleaved_fetch_trace(
     assoc: usize,
     group: usize,
 ) -> (u64, u64) {
-    let p = interleaved_fetch_profile(streams, instr_bytes, capacity_bytes, line_bytes, assoc, group);
+    let mut streams: Vec<&[u32]> = streams.iter().map(AsRef::as_ref).collect();
+    let p = interleaved_fetch_profile(
+        &mut streams, instr_bytes, capacity_bytes, line_bytes, assoc, group,
+    );
     (p.fetches, p.misses)
 }
 
 /// Same simulation as [`interleaved_fetch_trace`], also attributing each
-/// miss to the warp whose fetch missed. One stream per warp, owned or
-/// borrowed: warps that run the same code may pass the same slice.
+/// miss to the warp whose fetch missed. One stream per warp, consumed.
 pub fn interleaved_fetch_profile(
-    streams: &[impl AsRef<[u32]>],
+    streams: &mut [impl FetchStream],
     instr_bytes: usize,
     capacity_bytes: usize,
     line_bytes: usize,
@@ -115,27 +142,25 @@ pub fn interleaved_fetch_profile(
 ) -> FetchProfile {
     let mut cache = ICache::new(capacity_bytes, line_bytes, assoc);
     let mut per_warp = vec![0u64; streams.len()];
-    let mut cursors = vec![0usize; streams.len()];
-    let mut live = streams.iter().filter(|s| !s.as_ref().is_empty()).count();
     let group = group.max(1);
-    while live > 0 {
-        live = 0;
-        for (w, stream) in streams.iter().enumerate() {
-            let stream = stream.as_ref();
-            let c = cursors[w];
-            if c >= stream.len() {
-                continue;
-            }
-            let end = (c + group).min(stream.len());
-            for &addr in &stream[c..end] {
-                if !cache.fetch(addr as u64 * instr_bytes as u64) {
-                    per_warp[w] += 1;
+    let mut live = true;
+    while live {
+        live = false;
+        for (w, stream) in streams.iter_mut().enumerate() {
+            let mut wanted = group;
+            while wanted > 0 {
+                let addrs = stream.next_addrs(wanted);
+                if addrs.is_empty() {
+                    break;
                 }
+                for &addr in addrs {
+                    if !cache.fetch(addr as u64 * instr_bytes as u64) {
+                        per_warp[w] += 1;
+                    }
+                }
+                wanted -= addrs.len();
             }
-            cursors[w] = end;
-            if end < stream.len() {
-                live += 1;
-            }
+            live |= !stream.is_done();
         }
     }
     FetchProfile {
@@ -189,7 +214,8 @@ mod tests {
         let streams: Vec<Vec<u32>> = (0..8u32)
             .map(|w| (w * 512..(w + 1) * 512).collect())
             .collect();
-        let p = interleaved_fetch_profile(&streams, 8, 8192, 64, 4, 8);
+        let mut slices: Vec<&[u32]> = streams.iter().map(Vec::as_slice).collect();
+        let p = interleaved_fetch_profile(&mut slices, 8, 8192, 64, 4, 8);
         assert_eq!(p.per_warp_misses.len(), 8);
         assert_eq!(p.per_warp_misses.iter().sum::<u64>(), p.misses);
         let (fetches, misses) = interleaved_fetch_trace(&streams, 8, 8192, 64, 4, 8);

@@ -11,42 +11,123 @@
 //! conflicts, global coalescing, constant-cache and instruction-cache
 //! behavior, and barrier stalls.
 //!
-//! What executes is a [`FlatProgram`]: [`flatten`] expands the kernel's
-//! structured body (warp branches resolved, loops unrolled) into the
+//! What executes is a [`FlatProgram`]: [`flatten`] resolves the kernel's
+//! structured body (warp branches taken or not, loops kept) into the
 //! instruction stream of each **warp class** — the warps whose streams are
 //! equal. Warp specialization is what makes warps differ; the paper's
-//! data-parallel baseline is one class however many warps it launches, and
-//! its stream, fetch-address stream and sync substream are built and kept
-//! once. The interpreter, the profiler, the verifier and the model read
-//! the shared streams per warp through [`FlatProgram`]'s accessors; the
-//! warp id itself enters execution only where an instruction asks for it
-//! (`IdxInstr::WarpId`, `PointRef::Thread`).
+//! data-parallel baseline is one class however many warps it launches.
+//!
+//! A class's stream is stored **rolled**: its ops once per static
+//! instruction (arena index and fetch address, 8 bytes), and a short list of
+//! *runs* — an op range, a trip count, the first trip's point set and the
+//! point-set step. A loop whose body is straight-line for the class is one
+//! run of `trips` trips; a loop around anything else repeats its body's runs
+//! over the same op ranges. The expanded stream — what the warp executes —
+//! is the runs in order, each run's ops once per trip; the sync substream
+//! and the fetch-address stream are the same runs over a filtered and a
+//! parallel column. Runs are canonical (no empty run, adjacent single-trip
+//! runs over contiguous ops at one point set merged), so two classes have
+//! equal streams exactly when their ops and runs are equal. The
+//! interpreter, the profiler and the model walk a run's trip as one slice;
+//! the verifier and the accessors ([`FlatProgram::step`],
+//! [`FlatProgram::sync_step`]) resolve an expanded position through the run
+//! table. The warp id itself enters execution only where an instruction
+//! asks for it (`IdxInstr::WarpId`, `PointRef::Thread`).
 
 use crate::ccache::ConstCache;
 use crate::counts::EventCounts;
 use crate::error::{SimError, SimResult};
-use crate::icache::interleaved_fetch_profile;
+use crate::icache::{interleaved_fetch_profile, FetchStream};
 use crate::isa::*;
 use crate::lanes::{self, Lanes};
 use crate::profile::Profiler;
 use crate::WARP_SIZE;
 
-/// One flattened operation in a warp's instruction stream.
+/// One stored op of a class's stream: the arena index of the instruction to
+/// execute, or a warp-ID branch header (WarpIf / WarpSwitch — one issue slot
+/// and one fetch). The point set is a property of the trip that executes the
+/// op ([`Run::pset`]) and the fetch address sits in a parallel column, so a
+/// stored op is this word plus its address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlatOp {
-    /// Execute instruction `instr` (arena index) at static address `addr`,
-    /// within point-set `pset` of the streaming point loop.
-    Exec { addr: u32, instr: u32, pset: u32 },
-    /// A warp-ID branch header (WarpIf / WarpSwitch) — costs one issue slot
-    /// and one fetch.
-    Branch { addr: u32 },
-}
+pub(crate) struct FlatOp(u32);
 
 impl FlatOp {
-    fn addr(&self) -> u32 {
-        match self {
-            FlatOp::Exec { addr, .. } | FlatOp::Branch { addr } => *addr,
-        }
+    const BRANCH: FlatOp = FlatOp(u32::MAX);
+
+    /// The arena index to execute, or `None` for a branch header.
+    #[inline]
+    pub(crate) fn instr(self) -> Option<usize> {
+        (self != FlatOp::BRANCH).then_some(self.0 as usize)
+    }
+}
+
+/// A maximal repetition in a class's stream: the stored ops `ops`, executed
+/// `trips` times in a row, trip `t` at point set `pset + t * pset_step`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Run {
+    /// One trip's ops: a range into the class's op and address columns.
+    ops: std::ops::Range<u32>,
+    /// One trip's sync-relevant ops: a range into the class's sync column.
+    sync: std::ops::Range<u32>,
+    /// Times the range executes back to back; at least 1.
+    pub(crate) trips: u32,
+    /// Point set of trip 0.
+    pset: u32,
+    /// Point sets advanced per trip: 1 for a point loop's own trips, 0 for
+    /// a plain loop's (and for a single trip).
+    pub(crate) pset_step: u32,
+    /// Position of trip 0's first op in the expanded stream.
+    at: usize,
+    /// Position of trip 0's first sync op in the expanded sync substream.
+    sync_at: usize,
+}
+
+impl Run {
+    /// The point set trip `trip` executes at.
+    #[inline]
+    pub(crate) fn pset(&self, trip: u32) -> u32 {
+        self.pset + trip * self.pset_step
+    }
+
+    fn range(&self) -> std::ops::Range<usize> {
+        self.ops.start as usize..self.ops.end as usize
+    }
+}
+
+/// One warp class's rolled stream.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct ClassStream {
+    /// The ops the class executes, once per static instruction, in address
+    /// order.
+    ops: Vec<FlatOp>,
+    /// Static fetch address of each op, parallel to `ops` (the icache
+    /// model's input).
+    addrs: Vec<u32>,
+    /// Positions in `ops` of the synchronization-relevant ops (index ISA,
+    /// shared accesses, async copies, named barriers), ascending.
+    sync: Vec<u32>,
+    /// The stream: these runs in order. Canonical — see [`push_span`].
+    runs: Vec<Run>,
+    /// Expanded stream length: Σ run length × trips.
+    len: usize,
+    /// Expanded sync substream length.
+    sync_len: usize,
+}
+
+impl ClassStream {
+    /// The run holding expanded position `pos` of the column whose run
+    /// starts `at` reads, with the trip and the offset into it.
+    fn locate(
+        &self,
+        pos: usize,
+        at: impl Fn(&Run) -> usize,
+        len: impl Fn(&Run) -> usize,
+    ) -> (&Run, u32, usize) {
+        // Runs that hold nothing of the column share their successor's
+        // start; the last run starting at or before `pos` is the holder.
+        let run = &self.runs[self.runs.partition_point(|r| at(r) <= pos) - 1];
+        let off = pos - at(run);
+        (run, (off / len(run)) as u32, off % len(run))
     }
 }
 
@@ -236,31 +317,24 @@ fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
 /// ranges).
 ///
 /// Streams are stored once per **warp class** — a maximal set of warps
-/// whose flattened streams are equal ([`FlatProgram::class_of`]). Every
-/// warp of a data-parallel kernel runs the same code, so such a kernel has
-/// one class and one stream however many warps it launches; a fully
+/// whose flattened streams are equal ([`FlatProgram::class_of`]) — and
+/// within a class once per **loop**: ops per static instruction, plus the
+/// runs that say how often and at which point sets they execute (see the
+/// module docs). Every warp of a data-parallel kernel runs the same code,
+/// so such a kernel has one class however many warps it launches; a fully
 /// warp-specialized kernel has one class per warp. Consumers keep their
-/// per-warp view through the accessors, which go through the class map.
+/// per-warp, expanded view through the accessors.
 #[derive(Debug)]
 pub struct FlatProgram {
     /// Warp → class. Classes are numbered by their lowest warp, ascending.
     class_of: Vec<u32>,
-    /// One stream per class.
-    streams: Vec<Vec<FlatOp>>,
+    /// One rolled stream per class.
+    classes: Vec<ClassStream>,
     pub(crate) instrs: Vec<Instr>,
     /// Pre-decoded fast-path table, parallel to `instrs`.
     pub(crate) decoded: Vec<DecodedInstr>,
     /// Precomputed static costs, parallel to `instrs`.
     pub(crate) costs: Vec<OpCost>,
-    /// Per-class static fetch address streams (icache model input),
-    /// precomputed so event collection stops rebuilding them per CTA.
-    addr_streams: Vec<Vec<u32>>,
-    /// Per-class substreams of only the synchronization-relevant ops
-    /// (index ISA, shared accesses, async copies, named barriers) as
-    /// (static address, arena index, point set) triples. The point set
-    /// is part of the tuple because stage-rotated barriers and pipeline
-    /// offsets resolve against it.
-    sync_streams: Vec<Vec<(u32, u32, u32)>>,
     /// Total static instructions (address space size).
     pub static_size: u32,
     /// [`crate::flatcache::fingerprint`] of the kernel this was flattened
@@ -288,6 +362,39 @@ pub struct FlatStep<'a> {
     pub instr: Option<&'a Instr>,
 }
 
+/// One warp's fetch-address stream, read off the rolled form a slice at a
+/// time: the instruction-cache model's input ([`FetchStream`]).
+pub(crate) struct FetchWalk<'a> {
+    class: &'a ClassStream,
+    run: usize,
+    trip: u32,
+    /// Offset into the current trip.
+    off: usize,
+}
+
+impl FetchStream for FetchWalk<'_> {
+    fn next_addrs(&mut self, n: usize) -> &[u32] {
+        let Some(run) = self.class.runs.get(self.run) else { return &[] };
+        let trip = &self.class.addrs[run.range()];
+        let rest = &trip[self.off..];
+        let taken = &rest[..n.min(rest.len())];
+        self.off += taken.len();
+        if self.off == trip.len() {
+            self.off = 0;
+            self.trip += 1;
+            if self.trip == run.trips {
+                self.trip = 0;
+                self.run += 1;
+            }
+        }
+        taken
+    }
+
+    fn is_done(&self) -> bool {
+        self.run == self.class.runs.len()
+    }
+}
+
 impl FlatProgram {
     /// The fingerprint of the kernel this program was flattened from, for
     /// a program out of [`crate::flatcache::flatten_cached`]: the key it is
@@ -305,7 +412,7 @@ impl FlatProgram {
 
     /// Number of warp classes: distinct flattened streams among the warps.
     pub fn n_classes(&self) -> usize {
-        self.streams.len()
+        self.classes.len()
     }
 
     /// The class of `warp`. Two warps share a class exactly when their
@@ -315,30 +422,51 @@ impl FlatProgram {
         self.class_of[warp] as usize
     }
 
-    /// One warp's stream (its class's).
-    pub(crate) fn stream(&self, warp: usize) -> &[FlatOp] {
-        &self.streams[self.class_of(warp)]
+    fn class(&self, warp: usize) -> &ClassStream {
+        &self.classes[self.class_of(warp)]
+    }
+
+    /// One warp's stream (its class's) as its runs, in order.
+    pub(crate) fn runs(&self, warp: usize) -> &[Run] {
+        &self.class(warp).runs
+    }
+
+    /// The ops one trip of `run` — a run of `warp`'s — executes.
+    #[inline]
+    pub(crate) fn run_ops(&self, warp: usize, run: &Run) -> &[FlatOp] {
+        &self.class(warp).ops[run.range()]
     }
 
     /// Every warp's static fetch address stream, in warp order — the
-    /// instruction-cache model's input. The slices of one class's members
-    /// are the same slice.
-    pub(crate) fn addr_streams(&self) -> Vec<&[u32]> {
-        self.class_of.iter().map(|&c| self.addr_streams[c as usize].as_slice()).collect()
+    /// instruction-cache model's input.
+    pub(crate) fn fetch_streams(&self) -> Vec<FetchWalk<'_>> {
+        (0..self.n_warps())
+            .map(|w| FetchWalk { class: self.class(w), run: 0, trip: 0, off: 0 })
+            .collect()
+    }
+
+    /// Ops stored over all classes: one per static instruction a class
+    /// executes, however many trips execute it. Σ [`FlatProgram::stream_len`]
+    /// is what the warps execute; this is what the program keeps.
+    pub fn stored_ops(&self) -> usize {
+        self.classes.iter().map(|c| c.ops.len()).sum()
     }
 
     /// Length of one warp's stream.
     pub fn stream_len(&self, warp: usize) -> usize {
-        self.stream(warp).len()
+        self.class(warp).len
     }
 
     /// One step of a warp's stream.
     pub fn step(&self, warp: usize, pos: usize) -> FlatStep<'_> {
-        match self.stream(warp)[pos] {
-            FlatOp::Exec { addr, instr, pset } => {
-                FlatStep { addr, pset, instr: Some(&self.instrs[instr as usize]) }
-            }
-            FlatOp::Branch { addr } => FlatStep { addr, pset: 0, instr: None },
+        let class = self.class(warp);
+        assert!(pos < class.len, "stream position {pos} of {}", class.len);
+        let (run, trip, off) = class.locate(pos, |r| r.at, |r| r.ops.len());
+        let at = run.ops.start as usize + off;
+        let addr = class.addrs[at];
+        match class.ops[at].instr() {
+            Some(i) => FlatStep { addr, pset: run.pset(trip), instr: Some(&self.instrs[i]) },
+            None => FlatStep { addr, pset: 0, instr: None },
         }
     }
 
@@ -349,7 +477,7 @@ impl FlatProgram {
 
     /// Length of one warp's synchronization-relevant substream.
     pub fn sync_stream_len(&self, warp: usize) -> usize {
-        self.sync_streams[self.class_of(warp)].len()
+        self.class(warp).sync_len
     }
 
     /// One step of a warp's synchronization-relevant substream — exactly
@@ -360,22 +488,29 @@ impl FlatProgram {
     /// skipped is arithmetic with no effect on index registers, shared
     /// memory, or barrier state.
     pub fn sync_step(&self, warp: usize, pos: usize) -> (u32, u32, &Instr) {
-        let (addr, idx, pset) = self.sync_streams[self.class_of(warp)][pos];
-        (addr, pset, &self.instrs[idx as usize])
+        let class = self.class(warp);
+        assert!(pos < class.sync_len, "sync position {pos} of {}", class.sync_len);
+        let (run, trip, off) = class.locate(pos, |r| r.sync_at, |r| r.sync.len());
+        let at = class.sync[run.sync.start as usize + off] as usize;
+        let instr = class.ops[at].instr().expect("a sync op is an instruction");
+        (class.addrs[at], run.pset(trip), &self.instrs[instr])
     }
 
     /// Heap bytes this program retains, from lengths times element sizes:
-    /// the streams (once per class), the class map, the static side tables,
-    /// and the lowered engine program once there is one. Deterministic —
-    /// what a test can pin where resident-set size is only a reading.
+    /// the rolled streams (ops and addresses, the sync column and the runs,
+    /// once per class), the class map, the static side tables, and the
+    /// lowered engine program once there is one. Deterministic — what a
+    /// test can pin where resident-set size is only a reading.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let per_op = size_of::<FlatOp>() + size_of::<u32>();
-        let ops: usize = self.streams.iter().map(Vec::len).sum();
-        let sync_ops: usize = self.sync_streams.iter().map(Vec::len).sum();
+        let sync_ops: usize = self.classes.iter().map(|c| c.sync.len()).sum();
+        let runs: usize = self.classes.iter().map(|c| c.runs.len()).sum();
         let per_instr = size_of::<Instr>() + size_of::<DecodedInstr>() + size_of::<OpCost>();
-        ops * per_op
-            + sync_ops * size_of::<(u32, u32, u32)>()
+        self.stored_ops() * per_op
+            + sync_ops * size_of::<u32>()
+            + runs * size_of::<Run>()
+            + self.classes.len() * size_of::<ClassStream>()
             + self.class_of.len() * size_of::<u32>()
             + self.instrs.len() * per_instr
             + self.engine.get().map_or(0, |e| e.heap_bytes())
@@ -391,13 +526,14 @@ pub fn flatten(kernel: &Kernel) -> FlatProgram {
 ///
 /// Three steps. [`refine`] partitions the warps by the path they take:
 /// the branch each takes at every `WarpIf`/`WarpSwitch` it reaches, read
-/// off the static tree (no loop is expanded). `expand` then walks the tree
-/// with one *class* per active slot, so every stream is built once and its
-/// cost follows the number of classes, not of warps.
+/// off the static tree. [`roll`] then walks the tree once — every loop body
+/// once, whatever its trip count — with one *class* per active slot, so
+/// every stream is built once and its cost follows the number of classes
+/// and the static code, not the warps or the trips.
 /// Path equality is sufficient for stream equality but not necessary (an
 /// empty-bodied branch leaves no trace in the stream), so last the classes
-/// whose streams compare equal (length first) are merged: the partition is
-/// exactly stream equality.
+/// whose streams compare equal are merged: the partition is exactly stream
+/// equality, because runs are canonical.
 pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> FlatProgram {
     let paths = refine(kernel);
     // One representative warp per path class, and the streams they walk.
@@ -407,61 +543,35 @@ pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> Fl
             reps.push(w);
         }
     }
-    let (path_streams, instrs, static_size) = expand(kernel, &reps);
+    let (path_classes, instrs, static_size) = roll(kernel, &reps);
 
     // Merge path classes with equal streams, renumbering in order of first
-    // occurrence — which is still order of lowest warp. (Slice equality
-    // compares lengths first, so unequal streams are usually told apart
-    // without being read.)
-    let mut streams: Vec<Vec<FlatOp>> = Vec::new();
-    let merged: Vec<u32> = path_streams
+    // occurrence — which is still order of lowest warp.
+    let mut classes: Vec<ClassStream> = Vec::new();
+    let merged: Vec<u32> = path_classes
         .into_iter()
-        .map(|s| {
-            let at = streams.iter().position(|kept| *kept == s).unwrap_or_else(|| {
-                streams.push(s);
-                streams.len() - 1
+        .map(|c| {
+            let at = classes.iter().position(|kept| *kept == c).unwrap_or_else(|| {
+                classes.push(c);
+                classes.len() - 1
             });
             at as u32
         })
         .collect();
     let class_of: Vec<u32> = paths.iter().map(|&c| merged[c]).collect();
-    streams.iter_mut().for_each(Vec::shrink_to_fit);
 
-    // Pre-decode each arena instruction once: fast-path form, static costs,
-    // and the fetch address streams the icache model replays.
+    // Pre-decode each arena instruction once: fast-path form and static
+    // costs.
     let decoded: Vec<DecodedInstr> = instrs.iter().map(|i| decode(i, kernel)).collect();
     let costs: Vec<OpCost> =
         instrs.iter().map(|i| OpCost::of(i, kernel.exp_const_from_registers)).collect();
-    let addr_streams: Vec<Vec<u32>> =
-        streams.iter().map(|s| s.iter().map(|op| op.addr()).collect()).collect();
-
-    // Substreams of only the synchronization-relevant ops. Protocol
-    // analyses (the schedule verifier) model index registers, shared
-    // memory, and named barriers; pre-filtering here lets them skip the
-    // arithmetic bulk of each stream entirely.
-    let sync_streams: Vec<Vec<(u32, u32, u32)>> = streams
-        .iter()
-        .map(|s| {
-            s.iter()
-                .filter_map(|op| match *op {
-                    FlatOp::Exec { addr, instr, pset } => {
-                        let relevant = instrs[instr as usize].is_sync_relevant();
-                        relevant.then_some((addr, instr, pset))
-                    }
-                    FlatOp::Branch { .. } => None,
-                })
-                .collect()
-        })
-        .collect();
 
     FlatProgram {
         class_of,
-        streams,
+        classes,
         instrs,
         decoded,
         costs,
-        addr_streams,
-        sync_streams,
         static_size,
         fingerprint,
         engine: std::sync::OnceLock::new(),
@@ -521,108 +631,230 @@ fn takes_if(mask: u64, warp: usize) -> bool {
     mask & (1u64 << warp) != 0
 }
 
-/// Expand `kernel`'s body into one stream per representative warp in
-/// `reps`, returning the streams, the instruction arena and the static size.
-/// A representative stands for every warp that takes its path
-/// ([`refine`]); with every warp its own representative this is the plain
-/// per-warp flatten.
-fn expand(kernel: &Kernel, reps: &[usize]) -> (Vec<Vec<FlatOp>>, Vec<Instr>, u32) {
-    let mut instrs: Vec<Instr> = Vec::new();
-    let mut streams: Vec<Vec<FlatOp>> = vec![Vec::new(); reps.len()];
+/// Where a span's trips take their point set from, while the loops around
+/// it are still open.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pset {
+    /// The trip of the innermost enclosing point loop, whichever that turns
+    /// out to be (0 outside any).
+    Enclosing,
+    /// `first + trip * step` of the span's own trips.
+    Own { first: u32, step: u32 },
+}
 
-    // Assign addresses in tree order; every warp walking the same tree sees
-    // the same addresses. `active` holds the stream slots whose
-    // representative is on the path being walked.
-    //
-    // Loop bodies are re-walked per iteration with the address counter
-    // reset, so a static address always denotes the same instruction; the
-    // arena is memoized by address (`addr_to_idx`, u32::MAX = unassigned)
-    // to keep it — and the decode/cost tables built from it — sized by
-    // static code, not by trip counts.
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        nodes: &[Node],
-        counter: &mut u32,
-        instrs: &mut Vec<Instr>,
-        addr_to_idx: &mut Vec<u32>,
-        streams: &mut [Vec<FlatOp>],
-        reps: &[usize],
-        active: &[usize],
-        pset: u32,
-    ) {
-        for node in nodes {
-            match node {
-                Node::Op(i) => {
-                    let addr = *counter;
-                    *counter += 1;
-                    if addr_to_idx.len() <= addr as usize {
-                        addr_to_idx.resize(addr as usize + 1, u32::MAX);
-                    }
-                    let idx = match addr_to_idx[addr as usize] {
-                        u32::MAX => {
-                            let idx = instrs.len() as u32;
-                            instrs.push(i.clone());
-                            addr_to_idx[addr as usize] = idx;
-                            idx
-                        }
-                        idx => idx,
-                    };
-                    for &slot in active {
-                        streams[slot].push(FlatOp::Exec { addr, instr: idx, pset });
-                    }
+/// A [`Run`] in the making: op and sync ranges, trips, and a point set that
+/// may still depend on a loop that has not closed.
+#[derive(Debug, Clone)]
+struct Span {
+    ops: std::ops::Range<u32>,
+    sync: std::ops::Range<u32>,
+    trips: u32,
+    pset: Pset,
+}
+
+/// Append `span` to `spans`, keeping the list canonical: an empty span is
+/// dropped, and a single-trip span that continues the single-trip span
+/// before it — contiguous ops, one point set — extends it. Every span and
+/// every run enters its list here, so what a list looks like depends only
+/// on the tree and on which of its ops the class executes; that is what
+/// makes equal streams equal runs.
+fn push_span(spans: &mut Vec<Span>, mut span: Span) {
+    if span.ops.is_empty() {
+        return;
+    }
+    if span.trips == 1 {
+        if let Pset::Own { step, .. } = &mut span.pset {
+            *step = 0;
+        }
+        if let Some(last) = spans.last_mut() {
+            if last.trips == 1 && last.ops.end == span.ops.start && last.pset == span.pset {
+                last.ops.end = span.ops.end;
+                last.sync.end = span.sync.end;
+                return;
+            }
+        }
+    }
+    spans.push(span);
+}
+
+/// One class's stream while [`roll`] builds it: the stored columns, and the
+/// spans of the innermost loop body being walked (of the kernel body, at
+/// top level).
+#[derive(Default)]
+struct ClassBuilder {
+    ops: Vec<FlatOp>,
+    addrs: Vec<u32>,
+    sync: Vec<u32>,
+    spans: Vec<Span>,
+}
+
+impl ClassBuilder {
+    fn push_op(&mut self, addr: u32, op: FlatOp, sync_relevant: bool) {
+        let at = self.ops.len() as u32;
+        let sync_at = self.sync.len() as u32;
+        self.ops.push(op);
+        self.addrs.push(addr);
+        if sync_relevant {
+            self.sync.push(at);
+        }
+        let span = Span {
+            ops: at..at + 1,
+            sync: sync_at..self.sync.len() as u32,
+            trips: 1,
+            pset: Pset::Enclosing,
+        };
+        push_span(&mut self.spans, span);
+    }
+
+    /// A loop of `trips` trips just walked its body into `self.spans`:
+    /// fold those into `outer`, the spans of the body around the loop,
+    /// which becomes current again. A body that is one single-trip span —
+    /// straight-line for this class — is one span of `trips` trips; any
+    /// other body is its spans `trips` times over the same op ranges. A
+    /// point loop (`advances`) is what `Pset::Enclosing` meant in its body.
+    fn close_loop(&mut self, outer: Vec<Span>, trips: u32, advances: bool) {
+        let body = std::mem::replace(&mut self.spans, outer);
+        if let [one] = body.as_slice() {
+            if one.trips == 1 {
+                let pset = match one.pset {
+                    Pset::Enclosing if advances => Pset::Own { first: 0, step: 1 },
+                    Pset::Enclosing => Pset::Enclosing,
+                    Pset::Own { first, .. } => Pset::Own { first, step: 0 },
+                };
+                push_span(&mut self.spans, Span { trips, pset, ..one.clone() });
+                return;
+            }
+        }
+        for trip in 0..trips {
+            for span in &body {
+                let mut span = span.clone();
+                if advances && span.pset == Pset::Enclosing {
+                    span.pset = Pset::Own { first: trip, step: 0 };
                 }
-                Node::WarpIf { mask, body } => {
-                    let addr = *counter;
-                    *counter += 1;
-                    for &slot in active {
-                        streams[slot].push(FlatOp::Branch { addr });
+                push_span(&mut self.spans, span);
+            }
+        }
+    }
+
+    /// Close the kernel body: outside every point loop the point set is 0.
+    fn finish(mut self) -> ClassStream {
+        self.close_loop(Vec::new(), 1, true);
+        let (mut len, mut sync_len) = (0, 0);
+        let runs = self
+            .spans
+            .into_iter()
+            .map(|s| {
+                let Pset::Own { first, step } = s.pset else {
+                    unreachable!("the kernel body closed as a point loop of one trip")
+                };
+                let run = Run {
+                    ops: s.ops,
+                    sync: s.sync,
+                    trips: s.trips,
+                    pset: first,
+                    pset_step: step,
+                    at: len,
+                    sync_at: sync_len,
+                };
+                len += run.ops.len() * run.trips as usize;
+                sync_len += run.sync.len() * run.trips as usize;
+                run
+            })
+            .collect();
+        self.ops.shrink_to_fit();
+        self.addrs.shrink_to_fit();
+        self.sync.shrink_to_fit();
+        ClassStream { ops: self.ops, addrs: self.addrs, sync: self.sync, runs, len, sync_len }
+    }
+}
+
+/// Walk `kernel`'s body into one rolled stream per representative warp in
+/// `reps`, returning the streams, the instruction arena and the static
+/// size. A representative stands for every warp that takes its path
+/// ([`refine`]).
+///
+/// Addresses are assigned in tree order, so every class sees the same
+/// address for the same instruction, and each loop body is walked exactly
+/// once: its ops are stored once and its trips become runs
+/// ([`ClassBuilder::close_loop`]).
+fn roll(kernel: &Kernel, reps: &[usize]) -> (Vec<ClassStream>, Vec<Instr>, u32) {
+    struct Walk<'a> {
+        reps: &'a [usize],
+        counter: u32,
+        instrs: Vec<Instr>,
+        classes: Vec<ClassBuilder>,
+    }
+
+    impl Walk<'_> {
+        /// Take the next static address; the classes in `active` execute
+        /// `op` there.
+        fn emit(&mut self, active: &[usize], op: FlatOp, sync_relevant: bool) {
+            let addr = self.counter;
+            self.counter += 1;
+            for &slot in active {
+                self.classes[slot].push_op(addr, op, sync_relevant);
+            }
+        }
+
+        /// `active` holds the class slots whose representative is on the
+        /// path being walked.
+        fn walk(&mut self, nodes: &[Node], active: &[usize]) {
+            for node in nodes {
+                match node {
+                    Node::Op(i) => {
+                        let idx = self.instrs.len() as u32;
+                        self.instrs.push(i.clone());
+                        self.emit(active, FlatOp(idx), i.is_sync_relevant());
                     }
-                    let taken: Vec<usize> =
-                        active.iter().copied().filter(|&s| takes_if(*mask, reps[s])).collect();
-                    walk(body, counter, instrs, addr_to_idx, streams, reps, &taken, pset);
-                }
-                Node::WarpSwitch { case_of_warp, cases } => {
-                    let addr = *counter;
-                    *counter += 1;
-                    for &slot in active {
-                        streams[slot].push(FlatOp::Branch { addr });
-                    }
-                    for (ci, case) in cases.iter().enumerate() {
+                    Node::WarpIf { mask, body } => {
+                        self.emit(active, FlatOp::BRANCH, false);
                         let taken: Vec<usize> = active
                             .iter()
                             .copied()
-                            .filter(|&s| case_of_warp.get(reps[s]) == Some(&ci))
+                            .filter(|&s| takes_if(*mask, self.reps[s]))
                             .collect();
-                        walk(case, counter, instrs, addr_to_idx, streams, reps, &taken, pset);
+                        self.walk(body, &taken);
                     }
-                }
-                Node::Loop { count, body } => {
-                    let start = *counter;
-                    for _ in 0..*count {
-                        *counter = start;
-                        walk(body, counter, instrs, addr_to_idx, streams, reps, active, pset);
+                    Node::WarpSwitch { case_of_warp, cases } => {
+                        self.emit(active, FlatOp::BRANCH, false);
+                        for (ci, case) in cases.iter().enumerate() {
+                            let taken: Vec<usize> = active
+                                .iter()
+                                .copied()
+                                .filter(|&s| case_of_warp.get(self.reps[s]) == Some(&ci))
+                                .collect();
+                            self.walk(case, &taken);
+                        }
                     }
-                    if *count == 0 {
-                        // Still reserve the addresses.
-                        walk(body, counter, instrs, addr_to_idx, streams, reps, &[], pset);
-                    }
-                }
-                Node::PointLoop { iters, body } => {
-                    let start = *counter;
-                    for it in 0..*iters {
-                        *counter = start;
-                        walk(body, counter, instrs, addr_to_idx, streams, reps, active, it);
+                    // A loop that never runs: a plain loop still reserves
+                    // its body's addresses, a point loop does not.
+                    Node::Loop { count: 0, body } => self.walk(body, &[]),
+                    Node::PointLoop { iters: 0, .. } => {}
+                    Node::Loop { count: trips, body } | Node::PointLoop { iters: trips, body } => {
+                        let outer: Vec<Vec<Span>> = active
+                            .iter()
+                            .map(|&s| std::mem::take(&mut self.classes[s].spans))
+                            .collect();
+                        self.walk(body, active);
+                        let advances = matches!(node, Node::PointLoop { .. });
+                        for (&s, outer) in active.iter().zip(outer) {
+                            self.classes[s].close_loop(outer, *trips, advances);
+                        }
                     }
                 }
             }
         }
     }
 
+    let mut w = Walk {
+        reps,
+        counter: 0,
+        instrs: Vec::new(),
+        classes: reps.iter().map(|_| ClassBuilder::default()).collect(),
+    };
     let all: Vec<usize> = (0..reps.len()).collect();
-    let mut counter = 0u32;
-    let mut addr_to_idx: Vec<u32> = Vec::new();
-    walk(&kernel.body, &mut counter, &mut instrs, &mut addr_to_idx, &mut streams, reps, &all, 0);
-    (streams, instrs, counter)
+    w.walk(&kernel.body, &all);
+    (w.classes.into_iter().map(ClassBuilder::finish).collect(), w.instrs, w.counter)
 }
 
 /// Named-barrier state. `generation` increments on every completion so a
@@ -642,6 +874,9 @@ struct WarpState {
     dregs: Vec<f64>,
     iregs: Vec<u32>,
     local: Vec<f64>,
+    /// The run being executed, the trip of it, and the next op of the trip.
+    run: usize,
+    trip: u32,
     pc: usize,
     done: bool,
     /// Blocked waiting on `(barrier id, generation at block time)`.
@@ -735,6 +970,8 @@ pub fn run_cta_profiled(
             dregs: vec![0.0; kernel.dregs_per_thread * WARP_SIZE],
             iregs: vec![0; kernel.iregs_per_thread * WARP_SIZE],
             local: vec![0.0; kernel.local_words_per_thread * WARP_SIZE],
+            run: 0,
+            trip: 0,
             pc: 0,
             done: false,
             blocked: None,
@@ -791,10 +1028,9 @@ pub fn run_cta_profiled(
     if collect {
         counts.const_hits = ccache.hits();
         counts.const_misses = ccache.misses();
-        // Instruction-cache simulation over the interleaved fetch streams
-        // (precomputed at flatten time).
+        // Instruction-cache simulation over the interleaved fetch streams.
         let fp = interleaved_fetch_profile(
-            &prog.addr_streams(),
+            &mut prog.fetch_streams(),
             arch.instr_bytes,
             arch.icache_bytes,
             arch.icache_line_bytes,
@@ -834,11 +1070,12 @@ fn step_warp(
     counts: &mut EventCounts,
     mut profiler: Option<&mut Profiler>,
 ) -> SimResult<bool> {
-    let stream = prog.stream(w);
+    let runs = prog.runs(w);
     let mut ran = false;
+    // One trip at a time: its ops as a slice and its point set, fetched
+    // once, then a plain walk from where the warp last stopped.
     loop {
-        let pc = warps[w].pc;
-        if pc >= stream.len() {
+        let Some(run) = runs.get(warps[w].run) else {
             if !warps[w].done {
                 if let Some(p) = profiler.as_deref_mut() {
                     p.on_warp_done(w);
@@ -846,10 +1083,13 @@ fn step_warp(
             }
             warps[w].done = true;
             return Ok(ran);
-        }
-        let op = stream[pc];
-        match op {
-            FlatOp::Branch { .. } => {
+        };
+        let ops = prog.run_ops(w, run);
+        let pset = run.pset(warps[w].trip);
+        while let Some(op) = ops.get(warps[w].pc) {
+            warps[w].pc += 1;
+            ran = true;
+            let Some(i) = op.instr() else {
                 if collect {
                     counts.issue_slots += 1;
                     counts.warp_branches += 1;
@@ -857,109 +1097,104 @@ fn step_warp(
                         p.on_overhead(w, 1);
                     }
                 }
-                warps[w].pc += 1;
-                ran = true;
-            }
-            FlatOp::Exec { instr, pset, .. } => {
-                let i = instr as usize;
-                if collect {
-                    let is_barrier = matches!(
-                        prog.decoded[i],
-                        DecodedInstr::BarArrive { .. }
-                            | DecodedInstr::BarSync { .. }
-                            | DecodedInstr::BarArriveStage { .. }
-                            | DecodedInstr::BarSyncStage { .. }
-                    );
-                    let cost = prog.costs[i];
-                    counts.issue_slots += cost.slots();
-                    if cost.dp {
-                        counts.dp_slots += cost.slots();
-                        counts.flops += cost.flops_warp();
-                        counts.dp_const_slots += cost.const_slots();
-                    }
-                    if !is_barrier {
-                        // Barrier instructions are charged by the profiler
-                        // as overhead (with the architectural sync cost),
-                        // not as plain issue.
-                        if let Some(p) = profiler.as_deref_mut() {
-                            p.on_issue(w, cost.slots());
-                        }
-                    }
+                continue;
+            };
+            if collect {
+                let is_barrier = matches!(
+                    prog.decoded[i],
+                    DecodedInstr::BarArrive { .. }
+                        | DecodedInstr::BarSync { .. }
+                        | DecodedInstr::BarArriveStage { .. }
+                        | DecodedInstr::BarSyncStage { .. }
+                );
+                let cost = prog.costs[i];
+                counts.issue_slots += cost.slots();
+                if cost.dp {
+                    counts.dp_slots += cost.slots();
+                    counts.flops += cost.flops_warp();
+                    counts.dp_const_slots += cost.const_slots();
                 }
-                // Barriers are handled at scheduler level. Stage-rotated
-                // barriers resolve their id against the executing point
-                // set first, then share the plain arrive/sync machinery.
-                let dec = match prog.decoded[i] {
-                    DecodedInstr::BarArriveStage { base, k, expected } => DecodedInstr::BarArrive {
-                        bar: base + (pset % u32::from(k.max(1))) as u8,
-                        expected,
-                    },
-                    DecodedInstr::BarSyncStage { base, k, expected } => DecodedInstr::BarSync {
-                        bar: base + (pset % u32::from(k.max(1))) as u8,
-                        expected,
-                    },
-                    d => d,
-                };
-                match dec {
-                    DecodedInstr::BarArrive { bar, expected } => {
-                        if collect {
-                            counts.barrier_arrives += 1;
-                        }
-                        let released = barrier_arrive(barriers, bar, expected)?;
-                        if let Some(p) = profiler.as_deref_mut() {
-                            p.on_barrier_op(w, bar, false);
-                            if released {
-                                p.on_barrier_complete(bar, barriers[bar as usize].generation);
-                            }
-                        }
-                        warps[w].pc += 1;
-                        ran = true;
-                    }
-                    DecodedInstr::BarSync { bar, expected } => {
-                        if collect {
-                            counts.barrier_syncs += 1;
-                        }
-                        // Record the generation *before* arriving: if our
-                        // own arrival completes the barrier the generation
-                        // advances and we are not blocked.
-                        let gen = barriers[bar as usize].generation;
-                        let released = barrier_arrive(barriers, bar, expected)?;
-                        if let Some(p) = profiler.as_deref_mut() {
-                            p.on_barrier_op(w, bar, true);
-                            if released {
-                                p.on_barrier_complete(bar, barriers[bar as usize].generation);
-                            }
-                        }
-                        warps[w].pc += 1;
-                        ran = true;
-                        if !released {
-                            warps[w].blocked = Some((bar, gen));
-                            if collect {
-                                counts.barrier_stall_switches += 1;
-                            }
-                            if let Some(p) = profiler.as_deref_mut() {
-                                p.on_block(w, bar);
-                            }
-                            return Ok(ran);
-                        }
-                    }
-                    DecodedInstr::Slow => {
-                        exec_slow(
-                            kernel, &prog.instrs[i], pset, inputs, total_points, base_point,
-                            w, &mut warps[w], shared, out_buffers, ccache, bank_base, collect,
-                            counts, profiler.as_deref_mut(),
-                        )?;
-                        warps[w].pc += 1;
-                        ran = true;
-                    }
-                    dec => {
-                        let ws = &mut warps[w];
-                        exec_fast(dec, &mut ws.dregs, &[], &mut ws.local, collect, counts)?;
-                        ws.pc += 1;
-                        ran = true;
+                if !is_barrier {
+                    // Barrier instructions are charged by the profiler
+                    // as overhead (with the architectural sync cost),
+                    // not as plain issue.
+                    if let Some(p) = profiler.as_deref_mut() {
+                        p.on_issue(w, cost.slots());
                     }
                 }
             }
+            // Barriers are handled at scheduler level. Stage-rotated
+            // barriers resolve their id against the executing point
+            // set first, then share the plain arrive/sync machinery.
+            let dec = match prog.decoded[i] {
+                DecodedInstr::BarArriveStage { base, k, expected } => DecodedInstr::BarArrive {
+                    bar: base + (pset % u32::from(k.max(1))) as u8,
+                    expected,
+                },
+                DecodedInstr::BarSyncStage { base, k, expected } => DecodedInstr::BarSync {
+                    bar: base + (pset % u32::from(k.max(1))) as u8,
+                    expected,
+                },
+                d => d,
+            };
+            match dec {
+                DecodedInstr::BarArrive { bar, expected } => {
+                    if collect {
+                        counts.barrier_arrives += 1;
+                    }
+                    let released = barrier_arrive(barriers, bar, expected)?;
+                    if let Some(p) = profiler.as_deref_mut() {
+                        p.on_barrier_op(w, bar, false);
+                        if released {
+                            p.on_barrier_complete(bar, barriers[bar as usize].generation);
+                        }
+                    }
+                }
+                DecodedInstr::BarSync { bar, expected } => {
+                    if collect {
+                        counts.barrier_syncs += 1;
+                    }
+                    // Record the generation *before* arriving: if our
+                    // own arrival completes the barrier the generation
+                    // advances and we are not blocked.
+                    let gen = barriers[bar as usize].generation;
+                    let released = barrier_arrive(barriers, bar, expected)?;
+                    if let Some(p) = profiler.as_deref_mut() {
+                        p.on_barrier_op(w, bar, true);
+                        if released {
+                            p.on_barrier_complete(bar, barriers[bar as usize].generation);
+                        }
+                    }
+                    if !released {
+                        warps[w].blocked = Some((bar, gen));
+                        if collect {
+                            counts.barrier_stall_switches += 1;
+                        }
+                        if let Some(p) = profiler.as_deref_mut() {
+                            p.on_block(w, bar);
+                        }
+                        return Ok(ran);
+                    }
+                }
+                DecodedInstr::Slow => {
+                    exec_slow(
+                        kernel, &prog.instrs[i], pset, inputs, total_points, base_point,
+                        w, &mut warps[w], shared, out_buffers, ccache, bank_base, collect,
+                        counts, profiler.as_deref_mut(),
+                    )?;
+                }
+                dec => {
+                    let ws = &mut warps[w];
+                    exec_fast(dec, &mut ws.dregs, &[], &mut ws.local, collect, counts)?;
+                }
+            }
+        }
+        let ws = &mut warps[w];
+        ws.pc = 0;
+        ws.trip += 1;
+        if ws.trip == run.trips {
+            ws.trip = 0;
+            ws.run += 1;
         }
     }
 }
@@ -1746,6 +1981,127 @@ mod tests {
         let _ = r;
     }
 
+    /// One op of an expanded stream, as the oracle spells it out.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum OracleOp {
+        /// Execute instruction `instr` (arena index) at static address
+        /// `addr`, within point-set `pset` of the streaming point loop.
+        Exec { addr: u32, instr: u32, pset: u32 },
+        /// A warp-ID branch header.
+        Branch { addr: u32 },
+    }
+
+    impl OracleOp {
+        fn addr(&self) -> u32 {
+            match self {
+                OracleOp::Exec { addr, .. } | OracleOp::Branch { addr } => *addr,
+            }
+        }
+    }
+
+    /// The oracle: expand `kernel`'s body into one stream per warp in `reps`,
+    /// every loop body re-walked per trip — the flatten as it was before
+    /// streams were shared or rolled. Returns the streams, the instruction
+    /// arena and the static size.
+    fn expand(kernel: &Kernel, reps: &[usize]) -> (Vec<Vec<OracleOp>>, Vec<Instr>, u32) {
+        let mut instrs: Vec<Instr> = Vec::new();
+        let mut streams: Vec<Vec<OracleOp>> = vec![Vec::new(); reps.len()];
+
+        // Assign addresses in tree order; every warp walking the same tree sees
+        // the same addresses. `active` holds the stream slots whose
+        // representative is on the path being walked.
+        //
+        // Loop bodies are re-walked per iteration with the address counter
+        // reset, so a static address always denotes the same instruction; the
+        // arena is memoized by address (`addr_to_idx`, u32::MAX = unassigned)
+        // to keep it — and the decode/cost tables built from it — sized by
+        // static code, not by trip counts.
+        #[allow(clippy::too_many_arguments)]
+        fn walk(
+            nodes: &[Node],
+            counter: &mut u32,
+            instrs: &mut Vec<Instr>,
+            addr_to_idx: &mut Vec<u32>,
+            streams: &mut [Vec<OracleOp>],
+            reps: &[usize],
+            active: &[usize],
+            pset: u32,
+        ) {
+            for node in nodes {
+                match node {
+                    Node::Op(i) => {
+                        let addr = *counter;
+                        *counter += 1;
+                        if addr_to_idx.len() <= addr as usize {
+                            addr_to_idx.resize(addr as usize + 1, u32::MAX);
+                        }
+                        let idx = match addr_to_idx[addr as usize] {
+                            u32::MAX => {
+                                let idx = instrs.len() as u32;
+                                instrs.push(i.clone());
+                                addr_to_idx[addr as usize] = idx;
+                                idx
+                            }
+                            idx => idx,
+                        };
+                        for &slot in active {
+                            streams[slot].push(OracleOp::Exec { addr, instr: idx, pset });
+                        }
+                    }
+                    Node::WarpIf { mask, body } => {
+                        let addr = *counter;
+                        *counter += 1;
+                        for &slot in active {
+                            streams[slot].push(OracleOp::Branch { addr });
+                        }
+                        let taken: Vec<usize> =
+                            active.iter().copied().filter(|&s| takes_if(*mask, reps[s])).collect();
+                        walk(body, counter, instrs, addr_to_idx, streams, reps, &taken, pset);
+                    }
+                    Node::WarpSwitch { case_of_warp, cases } => {
+                        let addr = *counter;
+                        *counter += 1;
+                        for &slot in active {
+                            streams[slot].push(OracleOp::Branch { addr });
+                        }
+                        for (ci, case) in cases.iter().enumerate() {
+                            let taken: Vec<usize> = active
+                                .iter()
+                                .copied()
+                                .filter(|&s| case_of_warp.get(reps[s]) == Some(&ci))
+                                .collect();
+                            walk(case, counter, instrs, addr_to_idx, streams, reps, &taken, pset);
+                        }
+                    }
+                    Node::Loop { count, body } => {
+                        let start = *counter;
+                        for _ in 0..*count {
+                            *counter = start;
+                            walk(body, counter, instrs, addr_to_idx, streams, reps, active, pset);
+                        }
+                        if *count == 0 {
+                            // Still reserve the addresses.
+                            walk(body, counter, instrs, addr_to_idx, streams, reps, &[], pset);
+                        }
+                    }
+                    Node::PointLoop { iters, body } => {
+                        let start = *counter;
+                        for it in 0..*iters {
+                            *counter = start;
+                            walk(body, counter, instrs, addr_to_idx, streams, reps, active, it);
+                        }
+                    }
+                }
+            }
+        }
+
+        let all: Vec<usize> = (0..reps.len()).collect();
+        let mut counter = 0u32;
+        let mut addr_to_idx: Vec<u32> = Vec::new();
+        walk(&kernel.body, &mut counter, &mut instrs, &mut addr_to_idx, &mut streams, reps, &all, 0);
+        (streams, instrs, counter)
+    }
+
     /// Seeded xorshift, as elsewhere in this crate's tests.
     struct Rng(u64);
 
@@ -1761,12 +2117,13 @@ mod tests {
     /// A random body over `warps` warps: ops of both kinds the sync
     /// substream keeps and drops, `WarpIf`s whose masks may select nobody
     /// or everybody, `WarpSwitch`es whose table may be short of the warp
-    /// count or name a case that does not exist, loops of 0 to 2 trips —
-    /// and any branch body may be empty.
+    /// count or name a case that does not exist, loops of 0 to 4 trips,
+    /// some holding nothing but another loop — and any branch body may be
+    /// empty.
     fn random_body(rng: &mut Rng, warps: usize, depth: usize) -> Vec<Node> {
         let n = rng.below(4) as usize;
         (0..n)
-            .map(|_| match rng.below(if depth == 0 { 2 } else { 6 }) {
+            .map(|_| match rng.below(if depth == 0 { 2 } else { 7 }) {
                 0 => Node::Op(Instr::mov(rng.below(8) as Reg, Op::Imm(rng.below(3) as f64))),
                 1 => Node::Op(Instr::BarArrive { bar: rng.below(4) as u8, warps: 1 }),
                 2 => {
@@ -1788,27 +2145,43 @@ mod tests {
                     }
                 }
                 4 => Node::Loop {
-                    count: rng.below(3) as u32,
+                    count: rng.below(5) as u32,
                     body: random_body(rng, warps, depth - 1),
                 },
-                _ => Node::PointLoop {
-                    iters: rng.below(3) as u32,
+                5 => Node::PointLoop {
+                    iters: rng.below(5) as u32,
                     body: random_body(rng, warps, depth - 1),
                 },
+                _ => {
+                    let inner = random_body(rng, warps, depth - 1);
+                    let (outer, trips) = (rng.below(4), rng.below(5) as u32);
+                    let inner = if outer & 1 == 0 {
+                        Node::Loop { count: rng.below(5) as u32, body: inner }
+                    } else {
+                        Node::PointLoop { iters: rng.below(5) as u32, body: inner }
+                    };
+                    if outer & 2 == 0 {
+                        Node::Loop { count: trips, body: vec![inner] }
+                    } else {
+                        Node::PointLoop { iters: trips, body: vec![inner] }
+                    }
+                }
             })
             .collect()
     }
 
     #[test]
     fn warp_classes_are_exactly_stream_equality() {
-        // The oracle is the per-warp flatten: `expand` with every warp its
-        // own representative, which is the walk as it was before streams
-        // were shared. Against it, on random trees: two warps share a class
-        // exactly when their oracle streams are equal, classes are numbered
-        // by lowest warp, and every per-warp accessor reads what the oracle
-        // holds for that warp.
+        // The oracle is the per-warp, per-trip flatten: `expand` with every
+        // warp its own representative, which is the walk as it was before
+        // streams were shared or rolled. Against it, on random trees: two
+        // warps share a class exactly when their oracle streams are equal,
+        // classes are numbered by lowest warp, and every per-warp accessor
+        // — positions resolved through the run table, the interpreter's
+        // trips, the fetch-address walker — reads what the oracle holds for
+        // that warp.
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-        let (mut multi_member, mut merged_paths) = (0, 0);
+        let (mut multi_member, mut merged_paths, mut rolled, mut expanded_ops) = (0, 0, 0, 0);
         for case in 0..600 {
             let warps = 1 + rng.below(16) as usize;
             let mut k = base_kernel(warps);
@@ -1843,7 +2216,7 @@ mod tests {
                 for (pos, op) in oracle[w].iter().enumerate() {
                     let step = prog.step(w, pos);
                     match *op {
-                        FlatOp::Exec { addr, instr, pset } => {
+                        OracleOp::Exec { addr, instr, pset } => {
                             let ins = &instrs[instr as usize];
                             assert_eq!((step.addr, step.pset, step.instr), (addr, pset, Some(ins)));
                             if ins.is_sync_relevant() {
@@ -1851,14 +2224,59 @@ mod tests {
                                 sync_pos += 1;
                             }
                         }
-                        FlatOp::Branch { addr } => {
+                        OracleOp::Branch { addr } => {
                             assert_eq!((step.addr, step.pset, step.instr), (addr, 0, None));
                         }
                     }
                 }
                 assert_eq!(prog.sync_stream_len(w), sync_pos, "case {case} warp {w}");
+
+                // The trips the interpreter, the model and lowering walk.
+                let prog = &prog;
+                let trips = prog.runs(w).iter().flat_map(|run| {
+                    (0..run.trips).flat_map(move |t| {
+                        prog.run_ops(w, run).iter().map(move |op| (op.instr(), run.pset(t)))
+                    })
+                });
+                let want = oracle[w].iter().map(|op| match *op {
+                    OracleOp::Exec { instr, pset, .. } => (Some(instr as usize), pset),
+                    OracleOp::Branch { .. } => (None, 0),
+                });
+                assert!(
+                    trips.map(|(i, pset)| (i, if i.is_some() { pset } else { 0 })).eq(want),
+                    "case {case} warp {w}: trips"
+                );
+                rolled += prog.runs(w).iter().filter(|r| r.trips > 1).count();
+            }
+            expanded_ops += oracle.iter().map(Vec::len).sum::<usize>();
+            assert!(prog.stored_ops() <= static_size as usize * prog.n_classes());
+
+            // The fetch-address walker, at three prefetch run lengths: it
+            // hands out the oracle's addresses in slices no longer than
+            // asked, and the cache model cannot tell the two apart.
+            let addrs: Vec<Vec<u32>> =
+                oracle.iter().map(|s| s.iter().map(OracleOp::addr).collect()).collect();
+            for group in [1, 7, 128] {
+                for (walk, want) in prog.fetch_streams().iter_mut().zip(&addrs) {
+                    let mut got = Vec::new();
+                    while !walk.is_done() {
+                        let slice = walk.next_addrs(group);
+                        assert!(!slice.is_empty() && slice.len() <= group);
+                        got.extend_from_slice(slice);
+                    }
+                    assert!(walk.next_addrs(group).is_empty());
+                    assert_eq!(&got, want, "case {case} group {group}");
+                }
+                let mut slices: Vec<&[u32]> = addrs.iter().map(Vec::as_slice).collect();
+                assert_eq!(
+                    interleaved_fetch_profile(&mut prog.fetch_streams(), 8, 64, 16, 2, group),
+                    interleaved_fetch_profile(&mut slices, 8, 64, 16, 2, group),
+                    "case {case} group {group}"
+                );
             }
         }
+        assert!(rolled > 300, "{rolled} multi-trip runs");
+        assert!(expanded_ops > 20_000, "{expanded_ops} ops in the expanded streams");
         // The generator reaches both interesting shapes, often.
         assert!(multi_member > 100, "{multi_member} cases with a shared class");
         assert!(merged_paths > 20, "{merged_paths} cases where distinct paths gave equal streams");

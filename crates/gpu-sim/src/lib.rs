@@ -46,7 +46,7 @@ pub mod vmath;
 
 pub use arch::GpuArch;
 pub use counts::EventCounts;
-pub use engine::{EngineStats, LOWERING_VERSION, UOP_BYTES};
+pub use engine::{EngineStats, LoweringShape, LOWERING_VERSION, UOP_BYTES};
 pub use flatcache::flatten_cached;
 pub use error::{SimError, SimResult};
 pub use isa::{

@@ -38,7 +38,7 @@ use crate::arch::GpuArch;
 use crate::counts::EventCounts;
 use crate::flatcache::flatten_cached;
 use crate::icache::interleaved_fetch_profile;
-use crate::interp::{FlatOp, FlatProgram};
+use crate::interp::FlatProgram;
 use crate::isa::{IdxOp, Instr, Kernel, SAddr, UnOp};
 use crate::profile::{CtaProfile, Profiler, WarpCycles};
 
@@ -277,15 +277,16 @@ pub fn predict_flat(
     let mut segs: Vec<Vec<Segment>> = vec![Vec::new(); nw];
     for w in 0..nw {
         let mut cur = Segment::default();
-        for op in prog.stream(w) {
-            match *op {
-                FlatOp::Branch { .. } => {
-                    counts.issue_slots += 1;
-                    counts.warp_branches += 1;
-                    cur.overhead += 1;
-                }
-                FlatOp::Exec { instr, pset, .. } => {
-                    let i = instr as usize;
+        for run in prog.runs(w) {
+            for trip in 0..run.trips {
+                let pset = run.pset(trip);
+                for op in prog.run_ops(w, run) {
+                    let Some(i) = op.instr() else {
+                        counts.issue_slots += 1;
+                        counts.warp_branches += 1;
+                        cur.overhead += 1;
+                        continue;
+                    };
                     let cost = prog.costs[i];
                     counts.issue_slots += cost.slots();
                     if cost.dp {
@@ -480,7 +481,7 @@ pub fn predict_flat(
     // the same computation the interpreter performs, so this term is
     // exact (prefetch run length 128, as in `run_cta`).
     let fp = interleaved_fetch_profile(
-        &prog.addr_streams(),
+        &mut prog.fetch_streams(),
         arch.instr_bytes,
         arch.icache_bytes,
         arch.icache_line_bytes,

@@ -1,22 +1,29 @@
 //! Golden lowering digests: the engine programs of the benchmark's steady
 //! kernels, pinned by `gpu_sim::flatcache::engine_digest`.
 //!
-//! The lowering is that of `LOWERING_VERSION` 10 (PR 21: one program per
-//! warp class). A change to `gpu_sim::engine` that claims identical
-//! lowering output — and therefore keeps `LOWERING_VERSION`, so warm serve
-//! artifacts stay warm — must leave every one of them unchanged; a change
-//! that moves one must bump the version and re-record.
+//! The lowering is that of `LOWERING_VERSION` 11 (PR 22: one body per
+//! loop). A change to `gpu_sim::engine` that claims identical lowering
+//! output — and therefore keeps `LOWERING_VERSION`, so warm serve artifacts
+//! stay warm — must leave every one of them unchanged; a change that moves
+//! one must bump the version and re-record.
 //!
-//! Why version 10 re-recorded all seven. A baseline kernel's eight warps
-//! are one class: it is lowered once, its eight warps share one segment
-//! list, and its `PointRef::Thread` accesses are completed from the warp id
-//! at run time, so its program is a different artifact. The
-//! warp-specialized rows moved by layout only — their classes are
-//! singletons, and hashed in the version-9 layout their programs still
-//! give the version-9 values (0x0e6b…3c0a, 0x7faa…1c64, 0xfd1d…97bd,
-//! 0xe720…4a2b). The layout: the digest now covers the warp → lowered
-//! stream map and hashes `EngineStats` through its `Debug` form, in place
-//! of the hand-written field list of the version-9 record.
+//! Why version 11 re-recorded the four warp-specialized rows and no other.
+//! A point loop whose trips lower to the same micro-ops is lowered as one
+//! period of them, closed by a `SegTerm::Repeat` that the executing warp
+//! completes with the repetition's point offset: the segment lists, the
+//! stored micro-ops and the line scripts of every kernel with a point loop
+//! are a different artifact (on Hopper the K = 2 viscosity ring rolls at a
+//! period of two trips). The op mix a CTA executes did not move — the
+//! digest covers `EngineStats`, and `tests/retained_bytes.rs` pins it. The
+//! three baseline rows have no loop (one point per thread): they are the
+//! version-10 values, bit for bit, which is how far the per-op lowering and
+//! the optimizer passes are unchanged outside a rolled body.
+//!
+//! Version 10 (PR 21: one program per warp class) had re-recorded all
+//! seven: a baseline kernel's eight warps are one class, lowered once, its
+//! `PointRef::Thread` accesses completed from the warp id at run time; the
+//! digest covers the warp → lowered stream map and hashes `EngineStats`
+//! through its `Debug` form.
 //!
 //! A digest also moves when the kernel that is lowered does. The
 //! warp-specialized rows and the diffusion baseline were last re-recorded
@@ -52,7 +59,7 @@ fn digest(mech: &chemkin::Mechanism, kernel: KernelId, variant: Variant, arch: &
 
 #[test]
 fn steady_kernels_lower_to_the_recorded_programs() {
-    assert_eq!(gpu_sim::LOWERING_VERSION, 10, "re-record the digests with the bump");
+    assert_eq!(gpu_sim::LOWERING_VERSION, 11, "re-record the digests with the bump");
     let mech = synth::via_text(&synth::dme_config());
     let kepler = GpuArch::kepler_k20c();
     let hopper = GpuArch::hopper();
@@ -61,13 +68,13 @@ fn steady_kernels_lower_to_the_recorded_programs() {
     // The three DME kernels in both variants on Kepler, and the K = 2
     // pipelined viscosity kernel (the serve default on Hopper).
     let golden = [
-        (Viscosity, WarpSpecialized, &kepler, 0x7cd2_00ce_0061_5f17_u64),
+        (Viscosity, WarpSpecialized, &kepler, 0x2a3a_5ca8_dbe2_d6d9_u64),
         (Viscosity, Baseline, &kepler, 0x2426_c8f0_7e47_3742),
-        (Diffusion, WarpSpecialized, &kepler, 0x677e_527e_2bc1_4a46),
+        (Diffusion, WarpSpecialized, &kepler, 0x5a70_7d6f_c091_6a57),
         (Diffusion, Baseline, &kepler, 0xd016_c401_6453_904a),
-        (Chemistry, WarpSpecialized, &kepler, 0xe634_0173_4234_ca25),
+        (Chemistry, WarpSpecialized, &kepler, 0x6258_d40a_03a6_b5e8),
         (Chemistry, Baseline, &kepler, 0x78bc_2152_fd97_6e21),
-        (Viscosity, WarpSpecialized, &hopper, 0xe11e_8412_af27_45de),
+        (Viscosity, WarpSpecialized, &hopper, 0x9a53_d16b_3e3e_e0d4),
     ];
     let got: Vec<u64> = golden.iter().map(|&(k, v, arch, _)| digest(&mech, k, v, arch)).collect();
     let want: Vec<u64> = golden.iter().map(|g| g.3).collect();
