@@ -29,6 +29,26 @@
 //! *executes* (each warp's lowered stream counted per warp), so nothing a
 //! figure or the model reads depends on how much storage the warps share.
 //!
+//! Within a class the unit is the flattening's **run**: an op range
+//! executed `trips` times, the point set advancing by a fixed step. A run
+//! is lowered trip after trip by one per-op routine, and a run of two or
+//! more repetitions is first tried *rolled*: one **period** of its trips —
+//! the lcm of `k` over the body's stage-rotated barriers and pipeline
+//! offsets, so a K-stage ring rotates inside it — lowered into segments of
+//! its own and closed by a `SegTerm::Repeat { to, reps, advance }`. That
+//! stands for the whole run when, and only when, every repetition would
+//! lower to the same micro-ops, which is three checks: `trips` is a
+//! multiple of the period, no trap was planted, and the index registers
+//! the period read before writing them hold at its end the lanes they held
+//! at its start (index registers are the only state lowering folds into
+//! micro-ops; the point set enters otherwise only as `pset % k`, which the
+//! period fixes, and as the `PointRef::Lane` point offset, which stays
+//! symbolic and is completed per repetition at run time, like
+//! `base_point`). When a check fails lowering simply carries on with the
+//! next trip. A body stored once is where the memory went: a
+//! warp-specialized kernel's streaming point loop keeps one period of
+//! micro-ops instead of one copy per trip.
+//!
 //! Execution replays the segments over the same SoA lane vectors the
 //! interpreter uses (32 contiguous `f64` slots per register), but:
 //!
@@ -65,10 +85,18 @@
 //! collapse to one-word broadcasts, dead micro-ops fall to backward
 //! liveness, and remaining immediate operands are rewritten to chunks of
 //! a shared read-only constant tail addressed past the architectural
-//! register file.
+//! register file. Around a rolled body the passes are loop-aware in the two
+//! places they must be: a forward pass entering a body forgets every chunk
+//! the body writes (what it knows at the head must hold on every entry),
+//! and backward liveness takes the body's end as live for what follows the
+//! loop or for the body's own head, iterated to a fixed point. A body's
+//! boundaries are segment boundaries, so neither fusion pairs a micro-op
+//! inside with one outside.
 //!
-//! Lowering is linear in the stream. Every pass is one walk over the
-//! warp's uops that asks its questions — is this copy still valid, is the
+//! Lowering is linear in the stored stream — a rolled body costs about
+//! what one of its periods does, however many trips it stands for. Every
+//! pass is one walk over the warp's uops (a body's liveness, two or three)
+//! that asks its questions — is this copy still valid, is the
 //! chunk live, what constant does it hold —
 //! of one dense, generation-stamped `ChunkTable` indexed by register
 //! chunk: an array read per operand, an O(1) reset per pass, no hashing
@@ -85,8 +113,10 @@
 //! files under the kernel's structural fingerprint; lowering is
 //! independent of the grid, the architecture, and the CTA index. What an
 //! entry retains is [`FlatProgram::heap_bytes`]: the micro-ops at
-//! [`UOP_BYTES`] each — one copy per class, which is where a data-parallel
-//! kernel's eight-fold redundancy went — and the operand arenas. The
+//! [`UOP_BYTES`] each — one copy per class and per rolled loop body, which
+//! is where a data-parallel kernel's eight-fold redundancy and a streaming
+//! kernel's per-trip copies went — and the operand arenas;
+//! [`crate::flatcache::lowering_shape`] counts what is stored. The
 //! profiled path ([`crate::interp::run_cta_profiled`] with a profiler)
 //! stays on the interpreter, whose per-instruction hooks the
 //! cycle-attribution model needs; differential tests pin the two paths

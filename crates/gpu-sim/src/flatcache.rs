@@ -3,15 +3,15 @@
 //!
 //! Sweep-style workloads (autotuning, the figure harness, the verifier
 //! sweep) launch the same kernel many times; re-flattening on every launch
-//! re-expands every loop and rebuilds the pre-decoded side tables each
-//! time. This cache keys a shared [`FlatProgram`] on a structural
+//! re-walks the body and rebuilds the pre-decoded side tables each time. This cache keys a shared [`FlatProgram`] on a structural
 //! fingerprint of the kernel, so repeated launches reuse one flatten.
 //! Lowered engine programs ride on the flattening (lowering is
 //! arch/grid/CTA independent), so every CTA of every launch of one kernel
 //! replays a single compiled artifact. An entry holds the kernel's streams
-//! and micro-ops once per warp class, not once per warp —
-//! [`FlatProgram::heap_bytes`] is what it retains, [`resident_bytes`] the
-//! sum over the memo.
+//! and micro-ops once per warp class and per loop body, not once per warp
+//! or per trip — [`FlatProgram::heap_bytes`] is what it retains,
+//! [`resident_bytes`] the sum over the memo, [`lowering_shape`] the
+//! micro-ops stored as against executed.
 //!
 //! The fingerprint covers every kernel field (f64s by bit pattern) and is
 //! two independent 64-bit hashes, making accidental collisions between the

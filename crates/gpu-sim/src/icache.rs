@@ -9,6 +9,12 @@
 //! whose combined footprint exceeds capacity, the round-robin interleaving
 //! causes continual eviction — the thrash. Overlaid code keeps the warps on
 //! shared addresses and the footprint small.
+//!
+//! The model reads each warp's trace through [`FetchStream`], a slice of at
+//! most a prefetch run at a time: a plain `&[u32]` is one, and so is the
+//! walker over a flattened program's rolled streams, where a loop body's
+//! addresses are stored once and handed out again for every trip. The
+//! inner loop walks slices either way.
 
 /// Set-associative LRU instruction cache.
 #[derive(Debug, Clone)]

@@ -42,17 +42,17 @@ fn synth_mech(n_species: usize, seed: u64) -> chemkin::Mechanism {
 fn synth_kernel(
     mech: &chemkin::Mechanism,
     diffusion: bool,
-    warps: usize,
+    options: CompileOptions,
     variant: Variant,
     arch: &GpuArch,
 ) -> gpu_sim::isa::Kernel {
     let dfg = if diffusion {
-        singe::kernels::diffusion::diffusion_dfg(&DiffusionTables::build(mech), warps)
+        singe::kernels::diffusion::diffusion_dfg(&DiffusionTables::build(mech), options.warps)
     } else {
-        singe::kernels::viscosity::viscosity_dfg(&ViscosityTables::build(mech), warps)
+        singe::kernels::viscosity::viscosity_dfg(&ViscosityTables::build(mech), options.warps)
     };
     Compiler::new(arch)
-        .options(CompileOptions::with_warps(warps))
+        .options(options)
         .compile(&dfg, variant)
         .expect("synth kernel compiles")
         .kernel
@@ -66,21 +66,34 @@ proptest! {
     /// event collection: the first CTA, and the last of a two-CTA grid,
     /// where `base_point` is not 0 — up to 8 warps, so a baseline kernel's
     /// one warp class has up to 8 members completing `PointRef::Thread`
-    /// addresses from their own ids.
+    /// addresses from their own ids; over 1 to 8 point sets a CTA, so the
+    /// point loop is lowered straight, or rolled and its `PointRef::Lane`
+    /// addresses completed per repetition; and at requested ring depths 1
+    /// to 3 (Hopper fits them all, the others what their barrier file and
+    /// shared memory allow), where a K-stage ring rolls at a period of K
+    /// trips, or not at all when that leaves fewer than two repetitions.
     #[test]
     fn engine_matches_interpreter_bit_for_bit(
         n_species in 4usize..9,
         seed in 0u64..1000,
         diffusion in proptest::bool::ANY,
         warps in 2usize..9,
-        kepler in proptest::bool::ANY,
+        arch_ix in 0usize..3,
         variant_ix in 0usize..3,
+        point_iters_log2 in 0u32..4,
+        pipeline_depth in 1usize..4,
     ) {
-        let arch = if kepler { GpuArch::kepler_k20c() } else { GpuArch::fermi_c2070() };
+        let arch =
+            [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()][arch_ix].clone();
         let variant =
             [Variant::WarpSpecialized, Variant::Baseline, Variant::Naive][variant_ix];
         let mech = synth_mech(n_species, seed);
-        let kernel = synth_kernel(&mech, diffusion, warps, variant, &arch);
+        let options = CompileOptions::builder()
+            .warps(warps)
+            .point_iters(1 << point_iters_log2)
+            .pipeline_depth(pipeline_depth)
+            .build();
+        let kernel = synth_kernel(&mech, diffusion, options, variant, &arch);
         let prog = flatten_cached(&kernel);
         let total = 2 * kernel.points_per_cta;
         let grid = GridState::random(
@@ -116,7 +129,8 @@ proptest! {
     ) {
         let arch = if kepler { GpuArch::kepler_k20c() } else { GpuArch::fermi_c2070() };
         let mech = synth_mech(n_species, seed);
-        let kernel = synth_kernel(&mech, false, 4, Variant::WarpSpecialized, &arch);
+        let kernel =
+            synth_kernel(&mech, false, CompileOptions::with_warps(4), Variant::WarpSpecialized, &arch);
         // Several CTAs so the parallel fan-out actually engages.
         let total_points = kernel.points_per_cta * 4;
         let grid = GridState::random(
