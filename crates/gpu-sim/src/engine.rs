@@ -702,7 +702,7 @@ impl Lowerer<'_> {
         let ops = prog.run_ops(w, run);
         let period = period_of(prog, ops, run.pset_step);
         let mut lowered = 0;
-        if run.trips % period == 0 && run.trips / period >= 2 {
+        if run.trips.is_multiple_of(period) && run.trips / period >= 2 {
             // The body gets segments of its own: the repeat jumps to its
             // first, and no fusion may pair a micro-op in it with one
             // outside.

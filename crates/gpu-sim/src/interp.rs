@@ -94,6 +94,28 @@ impl Run {
     }
 }
 
+/// A reader's place in a rolled stream: the run, the trip of it, and the
+/// next op of the trip.
+#[derive(Debug, Default)]
+struct Cursor {
+    run: usize,
+    trip: u32,
+    op: usize,
+}
+
+impl Cursor {
+    /// The current trip of `run` — the run the cursor is in — is read: on
+    /// to its next trip, or to the next run after its last.
+    fn end_trip(&mut self, run: &Run) {
+        self.op = 0;
+        self.trip += 1;
+        if self.trip == run.trips {
+            self.trip = 0;
+            self.run += 1;
+        }
+    }
+}
+
 /// One warp class's rolled stream.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct ClassStream {
@@ -366,32 +388,24 @@ pub struct FlatStep<'a> {
 /// time: the instruction-cache model's input ([`FetchStream`]).
 pub(crate) struct FetchWalk<'a> {
     class: &'a ClassStream,
-    run: usize,
-    trip: u32,
-    /// Offset into the current trip.
-    off: usize,
+    at: Cursor,
 }
 
 impl FetchStream for FetchWalk<'_> {
     fn next_addrs(&mut self, n: usize) -> &[u32] {
-        let Some(run) = self.class.runs.get(self.run) else { return &[] };
+        let Some(run) = self.class.runs.get(self.at.run) else { return &[] };
         let trip = &self.class.addrs[run.range()];
-        let rest = &trip[self.off..];
+        let rest = &trip[self.at.op..];
         let taken = &rest[..n.min(rest.len())];
-        self.off += taken.len();
-        if self.off == trip.len() {
-            self.off = 0;
-            self.trip += 1;
-            if self.trip == run.trips {
-                self.trip = 0;
-                self.run += 1;
-            }
+        self.at.op += taken.len();
+        if self.at.op == trip.len() {
+            self.at.end_trip(run);
         }
         taken
     }
 
     fn is_done(&self) -> bool {
-        self.run == self.class.runs.len()
+        self.at.run == self.class.runs.len()
     }
 }
 
@@ -441,7 +455,7 @@ impl FlatProgram {
     /// instruction-cache model's input.
     pub(crate) fn fetch_streams(&self) -> Vec<FetchWalk<'_>> {
         (0..self.n_warps())
-            .map(|w| FetchWalk { class: self.class(w), run: 0, trip: 0, off: 0 })
+            .map(|w| FetchWalk { class: self.class(w), at: Cursor::default() })
             .collect()
     }
 
@@ -874,10 +888,8 @@ struct WarpState {
     dregs: Vec<f64>,
     iregs: Vec<u32>,
     local: Vec<f64>,
-    /// The run being executed, the trip of it, and the next op of the trip.
-    run: usize,
-    trip: u32,
-    pc: usize,
+    /// Where in its stream the warp is.
+    at: Cursor,
     done: bool,
     /// Blocked waiting on `(barrier id, generation at block time)`.
     blocked: Option<(u8, u64)>,
@@ -970,9 +982,7 @@ pub fn run_cta_profiled(
             dregs: vec![0.0; kernel.dregs_per_thread * WARP_SIZE],
             iregs: vec![0; kernel.iregs_per_thread * WARP_SIZE],
             local: vec![0.0; kernel.local_words_per_thread * WARP_SIZE],
-            run: 0,
-            trip: 0,
-            pc: 0,
+            at: Cursor::default(),
             done: false,
             blocked: None,
         })
@@ -1075,7 +1085,7 @@ fn step_warp(
     // One trip at a time: its ops as a slice and its point set, fetched
     // once, then a plain walk from where the warp last stopped.
     loop {
-        let Some(run) = runs.get(warps[w].run) else {
+        let Some(run) = runs.get(warps[w].at.run) else {
             if !warps[w].done {
                 if let Some(p) = profiler.as_deref_mut() {
                     p.on_warp_done(w);
@@ -1085,9 +1095,9 @@ fn step_warp(
             return Ok(ran);
         };
         let ops = prog.run_ops(w, run);
-        let pset = run.pset(warps[w].trip);
-        while let Some(op) = ops.get(warps[w].pc) {
-            warps[w].pc += 1;
+        let pset = run.pset(warps[w].at.trip);
+        while let Some(op) = ops.get(warps[w].at.op) {
+            warps[w].at.op += 1;
             ran = true;
             let Some(i) = op.instr() else {
                 if collect {
@@ -1189,13 +1199,7 @@ fn step_warp(
                 }
             }
         }
-        let ws = &mut warps[w];
-        ws.pc = 0;
-        ws.trip += 1;
-        if ws.trip == run.trips {
-            ws.trip = 0;
-            ws.run += 1;
-        }
+        warps[w].at.end_trip(run);
     }
 }
 
