@@ -60,21 +60,25 @@
 //!   [`StaticSegCounts`]; only genuinely dynamic events (global
 //!   coalescing, constant-cache line replays) remain per-op, and only on
 //!   the collecting path;
-//! - the scheduler replays the interpreter's cooperative round-robin
-//!   exactly (same block/release generations, same deadlock report), so
-//!   order-sensitive state — the shared LRU constant cache, barrier stall
-//!   switches, shared-memory write order — is bit-identical.
+//! - the CTA around the warps is not the engine's at all: the barrier file,
+//!   the cooperative round-robin with its deadlock report, shared memory,
+//!   the output buffers, the constant cache and the three global-memory
+//!   lane loops are [`crate::cta`]'s, which the interpreter runs under too.
+//!   The engine is the stepper [`run_warp`] — "run warp `w`'s segments
+//!   until it blocks or ends" — so order-sensitive state (the shared LRU
+//!   constant cache, barrier stall switches, shared-memory write order) is
+//!   the interpreter's by construction, not by replay.
 //!
 //! Errors the interpreter would raise while executing (out-of-range
 //! registers, shared/constant overruns, stores to non-output arrays) are
-//! discovered during lowering and embedded as positional [`UOp::Trap`]
-//! micro-ops carrying the exact [`SimError`]; lowering stops for that warp
-//! at the trap. A trap only fires if the schedule actually reaches it, so
-//! kernels that deadlock first still report the deadlock, exactly like the
-//! interpreter. (The one knowing divergence: where the interpreter
-//! *panics* on an out-of-range index-register read, the engine reports a
-//! structured `OutOfBounds { space: "ireg", .. }` trap instead — no
-//! compiler in this repo emits such code.)
+//! discovered during lowering — by the same functions, since what an index
+//! instruction computes, what a shared or constant access resolves to and
+//! which barrier an instruction operates are stated once, in [`crate::isa`]
+//! and [`crate::cta`], for the interpreter to execute and lowering to
+//! evaluate — and embedded as positional [`UOp::Trap`] micro-ops carrying
+//! the exact [`SimError`]; lowering stops for that warp at the trap. A trap
+//! only fires if the schedule actually reaches it, so kernels that deadlock
+//! first still report the deadlock.
 //!
 //! After lowering, each stream's micro-ops run a
 //! bit-identity-preserving optimization pipeline (`optimize_warp`, pass
@@ -120,17 +124,17 @@
 //! profiled path ([`crate::interp::run_cta_profiled`] with a profiler)
 //! stays on the interpreter, whose per-instruction hooks the
 //! cycle-attribution model needs; differential tests pin the two paths
-//! bit-identical on outputs and [`EventCounts`].
+//! bit-identical on outputs and `EventCounts` — they test lowering, the
+//! optimizer, the bulk counts and the rolled bodies, which is all that
+//! differs.
 
 use std::collections::HashMap;
 
-use crate::ccache::ConstCache;
-use crate::counts::{EventCounts, StaticSegCounts};
+use crate::counts::StaticSegCounts;
+use crate::cta::{self, bank_transactions, CtaMem, CtaResult, Points, Schedule};
 use crate::error::{SimError, SimResult};
-use crate::icache::interleaved_fetch_profile;
 use crate::interp::{
-    bank_transactions, barrier_arrive, coalesce, exec_fast, local_out_index, operand, out_chunk,
-    src_vals, BarrierState, CtaResult, DecodedInstr, FlatOp, FlatProgram, Run, Src,
+    exec_fast, operand, out_chunk, src_vals, DecodedInstr, FlatOp, FlatProgram, Run, Src,
 };
 use crate::isa::*;
 use crate::lanes;
@@ -237,10 +241,9 @@ enum UOp {
     /// Async-copy one value per lane global → shared without touching a
     /// register ([`Instr::CpAsync`]): `shared[addrs[l]] = global[idx(l)]`.
     /// Addresses are pre-resolved (shared addrs saturated into the u32
-    /// arena like `StShared`); bounds are re-checked per lane at run time
-    /// in the interpreter's exact order (global read, then shared store),
-    /// because the global side depends on the runtime grid placement and
-    /// the first failing lane must report the same error on both paths.
+    /// arena like `StShared`); bounds are checked per lane at run time by
+    /// [`CtaMem::cp_async`] (global read, then shared store), because the
+    /// global side depends on the runtime grid placement.
     /// Side-effecting like `StShared`: never dead, reads and writes no
     /// registers.
     CpAsync { addrs: u32, array: u32, rows: u32, pts: PtsRef },
@@ -440,22 +443,6 @@ impl IdxRegs {
         }
     }
 
-    /// Register `r`'s lanes, if in range. Reads and writes are recorded
-    /// once per register per instruction, not once per lane.
-    fn read(&mut self, r: usize) -> Option<[u32; WARP_SIZE]> {
-        let lanes = self.vals.get(r * WARP_SIZE..(r + 1) * WARP_SIZE)?;
-        self.carried_in[r] |= !self.written[r];
-        Some(lanes.try_into().expect("one register of lanes"))
-    }
-
-    /// Element `elem` (`reg * WARP_SIZE + lane`, raw), if in range.
-    fn get(&mut self, elem: usize) -> Option<u32> {
-        let v = *self.vals.get(elem)?;
-        let r = elem / WARP_SIZE;
-        self.carried_in[r] |= !self.written[r];
-        Some(v)
-    }
-
     /// Overwrite register `r`, which the caller bounds-checked.
     fn write(&mut self, r: usize, lanes: [u32; WARP_SIZE]) {
         self.written[r] = true;
@@ -480,6 +467,20 @@ impl IdxRegs {
     }
 }
 
+/// The file [`crate::isa`]'s index semantics read while lowering evaluates
+/// them: reads are recorded once per register per operand, not once per lane.
+impl IdxFile for IdxRegs {
+    fn regs(&self) -> usize {
+        self.written.len()
+    }
+
+    fn lanes(&mut self, r: usize) -> Option<IdxLanes> {
+        let lanes = self.vals.get(r * WARP_SIZE..(r + 1) * WARP_SIZE)?;
+        self.carried_in[r] |= !self.written[r];
+        Some(lanes.try_into().expect("one register of lanes"))
+    }
+}
+
 /// One stream's lowering in progress: the segments closed so far, the open
 /// one, and the index registers.
 struct Lowering {
@@ -497,9 +498,9 @@ struct Lowering {
 struct Trapped;
 
 /// Trips after which the ops of a run whose point set advances by
-/// `pset_step` a trip resolve as they did: the lcm of `k` over the
-/// stage-rotated barriers and pipeline offsets (`pset % k`) among `ops`,
-/// so a K-stage ring rotates inside one period. Saturates.
+/// `pset_step` a trip resolve as they did: the lcm of the ops' stage periods
+/// ([`Instr::stage_period`]), so a K-stage ring rotates inside one period.
+/// Saturates.
 fn period_of(prog: &FlatProgram, ops: &[FlatOp], pset_step: u32) -> u32 {
     if pset_step == 0 {
         return 1;
@@ -510,14 +511,9 @@ fn period_of(prog: &FlatProgram, ops: &[FlatOp], pset_step: u32) -> u32 {
         }
         a
     };
-    let period = ops.iter().filter_map(|op| op.instr()).fold(1u64, |p, i| match prog.instrs[i] {
-        Instr::BarArriveStage { k, .. }
-        | Instr::BarSyncStage { k, .. }
-        | Instr::Idx(IdxInstr::PipeOff { k, .. }) => {
-            let k = u64::from(k.max(1));
-            (p / gcd(p, k) * k).min(u64::from(u32::MAX))
-        }
-        _ => p,
+    let period = ops.iter().filter_map(|op| op.instr()).fold(1u64, |p, i| {
+        let k = u64::from(prog.instrs[i].stage_period());
+        (p / gcd(p, k) * k).min(u64::from(u32::MAX))
     });
     period as u32
 }
@@ -525,17 +521,9 @@ fn period_of(prog: &FlatProgram, ops: &[FlatOp], pset_step: u32) -> u32 {
 /// Lower a flattened program into its segment-compiled form. Infallible:
 /// execution-time errors become positional traps.
 pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
-    // Byte offset of each const bank within constant space (the constant
-    // cache is addressed across banks, exactly as in the interpreter).
-    let mut bank_base = Vec::with_capacity(kernel.const_banks.len());
-    let mut off = 0u64;
-    for b in &kernel.const_banks {
-        bank_base.push(off);
-        off += (b.len() * 8) as u64;
-    }
     let mut lw = Lowerer {
         kernel,
-        bank_base,
+        bank_base: cta::const_bank_bases(kernel),
         uops: Vec::new(),
         u32x: Vec::new(),
         f64x: Vec::new(),
@@ -655,7 +643,7 @@ impl Lowerer<'_> {
         // An empty segment that only falls through would make a finished
         // warp look like it still ran an instruction; skip it (a warp whose
         // stream ends exactly at a barrier, or is empty, has no trailing
-        // work — matching the interpreter's `ran` logic).
+        // work, and the schedule counts a round by what ran).
         let keep = !range.is_empty()
             || lo.bulk != StaticSegCounts::default()
             || !matches!(term, SegTerm::End);
@@ -760,27 +748,18 @@ impl Lowerer<'_> {
                 lo.bulk.dp_const_slots += cost.const_slots();
             }
             match prog.decoded[i] {
-                DecodedInstr::BarArrive { bar, expected } => {
-                    lo.bulk.barrier_arrives += 1;
-                    self.flush_seg(lo, SegTerm::Arrive { bar, expected });
-                }
-                DecodedInstr::BarSync { bar, expected } => {
-                    lo.bulk.barrier_syncs += 1;
-                    self.flush_seg(lo, SegTerm::Sync { bar, expected });
-                }
-                // Stage barriers resolve statically against the trip's
-                // point set, so the scheduler sees a plain Arrive/Sync —
-                // the same remap the interpreter applies at dispatch
-                // (`step_warp`).
-                DecodedInstr::BarArriveStage { base, k, expected } => {
-                    lo.bulk.barrier_arrives += 1;
-                    let bar = base + (pset % u32::from(k.max(1))) as u8;
-                    self.flush_seg(lo, SegTerm::Arrive { bar, expected });
-                }
-                DecodedInstr::BarSyncStage { base, k, expected } => {
-                    lo.bulk.barrier_syncs += 1;
-                    let bar = base + (pset % u32::from(k.max(1))) as u8;
-                    self.flush_seg(lo, SegTerm::Sync { bar, expected });
+                // A stage-rotated barrier resolves statically against the
+                // trip's point set: the schedule sees a plain arrive or sync.
+                DecodedInstr::Barrier => {
+                    let BarOp { bar, expected, sync } =
+                        prog.instrs[i].barrier_op(pset).expect("decoded as a barrier");
+                    if sync {
+                        lo.bulk.barrier_syncs += 1;
+                        self.flush_seg(lo, SegTerm::Sync { bar, expected });
+                    } else {
+                        lo.bulk.barrier_arrives += 1;
+                        self.flush_seg(lo, SegTerm::Arrive { bar, expected });
+                    }
                 }
                 DecodedInstr::Invalid { space, addr, limit } => {
                     self.trap(SimError::OutOfBounds { space, addr, limit });
@@ -872,9 +851,11 @@ impl Lowerer<'_> {
     }
 
     /// Lower one memory / constant / index instruction, statically
-    /// evaluating all index-register reads. Check order mirrors the
-    /// interpreter's `exec_slow` exactly, so a trap carries the error the
-    /// interpreter's first failing check would have produced.
+    /// evaluating all index-register reads through the semantics
+    /// [`crate::isa`] and [`crate::cta`] state once — the ones the
+    /// interpreter executes — so a trap carries the error the interpreter's
+    /// first failing check produces.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn lower_slow(
         &mut self,
         ins: &Instr,
@@ -885,277 +866,112 @@ impl Lowerer<'_> {
     ) -> SimResult<()> {
         let kernel = self.kernel;
         let nd = kernel.dregs_per_thread;
-        let ni = kernel.iregs_per_thread;
-        let chk_d = |r: Reg| -> SimResult<()> {
+        // The base of a destination register's lanes, range-checked.
+        let base_d = |r: Reg| -> SimResult<u32> {
             if (r as usize) < nd {
-                Ok(())
+                Ok((r as usize * WARP_SIZE) as u32)
             } else {
                 Err(SimError::OutOfBounds { space: "dreg", addr: r as usize, limit: nd })
             }
         };
-        let chk_i = |r: IdxReg| -> SimResult<()> {
-            if (r as usize) < ni {
-                Ok(())
-            } else {
-                Err(SimError::OutOfBounds { space: "ireg", addr: r as usize, limit: ni })
-            }
+        let mut count_shared = |addrs: &[usize; WARP_SIZE], lane_pred| {
+            let (tx, conf) = bank_transactions(addrs, lane_pred);
+            bulk.shared_accesses += tx;
+            bulk.shared_conflicts += conf;
         };
-        // Static index-operand read. The interpreter indexes the register
-        // file raw here (panicking when out of range); the engine reports
-        // the same condition as a structured trap instead.
-        let ivals = |iregs: &mut IdxRegs, o: &IdxOp| -> SimResult<[u32; WARP_SIZE]> {
-            match o {
-                IdxOp::Imm(v) => Ok([*v; WARP_SIZE]),
-                IdxOp::Reg(r) => iregs
-                    .read(*r as usize)
-                    .ok_or(SimError::OutOfBounds { space: "ireg", addr: *r as usize, limit: ni }),
-            }
-        };
-        let src = |o: &Op| match o {
-            Op::Reg(r) => Src::Reg(*r as usize * WARP_SIZE),
-            Op::Imm(v) => Src::Imm(*v),
-        };
-        let base_d = |r: Reg| (r as usize * WARP_SIZE) as u32;
-
-        // Resolve a global address into (rows chunk, points ref).
-        macro_rules! gaddr {
-            ($addr:expr) => {{
-                let a: &GAddr = $addr;
-                let rows = ivals(iregs, &a.row)?;
-                let pts = match a.point {
-                    PointRef::Lane => PtsRef::Rel(pset * WARP_SIZE as u32),
-                    PointRef::Thread => PtsRef::Thread,
-                    PointRef::Reg(r) => PtsRef::Abs(self.push_u32x(ivals(iregs, &IdxOp::Reg(r))?)),
-                };
-                (self.push_u32x(rows), pts)
-            }};
-        }
-        // Resolve a shared address vector (not yet bounds-checked).
-        macro_rules! saddrs {
-            ($addr:expr) => {{
-                let a: &SAddr = $addr;
-                let base = match a.base {
-                    Some(r) => ivals(iregs, &IdxOp::Reg(r))?,
-                    None => [0; WARP_SIZE],
-                };
-                let addrs: [usize; WARP_SIZE] = std::array::from_fn(|l| {
-                    base[l] as usize + a.imm as usize + a.lane_stride as usize * l
-                });
-                addrs
-            }};
-        }
+        // Lanes a store's predicate excludes, and an async copy's (checked
+        // as it runs), may lie past the u32 arena: saturate them.
+        let saturated = |addrs: [usize; WARP_SIZE]| addrs.map(|a| a.min(u32::MAX as usize) as u32);
 
         match ins {
             Instr::LdGlobal { dst, addr, .. } => {
-                chk_d(*dst)?;
-                let (rows, pts) = gaddr!(addr);
-                self.uops.push(UOp::LdGlobal {
-                    dst: base_d(*dst),
-                    array: addr.array.0 as u32,
-                    rows,
-                    pts,
-                });
+                let dst = base_d(*dst)?;
+                let (rows, pts) = self.gaddr(addr, pset, iregs)?;
+                self.uops.push(UOp::LdGlobal { dst, array: addr.array.0 as u32, rows, pts });
             }
-            Instr::StGlobal { src: s, addr } => {
-                let decl = &kernel.global_arrays[addr.array.0];
-                if !decl.output {
-                    return Err(SimError::BadLaunch(format!(
-                        "store to non-output array '{}'",
-                        decl.name
-                    )));
-                }
-                let (rows, pts) = gaddr!(addr);
-                self.uops.push(UOp::StGlobal {
-                    src: src(s),
-                    array: addr.array.0 as u32,
-                    rows,
-                    pts,
-                });
+            Instr::StGlobal { src, addr } => {
+                CtaMem::check_store(kernel, addr.array.0)?;
+                let (rows, pts) = self.gaddr(addr, pset, iregs)?;
+                let array = addr.array.0 as u32;
+                self.uops.push(UOp::StGlobal { src: Src::of(src), array, rows, pts });
             }
             Instr::LdShared { dst, addr } => {
-                chk_d(*dst)?;
-                let addrs = saddrs!(addr);
-                for &a in &addrs {
-                    if a >= kernel.shared_words {
-                        return Err(SimError::OutOfBounds {
-                            space: "shared",
-                            addr: a,
-                            limit: kernel.shared_words,
-                        });
-                    }
-                }
-                let (tx, conf) = bank_transactions(&addrs, None);
-                bulk.shared_accesses += tx;
-                bulk.shared_conflicts += conf;
-                let a32: [u32; WARP_SIZE] = std::array::from_fn(|l| addrs[l] as u32);
+                let dst = base_d(*dst)?;
+                let addrs = cta::shared_addrs(addr, None, iregs, kernel.shared_words)?;
+                count_shared(&addrs, None);
+                let a32 = addrs.map(|a| a as u32);
                 if a32.iter().all(|&a| a == a32[0]) {
                     // Every lane reads the same word (a `lane_stride: 0`
                     // broadcast, the warp-specialized queues' bread and
                     // butter): one load + splat instead of a 32-lane
                     // gather. Bulk counts above already modeled the full
                     // access, so `EventCounts` are unchanged.
-                    self.uops.push(UOp::LdSharedBcast { dst: base_d(*dst), addr: a32[0] });
+                    self.uops.push(UOp::LdSharedBcast { dst, addr: a32[0] });
                 } else {
                     let addrs = self.push_u32x(a32);
-                    self.uops.push(UOp::LdShared { dst: base_d(*dst), addrs });
+                    self.uops.push(UOp::LdShared { dst, addrs });
                 }
             }
-            Instr::StShared { src: s, addr, lane_pred } => {
-                // A predicate naming a lane outside the warp is a typed
-                // error (it used to silently drop the store); checked
-                // before the address walk, mirroring `exec_slow`.
-                if let Some(p) = lane_pred {
-                    if *p as usize >= WARP_SIZE {
-                        return Err(SimError::OutOfBounds {
-                            space: "lane-pred",
-                            addr: *p as usize,
-                            limit: WARP_SIZE,
-                        });
-                    }
-                }
-                let addrs = saddrs!(addr);
-                for (l, &a) in addrs.iter().enumerate() {
-                    if let Some(p) = lane_pred {
-                        if *p as usize != l {
-                            continue;
-                        }
-                    }
-                    if a >= kernel.shared_words {
-                        return Err(SimError::OutOfBounds {
-                            space: "shared",
-                            addr: a,
-                            limit: kernel.shared_words,
-                        });
-                    }
-                }
-                let (tx, conf) = bank_transactions(&addrs, *lane_pred);
-                bulk.shared_accesses += tx;
-                bulk.shared_conflicts += conf;
-                // Lanes a predicate excludes were never bounds-checked
-                // (matching the interpreter) and are never read back;
-                // saturate them into the u32 arena.
-                let a32: [u32; WARP_SIZE] =
-                    std::array::from_fn(|l| addrs[l].min(u32::MAX as usize) as u32);
-                let addrs = self.push_u32x(a32);
+            Instr::StShared { src, addr, lane_pred } => {
+                let addrs = cta::shared_addrs(addr, *lane_pred, iregs, kernel.shared_words)?;
+                count_shared(&addrs, *lane_pred);
+                let addrs = self.push_u32x(saturated(addrs));
                 self.uops.push(UOp::StShared {
-                    src: src(s),
+                    src: Src::of(src),
                     addrs,
                     lane: lane_pred.map(|p| p as u32).unwrap_or(u32::MAX),
                 });
             }
             Instr::LdConst { dst, bank, idx } => {
-                chk_d(*dst)?;
-                let bankv =
-                    kernel.const_banks.get(*bank as usize).ok_or(SimError::OutOfBounds {
-                        space: "const-bank",
-                        addr: *bank as usize,
-                        limit: kernel.const_banks.len(),
-                    })?;
-                let mut vals = [0f64; WARP_SIZE];
-                let mut lines = [0u64; WARP_SIZE];
-                let mut n_lines = 0;
-                let idx = ivals(iregs, idx)?;
-                for l in 0..WARP_SIZE {
-                    let i = idx[l] as usize;
-                    vals[l] = *bankv.get(i).ok_or(SimError::OutOfBounds {
-                        space: "const",
-                        addr: i,
-                        limit: bankv.len(),
-                    })?;
-                    // One cache access per distinct line, in first-touch
-                    // order (lanes reading the same constant broadcast).
-                    let line = (self.bank_base[*bank as usize] + (i * 8) as u64) / 64;
-                    if !lines[..n_lines].contains(&line) {
-                        lines[n_lines] = line;
-                        n_lines += 1;
-                    }
-                }
-                let vidx = self.push_f64x(vals);
-                self.cur_lines.extend_from_slice(&lines[..n_lines]);
-                self.uops.push(UOp::ConstV { dst: base_d(*dst), vals: vidx });
+                let dst = base_d(*dst)?;
+                let load = cta::ld_const(kernel, &self.bank_base, *bank, *idx, iregs)?;
+                let vals = self.push_f64x(load.vals);
+                self.cur_lines.extend_from_slice(load.lines());
+                self.uops.push(UOp::ConstV { dst, vals });
             }
-            Instr::Idx(ii) => match ii {
-                IdxInstr::Mov { dst, src } => {
-                    chk_i(*dst)?;
-                    let v = ivals(iregs, src)?;
-                    iregs.write(*dst as usize, v);
-                }
-                IdxInstr::Add { dst, a, b } => {
-                    chk_i(*dst)?;
-                    let (a, b) = (ivals(iregs, a)?, ivals(iregs, b)?);
-                    iregs.write(*dst as usize, std::array::from_fn(|l| a[l].wrapping_add(b[l])));
-                }
-                IdxInstr::Mul { dst, a, b } => {
-                    chk_i(*dst)?;
-                    let (a, b) = (ivals(iregs, a)?, ivals(iregs, b)?);
-                    iregs.write(*dst as usize, std::array::from_fn(|l| a[l].wrapping_mul(b[l])));
-                }
-                IdxInstr::LaneId { dst } => {
-                    chk_i(*dst)?;
-                    iregs.write(*dst as usize, std::array::from_fn(|l| l as u32));
-                }
-                IdxInstr::WarpId { dst } => {
-                    chk_i(*dst)?;
-                    iregs.write(*dst as usize, [wid as u32; WARP_SIZE]);
-                }
-                IdxInstr::LdConst { dst, bank, idx } => {
-                    chk_i(*dst)?;
-                    let bankv =
-                        kernel.iconst_banks.get(*bank as usize).ok_or(SimError::OutOfBounds {
-                            space: "iconst-bank",
-                            addr: *bank as usize,
-                            limit: kernel.iconst_banks.len(),
-                        })?;
-                    let mut v = ivals(iregs, idx)?;
-                    for v in &mut v {
-                        let i = *v as usize;
-                        *v = *bankv.get(i).ok_or(SimError::OutOfBounds {
-                            space: "iconst",
-                            addr: i,
-                            limit: bankv.len(),
-                        })?;
-                    }
-                    iregs.write(*dst as usize, v);
-                }
-                IdxInstr::Shfl { dst, src, lane } => {
-                    chk_i(*dst)?;
-                    chk_i(*src)?;
-                    // Raw index like the interpreter (a >=32 lane reads
-                    // across registers deterministically; replicate it).
-                    let raw = *src as usize * WARP_SIZE + *lane as usize;
-                    let v = iregs.get(raw).ok_or(SimError::OutOfBounds {
-                        space: "ireg",
-                        addr: *src as usize,
-                        limit: ni,
-                    })?;
-                    iregs.write(*dst as usize, [v; WARP_SIZE]);
-                }
-                IdxInstr::PipeOff { dst, k, stride } => {
-                    chk_i(*dst)?;
-                    let v = (pset % u32::from((*k).max(1))).wrapping_mul(*stride);
-                    iregs.write(*dst as usize, [v; WARP_SIZE]);
-                }
-            },
+            Instr::Idx(ii) => {
+                let lanes = ii.eval(iregs, wid, pset, &kernel.iconst_banks)?;
+                iregs.write(ii.dst() as usize, lanes);
+            }
             Instr::CpAsync { addr, array, row, point } => {
                 let ga = GAddr { array: *array, row: *row, point: *point };
-                let (rows, pts) = gaddr!(&ga);
-                let addrs = saddrs!(addr);
-                // The shared side is bounds-checked at run time, per lane,
-                // interleaved with the global reads — the interpreter
-                // checks `global(l)` then `shared(l)` for each lane in
-                // order, and which side fails first can depend on the
-                // runtime input length. Saturate like `StShared`.
-                let (tx, conf) = bank_transactions(&addrs, None);
-                bulk.shared_accesses += tx;
-                bulk.shared_conflicts += conf;
-                let a32: [u32; WARP_SIZE] =
-                    std::array::from_fn(|l| addrs[l].min(u32::MAX as usize) as u32);
-                let addrs = self.push_u32x(a32);
+                let (rows, pts) = self.gaddr(&ga, pset, iregs)?;
+                // The shared side is bounds-checked as the copy runs, per
+                // lane, after that lane's global read: which side fails
+                // first can depend on the runtime input length.
+                let addrs = addr.lanes(iregs)?;
+                count_shared(&addrs, None);
+                let addrs = self.push_u32x(saturated(addrs));
                 self.uops.push(UOp::CpAsync { addrs, array: array.0 as u32, rows, pts });
             }
-            _ => unreachable!("only slow-path instructions reach lower_slow"),
+            Instr::Un { .. }
+            | Instr::Bin { .. }
+            | Instr::DFma { .. }
+            | Instr::DSel { .. }
+            | Instr::DCmp { .. }
+            | Instr::LdLocal { .. }
+            | Instr::StLocal { .. }
+            | Instr::Shfl { .. }
+            | Instr::BarArrive { .. }
+            | Instr::BarSync { .. }
+            | Instr::BarArriveStage { .. }
+            | Instr::BarSyncStage { .. } => {
+                unreachable!("decoded onto the fast path or closed a segment")
+            }
         }
         Ok(())
+    }
+
+    /// Resolve a global address into its rows chunk and its points: row,
+    /// then point, as the interpreter reads them.
+    fn gaddr(&mut self, a: &GAddr, pset: u32, iregs: &mut IdxRegs) -> SimResult<(u32, PtsRef)> {
+        let rows = a.row.lanes(iregs)?;
+        let pts = match a.point {
+            PointRef::Lane => PtsRef::Rel(pset * WARP_SIZE as u32),
+            PointRef::Thread => PtsRef::Thread,
+            PointRef::Reg(r) => PtsRef::Abs(self.push_u32x(IdxOp::Reg(r).lanes(iregs)?)),
+        };
+        Ok((self.push_u32x(rows), pts))
     }
 }
 
@@ -1365,11 +1181,9 @@ fn for_each_read_chunk(u: &UOp, mut f: impl FnMut(usize)) {
                 s(Src::Reg((src + lane) / WARP_SIZE * WARP_SIZE));
             }
             DecodedInstr::LdLocal { .. } | DecodedInstr::Invalid { .. } => {}
-            DecodedInstr::BarArrive { .. }
-            | DecodedInstr::BarSync { .. }
-            | DecodedInstr::BarArriveStage { .. }
-            | DecodedInstr::BarSyncStage { .. }
-            | DecodedInstr::Slow => unreachable!("never lowered into uops"),
+            DecodedInstr::Barrier | DecodedInstr::Slow => {
+                unreachable!("never lowered into uops")
+            }
         },
         UOp::FusedMulBin { a, b, c, .. } => {
             s(a);
@@ -1401,11 +1215,9 @@ fn for_each_write_chunk(u: &UOp, mut f: impl FnMut(usize)) {
             | DecodedInstr::Shfl { dst, .. }
             | DecodedInstr::LdLocal { dst, .. } => f(dst),
             DecodedInstr::StLocal { .. } | DecodedInstr::Invalid { .. } => {}
-            DecodedInstr::BarArrive { .. }
-            | DecodedInstr::BarSync { .. }
-            | DecodedInstr::BarArriveStage { .. }
-            | DecodedInstr::BarSyncStage { .. }
-            | DecodedInstr::Slow => unreachable!("never lowered into uops"),
+            DecodedInstr::Barrier | DecodedInstr::Slow => {
+                unreachable!("never lowered into uops")
+            }
         },
         UOp::FusedMulBin { t, d, .. } => {
             f(t as usize);
@@ -1440,11 +1252,9 @@ fn for_each_src_mut(u: &mut UOp, mut f: impl FnMut(&mut Src)) {
             DecodedInstr::Shfl { .. }
             | DecodedInstr::LdLocal { .. }
             | DecodedInstr::Invalid { .. } => {}
-            DecodedInstr::BarArrive { .. }
-            | DecodedInstr::BarSync { .. }
-            | DecodedInstr::BarArriveStage { .. }
-            | DecodedInstr::BarSyncStage { .. }
-            | DecodedInstr::Slow => unreachable!("never lowered into uops"),
+            DecodedInstr::Barrier | DecodedInstr::Slow => {
+                unreachable!("never lowered into uops")
+            }
         },
         UOp::FusedMulBin { a, b, c, .. } => {
             f(a);
@@ -1802,7 +1612,7 @@ fn splat_immediates(
 }
 
 /// Per-warp runtime state: SoA register/local lanes plus the segment
-/// cursor and scheduler flags.
+/// cursor.
 struct EngWarp {
     dregs: Vec<f64>,
     local: Vec<f64>,
@@ -1812,13 +1622,12 @@ struct EngWarp {
     /// nest).
     rep: u32,
     pts_off: usize,
-    done: bool,
-    blocked: Option<(u8, u64)>,
 }
 
-/// Execute one CTA on a lowered program. Mirrors
-/// [`crate::interp::run_cta_profiled`] (without a profiler) bit-for-bit:
-/// same outputs, same [`EventCounts`], same errors.
+/// Execute one CTA on a lowered program: [`crate::interp::run_cta_profiled`]
+/// without a profiler, bit for bit — same outputs, same `EventCounts`, same
+/// errors. The CTA is [`crate::cta`]'s, as it is the interpreter's; this
+/// stepper is [`run_warp`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cta_engine(
     kernel: &Kernel,
@@ -1830,143 +1639,60 @@ pub(crate) fn run_cta_engine(
     collect: bool,
     arch: &crate::arch::GpuArch,
 ) -> SimResult<CtaResult> {
-    let nw = kernel.warps_per_cta;
-    let base_point = cta * kernel.points_per_cta;
-    let mut counts = EventCounts::default();
-
-    let mut shared = vec![0.0f64; kernel.shared_words];
-    let mut barriers: Vec<BarrierState> =
-        vec![BarrierState::default(); kernel.barriers_used.max(16)];
-    let mut ccache = ConstCache::new(arch.const_cache_bytes);
-
-    let mut out_buffers: Vec<Vec<f64>> = kernel
-        .global_arrays
-        .iter()
-        .map(|a| if a.output { vec![0.0; a.rows * kernel.points_per_cta] } else { Vec::new() })
-        .collect();
-
-    let mut warps: Vec<EngWarp> = (0..nw)
-        .map(|_| {
-            // Architectural registers only; the constant tail of
-            // pre-splatted immediates stays in `eng.dreg_tail`, shared
-            // read-only by every warp (see `splat_immediates`).
-            EngWarp {
-                dregs: vec![0.0; kernel.dregs_per_thread * WARP_SIZE],
-                local: vec![0.0; kernel.local_words_per_thread * WARP_SIZE],
-                seg: 0,
-                rep: 0,
-                pts_off: 0,
-                done: false,
-                blocked: None,
-            }
+    let mut mem = CtaMem::new(kernel, inputs, total_points, cta, collect, arch);
+    let mut sched = Schedule::new(kernel, None);
+    // Architectural registers only; the constant tail of pre-splatted
+    // immediates stays in `eng.dreg_tail`, shared read-only by every warp
+    // (see `splat_immediates`).
+    let mut warps: Vec<EngWarp> = (0..kernel.warps_per_cta)
+        .map(|_| EngWarp {
+            dregs: vec![0.0; kernel.dregs_per_thread * WARP_SIZE],
+            local: vec![0.0; kernel.local_words_per_thread * WARP_SIZE],
+            seg: 0,
+            rep: 0,
+            pts_off: 0,
         })
         .collect();
-
-    // Cooperative scheduler: an exact replay of the interpreter's
-    // round-robin (segments stand in for uninterruptible instruction
-    // runs — a warp can only block at a segment terminator).
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for w in 0..nw {
-            if warps[w].done {
-                continue;
-            }
-            all_done = false;
-            if let Some((b, gen)) = warps[w].blocked {
-                if barriers[b as usize].generation > gen {
-                    warps[w].blocked = None;
-                } else {
-                    continue;
-                }
-            }
-            let ran = run_warp(
-                kernel, eng, w, &mut warps[w], inputs, total_points, base_point, &mut shared,
-                &mut barriers, &mut out_buffers, &mut ccache, collect, &mut counts,
-            )?;
-            progressed |= ran;
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let blocked: Vec<(usize, u8)> = warps
-                .iter()
-                .enumerate()
-                .filter(|(_, ws)| !ws.done)
-                .map(|(i, ws)| (i, ws.blocked.map(|(b, _)| b).unwrap_or(255)))
-                .collect();
-            if blocked.is_empty() {
-                break;
-            }
-            return Err(SimError::Deadlock { cta, blocked });
-        }
-    }
-
-    if collect {
-        counts.const_hits = ccache.hits();
-        counts.const_misses = ccache.misses();
-        let fp = interleaved_fetch_profile(
-            &mut prog.fetch_streams(),
-            arch.instr_bytes,
-            arch.icache_bytes,
-            arch.icache_line_bytes,
-            arch.icache_assoc,
-            128,
-        );
-        counts.icache_fetches = fp.fetches;
-        counts.icache_misses = fp.misses;
-    }
-
-    Ok(CtaResult { out_buffers, counts })
+    sched.run(cta, |sched, w| run_warp(eng, w, &mut warps[w], &mut mem, sched))?;
+    Ok(mem.finish(sched, prog, arch))
 }
 
-/// Run one warp's segments until it blocks or finishes. Returns whether
-/// any segment executed (the interpreter's `ran`).
-#[allow(clippy::too_many_arguments)]
+/// The engine's stepper: run warp `w`'s segments until it blocks or
+/// finishes. Segments stand in for uninterruptible instruction runs — a
+/// warp can only block at a segment terminator. Returns whether any segment
+/// executed.
 fn run_warp(
-    kernel: &Kernel,
     eng: &EngineProgram,
     w: usize,
     warp: &mut EngWarp,
-    inputs: &[&[f64]],
-    total_points: usize,
-    base_point: usize,
-    shared: &mut [f64],
-    barriers: &mut [BarrierState],
-    out_buffers: &mut [Vec<f64>],
-    ccache: &mut ConstCache,
-    collect: bool,
-    counts: &mut EventCounts,
+    mem: &mut CtaMem<'_>,
+    sched: &mut Schedule<'_>,
 ) -> SimResult<bool> {
     let segs = &eng.lowered[eng.lowered_of[w] as usize];
     let mut ran = false;
     loop {
         let Some(seg) = segs.get(warp.seg) else {
-            warp.done = true;
+            sched.finish(w);
             return Ok(ran);
         };
-        if collect {
-            seg.bulk.apply(counts);
+        if mem.collect {
+            seg.bulk.apply(&mut mem.counts);
             // Replay the segment's pre-resolved constant-line script in
             // one pass: segments are uninterruptible and constant loads
             // are the only cache accesses, so replaying at segment entry
             // preserves the interleaved LRU order across warps exactly.
-            ccache.access_script(&eng.lines[seg.lines.start as usize..seg.lines.end as usize]);
+            mem.ccache.access_script(&eng.lines[seg.lines.start as usize..seg.lines.end as usize]);
         }
         for uop in &eng.uops[seg.uops.start as usize..seg.uops.end as usize] {
-            exec_uop(
-                eng, uop, kernel, inputs, total_points, base_point, w, warp, shared,
-                out_buffers, collect, counts,
-            )?;
+            exec_uop(eng, uop, w, warp, mem)?;
         }
         warp.seg += 1;
         // Also for the empty segment that closes a rolled body ending on a
-        // barrier, which covers no stream op: the caller's deadlock check
+        // barrier, which covers no stream op: the schedule's deadlock check
         // then comes one round later, over the same warps and barriers.
         ran = true;
-        match seg.term {
-            SegTerm::End => {}
+        let (bar, expected, sync) = match seg.term {
+            SegTerm::End => continue,
             SegTerm::Repeat { to, reps, advance } => {
                 warp.rep += 1;
                 if warp.rep < reps {
@@ -1976,48 +1702,45 @@ fn run_warp(
                     warp.rep = 0;
                     warp.pts_off = 0;
                 }
+                continue;
             }
-            SegTerm::Arrive { bar, expected } => {
-                barrier_arrive(barriers, bar, expected)?;
-            }
-            SegTerm::Sync { bar, expected } => {
-                // Generation snapshot *before* arriving: if our own
-                // arrival completes the barrier we are not blocked.
-                let gen = barriers[bar as usize].generation;
-                let released = barrier_arrive(barriers, bar, expected)?;
-                if !released {
-                    warp.blocked = Some((bar, gen));
-                    if collect {
-                        counts.barrier_stall_switches += 1;
-                    }
-                    return Ok(ran);
-                }
-            }
+            SegTerm::Arrive { bar, expected } => (bar, expected, false),
+            SegTerm::Sync { bar, expected } => (bar, expected, true),
+        };
+        if sched.barrier(w, BarOp { bar, expected, sync })? {
+            return Ok(ran);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn exec_uop(
     eng: &EngineProgram,
     uop: &UOp,
-    kernel: &Kernel,
-    inputs: &[&[f64]],
-    total_points: usize,
-    base_point: usize,
     wid: usize,
     warp: &mut EngWarp,
-    shared: &mut [f64],
-    out_buffers: &mut [Vec<f64>],
-    collect: bool,
-    counts: &mut EventCounts,
+    mem: &mut CtaMem<'_>,
 ) -> SimResult<()> {
+    // A register's lanes, and a 32-lane chunk of the address arena.
+    let chunk = |at: u32| at as usize..at as usize + WARP_SIZE;
+    let arena = |at: u32| &eng.u32x[at as usize * WARP_SIZE..][..WARP_SIZE];
+    // Complete pre-resolved global addressing with the runtime grid
+    // placement, the executing warp and — for a point relative to the
+    // streaming loop — the points a rolled body's repetitions so far
+    // advanced by.
+    let gidx = |mem: &CtaMem<'_>, rows: u32, pts: PtsRef, pts_off: usize| {
+        let pts = match pts {
+            PtsRef::Rel(d) => Points::Cta(pts_off + d as usize),
+            PtsRef::Thread => Points::Cta(wid * WARP_SIZE),
+            PtsRef::Abs(p) => Points::Abs(arena(p)),
+        };
+        mem.global_indices(arena(rows), pts)
+    };
     match *uop {
         // Event counts for fast ops were folded into the segment bulk;
         // run the op itself with collection off.
         UOp::Fast(dec) => {
-            exec_fast(dec, &mut warp.dregs, &eng.dreg_tail, &mut warp.local, false, counts)?
+            exec_fast(dec, &mut warp.dregs, &eng.dreg_tail, &mut warp.local, false, &mut mem.counts)?
         }
         UOp::FusedMulBin { kind, t, d, a, b, c } => {
             let dregs = &mut warp.dregs[..];
@@ -2047,162 +1770,56 @@ fn exec_uop(
         }
         UOp::ConstV { dst, vals } => {
             let v = &eng.f64x[vals as usize * WARP_SIZE..][..WARP_SIZE];
-            warp.dregs[dst as usize..dst as usize + WARP_SIZE].copy_from_slice(v);
+            warp.dregs[chunk(dst)].copy_from_slice(v);
         }
         UOp::LdShared { dst, addrs } => {
-            let a = &eng.u32x[addrs as usize * WARP_SIZE..][..WARP_SIZE];
-            let out = &mut warp.dregs[dst as usize..dst as usize + WARP_SIZE];
+            let a = arena(addrs);
+            let out = &mut warp.dregs[chunk(dst)];
             for l in 0..WARP_SIZE {
                 // SAFETY: lowering bounds-checked every address against
                 // `kernel.shared_words == shared.len()`.
-                out[l] = unsafe { *shared.get_unchecked(a[l] as usize) };
+                out[l] = unsafe { *mem.shared.get_unchecked(a[l] as usize) };
             }
         }
         UOp::LdSharedBcast { dst, addr } => {
             // SAFETY: the address came from a lowering-bounds-checked
             // `LdShared` gather before fusion.
-            let v = unsafe { *shared.get_unchecked(addr as usize) };
-            warp.dregs[dst as usize..dst as usize + WARP_SIZE].fill(v);
+            let v = unsafe { *mem.shared.get_unchecked(addr as usize) };
+            warp.dregs[chunk(dst)].fill(v);
         }
         UOp::StShared { src, addrs, lane } => {
-            let a = &eng.u32x[addrs as usize * WARP_SIZE..][..WARP_SIZE];
+            let a = arena(addrs);
             let sv = src_vals(&warp.dregs, &eng.dreg_tail, src);
             if lane == u32::MAX {
                 for l in 0..WARP_SIZE {
                     // SAFETY: all lanes bounds-checked at lowering.
-                    unsafe { *shared.get_unchecked_mut(a[l] as usize) = sv[l] };
+                    unsafe { *mem.shared.get_unchecked_mut(a[l] as usize) = sv[l] };
                 }
             } else {
                 // Lowering rejected `lane >= WARP_SIZE` with a typed
                 // error and bounds-checked the predicated lane's address.
                 debug_assert!((lane as usize) < WARP_SIZE);
-                shared[a[lane as usize] as usize] = sv[lane as usize];
+                mem.shared[a[lane as usize] as usize] = sv[lane as usize];
             }
         }
         UOp::LdGlobal { dst, array, rows, pts } => {
-            let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point, warp.pts_off, wid);
-            let decl = &kernel.global_arrays[ai];
-            let out = &mut warp.dregs[dst as usize..dst as usize + WARP_SIZE];
-            if decl.output {
-                for l in 0..WARP_SIZE {
-                    let local = local_out_index(idxs[l], total_points, base_point, kernel)?;
-                    out[l] = out_buffers[ai][local];
-                }
-            } else {
-                let input = inputs[ai];
-                for l in 0..WARP_SIZE {
-                    let idx = idxs[l];
-                    out[l] = *input.get(idx).ok_or(SimError::OutOfBounds {
-                        space: "global",
-                        addr: idx,
-                        limit: input.len(),
-                    })?;
-                }
-            }
-            if collect {
-                let (tx, bytes) = coalesce(&idxs);
-                counts.global_transactions += tx;
-                counts.global_bytes += bytes;
-            }
+            let idxs = gidx(mem, rows, pts, warp.pts_off);
+            mem.ld_global(array as usize, &idxs, &mut warp.dregs[chunk(dst)])?;
         }
         UOp::StGlobal { src, array, rows, pts } => {
-            let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point, warp.pts_off, wid);
+            let idxs = gidx(mem, rows, pts, warp.pts_off);
             let sv = src_vals(&warp.dregs, &eng.dreg_tail, src);
-            for l in 0..WARP_SIZE {
-                let local = local_out_index(idxs[l], total_points, base_point, kernel)?;
-                let buf = &mut out_buffers[ai];
-                if local >= buf.len() {
-                    return Err(SimError::OutOfBounds {
-                        space: "global-out",
-                        addr: local,
-                        limit: buf.len(),
-                    });
-                }
-                buf[local] = sv[l];
-            }
-            if collect {
-                let (tx, bytes) = coalesce(&idxs);
-                counts.global_transactions += tx;
-                counts.global_bytes += bytes;
-            }
+            mem.st_global(array as usize, &idxs, &sv)?;
         }
         UOp::CpAsync { addrs, array, rows, pts } => {
-            // Mirror the interpreter's per-lane order exactly: the global
-            // read (whose bounds depend on the runtime input length /
-            // grid placement) is checked before the shared store, lane by
-            // lane, so the first failing lane reports the same error.
-            let ai = array as usize;
-            let idxs = gidx(eng, rows, pts, total_points, base_point, warp.pts_off, wid);
-            let a = &eng.u32x[addrs as usize * WARP_SIZE..][..WARP_SIZE];
-            let decl = &kernel.global_arrays[ai];
-            for l in 0..WARP_SIZE {
-                let idx = idxs[l];
-                let v = if decl.output {
-                    let local = local_out_index(idx, total_points, base_point, kernel)?;
-                    out_buffers[ai][local]
-                } else {
-                    *inputs[ai].get(idx).ok_or(SimError::OutOfBounds {
-                        space: "global",
-                        addr: idx,
-                        limit: inputs[ai].len(),
-                    })?
-                };
-                let sa = a[l] as usize;
-                if sa >= shared.len() {
-                    return Err(SimError::OutOfBounds {
-                        space: "shared",
-                        addr: sa,
-                        limit: shared.len(),
-                    });
-                }
-                shared[sa] = v;
-            }
-            if collect {
-                let (tx, bytes) = coalesce(&idxs);
-                counts.global_transactions += tx;
-                counts.global_bytes += bytes;
-            }
+            let idxs = gidx(mem, rows, pts, warp.pts_off);
+            let a = arena(addrs);
+            mem.cp_async(array as usize, &idxs, |l| a[l] as usize)?;
         }
         UOp::Trap(t) => return Err(eng.traps[t as usize].clone()),
         UOp::Nop => unreachable!("tombstones are compacted out at lowering"),
     }
     Ok(())
-}
-
-/// Complete pre-resolved global addressing with the runtime grid
-/// placement, the executing warp and — for a point relative to the
-/// streaming loop — the points `pts_off` a rolled body's repetitions so far
-/// advanced by: `idx[l] = rows[l] * total_points + point(l)`.
-#[inline]
-fn gidx(
-    eng: &EngineProgram,
-    rows: u32,
-    pts: PtsRef,
-    total_points: usize,
-    base_point: usize,
-    pts_off: usize,
-    wid: usize,
-) -> [usize; WARP_SIZE] {
-    let r = &eng.u32x[rows as usize * WARP_SIZE..][..WARP_SIZE];
-    let mut idxs = [0usize; WARP_SIZE];
-    let rel = |b: usize, idxs: &mut [usize; WARP_SIZE]| {
-        for l in 0..WARP_SIZE {
-            idxs[l] = r[l] as usize * total_points + b + l;
-        }
-    };
-    match pts {
-        PtsRef::Rel(d) => rel(base_point + pts_off + d as usize, &mut idxs),
-        PtsRef::Thread => rel(base_point + wid * WARP_SIZE, &mut idxs),
-        PtsRef::Abs(p) => {
-            let pv = &eng.u32x[p as usize * WARP_SIZE..][..WARP_SIZE];
-            for l in 0..WARP_SIZE {
-                idxs[l] = r[l] as usize * total_points + pv[l] as usize;
-            }
-        }
-    }
-    idxs
 }
 
 #[cfg(test)]
@@ -2402,6 +2019,53 @@ mod tests {
         let mut k = base_kernel(1);
         k.body = vec![Node::Op(Instr::mov(200, Op::Imm(0.0)))];
         differential(&k, &[&input, &[]], 32, 0);
+    }
+
+    #[test]
+    fn out_of_range_index_registers_and_barriers_trap_alike() {
+        // Four index registers. Every way an instruction can read one past
+        // them — an operand, a shared base, a global row or point, a
+        // constant index, a shuffle whose lane runs off the file — ends in
+        // the same typed error at the same op on both paths (the
+        // interpreter used to index its file raw and panic), and so does a
+        // sync on a barrier past the file.
+        let lane = |array| GAddr { array: GlobalId(array), row: IdxOp::Imm(0), point: PointRef::Lane };
+        let past = SAddr { base: Some(9), imm: 0, lane_stride: 1 };
+        let ireg_reads = [
+            Instr::Idx(IdxInstr::Mov { dst: 0, src: IdxOp::Reg(4) }),
+            Instr::Idx(IdxInstr::Add { dst: 0, a: IdxOp::Imm(1), b: IdxOp::Reg(9) }),
+            Instr::Idx(IdxInstr::LdConst { dst: 0, bank: 0, idx: IdxOp::Reg(9) }),
+            Instr::Idx(IdxInstr::Shfl { dst: 0, src: 3, lane: 32 }),
+            Instr::LdShared { dst: 0, addr: past },
+            Instr::StShared { src: Op::Imm(1.0), addr: past, lane_pred: Some(3) },
+            Instr::LdConst { dst: 0, bank: 0, idx: IdxOp::Reg(9) },
+            Instr::LdGlobal { dst: 0, addr: GAddr { row: IdxOp::Reg(9), ..lane(0) }, ldg: false },
+            Instr::StGlobal { src: Op::Imm(1.0), addr: GAddr { point: PointRef::Reg(9), ..lane(1) } },
+            Instr::CpAsync {
+                addr: past,
+                array: GlobalId(0),
+                row: IdxOp::Imm(0),
+                point: PointRef::Lane,
+            },
+        ];
+        let input = vec![0.0; 64];
+        let arch = GpuArch::kepler_k20c();
+        let run = |ins: Instr| {
+            let mut k = base_kernel(1);
+            k.body = vec![Node::Op(Instr::mov(0, Op::Imm(2.0))), Node::Op(ins)];
+            differential(&k, &[&input, &[]], 32, 0);
+            run_cta_profiled(&k, &flatten(&k), &[&input, &[]], 32, 0, false, &arch, None)
+                .unwrap_err()
+        };
+        for ins in ireg_reads {
+            let err = run(ins.clone());
+            assert!(
+                matches!(err, SimError::OutOfBounds { space: "ireg", limit: 4, .. }),
+                "{ins:?}: {err}"
+            );
+        }
+        let err = run(Instr::BarSync { bar: 200, warps: 1 });
+        assert!(matches!(err, SimError::BarrierMismatch { bar: 200, .. }), "{err}");
     }
 
     #[test]

@@ -113,31 +113,14 @@ impl FetchStream for &[u32] {
 
 /// Simulate an interleaved round-robin fetch of per-warp instruction
 /// address streams, the way an SM's scheduler rotates among resident
-/// warps. Returns `(fetches, misses)`; use [`interleaved_fetch_profile`]
-/// for the per-warp miss breakdown.
+/// warps, attributing each miss to the warp whose fetch missed. One stream
+/// per warp, consumed.
 ///
 /// Each stream entry is a static instruction address (index); addresses are
 /// scaled by `instr_bytes`. `group` controls how many consecutive
 /// instructions a warp fetches before the scheduler rotates (prefetch
 /// granularity — paper §5.1 notes the prefetcher handles divergence for
 /// code regions up to a few hundred instructions).
-pub fn interleaved_fetch_trace(
-    streams: &[impl AsRef<[u32]>],
-    instr_bytes: usize,
-    capacity_bytes: usize,
-    line_bytes: usize,
-    assoc: usize,
-    group: usize,
-) -> (u64, u64) {
-    let mut streams: Vec<&[u32]> = streams.iter().map(AsRef::as_ref).collect();
-    let p = interleaved_fetch_profile(
-        &mut streams, instr_bytes, capacity_bytes, line_bytes, assoc, group,
-    );
-    (p.fetches, p.misses)
-}
-
-/// Same simulation as [`interleaved_fetch_trace`], also attributing each
-/// miss to the warp whose fetch missed. One stream per warp, consumed.
 pub fn interleaved_fetch_profile(
     streams: &mut [impl FetchStream],
     instr_bytes: usize,
@@ -179,6 +162,22 @@ pub fn interleaved_fetch_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(fetches, misses)` of the simulation over plain address vectors.
+    fn interleaved_fetch_trace(
+        streams: &[Vec<u32>],
+        instr_bytes: usize,
+        capacity_bytes: usize,
+        line_bytes: usize,
+        assoc: usize,
+        group: usize,
+    ) -> (u64, u64) {
+        let mut streams: Vec<&[u32]> = streams.iter().map(Vec::as_slice).collect();
+        let p = interleaved_fetch_profile(
+            &mut streams, instr_bytes, capacity_bytes, line_bytes, assoc, group,
+        );
+        (p.fetches, p.misses)
+    }
 
     #[test]
     fn shared_code_paths_hit() {

@@ -2,9 +2,12 @@
 //!
 //! A CTA executes as a set of warps in a cooperative round-robin: each warp
 //! runs until it finishes or blocks on a named-barrier `sync`; a full round
-//! with no progress is a deadlock (the situation the paper's Theorem 1
-//! scheduling discipline rules out — we detect it and report the blocked
-//! warps). All 32 lanes of a warp execute each instruction in lock step.
+//! with no progress is a deadlock. That schedule, the barrier protocol and
+//! the CTA's memory are `crate::cta`'s, shared with the engine and the
+//! model; the interpreter is the stepper that runs a warp an instruction at
+//! a time (`step_warp`), evaluating index arithmetic and addresses through
+//! [`crate::isa`] as it goes, with a profiler hook at every instruction. All
+//! 32 lanes of a warp execute each instruction in lock step.
 //!
 //! While executing, the interpreter gathers the event counts the timing
 //! model consumes: issue slots, shared-memory transactions with bank
@@ -34,10 +37,11 @@
 //! table. The warp id itself enters execution only where an instruction
 //! asks for it (`IdxInstr::WarpId`, `PointRef::Thread`).
 
-use crate::ccache::ConstCache;
+pub use crate::cta::CtaResult;
+use crate::cta::{self, CtaMem, Points, Schedule};
 use crate::counts::EventCounts;
 use crate::error::{SimError, SimResult};
-use crate::icache::{interleaved_fetch_profile, FetchStream};
+use crate::icache::FetchStream;
 use crate::isa::*;
 use crate::lanes::{self, Lanes};
 use crate::profile::Profiler;
@@ -163,10 +167,20 @@ pub(crate) enum Src {
     Imm(f64),
 }
 
+impl Src {
+    /// Resolve an operand. A register is not range-checked here.
+    pub(crate) fn of(o: &Op) -> Src {
+        match o {
+            Op::Reg(r) => Src::Reg(*r as usize * WARP_SIZE),
+            Op::Imm(v) => Src::Imm(*v),
+        }
+    }
+}
+
 /// An instruction pre-decoded at `flatten()` time: register ids resolved to
-/// base offsets, destination ranges pre-validated, and barrier parameters
-/// extracted — so the dynamic execute loop neither re-matches the full
-/// [`Instr`] enum nor re-derives static properties per executed op.
+/// base offsets and destination ranges pre-validated — so the dynamic
+/// execute loop neither re-matches the full [`Instr`] enum nor re-derives
+/// static properties per executed op.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DecodedInstr {
     /// `dst[l] = a[l] <op> b[l]`.
@@ -185,15 +199,9 @@ pub(crate) enum DecodedInstr {
     LdLocal { dst: usize, slot: usize },
     /// Local (spill) store to a pre-validated slot.
     StLocal { src: Src, slot: usize },
-    /// Non-blocking named-barrier arrival (scheduler-level).
-    BarArrive { bar: u8, expected: u16 },
-    /// Blocking named-barrier wait (scheduler-level).
-    BarSync { bar: u8, expected: u16 },
-    /// Stage-rotated arrive: resolves to barrier `base + pset % k` at the
-    /// executing point-set (scheduler-level).
-    BarArriveStage { base: u8, k: u8, expected: u16 },
-    /// Stage-rotated sync: resolves to barrier `base + pset % k`.
-    BarSyncStage { base: u8, k: u8, expected: u16 },
+    /// A named-barrier operation, plain or stage-rotated: the schedule's
+    /// ([`Instr::barrier_op`] says which, at the executing point set).
+    Barrier,
     /// A register/slot id is out of range. The error is deferred to
     /// execution time so flatten stays infallible (streams that never run
     /// may legally carry such code, exactly as before pre-decoding).
@@ -242,19 +250,16 @@ impl OpCost {
     }
 }
 
-/// Pre-decode one instruction against the kernel's static limits,
-/// mirroring the check order of the interpreter's original execute path.
-/// Exhaustive on purpose: a new op must pick its executor here.
+/// Pre-decode one instruction against the kernel's static limits, checking
+/// the destination before the other registers. Exhaustive on purpose: a new
+/// op must pick its executor here.
 #[deny(clippy::wildcard_enum_match_arm)]
 fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
     let nd = kernel.dregs_per_thread;
     let bad = |r: Reg| DecodedInstr::Invalid { space: "dreg", addr: r as usize, limit: nd };
     let ok = |r: Reg| (r as usize) < nd;
     let base = |r: Reg| r as usize * WARP_SIZE;
-    let src = |o: &Op| match o {
-        Op::Reg(r) => Src::Reg(base(*r)),
-        Op::Imm(v) => Src::Imm(*v),
-    };
+    let src = Src::of;
     match ins {
         Instr::Un { op, dst, a } => {
             if !ok(*dst) {
@@ -315,14 +320,10 @@ fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
             }
             DecodedInstr::StLocal { src: src(s), slot: *slot as usize * WARP_SIZE }
         }
-        Instr::BarArrive { bar, warps } => DecodedInstr::BarArrive { bar: *bar, expected: *warps },
-        Instr::BarSync { bar, warps } => DecodedInstr::BarSync { bar: *bar, expected: *warps },
-        Instr::BarArriveStage { base, k, warps } => {
-            DecodedInstr::BarArriveStage { base: *base, k: *k, expected: *warps }
-        }
-        Instr::BarSyncStage { base, k, warps } => {
-            DecodedInstr::BarSyncStage { base: *base, k: *k, expected: *warps }
-        }
+        Instr::BarArrive { .. }
+        | Instr::BarSync { .. }
+        | Instr::BarArriveStage { .. }
+        | Instr::BarSyncStage { .. } => DecodedInstr::Barrier,
         Instr::LdGlobal { .. }
         | Instr::StGlobal { .. }
         | Instr::LdShared { .. }
@@ -871,18 +872,6 @@ fn roll(kernel: &Kernel, reps: &[usize]) -> (Vec<ClassStream>, Vec<Instr>, u32) 
     (w.classes.into_iter().map(ClassBuilder::finish).collect(), w.instrs, w.counter)
 }
 
-/// Named-barrier state. `generation` increments on every completion so a
-/// warp blocked on one use of the barrier is not confused by a subsequent
-/// reuse (barriers are recycled constantly in multi-pass kernels).
-/// Shared with the segment-compiled engine so both paths replay the exact
-/// same barrier semantics.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BarrierState {
-    arrived: u16,
-    expected: Option<u16>,
-    pub(crate) generation: u64,
-}
-
 /// Per-warp execution state.
 struct WarpState {
     dregs: Vec<f64>,
@@ -890,19 +879,6 @@ struct WarpState {
     local: Vec<f64>,
     /// Where in its stream the warp is.
     at: Cursor,
-    done: bool,
-    /// Blocked waiting on `(barrier id, generation at block time)`.
-    blocked: Option<(u8, u64)>,
-}
-
-/// Result of interpreting one CTA.
-#[derive(Debug)]
-pub struct CtaResult {
-    /// Per-output-array buffers (`rows x points_per_cta`), parallel to
-    /// `kernel.global_arrays` (empty vec for inputs).
-    pub out_buffers: Vec<Vec<f64>>,
-    /// Event counts (only populated when collection was requested).
-    pub counts: EventCounts,
 }
 
 /// Execute one CTA.
@@ -934,9 +910,9 @@ pub fn run_cta(
 /// attached (see [`crate::profile`]). Passing a profiler forces event
 /// collection (attribution needs the cache simulations). Unlike
 /// [`run_cta`], this always runs the per-instruction interpreter — with
-/// `None` it is the engine's differential reference (the legacy
-/// interpreter path), bit-identical to the engine by construction and by
-/// test.
+/// `None` it is the engine's differential reference. The CTA itself — the
+/// barrier protocol, the round-robin, the memory — is `crate::cta`'s,
+/// shared with the engine; this stepper is `step_warp`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cta_profiled(
     kernel: &Kernel,
@@ -946,291 +922,103 @@ pub fn run_cta_profiled(
     cta: usize,
     collect: bool,
     arch: &crate::arch::GpuArch,
-    mut profiler: Option<&mut Profiler>,
+    profiler: Option<&mut Profiler>,
 ) -> SimResult<CtaResult> {
     let collect = collect || profiler.is_some();
-    let nw = kernel.warps_per_cta;
-    let base_point = cta * kernel.points_per_cta;
-    let mut counts = EventCounts::default();
-
-    let mut shared = vec![0.0f64; kernel.shared_words];
-    let mut barriers: Vec<BarrierState> =
-        vec![BarrierState::default(); kernel.barriers_used.max(16)];
-    let mut ccache = ConstCache::new(arch.const_cache_bytes);
-    // Byte offset of each const bank within constant space.
-    let mut bank_base = Vec::with_capacity(kernel.const_banks.len());
-    let mut off = 0u64;
-    for b in &kernel.const_banks {
-        bank_base.push(off);
-        off += (b.len() * 8) as u64;
-    }
-
-    let mut out_buffers: Vec<Vec<f64>> = kernel
-        .global_arrays
-        .iter()
-        .map(|a| {
-            if a.output {
-                vec![0.0; a.rows * kernel.points_per_cta]
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-
-    let mut warps: Vec<WarpState> = (0..nw)
+    let mut mem = CtaMem::new(kernel, inputs, total_points, cta, collect, arch);
+    let mut sched = Schedule::new(kernel, profiler);
+    let bank_base = cta::const_bank_bases(kernel);
+    let mut warps: Vec<WarpState> = (0..kernel.warps_per_cta)
         .map(|_| WarpState {
             dregs: vec![0.0; kernel.dregs_per_thread * WARP_SIZE],
             iregs: vec![0; kernel.iregs_per_thread * WARP_SIZE],
             local: vec![0.0; kernel.local_words_per_thread * WARP_SIZE],
             at: Cursor::default(),
-            done: false,
-            blocked: None,
         })
         .collect();
-
-    // Cooperative scheduler: run warps round-robin until all complete.
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for w in 0..nw {
-            if warps[w].done {
-                continue;
-            }
-            all_done = false;
-            // A blocked warp re-checks its barrier: released once the
-            // barrier's generation has advanced past the one it joined.
-            if let Some((b, gen)) = warps[w].blocked {
-                if barriers[b as usize].generation > gen {
-                    warps[w].blocked = None;
-                    if let Some(p) = profiler.as_deref_mut() {
-                        p.on_release(w, b, gen);
-                    }
-                } else {
-                    continue;
-                }
-            }
-            let ran = step_warp(
-                kernel, prog, inputs, total_points, base_point, w, &mut warps, &mut shared,
-                &mut barriers, &mut out_buffers, &mut ccache, &bank_base, collect, &mut counts,
-                profiler.as_deref_mut(),
-            )?;
-            progressed |= ran;
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let blocked: Vec<(usize, u8)> = warps
-                .iter()
-                .enumerate()
-                .filter(|(_, ws)| !ws.done)
-                .map(|(i, ws)| (i, ws.blocked.map(|(b, _)| b).unwrap_or(255)))
-                .collect();
-            if blocked.is_empty() {
-                // The last warps finished this round without executing any
-                // instruction (their final item was a completed barrier).
-                break;
-            }
-            return Err(SimError::Deadlock { cta, blocked });
-        }
-    }
-
-    if collect {
-        counts.const_hits = ccache.hits();
-        counts.const_misses = ccache.misses();
-        // Instruction-cache simulation over the interleaved fetch streams.
-        let fp = interleaved_fetch_profile(
-            &mut prog.fetch_streams(),
-            arch.instr_bytes,
-            arch.icache_bytes,
-            arch.icache_line_bytes,
-            arch.icache_assoc,
-            // Prefetch run length: the fetch unit streams ahead of a warp
-            // (paper §5.1: the prefetcher copes with divergence for
-            // regions up to a few hundred instructions).
-            128,
-        );
-        counts.icache_fetches = fp.fetches;
-        counts.icache_misses = fp.misses;
-        if let Some(p) = profiler {
-            p.add_icache_misses(&fp.per_warp_misses);
-        }
-    }
-
-    Ok(CtaResult { out_buffers, counts })
+    sched.run(cta, |sched, w| {
+        step_warp(kernel, prog, w, &mut warps[w], &mut mem, sched, &bank_base)
+    })?;
+    Ok(mem.finish(sched, prog, arch))
 }
 
-/// Run one warp until it blocks, finishes, or (for fairness) executes a
-/// bounded burst. Returns whether any instruction executed.
-#[allow(clippy::too_many_arguments)]
+/// The interpreter's stepper: run warp `w` an instruction at a time until
+/// it blocks on a barrier or finishes. Returns whether any instruction
+/// executed.
 fn step_warp(
     kernel: &Kernel,
     prog: &FlatProgram,
-    inputs: &[&[f64]],
-    total_points: usize,
-    base_point: usize,
     w: usize,
-    warps: &mut [WarpState],
-    shared: &mut [f64],
-    barriers: &mut [BarrierState],
-    out_buffers: &mut [Vec<f64>],
-    ccache: &mut ConstCache,
+    warp: &mut WarpState,
+    mem: &mut CtaMem<'_>,
+    sched: &mut Schedule<'_>,
     bank_base: &[u64],
-    collect: bool,
-    counts: &mut EventCounts,
-    mut profiler: Option<&mut Profiler>,
 ) -> SimResult<bool> {
     let runs = prog.runs(w);
+    let collect = mem.collect;
     let mut ran = false;
     // One trip at a time: its ops as a slice and its point set, fetched
     // once, then a plain walk from where the warp last stopped.
     loop {
-        let Some(run) = runs.get(warps[w].at.run) else {
-            if !warps[w].done {
-                if let Some(p) = profiler.as_deref_mut() {
-                    p.on_warp_done(w);
-                }
-            }
-            warps[w].done = true;
+        let Some(run) = runs.get(warp.at.run) else {
+            sched.finish(w);
             return Ok(ran);
         };
         let ops = prog.run_ops(w, run);
-        let pset = run.pset(warps[w].at.trip);
-        while let Some(op) = ops.get(warps[w].at.op) {
-            warps[w].at.op += 1;
+        let pset = run.pset(warp.at.trip);
+        while let Some(op) = ops.get(warp.at.op) {
+            warp.at.op += 1;
             ran = true;
             let Some(i) = op.instr() else {
                 if collect {
-                    counts.issue_slots += 1;
-                    counts.warp_branches += 1;
-                    if let Some(p) = profiler.as_deref_mut() {
+                    mem.counts.issue_slots += 1;
+                    mem.counts.warp_branches += 1;
+                    if let Some(p) = sched.profiler.as_deref_mut() {
                         p.on_overhead(w, 1);
                     }
                 }
                 continue;
             };
+            let dec = prog.decoded[i];
             if collect {
-                let is_barrier = matches!(
-                    prog.decoded[i],
-                    DecodedInstr::BarArrive { .. }
-                        | DecodedInstr::BarSync { .. }
-                        | DecodedInstr::BarArriveStage { .. }
-                        | DecodedInstr::BarSyncStage { .. }
-                );
                 let cost = prog.costs[i];
-                counts.issue_slots += cost.slots();
+                mem.counts.issue_slots += cost.slots();
                 if cost.dp {
-                    counts.dp_slots += cost.slots();
-                    counts.flops += cost.flops_warp();
-                    counts.dp_const_slots += cost.const_slots();
+                    mem.counts.dp_slots += cost.slots();
+                    mem.counts.flops += cost.flops_warp();
+                    mem.counts.dp_const_slots += cost.const_slots();
                 }
-                if !is_barrier {
+                if !matches!(dec, DecodedInstr::Barrier) {
                     // Barrier instructions are charged by the profiler
                     // as overhead (with the architectural sync cost),
                     // not as plain issue.
-                    if let Some(p) = profiler.as_deref_mut() {
+                    if let Some(p) = sched.profiler.as_deref_mut() {
                         p.on_issue(w, cost.slots());
                     }
                 }
             }
-            // Barriers are handled at scheduler level. Stage-rotated
-            // barriers resolve their id against the executing point
-            // set first, then share the plain arrive/sync machinery.
-            let dec = match prog.decoded[i] {
-                DecodedInstr::BarArriveStage { base, k, expected } => DecodedInstr::BarArrive {
-                    bar: base + (pset % u32::from(k.max(1))) as u8,
-                    expected,
-                },
-                DecodedInstr::BarSyncStage { base, k, expected } => DecodedInstr::BarSync {
-                    bar: base + (pset % u32::from(k.max(1))) as u8,
-                    expected,
-                },
-                d => d,
-            };
             match dec {
-                DecodedInstr::BarArrive { bar, expected } => {
-                    if collect {
-                        counts.barrier_arrives += 1;
+                DecodedInstr::Barrier => {
+                    let op = prog.instrs[i].barrier_op(pset).expect("decoded as a barrier");
+                    if collect && op.sync {
+                        mem.counts.barrier_syncs += 1;
+                    } else if collect {
+                        mem.counts.barrier_arrives += 1;
                     }
-                    let released = barrier_arrive(barriers, bar, expected)?;
-                    if let Some(p) = profiler.as_deref_mut() {
-                        p.on_barrier_op(w, bar, false);
-                        if released {
-                            p.on_barrier_complete(bar, barriers[bar as usize].generation);
-                        }
-                    }
-                }
-                DecodedInstr::BarSync { bar, expected } => {
-                    if collect {
-                        counts.barrier_syncs += 1;
-                    }
-                    // Record the generation *before* arriving: if our
-                    // own arrival completes the barrier the generation
-                    // advances and we are not blocked.
-                    let gen = barriers[bar as usize].generation;
-                    let released = barrier_arrive(barriers, bar, expected)?;
-                    if let Some(p) = profiler.as_deref_mut() {
-                        p.on_barrier_op(w, bar, true);
-                        if released {
-                            p.on_barrier_complete(bar, barriers[bar as usize].generation);
-                        }
-                    }
-                    if !released {
-                        warps[w].blocked = Some((bar, gen));
-                        if collect {
-                            counts.barrier_stall_switches += 1;
-                        }
-                        if let Some(p) = profiler.as_deref_mut() {
-                            p.on_block(w, bar);
-                        }
+                    if sched.barrier(w, op)? {
                         return Ok(ran);
                     }
                 }
                 DecodedInstr::Slow => {
-                    exec_slow(
-                        kernel, &prog.instrs[i], pset, inputs, total_points, base_point,
-                        w, &mut warps[w], shared, out_buffers, ccache, bank_base, collect,
-                        counts, profiler.as_deref_mut(),
-                    )?;
+                    let profiler = sched.profiler.as_deref_mut();
+                    exec_slow(kernel, &prog.instrs[i], pset, w, warp, mem, bank_base, profiler)?;
                 }
                 dec => {
-                    let ws = &mut warps[w];
-                    exec_fast(dec, &mut ws.dregs, &[], &mut ws.local, collect, counts)?;
+                    exec_fast(dec, &mut warp.dregs, &[], &mut warp.local, collect, &mut mem.counts)?;
                 }
             }
         }
-        warps[w].at.end_trip(run);
-    }
-}
-
-/// Register an arrival on a barrier; returns true if the barrier completed
-/// (and was reset) as a result.
-pub(crate) fn barrier_arrive(
-    barriers: &mut [BarrierState],
-    bar: u8,
-    expected: u16,
-) -> SimResult<bool> {
-    let b = barriers
-        .get_mut(bar as usize)
-        .ok_or(SimError::BarrierMismatch { bar, msg: "barrier id out of range".into() })?;
-    if let Some(e) = b.expected {
-        if e != expected {
-            return Err(SimError::BarrierMismatch {
-                bar,
-                msg: format!("expected-count mismatch: {e} vs {expected}"),
-            });
-        }
-    } else {
-        b.expected = Some(expected);
-    }
-    b.arrived += 1;
-    if b.arrived >= expected {
-        b.arrived = 0;
-        b.expected = None;
-        b.generation += 1;
-        Ok(true)
-    } else {
-        Ok(false)
+        warp.at.end_trip(run);
     }
 }
 
@@ -1476,353 +1264,103 @@ pub(crate) fn exec_fast(
         DecodedInstr::Invalid { space, addr, limit } => {
             return Err(SimError::OutOfBounds { space, addr, limit });
         }
-        DecodedInstr::BarArrive { .. }
-        | DecodedInstr::BarSync { .. }
-        | DecodedInstr::BarArriveStage { .. }
-        | DecodedInstr::BarSyncStage { .. }
-        | DecodedInstr::Slow => {
-            unreachable!("handled by scheduler / slow path")
+        DecodedInstr::Barrier | DecodedInstr::Slow => {
+            unreachable!("handled by the schedule / the slow path")
         }
     }
     Ok(())
 }
 
-/// Execute an instruction the fast path does not cover (memory, constant
-/// and index operations, with their error paths). Event-count preambles
-/// are applied by the scheduler from the precomputed cost table.
+/// Execute an instruction the fast path does not cover: memory, constant
+/// and index operations, with their error paths. What each *means* is
+/// [`crate::isa`]'s (index arithmetic, addresses) and [`crate::cta`]'s (the
+/// memory); this moves the lanes between them and the warp's registers.
+/// Event-count preambles are applied by [`step_warp`] from the precomputed
+/// cost table.
 #[allow(clippy::too_many_arguments)]
+#[deny(clippy::wildcard_enum_match_arm)]
 fn exec_slow(
     kernel: &Kernel,
     ins: &Instr,
     pset: u32,
-    inputs: &[&[f64]],
-    total_points: usize,
-    base_point: usize,
     wid: usize,
     warp: &mut WarpState,
-    shared: &mut [f64],
-    out_buffers: &mut [Vec<f64>],
-    ccache: &mut ConstCache,
+    mem: &mut CtaMem<'_>,
     bank_base: &[u64],
-    collect: bool,
-    counts: &mut EventCounts,
     profiler: Option<&mut Profiler>,
 ) -> SimResult<()> {
     let nd = kernel.dregs_per_thread;
-    let ni = kernel.iregs_per_thread;
-    macro_rules! d {
-        ($r:expr, $l:expr) => {
-            warp.dregs[$r as usize * WARP_SIZE + $l]
-        };
-    }
-    macro_rules! i32v {
-        ($r:expr, $l:expr) => {
-            warp.iregs[$r as usize * WARP_SIZE + $l]
-        };
-    }
-    let val = |warp: &WarpState, o: &Op, l: usize| -> f64 {
-        match o {
-            Op::Reg(r) => warp.dregs[*r as usize * WARP_SIZE + l],
-            Op::Imm(v) => *v,
-        }
-    };
-    let ival = |warp: &WarpState, o: &IdxOp, l: usize| -> u32 {
-        match o {
-            IdxOp::Imm(v) => *v,
-            IdxOp::Reg(r) => warp.iregs[*r as usize * WARP_SIZE + l],
-        }
-    };
-    let chk_d = |r: Reg| -> SimResult<()> {
+    // The lanes of a destination register, range-checked.
+    let dreg = |r: Reg| -> SimResult<std::ops::Range<usize>> {
         if (r as usize) < nd {
-            Ok(())
+            Ok(r as usize * WARP_SIZE..(r as usize + 1) * WARP_SIZE)
         } else {
             Err(SimError::OutOfBounds { space: "dreg", addr: r as usize, limit: nd })
         }
     };
-    let chk_i = |r: IdxReg| -> SimResult<()> {
-        if (r as usize) < ni {
-            Ok(())
-        } else {
-            Err(SimError::OutOfBounds { space: "ireg", addr: r as usize, limit: ni })
-        }
-    };
-
-    // Resolve the global point index for a lane.
-    let point_of = |warp: &WarpState, p: &PointRef, l: usize| -> usize {
-        match p {
-            PointRef::Lane => base_point + pset as usize * WARP_SIZE + l,
-            PointRef::Thread => base_point + wid * WARP_SIZE + l,
-            PointRef::Reg(r) => warp.iregs[*r as usize * WARP_SIZE + l] as usize,
-        }
-    };
-    // Flat element index into an SoA array.
-    let gindex = |warp: &WarpState, a: &GAddr, l: usize| -> usize {
-        let row = ival(warp, &a.row, l) as usize;
-        row * total_points + point_of(warp, &a.point, l)
+    // Flat element index of each lane into an SoA array: row, then point.
+    let gindex = |iregs: &mut Vec<u32>, mem: &CtaMem<'_>, a: &GAddr| {
+        let rows = a.row.lanes(iregs)?;
+        Ok::<_, SimError>(match a.point {
+            PointRef::Lane => mem.global_indices(&rows, Points::Cta(pset as usize * WARP_SIZE)),
+            PointRef::Thread => mem.global_indices(&rows, Points::Cta(wid * WARP_SIZE)),
+            PointRef::Reg(r) => {
+                mem.global_indices(&rows, Points::Abs(&IdxOp::Reg(r).lanes(iregs)?))
+            }
+        })
     };
 
     match ins {
         Instr::LdGlobal { dst, addr, .. } => {
-            chk_d(*dst)?;
-            let decl = &kernel.global_arrays[addr.array.0];
-            let mut idxs = [0usize; WARP_SIZE];
-            for (l, slot) in idxs.iter_mut().enumerate() {
-                *slot = gindex(warp, addr, l);
-            }
-            for l in 0..WARP_SIZE {
-                let idx = idxs[l];
-                let v = if decl.output {
-                    // Reading back an output: index into the CTA buffer.
-                    let local = local_out_index(idx, total_points, base_point, kernel)?;
-                    out_buffers[addr.array.0][local]
-                } else {
-                    *inputs[addr.array.0].get(idx).ok_or(SimError::OutOfBounds {
-                        space: "global",
-                        addr: idx,
-                        limit: inputs[addr.array.0].len(),
-                    })?
-                };
-                d!(*dst, l) = v;
-            }
-            if collect {
-                let (tx, bytes) = coalesce(&idxs);
-                counts.global_transactions += tx;
-                counts.global_bytes += bytes;
-            }
+            let dst = dreg(*dst)?;
+            let idxs = gindex(&mut warp.iregs, mem, addr)?;
+            mem.ld_global(addr.array.0, &idxs, &mut warp.dregs[dst])?;
         }
         Instr::StGlobal { src, addr } => {
-            let decl = &kernel.global_arrays[addr.array.0];
-            if !decl.output {
-                return Err(SimError::BadLaunch(format!(
-                    "store to non-output array '{}'",
-                    decl.name
-                )));
-            }
-            let mut idxs = [0usize; WARP_SIZE];
-            for (l, slot) in idxs.iter_mut().enumerate() {
-                *slot = gindex(warp, addr, l);
-            }
-            for l in 0..WARP_SIZE {
-                let local = local_out_index(idxs[l], total_points, base_point, kernel)?;
-                let buf = &mut out_buffers[addr.array.0];
-                if local >= buf.len() {
-                    return Err(SimError::OutOfBounds {
-                        space: "global-out",
-                        addr: local,
-                        limit: buf.len(),
-                    });
-                }
-                buf[local] = val(warp, src, l);
-            }
-            if collect {
-                let (tx, bytes) = coalesce(&idxs);
-                counts.global_transactions += tx;
-                counts.global_bytes += bytes;
-            }
+            CtaMem::check_store(kernel, addr.array.0)?;
+            let idxs = gindex(&mut warp.iregs, mem, addr)?;
+            mem.st_global(addr.array.0, &idxs, &src_vals(&warp.dregs, &[], Src::of(src)))?;
         }
         Instr::LdShared { dst, addr } => {
-            chk_d(*dst)?;
-            let mut addrs = [0usize; WARP_SIZE];
-            for (l, slot) in addrs.iter_mut().enumerate() {
-                let base = addr.base.map(|r| ival(warp, &IdxOp::Reg(r), l)).unwrap_or(0) as usize;
-                *slot = base + addr.imm as usize + addr.lane_stride as usize * l;
+            let dst = dreg(*dst)?;
+            let addrs = cta::shared_addrs(addr, None, &mut warp.iregs, mem.shared.len())?;
+            for (d, &a) in warp.dregs[dst].iter_mut().zip(&addrs) {
+                *d = mem.shared[a];
             }
-            for l in 0..WARP_SIZE {
-                let a = addrs[l];
-                if a >= shared.len() {
-                    return Err(SimError::OutOfBounds { space: "shared", addr: a, limit: shared.len() });
-                }
-                d!(*dst, l) = shared[a];
-            }
-            if collect {
-                let (tx, conf) = bank_transactions(&addrs, None);
-                counts.shared_accesses += tx;
-                counts.shared_conflicts += conf;
-            }
+            mem.count_shared(&addrs, None);
         }
         Instr::StShared { src, addr, lane_pred } => {
-            // A predicate naming a lane outside the warp used to silently
-            // drop the store; it is a typed error now (the engine's
-            // lowering raises the same error at the same point).
-            if let Some(p) = lane_pred {
-                if *p as usize >= WARP_SIZE {
-                    return Err(SimError::OutOfBounds {
-                        space: "lane-pred",
-                        addr: *p as usize,
-                        limit: WARP_SIZE,
-                    });
-                }
+            let addrs = cta::shared_addrs(addr, *lane_pred, &mut warp.iregs, mem.shared.len())?;
+            let vals = src_vals(&warp.dregs, &[], Src::of(src));
+            match lane_pred {
+                Some(p) => mem.shared[addrs[*p as usize]] = vals[*p as usize],
+                None => addrs.iter().zip(vals).for_each(|(&a, v)| mem.shared[a] = v),
             }
-            let mut addrs = [0usize; WARP_SIZE];
-            for (l, slot) in addrs.iter_mut().enumerate() {
-                let base = addr.base.map(|r| ival(warp, &IdxOp::Reg(r), l)).unwrap_or(0) as usize;
-                *slot = base + addr.imm as usize + addr.lane_stride as usize * l;
-            }
-            for l in 0..WARP_SIZE {
-                if let Some(p) = lane_pred {
-                    if *p as usize != l {
-                        continue;
-                    }
-                }
-                let a = addrs[l];
-                if a >= shared.len() {
-                    return Err(SimError::OutOfBounds { space: "shared", addr: a, limit: shared.len() });
-                }
-                shared[a] = val(warp, src, l);
-            }
-            if collect {
-                let (tx, conf) = bank_transactions(&addrs, *lane_pred);
-                counts.shared_accesses += tx;
-                counts.shared_conflicts += conf;
-            }
+            mem.count_shared(&addrs, *lane_pred);
         }
         Instr::LdConst { dst, bank, idx } => {
-            chk_d(*dst)?;
-            let bankv = kernel.const_banks.get(*bank as usize).ok_or(SimError::OutOfBounds {
-                space: "const-bank",
-                addr: *bank as usize,
-                limit: kernel.const_banks.len(),
-            })?;
-            let mut lines: Vec<u64> = Vec::new();
-            for l in 0..WARP_SIZE {
-                let i = ival(warp, idx, l) as usize;
-                let v = *bankv.get(i).ok_or(SimError::OutOfBounds {
-                    space: "const",
-                    addr: i,
-                    limit: bankv.len(),
-                })?;
-                d!(*dst, l) = v;
-                if collect {
-                    // One cache access per distinct line touched by the
-                    // warp (lanes reading the same constant broadcast).
-                    let line = (bank_base[*bank as usize] + (i * 8) as u64) / 64;
-                    if !lines.contains(&line) {
-                        lines.push(line);
-                    }
-                }
-            }
-            if collect {
-                let mut line_misses = 0u64;
-                let n_lines = lines.len() as u64;
-                for line in lines {
-                    if !ccache.access(line * 64) {
-                        line_misses += 1;
-                    }
-                }
+            let dst = dreg(*dst)?;
+            let load = cta::ld_const(kernel, bank_base, *bank, *idx, &mut warp.iregs)?;
+            warp.dregs[dst].copy_from_slice(&load.vals);
+            if mem.collect {
+                let lines = load.lines();
+                let misses = lines.iter().filter(|&&line| !mem.ccache.access(line * 64)).count();
                 if let Some(p) = profiler {
-                    p.on_const_replay(wid, n_lines, line_misses);
+                    p.on_const_replay(wid, lines.len() as u64, misses as u64);
                 }
             }
         }
-        Instr::Idx(ii) => match ii {
-            IdxInstr::Mov { dst, src } => {
-                chk_i(*dst)?;
-                for l in 0..WARP_SIZE {
-                    i32v!(*dst, l) = ival(warp, src, l);
-                }
-            }
-            IdxInstr::Add { dst, a, b } => {
-                chk_i(*dst)?;
-                for l in 0..WARP_SIZE {
-                    i32v!(*dst, l) = ival(warp, a, l).wrapping_add(ival(warp, b, l));
-                }
-            }
-            IdxInstr::Mul { dst, a, b } => {
-                chk_i(*dst)?;
-                for l in 0..WARP_SIZE {
-                    i32v!(*dst, l) = ival(warp, a, l).wrapping_mul(ival(warp, b, l));
-                }
-            }
-            IdxInstr::LaneId { dst } => {
-                chk_i(*dst)?;
-                for l in 0..WARP_SIZE {
-                    i32v!(*dst, l) = l as u32;
-                }
-            }
-            IdxInstr::WarpId { dst } => {
-                chk_i(*dst)?;
-                for l in 0..WARP_SIZE {
-                    i32v!(*dst, l) = wid as u32;
-                }
-            }
-            IdxInstr::LdConst { dst, bank, idx } => {
-                chk_i(*dst)?;
-                let bankv =
-                    kernel.iconst_banks.get(*bank as usize).ok_or(SimError::OutOfBounds {
-                        space: "iconst-bank",
-                        addr: *bank as usize,
-                        limit: kernel.iconst_banks.len(),
-                    })?;
-                for l in 0..WARP_SIZE {
-                    let i = ival(warp, idx, l) as usize;
-                    i32v!(*dst, l) = *bankv.get(i).ok_or(SimError::OutOfBounds {
-                        space: "iconst",
-                        addr: i,
-                        limit: bankv.len(),
-                    })?;
-                }
-            }
-            IdxInstr::Shfl { dst, src, lane } => {
-                chk_i(*dst)?;
-                chk_i(*src)?;
-                let v = i32v!(*src, *lane as usize);
-                for l in 0..WARP_SIZE {
-                    i32v!(*dst, l) = v;
-                }
-            }
-            IdxInstr::PipeOff { dst, k, stride } => {
-                chk_i(*dst)?;
-                let v = (pset % u32::from((*k).max(1))).wrapping_mul(*stride);
-                for l in 0..WARP_SIZE {
-                    i32v!(*dst, l) = v;
-                }
-            }
-        },
+        Instr::Idx(ii) => {
+            let lanes = ii.eval(&mut warp.iregs, wid, pset, &kernel.iconst_banks)?;
+            let dst = ii.dst() as usize * WARP_SIZE;
+            warp.iregs[dst..dst + WARP_SIZE].copy_from_slice(&lanes);
+        }
         Instr::CpAsync { addr, array, row, point } => {
-            // One value per lane moves global -> shared without touching a
-            // register. Functionally immediate; the copy is costed as one
-            // coalesced global read plus one shared store.
-            let decl = &kernel.global_arrays[array.0];
             let ga = GAddr { array: *array, row: *row, point: *point };
-            let mut idxs = [0usize; WARP_SIZE];
-            for (l, slot) in idxs.iter_mut().enumerate() {
-                *slot = gindex(warp, &ga, l);
-            }
-            let mut saddrs = [0usize; WARP_SIZE];
-            for (l, slot) in saddrs.iter_mut().enumerate() {
-                let base = addr.base.map(|r| ival(warp, &IdxOp::Reg(r), l)).unwrap_or(0) as usize;
-                *slot = base + addr.imm as usize + addr.lane_stride as usize * l;
-            }
-            for l in 0..WARP_SIZE {
-                let idx = idxs[l];
-                let v = if decl.output {
-                    let local = local_out_index(idx, total_points, base_point, kernel)?;
-                    out_buffers[array.0][local]
-                } else {
-                    *inputs[array.0].get(idx).ok_or(SimError::OutOfBounds {
-                        space: "global",
-                        addr: idx,
-                        limit: inputs[array.0].len(),
-                    })?
-                };
-                let a = saddrs[l];
-                if a >= shared.len() {
-                    return Err(SimError::OutOfBounds {
-                        space: "shared",
-                        addr: a,
-                        limit: shared.len(),
-                    });
-                }
-                shared[a] = v;
-            }
-            if collect {
-                let (tx, bytes) = coalesce(&idxs);
-                counts.global_transactions += tx;
-                counts.global_bytes += bytes;
-                let (tx, conf) = bank_transactions(&saddrs, None);
-                counts.shared_accesses += tx;
-                counts.shared_conflicts += conf;
-            }
+            let idxs = gindex(&mut warp.iregs, mem, &ga)?;
+            let saddrs = addr.lanes(&mut warp.iregs)?;
+            mem.cp_async(array.0, &idxs, |l| saddrs[l])?;
+            mem.count_shared(&saddrs, None);
         }
         Instr::Un { .. }
         | Instr::Bin { .. }
@@ -1836,70 +1374,17 @@ fn exec_slow(
         | Instr::BarSync { .. }
         | Instr::BarArriveStage { .. }
         | Instr::BarSyncStage { .. } => {
-            unreachable!("decoded onto the fast path or handled by the scheduler")
+            unreachable!("decoded onto the fast path or handled by the schedule")
         }
     }
     Ok(())
-}
-
-/// Translate a global SoA element index into a CTA output-buffer index.
-pub(crate) fn local_out_index(
-    idx: usize,
-    total_points: usize,
-    base_point: usize,
-    kernel: &Kernel,
-) -> SimResult<usize> {
-    let row = idx / total_points;
-    let point = idx % total_points;
-    if point < base_point || point >= base_point + kernel.points_per_cta {
-        return Err(SimError::OutOfBounds {
-            space: "cta-point",
-            addr: point,
-            limit: base_point + kernel.points_per_cta,
-        });
-    }
-    Ok(row * kernel.points_per_cta + (point - base_point))
-}
-
-/// Count 128-byte global transactions for 32 lane element indices.
-pub(crate) fn coalesce(idxs: &[usize; WARP_SIZE]) -> (u64, u64) {
-    let mut segs: Vec<usize> = idxs.iter().map(|i| i * 8 / 128).collect();
-    segs.sort_unstable();
-    segs.dedup();
-    let tx = segs.len() as u64;
-    (tx, tx * 128)
-}
-
-/// Shared-memory bank transactions: 32 banks, 8-byte words; the number of
-/// replays is the maximum number of *distinct* addresses mapping to one
-/// bank (same-address access broadcasts). Returns `(transactions,
-/// conflict_replays)`. Allocation-free — lowering, the interpreter's slow
-/// path and the profiler call it once per shared access.
-pub(crate) fn bank_transactions(addrs: &[usize; WARP_SIZE], lane_pred: Option<u8>) -> (u64, u64) {
-    if lane_pred.is_some() {
-        // At most one lane is active: one transaction, nothing to replay.
-        return (1, 0);
-    }
-    // Sorting a stack copy makes equal addresses adjacent, so one walk
-    // counts each bank's distinct addresses.
-    let mut sorted = *addrs;
-    sorted.sort_unstable();
-    let mut per_bank = [0u8; 32];
-    let mut prev = None;
-    for a in sorted {
-        if prev != Some(a) {
-            per_bank[a % 32] += 1;
-            prev = Some(a);
-        }
-    }
-    let max = u64::from(per_bank.into_iter().max().unwrap_or(0).max(1));
-    (max, max - 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::GpuArch;
+    use crate::icache::interleaved_fetch_profile;
 
     fn base_kernel(warps: usize) -> Kernel {
         Kernel {
@@ -2527,51 +2012,6 @@ mod tests {
         // Load: lane-strided => 1 transaction.
         assert_eq!(r.counts.shared_accesses, 33);
         assert_eq!(r.counts.shared_conflicts, 31);
-    }
-
-    #[test]
-    fn bank_transactions_match_their_definition() {
-        // The definition, spelled out: per bank, the list of distinct
-        // addresses of the active lanes; replays = the fullest bank.
-        fn model(addrs: &[usize; WARP_SIZE], lane_pred: Option<u8>) -> (u64, u64) {
-            let mut per_bank: [Vec<usize>; 32] = Default::default();
-            for (l, &a) in addrs.iter().enumerate() {
-                if lane_pred.is_some_and(|p| p as usize != l) {
-                    continue;
-                }
-                if !per_bank[a % 32].contains(&a) {
-                    per_bank[a % 32].push(a);
-                }
-            }
-            let max = per_bank.iter().map(|v| v.len()).max().unwrap_or(0).max(1);
-            (max as u64, (max - 1) as u64)
-        }
-        let preds = || std::iter::once(None).chain((0..=u8::MAX).map(Some));
-        let mut cases: Vec<[usize; WARP_SIZE]> = vec![
-            [7; WARP_SIZE],                          // stride 0: one broadcast
-            std::array::from_fn(|l| l),              // stride 1: conflict-free
-            std::array::from_fn(|l| 3 + 32 * l),     // stride 32: 32-way conflict
-            std::array::from_fn(|l| 2 * l),          // stride 2: 2-way
-            std::array::from_fn(|l| usize::MAX - l), // saturated (unchecked lanes)
-        ];
-        // Seeded xorshift address vectors over a few ranges, so duplicates
-        // and bank collisions both occur.
-        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
-        for range in [4usize, 40, 1 << 10, 1 << 40] {
-            for _ in 0..64 {
-                cases.push(std::array::from_fn(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x as usize % range
-                }));
-            }
-        }
-        for addrs in &cases {
-            for p in preds() {
-                assert_eq!(bank_transactions(addrs, p), model(addrs, p), "{addrs:?} pred {p:?}");
-            }
-        }
     }
 
     #[test]

@@ -19,7 +19,13 @@
 //!   expected-warp count (§2, Figure 2).
 //! * This module is the single source of an instruction's shape, static
 //!   cost ([`Instr::issue_slots`], [`Instr::flops`]), register operands
-//!   ([`Instr::visit_regs_mut`]), sync relevance and bytes ([`codec`]).
+//!   ([`Instr::visit_regs_mut`]), sync relevance and bytes ([`codec`]) —
+//!   and of the two pieces of semantics that need no machine state beyond
+//!   an index-register file: what an index instruction computes
+//!   ([`IdxInstr::eval`], with [`IdxOp::lanes`] and [`SAddr::lanes`]) and
+//!   which barrier operation an instruction is at a point set
+//!   ([`Instr::barrier_op`]). The interpreter evaluates them as it runs,
+//!   lowering once ahead of time, the model while it walks a stream.
 //!   Every `match` over an ISA enum here is exhaustive — the lint below
 //!   rejects a catch-all arm — so a new op cannot silently inherit a cost
 //!   class, an encoding or an executor.
@@ -27,6 +33,9 @@
 #![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod codec;
+
+use crate::error::{SimError, SimResult};
+use crate::WARP_SIZE;
 
 /// A per-thread double-precision register id.
 pub type Reg = u16;
@@ -53,6 +62,58 @@ pub enum IdxOp {
     Imm(u32),
     /// Read an index register (per-lane value).
     Reg(IdxReg),
+}
+
+/// One index register: a value per lane.
+pub type IdxLanes = [u32; WARP_SIZE];
+
+/// The index-register file an instruction reads its operands from. The
+/// interpreter's is a warp's live registers; lowering's is the abstract
+/// file it evaluates a stream against, which also notes what was read.
+pub trait IdxFile {
+    /// Registers in the file.
+    fn regs(&self) -> usize;
+
+    /// Register `r`'s lanes, or `None` past the end of the file.
+    fn lanes(&mut self, r: usize) -> Option<IdxLanes>;
+}
+
+/// A flat lane-major file: register `r` is elements `r * 32 ..`.
+impl IdxFile for Vec<u32> {
+    fn regs(&self) -> usize {
+        self.len() / WARP_SIZE
+    }
+
+    fn lanes(&mut self, r: usize) -> Option<IdxLanes> {
+        let lanes = self.get(r * WARP_SIZE..(r + 1) * WARP_SIZE)?;
+        Some(lanes.try_into().expect("one register of lanes"))
+    }
+}
+
+/// The typed fault for index register `r` of an instruction falling outside
+/// `file`.
+fn ireg_fault(r: IdxReg, file: &impl IdxFile) -> SimError {
+    SimError::OutOfBounds { space: "ireg", addr: r as usize, limit: file.regs() }
+}
+
+/// Index register `r` is one of `file`'s.
+fn ireg_in_file(r: IdxReg, file: &impl IdxFile) -> SimResult<()> {
+    if (r as usize) < file.regs() {
+        Ok(())
+    } else {
+        Err(ireg_fault(r, file))
+    }
+}
+
+impl IdxOp {
+    /// The operand's value in each lane: an immediate in all of them, or a
+    /// register's lanes.
+    pub fn lanes(self, file: &mut impl IdxFile) -> SimResult<IdxLanes> {
+        match self {
+            IdxOp::Imm(v) => Ok([v; WARP_SIZE]),
+            IdxOp::Reg(r) => file.lanes(r as usize).ok_or_else(|| ireg_fault(r, file)),
+        }
+    }
 }
 
 /// Which grid point a global access refers to.
@@ -110,6 +171,18 @@ impl SAddr {
     /// Dynamic uniform address.
     pub fn dyn_uniform(base: IdxReg, imm: u32) -> SAddr {
         SAddr { base: Some(base), imm, lane_stride: 0 }
+    }
+
+    /// The word each lane addresses, not yet checked against the shared
+    /// memory's size.
+    pub fn lanes(&self, file: &mut impl IdxFile) -> SimResult<[usize; WARP_SIZE]> {
+        let base = match self.base {
+            Some(r) => IdxOp::Reg(r).lanes(file)?,
+            None => [0; WARP_SIZE],
+        };
+        Ok(std::array::from_fn(|l| {
+            base[l] as usize + self.imm as usize + self.lane_stride as usize * l
+        }))
     }
 }
 
@@ -273,6 +346,116 @@ pub enum IdxInstr {
     PipeOff { dst: IdxReg, k: u8, stride: u32 },
 }
 
+/// The stage of a K-stage ring that point set `pset` falls in: `pset % k`,
+/// a zero `k` reading as 1. The one rotation rule behind stage-rotated
+/// barriers ([`Instr::barrier_op`]) and pipeline offsets
+/// ([`IdxInstr::PipeOff`]).
+pub fn stage_of(pset: u32, k: u8) -> u32 {
+    pset % ring_len(k)
+}
+
+/// Stages of a ring declared with `k`: a zero `k` reads as 1.
+fn ring_len(k: u8) -> u32 {
+    u32::from(k.max(1))
+}
+
+impl IdxInstr {
+    /// The register the instruction writes.
+    pub fn dst(&self) -> IdxReg {
+        match *self {
+            IdxInstr::Mov { dst, .. }
+            | IdxInstr::Add { dst, .. }
+            | IdxInstr::Mul { dst, .. }
+            | IdxInstr::LaneId { dst }
+            | IdxInstr::WarpId { dst }
+            | IdxInstr::LdConst { dst, .. }
+            | IdxInstr::Shfl { dst, .. }
+            | IdxInstr::PipeOff { dst, .. } => dst,
+        }
+    }
+
+    /// What the instruction writes to [`IdxInstr::dst`] — which is in
+    /// `file`'s range when this returns `Ok` — executed by warp `warp` at
+    /// point set `pset` against the integer constant `banks`. Faults are
+    /// typed and raised in a fixed order: the destination, then the operand
+    /// registers, the bank, the bank elements.
+    pub fn eval(
+        &self,
+        file: &mut impl IdxFile,
+        warp: usize,
+        pset: u32,
+        banks: &[Vec<u32>],
+    ) -> SimResult<IdxLanes> {
+        ireg_in_file(self.dst(), file)?;
+        Ok(match *self {
+            IdxInstr::Mov { src, .. } => src.lanes(file)?,
+            IdxInstr::Add { a, b, .. } => {
+                let (a, b) = (a.lanes(file)?, b.lanes(file)?);
+                std::array::from_fn(|l| a[l].wrapping_add(b[l]))
+            }
+            IdxInstr::Mul { a, b, .. } => {
+                let (a, b) = (a.lanes(file)?, b.lanes(file)?);
+                std::array::from_fn(|l| a[l].wrapping_mul(b[l]))
+            }
+            IdxInstr::LaneId { .. } => std::array::from_fn(|l| l as u32),
+            IdxInstr::WarpId { .. } => [warp as u32; WARP_SIZE],
+            IdxInstr::LdConst { bank, idx, .. } => {
+                let bankv = banks.get(bank as usize).ok_or(SimError::OutOfBounds {
+                    space: "iconst-bank",
+                    addr: bank as usize,
+                    limit: banks.len(),
+                })?;
+                let mut v = idx.lanes(file)?;
+                for v in &mut v {
+                    let i = *v as usize;
+                    *v = *bankv.get(i).ok_or(SimError::OutOfBounds {
+                        space: "iconst",
+                        addr: i,
+                        limit: bankv.len(),
+                    })?;
+                }
+                v
+            }
+            IdxInstr::Shfl { src, lane, .. } => {
+                ireg_in_file(src, file)?;
+                // The file is lane-major and the lane is not reduced: one
+                // past 31 reads on into the registers after `src`.
+                let (r, l) = (src as usize + lane as usize / WARP_SIZE, lane as usize % WARP_SIZE);
+                [file.lanes(r).ok_or_else(|| ireg_fault(src, file))?[l]; WARP_SIZE]
+            }
+            IdxInstr::PipeOff { k, stride, .. } => {
+                [stage_of(pset, k).wrapping_mul(stride); WARP_SIZE]
+            }
+        })
+    }
+
+    /// Point sets after which the instruction evaluates as it did.
+    fn stage_period(&self) -> u32 {
+        match *self {
+            IdxInstr::PipeOff { k, .. } => ring_len(k),
+            IdxInstr::Mov { .. }
+            | IdxInstr::Add { .. }
+            | IdxInstr::Mul { .. }
+            | IdxInstr::LaneId { .. }
+            | IdxInstr::WarpId { .. }
+            | IdxInstr::LdConst { .. }
+            | IdxInstr::Shfl { .. } => 1,
+        }
+    }
+}
+
+/// A named-barrier operation with its barrier resolved
+/// ([`Instr::barrier_op`]): PTX `bar.sync` when `sync`, else `bar.arrive`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BarOp {
+    /// Barrier id.
+    pub bar: u8,
+    /// Warps the barrier's generation completes at.
+    pub expected: u16,
+    /// Blocking (`bar.sync`) or not (`bar.arrive`).
+    pub sync: bool,
+}
+
 /// Executable instructions. Each executes for all 32 lanes of a warp in
 /// lock step unless a lane predicate says otherwise.
 #[derive(Debug, Clone, PartialEq)]
@@ -422,6 +605,60 @@ impl Instr {
             | Instr::LdLocal { .. }
             | Instr::StLocal { .. }
             | Instr::Shfl { .. } => false,
+        }
+    }
+
+    /// The barrier operation this instruction is when executed at point set
+    /// `pset`, if it is one: a stage-rotated barrier resolves to barrier
+    /// `base + pset % k` ([`stage_of`]).
+    pub fn barrier_op(&self, pset: u32) -> Option<BarOp> {
+        let staged = |base: u8, k| base.wrapping_add(stage_of(pset, k) as u8);
+        let (bar, expected, sync) = match *self {
+            Instr::BarArrive { bar, warps } => (bar, warps, false),
+            Instr::BarSync { bar, warps } => (bar, warps, true),
+            Instr::BarArriveStage { base, k, warps } => (staged(base, k), warps, false),
+            Instr::BarSyncStage { base, k, warps } => (staged(base, k), warps, true),
+            Instr::Un { .. }
+            | Instr::Bin { .. }
+            | Instr::DFma { .. }
+            | Instr::DSel { .. }
+            | Instr::DCmp { .. }
+            | Instr::LdGlobal { .. }
+            | Instr::StGlobal { .. }
+            | Instr::LdShared { .. }
+            | Instr::StShared { .. }
+            | Instr::LdConst { .. }
+            | Instr::LdLocal { .. }
+            | Instr::StLocal { .. }
+            | Instr::Shfl { .. }
+            | Instr::Idx(_)
+            | Instr::CpAsync { .. } => return None,
+        };
+        Some(BarOp { bar, expected, sync })
+    }
+
+    /// Point sets after which the instruction means what it meant: `k` for
+    /// what rotates with [`stage_of`], 1 for everything else.
+    pub fn stage_period(&self) -> u32 {
+        match self {
+            Instr::BarArriveStage { k, .. } | Instr::BarSyncStage { k, .. } => ring_len(*k),
+            Instr::Idx(ii) => ii.stage_period(),
+            Instr::Un { .. }
+            | Instr::Bin { .. }
+            | Instr::DFma { .. }
+            | Instr::DSel { .. }
+            | Instr::DCmp { .. }
+            | Instr::LdGlobal { .. }
+            | Instr::StGlobal { .. }
+            | Instr::LdShared { .. }
+            | Instr::StShared { .. }
+            | Instr::LdConst { .. }
+            | Instr::LdLocal { .. }
+            | Instr::StLocal { .. }
+            | Instr::Shfl { .. }
+            | Instr::BarArrive { .. }
+            | Instr::BarSync { .. }
+            | Instr::CpAsync { .. } => 1,
         }
     }
 
@@ -914,6 +1151,94 @@ mod tests {
             let (variant, ..) = shape(&i);
             assert_eq!(i.is_sync_relevant(), matches!(variant, 7 | 8 | 13..=18), "{i:?}");
         }
+    }
+
+    #[test]
+    fn index_instructions_evaluate_to_their_definitions() {
+        // Three registers of distinct lanes. The interpreter executes this
+        // function and lowering folds its results, so their differential
+        // no longer tests it: the values are pinned here.
+        let file: Vec<u32> = (0..3 * 32).map(|e| e * 7 + 1).collect();
+        let reg = |r: usize| -> IdxLanes { file[r * 32..(r + 1) * 32].try_into().unwrap() };
+        let banks = vec![vec![5, 6, 7, 8]];
+        let eval = |ii: IdxInstr, pset| ii.eval(&mut file.clone(), 5, pset, &banks);
+        let lanes = |f: &dyn Fn(usize) -> u32| -> IdxLanes { std::array::from_fn(f) };
+        let (r0, r1) = (reg(0), reg(1));
+        for (ii, want) in [
+            (IdxInstr::Mov { dst: 2, src: IdxOp::Reg(1) }, r1),
+            (IdxInstr::Mov { dst: 2, src: IdxOp::Imm(9) }, [9; 32]),
+            (
+                IdxInstr::Add { dst: 0, a: IdxOp::Reg(0), b: IdxOp::Imm(u32::MAX) },
+                lanes(&|l| r0[l] - 1),
+            ),
+            (
+                IdxInstr::Mul { dst: 0, a: IdxOp::Reg(1), b: IdxOp::Reg(0) },
+                lanes(&|l| r1[l].wrapping_mul(r0[l])),
+            ),
+            (IdxInstr::Mul { dst: 1, a: IdxOp::Imm(1 << 31), b: IdxOp::Imm(2) }, [0; 32]),
+            (IdxInstr::LaneId { dst: 1 }, lanes(&|l| l as u32)),
+            (IdxInstr::WarpId { dst: 1 }, [5; 32]),
+            (IdxInstr::LdConst { dst: 1, bank: 0, idx: IdxOp::Imm(3) }, [8; 32]),
+            (IdxInstr::Shfl { dst: 1, src: 0, lane: 3 }, [r0[3]; 32]),
+            // A lane past the warp reads on into the next register.
+            (IdxInstr::Shfl { dst: 1, src: 0, lane: 40 }, [r1[8]; 32]),
+            (IdxInstr::PipeOff { dst: 1, k: 3, stride: 10 }, [10; 32]),
+            (IdxInstr::PipeOff { dst: 1, k: 0, stride: 10 }, [0; 32]),
+        ] {
+            assert_eq!(eval(ii, 4), Ok(want), "{ii:?}");
+        }
+        let mut by_lane = vec![0; 32];
+        by_lane.extend((0..32).map(|l| l % 4));
+        let ld = IdxInstr::LdConst { dst: 0, bank: 0, idx: IdxOp::Reg(1) };
+        assert_eq!(ld.eval(&mut by_lane, 0, 0, &banks), Ok(lanes(&|l| 5 + l as u32 % 4)));
+
+        // Faults are typed, and the first in order wins: destination,
+        // operand registers, bank, elements.
+        let oob = |space, addr, limit| Err(SimError::OutOfBounds { space, addr, limit });
+        for (ii, want) in [
+            (IdxInstr::Mov { dst: 3, src: IdxOp::Reg(9) }, oob("ireg", 3, 3)),
+            (IdxInstr::Add { dst: 0, a: IdxOp::Reg(4), b: IdxOp::Reg(9) }, oob("ireg", 4, 3)),
+            (IdxInstr::Mul { dst: 0, a: IdxOp::Imm(1), b: IdxOp::Reg(9) }, oob("ireg", 9, 3)),
+            (IdxInstr::LdConst { dst: 0, bank: 1, idx: IdxOp::Reg(9) }, oob("iconst-bank", 1, 1)),
+            (IdxInstr::LdConst { dst: 0, bank: 0, idx: IdxOp::Reg(9) }, oob("ireg", 9, 3)),
+            (IdxInstr::LdConst { dst: 0, bank: 0, idx: IdxOp::Imm(4) }, oob("iconst", 4, 4)),
+            (IdxInstr::Shfl { dst: 0, src: 3, lane: 0 }, oob("ireg", 3, 3)),
+            (IdxInstr::Shfl { dst: 0, src: 2, lane: 32 }, oob("ireg", 2, 3)),
+        ] {
+            assert_eq!(eval(ii, 0), want, "{ii:?}");
+        }
+
+        let addr = SAddr { base: Some(1), imm: 7, lane_stride: 3 };
+        let words: [usize; 32] = std::array::from_fn(|l| r1[l] as usize + 7 + 3 * l);
+        assert_eq!(addr.lanes(&mut file.clone()), Ok(words));
+        assert_eq!(SAddr::uniform(5).lanes(&mut Vec::new()), Ok([5; 32]));
+        let past = SAddr::dyn_lane(3, 0).lanes(&mut file.clone());
+        assert_eq!(past.map(|_| ()), Err(SimError::OutOfBounds { space: "ireg", addr: 3, limit: 3 }));
+    }
+
+    #[test]
+    fn barrier_ops_resolve_against_the_point_set() {
+        for (i, _) in samples() {
+            let (variant, sub, _) = shape(&i);
+            assert_eq!(i.barrier_op(0).is_some(), matches!(variant, 14..=17), "{i:?}");
+            let rotates = matches!(variant, 16 | 17) || (variant, sub) == (13, 7);
+            assert_eq!(i.stage_period() > 1, rotates, "{i:?}");
+        }
+        let op = |bar, expected, sync| Some(BarOp { bar, expected, sync });
+        assert_eq!(Instr::BarArrive { bar: 4, warps: 2 }.barrier_op(9), op(4, 2, false));
+        assert_eq!(Instr::BarSync { bar: 4, warps: 2 }.barrier_op(9), op(4, 2, true));
+        for pset in 0..7 {
+            let stage = (pset % 3) as u8;
+            let arrive = Instr::BarArriveStage { base: 2, k: 3, warps: 5 };
+            let sync = Instr::BarSyncStage { base: 2, k: 3, warps: 5 };
+            assert_eq!(arrive.barrier_op(pset), op(2 + stage, 5, false));
+            assert_eq!(sync.barrier_op(pset), op(2 + stage, 5, true));
+            assert_eq!(stage_of(pset, 3), u32::from(stage));
+            // A ring of no stages reads as a ring of one.
+            assert_eq!(Instr::BarSyncStage { base: 2, k: 0, warps: 5 }.barrier_op(pset), op(2, 5, true));
+        }
+        assert_eq!(Instr::BarSyncStage { base: 2, k: 3, warps: 5 }.stage_period(), 3);
+        assert_eq!(Instr::Idx(IdxInstr::PipeOff { dst: 0, k: 4, stride: 1 }).stage_period(), 4);
     }
 
     fn empty_kernel() -> Kernel {

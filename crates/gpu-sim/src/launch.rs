@@ -7,6 +7,7 @@
 //! never changes output bytes.
 
 use crate::arch::GpuArch;
+use crate::cta::barrier_file_len;
 use crate::error::{SimError, SimResult};
 use crate::flatcache::flatten_cached;
 use crate::interp::{run_cta, run_cta_profiled, CtaResult, FlatProgram};
@@ -161,7 +162,7 @@ pub fn launch_flat(
     // path); otherwise `run_cta` dispatches to the segment-compiled
     // engine.
     let mut profiler = config.profile.then(|| {
-        Profiler::new(kernel.warps_per_cta, kernel.barriers_used.max(16), config.trace_events, arch)
+        Profiler::new(kernel.warps_per_cta, barrier_file_len(kernel), config.trace_events, arch)
     });
     let first = match profiler.as_mut() {
         Some(p) => run_cta_profiled(

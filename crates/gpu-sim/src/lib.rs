@@ -29,6 +29,7 @@
 pub mod arch;
 pub mod ccache;
 pub mod counts;
+pub(crate) mod cta;
 pub(crate) mod engine;
 pub mod error;
 pub mod flatcache;

@@ -16,16 +16,17 @@
 //!    count, distributed deterministically across warps and segments by
 //!    largest-remainder apportionment (the one genuinely dynamic input,
 //!    replaced by a working-set model — §6.1's replay discussion).
-//! 3. **Barrier replay** — a cooperative round-robin over the segments
-//!    drives a real [`Profiler`], reproducing the producer/consumer
-//!    rate-matching of `bar.arrive`/`bar.sync` generations, so
-//!    barrier-wait attribution has *identical semantics* to the
-//!    interpreter-driven profile and inherits the closed-set sum
-//!    invariant by construction.
-//! 4. **Instruction-cache model** — the same
-//!    [`interleaved_fetch_profile`] the interpreter uses runs over the
-//!    precomputed static address streams, so the naïve-vs-overlaid
-//!    icache working-set difference (§5, Figure 9) is captured exactly.
+//! 3. **Barrier replay** — the segments are run as a CTA: the model is a
+//!    third *stepper* over `crate::cta::Schedule`, the barrier protocol
+//!    and round-robin the interpreter and the engine execute under, and it
+//!    carries a real [`Profiler`]. The producer/consumer rate-matching of
+//!    `bar.arrive`/`bar.sync` generations, barrier-wait attribution and
+//!    the closed-set sum invariant are therefore the executed ones by
+//!    construction, and a protocol violation is the one a run would raise.
+//! 4. **Instruction-cache model** — the executors' own
+//!    `crate::cta::fetch_profile` over the precomputed static address
+//!    streams, so the naïve-vs-overlaid icache working-set difference (§5,
+//!    Figure 9) is captured exactly.
 //!
 //! Alongside the cycle attribution the model produces a predicted
 //! [`EventCounts`]: issue/DP/FLOP/branch/barrier/local counts are exact
@@ -36,10 +37,11 @@
 
 use crate::arch::GpuArch;
 use crate::counts::EventCounts;
+use crate::cta::{self, Schedule};
+use crate::error::SimError;
 use crate::flatcache::flatten_cached;
-use crate::icache::interleaved_fetch_profile;
 use crate::interp::FlatProgram;
-use crate::isa::{IdxOp, Instr, Kernel, SAddr, UnOp};
+use crate::isa::{BarOp, IdxOp, Instr, Kernel, SAddr, UnOp};
 use crate::profile::{CtaProfile, Profiler, WarpCycles};
 
 /// A set of warps executing the same static instruction stream (one warp
@@ -133,46 +135,16 @@ struct Segment {
     bar: Option<BarOp>,
 }
 
-/// A barrier instruction at a segment boundary.
-#[derive(Debug, Clone, Copy)]
-struct BarOp {
-    bar: u8,
-    expected: u16,
-    /// `bar.sync` (blocking) vs `bar.arrive`.
-    sync: bool,
-}
-
-/// Named-barrier protocol state, mirroring the interpreter's.
-#[derive(Debug, Clone, Default)]
-struct BarState {
-    arrived: u16,
-    expected: Option<u16>,
-    generation: u64,
-}
-
-/// Register an arrival, mirroring the interpreter's `barrier_arrive`:
-/// returns `Ok(true)` when this arrival completed the generation.
-fn bar_arrive(bars: &mut [BarState], bar: u8, expected: u16) -> Result<bool, String> {
-    let b = bars
-        .get_mut(bar as usize)
-        .ok_or_else(|| format!("model: barrier id {bar} out of range"))?;
-    if let Some(e) = b.expected {
-        if e != expected {
-            return Err(format!(
-                "model: barrier {bar} expected-count mismatch: {e} vs {expected}"
-            ));
+/// A protocol violation the replay met, as the strings `perfmodel` and the
+/// tuner surface it in.
+fn model_error(e: SimError) -> String {
+    match e {
+        SimError::Deadlock { blocked, .. } => {
+            let stuck: Vec<usize> = blocked.iter().map(|&(w, _)| w).collect();
+            format!("model: predicted deadlock, warps blocked: {stuck:?}")
         }
-    } else {
-        b.expected = Some(expected);
-    }
-    b.arrived += 1;
-    if b.arrived >= expected {
-        b.arrived = 0;
-        b.expected = None;
-        b.generation += 1;
-        Ok(true)
-    } else {
-        Ok(false)
+        SimError::BarrierMismatch { bar, msg } => format!("model: barrier {bar} {msg}"),
+        e => format!("model: {e}"),
     }
 }
 
@@ -262,13 +234,13 @@ pub fn predict_cycles(kernel: &Kernel, arch: &GpuArch) -> Result<u64, String> {
 
 /// [`predict`] over an already-flattened program (the model's static
 /// feature source; [`predict`] obtains it from the process-wide cache).
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn predict_flat(
     kernel: &Kernel,
     prog: &FlatProgram,
     arch: &GpuArch,
 ) -> Result<ModelProfile, String> {
     let nw = prog.n_warps();
-    let n_bars = kernel.barriers_used.max(16);
     let mut counts = EventCounts::default();
 
     // Pass 1: collapse each warp's stream into barrier-separated
@@ -294,34 +266,23 @@ pub fn predict_flat(
                         counts.flops += cost.flops_warp();
                         counts.dp_const_slots += cost.const_slots();
                     }
-                    match &prog.instrs[i] {
-                        Instr::BarArrive { bar, warps } => {
-                            counts.barrier_arrives += 1;
-                            cur.bar = Some(BarOp { bar: *bar, expected: *warps, sync: false });
-                            segs[w].push(std::mem::take(&mut cur));
-                        }
-                        Instr::BarSync { bar, warps } => {
+                    let ins = &prog.instrs[i];
+                    // A barrier closes the segment; stage barriers rotate
+                    // with the trip's point set, so the replay sees plain
+                    // barrier ops.
+                    if let Some(bar) = ins.barrier_op(pset) {
+                        if bar.sync {
                             counts.barrier_syncs += 1;
-                            cur.bar = Some(BarOp { bar: *bar, expected: *warps, sync: true });
-                            segs[w].push(std::mem::take(&mut cur));
-                        }
-                        // Stage barriers rotate with the iteration's point
-                        // set, exactly as the interpreter resolves them at
-                        // dispatch — the replay sees plain barrier ops.
-                        Instr::BarArriveStage { base, k, warps } => {
+                        } else {
                             counts.barrier_arrives += 1;
-                            let bar = base + (pset % u32::from((*k).max(1))) as u8;
-                            cur.bar = Some(BarOp { bar, expected: *warps, sync: false });
-                            segs[w].push(std::mem::take(&mut cur));
                         }
-                        Instr::BarSyncStage { base, k, warps } => {
-                            counts.barrier_syncs += 1;
-                            let bar = base + (pset % u32::from((*k).max(1))) as u8;
-                            cur.bar = Some(BarOp { bar, expected: *warps, sync: true });
-                            segs[w].push(std::mem::take(&mut cur));
-                        }
+                        cur.bar = Some(bar);
+                        segs[w].push(std::mem::take(&mut cur));
+                        continue;
+                    }
+                    cur.issue += cost.slots();
+                    match ins {
                         Instr::CpAsync { addr, .. } => {
-                            cur.issue += cost.slots();
                             // One coalesced global read plus one shared
                             // store, registers untouched.
                             counts.global_transactions += 2;
@@ -331,38 +292,40 @@ pub fn predict_flat(
                             counts.shared_conflicts += conf;
                         }
                         Instr::LdConst { bank, idx, .. } => {
-                            cur.issue += cost.slots();
                             cur.const_ops += 1;
                             cur.const_lines += const_lines_estimate(kernel, *bank, idx);
                         }
                         Instr::LdShared { addr, .. } => {
-                            cur.issue += cost.slots();
                             let (tx, conf) = shared_tx_estimate(addr, None);
                             counts.shared_accesses += tx;
                             counts.shared_conflicts += conf;
                         }
                         Instr::StShared { addr, lane_pred, .. } => {
-                            cur.issue += cost.slots();
                             let (tx, conf) = shared_tx_estimate(addr, *lane_pred);
                             counts.shared_accesses += tx;
                             counts.shared_conflicts += conf;
                         }
                         Instr::LdGlobal { .. } | Instr::StGlobal { .. } => {
-                            cur.issue += cost.slots();
                             // 32 consecutive doubles span two 128-byte
                             // transactions (the codegen's point layout).
                             counts.global_transactions += 2;
                             counts.global_bytes += 256;
                         }
                         Instr::LdLocal { .. } | Instr::StLocal { .. } => {
-                            cur.issue += cost.slots();
                             counts.local_bytes += (crate::WARP_SIZE * 8) as u64;
                         }
-                        Instr::Un { op: UnOp::Exp, .. } => {
-                            cur.issue += cost.slots();
-                            exp_ops += 1;
-                        }
-                        _ => cur.issue += cost.slots(),
+                        Instr::Un { op, .. } => exp_ops += u64::from(*op == UnOp::Exp),
+                        // Issue slots are all the model has to say of these.
+                        Instr::Bin { .. }
+                        | Instr::DFma { .. }
+                        | Instr::DSel { .. }
+                        | Instr::DCmp { .. }
+                        | Instr::Shfl { .. }
+                        | Instr::Idx(_) => {}
+                        Instr::BarArrive { .. }
+                        | Instr::BarSync { .. }
+                        | Instr::BarArriveStage { .. }
+                        | Instr::BarSyncStage { .. } => unreachable!("closed the segment above"),
                     }
                 }
             }
@@ -402,95 +365,47 @@ pub fn predict_flat(
     counts.const_misses = miss_total;
     counts.const_hits = accesses - miss_total;
 
-    // Pass 3: replay the barrier protocol over the segments, driving a
-    // real profiler so wait attribution is semantically identical to an
-    // interpreted run.
-    let mut p = Profiler::new(nw, n_bars, false, arch);
-    let mut bars: Vec<BarState> = vec![BarState::default(); n_bars];
+    // Pass 3: run the segments as a CTA, on the executors' own schedule and
+    // with a real profiler: this stepper charges a segment's cost and hands
+    // its barrier op to the protocol.
+    let mut p = Profiler::new(nw, cta::barrier_file_len(kernel), false, arch);
+    let mut sched = Schedule::new(kernel, Some(&mut p));
     let mut pos = vec![0usize; nw];
-    let mut done = vec![false; nw];
-    let mut blocked: Vec<Option<(u8, u64)>> = vec![None; nw];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for w in 0..nw {
-            if done[w] {
-                continue;
+    let replay = |sched: &mut Schedule<'_>, w: usize| {
+        let mut ran = false;
+        loop {
+            let Some(seg) = segs[w].get(pos[w]) else {
+                sched.finish(w);
+                return Ok(ran);
+            };
+            pos[w] += 1;
+            ran = true;
+            let p = sched.profiler.as_deref_mut().expect("the replay carries a profiler");
+            if seg.issue > 0 {
+                p.on_issue(w, seg.issue);
             }
-            all_done = false;
-            if let Some((b, gen)) = blocked[w] {
-                if bars[b as usize].generation > gen {
-                    blocked[w] = None;
-                    p.on_release(w, b, gen);
-                } else {
-                    continue;
-                }
+            if seg.overhead > 0 {
+                p.on_overhead(w, seg.overhead);
             }
-            loop {
-                if pos[w] >= segs[w].len() {
-                    if !done[w] {
-                        p.on_warp_done(w);
-                    }
-                    done[w] = true;
-                    break;
-                }
-                let seg = segs[w][pos[w]].clone();
-                pos[w] += 1;
-                progressed = true;
-                if seg.issue > 0 {
-                    p.on_issue(w, seg.issue);
-                }
-                if seg.overhead > 0 {
-                    p.on_overhead(w, seg.overhead);
-                }
-                if seg.const_lines > seg.const_ops || seg.const_misses > 0 {
-                    // Replay cost is (lines - 1) + misses * latency per
-                    // op; aggregated over the segment that is
-                    // (const_lines - const_ops) + const_misses * latency.
-                    p.on_const_replay(w, seg.const_lines - seg.const_ops + 1, seg.const_misses);
-                }
-                let Some(bop) = seg.bar else { continue };
-                let gen = bars[bop.bar as usize].generation;
-                let released = bar_arrive(&mut bars, bop.bar, bop.expected)?;
-                p.on_barrier_op(w, bop.bar, bop.sync);
-                if released {
-                    p.on_barrier_complete(bop.bar, bars[bop.bar as usize].generation);
-                }
-                if bop.sync && !released {
-                    blocked[w] = Some((bop.bar, gen));
-                    counts.barrier_stall_switches += 1;
-                    p.on_block(w, bop.bar);
-                    break;
+            if seg.const_lines > seg.const_ops || seg.const_misses > 0 {
+                // Replay cost is (lines - 1) + misses * latency per
+                // op; aggregated over the segment that is
+                // (const_lines - const_ops) + const_misses * latency.
+                p.on_const_replay(w, seg.const_lines - seg.const_ops + 1, seg.const_misses);
+            }
+            if let Some(bar) = seg.bar {
+                if sched.barrier(w, bar)? {
+                    return Ok(ran);
                 }
             }
         }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let stuck: Vec<usize> =
-                (0..nw).filter(|&w| !done[w]).collect();
-            if stuck.iter().all(|&w| blocked[w].is_none()) {
-                break;
-            }
-            return Err(format!("model: predicted deadlock, warps blocked: {stuck:?}"));
-        }
-    }
+    };
+    sched.run(0, replay).map_err(model_error)?;
+    counts.barrier_stall_switches = sched.stall_switches();
 
     // Pass 4: instruction-cache model over the static address streams —
-    // the same computation the interpreter performs, so this term is
-    // exact (prefetch run length 128, as in `run_cta`).
-    let fp = interleaved_fetch_profile(
-        &mut prog.fetch_streams(),
-        arch.instr_bytes,
-        arch.icache_bytes,
-        arch.icache_line_bytes,
-        arch.icache_assoc,
-        128,
-    );
-    counts.icache_fetches = fp.fetches;
-    counts.icache_misses = fp.misses;
-    p.add_icache_misses(&fp.per_warp_misses);
+    // the computation a collecting run performs, so this term is exact.
+    cta::fetch_profile(prog, arch, &mut counts, sched.profiler);
 
     let cta = p.finish();
 
@@ -628,6 +543,31 @@ mod tests {
         assert_eq!(m.groups.len(), 2);
         assert_eq!(m.groups[0].warps, vec![0, 1]);
         assert_eq!(m.groups[1].warps, vec![2]);
+    }
+
+    #[test]
+    fn protocol_violations_keep_their_strings() {
+        // What `perfmodel` and the tuner surface as a `TuneFailure`, byte
+        // for byte. A circular wait: each warp syncs on a barrier only the
+        // other could complete.
+        let only = |warp: u64, ins| Node::WarpIf { mask: 1 << warp, body: vec![Node::Op(ins)] };
+        let circular = vec![
+            only(0, Instr::BarSync { bar: 0, warps: 2 }),
+            only(1, Instr::BarSync { bar: 1, warps: 2 }),
+        ];
+        assert_eq!(
+            predict(&kernel_with(circular, 2), &arch()).unwrap_err(),
+            "model: predicted deadlock, warps blocked: [0, 1]"
+        );
+        // Two warps disagreeing on how many a barrier expects.
+        let mismatch = vec![
+            only(0, Instr::BarArrive { bar: 2, warps: 2 }),
+            only(1, Instr::BarSync { bar: 2, warps: 3 }),
+        ];
+        assert_eq!(
+            predict(&kernel_with(mismatch, 2), &arch()).unwrap_err(),
+            "model: barrier 2 expected-count mismatch: 2 vs 3"
+        );
     }
 
     #[test]

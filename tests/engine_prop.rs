@@ -15,7 +15,11 @@
 //!   cases (NaN with payload, ±∞, subnormals, ±0) stay bit-identical
 //!   through the engine's whole optimization pipeline — constant-shuffle
 //!   folding, copy propagation, mul+add/sub fusion, dead-code
-//!   elimination, and immediate splatting.
+//!   elimination, and immediate splatting. A stored NaN is *the* NaN
+//!   (`f64::NAN`): which operand's sign and payload an arithmetic NaN
+//!   carries is not a contract Rust offers (DESIGN.md §6), so the one
+//!   global store makes them one, and the streams that showed the
+//!   difference are pinned below as fixed inputs.
 
 use chemkin::reference::tables::{DiffusionTables, ViscosityTables};
 use chemkin::state::{GridDims, GridState};
@@ -175,7 +179,7 @@ use gpu_sim::isa::{
 /// Every awkward IEEE-754 citizen plus a few ordinary values. Selected by
 /// index so a single `u64` drawn by proptest picks one; the engine's
 /// optimizer must carry each through folding, fusion, copy propagation,
-/// and immediate splatting bit-identically — including the NaN payload.
+/// and immediate splatting bit-identically.
 fn special(sel: u64) -> f64 {
     const SPECIALS: [u64; 13] = [
         0x7ff8_0000_0000_0000, // canonical quiet NaN
@@ -348,62 +352,106 @@ fn exp_burst(v: u64) -> Vec<Instr> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A stream test's body: stage the special-value constant bank into
+/// register 7 via a lane-indexed load (shuffles off it are lowering-time
+/// known) and the global input into register 0, run `stream`, then fold
+/// registers 1..=3 into the stored value — registers 4..=6 may end up dead,
+/// which the engine's DCE must not let change results.
+fn stream_body(stream: impl IntoIterator<Item = Instr>) -> Vec<Node> {
+    let point = |array| GAddr { array: GlobalId(array), row: IdxOp::Imm(0), point: PointRef::Lane };
+    let head = [
+        Instr::Idx(IdxInstr::LaneId { dst: 0 }),
+        Instr::LdConst { dst: 7, bank: 0, idx: IdxOp::Reg(0) },
+        Instr::LdGlobal { dst: 0, addr: point(0), ldg: false },
+    ];
+    let tail = [
+        Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) },
+        Instr::Bin { op: BinOp::Mul, dst: 1, a: Op::Reg(1), b: Op::Reg(3) },
+        Instr::StGlobal { src: Op::Reg(1), addr: point(1) },
+    ];
+    head.into_iter().chain(stream).chain(tail).map(Node::Op).collect()
+}
 
-    /// Engine and interpreter agree bit-for-bit — NaN payloads included —
-    /// on randomly synthesized streams saturated with IEEE-754 edge
-    /// cases in every operand position: immediates (splatting), constant
-    /// banks (shuffle folding), and global inputs.
+/// Engine and interpreter agree on a one-warp stream kernel over `input`,
+/// with and without event collection: outputs bit for bit, `EventCounts`
+/// field for field.
+fn assert_stream_matches(
+    name: String,
+    stream: impl IntoIterator<Item = Instr>,
+    bank_seed: u64,
+    input: &[f64],
+) -> Result<(), TestCaseError> {
+    let kernel = stream_kernel(name, stream_body(stream), bank_seed);
+    let prog = flatten_cached(&kernel);
+    let arrays: Vec<&[f64]> = vec![input, &[]];
+    let arch = GpuArch::kepler_k20c();
+    for collect in [false, true] {
+        let eng = run_cta(&kernel, &prog, &arrays, 32, 0, collect, &arch).expect("engine runs");
+        let itp = run_cta_profiled(&kernel, &prog, &arrays, 32, 0, collect, &arch, None)
+            .expect("interpreter runs");
+        prop_assert_eq!(&eng.counts, &itp.counts);
+        for (a, b) in eng.out_buffers.iter().zip(&itp.out_buffers) {
+            prop_assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The special-value streams' global input.
+fn special_input(input_seed: u64) -> Vec<f64> {
+    (0..32).map(|i| special(input_seed.wrapping_add(i * 7))).collect()
+}
+
+/// The streams that showed engine and interpreter storing different NaNs
+/// (open from PR 12 to PR 23): in each, the tail's `Add r1←r1,r2` follows a
+/// `Mul` into r2 and fuses with it as `c + p`, which the compiler is free to
+/// evaluate as `p + c`, and x86 hands on the first NaN operand's sign and
+/// payload. The first is the stream the 3 000-case run found, written out;
+/// the rest are `burst` draws shrunk under the seed pairs the ROADMAP
+/// recorded. All four differ without the store's canonicalization.
+#[test]
+fn nan_sign_and_payload_streams_are_pinned() {
+    let found = vec![
+        Instr::Un { op: UnOp::Neg, dst: 5, a: Op::Reg(0) },
+        Instr::Un { op: UnOp::Sqrt, dst: 1, a: Op::Reg(5) },
+        Instr::Un { op: UnOp::Neg, dst: 1, a: Op::Reg(5) },
+        Instr::Un { op: UnOp::Sqrt, dst: 4, a: Op::Reg(1) },
+        Instr::Shfl { dst: 3, src: 7, lane: 5 },
+        Instr::Bin { op: BinOp::Mul, dst: 2, a: Op::Reg(3), b: Op::Reg(5) },
+    ];
+    assert_stream_matches("nan-found".into(), found, 954, &special_input(323)).unwrap();
+    for (bank_seed, input_seed, bursts) in [
+        (954, 323, [0x4a70_dc54_43cf_d639_u64, 0xeb02_e6ae_e952_50d4]),
+        (645, 861, [0xe666_fe54_c288_92af, 0x4f70_6baf_1fac_3d4c]),
+        (152, 60, [0x8529_b26e_aa1f_aeeb, 0xc91f_8351_854a_7460]),
+    ] {
+        let stream = bursts.into_iter().flat_map(burst);
+        let name = format!("nan-{bank_seed}-{input_seed}");
+        assert_stream_matches(name, stream, bank_seed, &special_input(input_seed)).unwrap();
+    }
+}
+
+proptest! {
+    // 30 000 cases run in 1.3 s; 3 000 were enough to find the NaN streams
+    // pinned above, 48 were not.
+    #![proptest_config(ProptestConfig::with_cases(6000))]
+
+    /// Engine and interpreter agree bit-for-bit on randomly synthesized
+    /// streams saturated with IEEE-754 edge cases in every operand
+    /// position: immediates (splatting), constant banks (shuffle folding),
+    /// and global inputs.
     #[test]
     fn special_value_streams_match_interpreter_bit_for_bit(
         bursts in proptest::collection::vec(0u64..u64::MAX, 6..24),
         bank_seed in 0u64..1000,
         input_seed in 0u64..1000,
     ) {
-        let mut body = vec![
-            // Stage the special-value constant bank into register 7 via a
-            // lane-indexed load: shuffles off it are lowering-time known.
-            Node::Op(Instr::Idx(IdxInstr::LaneId { dst: 0 })),
-            Node::Op(Instr::LdConst { dst: 7, bank: 0, idx: IdxOp::Reg(0) }),
-            Node::Op(Instr::LdGlobal {
-                dst: 0,
-                addr: GAddr { array: GlobalId(0), row: IdxOp::Imm(0), point: PointRef::Lane },
-                ldg: false,
-            }),
-        ];
-        for &v in &bursts {
-            body.extend(burst(v).into_iter().map(Node::Op));
-        }
-        // Fold registers 1..=3 into the stored value; registers 4..=6 may
-        // end up dead, which the engine's DCE must not let change results.
-        body.push(Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) }));
-        body.push(Node::Op(Instr::Bin { op: BinOp::Mul, dst: 1, a: Op::Reg(1), b: Op::Reg(3) }));
-        body.push(Node::Op(Instr::StGlobal {
-            src: Op::Reg(1),
-            addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
-        }));
-
-        let kernel = stream_kernel(format!("special{bank_seed}_{input_seed}"), body, bank_seed);
-        let prog = flatten_cached(&kernel);
-        let input: Vec<f64> =
-            (0..32).map(|i| special(input_seed.wrapping_add(i * 7))).collect();
-        let arrays: Vec<&[f64]> = vec![&input, &[]];
-        let arch = GpuArch::kepler_k20c();
-
-        for collect in [false, true] {
-            let eng = run_cta(&kernel, &prog, &arrays, 32, 0, collect, &arch)
-                .expect("engine runs");
-            let itp = run_cta_profiled(&kernel, &prog, &arrays, 32, 0, collect, &arch, None)
-                .expect("interpreter runs");
-            prop_assert_eq!(&eng.counts, &itp.counts);
-            for (a, b) in eng.out_buffers.iter().zip(&itp.out_buffers) {
-                prop_assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b.iter()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
+        let stream = bursts.into_iter().flat_map(burst);
+        let name = format!("special{bank_seed}_{input_seed}");
+        assert_stream_matches(name, stream, bank_seed, &special_input(input_seed))?;
     }
 
     /// Exp-heavy streams: adjacent groups, dependent chains, repeats,
@@ -419,27 +467,6 @@ proptest! {
         bank_seed in 0u64..1000,
         input_seed in 0u64..1000,
     ) {
-        let mut body = vec![
-            Node::Op(Instr::Idx(IdxInstr::LaneId { dst: 0 })),
-            Node::Op(Instr::LdConst { dst: 7, bank: 0, idx: IdxOp::Reg(0) }),
-            Node::Op(Instr::LdGlobal {
-                dst: 0,
-                addr: GAddr { array: GlobalId(0), row: IdxOp::Imm(0), point: PointRef::Lane },
-                ldg: false,
-            }),
-        ];
-        for &v in &bursts {
-            body.extend(exp_burst(v).into_iter().map(Node::Op));
-        }
-        body.push(Node::Op(Instr::Bin { op: BinOp::Add, dst: 1, a: Op::Reg(1), b: Op::Reg(2) }));
-        body.push(Node::Op(Instr::Bin { op: BinOp::Mul, dst: 1, a: Op::Reg(1), b: Op::Reg(3) }));
-        body.push(Node::Op(Instr::StGlobal {
-            src: Op::Reg(1),
-            addr: GAddr { array: GlobalId(1), row: IdxOp::Imm(0), point: PointRef::Lane },
-        }));
-
-        let kernel = stream_kernel(format!("expheavy{bank_seed}_{input_seed}"), body, bank_seed);
-        let prog = flatten_cached(&kernel);
         // Inputs biased toward exp's interesting range: saturation edges,
         // subnormal-producing arguments, and raw special bit patterns.
         let input: Vec<f64> = (0..32)
@@ -450,21 +477,8 @@ proptest! {
                 _ => (i as f64) * 0.37 - 6.0,   // ordinary magnitudes
             })
             .collect();
-        let arrays: Vec<&[f64]> = vec![&input, &[]];
-        let arch = GpuArch::kepler_k20c();
-
-        for collect in [false, true] {
-            let eng = run_cta(&kernel, &prog, &arrays, 32, 0, collect, &arch)
-                .expect("engine runs");
-            let itp = run_cta_profiled(&kernel, &prog, &arrays, 32, 0, collect, &arch, None)
-                .expect("interpreter runs");
-            prop_assert_eq!(&eng.counts, &itp.counts);
-            for (a, b) in eng.out_buffers.iter().zip(&itp.out_buffers) {
-                prop_assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b.iter()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
+        let stream = bursts.into_iter().flat_map(exp_burst);
+        let name = format!("expheavy{bank_seed}_{input_seed}");
+        assert_stream_matches(name, stream, bank_seed, &input)?;
     }
 }

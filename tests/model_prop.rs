@@ -3,15 +3,22 @@
 //! are deterministic (bit-stable, integer cycle counts), the per-warp
 //! component terms sum *exactly* to the predicted total (the profiler's
 //! closed-set invariant, inherited by construction), and the predicted
-//! total never undercuts the issue cycles it is built from.
+//! total never undercuts the issue cycles it is built from. On the
+//! canonical warp-specialized kernels the model's barrier counts are a
+//! collected run's: it replays the protocol on the schedule the
+//! interpreter executes under.
 
-use chemkin::reference::tables::{DiffusionTables, ViscosityTables};
+use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
 use chemkin::synth;
 use gpu_sim::arch::GpuArch;
-use gpu_sim::model::predict;
+use gpu_sim::flatten_cached;
+use gpu_sim::interp::run_cta_profiled;
+use gpu_sim::model::{predict, predict_flat};
 use proptest::prelude::*;
 use singe::config::CompileOptions;
+use singe::kernels::{chemistry, diffusion, probe_inputs, viscosity};
 use singe::{Compiler, Variant};
+use singe_serve::{default_options, KernelId};
 
 /// Compile a warp-specialized kernel for a synthesized mechanism.
 fn synth_kernel(
@@ -30,9 +37,9 @@ fn synth_kernel(
         seed,
     });
     let dfg = if diffusion {
-        singe::kernels::diffusion::diffusion_dfg(&DiffusionTables::build(&m), warps)
+        diffusion::diffusion_dfg(&DiffusionTables::build(&m), warps)
     } else {
-        singe::kernels::viscosity::viscosity_dfg(&ViscosityTables::build(&m), warps)
+        viscosity::viscosity_dfg(&ViscosityTables::build(&m), warps)
     };
     Compiler::new(arch)
         .options(CompileOptions::with_warps(warps))
@@ -103,4 +110,54 @@ proptest! {
         prop_assert!(a.cta.total_cycles >= max_issue);
         prop_assert!(a.cta.total_cycles > 0);
     }
+}
+
+/// The model's barrier counts — arrives, syncs, and the stall switches that
+/// depend on the order the round-robin reaches them in — equal a collected
+/// interpreter run's on the 18 canonical warp-specialized kernels (DME and
+/// heptane, the three kernels, the three architectures, at the serve
+/// defaults the figures use): both step their warps under `gpu_sim`'s one
+/// CTA schedule.
+#[test]
+fn model_barrier_counts_are_a_collected_runs_on_the_canonical_ws_kernels() {
+    let archs = [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()];
+    let mut stalls = 0;
+    for mech in [synth::via_text(&synth::dme_config()), synth::via_text(&synth::heptane_config())] {
+        for kernel in [KernelId::Viscosity, KernelId::Diffusion, KernelId::Chemistry] {
+            for arch in &archs {
+                let opts = default_options(kernel, mech.n_transported(), arch);
+                let dfg = match kernel {
+                    KernelId::Viscosity => {
+                        viscosity::viscosity_dfg(&ViscosityTables::build(&mech), opts.warps)
+                    }
+                    KernelId::Diffusion => {
+                        diffusion::diffusion_dfg(&DiffusionTables::build(&mech), opts.warps)
+                    }
+                    KernelId::Chemistry => {
+                        chemistry::chemistry_dfg(&ChemistrySpec::build(&mech), opts.warps)
+                    }
+                };
+                let k = Compiler::new(arch).options(opts).compile(&dfg, Variant::WarpSpecialized);
+                let k = k.expect("canonical kernel compiles").kernel;
+                let prog = flatten_cached(&k);
+                let id = format!("{kernel:?} {} {}", mech.name, arch.name);
+
+                let model = predict_flat(&k, &prog, arch).expect("model accepts it").counts;
+                let inputs = probe_inputs(mech.n_transported(), 1234)(&k, k.points_per_cta);
+                let arrays: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+                let run =
+                    run_cta_profiled(&k, &prog, &arrays, k.points_per_cta, 0, true, arch, None);
+                let run = run.expect("interpreter runs").counts;
+                assert_eq!(model.barrier_arrives, run.barrier_arrives, "{id}: arrives");
+                assert_eq!(model.barrier_syncs, run.barrier_syncs, "{id}: syncs");
+                assert_eq!(
+                    model.barrier_stall_switches, run.barrier_stall_switches,
+                    "{id}: stall switches"
+                );
+                assert!(run.barrier_syncs > 0, "{id}: a warp-specialized kernel synchronizes");
+                stalls += run.barrier_stall_switches;
+            }
+        }
+    }
+    assert!(stalls > 0, "some sync blocked somewhere");
 }
