@@ -239,6 +239,29 @@ pub(crate) enum Points<'a> {
     Abs(&'a [u32]),
 }
 
+/// Where a global array's reads come from, resolved once per access: an
+/// input's words, or this CTA's buffer of an output being read back.
+#[derive(Clone, Copy)]
+struct Source<'m> {
+    /// The space an out-of-range read is reported in.
+    space: &'static str,
+    words: &'m [f64],
+    output: bool,
+}
+
+impl<'m> Source<'m> {
+    /// Over the fields it reads, so a copy can write shared memory while it
+    /// holds one.
+    #[inline]
+    fn of(k: &Kernel, inputs: &[&'m [f64]], outs: &'m [Vec<f64>], array: usize) -> Source<'m> {
+        if k.global_arrays[array].output {
+            Source { space: "global-out", words: &outs[array], output: true }
+        } else {
+            Source { space: "global", words: inputs[array], output: false }
+        }
+    }
+}
+
 /// The memory of one CTA — shared memory, output buffers, constant cache —
 /// with its place in the grid, and the event counts of the run.
 pub(crate) struct CtaMem<'a> {
@@ -307,16 +330,13 @@ impl<'a> CtaMem<'a> {
         Ok(row * self.kernel.points_per_cta + (point - self.base_point))
     }
 
-    /// One lane's global read: an input array, or this CTA's part of an
-    /// output read back.
+    /// One lane's global read from `src`, an output's index translated into
+    /// this CTA's part of it.
     #[inline]
-    fn read_global(&self, array: usize, idx: usize) -> SimResult<f64> {
-        let (space, buf, at) = if self.kernel.global_arrays[array].output {
-            ("global-out", &self.out_buffers[array][..], self.local_out_index(idx)?)
-        } else {
-            ("global", self.inputs[array], idx)
-        };
-        buf.get(at).copied().ok_or(SimError::OutOfBounds { space, addr: at, limit: buf.len() })
+    fn read_global(&self, src: Source<'_>, idx: usize) -> SimResult<f64> {
+        let Source { space, words, output } = src;
+        let at = if output { self.local_out_index(idx)? } else { idx };
+        words.get(at).copied().ok_or(SimError::OutOfBounds { space, addr: at, limit: words.len() })
     }
 
     /// Count the 128-byte transactions of one global access.
@@ -346,8 +366,9 @@ impl<'a> CtaMem<'a> {
         idxs: &[usize; WARP_SIZE],
         out: &mut [f64],
     ) -> SimResult<()> {
+        let src = Source::of(self.kernel, self.inputs, &self.out_buffers, array);
         for (out, &idx) in out.iter_mut().zip(idxs) {
-            *out = self.read_global(array, idx)?;
+            *out = self.read_global(src, idx)?;
         }
         self.count_global(idxs);
         Ok(())
@@ -403,8 +424,9 @@ impl<'a> CtaMem<'a> {
         idxs: &[usize; WARP_SIZE],
         saddr: impl Fn(usize) -> usize,
     ) -> SimResult<()> {
+        let src = Source::of(self.kernel, self.inputs, &self.out_buffers, array);
         for (l, &idx) in idxs.iter().enumerate() {
-            let v = self.read_global(array, idx)?;
+            let v = self.read_global(src, idx)?;
             let limit = self.shared.len();
             *self.shared.get_mut(saddr(l)).ok_or(SimError::OutOfBounds {
                 space: "shared",
