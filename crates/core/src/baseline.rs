@@ -15,44 +15,23 @@
 //! * on Kepler, global loads use the LDG texture path and FMAs read
 //!   constant-memory operands directly (§6 baseline optimizations).
 
+use crate::codegen::{CompileStats, Compiled};
 use crate::config::CompileOptions;
 use crate::dfg::Dfg;
-use crate::expr::{emit_stmts, EmitCtx, NodeSink, RowRef, VarId};
-use crate::{CResult, CompileError};
+use crate::expr::{
+    emit_stmts, lay_out_registers, linear_scan, EmitCtx, Homes, NodeSink, RowRef, Scratch, VarId,
+    N_SCRATCH, VR_LOCAL, VR_VAR,
+};
+use crate::CResult;
 use gpu_sim::arch::GpuArch;
-use gpu_sim::isa::{GlobalId, IdxOp, Instr, Kernel, Node, Op, PointRef, Reg};
+use gpu_sim::isa::{IdxOp, Instr, Kernel, Node, Op, PointRef, Reg};
 use gpu_sim::WARP_SIZE;
 
-/// Baseline compilation result.
-#[derive(Debug, Clone)]
-pub struct BaselineCompiled {
-    /// The executable kernel.
-    pub kernel: Kernel,
-    /// Doubles spilled per thread.
-    pub spilled_words: usize,
-    /// Total constants placed in constant memory (bytes).
-    pub const_bytes: usize,
-    /// Maximum simultaneously-live dataflow values (working-set metric).
-    pub max_live_vars: usize,
-    /// What the verifier found, when it ran ([`crate::verify::runs_for`]).
-    pub(crate) verified: Option<crate::verify::Verified>,
-}
-
-const N_SCRATCH: usize = 14;
-
-#[derive(Debug, Clone, Copy)]
-enum Home {
-    Reg(u16),
-    Spill(u32),
-}
-
 struct BaselineCtx<'a> {
-    home: &'a [Home],
+    homes: &'a Homes,
     const_base: usize,
     irows: &'a [u32],
-    local_base: Reg,
-    scratch_free: Vec<Reg>,
-    scratch_hwm: usize,
+    scratch: Scratch,
     ldg: bool,
 }
 
@@ -61,24 +40,12 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
         PointRef::Thread
     }
 
-    fn alloc_temp(&mut self) -> CResult<Reg> {
-        if let Some(r) = self.scratch_free.pop() {
-            return Ok(r);
-        }
-        if self.scratch_hwm >= N_SCRATCH {
-            return Err(CompileError::ResourceExhausted("baseline scratch exhausted".into()));
-        }
-        let r = self.scratch_hwm as Reg;
-        self.scratch_hwm += 1;
-        Ok(r)
-    }
-
-    fn free_temp(&mut self, r: Reg) {
-        self.scratch_free.push(r);
+    fn scratch(&mut self) -> &mut Scratch {
+        &mut self.scratch
     }
 
     fn const_op(&mut self, slot: u16, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
-        let tmp = self.alloc_temp()?;
+        let tmp = self.scratch.alloc()?;
         code.emit(Node::Op(Instr::LdConst {
             dst: tmp,
             bank: 0,
@@ -101,35 +68,11 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
     }
 
     fn read_var(&mut self, v: VarId, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
-        match self.home[v as usize] {
-            Home::Reg(r) => Ok((Op::Reg(self.local_base + r), None)),
-            Home::Spill(slot) => {
-                let tmp = self.alloc_temp()?;
-                code.emit(Node::Op(Instr::LdLocal { dst: tmp, slot }))?;
-                Ok((Op::Reg(tmp), Some(tmp)))
-            }
-        }
+        self.homes.of(v)?.read(&mut self.scratch, code)
     }
 
     fn write_var(&mut self, v: VarId, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
-        match self.home[v as usize] {
-            Home::Reg(r) => code.emit(Node::Op(Instr::mov(self.local_base + r, val)))?,
-            Home::Spill(slot) => code.emit(Node::Op(Instr::StLocal { src: val, slot }))?,
-        }
-        Ok(())
-    }
-
-    fn read_local(&mut self, l: u16, _code: &mut dyn NodeSink) -> CResult<Op> {
-        Ok(Op::Reg(self.local_base + 512 + l))
-    }
-
-    fn write_local(&mut self, l: u16, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
-        code.emit(Node::Op(Instr::mov(self.local_base + 512 + l, val)))?;
-        Ok(())
-    }
-
-    fn array_global(&self, array: u16) -> GlobalId {
-        GlobalId(array as usize)
+        self.homes.of(v)?.write(val, code)
     }
 
     fn ldg(&self) -> bool {
@@ -137,14 +80,15 @@ impl<'a> EmitCtx for BaselineCtx<'a> {
     }
 }
 
-/// Implementation behind the [`crate::Compiler`] front door (which also
-/// needs the [`BaselineCompiled`]-specific statistics): compile the
-/// dataflow graph as a purely data-parallel kernel.
+/// Implementation behind the [`crate::Compiler`] front door: compile the
+/// dataflow graph as a purely data-parallel kernel, unchecked
+/// (`codegen::check_emitted` is the epilogue). The statistics carry the
+/// spill count alone.
 pub(crate) fn baseline_impl(
     dfg: &Dfg,
     options: &CompileOptions,
     arch: &GpuArch,
-) -> CResult<BaselineCompiled> {
+) -> CResult<Compiled> {
     dfg.validate()?;
     let order = dfg.topo_order()?;
     let consumers = dfg.consumers();
@@ -155,98 +99,41 @@ pub(crate) fn baseline_impl(
         opos[o] = i;
     }
     let producers = dfg.producers()?;
-    let n_vars = dfg.n_vars as usize;
-    let mut def = vec![0usize; n_vars];
-    let mut last = vec![0usize; n_vars];
-    for v in 0..n_vars {
-        def[v] = opos[producers[v]];
-        last[v] = consumers[v].iter().map(|&c| opos[c]).max().unwrap_or(def[v]);
-    }
+    let live: Vec<Option<(usize, usize)>> = (0..dfg.n_vars as usize)
+        .map(|v| {
+            let def = opos[producers[v]];
+            let last = consumers[v].iter().map(|&c| opos[c]).max().unwrap_or(def);
+            Some((def, last))
+        })
+        .collect();
 
     let max_locals = dfg.ops.iter().map(|o| o.n_locals as usize).max().unwrap_or(0);
     let budget_total = (arch.max_regs_per_thread.saturating_sub(4)) / 2;
     let var_budget = budget_total.saturating_sub(N_SCRATCH + max_locals).max(2);
-
-    // Linear-scan allocation with spilling of furthest-last-use values.
-    let mut by_def: Vec<VarId> = (0..dfg.n_vars).collect();
-    by_def.sort_by_key(|&v| def[v as usize]);
-    let mut home = vec![Home::Spill(u32::MAX); n_vars];
-    let mut active: Vec<(usize, VarId, u16)> = Vec::new();
-    let mut free: Vec<u16> = Vec::new();
-    let mut next_reg = 0u16;
-    let mut n_spill = 0u32;
-    let mut max_live = 0usize;
-    for v in by_def {
-        let start = def[v as usize];
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].0 < start {
-                free.push(active[i].2);
-                active.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        max_live = max_live.max(active.len() + 1);
-        let end = last[v as usize];
-        if let Some(r) = free.pop() {
-            home[v as usize] = Home::Reg(r);
-            active.push((end, v, r));
-        } else if (next_reg as usize) < var_budget {
-            home[v as usize] = Home::Reg(next_reg);
-            active.push((end, v, next_reg));
-            next_reg += 1;
-        } else {
-            let worst = active.iter().enumerate().max_by_key(|(_, (e, _, _))| *e).map(|(i, _)| i);
-            match worst {
-                Some(wi) if active[wi].0 > end => {
-                    let (_, wv, wr) = active.swap_remove(wi);
-                    home[wv as usize] = Home::Spill(n_spill);
-                    n_spill += 1;
-                    home[v as usize] = Home::Reg(wr);
-                    active.push((end, v, wr));
-                }
-                _ => {
-                    home[v as usize] = Home::Spill(n_spill);
-                    n_spill += 1;
-                }
-            }
-        }
-    }
+    let homes = linear_scan(&live, var_budget);
 
     // Emit ops sequentially; constants concatenate into bank 0.
     let mut bank: Vec<f64> = Vec::new();
     let mut body: Vec<Node> = Vec::new();
-    let local_base = N_SCRATCH as Reg;
     for &o in &order {
         let op = &dfg.ops[o];
         let const_base = bank.len();
         bank.extend_from_slice(&op.consts);
         let mut ctx = BaselineCtx {
-            home: &home,
+            homes: &homes,
             const_base,
             irows: &op.irows,
-            local_base,
-            scratch_free: Vec::new(),
-            scratch_hwm: 0,
+            scratch: Scratch::default(),
             ldg: arch.has_ldg,
         };
         emit_stmts(&op.body, &mut ctx, &mut body)?;
     }
 
-    // Remap local ids (emitted at local_base + 512 + l) into the compact
-    // range right after the var registers.
-    let n_var_regs = next_reg as usize;
-    let remap = |r: Reg| -> Reg {
-        if r >= local_base + 512 {
-            local_base + n_var_regs as Reg + (r - local_base - 512)
-        } else {
-            r
-        }
-    };
-    crate::codegen::remap_nodes(&mut body, &remap);
-
-    let dregs = N_SCRATCH + n_var_regs + max_locals;
+    // Register layout: scratch | vars | locals.
+    let dregs = lay_out_registers(
+        &mut body,
+        &[(0, N_SCRATCH), (VR_VAR, homes.n_regs), (VR_LOCAL, max_locals)],
+    );
     let kernel = Kernel {
         name: format!("{}_baseline", dfg.name),
         body,
@@ -255,24 +142,16 @@ pub(crate) fn baseline_impl(
         dregs_per_thread: dregs,
         iregs_per_thread: 2,
         shared_words: 0,
-        local_words_per_thread: n_spill as usize,
-        const_banks: if bank.is_empty() { vec![] } else { vec![bank.clone()] },
+        local_words_per_thread: homes.n_spill,
+        const_banks: if bank.is_empty() { vec![] } else { vec![bank] },
         iconst_banks: vec![],
         barriers_used: 0,
         global_arrays: dfg.arrays.clone(),
-        spilled_bytes_per_thread: n_spill as usize * 8,
+        spilled_bytes_per_thread: homes.n_spill * 8,
         exp_const_from_registers: false,
     };
-    kernel.check().map_err(CompileError::Internal)?;
-    let verified =
-        crate::verify::runs_for(options).then(|| crate::verify::enforce(&kernel, arch)).transpose()?;
-    Ok(BaselineCompiled {
-        kernel,
-        spilled_words: n_spill as usize,
-        const_bytes: bank.len() * 8,
-        max_live_vars: max_live,
-        verified,
-    })
+    let stats = CompileStats { spilled_vars: homes.n_spill, ..Default::default() };
+    Ok(Compiled { kernel, stats, verified: None })
 }
 
 #[cfg(test)]
@@ -346,8 +225,8 @@ mod tests {
             force_shared: vec![],
         };
         let c = baseline_impl(&d, &CompileOptions::with_warps(1), &arch).unwrap();
-        assert!(c.spilled_words > 0, "expected spills");
-        assert_eq!(c.kernel.spilled_bytes_per_thread, c.spilled_words * 8);
+        assert!(c.stats.spilled_vars > 0, "expected spills");
+        assert_eq!(c.kernel.spilled_bytes_per_thread, c.stats.spilled_vars * 8);
         // And the kernel still computes the right value.
         let points = 32;
         let input = vec![3.0; points];
@@ -360,7 +239,7 @@ mod tests {
     fn constants_go_to_constant_memory() {
         let d = diamond();
         let c = baseline_impl(&d, &CompileOptions::with_warps(1), &GpuArch::fermi_c2070()).unwrap();
-        assert_eq!(c.const_bytes, 2 * 8);
-        assert_eq!(c.kernel.const_banks.len(), 1);
+        // The diamond's two constants, in one bank read through the cache.
+        assert_eq!(c.kernel.const_banks, [vec![2.0, 10.0]]);
     }
 }

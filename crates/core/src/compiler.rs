@@ -17,7 +17,7 @@
 //! ```
 
 use crate::baseline::baseline_impl;
-use crate::codegen::{compile_warp_specialized, Compiled, CompileStats};
+use crate::codegen::{self, Compiled};
 use crate::config::CompileOptions;
 use crate::dfg::Dfg;
 use crate::naive::naive_impl;
@@ -85,15 +85,17 @@ impl Compiler {
     ///
     /// All variants return the unified [`Compiled`]; for
     /// [`Variant::Baseline`] the kernel has no mapping/overlay stages, so
-    /// only the spill statistic is populated.
+    /// only the spill statistic is populated. The two warp-specialized
+    /// variants share the front half (map, schedule, barrier allocation)
+    /// and the three share the register side of emission and its epilogue.
     pub fn compile(&self, dfg: &Dfg, variant: Variant) -> CResult<Compiled> {
         self.compile_inner(dfg, variant, None)
     }
 
     /// [`Compiler::compile`], also recording one wall-clock timing span
-    /// per pipeline stage (Figure 8's stages for
-    /// [`Variant::WarpSpecialized`]; a single span otherwise) in the same
-    /// event format the simulator profiler uses, so compile and simulate
+    /// per pipeline stage (Figure 8's stages; for [`Variant::Naive`] the
+    /// same, with `naive` in place of `emit`; for [`Variant::Baseline`]
+    /// `baseline`, then `verify`) in the same event format the simulator profiler uses, so compile and simulate
     /// phases can land in one Chrome trace. Spans are diagnostics — their
     /// durations are not deterministic, unlike the profiler's cycle
     /// counters.
@@ -133,27 +135,27 @@ impl Compiler {
         variant: Variant,
         spans: Option<&mut Vec<TraceEvent>>,
     ) -> CResult<Compiled> {
-        match variant {
-            Variant::WarpSpecialized => {
-                compile_warp_specialized(dfg, &self.options, &self.arch, spans)
-            }
+        let (options, arch) = (&self.options, &self.arch);
+        let mut timer = StageTimer::new(spans);
+        let (compiled, verify) = match variant {
             Variant::Baseline => {
-                let mut timer = StageTimer::new(spans);
-                let b = baseline_impl(dfg, &self.options, &self.arch)?;
+                let compiled = baseline_impl(dfg, options, arch)?;
                 timer.mark("baseline");
-                Ok(Compiled {
-                    kernel: b.kernel,
-                    stats: CompileStats { spilled_vars: b.spilled_words, ..Default::default() },
-                    verified: b.verified,
-                })
+                (compiled, crate::verify::runs_for(options))
             }
-            Variant::Naive => {
-                let mut timer = StageTimer::new(spans);
-                let c = naive_impl(dfg, &self.options, &self.arch)?;
+            Variant::WarpSpecialized | Variant::Naive => {
+                let facts = dfg.facts()?;
+                timer.mark("validate");
+                let plan = codegen::plan(dfg, options, arch, &mut timer)?;
+                if variant == Variant::WarpSpecialized {
+                    return codegen::finish(dfg, &facts, &plan, arch, &mut timer);
+                }
+                let compiled = naive_impl(dfg, &facts, &plan, arch)?;
                 timer.mark("naive");
-                Ok(c)
+                (compiled, plan.flags.verify)
             }
-        }
+        };
+        codegen::check_emitted(compiled, verify, arch, &mut timer)
     }
 }
 
@@ -223,17 +225,26 @@ mod tests {
         let arch = GpuArch::kepler_k20c();
         let dfg = small_dfg();
         let c = Compiler::new(&arch).options(CompileOptions::with_warps(4));
-        let (_, spans) = c.compile_traced(&dfg, Variant::WarpSpecialized).unwrap();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["validate", "mapping", "schedule", "schedule-verify", "barrier-alloc", "emit",
-             "verify"]
-        );
-        assert!(spans.iter().all(|s| s.cat == "compile" && s.kind == EventKind::Span));
-        // Spans tile the timeline: each starts where the previous ended.
-        for pair in spans.windows(2) {
-            assert_eq!(pair[0].ts + pair[0].dur, pair[1].ts);
+        // Both warp-specialized emitters run the one front half; every
+        // variant ends in the one verify epilogue.
+        let front = ["validate", "mapping", "schedule", "schedule-verify", "barrier-alloc"];
+        for (variant, back) in [
+            (Variant::WarpSpecialized, &["emit", "verify"][..]),
+            (Variant::Naive, &["naive", "verify"]),
+            (Variant::Baseline, &["baseline", "verify"]),
+        ] {
+            let (_, spans) = c.compile_traced(&dfg, variant).unwrap();
+            let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+            let want = match variant {
+                Variant::Baseline => back.to_vec(),
+                _ => [&front[..], back].concat(),
+            };
+            assert_eq!(names, want, "{variant:?}");
+            assert!(spans.iter().all(|s| s.cat == "compile" && s.kind == EventKind::Span));
+            // Spans tile the timeline: each starts where the previous ended.
+            for pair in spans.windows(2) {
+                assert_eq!(pair[0].ts + pair[0].dur, pair[1].ts, "{variant:?}");
+            }
         }
     }
 

@@ -3,26 +3,26 @@
 //! "The naïve code generation strategy of using a top-level switch
 //! statement on the warp ID to send each warp to a different block of code
 //! violates [the GPU's same-code assumption] and results in severe
-//! performance degradation" (§5). This module emits exactly that: the same
-//! mapping, schedule, and barrier allocation as the real code generator,
-//! but each warp's entire instruction stream becomes its own case of one
-//! indirect `WarpSwitch`, with constants inlined as immediates — so warps
+//! performance degradation" (§5). This module emits exactly that: from the
+//! real code generator's own plan (`codegen::plan`: mapping, schedule,
+//! barrier allocation), each warp's entire instruction stream becomes its
+//! own case of one indirect `WarpSwitch`, with constants inlined as
+//! immediates — so warps
 //! execute disjoint address ranges and the instruction cache thrashes once
 //! enough warp paths exist (Figure 9 shows the cliff at six).
 
-use crate::barrier_alloc::allocate;
-use crate::codegen::{Compiled, CompileStats};
-use crate::config::CompileOptions;
-use crate::dfg::Dfg;
-use crate::expr::{emit_stmts, EmitCtx, NodeSink, RowRef, VarId};
-use crate::mapping::{map_ops, Mapping};
-use crate::sync::{schedule, Item, Schedule};
+use crate::codegen::{CompileStats, Compiled, EmitPlan};
+use crate::dfg::{Dfg, GraphFacts};
+use crate::expr::{
+    emit_stmts, lay_out_registers, EmitCtx, Homes, NodeSink, RowRef, Scratch, VarHome, VarId,
+    N_SCRATCH, VR_LOCAL, VR_VAR,
+};
+use crate::mapping::Mapping;
+use crate::sync::{Item, Schedule};
 use crate::{CResult, CompileError};
 use gpu_sim::arch::GpuArch;
-use gpu_sim::isa::{GlobalId, IdxOp, Instr, Kernel, Node, Op, PointRef, Reg, SAddr};
+use gpu_sim::isa::{IdxOp, Instr, Kernel, Node, Op, PointRef, Reg, SAddr};
 use gpu_sim::WARP_SIZE;
-
-const N_SCRATCH: usize = 14;
 
 struct NaiveCtx<'a> {
     mapping: &'a Mapping,
@@ -31,11 +31,9 @@ struct NaiveCtx<'a> {
     warp: usize,
     consts: &'a [f64],
     irows: &'a [u32],
-    var_reg: &'a [Option<u16>],
-    local_base: Reg,
-    scratch_free: Vec<Reg>,
-    scratch_hwm: usize,
-    cur_outputs: Vec<VarId>,
+    homes: &'a Homes,
+    scratch: Scratch,
+    cur_outputs: &'a [VarId],
     ldg: bool,
 }
 
@@ -43,19 +41,8 @@ impl<'a> EmitCtx for NaiveCtx<'a> {
     fn point(&self) -> PointRef {
         PointRef::Lane
     }
-    fn alloc_temp(&mut self) -> CResult<Reg> {
-        if let Some(r) = self.scratch_free.pop() {
-            return Ok(r);
-        }
-        if self.scratch_hwm >= N_SCRATCH {
-            return Err(CompileError::ResourceExhausted("naive scratch exhausted".into()));
-        }
-        let r = self.scratch_hwm as Reg;
-        self.scratch_hwm += 1;
-        Ok(r)
-    }
-    fn free_temp(&mut self, r: Reg) {
-        self.scratch_free.push(r);
+    fn scratch(&mut self) -> &mut Scratch {
+        &mut self.scratch
     }
     fn const_op(&mut self, slot: u16, _code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         // Inlined immediate — per-warp code, no sharing (the whole point).
@@ -73,15 +60,12 @@ impl<'a> EmitCtx for NaiveCtx<'a> {
     fn read_var(&mut self, v: VarId, code: &mut dyn NodeSink) -> CResult<(Op, Option<Reg>)> {
         let pw = self.mapping.warp_of[self.producers[v as usize]];
         if pw == self.warp || self.cur_outputs.contains(&v) {
-            match self.var_reg[v as usize] {
-                Some(r) => Ok((Op::Reg(self.local_base + 512 + r), None)),
-                None => Err(CompileError::Internal(format!("naive: var {v} unallocated"))),
-            }
+            self.homes.of(v)?.read(&mut self.scratch, code)
         } else {
             let slot = self.sched.var_slot[v as usize].ok_or_else(|| {
                 CompileError::Internal(format!("naive: var {v} has no shared slot"))
             })?;
-            let tmp = self.alloc_temp()?;
+            let tmp = self.scratch.alloc()?;
             code.emit(Node::Op(Instr::LdShared {
                 dst: tmp,
                 addr: SAddr::lane((slot * WARP_SIZE) as u32),
@@ -90,111 +74,76 @@ impl<'a> EmitCtx for NaiveCtx<'a> {
         }
     }
     fn write_var(&mut self, v: VarId, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
-        match self.var_reg[v as usize] {
-            Some(r) => {
-                code.emit(Node::Op(Instr::mov(self.local_base + 512 + r, val)))?
-            }
-            None => return Err(CompileError::Internal("naive: write unallocated var".into())),
-        }
-        Ok(())
-    }
-    fn read_local(&mut self, l: u16, _code: &mut dyn NodeSink) -> CResult<Op> {
-        Ok(Op::Reg(self.local_base + l))
-    }
-    fn write_local(&mut self, l: u16, val: Op, code: &mut dyn NodeSink) -> CResult<()> {
-        code.emit(Node::Op(Instr::mov(self.local_base + l, val)))?;
-        Ok(())
-    }
-    fn array_global(&self, array: u16) -> GlobalId {
-        GlobalId(array as usize)
+        self.homes.of(v)?.write(val, code)
     }
     fn ldg(&self) -> bool {
         self.ldg
     }
 }
 
-/// Implementation behind the [`crate::Compiler`] front door: compile with
-/// the naïve top-level warp switch (Figure 9's comparison).
-pub(crate) fn naive_impl(dfg: &Dfg, options: &CompileOptions, arch: &GpuArch) -> CResult<Compiled> {
-    dfg.validate()?;
-    let mapping = map_ops(dfg, options)?;
-    let max_sync = crate::codegen::sync_barrier_budget(arch);
-    let sched = schedule(dfg, &mapping, options, max_sync as usize)?;
-    sched.verify(dfg)?;
-    let barriers = allocate(&sched, max_sync)?;
-    let producers = dfg.producers()?;
-    let w = options.warps;
+/// Implementation behind the [`crate::Compiler`] front door: emit the
+/// planned kernel with the naïve top-level warp switch (Figure 9's
+/// comparison), unchecked (`codegen::check_emitted` is the epilogue).
+/// `plan` is `codegen::plan`'s for `dfg`, `facts` is `dfg.facts()`.
+pub(crate) fn naive_impl(
+    dfg: &Dfg,
+    facts: &GraphFacts,
+    plan: &EmitPlan,
+    arch: &GpuArch,
+) -> CResult<Compiled> {
+    let EmitPlan { mapping, sched, flags, .. } = plan;
+    let producers = &facts.producers;
+    let w = flags.warps;
 
     // Per-warp var register assignment (no pressure handling; the naive
     // generator is a performance strawman, not a production path).
-    let mut var_reg: Vec<Option<u16>> = vec![None; dfg.n_vars as usize];
+    let mut home: Vec<Option<VarHome>> = vec![None; dfg.n_vars as usize];
     let mut per_warp_count = vec![0u16; w];
     for v in 0..dfg.n_vars as usize {
         let pw = mapping.warp_of[producers[v]];
-        var_reg[v] = Some(per_warp_count[pw]);
+        home[v] = Some(VarHome::Reg(per_warp_count[pw]));
         per_warp_count[pw] += 1;
     }
     let max_vars = per_warp_count.iter().max().copied().unwrap_or(0) as usize;
+    let homes = Homes { home, n_regs: max_vars, n_spill: 0 };
     let max_locals = dfg.ops.iter().map(|o| o.n_locals as usize).max().unwrap_or(0);
 
     let mut cases: Vec<Vec<Node>> = Vec::with_capacity(w);
     for warp in 0..w {
         let mut code: Vec<Node> = Vec::new();
-        for (_, item) in &sched.items[warp] {
+        for &(_, item) in &sched.items[warp] {
             match item {
                 Item::Op(o) => {
-                    let op = &dfg.ops[*o];
+                    let op = &dfg.ops[o];
                     let mut ctx = NaiveCtx {
-                        mapping: &mapping,
-                        sched: &sched,
-                        producers: &producers,
+                        mapping,
+                        sched,
+                        producers,
                         warp,
                         consts: &op.consts,
                         irows: &op.irows,
-                        var_reg: &var_reg,
-                        local_base: N_SCRATCH as Reg,
-                        scratch_free: Vec::new(),
-                        scratch_hwm: 0,
-                        cur_outputs: op.outputs(),
+                        homes: &homes,
+                        scratch: Scratch::default(),
+                        cur_outputs: &facts.outputs[o],
                         ldg: arch.has_ldg,
                     };
                     emit_stmts(&op.body, &mut ctx, &mut code)?;
                 }
                 Item::StoreVar(v) => {
-                    let slot = sched.var_slot[*v as usize]
+                    let slot = sched.var_slot[v as usize]
                         .ok_or_else(|| CompileError::Internal("naive: slotless store".into()))?;
-                    let r = var_reg[*v as usize].unwrap();
+                    // A register home: the read emits nothing and takes no
+                    // scratch register.
+                    let (src, _) = homes.of(v)?.read(&mut Scratch::default(), &mut code)?;
                     code.push(Node::Op(Instr::StShared {
-                        src: Op::Reg(N_SCRATCH as Reg + 512 + r),
+                        src,
                         addr: SAddr::lane((slot * WARP_SIZE) as u32),
                         lane_pred: None,
                     }));
                 }
-                Item::Arrive(s) => {
-                    if !options.unsafe_remove_barriers {
-                        let sp = &sched.sync_points[*s];
-                        code.push(Node::Op(Instr::BarArrive {
-                            bar: barriers.of_sync[*s],
-                            warps: sp.warps().len() as u16,
-                        }));
-                    }
-                }
-                Item::Wait(s) => {
-                    if !options.unsafe_remove_barriers {
-                        let sp = &sched.sync_points[*s];
-                        code.push(Node::Op(Instr::BarSync {
-                            bar: barriers.of_sync[*s],
-                            warps: sp.warps().len() as u16,
-                        }));
-                    }
-                }
-                Item::FullBarrier(_) => {
-                    if !options.unsafe_remove_barriers {
-                        code.push(Node::Op(Instr::BarSync {
-                            bar: barriers.full_barrier,
-                            warps: w as u16,
-                        }));
-                    }
+                // The switch is single-buffered at any depth the plan resolved.
+                Item::Arrive(_) | Item::Wait(_) | Item::FullBarrier(_) => {
+                    code.extend(plan.barrier(item, 1).map(Node::Op))
                 }
             }
         }
@@ -202,69 +151,53 @@ pub(crate) fn naive_impl(dfg: &Dfg, options: &CompileOptions, arch: &GpuArch) ->
     }
 
     let mut loop_body = vec![Node::WarpSwitch { case_of_warp: (0..w).collect(), cases }];
-    if !sched.sync_points.is_empty() && !options.unsafe_remove_barriers && options.point_iters > 1
-    {
-        loop_body.push(Node::Op(Instr::BarSync { bar: barriers.full_barrier, warps: w as u16 }));
-    }
-    let mut full_body = vec![Node::PointLoop { iters: options.point_iters, body: loop_body }];
-
-    // Remap local/var registers into a compact range.
-    let local_base = N_SCRATCH as Reg;
-    let remap = move |r: Reg| -> Reg {
-        if r >= local_base + 512 {
-            local_base + max_locals as Reg + (r - local_base - 512)
-        } else {
-            r
-        }
-    };
-    crate::codegen::remap_nodes(&mut full_body, &remap);
-
-    let uses_full = !sched.full_barriers.is_empty()
-        || (!sched.sync_points.is_empty()
-            && !options.unsafe_remove_barriers
-            && options.point_iters > 1);
-    let kernel_barriers = (barriers.barriers_used + usize::from(uses_full)).max(1);
+    loop_body.extend(plan.rendezvous().map(Node::Op));
+    let mut full_body = vec![Node::PointLoop { iters: flags.point_iters, body: loop_body }];
+    // Register layout: scratch | locals | vars.
+    let dregs = lay_out_registers(
+        &mut full_body,
+        &[(0, N_SCRATCH), (VR_LOCAL, max_locals), (VR_VAR, max_vars)],
+    );
+    let barriers_used = plan.kernel_barriers(1, arch)?;
 
     let kernel = Kernel {
         name: format!("{}_naive", dfg.name),
         body: full_body,
         warps_per_cta: w,
-        points_per_cta: WARP_SIZE * options.point_iters as usize,
-        dregs_per_thread: N_SCRATCH + max_locals + max_vars,
+        points_per_cta: WARP_SIZE * flags.point_iters as usize,
+        dregs_per_thread: dregs,
         iregs_per_thread: 2,
         shared_words: sched.n_slots * WARP_SIZE,
         local_words_per_thread: 0,
         const_banks: vec![],
         iconst_banks: vec![],
-        barriers_used: kernel_barriers.min(arch.named_barriers_per_sm),
+        barriers_used,
         global_arrays: dfg.arrays.clone(),
         spilled_bytes_per_thread: 0,
-        exp_const_from_registers: options.exp_const_from_registers,
+        exp_const_from_registers: flags.exp_const_from_registers,
     };
-    kernel.check().map_err(CompileError::Internal)?;
-    let verified =
-        crate::verify::runs_for(options).then(|| crate::verify::enforce(&kernel, arch)).transpose()?;
     let stats = CompileStats {
         sync_points: sched.sync_points.len(),
         merged_syncs: sched.merged_syncs,
-        barriers_used: kernel_barriers,
+        barriers_used,
         shared_slots: sched.n_slots,
         solo_groups: dfg.ops.len(),
         flop_imbalance: mapping.flop_imbalance(),
         ..Default::default()
     };
-    Ok(Compiled { kernel, stats, verified })
+    Ok(Compiled { kernel, stats, verified: None })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::kernels::launch_arrays;
     use crate::kernels::viscosity::{viscosity_dfg, ARR_OUT};
+    use crate::{CompileOptions, Compiler, Variant};
     use chemkin::reference::reference_viscosity;
     use chemkin::reference::tables::ViscosityTables;
     use chemkin::state::{GridDims, GridState};
     use chemkin::synth;
+    use gpu_sim::arch::GpuArch;
     use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 
     #[test]
@@ -281,7 +214,7 @@ mod tests {
         let d = viscosity_dfg(&t, 3);
         let opts = CompileOptions::with_warps(3);
         let arch = GpuArch::kepler_k20c();
-        let c = naive_impl(&d, &opts, &arch).unwrap();
+        let c = Compiler::new(&arch).options(opts).compile(&d, Variant::Naive).unwrap();
         let points = c.kernel.points_per_cta * 2;
         let g = GridState::random(GridDims { nx: points, ny: 1, nz: 1 }, t.n, 3);
         let expect = reference_viscosity(&t, &g);
@@ -308,8 +241,9 @@ mod tests {
         let d = viscosity_dfg(&t, 4);
         let opts = CompileOptions::with_warps(4);
         let arch = GpuArch::kepler_k20c();
-        let naive = naive_impl(&d, &opts, &arch).unwrap();
-        let overlaid = crate::codegen::compile_warp_specialized(&d, &opts, &arch, None).unwrap();
+        let compiler = Compiler::new(&arch).options(opts);
+        let naive = compiler.compile(&d, Variant::Naive).unwrap();
+        let overlaid = compiler.compile(&d, Variant::WarpSpecialized).unwrap();
         let ni = naive.kernel.static_instructions();
         let oi = overlaid.kernel.static_instructions();
         assert!(ni as f64 > 1.3 * oi as f64, "naive {ni} instructions vs overlaid {oi}");
