@@ -253,13 +253,86 @@ fn effective_depth(
 /// the naive warp switch (`naive`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct EmitPlan {
-    pub(crate) mapping: Mapping,
-    pub(crate) sched: Schedule,
-    pub(crate) barriers: BarrierAssignment,
+    /// Shared by every plan of one [`FrontKey`] within a search.
+    pub(crate) front: Arc<Front>,
     pub(crate) flags: EmitFlags,
 }
 
+/// What of [`CompileOptions`] the front half of a compile reads — the
+/// mapper and the scheduler — and nothing else, floats by their bits: two
+/// option sets with one key map, schedule and allocate alike, so
+/// [`crate::search::Tuner`] plans each key once. [`FrontKey::of`]
+/// destructures every option, so an option added to [`CompileOptions`] does
+/// not compile until it is classified there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct FrontKey {
+    warps: usize,
+    w_flops: u64,
+    w_regs: u64,
+    w_locality: u64,
+    placement: Placement,
+    uniform_shared_reads: bool,
+}
+
+impl FrontKey {
+    pub(crate) fn of(options: &CompileOptions) -> FrontKey {
+        let &CompileOptions {
+            warps,
+            w_flops,
+            w_regs,
+            w_locality,
+            placement,
+            uniform_shared_reads,
+            // Read once a schedule is in hand (`EmitFlags::resolve`), or by
+            // nothing in the compiler.
+            point_iters: _,
+            target_ctas_per_sm: _,
+            exp_const_from_registers: _,
+            unsafe_remove_barriers: _,
+            verify: _,
+            pipeline_depth: _,
+        } = options;
+        FrontKey {
+            warps,
+            w_flops: w_flops.to_bits(),
+            w_regs: w_regs.to_bits(),
+            w_locality: w_locality.to_bits(),
+            placement,
+            uniform_shared_reads,
+        }
+    }
+
+    /// The options the front half runs on: the key's, and defaults for
+    /// what it does not read.
+    fn options(&self) -> CompileOptions {
+        CompileOptions {
+            warps: self.warps,
+            w_flops: f64::from_bits(self.w_flops),
+            w_regs: f64::from_bits(self.w_regs),
+            w_locality: f64::from_bits(self.w_locality),
+            placement: self.placement,
+            uniform_shared_reads: self.uniform_shared_reads,
+            ..CompileOptions::default()
+        }
+    }
+}
+
+/// The front half of a compile: the mapping, the checked schedule and its
+/// barriers. A function of the graph, the arch and the [`FrontKey`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct Front {
+    pub(crate) mapping: Mapping,
+    pub(crate) sched: Schedule,
+    pub(crate) barriers: BarrierAssignment,
+}
+
 impl EmitPlan {
+    /// The plan of a compile with `options` whose front half is `front`.
+    pub(crate) fn new(front: Arc<Front>, options: &CompileOptions, arch: &GpuArch) -> EmitPlan {
+        let flags = EmitFlags::resolve(options, &front.sched, &front.barriers, arch);
+        EmitPlan { front, flags }
+    }
+
     /// The barrier instruction schedule item `item` lowers to in a kernel
     /// of pipeline depth `k`: plain named barriers at `k` = 1; at `k` > 1
     /// stage-rotated ones, sync point `s` owning the `k` ids from
@@ -269,12 +342,12 @@ impl EmitPlan {
         if self.flags.unsafe_remove_barriers {
             return None;
         }
-        let sync =
-            |s: usize| (self.barriers.of_sync[s], self.sched.sync_points[s].warps().len() as u16);
+        let Front { sched, barriers, .. } = &*self.front;
+        let sync = |s: usize| (barriers.of_sync[s], sched.sync_points[s].warps().len() as u16);
         let stage_base = |bar: u8| (usize::from(bar) * k) as u8;
         Some(match item {
             Item::FullBarrier(_) => {
-                Instr::BarSync { bar: self.barriers.full_barrier, warps: self.flags.warps as u16 }
+                Instr::BarSync { bar: barriers.full_barrier, warps: self.flags.warps as u16 }
             }
             Item::Wait(s) => {
                 let (bar, warps) = sync(s);
@@ -300,25 +373,26 @@ impl EmitPlan {
     /// has one: a CTA-wide barrier closing each point iteration, so shared
     /// slots can be reused by the next point set without racing ahead.
     pub(crate) fn rendezvous(&self) -> Option<Instr> {
-        let needed = !self.sched.sync_points.is_empty()
+        let needed = !self.front.sched.sync_points.is_empty()
             && !self.flags.unsafe_remove_barriers
             && self.flags.point_iters > 1;
         needed.then_some(Instr::BarSync {
-            bar: self.barriers.full_barrier,
+            bar: self.front.barriers.full_barrier,
             warps: self.flags.warps as u16,
         })
     }
 
     /// Named barriers a kernel of pipeline depth `k` declares.
     pub(crate) fn kernel_barriers(&self, k: usize, arch: &GpuArch) -> CResult<usize> {
-        let used = self.barriers.barriers_used;
+        let used = self.front.barriers.barriers_used;
         if k == 1 {
             // The sync-point colors plus the pass barrier, if any. `allocate`
             // colors within `sync_barrier_budget`, the barrier file less one,
             // so on any arch with two or more named barriers the `min` never
             // binds: this is the count the kernel declares and the one its
             // statistics report alike.
-            let uses_full = !self.sched.full_barriers.is_empty() || self.rendezvous().is_some();
+            let uses_full =
+                !self.front.sched.full_barriers.is_empty() || self.rendezvous().is_some();
             return Ok((used + usize::from(uses_full)).max(1).min(arch.named_barriers_per_sm));
         }
         // K rotated ids per sync-point color plus the K-entry empty ring.
@@ -335,25 +409,37 @@ impl EmitPlan {
     }
 }
 
-/// The first half of a compile, for a graph that validates: map, schedule,
-/// check the schedule, allocate barriers, resolve the options.
+/// The first half of a compile, for a graph that validates: the front half
+/// ([`front_half`]), then the options resolved against it.
 pub(crate) fn plan(
     dfg: &Dfg,
     options: &CompileOptions,
     arch: &GpuArch,
     timer: &mut crate::compiler::StageTimer<'_>,
 ) -> CResult<EmitPlan> {
-    let mapping = map_ops(dfg, options)?;
+    let front = front_half(dfg, &FrontKey::of(options), arch, timer)?;
+    Ok(EmitPlan::new(Arc::new(front), options, arch))
+}
+
+/// Map, schedule, check the schedule, allocate barriers: what a compile
+/// with options of key `key` does first.
+pub(crate) fn front_half(
+    dfg: &Dfg,
+    key: &FrontKey,
+    arch: &GpuArch,
+    timer: &mut crate::compiler::StageTimer<'_>,
+) -> CResult<Front> {
+    let options = key.options();
+    let mapping = map_ops(dfg, &options)?;
     timer.mark("mapping");
     let max_sync = sync_barrier_budget(arch);
-    let sched = schedule(dfg, &mapping, options, max_sync as usize)?;
+    let sched = schedule(dfg, &mapping, &options, max_sync as usize)?;
     timer.mark("schedule");
     sched.verify(dfg)?;
     timer.mark("schedule-verify");
     let barriers = allocate(&sched, max_sync)?;
     timer.mark("barrier-alloc");
-    let flags = EmitFlags::resolve(options, &sched, &barriers, arch);
-    Ok(EmitPlan { mapping, sched, barriers, flags })
+    Ok(Front { mapping, sched, barriers })
 }
 
 /// The second half: emit the planned kernel and, if the plan says so, hold
@@ -617,7 +703,8 @@ pub(crate) fn emit(
     plan: &EmitPlan,
     arch: &GpuArch,
 ) -> CResult<Compiled> {
-    let EmitPlan { mapping, sched, barriers, flags } = plan;
+    let EmitPlan { front, flags } = plan;
+    let Front { mapping, sched, barriers } = &**front;
     let EmitFlags {
         warps: w,
         point_iters,
@@ -1502,6 +1589,83 @@ mod tests {
                     assert_eq!(*first, this, "{} on {}: {:?}", dfg.name, arch.name, o);
                 }
             }
+        }
+    }
+
+    /// The front half on a key's options is the front half on the options
+    /// the key was taken from — the mapper and the scheduler read nothing
+    /// the key leaves at its default — on the DME graphs, where the
+    /// uniform-reads option decides when a slot dies under a bounded pool.
+    #[test]
+    fn the_front_half_reads_only_its_key() {
+        let mech = synth::dme();
+        let arch = GpuArch::hopper();
+        let max_sync = sync_barrier_budget(&arch) as usize;
+        let mut moved_by_uniform_reads = 0;
+        for warps in [4, 10, 15] {
+            for dfg in [
+                viscosity::viscosity_dfg(&ViscosityTables::build(&mech), warps),
+                diffusion::diffusion_dfg(&DiffusionTables::build(&mech), warps),
+            ] {
+                for placement in [Placement::Store, Placement::Mixed(88), Placement::Mixed(176)] {
+                    let halves = [true, false].map(|uniform_shared_reads| {
+                        let o = CompileOptions {
+                            warps,
+                            placement,
+                            uniform_shared_reads,
+                            w_regs: 0.0,
+                            point_iters: 2,
+                            pipeline_depth: 2,
+                            exp_const_from_registers: true,
+                            ..Default::default()
+                        };
+                        let mut timer = crate::compiler::StageTimer::new(None);
+                        let keyed = front_half(&dfg, &FrontKey::of(&o), &arch, &mut timer);
+                        let own = map_ops(&dfg, &o).and_then(|mapping| {
+                            let sched = schedule(&dfg, &mapping, &o, max_sync)?;
+                            sched.verify(&dfg)?;
+                            let barriers = allocate(&sched, max_sync as u8)?;
+                            Ok(Front { mapping, sched, barriers })
+                        });
+                        let (keyed, own) = (keyed.map_err(|e| e.to_string()), own.map_err(|e| e.to_string()));
+                        assert_eq!(keyed, own, "{} at {placement:?}", dfg.name);
+                        keyed
+                    });
+                    moved_by_uniform_reads += usize::from(halves[0] != halves[1]);
+                }
+            }
+        }
+        assert!(moved_by_uniform_reads >= 4, "{moved_by_uniform_reads} graphs and placements");
+    }
+
+    /// Each field the front half reads moves its key, and no other does.
+    #[test]
+    fn a_front_key_holds_the_mapping_and_schedule_options() {
+        let o = CompileOptions::default();
+        let key = FrontKey::of(&o);
+        let front_moves = [
+            CompileOptions { warps: 3, ..o.clone() },
+            CompileOptions { w_flops: 2.0, ..o.clone() },
+            CompileOptions { w_regs: 0.0, ..o.clone() },
+            CompileOptions { w_locality: 1.0, ..o.clone() },
+            CompileOptions { placement: Placement::Mixed(88), ..o.clone() },
+            CompileOptions { uniform_shared_reads: false, ..o.clone() },
+            // Floats compare by their bits.
+            CompileOptions { w_regs: -0.0, ..CompileOptions { w_regs: 0.0, ..o.clone() } },
+        ];
+        for moved in &front_moves {
+            assert_ne!(FrontKey::of(moved), key, "{moved:?}");
+        }
+        let back_moves = [
+            CompileOptions { point_iters: 8, ..o.clone() },
+            CompileOptions { target_ctas_per_sm: 1, ..o.clone() },
+            CompileOptions { exp_const_from_registers: true, ..o.clone() },
+            CompileOptions { unsafe_remove_barriers: true, ..o.clone() },
+            CompileOptions { verify: crate::VerifyLevel::Off, ..o.clone() },
+            CompileOptions { pipeline_depth: 4, ..o.clone() },
+        ];
+        for moved in &back_moves {
+            assert_eq!(FrontKey::of(moved), key, "{moved:?}");
         }
     }
 

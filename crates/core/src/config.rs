@@ -4,7 +4,7 @@
 pub use crate::verify::VerifyLevel;
 
 /// How cross-warp dataflow values use shared memory (§4.1's three modes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// *Store*: every communicated value gets its own shared slot for its
     /// whole lifetime (viscosity).

@@ -11,7 +11,7 @@
 //! execute disjoint address ranges and the instruction cache thrashes once
 //! enough warp paths exist (Figure 9 shows the cliff at six).
 
-use crate::codegen::{CompileStats, Compiled, EmitPlan};
+use crate::codegen::{CompileStats, Compiled, EmitPlan, Front};
 use crate::dfg::{Dfg, GraphFacts};
 use crate::expr::{
     emit_stmts, lay_out_registers, EmitCtx, Homes, NodeSink, RowRef, Scratch, VarHome, VarId,
@@ -91,7 +91,8 @@ pub(crate) fn naive_impl(
     plan: &EmitPlan,
     arch: &GpuArch,
 ) -> CResult<Compiled> {
-    let EmitPlan { mapping, sched, flags, .. } = plan;
+    let EmitPlan { front, flags } = plan;
+    let Front { mapping, sched, .. } = &**front;
     let producers = &facts.producers;
     let w = flags.warps;
 

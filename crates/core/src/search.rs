@@ -40,7 +40,7 @@
 //! input order, and all ranking ties break toward the earlier candidate —
 //! results are bit-identical at any `--jobs` count.
 
-use crate::codegen::{self, Compiled, EmitPlan};
+use crate::codegen::{self, Compiled, EmitFlags, EmitPlan, Front, FrontKey};
 use crate::compiler::{Compiler, StageTimer};
 use crate::config::{CompileOptions, Placement};
 use crate::dfg::Dfg;
@@ -50,6 +50,7 @@ use crate::CResult;
 use gpu_sim::arch::GpuArch;
 use gpu_sim::launch::{launch_flat, LaunchConfig, LaunchInputs, LaunchMode};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Why a candidate produced no time: compilation and execution failures
 /// are different tuner outcomes (a config that does not fit is a legal
@@ -791,20 +792,31 @@ pub struct SearchResult {
     /// The rest arrived at the plan of an earlier candidate and took its
     /// score (see [`Tuner`]).
     pub kernels_emitted: usize,
+    /// How much of the planning was new: the distinct front-half inputs
+    /// (mapping and schedule options) mapped, scheduled and allocated,
+    /// against the candidates planned. The rest shared an earlier
+    /// candidate's front half (see [`Tuner`]).
+    pub fronts_planned: usize,
 }
 
 /// The one compile + simulate binding of [`run_search`]. The graph is
 /// analysed once for all candidates, and a candidate costs what is new
-/// about it: every candidate of a batch is *planned* on the ordered pool
-/// (map, schedule, check, allocate, resolve the options: the first half of
-/// a compile), and only the plans this `tune` call has not met are
-/// emitted, verified and scored by the static model over the flattening
-/// the verifier made, in the order they were first seen. A candidate whose
-/// plan equals an earlier one's takes that one's score, or its failure
-/// message: equal plans compile to equal bytes. The memo holding this is a
-/// local of the call, keyed by the whole plan under full equality, so
-/// nothing outlives the search and no hash collision can lend a candidate
-/// another's score.
+/// about it, twice over:
+///
+/// * **The front half** (map, schedule, check, allocate) reads only some
+///   options, the ones a `codegen::FrontKey` holds. Each batch's keys this
+///   `tune` call has not met are planned on the ordered pool, once each;
+///   then every candidate resolves the rest of its options against its
+///   key's front half, which makes its plan (the first half of a compile).
+/// * **The back half**: only the plans this call has not met are emitted,
+///   verified and scored by the static model over the flattening the
+///   verifier made, in the order they were first seen. A candidate whose
+///   plan equals an earlier one's takes that one's score, or its failure
+///   message: equal plans compile to equal bytes.
+///
+/// The memos holding this are locals of the call, keyed by full equality —
+/// of the key, of the front half, of the plan — so nothing outlives the
+/// search and no hash collision can lend a candidate another's score.
 ///
 /// Nothing compiled is kept across the score phase (a beam scores 160
 /// candidates): the `sim_top_k` survivors are compiled again to be probed
@@ -869,34 +881,67 @@ impl Tuner {
         // One analysis of the graph serves every candidate; a graph that
         // does not validate fails each of them with that verdict.
         let facts = dfg.facts();
-        let plan = |o: &CompileOptions| -> CResult<EmitPlan> {
+        let front = |key: &FrontKey| -> CResult<Front> {
             facts.as_ref().map_err(Clone::clone)?;
-            codegen::plan(dfg, o, arch, &mut StageTimer::new(None))
+            codegen::front_half(dfg, key, arch, &mut StageTimer::new(None))
         };
         let finish = |plan: &EmitPlan| -> CResult<Compiled> {
             let facts = facts.as_ref().map_err(Clone::clone)?;
             codegen::finish(dfg, facts, plan, arch, &mut StageTimer::new(None))
         };
-        let build = |o: &CompileOptions| finish(&plan(o)?);
-        // The score, or the compiler's message, of every plan finished so far.
-        let mut scored: HashMap<EmitPlan, Result<f64, String>> = HashMap::new();
+        let build = |o: &CompileOptions| {
+            let front = front(&FrontKey::of(o))?;
+            finish(&EmitPlan::new(Arc::new(front), o, arch))
+        };
+        // Every front half planned so far, by key: the index of its value
+        // among the distinct ones, or the compiler's message.
+        let mut planned: HashMap<FrontKey, Result<usize, String>> = HashMap::new();
+        let mut fronts: Vec<Arc<Front>> = Vec::new();
+        let mut front_of: HashMap<Arc<Front>, usize> = HashMap::new();
+        // The score, or the compiler's message, of every plan finished so
+        // far: a plan is its front half's index and its flags.
+        let mut scored: HashMap<(usize, EmitFlags), Result<f64, String>> = HashMap::new();
         let mut score = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
-            let plans = run_ordered(jobs, cands.len(), |i| plan(&cands[i]).map_err(|e| e.to_string()));
-            let mut fresh: Vec<&EmitPlan> = Vec::new();
-            let mut batch: HashSet<&EmitPlan> = HashSet::new();
-            for p in plans.iter().flatten() {
-                if !scored.contains_key(p) && batch.insert(p) {
-                    fresh.push(p);
+            let keys: Vec<FrontKey> = cands.iter().map(FrontKey::of).collect();
+            let mut new_keys: Vec<FrontKey> = Vec::new();
+            for key in &keys {
+                if !planned.contains_key(key) && !new_keys.contains(key) {
+                    new_keys.push(*key);
+                }
+            }
+            let halves = run_ordered(jobs, new_keys.len(), |i| front(&new_keys[i]));
+            for (key, half) in new_keys.into_iter().zip(halves) {
+                let at = half.map_err(|e| e.to_string()).map(|half| {
+                    *front_of.entry(Arc::new(half)).or_insert_with_key(|half| {
+                        fronts.push(half.clone());
+                        fronts.len() - 1
+                    })
+                });
+                planned.insert(key, at);
+            }
+            let plans: Vec<Result<(usize, EmitPlan), String>> = cands
+                .iter()
+                .zip(&keys)
+                .map(|(o, key)| {
+                    let at = planned[key].clone()?;
+                    Ok((at, EmitPlan::new(fronts[at].clone(), o, arch)))
+                })
+                .collect();
+            let mut fresh: Vec<(usize, &EmitPlan)> = Vec::new();
+            for (at, plan) in plans.iter().flatten() {
+                let key = (*at, plan.flags);
+                if !scored.contains_key(&key) && !fresh.iter().any(|&(a, p)| (a, p.flags) == key) {
+                    fresh.push((*at, plan));
                 }
             }
             let scores = run_ordered(jobs, fresh.len(), |i| {
-                let c = finish(fresh[i]).map_err(|e| e.to_string())?;
+                let c = finish(fresh[i].1).map_err(|e| e.to_string())?;
                 let grid = probe_grid(&c.kernel, probe_points);
                 let predicted = crate::perfmodel::predict_flat(&c.kernel, &c.flat(), arch, grid);
                 Ok(predicted.map_or(f64::INFINITY, |m| m.seconds()))
             });
-            scored.extend(fresh.into_iter().cloned().zip(scores));
-            plans.into_iter().map(|p| scored[&p?].clone()).collect()
+            scored.extend(fresh.into_iter().map(|(at, plan)| (at, plan.flags)).zip(scores));
+            plans.into_iter().map(|p| p.and_then(|(at, plan)| scored[&(at, plan.flags)].clone())).collect()
         };
         let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
             run_ordered(jobs, cands.len(), |i| {
@@ -917,7 +962,7 @@ impl Tuner {
         // Re-compile the winner (compilation is deterministic, and the
         // verifier remembers its verdict) so callers get a runnable artifact.
         let best = build(&outcome.best_options)?;
-        Ok(SearchResult { best, outcome, kernels_emitted: scored.len() })
+        Ok(SearchResult { best, outcome, kernels_emitted: scored.len(), fronts_planned: planned.len() })
     }
 }
 
@@ -1155,8 +1200,39 @@ mod tests {
     }
 
     #[test]
+    fn a_front_half_is_planned_once_per_key() {
+        let dfg = small_dfg();
+        let o = CompileOptions::builder().warps(3).point_iters(4).build();
+        // Options the front half never reads: four keys among eight.
+        let list = vec![
+            o.clone(),
+            CompileOptions { point_iters: 2, ..o.clone() },
+            CompileOptions { pipeline_depth: 2, ..o.clone() },
+            CompileOptions { exp_const_from_registers: true, ..o.clone() },
+            CompileOptions { verify: VerifyLevel::Strict, target_ctas_per_sm: 1, ..o.clone() },
+            CompileOptions { w_regs: 0.0, ..o.clone() },
+            CompileOptions { w_regs: 0.0, point_iters: 8, ..o.clone() },
+            CompileOptions { uniform_shared_reads: false, ..o.clone() },
+            CompileOptions { warps: 2, ..o.clone() },
+            CompileOptions { warps: 2, pipeline_depth: 4, ..o.clone() },
+        ];
+        let arch = GpuArch::hopper();
+        for jobs in [1, 8] {
+            let budget = SearchBudget::builder().sim_top_k(list.len()).build();
+            let tuner = Compiler::new(&arch).search().budget(budget).jobs(jobs);
+            let found = tuner.tune(&dfg, &FixedList(&list), 256, &probe_inputs(6, 1)).unwrap();
+            assert_points_are_lone_compiles(&dfg, &arch, 256, &found.outcome);
+            // `o`, its weight move, its toggle, and the two-warp key that
+            // fails to map, each planned once.
+            assert_eq!(found.fronts_planned, 4);
+            assert_eq!(compiled(&found.outcome), 8);
+        }
+    }
+
+    #[test]
     fn a_default_row_finishes_each_distinct_kernel_once() {
         let mut emitted_of_compiled = Vec::new();
+        let mut fronts_of_scored = Vec::new();
         for (dfg, arch, base) in default_rows() {
             let tuner = Compiler::new(&arch).options(base).search();
             let found = tuner.tune(&dfg, &BeamSearch, 4096, &probe_inputs(30, 1)).unwrap();
@@ -1175,14 +1251,24 @@ mod tests {
                 let compiler = Compiler::new(&arch).options(p.options.clone());
                 let lone = compiler.compile(&dfg, crate::Variant::WarpSpecialized).unwrap();
                 let print = gpu_sim::flatcache::fingerprint(&lone.kernel);
-                kernels.insert(print);
+                if kernels.insert(print) {
+                    // The period proof against the walk of every trip.
+                    let walked = crate::verify::verify_kernel_walked(&lone.kernel, &arch);
+                    assert_eq!(lone.verdict(), walked.as_ref().ok(), "{:?}", p.options);
+                }
                 assert_eq!(*kernel_of_plan.entry(plan).or_insert(print), print, "{:?}", p.options);
             }
             assert_eq!(kernel_of_plan.len(), kernels.len(), "{}: plans and kernels", dfg.name);
             assert_eq!(found.kernels_emitted, kernels.len(), "{}: no plan failed late", dfg.name);
             emitted_of_compiled.push((found.kernels_emitted, compiled(&found.outcome)));
+            // One front half per distinct key among the scored candidates.
+            let keys: HashSet<FrontKey> =
+                found.outcome.points.iter().map(|p| FrontKey::of(&p.options)).collect();
+            assert_eq!(found.fronts_planned, keys.len(), "{}", dfg.name);
+            fronts_of_scored.push((found.fronts_planned, found.outcome.model_evals));
         }
         assert_eq!(emitted_of_compiled, [(30, 116), (27, 90)]);
+        assert_eq!(fronts_of_scored, [(39, 160), (30, 160)]);
     }
 
     #[test]

@@ -49,23 +49,28 @@ pub struct EventCounts {
 impl EventCounts {
     /// Merge another CTA's counts into this one.
     pub fn merge(&mut self, o: &EventCounts) {
-        self.issue_slots += o.issue_slots;
-        self.dp_slots += o.dp_slots;
-        self.dp_const_slots += o.dp_const_slots;
-        self.flops += o.flops;
-        self.shared_accesses += o.shared_accesses;
-        self.shared_conflicts += o.shared_conflicts;
-        self.global_transactions += o.global_transactions;
-        self.global_bytes += o.global_bytes;
-        self.local_bytes += o.local_bytes;
-        self.const_hits += o.const_hits;
-        self.const_misses += o.const_misses;
-        self.icache_misses += o.icache_misses;
-        self.icache_fetches += o.icache_fetches;
-        self.barrier_syncs += o.barrier_syncs;
-        self.barrier_arrives += o.barrier_arrives;
-        self.barrier_stall_switches += o.barrier_stall_switches;
-        self.warp_branches += o.warp_branches;
+        self.merge_times(o, 1);
+    }
+
+    /// Merge `o` into this one `times` times over.
+    pub(crate) fn merge_times(&mut self, o: &EventCounts, times: u64) {
+        self.issue_slots += o.issue_slots * times;
+        self.dp_slots += o.dp_slots * times;
+        self.dp_const_slots += o.dp_const_slots * times;
+        self.flops += o.flops * times;
+        self.shared_accesses += o.shared_accesses * times;
+        self.shared_conflicts += o.shared_conflicts * times;
+        self.global_transactions += o.global_transactions * times;
+        self.global_bytes += o.global_bytes * times;
+        self.local_bytes += o.local_bytes * times;
+        self.const_hits += o.const_hits * times;
+        self.const_misses += o.const_misses * times;
+        self.icache_misses += o.icache_misses * times;
+        self.icache_fetches += o.icache_fetches * times;
+        self.barrier_syncs += o.barrier_syncs * times;
+        self.barrier_arrives += o.barrier_arrives * times;
+        self.barrier_stall_switches += o.barrier_stall_switches * times;
+        self.warp_branches += o.warp_branches * times;
     }
 
     /// Constant-cache miss ratio (0 when no accesses).

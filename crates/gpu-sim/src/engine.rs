@@ -134,7 +134,8 @@ use crate::counts::StaticSegCounts;
 use crate::cta::{self, bank_transactions, CtaMem, CtaResult, Points, Schedule};
 use crate::error::{SimError, SimResult};
 use crate::interp::{
-    exec_fast, operand, out_chunk, src_vals, DecodedInstr, FlatOp, FlatProgram, Run, Src,
+    exec_fast, operand, out_chunk, period_of, src_vals, DecodedInstr, FlatOp, FlatProgram, Run,
+    Src,
 };
 use crate::isa::*;
 use crate::lanes;
@@ -290,6 +291,9 @@ pub(crate) struct EngineProgram {
     stats: EngineStats,
     /// What is stored, as against executed.
     shape: LoweringShape,
+    /// The optimizer's chunk-table lookups while lowering this program.
+    #[cfg(test)]
+    work: u64,
 }
 
 /// How much of a program lowering stored, and how its loops went: the
@@ -497,27 +501,6 @@ struct Lowering {
 /// A trap was planted: lowering of the stream stops there.
 struct Trapped;
 
-/// Trips after which the ops of a run whose point set advances by
-/// `pset_step` a trip resolve as they did: the lcm of the ops' stage periods
-/// ([`Instr::stage_period`]), so a K-stage ring rotates inside one period.
-/// Saturates.
-fn period_of(prog: &FlatProgram, ops: &[FlatOp], pset_step: u32) -> u32 {
-    if pset_step == 0 {
-        return 1;
-    }
-    let gcd = |mut a: u64, mut b: u64| {
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        a
-    };
-    let period = ops.iter().filter_map(|op| op.instr()).fold(1u64, |p, i| {
-        let k = u64::from(prog.instrs[i].stage_period());
-        (p / gcd(p, k) * k).min(u64::from(u32::MAX))
-    });
-    period as u32
-}
-
 /// Lower a flattened program into its segment-compiled form. Infallible:
 /// execution-time errors become positional traps.
 pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
@@ -587,6 +570,8 @@ pub(crate) fn lower(kernel: &Kernel, prog: &FlatProgram) -> EngineProgram {
         traps: lw.traps,
         stats,
         shape,
+        #[cfg(test)]
+        work: lw.chunks.touches.get(),
     }
 }
 
@@ -696,7 +681,8 @@ impl Lowerer<'_> {
         w: usize,
     ) -> Result<(), Trapped> {
         let ops = prog.run_ops(w, run);
-        let period = period_of(prog, ops, run.pset_step);
+        let instrs = ops.iter().filter_map(|op| op.instr()).map(|i| &prog.instrs[i]);
+        let period = period_of(instrs, run.pset_step);
         let mut lowered = 0;
         if run.trips.is_multiple_of(period) && run.trips / period >= 2 {
             // The body gets segments of its own: the repeat jumps to its
@@ -1052,11 +1038,21 @@ struct ChunkSlot {
 struct ChunkTable {
     gen: u32,
     slots: Vec<ChunkSlot>,
+    /// Rows looked up so far, by [`ChunkTable::get`] or [`ChunkTable::at`]:
+    /// the optimizer's work as a count, which a test can hold linear in the
+    /// stream where a wall clock on a shared host cannot.
+    #[cfg(test)]
+    touches: std::cell::Cell<u64>,
 }
 
 impl ChunkTable {
     fn new() -> ChunkTable {
-        ChunkTable { gen: 1, slots: Vec::new() }
+        ChunkTable {
+            gen: 1,
+            slots: Vec::new(),
+            #[cfg(test)]
+            touches: std::cell::Cell::new(0),
+        }
     }
 
     fn reset(&mut self) {
@@ -1065,6 +1061,8 @@ impl ChunkTable {
 
     /// The row of the chunk containing element `base`, by value.
     fn get(&self, base: usize) -> ChunkSlot {
+        #[cfg(test)]
+        self.touches.set(self.touches.get() + 1);
         match self.slots.get(base / WARP_SIZE) {
             Some(s) if s.gen == self.gen => *s,
             _ => ChunkSlot::default(),
@@ -1073,6 +1071,8 @@ impl ChunkTable {
 
     /// The row of the chunk containing element `base`, for update.
     fn at(&mut self, base: usize) -> &mut ChunkSlot {
+        #[cfg(test)]
+        self.touches.set(self.touches.get() + 1);
         let c = base / WARP_SIZE;
         if c >= self.slots.len() {
             self.slots.resize(c + 1, ChunkSlot::default());
@@ -3194,19 +3194,21 @@ mod tests {
     }
 
     #[test]
-    fn lowering_time_is_linear_in_the_stream() {
+    fn lowering_work_is_linear_in_the_stream() {
         // One constant loaded into a register once, then N rounds of
         // reg×reg `Mul` by it, `Exp` and `Mov`: every Mul's operand was
         // last written at the very start of the stream, the shape a pass
-        // that scans back for a writer goes quadratic on (16× the time for
+        // that scans back for a writer goes quadratic on (16× the work for
         // 4× the stream). With every question answered from the chunk
-        // table, 4× the stream must cost well under 8× the time (best of
-        // three against timer noise).
+        // table, 4× the stream must cost well under 8× the table lookups.
         //
         // The rounds sit in a point loop of `trips` trips. One trip is the
         // straight-line stream; eight are the same body rolled, which must
         // cost about what one does — within 2× — not eight times it.
-        let lower_secs = |rounds: usize, trips: u32| {
+        //
+        // The work is counted, not timed: a deterministic bound holds on a
+        // loaded host where a wall clock does not.
+        let lower_work = |rounds: usize, trips: u32| {
             let mut k = base_kernel(1);
             k.name = format!("eng-t-scale-{rounds}-{trips}");
             k.points_per_cta = trips as usize * WARP_SIZE;
@@ -3222,29 +3224,23 @@ mod tests {
                 Node::Op(Instr::LdConst { dst: 0, bank: 0, idx: IdxOp::Imm(1) }),
                 Node::PointLoop { iters: trips, body },
             ];
-            let prog = flatten(&k);
-            (0..3)
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    let eng = lower(&k, &prog);
-                    let dt = t0.elapsed().as_secs_f64();
-                    assert_eq!(eng.stats().exp_ops, u64::from(trips) * rounds as u64);
-                    assert_eq!(eng.shape().rolled_runs, u32::from(trips > 1));
-                    dt
-                })
-                .fold(f64::INFINITY, f64::min)
+            let eng = lower(&k, &flatten(&k));
+            assert_eq!(eng.stats().exp_ops, u64::from(trips) * rounds as u64);
+            assert_eq!(eng.shape().rolled_runs, u32::from(trips > 1));
+            eng.work
         };
-        let (small, large) = (lower_secs(8_000, 1), lower_secs(32_000, 1));
+        let (small, large) = (lower_work(8_000, 1), lower_work(32_000, 1));
+        assert!(small > 8_000, "{small} lookups for 8 000 rounds");
         assert!(
-            large < 8.0 * small,
-            "lowering 4x the stream took {:.1}x the time ({small:.4} s -> {large:.4} s)",
-            large / small
+            large < 8 * small,
+            "lowering 4x the stream took {:.1}x the lookups ({small} -> {large})",
+            large as f64 / small as f64
         );
-        let rolled = lower_secs(32_000, 8);
+        let rolled = lower_work(32_000, 8);
         assert!(
-            rolled < 2.0 * large,
-            "lowering 8 trips of a rollable body took {:.1}x one trip ({large:.4} s -> {rolled:.4} s)",
-            rolled / large
+            rolled < 2 * large,
+            "lowering 8 trips of a rollable body took {:.1}x one trip's lookups ({large} -> {rolled})",
+            rolled as f64 / large as f64
         );
     }
 }

@@ -31,9 +31,9 @@
 //! parallel column. Runs are canonical (no empty run, adjacent single-trip
 //! runs over contiguous ops at one point set merged), so two classes have
 //! equal streams exactly when their ops and runs are equal. The
-//! interpreter, the profiler and the model walk a run's trip as one slice;
-//! the verifier and the accessors ([`FlatProgram::step`],
-//! [`FlatProgram::sync_step`]) resolve an expanded position through the run
+//! interpreter, the profiler and the model walk a run's trip as one slice,
+//! and so does the verifier, through the read-only [`SyncRun`] view;
+//! [`FlatProgram::step`] resolves an expanded position through the run
 //! table. The warp id itself enters execution only where an instruction
 //! asks for it (`IdxInstr::WarpId`, `PointRef::Thread`).
 
@@ -82,8 +82,6 @@ pub(crate) struct Run {
     pub(crate) pset_step: u32,
     /// Position of trip 0's first op in the expanded stream.
     at: usize,
-    /// Position of trip 0's first sync op in the expanded sync substream.
-    sync_at: usize,
 }
 
 impl Run {
@@ -136,25 +134,37 @@ struct ClassStream {
     runs: Vec<Run>,
     /// Expanded stream length: Σ run length × trips.
     len: usize,
-    /// Expanded sync substream length.
-    sync_len: usize,
 }
 
 impl ClassStream {
-    /// The run holding expanded position `pos` of the column whose run
-    /// starts `at` reads, with the trip and the offset into it.
-    fn locate(
-        &self,
-        pos: usize,
-        at: impl Fn(&Run) -> usize,
-        len: impl Fn(&Run) -> usize,
-    ) -> (&Run, u32, usize) {
-        // Runs that hold nothing of the column share their successor's
-        // start; the last run starting at or before `pos` is the holder.
-        let run = &self.runs[self.runs.partition_point(|r| at(r) <= pos) - 1];
-        let off = pos - at(run);
-        (run, (off / len(run)) as u32, off % len(run))
+    /// The run holding expanded position `pos`, with the trip and the
+    /// offset into it.
+    fn locate(&self, pos: usize) -> (&Run, u32, usize) {
+        let run = &self.runs[self.runs.partition_point(|r| r.at <= pos) - 1];
+        let off = pos - run.at;
+        (run, (off / run.ops.len()) as u32, off % run.ops.len())
     }
+}
+
+/// Trips after which `instrs` — one trip of a run whose point set advances
+/// by `pset_step` a trip — resolve as they did: the lcm of their stage
+/// periods ([`Instr::stage_period`]), so a K-stage ring rotates inside one
+/// period. Saturates.
+pub(crate) fn period_of<'i>(instrs: impl Iterator<Item = &'i Instr>, pset_step: u32) -> u32 {
+    if pset_step == 0 {
+        return 1;
+    }
+    let gcd = |mut a: u64, mut b: u64| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let period = instrs.fold(1u64, |p, i| {
+        let k = u64::from(i.stage_period());
+        (p / gcd(p, k) * k).min(u64::from(u32::MAX))
+    });
+    period as u32
 }
 
 /// Pre-resolved double-precision operand: a register's base offset into the
@@ -385,6 +395,58 @@ pub struct FlatStep<'a> {
     pub instr: Option<&'a Instr>,
 }
 
+/// One run of a warp's synchronization-relevant substream, exposed
+/// read-only for the barrier-protocol verifier in the compiler crate: one
+/// trip's ops, which the run executes [`SyncRun::trips`] times at
+/// [`SyncRun::pset`]. The ops are exactly those a barrier-protocol or
+/// shared-memory analysis must model (index ISA, shared accesses, async
+/// copies, named barriers), in stream order with their static addresses;
+/// everything skipped is arithmetic with no effect on index registers,
+/// shared memory or barrier state.
+#[derive(Debug, Clone, Copy)]
+pub struct SyncRun<'a> {
+    prog: &'a FlatProgram,
+    class: &'a ClassStream,
+    run: &'a Run,
+}
+
+impl<'a> SyncRun<'a> {
+    /// Times the trip executes back to back; at least 1.
+    pub fn trips(&self) -> u32 {
+        self.run.trips
+    }
+
+    /// Synchronization-relevant ops in one trip.
+    pub fn len(&self) -> usize {
+        self.run.sync.len()
+    }
+
+    /// Whether a trip holds no synchronization-relevant op.
+    pub fn is_empty(&self) -> bool {
+        self.run.sync.is_empty()
+    }
+
+    /// The point set trip `trip` executes at (stage-rotated barriers and
+    /// pipeline offsets resolve against it).
+    pub fn pset(&self, trip: u32) -> u32 {
+        self.run.pset(trip)
+    }
+
+    /// Trips after which the ops resolve as they did: trips `t` and
+    /// `t + period()` execute the same instructions at point sets no stage
+    /// ring tells apart.
+    pub fn period(&self) -> u32 {
+        period_of((0..self.len()).map(|off| self.step(off).1), self.run.pset_step)
+    }
+
+    /// Op `off` of a trip: its static address and its instruction.
+    pub fn step(&self, off: usize) -> (u32, &'a Instr) {
+        let at = self.class.sync[self.run.sync.start as usize + off] as usize;
+        let instr = self.class.ops[at].instr().expect("a sync op is an instruction");
+        (self.class.addrs[at], &self.prog.instrs[instr])
+    }
+}
+
 /// One warp's fetch-address stream, read off the rolled form a slice at a
 /// time: the instruction-cache model's input ([`FetchStream`]).
 pub(crate) struct FetchWalk<'a> {
@@ -476,7 +538,7 @@ impl FlatProgram {
     pub fn step(&self, warp: usize, pos: usize) -> FlatStep<'_> {
         let class = self.class(warp);
         assert!(pos < class.len, "stream position {pos} of {}", class.len);
-        let (run, trip, off) = class.locate(pos, |r| r.at, |r| r.ops.len());
+        let (run, trip, off) = class.locate(pos);
         let at = run.ops.start as usize + off;
         let addr = class.addrs[at];
         match class.ops[at].instr() {
@@ -490,25 +552,11 @@ impl FlatProgram {
         (0..self.stream_len(warp)).map(move |i| self.step(warp, i))
     }
 
-    /// Length of one warp's synchronization-relevant substream.
-    pub fn sync_stream_len(&self, warp: usize) -> usize {
-        self.class(warp).sync_len
-    }
-
-    /// One step of a warp's synchronization-relevant substream — exactly
-    /// the ops a barrier-protocol or shared-memory analysis must model
-    /// (index ISA, shared accesses, async copies, named barriers), in
-    /// stream order with original static addresses and the executing
-    /// point set (stage-rotated barriers resolve against it). Everything
-    /// skipped is arithmetic with no effect on index registers, shared
-    /// memory, or barrier state.
-    pub fn sync_step(&self, warp: usize, pos: usize) -> (u32, u32, &Instr) {
+    /// One warp's synchronization-relevant substream, as its runs in order
+    /// (a run whose trips hold no such op among them).
+    pub fn sync_runs(&self, warp: usize) -> impl ExactSizeIterator<Item = SyncRun<'_>> + '_ {
         let class = self.class(warp);
-        assert!(pos < class.sync_len, "sync position {pos} of {}", class.sync_len);
-        let (run, trip, off) = class.locate(pos, |r| r.sync_at, |r| r.sync.len());
-        let at = class.sync[run.sync.start as usize + off] as usize;
-        let instr = class.ops[at].instr().expect("a sync op is an instruction");
-        (class.addrs[at], run.pset(trip), &self.instrs[instr])
+        class.runs.iter().map(move |run| SyncRun { prog: self, class, run })
     }
 
     /// Heap bytes this program retains, from lengths times element sizes:
@@ -754,7 +802,7 @@ impl ClassBuilder {
     /// Close the kernel body: outside every point loop the point set is 0.
     fn finish(mut self) -> ClassStream {
         self.close_loop(Vec::new(), 1, true);
-        let (mut len, mut sync_len) = (0, 0);
+        let mut len = 0;
         let runs = self
             .spans
             .into_iter()
@@ -762,24 +810,16 @@ impl ClassBuilder {
                 let Pset::Own { first, step } = s.pset else {
                     unreachable!("the kernel body closed as a point loop of one trip")
                 };
-                let run = Run {
-                    ops: s.ops,
-                    sync: s.sync,
-                    trips: s.trips,
-                    pset: first,
-                    pset_step: step,
-                    at: len,
-                    sync_at: sync_len,
-                };
+                let run =
+                    Run { ops: s.ops, sync: s.sync, trips: s.trips, pset: first, pset_step: step, at: len };
                 len += run.ops.len() * run.trips as usize;
-                sync_len += run.sync.len() * run.trips as usize;
                 run
             })
             .collect();
         self.ops.shrink_to_fit();
         self.addrs.shrink_to_fit();
         self.sync.shrink_to_fit();
-        ClassStream { ops: self.ops, addrs: self.addrs, sync: self.sync, runs, len, sync_len }
+        ClassStream { ops: self.ops, addrs: self.addrs, sync: self.sync, runs, len }
     }
 }
 
@@ -1701,7 +1741,7 @@ mod tests {
             for w in 0..warps {
                 assert_eq!(prog.stream_len(w), oracle[w].len(), "case {case} warp {w}");
                 assert_eq!(prog.warp_stream(w).count(), oracle[w].len());
-                let mut sync_pos = 0;
+                let mut sync_want = Vec::new();
                 for (pos, op) in oracle[w].iter().enumerate() {
                     let step = prog.step(w, pos);
                     match *op {
@@ -1709,8 +1749,7 @@ mod tests {
                             let ins = &instrs[instr as usize];
                             assert_eq!((step.addr, step.pset, step.instr), (addr, pset, Some(ins)));
                             if ins.is_sync_relevant() {
-                                assert_eq!(prog.sync_step(w, sync_pos), (addr, pset, ins));
-                                sync_pos += 1;
+                                sync_want.push((addr, pset, ins));
                             }
                         }
                         OracleOp::Branch { addr } => {
@@ -1718,7 +1757,16 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(prog.sync_stream_len(w), sync_pos, "case {case} warp {w}");
+                // The verifier's view: each sync run's trip, `trips` times.
+                let sync_got = prog.sync_runs(w).flat_map(|run| {
+                    (0..run.trips()).flat_map(move |t| {
+                        (0..run.len()).map(move |off| {
+                            let (addr, ins) = run.step(off);
+                            (addr, run.pset(t), ins)
+                        })
+                    })
+                });
+                assert!(sync_got.eq(sync_want), "case {case} warp {w}: sync runs");
 
                 // The trips the interpreter, the model and lowering walk.
                 let prog = &prog;

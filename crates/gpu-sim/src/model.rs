@@ -40,7 +40,7 @@ use crate::counts::EventCounts;
 use crate::cta::{self, Schedule};
 use crate::error::SimError;
 use crate::flatcache::flatten_cached;
-use crate::interp::FlatProgram;
+use crate::interp::{FlatOp, FlatProgram};
 use crate::isa::{BarOp, IdxOp, Instr, Kernel, SAddr, UnOp};
 use crate::profile::{CtaProfile, Profiler, WarpCycles};
 
@@ -135,6 +135,16 @@ struct Segment {
     bar: Option<BarOp>,
 }
 
+impl Segment {
+    /// Add `other`'s work to this segment's.
+    fn absorb(&mut self, other: &Segment) {
+        self.issue += other.issue;
+        self.overhead += other.overhead;
+        self.const_ops += other.const_ops;
+        self.const_lines += other.const_lines;
+    }
+}
+
 /// A protocol violation the replay met, as the strings `perfmodel` and the
 /// tuner surface it in.
 fn model_error(e: SimError) -> String {
@@ -215,6 +225,102 @@ fn distribute(total: u64, weights: &[u64]) -> Vec<u64> {
     out
 }
 
+/// One trip of a run, collapsed for the replay.
+struct Trip<'p> {
+    /// The segments the trip's barriers close — what ran since the barrier
+    /// before — each with its barrier instruction, unresolved.
+    closed: Vec<(Segment, &'p Instr)>,
+    /// What runs after the trip's last barrier.
+    open: Segment,
+    /// The trip's static-exact event counts.
+    counts: EventCounts,
+    /// `exp` ops among the trip's.
+    exp_ops: u64,
+}
+
+/// Collapse one trip of a run — `ops` — into segments and counts, the work
+/// of every trip alike: which op is a barrier, and whether a sync, does not
+/// depend on the point set, only which barrier it is.
+#[deny(clippy::wildcard_enum_match_arm)]
+fn collapse_trip<'p>(kernel: &Kernel, prog: &'p FlatProgram, ops: &[FlatOp]) -> Trip<'p> {
+    let (mut closed, mut cur) = (Vec::new(), Segment::default());
+    let (mut counts, mut exp_ops) = (EventCounts::default(), 0u64);
+    for op in ops {
+        let Some(i) = op.instr() else {
+            counts.issue_slots += 1;
+            counts.warp_branches += 1;
+            cur.overhead += 1;
+            continue;
+        };
+        let cost = prog.costs[i];
+        counts.issue_slots += cost.slots();
+        if cost.dp {
+            counts.dp_slots += cost.slots();
+            counts.flops += cost.flops_warp();
+            counts.dp_const_slots += cost.const_slots();
+        }
+        let ins = &prog.instrs[i];
+        // A barrier closes the segment.
+        if let Some(bar) = ins.barrier_op(0) {
+            if bar.sync {
+                counts.barrier_syncs += 1;
+            } else {
+                counts.barrier_arrives += 1;
+            }
+            closed.push((std::mem::take(&mut cur), ins));
+            continue;
+        }
+        cur.issue += cost.slots();
+        match ins {
+            Instr::CpAsync { addr, .. } => {
+                // One coalesced global read plus one shared store,
+                // registers untouched.
+                counts.global_transactions += 2;
+                counts.global_bytes += 256;
+                let (tx, conf) = shared_tx_estimate(addr, None);
+                counts.shared_accesses += tx;
+                counts.shared_conflicts += conf;
+            }
+            Instr::LdConst { bank, idx, .. } => {
+                cur.const_ops += 1;
+                cur.const_lines += const_lines_estimate(kernel, *bank, idx);
+            }
+            Instr::LdShared { addr, .. } => {
+                let (tx, conf) = shared_tx_estimate(addr, None);
+                counts.shared_accesses += tx;
+                counts.shared_conflicts += conf;
+            }
+            Instr::StShared { addr, lane_pred, .. } => {
+                let (tx, conf) = shared_tx_estimate(addr, *lane_pred);
+                counts.shared_accesses += tx;
+                counts.shared_conflicts += conf;
+            }
+            Instr::LdGlobal { .. } | Instr::StGlobal { .. } => {
+                // 32 consecutive doubles span two 128-byte transactions
+                // (the codegen's point layout).
+                counts.global_transactions += 2;
+                counts.global_bytes += 256;
+            }
+            Instr::LdLocal { .. } | Instr::StLocal { .. } => {
+                counts.local_bytes += (crate::WARP_SIZE * 8) as u64;
+            }
+            Instr::Un { op, .. } => exp_ops += u64::from(*op == UnOp::Exp),
+            // Issue slots are all the model has to say of these.
+            Instr::Bin { .. }
+            | Instr::DFma { .. }
+            | Instr::DSel { .. }
+            | Instr::DCmp { .. }
+            | Instr::Shfl { .. }
+            | Instr::Idx(_) => {}
+            Instr::BarArrive { .. }
+            | Instr::BarSync { .. }
+            | Instr::BarArriveStage { .. }
+            | Instr::BarSyncStage { .. } => unreachable!("closed the segment above"),
+        }
+    }
+    Trip { closed, open: cur, counts, exp_ops }
+}
+
 /// Predict the per-warp cycle attribution and event counts of one CTA of
 /// `kernel` on `arch` without interpreting it. Errors only on protocol
 /// violations the interpreter would also reject (barrier expected-count
@@ -234,7 +340,6 @@ pub fn predict_cycles(kernel: &Kernel, arch: &GpuArch) -> Result<u64, String> {
 
 /// [`predict`] over an already-flattened program (the model's static
 /// feature source; [`predict`] obtains it from the process-wide cache).
-#[deny(clippy::wildcard_enum_match_arm)]
 pub fn predict_flat(
     kernel: &Kernel,
     prog: &FlatProgram,
@@ -244,90 +349,27 @@ pub fn predict_flat(
     let mut counts = EventCounts::default();
 
     // Pass 1: collapse each warp's stream into barrier-separated
-    // segments, accumulating the static-exact event counts as we go.
+    // segments, with the static-exact event counts. A run's trip is
+    // collapsed once ([`collapse_trip`]) and laid down `trips` times, each
+    // barrier resolved at its trip's point set — stage barriers rotate with
+    // it, so the replay sees plain barrier ops — and the segment still open
+    // at a trip's end carries into the next; its counts are the trip's
+    // times `trips`.
     let mut exp_ops = 0u64;
     let mut segs: Vec<Vec<Segment>> = vec![Vec::new(); nw];
     for w in 0..nw {
         let mut cur = Segment::default();
         for run in prog.runs(w) {
-            for trip in 0..run.trips {
-                let pset = run.pset(trip);
-                for op in prog.run_ops(w, run) {
-                    let Some(i) = op.instr() else {
-                        counts.issue_slots += 1;
-                        counts.warp_branches += 1;
-                        cur.overhead += 1;
-                        continue;
-                    };
-                    let cost = prog.costs[i];
-                    counts.issue_slots += cost.slots();
-                    if cost.dp {
-                        counts.dp_slots += cost.slots();
-                        counts.flops += cost.flops_warp();
-                        counts.dp_const_slots += cost.const_slots();
-                    }
-                    let ins = &prog.instrs[i];
-                    // A barrier closes the segment; stage barriers rotate
-                    // with the trip's point set, so the replay sees plain
-                    // barrier ops.
-                    if let Some(bar) = ins.barrier_op(pset) {
-                        if bar.sync {
-                            counts.barrier_syncs += 1;
-                        } else {
-                            counts.barrier_arrives += 1;
-                        }
-                        cur.bar = Some(bar);
-                        segs[w].push(std::mem::take(&mut cur));
-                        continue;
-                    }
-                    cur.issue += cost.slots();
-                    match ins {
-                        Instr::CpAsync { addr, .. } => {
-                            // One coalesced global read plus one shared
-                            // store, registers untouched.
-                            counts.global_transactions += 2;
-                            counts.global_bytes += 256;
-                            let (tx, conf) = shared_tx_estimate(addr, None);
-                            counts.shared_accesses += tx;
-                            counts.shared_conflicts += conf;
-                        }
-                        Instr::LdConst { bank, idx, .. } => {
-                            cur.const_ops += 1;
-                            cur.const_lines += const_lines_estimate(kernel, *bank, idx);
-                        }
-                        Instr::LdShared { addr, .. } => {
-                            let (tx, conf) = shared_tx_estimate(addr, None);
-                            counts.shared_accesses += tx;
-                            counts.shared_conflicts += conf;
-                        }
-                        Instr::StShared { addr, lane_pred, .. } => {
-                            let (tx, conf) = shared_tx_estimate(addr, *lane_pred);
-                            counts.shared_accesses += tx;
-                            counts.shared_conflicts += conf;
-                        }
-                        Instr::LdGlobal { .. } | Instr::StGlobal { .. } => {
-                            // 32 consecutive doubles span two 128-byte
-                            // transactions (the codegen's point layout).
-                            counts.global_transactions += 2;
-                            counts.global_bytes += 256;
-                        }
-                        Instr::LdLocal { .. } | Instr::StLocal { .. } => {
-                            counts.local_bytes += (crate::WARP_SIZE * 8) as u64;
-                        }
-                        Instr::Un { op, .. } => exp_ops += u64::from(*op == UnOp::Exp),
-                        // Issue slots are all the model has to say of these.
-                        Instr::Bin { .. }
-                        | Instr::DFma { .. }
-                        | Instr::DSel { .. }
-                        | Instr::DCmp { .. }
-                        | Instr::Shfl { .. }
-                        | Instr::Idx(_) => {}
-                        Instr::BarArrive { .. }
-                        | Instr::BarSync { .. }
-                        | Instr::BarArriveStage { .. }
-                        | Instr::BarSyncStage { .. } => unreachable!("closed the segment above"),
-                    }
+            let trip = collapse_trip(kernel, prog, prog.run_ops(w, run));
+            counts.merge_times(&trip.counts, u64::from(run.trips));
+            exp_ops += trip.exp_ops * u64::from(run.trips);
+            for t in 0..run.trips {
+                for (body, ins) in &trip.closed {
+                    cur.absorb(body);
+                    cur.bar = ins.barrier_op(run.pset(t));
+                    segs[w].push(std::mem::take(&mut cur));
                 }
+                cur.absorb(&trip.open);
             }
         }
         if cur.issue + cur.overhead + cur.const_ops > 0 {

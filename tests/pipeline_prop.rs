@@ -38,7 +38,7 @@ use gpu_sim::flatten_cached;
 use proptest::prelude::*;
 use singe::config::{CompileOptions, Placement};
 use singe::kernels::launch_arrays;
-use singe::verify::verify_kernel;
+use singe::verify::{verify_kernel, verify_kernel_walked};
 use singe::{CompileError, Compiler, Variant, VerifyLevel};
 
 fn synth_mech(n_species: usize, seed: u64) -> chemkin::Mechanism {
@@ -102,6 +102,14 @@ fn run_both(
     Ok(out)
 }
 
+/// `verify_kernel`, held to the walk of every trip: the period proof must
+/// not move a verdict, a report or a violation.
+fn verdict(kernel: &Kernel, arch: &GpuArch) -> Result<singe::VerifyReport, Vec<singe::Violation>> {
+    let proved = verify_kernel(kernel, arch);
+    assert_eq!(proved, verify_kernel_walked(kernel, arch), "{}: {}", arch.name, kernel.name);
+    proved
+}
+
 fn arches() -> [GpuArch; 3] {
     [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()]
 }
@@ -127,6 +135,7 @@ proptest! {
         for arch in arches() {
             let base = compile_at_depth(&dfg, warps, 1, &arch).expect("K=1 compiles");
             prop_assert_eq!(base.stats.pipeline_depth, 1);
+            verdict(&base.kernel, &arch).expect("K=1 verifies");
             let points = base.kernel.points_per_cta;
             let grid = GridState::random(
                 GridDims { nx: points, ny: 1, nz: 1 },
@@ -173,6 +182,7 @@ proptest! {
                 } else {
                     prop_assert_eq!(compiled.stats.pipeline_depth, 1);
                 }
+                verdict(&compiled.kernel, &arch).expect("every depth verifies");
                 let out = run_both(&compiled.kernel, &arrays, &arch)?;
                 prop_assert_eq!(golden.len(), out.len());
                 for (a, b) in golden.iter().zip(&out) {
@@ -426,7 +436,7 @@ fn shrink_ring(kernel: &mut Kernel) -> bool {
 }
 
 fn assert_rejected(kernel: &Kernel, arch: &GpuArch, what: &str) {
-    let errs = verify_kernel(kernel, arch)
+    let errs = verdict(kernel, arch)
         .err()
         .unwrap_or_else(|| panic!("{}: {what} mutant passed verification silently", arch.name));
     assert!(!errs.is_empty());
@@ -436,7 +446,7 @@ fn assert_rejected(kernel: &Kernel, arch: &GpuArch, what: &str) {
 fn compiled_pipeline_verifies_clean() {
     for arch in arches() {
         let (kernel, _) = compiled_pipeline(&arch);
-        let report = verify_kernel(&kernel, &arch)
+        let report = verdict(&kernel, &arch)
             .unwrap_or_else(|v| panic!("{}: clean pipeline rejected: {v:?}", arch.name));
         assert!(report.generations > 0, "{}: no barrier generations ran", arch.name);
     }
@@ -447,7 +457,7 @@ fn canonical_pipeline_verifies_clean() {
     for k in 2u8..=4 {
         let (kernel, _) = canonical_pipeline(k, 8);
         for arch in arches() {
-            let report = verify_kernel(&kernel, &arch)
+            let report = verdict(&kernel, &arch)
                 .unwrap_or_else(|v| panic!("{}: K={k} rejected: {v:?}", arch.name));
             assert!(report.generations > 0);
         }

@@ -10,8 +10,9 @@ use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 use singe::config::{CompileOptions, Placement};
 use singe::kernels::{chemistry, diffusion, viscosity};
 use singe::{Compiler, Variant};
-use singe::verify::{verify_kernel, ViolationKind};
+use singe::verify::{verify_kernel, verify_kernel_walked, ViolationKind};
 use singe::{CompileError, VerifyLevel};
+use singe_serve::{default_options, KernelId};
 
 /// Figure 2's producer/consumer protocol over a point loop. When
 /// `swap_arrive_sync` each warp syncs *before* the partner's arrive can
@@ -281,3 +282,39 @@ fn strict_rejects_barrier_ablation() {
     let src = std::error::Error::source(&err).expect("Verification carries a source");
     assert!(src.to_string().contains("schedule verification"), "{src}");
 }
+
+/// The period proof against the walk of every trip, on the 18 canonical
+/// warp-specialized figure cells (3 kernels x DME, heptane x Fermi, Kepler,
+/// Hopper) as the figures compile them, and on each cell's §6.2
+/// barrier-removal ablation, which races: the same verdict, report and
+/// violations, message for message.
+#[test]
+fn canonical_kernels_verify_as_the_full_walk() {
+    use chemkin::reference::tables::{ChemistrySpec, ViscosityTables};
+    let archs = [GpuArch::fermi_c2070(), GpuArch::kepler_k20c(), GpuArch::hopper()];
+    let mut racy = 0;
+    for mech in [synth::via_text(&synth::dme_config()), synth::via_text(&synth::heptane_config())] {
+        for kernel in [KernelId::Viscosity, KernelId::Diffusion, KernelId::Chemistry] {
+            for arch in &archs {
+                let options = default_options(kernel, mech.n_transported(), arch);
+                let dfg = match kernel {
+                    KernelId::Viscosity => viscosity::viscosity_dfg(&ViscosityTables::build(&mech), options.warps),
+                    KernelId::Diffusion => diffusion::diffusion_dfg(&DiffusionTables::build(&mech), options.warps),
+                    KernelId::Chemistry => chemistry::chemistry_dfg(&ChemistrySpec::build(&mech), options.warps),
+                };
+                for unsafe_remove_barriers in [false, true] {
+                    let mut options = options.clone();
+                    options.unsafe_remove_barriers = unsafe_remove_barriers;
+                    let c = Compiler::new(arch).options(options).compile(&dfg, Variant::WarpSpecialized);
+                    let k = c.expect("the figure cells compile").kernel;
+                    let proved = verify_kernel(&k, arch);
+                    assert_eq!(proved, verify_kernel_walked(&k, arch), "{} on {}", k.name, arch.name);
+                    assert_eq!(proved.is_err(), unsafe_remove_barriers, "{} on {}", k.name, arch.name);
+                    racy += usize::from(proved.is_err());
+                }
+            }
+        }
+    }
+    assert_eq!(racy, 18);
+}
+
