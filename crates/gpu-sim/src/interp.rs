@@ -32,10 +32,17 @@
 //! runs over contiguous ops at one point set merged), so two classes have
 //! equal streams exactly when their ops and runs are equal. The
 //! interpreter, the profiler and the model walk a run's trip as one slice,
-//! and so does the verifier, through the read-only [`SyncRun`] view;
-//! [`FlatProgram::step`] resolves an expanded position through the run
-//! table. The warp id itself enters execution only where an instruction
-//! asks for it (`IdxInstr::WarpId`, `PointRef::Thread`).
+//! and so does the verifier, through the read-only [`SyncRun`] view. The
+//! warp id itself enters execution only where an instruction asks for it
+//! (`IdxInstr::WarpId`, `PointRef::Thread`).
+//!
+//! A static instruction is stored once, in the form that executes it: a
+//! `DecodedInstr` of at most 20 bytes, whose register operands are chunk
+//! bases (`Src`) and whose immediates are chunks of the program's
+//! read-only constant tail. Only the slow and barrier ops — memory,
+//! constant, index, async copy, named barriers — execute from their
+//! [`Instr`], so only they keep one, in a sparse table their decoded form
+//! indexes; that is every op the verifier's [`SyncRun`] hands out.
 
 pub use crate::cta::CtaResult;
 use crate::cta::{self, CtaMem, Points, Schedule};
@@ -80,8 +87,6 @@ pub(crate) struct Run {
     /// Point sets advanced per trip: 1 for a point loop's own trips, 0 for
     /// a plain loop's (and for a single trip).
     pub(crate) pset_step: u32,
-    /// Position of trip 0's first op in the expanded stream.
-    at: usize,
 }
 
 impl Run {
@@ -139,10 +144,16 @@ struct ClassStream {
 impl ClassStream {
     /// The run holding expanded position `pos`, with the trip and the
     /// offset into it.
-    fn locate(&self, pos: usize) -> (&Run, u32, usize) {
-        let run = &self.runs[self.runs.partition_point(|r| r.at <= pos) - 1];
-        let off = pos - run.at;
-        (run, (off / run.ops.len()) as u32, off % run.ops.len())
+    #[cfg(test)]
+    fn locate(&self, mut pos: usize) -> (&Run, u32, usize) {
+        for run in &self.runs {
+            let trip_len = run.ops.len();
+            if pos < trip_len * run.trips as usize {
+                return (run, (pos / trip_len) as u32, pos % trip_len);
+            }
+            pos -= trip_len * run.trips as usize;
+        }
+        unreachable!("a position inside the stream")
     }
 }
 
@@ -167,58 +178,130 @@ pub(crate) fn period_of<'i>(instrs: impl Iterator<Item = &'i Instr>, pset_step: 
     period as u32
 }
 
-/// Pre-resolved double-precision operand: a register's base offset into the
-/// warp's lane-major register file (`reg * WARP_SIZE`), or a splat immediate.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Src {
-    /// Base index of the register's 32 contiguous lane slots.
-    Reg(usize),
-    /// Immediate broadcast to all lanes.
-    Imm(f64),
-}
+/// A pre-resolved double-precision operand: the base of a 32-lane chunk.
+/// Below the register file's length (`dregs_per_thread * WARP_SIZE`) it is
+/// a register's lanes (`reg * WARP_SIZE`); at or past it, a chunk of the
+/// read-only constant tail ([`ConstTail`]), an immediate splat across the
+/// lanes. No operand holds an `f64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Src(pub(crate) u32);
 
 impl Src {
-    /// Resolve an operand. A register is not range-checked here.
-    pub(crate) fn of(o: &Op) -> Src {
-        match o {
-            Op::Reg(r) => Src::Reg(*r as usize * WARP_SIZE),
-            Op::Imm(v) => Src::Imm(*v),
-        }
+    /// The chunk's first element, in the register file or past it.
+    #[inline]
+    pub(crate) fn base(self) -> usize {
+        self.0 as usize
     }
 }
 
-/// An instruction pre-decoded at `flatten()` time: register ids resolved to
-/// base offsets and destination ranges pre-validated — so the dynamic
-/// execute loop neither re-matches the full [`Instr`] enum nor re-derives
-/// static properties per executed op.
+/// The base of double register `r`'s lanes in a file of `nd` registers, or
+/// the typed fault for a register past it: how a slow op's registers are
+/// checked where it executes, by the interpreter and by lowering alike (a
+/// fast op's are checked at decode).
+pub(crate) fn dreg_base(r: Reg, nd: usize) -> SimResult<u32> {
+    if usize::from(r) < nd {
+        Ok(u32::from(r) * WARP_SIZE as u32)
+    } else {
+        // A register past the file makes the file narrower than a `u16`.
+        Err(Space::Dreg.fault(u32::from(r), nd as u32))
+    }
+}
+
+/// A read-only constant tail under construction: each distinct immediate,
+/// by bit pattern, once, as a 32-lane splat chunk addressed past a register
+/// file of `file` lanes. Flatten builds the one the decoded fast ops read;
+/// lowering starts from a copy of it, so a decoded operand means the same
+/// chunk in a micro-op.
+pub(crate) struct ConstTail {
+    file: usize,
+    vals: Vec<f64>,
+    chunks: crate::engine::WordMap<u64, u32>,
+}
+
+impl ConstTail {
+    /// A tail past `file` register lanes, holding `vals` (distinct splat
+    /// chunks) to begin with.
+    pub(crate) fn new(file: usize, vals: Vec<f64>) -> ConstTail {
+        let chunks =
+            vals.chunks_exact(WARP_SIZE).zip(0..).map(|(c, i)| (c[0].to_bits(), i)).collect();
+        ConstTail { file, vals, chunks }
+    }
+
+    /// The operand reading `v` in every lane.
+    pub(crate) fn intern(&mut self, v: f64) -> Src {
+        let next = (self.vals.len() / WARP_SIZE) as u32;
+        let chunk = *self.chunks.entry(v.to_bits()).or_insert(next);
+        if chunk == next {
+            self.vals.extend(std::iter::repeat_n(v, WARP_SIZE));
+        }
+        Src(u32::try_from(self.file + chunk as usize * WARP_SIZE).expect("operand bases fit u32"))
+    }
+
+    /// The chunks, in the order they were interned.
+    pub(crate) fn into_vals(self) -> Vec<f64> {
+        self.vals
+    }
+}
+
+/// The address space an [`DecodedInstr::Invalid`] faults in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Space {
+    /// A double register.
+    Dreg,
+    /// A local (spill) slot.
+    Local,
+}
+
+impl Space {
+    /// The typed error for `addr` past `limit` in this space.
+    pub(crate) fn fault(self, addr: u32, limit: u32) -> SimError {
+        let space = match self {
+            Space::Dreg => "dreg",
+            Space::Local => "local",
+        };
+        SimError::OutOfBounds { space, addr: addr as usize, limit: limit as usize }
+    }
+}
+
+/// An instruction pre-decoded at `flatten()` time: registers resolved to
+/// chunk bases and range-checked, immediates interned in the constant tail
+/// — so the dynamic execute loop neither re-matches the full [`Instr`] enum
+/// nor re-derives static properties per executed op. This is the one
+/// stored form of a static instruction; a slow or barrier op's is the index
+/// of its [`Instr`] in [`FlatProgram::instrs`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DecodedInstr {
     /// `dst[l] = a[l] <op> b[l]`.
-    Bin { kind: BinOp, dst: usize, a: Src, b: Src },
+    Bin { kind: BinOp, dst: u32, a: Src, b: Src },
     /// `dst[l] = <op>(a[l])`.
-    Un { kind: UnOp, dst: usize, a: Src },
+    Un { kind: UnOp, dst: u32, a: Src },
     /// `dst[l] = fma(a[l], b[l], c[l])`.
-    Fma { dst: usize, a: Src, b: Src, c: Src },
+    Fma { dst: u32, a: Src, b: Src, c: Src },
     /// Branch-free select.
-    Sel { dst: usize, pred: usize, a: Src, b: Src },
+    Sel { dst: u32, pred: u32, a: Src, b: Src },
     /// Compare producing 0.0/1.0.
-    CmpOp { dst: usize, cmp: Cmp, a: Src, b: Src },
-    /// Broadcast from a fixed lane.
-    Shfl { dst: usize, src: usize, lane: usize },
+    CmpOp { dst: u32, cmp: Cmp, a: Src, b: Src },
+    /// Broadcast element `src + lane` — a lane past 31 reads on into the
+    /// registers after `src`, as the lanes are laid out.
+    Shfl { dst: u32, src: u32, lane: u32 },
     /// Local (spill) load from a pre-validated slot.
-    LdLocal { dst: usize, slot: usize },
+    LdLocal { dst: u32, slot: u32 },
     /// Local (spill) store to a pre-validated slot.
-    StLocal { src: Src, slot: usize },
+    StLocal { src: Src, slot: u32 },
     /// A named-barrier operation, plain or stage-rotated: the schedule's
-    /// ([`Instr::barrier_op`] says which, at the executing point set).
-    Barrier,
+    /// ([`Instr::barrier_op`] of this [`FlatProgram::instrs`] entry says
+    /// which, at the executing point set).
+    Barrier(u32),
     /// A register/slot id is out of range. The error is deferred to
     /// execution time so flatten stays infallible (streams that never run
     /// may legally carry such code, exactly as before pre-decoding).
-    Invalid { space: &'static str, addr: usize, limit: usize },
-    /// Memory/constant/index op: dispatch on the original [`Instr`].
-    Slow,
+    Invalid { space: Space, addr: u32, limit: u32 },
+    /// Memory/constant/index op: executes from this
+    /// [`FlatProgram::instrs`] entry.
+    Slow(u32),
 }
+
+const _: () = assert!(std::mem::size_of::<DecodedInstr>() <= 20);
 
 /// Static per-instruction costs, precomputed once at `flatten()` time so
 /// event collection stops re-deriving them per executed op. Eight bytes a
@@ -260,87 +343,111 @@ impl OpCost {
     }
 }
 
-/// Pre-decode one instruction against the kernel's static limits, checking
-/// the destination before the other registers. Exhaustive on purpose: a new
-/// op must pick its executor here.
+/// Pre-decode one instruction against the kernel's static limits. A slow or
+/// barrier op is kept as it is, in the sparse table `instrs`, where its
+/// executor checks its registers. A fast op has every register it names
+/// range-checked here — the destination, then the sources in operand order
+/// ([`Instr::visit_regs`]), a shuffle's source by the element it reads —
+/// and then its local slot; its immediates are interned in `tail`.
+/// Exhaustive on purpose: a new op must pick its executor here.
 #[deny(clippy::wildcard_enum_match_arm)]
-fn decode(ins: &Instr, kernel: &Kernel) -> DecodedInstr {
-    let nd = kernel.dregs_per_thread;
-    let bad = |r: Reg| DecodedInstr::Invalid { space: "dreg", addr: r as usize, limit: nd };
-    let ok = |r: Reg| (r as usize) < nd;
-    let base = |r: Reg| r as usize * WARP_SIZE;
-    let src = Src::of;
+fn decode(
+    ins: &Instr,
+    kernel: &Kernel,
+    tail: &mut ConstTail,
+    instrs: &mut Vec<Instr>,
+) -> DecodedInstr {
+    let mut keep = || {
+        instrs.push(ins.clone());
+        (instrs.len() - 1) as u32
+    };
     match ins {
-        Instr::Un { op, dst, a } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Un { kind: *op, dst: base(*dst), a: src(a) }
-        }
-        Instr::Bin { op, dst, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Bin { kind: *op, dst: base(*dst), a: src(a), b: src(b) }
-        }
-        Instr::DFma { dst, a, b, c, .. } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::Fma { dst: base(*dst), a: src(a), b: src(b), c: src(c) }
-        }
-        Instr::DSel { dst, pred, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            if !ok(*pred) {
-                return bad(*pred);
-            }
-            DecodedInstr::Sel { dst: base(*dst), pred: base(*pred), a: src(a), b: src(b) }
-        }
-        Instr::DCmp { dst, cmp, a, b } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            DecodedInstr::CmpOp { dst: base(*dst), cmp: *cmp, a: src(a), b: src(b) }
-        }
-        Instr::Shfl { dst, src: s, lane } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            if !ok(*s) {
-                return bad(*s);
-            }
-            DecodedInstr::Shfl { dst: base(*dst), src: base(*s), lane: *lane as usize }
-        }
-        Instr::LdLocal { dst, slot } => {
-            if !ok(*dst) {
-                return bad(*dst);
-            }
-            let lw = kernel.local_words_per_thread;
-            if *slot as usize >= lw {
-                return DecodedInstr::Invalid { space: "local", addr: *slot as usize, limit: lw };
-            }
-            DecodedInstr::LdLocal { dst: base(*dst), slot: *slot as usize * WARP_SIZE }
-        }
-        Instr::StLocal { src: s, slot } => {
-            let lw = kernel.local_words_per_thread;
-            if *slot as usize >= lw {
-                return DecodedInstr::Invalid { space: "local", addr: *slot as usize, limit: lw };
-            }
-            DecodedInstr::StLocal { src: src(s), slot: *slot as usize * WARP_SIZE }
-        }
         Instr::BarArrive { .. }
         | Instr::BarSync { .. }
         | Instr::BarArriveStage { .. }
-        | Instr::BarSyncStage { .. } => DecodedInstr::Barrier,
+        | Instr::BarSyncStage { .. } => return DecodedInstr::Barrier(keep()),
         Instr::LdGlobal { .. }
         | Instr::StGlobal { .. }
         | Instr::LdShared { .. }
         | Instr::StShared { .. }
         | Instr::LdConst { .. }
         | Instr::Idx(_)
-        | Instr::CpAsync { .. } => DecodedInstr::Slow,
+        | Instr::CpAsync { .. } => return DecodedInstr::Slow(keep()),
+        Instr::Un { .. }
+        | Instr::Bin { .. }
+        | Instr::DFma { .. }
+        | Instr::DSel { .. }
+        | Instr::DCmp { .. }
+        | Instr::Shfl { .. }
+        | Instr::LdLocal { .. }
+        | Instr::StLocal { .. } => {}
+    }
+    let nd = kernel.dregs_per_thread;
+    let mut fault = None;
+    ins.visit_regs(|r, _| {
+        if fault.is_none() && usize::from(r) >= nd {
+            fault = Some(r);
+        }
+    });
+    if let Instr::Shfl { src, lane, .. } = ins {
+        if usize::from(*src) + usize::from(*lane) / WARP_SIZE >= nd {
+            fault = fault.or(Some(*src));
+        }
+    }
+    if let Some(r) = fault {
+        // A register past the file makes the file narrower than a `u16`.
+        return DecodedInstr::Invalid { space: Space::Dreg, addr: r.into(), limit: nd as u32 };
+    }
+    let lw = kernel.local_words_per_thread;
+    let local = |slot: u32| {
+        if (slot as usize) < lw {
+            Ok(slot.checked_mul(WARP_SIZE as u32).expect("a local file under 2^27 slots"))
+        } else {
+            // A slot past the file makes the file narrower than a `u32`.
+            Err(DecodedInstr::Invalid { space: Space::Local, addr: slot, limit: lw as u32 })
+        }
+    };
+    let reg = |r: &Reg| u32::from(*r) * WARP_SIZE as u32;
+    let mut src = |o: &Op| match *o {
+        Op::Reg(r) => Src(reg(&r)),
+        Op::Imm(v) => tail.intern(v),
+    };
+    match ins {
+        Instr::Un { op, dst, a } => DecodedInstr::Un { kind: *op, dst: reg(dst), a: src(a) },
+        Instr::Bin { op, dst, a, b } => {
+            DecodedInstr::Bin { kind: *op, dst: reg(dst), a: src(a), b: src(b) }
+        }
+        Instr::DFma { dst, a, b, c, .. } => {
+            DecodedInstr::Fma { dst: reg(dst), a: src(a), b: src(b), c: src(c) }
+        }
+        Instr::DSel { dst, pred, a, b } => {
+            DecodedInstr::Sel { dst: reg(dst), pred: reg(pred), a: src(a), b: src(b) }
+        }
+        Instr::DCmp { dst, cmp, a, b } => {
+            DecodedInstr::CmpOp { dst: reg(dst), cmp: *cmp, a: src(a), b: src(b) }
+        }
+        Instr::Shfl { dst, src: s, lane } => {
+            DecodedInstr::Shfl { dst: reg(dst), src: reg(s), lane: u32::from(*lane) }
+        }
+        Instr::LdLocal { dst, slot } => match local(*slot) {
+            Ok(slot) => DecodedInstr::LdLocal { dst: reg(dst), slot },
+            Err(invalid) => invalid,
+        },
+        Instr::StLocal { src: s, slot } => match local(*slot) {
+            Ok(slot) => DecodedInstr::StLocal { src: src(s), slot },
+            Err(invalid) => invalid,
+        },
+        Instr::BarArrive { .. }
+        | Instr::BarSync { .. }
+        | Instr::BarArriveStage { .. }
+        | Instr::BarSyncStage { .. }
+        | Instr::LdGlobal { .. }
+        | Instr::StGlobal { .. }
+        | Instr::LdShared { .. }
+        | Instr::StShared { .. }
+        | Instr::LdConst { .. }
+        | Instr::Idx(_)
+        | Instr::CpAsync { .. } => unreachable!("kept in the sparse table above"),
     }
 }
 
@@ -363,11 +470,17 @@ pub struct FlatProgram {
     class_of: Vec<u32>,
     /// One rolled stream per class.
     classes: Vec<ClassStream>,
-    pub(crate) instrs: Vec<Instr>,
-    /// Pre-decoded fast-path table, parallel to `instrs`.
+    /// Each static instruction's one stored form, by arena index (the
+    /// index a [`FlatOp`] holds).
     pub(crate) decoded: Vec<DecodedInstr>,
-    /// Precomputed static costs, parallel to `instrs`.
+    /// Precomputed static costs, parallel to `decoded`.
     pub(crate) costs: Vec<OpCost>,
+    /// The slow and barrier instructions, which execute from this form:
+    /// what [`DecodedInstr::Slow`] and [`DecodedInstr::Barrier`] index.
+    pub(crate) instrs: Vec<Instr>,
+    /// The constant tail the decoded operands address past the register
+    /// file: each distinct immediate of a fast op once, splat over 32 lanes.
+    pub(crate) tail: Vec<f64>,
     /// Total static instructions (address space size).
     pub static_size: u32,
     /// [`crate::flatcache::fingerprint`] of the kernel this was flattened
@@ -381,18 +494,18 @@ pub struct FlatProgram {
     pub(crate) engine: std::sync::OnceLock<std::sync::Arc<crate::engine::EngineProgram>>,
 }
 
-/// One step of a warp's flattened stream, exposed read-only for external
-/// structural analyses (e.g. the barrier-protocol verifier in the compiler
-/// crate, which must not depend on interpreter internals).
+/// One step of a warp's expanded stream, as the tests' per-trip oracle
+/// spells it out.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct FlatStep<'a> {
+struct FlatStep {
     /// Static instruction address.
-    pub addr: u32,
+    addr: u32,
     /// Streaming point-set index (PointLoop iteration), 0 for branch
     /// headers and code outside any point loop.
-    pub pset: u32,
-    /// The instruction, or `None` for a warp-branch header.
-    pub instr: Option<&'a Instr>,
+    pset: u32,
+    /// The instruction's arena index, or `None` for a warp-branch header.
+    instr: Option<usize>,
 }
 
 /// One run of a warp's synchronization-relevant substream, exposed
@@ -442,8 +555,8 @@ impl<'a> SyncRun<'a> {
     /// Op `off` of a trip: its static address and its instruction.
     pub fn step(&self, off: usize) -> (u32, &'a Instr) {
         let at = self.class.sync[self.run.sync.start as usize + off] as usize;
-        let instr = self.class.ops[at].instr().expect("a sync op is an instruction");
-        (self.class.addrs[at], &self.prog.instrs[instr])
+        let instr = self.class.ops[at].instr().and_then(|i| self.prog.instr(i));
+        (self.class.addrs[at], instr.expect("a sync op is a slow or barrier instruction"))
     }
 }
 
@@ -534,21 +647,33 @@ impl FlatProgram {
         self.class(warp).len
     }
 
-    /// One step of a warp's stream.
-    pub fn step(&self, warp: usize, pos: usize) -> FlatStep<'_> {
+    /// The [`Instr`] arena entry `i` executes from, if it is a slow or
+    /// barrier op — the only ones that keep it.
+    pub(crate) fn instr(&self, i: usize) -> Option<&Instr> {
+        match self.decoded[i] {
+            DecodedInstr::Slow(k) | DecodedInstr::Barrier(k) => Some(&self.instrs[k as usize]),
+            _ => None,
+        }
+    }
+
+    /// One step of a warp's expanded stream, its position resolved through
+    /// the run table.
+    #[cfg(test)]
+    fn step(&self, warp: usize, pos: usize) -> FlatStep {
         let class = self.class(warp);
         assert!(pos < class.len, "stream position {pos} of {}", class.len);
         let (run, trip, off) = class.locate(pos);
         let at = run.ops.start as usize + off;
         let addr = class.addrs[at];
         match class.ops[at].instr() {
-            Some(i) => FlatStep { addr, pset: run.pset(trip), instr: Some(&self.instrs[i]) },
+            Some(i) => FlatStep { addr, pset: run.pset(trip), instr: Some(i) },
             None => FlatStep { addr, pset: 0, instr: None },
         }
     }
 
-    /// Iterate one warp's flattened stream.
-    pub fn warp_stream(&self, warp: usize) -> impl Iterator<Item = FlatStep<'_>> + '_ {
+    /// One warp's expanded stream, step by step.
+    #[cfg(test)]
+    fn warp_stream(&self, warp: usize) -> impl Iterator<Item = FlatStep> + '_ {
         (0..self.stream_len(warp)).map(move |i| self.step(warp, i))
     }
 
@@ -561,21 +686,25 @@ impl FlatProgram {
 
     /// Heap bytes this program retains, from lengths times element sizes:
     /// the rolled streams (ops and addresses, the sync column and the runs,
-    /// once per class), the class map, the static side tables, and the
-    /// lowered engine program once there is one. Deterministic — what a
-    /// test can pin where resident-set size is only a reading.
+    /// once per class), the class map, the static tables (the decoded form
+    /// and cost of every static instruction, the sparse [`Instr`] table,
+    /// the constant tail), and the lowered engine program once there is
+    /// one. Deterministic — what a test can pin where resident-set size is
+    /// only a reading.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let per_op = size_of::<FlatOp>() + size_of::<u32>();
         let sync_ops: usize = self.classes.iter().map(|c| c.sync.len()).sum();
         let runs: usize = self.classes.iter().map(|c| c.runs.len()).sum();
-        let per_instr = size_of::<Instr>() + size_of::<DecodedInstr>() + size_of::<OpCost>();
+        let per_static = size_of::<DecodedInstr>() + size_of::<OpCost>();
         self.stored_ops() * per_op
             + sync_ops * size_of::<u32>()
             + runs * size_of::<Run>()
             + self.classes.len() * size_of::<ClassStream>()
             + self.class_of.len() * size_of::<u32>()
-            + self.instrs.len() * per_instr
+            + self.decoded.len() * per_static
+            + self.instrs.len() * size_of::<Instr>()
+            + self.tail.len() * size_of::<f64>()
             + self.engine.get().map_or(0, |e| e.heap_bytes())
     }
 }
@@ -606,7 +735,7 @@ pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> Fl
             reps.push(w);
         }
     }
-    let (path_classes, instrs, static_size) = roll(kernel, &reps);
+    let (path_classes, arena, static_size) = roll(kernel, &reps);
 
     // Merge path classes with equal streams, renumbering in order of first
     // occurrence — which is still order of lowest warp.
@@ -623,18 +752,15 @@ pub(crate) fn flatten_as(kernel: &Kernel, fingerprint: Option<(u64, u64)>) -> Fl
         .collect();
     let class_of: Vec<u32> = paths.iter().map(|&c| merged[c]).collect();
 
-    // Pre-decode each arena instruction once: fast-path form and static
-    // costs.
-    let decoded: Vec<DecodedInstr> = instrs.iter().map(|i| decode(i, kernel)).collect();
-    let costs: Vec<OpCost> =
-        instrs.iter().map(|i| OpCost::of(i, kernel.exp_const_from_registers)).collect();
-
+    let mut tail = arena.tail.into_vals();
+    tail.shrink_to_fit();
     FlatProgram {
         class_of,
         classes,
-        instrs,
-        decoded,
-        costs,
+        decoded: arena.decoded,
+        costs: arena.costs,
+        instrs: arena.instrs,
+        tail,
         static_size,
         fingerprint,
         engine: std::sync::OnceLock::new(),
@@ -810,8 +936,7 @@ impl ClassBuilder {
                 let Pset::Own { first, step } = s.pset else {
                     unreachable!("the kernel body closed as a point loop of one trip")
                 };
-                let run =
-                    Run { ops: s.ops, sync: s.sync, trips: s.trips, pset: first, pset_step: step, at: len };
+                let run = Run { ops: s.ops, sync: s.sync, trips: s.trips, pset: first, pset_step: step };
                 len += run.ops.len() * run.trips as usize;
                 run
             })
@@ -823,20 +948,31 @@ impl ClassBuilder {
     }
 }
 
+/// The static tables of a flattening, as [`roll`] builds them: per static
+/// instruction (arena index, in tree order) its decoded form and its cost,
+/// plus the sparse [`Instr`] table and the constant tail decoding fills.
+struct Arena {
+    decoded: Vec<DecodedInstr>,
+    costs: Vec<OpCost>,
+    instrs: Vec<Instr>,
+    tail: ConstTail,
+}
+
 /// Walk `kernel`'s body into one rolled stream per representative warp in
-/// `reps`, returning the streams, the instruction arena and the static
-/// size. A representative stands for every warp that takes its path
-/// ([`refine`]).
+/// `reps`, returning the streams, the static tables and the static size. A
+/// representative stands for every warp that takes its path ([`refine`]).
 ///
 /// Addresses are assigned in tree order, so every class sees the same
 /// address for the same instruction, and each loop body is walked exactly
 /// once: its ops are stored once and its trips become runs
-/// ([`ClassBuilder::close_loop`]).
-fn roll(kernel: &Kernel, reps: &[usize]) -> (Vec<ClassStream>, Vec<Instr>, u32) {
+/// ([`ClassBuilder::close_loop`]). Each instruction is decoded as the walk
+/// reaches it, once.
+fn roll(kernel: &Kernel, reps: &[usize]) -> (Vec<ClassStream>, Arena, u32) {
     struct Walk<'a> {
+        kernel: &'a Kernel,
         reps: &'a [usize],
         counter: u32,
-        instrs: Vec<Instr>,
+        arena: Arena,
         classes: Vec<ClassBuilder>,
     }
 
@@ -857,8 +993,10 @@ fn roll(kernel: &Kernel, reps: &[usize]) -> (Vec<ClassStream>, Vec<Instr>, u32) 
             for node in nodes {
                 match node {
                     Node::Op(i) => {
-                        let idx = self.instrs.len() as u32;
-                        self.instrs.push(i.clone());
+                        let a = &mut self.arena;
+                        let idx = a.decoded.len() as u32;
+                        a.decoded.push(decode(i, self.kernel, &mut a.tail, &mut a.instrs));
+                        a.costs.push(OpCost::of(i, self.kernel.exp_const_from_registers));
                         self.emit(active, FlatOp(idx), i.is_sync_relevant());
                     }
                     Node::WarpIf { mask, body } => {
@@ -902,14 +1040,24 @@ fn roll(kernel: &Kernel, reps: &[usize]) -> (Vec<ClassStream>, Vec<Instr>, u32) 
     }
 
     let mut w = Walk {
+        kernel,
         reps,
         counter: 0,
-        instrs: Vec::new(),
+        arena: Arena {
+            decoded: Vec::new(),
+            costs: Vec::new(),
+            instrs: Vec::new(),
+            tail: ConstTail::new(kernel.dregs_per_thread * WARP_SIZE, Vec::new()),
+        },
         classes: reps.iter().map(|_| ClassBuilder::default()).collect(),
     };
     let all: Vec<usize> = (0..reps.len()).collect();
     w.walk(&kernel.body, &all);
-    (w.classes.into_iter().map(ClassBuilder::finish).collect(), w.instrs, w.counter)
+    let mut arena = w.arena;
+    arena.decoded.shrink_to_fit();
+    arena.costs.shrink_to_fit();
+    arena.instrs.shrink_to_fit();
+    (w.classes.into_iter().map(ClassBuilder::finish).collect(), arena, w.counter)
 }
 
 /// Per-warp execution state.
@@ -1028,7 +1176,7 @@ fn step_warp(
                     mem.counts.flops += cost.flops_warp();
                     mem.counts.dp_const_slots += cost.const_slots();
                 }
-                if !matches!(dec, DecodedInstr::Barrier) {
+                if !matches!(dec, DecodedInstr::Barrier(_)) {
                     // Barrier instructions are charged by the profiler
                     // as overhead (with the architectural sync cost),
                     // not as plain issue.
@@ -1038,8 +1186,8 @@ fn step_warp(
                 }
             }
             match dec {
-                DecodedInstr::Barrier => {
-                    let op = prog.instrs[i].barrier_op(pset).expect("decoded as a barrier");
+                DecodedInstr::Barrier(k) => {
+                    let op = prog.instrs[k as usize].barrier_op(pset).expect("decoded as a barrier");
                     if collect && op.sync {
                         mem.counts.barrier_syncs += 1;
                     } else if collect {
@@ -1049,12 +1197,14 @@ fn step_warp(
                         return Ok(ran);
                     }
                 }
-                DecodedInstr::Slow => {
+                DecodedInstr::Slow(k) => {
+                    let ins = &prog.instrs[k as usize];
                     let profiler = sched.profiler.as_deref_mut();
-                    exec_slow(kernel, &prog.instrs[i], pset, w, warp, mem, bank_base, profiler)?;
+                    exec_slow(kernel, ins, pset, w, warp, mem, bank_base, profiler)?;
                 }
                 dec => {
-                    exec_fast(dec, &mut warp.dregs, &[], &mut warp.local, collect, &mut mem.counts)?;
+                    let (dregs, local) = (&mut warp.dregs, &mut warp.local);
+                    exec_fast(dec, dregs, &prog.tail, local, collect, &mut mem.counts)?;
                 }
             }
         }
@@ -1069,25 +1219,19 @@ fn step_warp(
 /// provably cannot alias the destination.
 #[inline]
 pub(crate) fn src_vals(dregs: &[f64], tail: &[f64], s: Src) -> [f64; WARP_SIZE] {
-    match s {
-        Src::Reg(base) if base < dregs.len() => {
-            dregs[base..base + WARP_SIZE].try_into().expect("warp slice")
-        }
-        Src::Reg(base) => {
-            let t = base - dregs.len();
-            tail[t..t + WARP_SIZE].try_into().expect("tail slice")
-        }
-        Src::Imm(v) => [v; WARP_SIZE],
-    }
+    let base = s.base();
+    let chunk = match base.checked_sub(dregs.len()) {
+        None => &dregs[base..base + WARP_SIZE],
+        Some(t) => &tail[t..t + WARP_SIZE],
+    };
+    chunk.try_into().expect("one chunk of lanes")
 }
 
-/// Resolve one operand for a lane kernel: immediates splat into an owned
-/// chunk, register operands whose range intersects either excluded
-/// destination range are snapshotted, and everything else is handed out as
-/// a zero-copy borrow of the live register file. Register indices at or
-/// past `len` address the engine's shared read-only constant tail of
-/// pre-splatted immediates (`tail`), which no destination can alias; the
-/// interpreter passes an empty tail and never takes that branch.
+/// Resolve one operand for a lane kernel: register operands whose range
+/// intersects either excluded destination range are snapshotted, and
+/// everything else is handed out as a zero-copy borrow — of the live
+/// register file, or for a base at or past `len` of the read-only constant
+/// tail of splat immediates (`tail`), which no destination can alias.
 ///
 /// # Safety
 ///
@@ -1103,23 +1247,19 @@ pub(crate) unsafe fn operand<'a>(
     s: Src,
     excl: [usize; 2],
 ) -> lanes::OpLanes<'a> {
-    match s {
-        Src::Imm(v) => lanes::OpLanes::Own([v; WARP_SIZE]),
-        Src::Reg(base) if base >= len => {
-            let t = base - len;
-            let chunk: &'a [f64] = &tail[t..t + WARP_SIZE];
-            lanes::OpLanes::Ref(chunk.try_into().expect("tail chunk"))
-        }
-        Src::Reg(base) => {
-            assert!(base + WARP_SIZE <= len, "dreg operand chunk out of range");
-            let r: &'a Lanes = &*(ptr.add(base) as *const Lanes);
-            let hits = |d: usize| base < d + WARP_SIZE && d < base + WARP_SIZE;
-            if hits(excl[0]) || hits(excl[1]) {
-                lanes::OpLanes::Own(*r)
-            } else {
-                lanes::OpLanes::Ref(r)
-            }
-        }
+    let base = s.base();
+    if base >= len {
+        let t = base - len;
+        let chunk: &'a [f64] = &tail[t..t + WARP_SIZE];
+        return lanes::OpLanes::Ref(chunk.try_into().expect("tail chunk"));
+    }
+    assert!(base + WARP_SIZE <= len, "dreg operand chunk out of range");
+    let r: &'a Lanes = &*(ptr.add(base) as *const Lanes);
+    let hits = |d: usize| base < d + WARP_SIZE && d < base + WARP_SIZE;
+    if hits(excl[0]) || hits(excl[1]) {
+        lanes::OpLanes::Own(*r)
+    } else {
+        lanes::OpLanes::Ref(r)
     }
 }
 
@@ -1162,6 +1302,7 @@ pub(crate) fn exec_fast(
     // asserted exactly where slice indexing used to panic.
     match dec {
         DecodedInstr::Bin { kind, dst, a, b } => unsafe {
+            let dst = dst as usize;
             // Register chunks are WARP_SIZE-aligned, so a register
             // operand either *is* the destination chunk or is disjoint
             // from it. The lowered DME streams are accumulator-heavy
@@ -1175,8 +1316,7 @@ pub(crate) fn exec_fast(
                 BinOp::Div => Some(lanes::ArithKind::Div),
                 BinOp::Pow | BinOp::Max | BinOp::Min => None,
             };
-            let a_is_d = matches!(a, Src::Reg(r) if r == dst);
-            let b_is_d = matches!(b, Src::Reg(r) if r == dst);
+            let (a_is_d, b_is_d) = (a.base() == dst, b.base() == dst);
             match (arith, a_is_d, b_is_d) {
                 (Some(k), true, false) => {
                     let bv = operand(ptr, len, tail, b, [dst, dst]);
@@ -1217,6 +1357,7 @@ pub(crate) fn exec_fast(
             }
         },
         DecodedInstr::Un { kind, dst, a } => unsafe {
+            let dst = dst as usize;
             let av = operand(ptr, len, tail, a, [dst, dst]);
             let av = av.get();
             let out = out_chunk(ptr, len, dst);
@@ -1249,11 +1390,10 @@ pub(crate) fn exec_fast(
             }
         },
         DecodedInstr::Fma { dst, a, b, c } => unsafe {
+            let dst = dst as usize;
             // Same aliasing structure as `Bin`: route the two dominant
             // multiply-accumulate shapes in place, snapshot the rest.
-            let a_is_d = matches!(a, Src::Reg(r) if r == dst);
-            let b_is_d = matches!(b, Src::Reg(r) if r == dst);
-            let c_is_d = matches!(c, Src::Reg(r) if r == dst);
+            let (a_is_d, b_is_d, c_is_d) = (a.base() == dst, b.base() == dst, c.base() == dst);
             match (a_is_d, b_is_d, c_is_d) {
                 (false, false, true) => {
                     let av = operand(ptr, len, tail, a, [dst, dst]);
@@ -1274,37 +1414,39 @@ pub(crate) fn exec_fast(
             }
         },
         DecodedInstr::Sel { dst, pred, a, b } => unsafe {
-            let pv = operand(ptr, len, tail, Src::Reg(pred), [dst, dst]);
+            let dst = dst as usize;
+            let pv = operand(ptr, len, tail, Src(pred), [dst, dst]);
             let av = operand(ptr, len, tail, a, [dst, dst]);
             let bv = operand(ptr, len, tail, b, [dst, dst]);
             lanes::sel(pv.get(), av.get(), bv.get(), out_chunk(ptr, len, dst));
         },
         DecodedInstr::CmpOp { dst, cmp, a, b } => unsafe {
+            let dst = dst as usize;
             let av = operand(ptr, len, tail, a, [dst, dst]);
             let bv = operand(ptr, len, tail, b, [dst, dst]);
             lanes::cmp(cmp, av.get(), bv.get(), out_chunk(ptr, len, dst));
         },
         DecodedInstr::Shfl { dst, src, lane } => {
-            let v = dregs[src + lane];
+            let (dst, elem) = (dst as usize, (src + lane) as usize);
+            let v = dregs[elem];
             dregs[dst..dst + WARP_SIZE].fill(v);
         }
         DecodedInstr::LdLocal { dst, slot } => {
+            let (dst, slot) = (dst as usize, slot as usize);
             dregs[dst..dst + WARP_SIZE].copy_from_slice(&local[slot..slot + WARP_SIZE]);
             if collect {
                 counts.local_bytes += (WARP_SIZE * 8) as u64;
             }
         }
         DecodedInstr::StLocal { src, slot } => {
-            let sv = src_vals(dregs, tail, src);
+            let (sv, slot) = (src_vals(dregs, tail, src), slot as usize);
             local[slot..slot + WARP_SIZE].copy_from_slice(&sv);
             if collect {
                 counts.local_bytes += (WARP_SIZE * 8) as u64;
             }
         }
-        DecodedInstr::Invalid { space, addr, limit } => {
-            return Err(SimError::OutOfBounds { space, addr, limit });
-        }
-        DecodedInstr::Barrier | DecodedInstr::Slow => {
+        DecodedInstr::Invalid { space, addr, limit } => return Err(space.fault(addr, limit)),
+        DecodedInstr::Barrier(_) | DecodedInstr::Slow(_) => {
             unreachable!("handled by the schedule / the slow path")
         }
     }
@@ -1330,13 +1472,14 @@ fn exec_slow(
     profiler: Option<&mut Profiler>,
 ) -> SimResult<()> {
     let nd = kernel.dregs_per_thread;
-    // The lanes of a destination register, range-checked.
-    let dreg = |r: Reg| -> SimResult<std::ops::Range<usize>> {
-        if (r as usize) < nd {
-            Ok(r as usize * WARP_SIZE..(r as usize + 1) * WARP_SIZE)
-        } else {
-            Err(SimError::OutOfBounds { space: "dreg", addr: r as usize, limit: nd })
-        }
+    // A register's lanes, range-checked.
+    let dreg = |r: Reg| dreg_base(r, nd).map(|b| b as usize..b as usize + WARP_SIZE);
+    // A source operand's lanes: a register's, range-checked, or a splat.
+    let src_lanes = |dregs: &[f64], o: &Op| -> SimResult<Lanes> {
+        Ok(match *o {
+            Op::Reg(r) => dregs[dreg(r)?].try_into().expect("one register of lanes"),
+            Op::Imm(v) => [v; WARP_SIZE],
+        })
     };
     // Flat element index of each lane into an SoA array: row, then point.
     let gindex = |iregs: &mut Vec<u32>, mem: &CtaMem<'_>, a: &GAddr| {
@@ -1359,7 +1502,7 @@ fn exec_slow(
         Instr::StGlobal { src, addr } => {
             CtaMem::check_store(kernel, addr.array.0)?;
             let idxs = gindex(&mut warp.iregs, mem, addr)?;
-            mem.st_global(addr.array.0, &idxs, &src_vals(&warp.dregs, &[], Src::of(src)))?;
+            mem.st_global(addr.array.0, &idxs, &src_lanes(&warp.dregs, src)?)?;
         }
         Instr::LdShared { dst, addr } => {
             let dst = dreg(*dst)?;
@@ -1371,7 +1514,7 @@ fn exec_slow(
         }
         Instr::StShared { src, addr, lane_pred } => {
             let addrs = cta::shared_addrs(addr, *lane_pred, &mut warp.iregs, mem.shared.len())?;
-            let vals = src_vals(&warp.dregs, &[], Src::of(src));
+            let vals = src_lanes(&warp.dregs, src)?;
             match lane_pred {
                 Some(p) => mem.shared[addrs[*p as usize]] = vals[*p as usize],
                 None => addrs.iter().zip(vals).for_each(|(&a, v)| mem.shared[a] = v),
@@ -1747,7 +1890,11 @@ mod tests {
                     match *op {
                         OracleOp::Exec { addr, instr, pset } => {
                             let ins = &instrs[instr as usize];
-                            assert_eq!((step.addr, step.pset, step.instr), (addr, pset, Some(ins)));
+                            let want = (addr, pset, Some(instr as usize));
+                            assert_eq!((step.addr, step.pset, step.instr), want);
+                            if let Some(kept) = prog.instr(instr as usize) {
+                                assert_eq!(kept, ins, "case {case}: the sparse table's entry");
+                            }
                             if ins.is_sync_relevant() {
                                 sync_want.push((addr, pset, ins));
                             }

@@ -40,7 +40,7 @@ use crate::counts::EventCounts;
 use crate::cta::{self, Schedule};
 use crate::error::SimError;
 use crate::flatcache::flatten_cached;
-use crate::interp::{FlatOp, FlatProgram};
+use crate::interp::{DecodedInstr, FlatOp, FlatProgram};
 use crate::isa::{BarOp, IdxOp, Instr, Kernel, SAddr, UnOp};
 use crate::profile::{CtaProfile, Profiler, WarpCycles};
 
@@ -240,7 +240,9 @@ struct Trip<'p> {
 
 /// Collapse one trip of a run — `ops` — into segments and counts, the work
 /// of every trip alike: which op is a barrier, and whether a sync, does not
-/// depend on the point set, only which barrier it is.
+/// depend on the point set, only which barrier it is. Arithmetic is read
+/// off the decoded form; memory, constant, index and async-copy ops and
+/// barriers off the [`Instr`] they keep.
 #[deny(clippy::wildcard_enum_match_arm)]
 fn collapse_trip<'p>(kernel: &Kernel, prog: &'p FlatProgram, ops: &[FlatOp]) -> Trip<'p> {
     let (mut closed, mut cur) = (Vec::new(), Segment::default());
@@ -259,18 +261,37 @@ fn collapse_trip<'p>(kernel: &Kernel, prog: &'p FlatProgram, ops: &[FlatOp]) -> 
             counts.flops += cost.flops_warp();
             counts.dp_const_slots += cost.const_slots();
         }
-        let ins = &prog.instrs[i];
-        // A barrier closes the segment.
-        if let Some(bar) = ins.barrier_op(0) {
-            if bar.sync {
-                counts.barrier_syncs += 1;
-            } else {
-                counts.barrier_arrives += 1;
+        let slow = match prog.decoded[i] {
+            // A barrier closes the segment.
+            DecodedInstr::Barrier(k) => {
+                let ins = &prog.instrs[k as usize];
+                if ins.barrier_op(0).expect("decoded as a barrier").sync {
+                    counts.barrier_syncs += 1;
+                } else {
+                    counts.barrier_arrives += 1;
+                }
+                closed.push((std::mem::take(&mut cur), ins));
+                continue;
             }
-            closed.push((std::mem::take(&mut cur), ins));
-            continue;
-        }
+            DecodedInstr::Slow(k) => Some(&prog.instrs[k as usize]),
+            DecodedInstr::LdLocal { .. } | DecodedInstr::StLocal { .. } => {
+                counts.local_bytes += (crate::WARP_SIZE * 8) as u64;
+                None
+            }
+            DecodedInstr::Un { kind, .. } => {
+                exp_ops += u64::from(kind == UnOp::Exp);
+                None
+            }
+            // Issue slots are all the model has to say of these.
+            DecodedInstr::Bin { .. }
+            | DecodedInstr::Fma { .. }
+            | DecodedInstr::Sel { .. }
+            | DecodedInstr::CmpOp { .. }
+            | DecodedInstr::Shfl { .. }
+            | DecodedInstr::Invalid { .. } => None,
+        };
         cur.issue += cost.slots();
+        let Some(ins) = slow else { continue };
         match ins {
             Instr::CpAsync { addr, .. } => {
                 // One coalesced global read plus one shared store,
@@ -301,21 +322,19 @@ fn collapse_trip<'p>(kernel: &Kernel, prog: &'p FlatProgram, ops: &[FlatOp]) -> 
                 counts.global_transactions += 2;
                 counts.global_bytes += 256;
             }
-            Instr::LdLocal { .. } | Instr::StLocal { .. } => {
-                counts.local_bytes += (crate::WARP_SIZE * 8) as u64;
-            }
-            Instr::Un { op, .. } => exp_ops += u64::from(*op == UnOp::Exp),
-            // Issue slots are all the model has to say of these.
-            Instr::Bin { .. }
+            Instr::Idx(_) => {}
+            Instr::Un { .. }
+            | Instr::Bin { .. }
             | Instr::DFma { .. }
             | Instr::DSel { .. }
             | Instr::DCmp { .. }
+            | Instr::LdLocal { .. }
+            | Instr::StLocal { .. }
             | Instr::Shfl { .. }
-            | Instr::Idx(_) => {}
-            Instr::BarArrive { .. }
+            | Instr::BarArrive { .. }
             | Instr::BarSync { .. }
             | Instr::BarArriveStage { .. }
-            | Instr::BarSyncStage { .. } => unreachable!("closed the segment above"),
+            | Instr::BarSyncStage { .. } => unreachable!("decoded onto the fast path or a barrier"),
         }
     }
     Trip { closed, open: cur, counts, exp_ops }

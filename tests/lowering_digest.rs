@@ -1,11 +1,20 @@
 //! Golden lowering digests: the engine programs of the benchmark's steady
 //! kernels, pinned by `gpu_sim::flatcache::engine_digest`.
 //!
-//! The lowering is that of `LOWERING_VERSION` 11 (PR 22: one body per
-//! loop). A change to `gpu_sim::engine` that claims identical lowering
-//! output — and therefore keeps `LOWERING_VERSION`, so warm serve artifacts
-//! stay warm — must leave every one of them unchanged; a change that moves
-//! one must bump the version and re-record.
+//! The lowering is that of `LOWERING_VERSION` 12 (one compact stored form
+//! per micro-op). A change to `gpu_sim::engine` that claims identical
+//! lowering output — and therefore keeps `LOWERING_VERSION`, so warm serve
+//! artifacts stay warm — must leave every one of them unchanged; a change
+//! that moves one must bump the version and re-record.
+//!
+//! Why version 12 re-recorded all seven. A micro-op's operand is a 4-byte
+//! chunk base (`Src(u32)`), which the digest reads through the micro-op's
+//! `Debug` form, and the constant tail is the flattening's immediates plus
+//! the constants folding interns, with the chunks no micro-op reads
+//! dropped: the same chunks in another order. Renumbered in order of first
+//! use, every one of the 36 canonical programs is the version-11 program
+//! micro-op for micro-op and chunk for chunk (checked once, when this was
+//! recorded), and the op mix is pinned by `tests/retained_bytes.rs`.
 //!
 //! Why version 11 re-recorded the four warp-specialized rows and no other.
 //! A point loop whose trips lower to the same micro-ops is lowered as one
@@ -59,7 +68,7 @@ fn digest(mech: &chemkin::Mechanism, kernel: KernelId, variant: Variant, arch: &
 
 #[test]
 fn steady_kernels_lower_to_the_recorded_programs() {
-    assert_eq!(gpu_sim::LOWERING_VERSION, 11, "re-record the digests with the bump");
+    assert_eq!(gpu_sim::LOWERING_VERSION, 12, "re-record the digests with the bump");
     let mech = synth::via_text(&synth::dme_config());
     let kepler = GpuArch::kepler_k20c();
     let hopper = GpuArch::hopper();
@@ -68,13 +77,13 @@ fn steady_kernels_lower_to_the_recorded_programs() {
     // The three DME kernels in both variants on Kepler, and the K = 2
     // pipelined viscosity kernel (the serve default on Hopper).
     let golden = [
-        (Viscosity, WarpSpecialized, &kepler, 0x2a3a_5ca8_dbe2_d6d9_u64),
-        (Viscosity, Baseline, &kepler, 0x2426_c8f0_7e47_3742),
-        (Diffusion, WarpSpecialized, &kepler, 0x5a70_7d6f_c091_6a57),
-        (Diffusion, Baseline, &kepler, 0xd016_c401_6453_904a),
-        (Chemistry, WarpSpecialized, &kepler, 0x6258_d40a_03a6_b5e8),
-        (Chemistry, Baseline, &kepler, 0x78bc_2152_fd97_6e21),
-        (Viscosity, WarpSpecialized, &hopper, 0x9a53_d16b_3e3e_e0d4),
+        (Viscosity, WarpSpecialized, &kepler, 0x9ca8_141b_ed49_a0bf_u64),
+        (Viscosity, Baseline, &kepler, 0x59a2_7a75_b7dc_ec8e),
+        (Diffusion, WarpSpecialized, &kepler, 0x8a0f_4501_2b56_8ed8),
+        (Diffusion, Baseline, &kepler, 0x7dc4_94ec_81d6_2872),
+        (Chemistry, WarpSpecialized, &kepler, 0x69c4_86f6_b583_6860),
+        (Chemistry, Baseline, &kepler, 0x22e9_2c87_53da_52e9),
+        (Viscosity, WarpSpecialized, &hopper, 0x95f0_c13a_4dc7_c7c6),
     ];
     let got: Vec<u64> = golden.iter().map(|&(k, v, arch, _)| digest(&mech, k, v, arch)).collect();
     let want: Vec<u64> = golden.iter().map(|g| g.3).collect();
