@@ -397,8 +397,9 @@ lane_kernel!(
 );
 
 /// A resolved operand: either a shared reference to a live register chunk
-/// (proven disjoint from every destination chunk of the current op) or an
-/// owned snapshot (immediates, and operands that alias a destination).
+/// (proven disjoint from every destination chunk of the current op) or to a
+/// constant-tail chunk, or an owned snapshot of an operand that aliases a
+/// destination.
 /// The size gap between the variants is the point: `Own` keeps the
 /// snapshot on the stack of the op being executed — boxing it would put a
 /// heap allocation on the hottest path in the simulator.
