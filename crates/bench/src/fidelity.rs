@@ -1,5 +1,5 @@
 //! The fidelity table: every Fermi and Kepler figure cell against the
-//! paper's band (`report fidelity`, ROADMAP item 1(d)).
+//! paper's band (`report fidelity`, ROADMAP item 1).
 //!
 //! The bands are the ones the repository's benchmark scores
 //! `paper_gap_geomean` from: `benchmark/paper_reference.json` is read here

@@ -6,10 +6,9 @@
 //! model extrapolates to the paper's grid sizes (32^3, 64^3, 128^3) —
 //! mirroring how the per-point kernels scale across a homogeneous grid.
 
-use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
 use chemkin::state::{GridDims, GridState};
@@ -18,6 +17,7 @@ use gpu_sim::arch::GpuArch;
 use gpu_sim::counts::EventCounts;
 use gpu_sim::isa::Kernel;
 use gpu_sim::launch::{launch, launch_with_config, LaunchConfig, LaunchInputs, LaunchMode};
+use gpu_sim::memo::Memo;
 use gpu_sim::profile::CtaProfile;
 use gpu_sim::timing::{estimate, SimReport};
 use singe::codegen::CompileStats;
@@ -101,21 +101,11 @@ fn next_probe_key() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Bound for the memo tables below. Sweeps in this repo stay far under
-/// these; the clear-on-full policy only guards pathological callers.
-const MAX_CACHE_ENTRIES: usize = 256;
-
-/// Each entry is a once-cell slot: concurrent callers asking for the same
-/// key all wait on one compilation instead of racing to compile the same
-/// kernel N times (the parallel `report` sweeps hit every figure's shared
-/// builds from many workers at once).
-type BuildSlot = Arc<OnceLock<Result<Arc<Built>, singe::CompileError>>>;
-type BuildCache = Mutex<HashMap<u64, BuildSlot>>;
-
-fn build_cache() -> &'static BuildCache {
-    static CACHE: OnceLock<BuildCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// Builds by [`build_key`], compile errors included. The parallel `report`
+/// sweeps hit every figure's shared builds from many workers at once; the
+/// memo has one of them compile each key, outside its lock (a compile may
+/// itself run the verifier).
+static BUILDS: Memo<u64, Result<Arc<Built>, singe::CompileError>> = Memo::new();
 
 /// Cache key over (kind, variant, arch, mechanism, dfg warp count,
 /// options). `dfg_warps` is keyed separately from `opts.warps` because the
@@ -137,24 +127,6 @@ fn build_key(
     singe_serve::mechanism_fingerprint(mech).hash(&mut h);
     format!("{opts:?}").hash(&mut h);
     h.finish()
-}
-
-fn build_cached(
-    key: u64,
-    compile: impl FnOnce() -> Result<Built, singe::CompileError>,
-) -> Result<Arc<Built>, singe::CompileError> {
-    // Claim (or join) the slot for this key under the lock, then compile
-    // outside it: compilation is the expensive part and may itself launch
-    // the verifier. `OnceLock::get_or_init` blocks late arrivals until the
-    // first caller's compile finishes, so each key compiles exactly once.
-    let slot = {
-        let mut cache = build_cache().lock().unwrap();
-        if cache.len() >= MAX_CACHE_ENTRIES && !cache.contains_key(&key) {
-            cache.clear();
-        }
-        cache.entry(key).or_default().clone()
-    };
-    slot.get_or_init(|| compile().map(Arc::new)).clone()
 }
 
 /// Pick a warp count for the warp-specialized viscosity kernel (delegates
@@ -250,9 +222,9 @@ fn compile_variant(
     opts: &CompileOptions,
 ) -> Result<Arc<Built>, singe::CompileError> {
     let key = build_key(kind, variant, arch, mech, dfg_warps, opts);
-    build_cached(key, || {
+    BUILDS.get_or_make(key, || {
         if let Some(served) = try_serve(kind, mech, arch, variant, dfg_warps, opts) {
-            return served;
+            return served.map(Arc::new);
         }
         let n = mech.n_transported();
         let dfg = dfg_for(kind, mech, dfg_warps);
@@ -264,7 +236,7 @@ fn compile_variant(
             Variant::Baseline => None,
             Variant::WarpSpecialized | Variant::Naive => Some(c.stats),
         };
-        Ok(Built { kernel: c.kernel, stats, n_species: n, probe_key: next_probe_key() })
+        Ok(Arc::new(Built { kernel: c.kernel, stats, n_species: n, probe_key: next_probe_key() }))
     })
 }
 
@@ -303,12 +275,8 @@ pub fn build_with_options(
     compile_variant(kind, mech, arch, variant, opts.warps, opts)
 }
 
-type ProbeCache = Mutex<HashMap<(u64, &'static str), EventCounts>>;
-
-fn probe_cache() -> &'static ProbeCache {
-    static CACHE: OnceLock<ProbeCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// Probe event counts by (`Built::probe_key`, arch name).
+static PROBES: Memo<(u64, &'static str), EventCounts> = Memo::new();
 
 /// Run one CTA functionally and extrapolate the timing model to
 /// `grid_points` points. Returns the simulation report.
@@ -317,26 +285,15 @@ fn probe_cache() -> &'static ProbeCache {
 /// (fixed grid seed), so its event counts are memoized per `Built`; only
 /// the analytic `estimate` re-runs per grid size.
 pub fn timing_report(built: &Built, arch: &GpuArch, grid_points: usize) -> SimReport {
-    let key = (built.probe_key, arch.name);
-    let cached = probe_cache().lock().unwrap().get(&key).cloned();
-    let counts = match cached {
-        Some(c) => c,
-        None => {
-            let probe = built.kernel.points_per_cta;
-            let g =
-                GridState::random(GridDims { nx: probe, ny: 1, nz: 1 }, built.n_species, 1234);
-            let arrays = launch_arrays(&built.kernel.global_arrays, &g).expect("known arrays");
-            let out =
-                launch(&built.kernel, arch, &LaunchInputs { arrays }, probe, LaunchMode::Full)
-                    .expect("probe launch");
-            let mut cache = probe_cache().lock().unwrap();
-            if cache.len() >= MAX_CACHE_ENTRIES {
-                cache.clear();
-            }
-            cache.insert(key, out.report.counts.clone());
-            out.report.counts
-        }
-    };
+    let counts = PROBES.get_or_make((built.probe_key, arch.name), || {
+        let probe = built.kernel.points_per_cta;
+        let g = GridState::random(GridDims { nx: probe, ny: 1, nz: 1 }, built.n_species, 1234);
+        let arrays = launch_arrays(&built.kernel.global_arrays, &g).expect("known arrays");
+        launch(&built.kernel, arch, &LaunchInputs { arrays }, probe, LaunchMode::Full)
+            .expect("probe launch")
+            .report
+            .counts
+    });
     estimate(&built.kernel, arch, &counts, grid_points)
 }
 

@@ -58,9 +58,10 @@ use gpu_sim::flatcache::flatten_cached;
 use gpu_sim::interp::{FlatProgram, SyncRun};
 use gpu_sim::isa::{IdxInstr, IdxOp, Instr, Kernel, SAddr};
 use gpu_sim::WARP_SIZE;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use gpu_sim::memo::Memo;
+use std::sync::Arc;
 
 /// How much verification [`enforce`] performs after codegen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,16 +176,10 @@ pub struct VerifyReport {
 /// name need not share limits.
 type VerifyKey = ((u64, u64), &'static str, usize, usize);
 type Verdict = Result<VerifyReport, Vec<Violation>>;
-type VerifyMemo = Mutex<HashMap<VerifyKey, Verdict>>;
 
-fn verify_memo() -> &'static VerifyMemo {
-    static CACHE: OnceLock<VerifyMemo> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Bound for the verify memo; cleared wholesale when full (sweeps churn
-/// through distinct kernels, LRU bookkeeping is not worth the locking).
-const VERIFY_MEMO_MAX: usize = 256;
+/// Verdicts by [`VerifyKey`]: sweep workers that meet one kernel at once
+/// verify it once, outside the memo's lock.
+static VERDICTS: Memo<VerifyKey, Verdict> = Memo::new();
 
 /// Verify `kernel` against `arch`. Returns statistics on success or the
 /// full list of violations (not just the first) on failure.
@@ -206,18 +201,7 @@ fn verify_flat(kernel: &Kernel, arch: &GpuArch) -> (Arc<FlatProgram>, Verdict) {
     let prog = flatten_cached(kernel);
     let print = prog.fingerprint().expect("flatten_cached files a program under its fingerprint");
     let key = (print, arch.name, arch.shared_per_sm, arch.named_barriers_per_sm);
-    let memo_poisoned = "verify memo poisoned";
-    if let Some(hit) = verify_memo().lock().expect(memo_poisoned).get(&key) {
-        return (prog, hit.clone());
-    }
-    // Verify outside the lock: the dynamic protocol run is the expensive
-    // part, and parallel sweep workers must not serialize on it.
-    let result = Verifier::new(kernel, arch, &prog, true).verdict();
-    let mut memo = verify_memo().lock().expect(memo_poisoned);
-    if memo.len() >= VERIFY_MEMO_MAX {
-        memo.clear();
-    }
-    let verdict = memo.entry(key).or_insert(result).clone();
+    let verdict = VERDICTS.get_or_make(key, || Verifier::new(kernel, arch, &prog, true).verdict());
     (prog, verdict)
 }
 

@@ -18,31 +18,22 @@
 //! handful of kernels alive in one process vanishingly unlikely. It is the
 //! one identity of a kernel: a [`FlatProgram`] records the fingerprint it
 //! was filed under, so whoever holds the flattening holds the key of every
-//! other per-kernel memo and never hashes the kernel again. The cache
-//! is bounded: when it exceeds `MAX_ENTRIES` it is cleared wholesale
-//! (sweeps churn through distinct kernels; LRU bookkeeping is not worth
-//! the locking).
+//! other per-kernel memo and never hashes the kernel again. The memo is a
+//! [`Memo`], bounded as every process memo is.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::engine::EngineProgram;
 use crate::interp::{flatten_as, FlatProgram};
 use crate::isa::codec::encode_kernel;
 use crate::isa::Kernel;
+use crate::memo::Memo;
 
-const MAX_ENTRIES: usize = 256;
-
-/// One memo slot per fingerprint. Concurrent requests for the same kernel
-/// all block on a single flatten/lower via `OnceLock::get_or_init` instead
-/// of racing to do the work N times (parallel CTA workers hit a new
-/// kernel's slot simultaneously on the first launch).
-type Slot<T> = Arc<OnceLock<Arc<T>>>;
-type MemoCache<T> = Mutex<HashMap<(u64, u64), Slot<T>>>;
-
-static CACHE: OnceLock<MemoCache<FlatProgram>> = OnceLock::new();
+/// The flattenings, by fingerprint. Parallel CTA workers meet a new kernel
+/// at once on its first launch; the memo has one of them flatten it.
+static CACHE: Memo<(u64, u64), Arc<FlatProgram>> = Memo::new();
 
 // Statistics only: each counter publishes nothing but itself.
 static FINGERPRINTS: AtomicU64 = AtomicU64::new(0);
@@ -79,28 +70,9 @@ pub fn identity_counts() -> IdentityCounts {
 /// deterministic counterpart of a resident-set reading. (Not a field of
 /// [`IdentityCounts`]: those only grow, this falls when the memo clears.)
 pub fn resident_bytes() -> u64 {
-    let Some(cache) = CACHE.get() else { return 0 };
-    let g = cache.lock().expect("kernel memo cache poisoned");
-    g.values().filter_map(|slot| slot.get()).map(|p| p.heap_bytes() as u64).sum()
-}
-
-/// Claim (or join) `key`'s slot under the lock, then run `make` outside it.
-fn memoized<T>(
-    cache: &'static OnceLock<MemoCache<T>>,
-    key: (u64, u64),
-    make: impl FnOnce() -> T,
-) -> Arc<T> {
-    let slot = {
-        let mut g = cache
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("kernel memo cache poisoned");
-        if g.len() >= MAX_ENTRIES && !g.contains_key(&key) {
-            g.clear();
-        }
-        g.entry(key).or_default().clone()
-    };
-    slot.get_or_init(|| Arc::new(make())).clone()
+    let mut bytes = 0;
+    CACHE.visit(|p| bytes += p.heap_bytes() as u64);
+    bytes
 }
 
 /// Flatten `kernel`, reusing a cached [`FlatProgram`] when an identical
@@ -109,9 +81,9 @@ fn memoized<T>(
 pub fn flatten_cached(kernel: &Kernel) -> Arc<FlatProgram> {
     let key = fingerprint(kernel);
     let mut missed = false;
-    let prog = memoized(&CACHE, key, || {
+    let prog = CACHE.get_or_make(key, || {
         missed = true;
-        flatten_as(kernel, Some(key))
+        Arc::new(flatten_as(kernel, Some(key)))
     });
     let counter = if missed { &FLATTEN_MISSES } else { &FLATTEN_HITS };
     counter.fetch_add(1, Ordering::Relaxed);

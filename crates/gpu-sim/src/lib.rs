@@ -38,6 +38,7 @@ pub mod interp;
 pub mod isa;
 pub(crate) mod lanes;
 pub mod launch;
+pub mod memo;
 pub mod model;
 pub mod occupancy;
 pub mod pool;

@@ -9,6 +9,8 @@
 //!   compile survives the process;
 //! * an **in-flight table** — identical concurrent requests coalesce onto
 //!   one compile, all waiters sharing its result (success *or* failure);
+//! * a **probe memo** — the probe launch's event counts per artifact key, a
+//!   bounded [`Memo`];
 //! * the **sharded scheduler** ([`crate::sched::Scheduler`]) — bounded
 //!   queue, per-tenant fairness, backpressure.
 //!
@@ -34,6 +36,7 @@ use chemkin::{GridDims, GridState, Mechanism};
 use gpu_sim::arch::GpuArch;
 use gpu_sim::counts::EventCounts;
 use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
+use gpu_sim::memo::Memo;
 use gpu_sim::timing::{estimate, SimReport};
 use singe::kernels::{chemistry, diffusion, launch_arrays, probe_grid, viscosity};
 use singe::search::{
@@ -199,6 +202,9 @@ struct MechEntry {
     fingerprint: u64,
 }
 
+/// A compile in flight. The table of these is not a [`Memo`]: a slot is
+/// removed once it resolves, so the table dedups concurrency, not history —
+/// later identical requests go to disk and count as warm hits.
 type InflightSlot = Arc<OnceLock<Result<(Arc<Artifact>, ArtifactSource), ServeError>>>;
 
 struct SessionInner {
@@ -206,7 +212,7 @@ struct SessionInner {
     counters: Counters,
     registry: Mutex<BTreeMap<String, MechEntry>>,
     inflight: Mutex<HashMap<ArtifactKey, InflightSlot>>,
-    probes: Mutex<HashMap<ArtifactKey, EventCounts>>,
+    probes: Memo<ArtifactKey, ServeResult<EventCounts>>,
 }
 
 /// Builder for [`ServeSession`] — every knob is optional.
@@ -275,7 +281,7 @@ impl ServeSessionBuilder {
             counters: Counters::default(),
             registry: Mutex::new(BTreeMap::new()),
             inflight: Mutex::new(HashMap::new()),
-            probes: Mutex::new(HashMap::new()),
+            probes: Memo::new(),
         });
         let session = ServeSession {
             inner,
@@ -381,23 +387,23 @@ impl ServeSession {
 
     /// Run the deterministic probe launch for the request's kernel and
     /// return its event counts. Memoized per artifact key — repeated
-    /// predictions re-use both the artifact and the probe.
+    /// predictions re-use both the artifact and the probe. The grid seed is
+    /// fixed, so a failed probe fails again and is memoized like a compile
+    /// error.
     pub fn probe(&self, req: &CompileRequest) -> ServeResult<EventCounts> {
         let handle = self.compile(req)?;
-        if let Some(hit) = self.inner.probes.lock().unwrap().get(&handle.key) {
-            return Ok(hit.clone());
-        }
-        let kernel = &handle.artifact.kernel;
-        let n_species = self.n_species_of(&req.mechanism)?;
-        let probe = kernel.points_per_cta;
-        let g = GridState::random(GridDims { nx: probe, ny: 1, nz: 1 }, n_species, 1234);
-        let arrays = launch_arrays(&kernel.global_arrays, &g)
-            .map_err(|e| ServeError::Launch(e.to_string()))?;
-        let out = launch(kernel, &req.arch.arch(), &LaunchInputs { arrays }, probe, LaunchMode::Full)
-            .map_err(|e| ServeError::Launch(e.to_string()))?;
-        let counts = out.report.counts;
-        self.inner.probes.lock().unwrap().insert(handle.key, counts.clone());
-        Ok(counts)
+        self.inner.probes.get_or_make(handle.key, || {
+            let kernel = &handle.artifact.kernel;
+            let n_species = self.n_species_of(&req.mechanism)?;
+            let probe = kernel.points_per_cta;
+            let g = GridState::random(GridDims { nx: probe, ny: 1, nz: 1 }, n_species, 1234);
+            let arrays = launch_arrays(&kernel.global_arrays, &g)
+                .map_err(|e| ServeError::Launch(e.to_string()))?;
+            let out =
+                launch(kernel, &req.arch.arch(), &LaunchInputs { arrays }, probe, LaunchMode::Full)
+                    .map_err(|e| ServeError::Launch(e.to_string()))?;
+            Ok(out.report.counts)
+        })
     }
 
     /// Predict the request's kernel performance at `grid_points` points:
@@ -582,9 +588,7 @@ fn compile_now(inner: &SessionInner, req: &CompileRequest) -> ServeResult<Artifa
     );
 
     // Claim or join the in-flight slot. `get_or_init` runs the work for
-    // exactly one caller and blocks the rest until it resolves; the slot
-    // is removed once resolved, so it dedups *concurrency*, not history —
-    // later identical requests go to disk (and count as warm hits).
+    // exactly one caller and blocks the rest until it resolves.
     let slot: InflightSlot = {
         let mut map = inner.inflight.lock().unwrap();
         Arc::clone(map.entry(key).or_default())
