@@ -10,7 +10,6 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
 use chemkin::state::{GridDims, GridState};
 use chemkin::Mechanism;
 use gpu_sim::arch::GpuArch;
@@ -22,7 +21,7 @@ use gpu_sim::profile::CtaProfile;
 use gpu_sim::timing::{estimate, SimReport};
 use singe::codegen::CompileStats;
 use singe::config::CompileOptions;
-use singe::kernels::{chemistry, diffusion, launch_arrays, viscosity};
+use singe::kernels::launch_arrays;
 use singe::Compiler;
 
 pub mod fidelity;
@@ -201,13 +200,10 @@ fn try_serve(
 
 /// Build a kernel kind's dataflow graph at `dfg_warps` warps — the input
 /// the tuner ([`singe::search`]) takes directly, bypassing the compile
-/// memo (it compiles many option points against one dfg).
+/// memo (it compiles many option points against one dfg). Delegates to
+/// [`KernelId::dfg`].
 pub fn dfg_for(kind: Kind, mech: &Mechanism, dfg_warps: usize) -> singe::Dfg {
-    match kind {
-        Kind::Viscosity => viscosity::viscosity_dfg(&ViscosityTables::build(mech), dfg_warps),
-        Kind::Diffusion => diffusion::diffusion_dfg(&DiffusionTables::build(mech), dfg_warps),
-        Kind::Chemistry => chemistry::chemistry_dfg(&ChemistrySpec::build(mech), dfg_warps),
-    }
+    KernelId::from(kind).dfg(mech, dfg_warps)
 }
 
 /// The single compile path behind [`build`] and [`build_with_options`]:

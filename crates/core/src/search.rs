@@ -665,8 +665,8 @@ pub fn run_search(
 /// Run an explorer end to end with caller-supplied cost and oracle
 /// closures, returning the full [`SearchOutcome`].
 ///
-/// This is the driver behind [`Tuner::tune`] and the serve layer's
-/// mirror: `score` maps a candidate batch to model-predicted seconds
+/// This is the driver behind [`Tuner::tune`]: `score` maps a candidate
+/// batch to model-predicted seconds
 /// (`Err` = the compile message of a candidate that did not compile),
 /// `simulate` maps the chosen survivors to measured probe seconds (`Err` =
 /// launch failure). The oracle phase ranks every finite-scored candidate

@@ -12,7 +12,7 @@ use std::fmt;
 use std::time::Duration;
 
 use crate::ids::UnknownIdError;
-use singe::CompileError;
+use singe::{CompileError, Variant};
 
 /// Errors the serve layer can return.
 ///
@@ -65,6 +65,9 @@ pub enum ServeError {
     },
     /// The session is shutting down; no further jobs are accepted.
     ShuttingDown,
+    /// A tune request named a variant the tuner does not search: it
+    /// tunes warp-specialized schedules only.
+    Untunable(Variant),
     /// A probe launch failed in the simulator (message from
     /// [`gpu_sim::SimError`]).
     Launch(String),
@@ -93,6 +96,9 @@ impl fmt::Display for ServeError {
                 retry_after
             ),
             ServeError::ShuttingDown => write!(f, "session is shutting down"),
+            ServeError::Untunable(v) => {
+                write!(f, "only warp-specialized schedules are tuned, not {}", v.name())
+            }
             ServeError::Launch(m) => write!(f, "probe launch failed: {m}"),
             ServeError::Internal(m) => write!(f, "internal service error: {m}"),
         }

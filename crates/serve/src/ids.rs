@@ -10,7 +10,10 @@
 use std::fmt;
 use std::str::FromStr;
 
+use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
+use chemkin::Mechanism;
 use gpu_sim::arch::GpuArch;
+use singe::kernels::{chemistry, diffusion, viscosity};
 
 /// A name failed to parse as an id. Carries the id family, the rejected
 /// input, and every valid spelling, so `Display` is self-explanatory at
@@ -73,6 +76,16 @@ impl KernelId {
             KernelId::Viscosity => "viscosity",
             KernelId::Diffusion => "diffusion",
             KernelId::Chemistry => "chemistry",
+        }
+    }
+
+    /// This kernel's dataflow graph for `mech`, partitioned across `warps`
+    /// warps: the compiler's input, and the tuner's.
+    pub fn dfg(self, mech: &Mechanism, warps: usize) -> singe::Dfg {
+        match self {
+            KernelId::Viscosity => viscosity::viscosity_dfg(&ViscosityTables::build(mech), warps),
+            KernelId::Diffusion => diffusion::diffusion_dfg(&DiffusionTables::build(mech), warps),
+            KernelId::Chemistry => chemistry::chemistry_dfg(&ChemistrySpec::build(mech), warps),
         }
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! 1. **Session API** ([`session`]) — [`ServeSession::open`] owns a
 //!    mechanism registry and a typed request surface:
-//!    [`CompileRequest`] `->` [`ArtifactHandle`], plus `probe` /
-//!    `predict` / `tune` built on the same cached artifacts.
+//!    [`CompileRequest`] `->` [`ArtifactHandle`], plus `probe` and
+//!    `predict` built on the same cached artifacts, and `tune`, a call to
+//!    the core tuner ([`singe::Compiler::search`]).
 //! 2. **Persistent artifact cache** ([`artifact`]) — versioned,
 //!    content-addressed compiled-kernel artifacts on disk. Corrupt or
 //!    stale entries are recompiled, never surfaced as errors;

@@ -24,13 +24,11 @@
 //!          ── cold: dfg → compile → verify → persist
 //! ```
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use chemkin::reference::tables::{ChemistrySpec, DiffusionTables, ViscosityTables};
 use chemkin::synth::SynthConfig;
 use chemkin::{GridDims, GridState, Mechanism};
 use gpu_sim::arch::GpuArch;
@@ -38,10 +36,8 @@ use gpu_sim::counts::EventCounts;
 use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 use gpu_sim::memo::Memo;
 use gpu_sim::timing::{estimate, SimReport};
-use singe::kernels::{chemistry, diffusion, launch_arrays, probe_grid, viscosity};
-use singe::search::{
-    run_search_explained, ScheduleSearch, SearchBudget, SearchOutcome, SearchSpace,
-};
+use singe::kernels::{launch_arrays, probe_inputs};
+use singe::search::{ScheduleSearch, SearchBudget, SearchOutcome};
 use singe::{CompileOptions, Compiler, Placement, Variant};
 
 use crate::artifact::{Artifact, ArtifactKey, ArtifactMeta, Store, VerifyVerdict};
@@ -49,6 +45,10 @@ use crate::error::{ServeError, ServeResult};
 use crate::ids::{ArchId, KernelId, MechanismId};
 use crate::metrics::{Counters, ServeStats};
 use crate::sched::{Scheduler, Ticket};
+
+/// The grid seed of every probe launch, [`ServeSession::probe`]'s and the
+/// tuner's, so a probe is deterministic.
+const PROBE_SEED: u64 = 1234;
 
 /// Pick a warp count for the warp-specialized viscosity kernel: prefer a
 /// divisor of the species count (Figure 9: "peaks for warp counts that
@@ -394,9 +394,9 @@ impl ServeSession {
         let handle = self.compile(req)?;
         self.inner.probes.get_or_make(handle.key, || {
             let kernel = &handle.artifact.kernel;
-            let n_species = self.n_species_of(&req.mechanism)?;
+            let n_species = self.inner.mechanism(&req.mechanism)?.0.n_transported();
             let probe = kernel.points_per_cta;
-            let g = GridState::random(GridDims { nx: probe, ny: 1, nz: 1 }, n_species, 1234);
+            let g = GridState::random(GridDims { nx: probe, ny: 1, nz: 1 }, n_species, PROBE_SEED);
             let arrays = launch_arrays(&kernel.global_arrays, &g)
                 .map_err(|e| ServeError::Launch(e.to_string()))?;
             let out =
@@ -414,21 +414,19 @@ impl ServeSession {
         Ok(estimate(&handle.artifact.kernel, &req.arch.arch(), &counts, grid_points))
     }
 
-    /// Tune the request's kernel: the serve mirror of
-    /// [`singe::search::Tuner::tune`], with the same explorers and budget
-    /// ([`FixedList`](singe::search::FixedList) for a caller-supplied
-    /// candidate list, [`BeamSearch`](singe::search::BeamSearch) for the
-    /// full options space seeded at the request's options or the
-    /// per-kernel defaults). Candidates are model-scored over *cached*
-    /// artifacts — compiles ride the scheduler and artifact store, so
-    /// repeated runs, overlapping beams and candidates shared across
-    /// sessions hit warm — and the top-K survivors are simulated through
-    /// the memoized probe ([`ServeSession::predict`]).
+    /// Tune the request's kernel with the core tuner, [`Compiler::search`]:
+    /// `explorer` within `budget`, seeded at the request's options or the
+    /// per-kernel defaults, over one graph built at the request's
+    /// `dfg_warps` or else the seed's warp count. Candidates are scored and
+    /// survivors probed at `grid_points` points rounded up to whole CTAs,
+    /// on inputs drawn at the seed [`ServeSession::probe`] uses. It runs
+    /// on the caller's thread, not the scheduler, and neither reads nor
+    /// writes the artifact cache. Returns the winning options plus the full
+    /// audit trail.
     ///
-    /// A candidate that fails to compile or launch is recorded on its
-    /// point and loses; any other error (overload, shutdown) aborts the
-    /// run and is returned as itself. Returns the winning options plus
-    /// the full audit trail.
+    /// Only [`Variant::WarpSpecialized`] is tuned; any other variant is
+    /// [`ServeError::Untunable`] before anything compiles. A tuner error —
+    /// no candidate ran, say — is [`ServeError::Compile`].
     pub fn tune(
         &self,
         req: &CompileRequest,
@@ -436,93 +434,37 @@ impl ServeSession {
         budget: &SearchBudget,
         grid_points: usize,
     ) -> ServeResult<(CompileOptions, SearchOutcome)> {
-        let n_species = self.n_species_of(&req.mechanism)?;
+        if req.variant != Variant::WarpSpecialized {
+            return Err(ServeError::Untunable(req.variant));
+        }
+        let (mech, _) = self.inner.mechanism(&req.mechanism)?;
         let arch = req.arch.arch();
-        let base = match &req.options {
-            Some(opts) => opts.clone(),
-            None => default_options(req.kernel, n_species, &arch),
-        };
-        let candidate = |opts: &CompileOptions| req.clone().with_options(opts.clone());
-        tune_with(
+        let n_species = mech.n_transported();
+        let base =
+            req.options.clone().unwrap_or_else(|| default_options(req.kernel, n_species, &arch));
+        let dfg = req.kernel.dfg(&mech, req.dfg_warps.unwrap_or(base.warps));
+        let tuned = Compiler::new(&arch).options(base).search().budget(budget.clone()).tune(
+            &dfg,
             explorer,
-            &SearchSpace::for_arch(&arch),
-            &base,
-            budget,
-            |cands| {
-                // Queue the whole batch first so the farm works it
-                // concurrently, then collect and predict in input order.
-                let submit = |o| self.submit(&candidate(o));
-                let tickets: Vec<_> = cands.iter().map(submit).collect();
-                let predict = |handle: ArtifactHandle| {
-                    let kernel = &handle.artifact.kernel;
-                    let grid = probe_grid(kernel, grid_points);
-                    singe::perfmodel::predict_seconds(kernel, &arch, grid).unwrap_or(f64::INFINITY)
-                };
-                tickets.into_iter().map(|t| t.and_then(|t| t.wait()).map(predict)).collect()
-            },
-            |opts| self.predict(&candidate(opts), grid_points).map(|r| r.seconds),
-        )
+            grid_points,
+            &probe_inputs(n_species, PROBE_SEED),
+        )?;
+        Ok((tuned.outcome.best_options.clone(), tuned.outcome))
     }
+}
 
-    fn n_species_of(&self, id: &MechanismId) -> ServeResult<usize> {
-        let reg = self.inner.registry.lock().unwrap();
+impl SessionInner {
+    /// The registered mechanism `id` and its fingerprint.
+    fn mechanism(&self, id: &MechanismId) -> ServeResult<(Arc<Mechanism>, u64)> {
+        let reg = self.registry.lock().unwrap();
         match reg.get(id.as_str()) {
-            Some(e) => Ok(e.mech.n_transported()),
+            Some(e) => Ok((Arc::clone(&e.mech), e.fingerprint)),
             None => Err(ServeError::UnknownMechanism {
                 requested: id.as_str().to_string(),
                 known: reg.keys().cloned().collect(),
             }),
         }
     }
-}
-
-/// [`ServeSession::tune`] over any compile farm and probe: `score_batch`
-/// model-scores a batch of candidates, `probe` simulates one survivor.
-/// The error rule lives here, once, for both: `Compile` and `Launch` are
-/// candidate outcomes (the candidate loses, the run continues); the first
-/// error of any other kind stops further work and is what the call
-/// returns.
-fn tune_with(
-    explorer: &dyn ScheduleSearch,
-    space: &SearchSpace,
-    base: &CompileOptions,
-    budget: &SearchBudget,
-    mut score_batch: impl FnMut(&[CompileOptions]) -> Vec<ServeResult<f64>>,
-    mut probe: impl FnMut(&CompileOptions) -> ServeResult<f64>,
-) -> ServeResult<(CompileOptions, SearchOutcome)> {
-    let abort: RefCell<Option<ServeError>> = RefCell::new(None);
-    let candidate_outcome = |r: ServeResult<f64>| -> Result<f64, String> {
-        r.map_err(|e| match e {
-            ServeError::Compile(e) => e.to_string(),
-            ServeError::Launch(message) => message,
-            service => {
-                let message = service.to_string();
-                abort.borrow_mut().get_or_insert(service);
-                message
-            }
-        })
-    };
-    let mut score = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
-        if abort.borrow().is_some() {
-            return vec![Ok(f64::INFINITY); cands.len()];
-        }
-        score_batch(cands).into_iter().map(candidate_outcome).collect()
-    };
-    let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
-        let one = |o| {
-            if abort.borrow().is_some() {
-                return Err(String::new()); // the outcome is discarded below
-            }
-            candidate_outcome(probe(o))
-        };
-        cands.iter().map(one).collect()
-    };
-    let outcome = run_search_explained(explorer, space, base, budget, &mut score, &mut simulate);
-    if let Some(e) = abort.into_inner() {
-        return Err(e);
-    }
-    let outcome = outcome.map_err(|e| ServeError::Internal(format!("tuner: {e}")))?;
-    Ok((outcome.best_options.clone(), outcome))
 }
 
 /// Content fingerprint of a mechanism: the hash of its `Debug` form, so any
@@ -563,18 +505,7 @@ fn resolve_build(
 /// The synchronous core: key derivation, in-flight claim/join, disk
 /// lookup, cold compile. Runs on a scheduler worker.
 fn compile_now(inner: &SessionInner, req: &CompileRequest) -> ServeResult<ArtifactHandle> {
-    let (mech, fingerprint) = {
-        let reg = inner.registry.lock().unwrap();
-        match reg.get(req.mechanism.as_str()) {
-            Some(e) => (Arc::clone(&e.mech), e.fingerprint),
-            None => {
-                return Err(ServeError::UnknownMechanism {
-                    requested: req.mechanism.as_str().to_string(),
-                    known: reg.keys().cloned().collect(),
-                })
-            }
-        }
-    };
+    let (mech, fingerprint) = inner.mechanism(&req.mechanism)?;
     let arch = req.arch.arch();
     let n_species = mech.n_transported();
     let (opts, dfg_warps) = resolve_build(req, n_species, &arch);
@@ -636,11 +567,7 @@ fn serve_one(
     }
 
     let t0 = Instant::now();
-    let dfg = match req.kernel {
-        KernelId::Viscosity => viscosity::viscosity_dfg(&ViscosityTables::build(mech), dfg_warps),
-        KernelId::Diffusion => diffusion::diffusion_dfg(&DiffusionTables::build(mech), dfg_warps),
-        KernelId::Chemistry => chemistry::chemistry_dfg(&ChemistrySpec::build(mech), dfg_warps),
-    };
+    let dfg = req.kernel.dfg(mech, dfg_warps);
     let compiled = Compiler::new(arch).options(opts.clone()).compile(&dfg, req.variant)?;
     // The compile's own verdict: present exactly when its options ran the
     // verifier, which then passed.
@@ -685,7 +612,8 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use singe::search::{BeamSearch, FixedList, TuneFailure};
+    use crate::ids::ArchId;
+    use singe::search::{BeamSearch, FixedList};
 
     #[test]
     fn diffusion_warps_divide_the_species_count_or_fall_back_to_eight() {
@@ -709,74 +637,41 @@ mod tests {
         assert_eq!([31, 37, 34, 51].map(diffusion_warps), [8; 4]);
     }
 
-    /// The tuner's error rule, over a fake farm that fails candidates by
-    /// warp count: scoring predicts `warps` seconds, probing measures
-    /// `1 / warps`.
+    /// `tune`'s errors are typed: a variant the tuner does not search is
+    /// refused first, ahead of even the mechanism lookup, and an error of
+    /// the tuner itself (no candidate to run) is a compile error.
     #[test]
-    fn candidate_failures_are_recorded_and_service_errors_abort() {
-        type Fail = fn(usize) -> Option<ServeError>;
-        let space = SearchSpace::for_arch(&GpuArch::kepler_k20c());
-        let cands = [3, 4, 6, 8].map(CompileOptions::with_warps);
-        let budget = SearchBudget::builder().sim_top_k(cands.len()).build();
-        let run = |explorer: &dyn ScheduleSearch, score_fails: Fail, probe_fails: Fail| {
-            tune_with(
-                explorer,
-                &space,
-                &CompileOptions::default(),
-                &budget,
-                |cs| {
-                    let predict = |w: usize| score_fails(w).map_or(Ok(w as f64), Err);
-                    cs.iter().map(|o| predict(o.warps)).collect()
-                },
-                |o| probe_fails(o.warps).map_or(Ok(1.0 / o.warps as f64), Err),
-            )
+    fn tune_refuses_other_variants_and_returns_tuner_errors_as_compile_errors() {
+        let dir = std::env::temp_dir().join(format!("singe-serve-tune-{}", std::process::id()));
+        let session = ServeSession::builder(&dir).builtins(false).jobs(1).open().unwrap();
+        let tiny = SynthConfig {
+            name: "tiny".into(),
+            n_species: 6,
+            n_reactions: 8,
+            n_qssa: 0,
+            n_stiff: 0,
+            seed: 4,
         };
-        let none: Fail = |_| None;
-        // Low warp counts predict best, so either explorer's oracle
-        // reaches one.
-        let overloaded: Fail = |w| {
-            let retry_after = std::time::Duration::from_millis(5);
-            (w <= 4).then_some(ServeError::Overloaded { retry_after, queued: 1, capacity: 1 })
-        };
-        let shutting_down: Fail = |w| (w <= 4).then_some(ServeError::ShuttingDown);
-
-        // Compile (scorer) and Launch (oracle) are candidate outcomes:
-        // recorded on the point, and the sweep carries on to a winner.
-        let no_fit: Fail = |w| {
-            let e = singe::CompileError::ResourceExhausted("no fit".into());
-            (w == 3).then_some(ServeError::Compile(e))
-        };
-        let bad_arrays: Fail = |w| (w == 8).then_some(ServeError::Launch("bad arrays".into()));
-        let (best, outcome) = run(&FixedList(&cands), no_fit, bad_arrays).expect("sweep completes");
-        assert_eq!(best.warps, 6);
-        let failures: Vec<Option<String>> =
-            outcome.points.iter().map(|p| p.failure.as_ref().map(TuneFailure::to_string)).collect();
-        let compile = "did not compile: resource exhausted: no fit".to_string();
-        let launch = "compiled but failed to run: bad arrays".to_string();
-        assert_eq!(failures, [Some(compile.clone()), None, None, Some(launch.clone())]);
-        assert_eq!(outcome.simulations, 3);
-
-        // Every other error aborts the call and comes back as itself,
-        // from the scorer and from the oracle, under either explorer.
-        for explorer in [&FixedList(&cands) as &dyn ScheduleSearch, &BeamSearch] {
-            let err = run(explorer, overloaded, none).unwrap_err();
-            assert!(matches!(err, ServeError::Overloaded { .. }), "{err}");
-            let err = run(explorer, none, overloaded).unwrap_err();
-            assert!(matches!(err, ServeError::Overloaded { .. }), "{err}");
-            let err = run(explorer, shutting_down, bad_arrays).unwrap_err();
-            assert!(matches!(err, ServeError::ShuttingDown), "{err}");
+        let tiny = session.register_synth(&tiny).unwrap();
+        let missing: MechanismId = "missing".parse().unwrap();
+        let budget = SearchBudget::default();
+        for mech in [&tiny, &missing] {
+            for variant in [Variant::Baseline, Variant::Naive] {
+                let req =
+                    CompileRequest::new(mech.clone(), KernelId::Viscosity, variant, ArchId::Kepler);
+                let err = session.tune(&req, &BeamSearch, &budget, 256).unwrap_err();
+                assert!(matches!(err, ServeError::Untunable(v) if v == variant), "{err}");
+            }
         }
 
-        // When no candidate runs, the error carries the first failure in
-        // candidate order: the compile message here, ahead of the launches.
-        let no_launch: Fail = |_| Some(ServeError::Launch("bad arrays".into()));
-        let err = run(&FixedList(&cands), no_fit, no_launch).unwrap_err().to_string();
-        assert!(err.contains(&compile), "{err}");
-        let err = run(&FixedList(&cands), none, no_launch).unwrap_err().to_string();
-        assert!(err.contains(&launch), "{err}");
-
-        // No candidates is an error, not a panic.
-        let err = run(&FixedList(&[]), none, none).unwrap_err();
-        assert!(matches!(err, ServeError::Internal(_)), "{err}");
+        let ws = Variant::WarpSpecialized;
+        let req = CompileRequest::new(tiny, KernelId::Viscosity, ws, ArchId::Kepler);
+        let err = session.tune(&req, &FixedList(&[]), &budget, 256).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Compile(singe::CompileError::ResourceExhausted(_))),
+            "{err}"
+        );
+        assert_eq!(session.stats().cold_compiles, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,11 +6,12 @@
 use std::path::{Path, PathBuf};
 
 use chemkin::synth::{self, SynthConfig};
-use singe::Variant;
+use singe::kernels::probe_inputs;
+use singe::{Compiler, Variant};
 use singe_serve::artifact::ArtifactKey;
 use singe_serve::{
-    default_options, mechanism_fingerprint, ArchId, ArtifactSource, CompileRequest, KernelId,
-    ServeError, ServeSession,
+    default_options, mechanism_fingerprint, ArchId, ArtifactSource, BeamSearch, CompileRequest,
+    KernelId, SearchBudget, SearchOutcome, ServeError, ServeSession,
 };
 
 /// Fresh cache directory under the crate's `target/`, unique per test.
@@ -308,9 +309,9 @@ fn typed_errors_list_valid_ids() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Predict and tune both ride the same cached artifacts: a predict
-/// after a compile must not add a cold compile, and an exhaustive sweep
-/// over a candidate list returns a finite best.
+/// Predict rides the cached artifact: a predict after a compile must not
+/// add a cold compile. And an exhaustive sweep over a candidate list
+/// simulates every candidate and returns a finite best.
 #[test]
 fn predict_and_autotune_reuse_cached_artifacts() {
     let dir = cache_dir("predict");
@@ -328,11 +329,11 @@ fn predict_and_autotune_reuse_cached_artifacts() {
         "predict must reuse the cached artifact, not recompile"
     );
 
-    let n = synth::dme_config().n_species;
-    let candidates = vec![
-        singe_serve::default_options(KernelId::Viscosity, n, &ArchId::Kepler.arch()),
-        singe::CompileOptions::with_warps(8),
-    ];
+    // Both candidates compile on the request's one graph, built at the
+    // default warp count: the defaults, and the library's options at it.
+    let n = synth::via_text(&synth::dme_config()).n_transported();
+    let defaults = default_options(KernelId::Viscosity, n, &ArchId::Kepler.arch());
+    let candidates = vec![defaults.clone(), singe::CompileOptions::with_warps(defaults.warps)];
     let budget = singe_serve::SearchBudget::builder().sim_top_k(candidates.len()).build();
     let (best, outcome) = session
         .tune(&req, &singe_serve::FixedList(&candidates), &budget, 64 * 64 * 64)
@@ -343,38 +344,62 @@ fn predict_and_autotune_reuse_cached_artifacts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The schedule search (beam over the full space, model as cost,
-/// simulation as oracle) runs through the session's farm + artifact
-/// cache: it returns a finite winner, simulates no more than the
-/// budget's top-K, and a repeated identical search answers every
-/// candidate compile from the cache instead of recompiling.
+/// What a search decided, bit for bit: every point's options, predicted
+/// and simulated bits and failure, then the winner's seconds.
+type Decisions = (Vec<(String, Option<u64>, Option<u64>, Option<String>)>, u64);
+
+fn decisions(outcome: &SearchOutcome) -> Decisions {
+    let point = |p: &singe::search::SearchPoint| {
+        (
+            format!("{:?}", p.options),
+            p.predicted_seconds.map(f64::to_bits),
+            p.simulated_seconds.map(f64::to_bits),
+            p.failure.as_ref().map(ToString::to_string),
+        )
+    };
+    (outcome.points.iter().map(point).collect(), outcome.best_seconds.to_bits())
+}
+
+/// `ServeSession::tune` is the core tuner: on both `search_tune`-shaped
+/// rows — DME viscosity on Kepler, the diffusion of a DME-shaped mechanism
+/// on Hopper — it returns what `Compiler::search` returns over the graph at
+/// the default warp count, probed on the seed of the session's probes, bit
+/// for bit; and so does a repeat of the call.
 #[test]
-fn schedule_search_runs_through_the_cache() {
-    let dir = cache_dir("search");
+fn tune_is_the_core_tuner() {
+    let dir = cache_dir("tune");
     let session = open(&dir);
-    session.register_synth(&synth::dme_config()).unwrap();
-    let req = dme_request(KernelId::Viscosity);
-    let budget = singe_serve::SearchBudget::builder()
-        .beam_width(2)
-        .rounds(1)
-        .sim_top_k(2)
-        .max_model_evals(10)
-        .build();
-
-    let (best, outcome) =
-        session.tune(&req, &singe_serve::BeamSearch, &budget, 64 * 64).expect("search runs");
-    assert!(best.warps > 0);
-    assert!(outcome.best_seconds.is_finite() && outcome.best_seconds > 0.0);
-    assert!(outcome.model_evals <= 10, "eval cap violated: {}", outcome.model_evals);
-    assert!(outcome.simulations <= 2, "simulated past top-K: {}", outcome.simulations);
-
-    // An identical search over the warm cache must not compile anything
-    // new — every candidate is answered from disk or memory.
-    let cold_before = session.stats().cold_compiles;
-    let (best2, outcome2) =
-        session.tune(&req, &singe_serve::BeamSearch, &budget, 64 * 64).expect("warm search runs");
-    assert_eq!(session.stats().cold_compiles, cold_before, "warm search recompiled");
-    assert_eq!(format!("{best:?}"), format!("{best2:?}"), "search is not deterministic");
-    assert_eq!(outcome.best_seconds.to_bits(), outcome2.best_seconds.to_bits());
+    let heldout = SynthConfig { name: "heldout".into(), seed: 0x5eed, ..synth::dme_config() };
+    let rows = [
+        (synth::dme_config(), KernelId::Viscosity, ArchId::Kepler),
+        (heldout, KernelId::Diffusion, ArchId::Hopper),
+    ];
+    // Small, so the debug build stays quick: a seed beam and one round.
+    let budget =
+        SearchBudget::builder().beam_width(2).rounds(1).sim_top_k(2).max_model_evals(8).build();
+    let probe_points = 4096;
+    for (cfg, kernel, arch_id) in rows {
+        let id = session.register_synth(&cfg).unwrap();
+        let req = CompileRequest::new(id, kernel, Variant::WarpSpecialized, arch_id);
+        let mech = synth::via_text(&cfg);
+        let n = mech.n_transported();
+        let arch = arch_id.arch();
+        let base = default_options(kernel, n, &arch);
+        let dfg = kernel.dfg(&mech, base.warps);
+        let core = Compiler::new(&arch)
+            .options(base)
+            .search()
+            .budget(budget.clone())
+            .tune(&dfg, &BeamSearch, probe_points, &probe_inputs(n, 1234))
+            .expect("core tuner runs");
+        assert!(core.outcome.simulations > 0 && core.outcome.best_seconds.is_finite());
+        for call in ["first", "repeated"] {
+            let (best, outcome) =
+                session.tune(&req, &BeamSearch, &budget, probe_points).expect("serve tune runs");
+            let row = format!("{} {kernel} on {arch_id:?}, {call} call", cfg.name);
+            assert_eq!(decisions(&outcome), decisions(&core.outcome), "{row}");
+            assert_eq!(format!("{best:?}"), format!("{:?}", core.outcome.best_options), "{row}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
