@@ -278,7 +278,7 @@ fn provenance(jobs: usize) -> Json {
     object! {
         "sha": sha,
         "host": format!("{cpus} cpus, {}/{}", std::env::consts::OS, std::env::consts::ARCH),
-        "features": if cfg!(feature = "vexp") { "vexp" } else { "default" },
+        "features": "default",
         "jobs": jobs,
         "units": object! {
             "fidelity.speedup": speedup,

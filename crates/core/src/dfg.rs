@@ -224,11 +224,6 @@ impl Dfg {
         }
         Ok(GraphFacts { producers, inputs, outputs, class: skeleton_classes(&self.ops) })
     }
-
-    /// Total FLOPs across all ops (per grid point).
-    pub fn total_flops(&self) -> usize {
-        self.ops.iter().map(|o| o.flops()).sum()
-    }
 }
 
 /// Per-op facts of a valid [`Dfg`], computed once by [`Dfg::facts`].

@@ -1419,7 +1419,7 @@ fn fuse_mul_bin(uops: &mut [UOp], segs: &[Segment], warp_start: u32) {
 /// whose destinations are never read again (before being overwritten or
 /// the stream ending) is dead: registers are warp-private and discarded at
 /// CTA end, so removing the computation is unobservable. This covers
-/// moves, arithmetic (including the libm transcendentals — no observed
+/// moves, arithmetic (including the transcendentals — no observed
 /// side effects), compares, selects, shuffles, pre-resolved constant
 /// loads, and shared-memory *reads* (lowering already bounds-checked
 /// their addresses, so they cannot fail at run time). In the

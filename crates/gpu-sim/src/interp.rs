@@ -1366,12 +1366,10 @@ pub(crate) fn exec_fast(
                 UnOp::Sqrt => lanes::sqrt(av, out),
                 UnOp::Neg => lanes::neg(av, out),
                 // Transcendentals define the simulator's numerics. `exp`
-                // routes through `vmath` so every call site (this fast
-                // path and the engine's exp uops) shares one per-process
-                // implementation — libm by default, the polynomial AVX2
-                // family when the `vexp` feature selects it. The rest
-                // stay scalar libm.
-                UnOp::Exp => crate::vmath::exp_lanes(av, out),
+                // is the lane kernel every call site (this fast path and
+                // the engine's exp uops) shares: `vmath`'s polynomial.
+                // The rest stay scalar libm.
+                UnOp::Exp => lanes::exp(av, out),
                 UnOp::Log => {
                     for l in 0..WARP_SIZE {
                         out[l] = av[l].ln();

@@ -20,11 +20,12 @@
 //!   carried by the `&Lanes` parameters are what let the vectorizer work;
 //! * results are **bit-identical** between the scalar and vector paths:
 //!   only IEEE-exact operations (+, -, *, /, sqrt, fused multiply-add,
-//!   negation, compares, selects, copies) are specialized. Operations
-//!   whose vectorized lowering is *not* pinned down to the bit
-//!   (`max`/`min` signed-zero ordering) live in `#[inline(never)]`
+//!   negation, compares, selects, copies, bit moves, table loads) are
+//!   specialized, [`exp`](fn@exp) included, which is built from nothing
+//!   else. Operations whose vectorized lowering is *not* pinned down to
+//!   the bit (`max`/`min` signed-zero ordering) live in `#[inline(never)]`
 //!   helpers so every caller shares one machine-code copy; libm calls
-//!   (`powf`, `exp`, `ln`, `log10`, `cbrt`) stay scalar in the callers.
+//!   (`powf`, `ln`, `log10`, `cbrt`) stay scalar in the callers.
 //!
 //! Operand order is preserved exactly as written in each kernel body:
 //! IEEE addition is commutative in value but x86 propagates the *first*
@@ -37,9 +38,8 @@ use crate::WARP_SIZE;
 /// One warp's worth of f64 lanes — the unit every kernel operates on.
 pub(crate) type Lanes = [f64; WARP_SIZE];
 
-/// Whether the AVX2+FMA specializations are usable on this machine.
-/// Detected once; a relaxed atomic read afterwards. Shared with
-/// [`crate::vmath`], which gates its polynomial exp on the same check.
+/// Whether the AVX2+FMA compilations are usable on this machine.
+/// Detected once; a relaxed atomic read afterwards.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 pub(crate) fn simd_ok() -> bool {
@@ -50,15 +50,8 @@ pub(crate) fn simd_ok() -> bool {
     })
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-pub(crate) fn simd_ok() -> bool {
-    false
-}
-
-/// Whether the AVX-512 specializations are usable on this machine
-/// (F for the 8-wide f64 ops, DQ for `vcvtqq2pd` in the vmath exp).
-/// Same once-detected pattern as [`simd_ok`].
+/// Whether the AVX-512 compilations (F and DQ) are usable on this
+/// machine. Same once-detected pattern as [`simd_ok`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 pub(crate) fn simd512_ok() -> bool {
@@ -69,46 +62,59 @@ pub(crate) fn simd512_ok() -> bool {
     })
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-pub(crate) fn simd512_ok() -> bool {
-    false
-}
-
 /// Define one lane kernel: a single scalar body, compiled three times —
 /// at the crate's baseline target features, under AVX2+FMA, and under
 /// AVX-512 (8-wide f64, halving the trip count of every lane loop) —
 /// with a runtime dispatch on the detected CPU. The compilations are
-/// bit-identical for the IEEE-exact operations this module restricts
-/// itself to (vector width never changes an exactly rounded elementwise
-/// result), so the dispatch is invisible to differential tests.
+/// bit-identical for the exactly rounded operations this module
+/// restricts itself to (vector width never changes an exactly rounded
+/// elementwise result), so the dispatch is invisible to differential
+/// tests. The compilations stay callable one by one as `$name::body`,
+/// `$name::avx2` and `$name::avx512`, so a test can hold them to each
+/// other on any host that runs them. This is the crate's only CPUID
+/// dispatch and its only `#[target_feature]` code.
 macro_rules! lane_kernel {
     ($(#[$meta:meta])* $name:ident, ($($p:ident : $t:ty),*), $body:block) => {
         $(#[$meta])*
         #[inline]
         pub(crate) fn $name($($p: $t),*) {
-            #[inline(always)]
-            fn body($($p: $t),*) $body
             #[cfg(target_arch = "x86_64")]
             {
-                #[target_feature(enable = "avx512f", enable = "avx512dq")]
-                unsafe fn vect512($($p: $t),*) {
-                    body($($p),*)
-                }
-                #[target_feature(enable = "avx2", enable = "fma")]
-                unsafe fn vect($($p: $t),*) {
-                    body($($p),*)
-                }
                 if simd512_ok() {
                     // SAFETY: `simd512_ok` verified AVX-512 via CPUID.
-                    return unsafe { vect512($($p),*) };
+                    return unsafe { $name::avx512($($p),*) };
                 }
                 if simd_ok() {
                     // SAFETY: `simd_ok` verified AVX2+FMA via CPUID.
-                    return unsafe { vect($($p),*) };
+                    return unsafe { $name::avx2($($p),*) };
                 }
             }
-            body($($p),*)
+            $name::body($($p),*)
+        }
+
+        /// The compilations of the lane kernel of the same name.
+        pub(crate) mod $name {
+            use super::*;
+
+            #[inline(always)]
+            pub(crate) fn body($($p: $t),*) $body
+
+            /// # Safety
+            /// The CPU must have AVX2 and FMA ([`simd_ok`](super::simd_ok)).
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2", enable = "fma")]
+            pub(crate) unsafe fn avx2($($p: $t),*) {
+                body($($p),*)
+            }
+
+            /// # Safety
+            /// The CPU must have AVX-512 F and DQ
+            /// ([`simd512_ok`](super::simd512_ok)).
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f", enable = "avx512dq")]
+            pub(crate) unsafe fn avx512($($p: $t),*) {
+                body($($p),*)
+            }
         }
     };
 }
@@ -171,6 +177,18 @@ lane_kernel!(
     }
 );
 
+lane_kernel!(
+    /// `out[l] = exp(a[l])` by [`crate::vmath`]'s table-driven
+    /// polynomial: the simulator's only `exp`.
+    exp,
+    (a: &Lanes, out: &mut Lanes),
+    {
+        for l in 0..WARP_SIZE {
+            out[l] = crate::vmath::exp_poly(a[l]);
+        }
+    }
+);
+
 /// Arithmetic kind for the in-place binary kernels, mirroring the
 /// IEEE-exact subset of the decoded `BinKind` (the ±0-sensitive
 /// `max`/`min` and libm `pow` stay on the snapshotting path).
@@ -219,7 +237,7 @@ lane_kernel!(
     /// `d[l] = a[l] <op> d[l]` — the right operand aliases the
     /// destination. Operand order is preserved (x86 NaN-payload
     /// propagation follows the first operand), so this is not
-    /// [`bin_in_a`] with arguments swapped.
+    /// [`bin_in_a`](fn@bin_in_a) with arguments swapped.
     bin_in_b,
     (kind: ArithKind, a: &Lanes, d: &mut Lanes),
     {
@@ -372,9 +390,10 @@ lane_kernel!(
 );
 
 lane_kernel!(
-    /// [`mul_then_bin_both`] for the case where the product register and
-    /// the result register are the same chunk: the intermediate write is
-    /// immediately overwritten, so only the final value lands.
+    /// [`mul_then_bin_both`](fn@mul_then_bin_both) for the case where the
+    /// product register and the result register are the same chunk: the
+    /// intermediate write is immediately overwritten, so only the final
+    /// value lands.
     mul_then_bin_same,
     (kind: FusedBin, a: &Lanes, b: &Lanes, c: &Lanes, d: &mut Lanes),
     {

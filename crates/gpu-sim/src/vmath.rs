@@ -1,195 +1,62 @@
-//! Batched vector math for the transcendental floor.
+//! The simulator's one `exp`.
 //!
-//! After the PR 6 lane kernels, ~75% of the DME-viscosity engine CTA is
-//! serialized scalar libm `exp` calls. This module gives the engine and
-//! interpreter one shared `exp` implementation with two selectable
-//! numerics, chosen **once per process**:
+//! The interpreter's fast path and the engine's exp micro-ops both run
+//! the lane kernel `lanes::exp`, whose body is `exp_poly`: a
+//! table-driven polynomial (range-reduce by `ln2/16`, a 16-entry
+//! `2^(j/16)` table, degree-7 Taylor/Horner in `mul_add`, scale by `2^e`
+//! with a single final rounding). `lane_kernel!` compiles that body at
+//! the baseline target, under AVX2+FMA (4 wide) and under AVX-512
+//! (8 wide), and picks one by CPUID.
 //!
-//! * **default** — every element goes through `f64::exp` (libm), exactly
-//!   as the interpreter always has. With the `vexp` cargo feature off
-//!   this is the *only* path, so default builds are bit-identical to
-//!   pre-vmath behavior.
-//! * **`vexp` feature + SIMD hardware** — a table-driven polynomial exp
-//!   (range-reduce by `ln2/16`, a 16-entry `2^(j/16)` table, degree-7
-//!   Taylor/Horner in `mul_add`, scale by `2^e` with a single final
-//!   rounding). On AVX-512 machines a hand-written 8-wide intrinsics
-//!   mirror runs (`exp_slice_avx512`: `vpermi2pd` keeps the whole
-//!   table in two zmm registers, `vscalefpd` does the final scale);
-//!   AVX2-only machines get the same scalar body autovectorized 4 wide.
-//!   Dispatch follows the `lane_kernel!` pattern: CPUID `OnceLock`
-//!   checks (`lanes::simd_ok` / `lanes::simd512_ok`)
-//!   and a per-process veto via `SINGE_VEXP=0`.
-//!
-//! Bit-exactness discipline: the polynomial body uses only exactly
-//! rounded operations (`+`, `-`, `*`, `mul_add`, compares, bit moves,
-//! table loads), so the baseline compilation, the AVX2 compilation, and
-//! the AVX-512 intrinsics mirror of the same algorithm produce
-//! identical bits — which implementation *family* is active changes the
-//! numerics, but within a process every `exp` call site (interpreter
-//! fast path, engine exp uop) agrees bit for bit. That is
-//! what keeps the engine-vs-interpreter differential suite green by
-//! construction with the feature on or off.
+//! Bit-exactness discipline: the body uses only exactly rounded
+//! operations (`+`, `-`, `*`, `mul_add`, compares, bit moves, table
+//! loads), so every compilation gives the same bits on every host, and
+//! the two executors agree bit for bit by construction. On an x86 host
+//! without FMA the baseline compilation's `mul_add` is a call to
+//! software `fma`: the same bits, slower. The result is
+//! within a few ulp of libm's `exp`, which the CPU reference keeps.
 
-use crate::lanes::Lanes;
+use crate::lanes::{self, Lanes};
+use crate::WARP_SIZE;
 
-/// Whether the polynomial exp is active for this process. `false`
-/// whenever the `vexp` feature is off; otherwise requires AVX2+FMA and
-/// honors a `SINGE_VEXP=0` veto. Decided once — lowered engine programs
-/// and cached results must not see the numerics change mid-process.
+/// Always `true`: the table-driven polynomial is the simulator's only
+/// `exp`. Kept so a run's record can still say which `exp` produced it.
 #[inline(always)]
 pub fn vexp_active() -> bool {
-    #[cfg(feature = "vexp")]
-    {
-        use std::sync::OnceLock;
-        static ON: OnceLock<bool> = OnceLock::new();
-        *ON.get_or_init(|| {
-            crate::lanes::simd_ok() && std::env::var("SINGE_VEXP").as_deref() != Ok("0")
-        })
-    }
-    #[cfg(not(feature = "vexp"))]
-    false
+    true
 }
 
-/// `out[i] = exp(xs[i])` for every element, through the process-wide
-/// implementation.
+/// `out[i] = exp(xs[i])` for every element, one warp chunk at a time
+/// through `lanes::exp` (a short tail is padded to a chunk).
 ///
-/// Position independence: `exp_slice` applies a pure per-element
-/// function, so `exp_slice(xs)[i] == exp1(xs[i])` bitwise regardless of
-/// slice length or alignment.
-#[inline]
+/// Position independence: `exp` is a pure per-element function, so
+/// `exp_slice(xs)[i] == exp1(xs[i])` bitwise regardless of slice length
+/// or alignment.
 pub fn exp_slice(xs: &[f64], out: &mut [f64]) {
     assert_eq!(xs.len(), out.len(), "exp_slice operand/result length mismatch");
-    #[cfg(all(feature = "vexp", target_arch = "x86_64"))]
-    if vexp_active() {
-        if crate::lanes::simd512_ok() {
-            // SAFETY: `simd512_ok` verified AVX-512 F+DQ via CPUID.
-            unsafe { exp_slice_avx512(xs, out) };
-            return;
+    for (x, o) in xs.chunks(WARP_SIZE).zip(out.chunks_mut(WARP_SIZE)) {
+        match (<&Lanes>::try_from(x), <&mut Lanes>::try_from(&mut *o)) {
+            (Ok(x), Ok(o)) => lanes::exp(x, o),
+            _ => {
+                let mut a = [0.0; WARP_SIZE];
+                a[..x.len()].copy_from_slice(x);
+                let mut r = [0.0; WARP_SIZE];
+                lanes::exp(&a, &mut r);
+                o.copy_from_slice(&r[..x.len()]);
+            }
         }
-        // SAFETY: `vexp_active` verified AVX2+FMA via CPUID.
-        unsafe { exp_slice_avx(xs, out) };
-        return;
-    }
-    for (o, x) in out.iter_mut().zip(xs) {
-        *o = x.exp();
     }
 }
 
-/// One warp chunk of `exp`, for the interpreter's `UnKind::Exp` fast
-/// path and the engine's exp uops.
-#[inline(always)]
-pub(crate) fn exp_lanes(a: &Lanes, out: &mut Lanes) {
-    exp_slice(a, out);
-}
-
-/// Single-value `exp` through the process-wide implementation: the
-/// element-wise reference [`exp_slice`] is tested against.
-#[inline]
+/// Single-value `exp`: [`exp_slice`] on one element.
 pub fn exp1(x: f64) -> f64 {
-    #[cfg(feature = "vexp")]
-    if vexp_active() {
-        // Outside the target_feature wrapper `mul_add` may fall back to
-        // libm `fma`, which is the same correctly-rounded operation —
-        // identical bits, just slower.
-        return exp_poly(x);
-    }
-    x.exp()
-}
-
-/// The AVX2+FMA compilation of the element loop, for AVX-512-less
-/// hardware. Keeping the loop in a small standalone `#[target_feature]`
-/// function is what lets LLVM vectorize it 4 lanes wide (see the
-/// `lane_kernel!` notes in [`crate::lanes`]).
-#[cfg(all(feature = "vexp", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exp_slice_avx(xs: &[f64], out: &mut [f64]) {
-    for (o, x) in out.iter_mut().zip(xs) {
-        *o = exp_poly(*x);
-    }
-}
-
-/// Hand-written 8-wide AVX-512 mirror of [`exp_poly`], instruction for
-/// instruction:
-///
-/// * the float ops are the same exactly rounded fma/mul/sub sequence;
-/// * the `vpermi2pd` two-register lookup returns exactly
-///   `EXP_TAB[ki & 15]` (the index uses the low 4 bits of each lane,
-///   which equal the scalar path's `(low 32 bits) & 15`);
-/// * `e = ki >> 4` is a 64-bit `slli 32` + `srai 36`, reproducing the
-///   scalar path's sign-extended arithmetic shift of the low 32 bits;
-/// * `vscalefpd(m, e)` computes `round(m·2^e)` with a single rounding —
-///   exactly the scalar path's `(m·s1)·s2`, whose first multiply is
-///   exact (see [`exp_poly`]). Overflow → +inf and gradual subnormal
-///   underflow agree because both are single-rounded.
-///
-/// Lanes where the two disagree on intermediate garbage (|x| large
-/// enough that the magic-trick `ki` differs from the float-side `e`,
-/// NaN) are exactly the lanes both paths overwrite with the same
-/// saturation blends, so observable results stay bit-identical.
-#[cfg(all(feature = "vexp", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn exp_slice_avx512(xs: &[f64], out: &mut [f64]) {
-    use std::arch::x86_64::*;
-
-    let tab_lo = _mm512_loadu_si512(EXP_TAB.as_ptr() as *const _);
-    let tab_hi = _mm512_loadu_si512(EXP_TAB.as_ptr().add(8) as *const _);
-    let invln2 = _mm512_set1_pd(INVLN2_16);
-    let magic = _mm512_set1_pd(MAGIC);
-    let nln2hi = _mm512_set1_pd(-LN2_16_HI);
-    let nln2lo = _mm512_set1_pd(-LN2_16_LO);
-    let one = _mm512_set1_pd(1.0);
-    let over = _mm512_set1_pd(OVER);
-    let under = _mm512_set1_pd(UNDER);
-    let inf = _mm512_set1_pd(f64::INFINITY);
-    let zero = _mm512_setzero_pd();
-    let fifteen = _mm512_set1_epi64(15);
-
-    let n = xs.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let x = _mm512_loadu_pd(xs.as_ptr().add(i));
-        let kf = _mm512_fmadd_pd(x, invln2, magic);
-        let k = _mm512_sub_pd(kf, magic);
-        let kbits = _mm512_castpd_si512(kf);
-        let r = _mm512_fmadd_pd(k, nln2hi, x);
-        let r = _mm512_fmadd_pd(k, nln2lo, r);
-
-        let mut p = _mm512_set1_pd(1.0 / 5_040.0);
-        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 720.0));
-        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 120.0));
-        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 24.0));
-        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 6.0));
-        p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(0.5));
-        p = _mm512_fmadd_pd(p, r, one);
-        p = _mm512_fmadd_pd(p, r, one);
-
-        let j = _mm512_and_epi64(kbits, fifteen);
-        let t = _mm512_castsi512_pd(_mm512_permutex2var_epi64(tab_lo, j, tab_hi));
-        let m = _mm512_mul_pd(p, t);
-        let e = _mm512_srai_epi64::<36>(_mm512_slli_epi64::<32>(kbits));
-        let v = _mm512_scalef_pd(m, _mm512_cvtepi64_pd(e));
-
-        let nan_m = _mm512_cmp_pd_mask::<_CMP_UNORD_Q>(x, x);
-        let over_m = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(x, over);
-        let under_m = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(x, under);
-        let v = _mm512_mask_blend_pd(over_m, v, inf);
-        let v = _mm512_mask_blend_pd(under_m, v, zero);
-        let v = _mm512_mask_blend_pd(nan_m, v, x);
-        _mm512_storeu_pd(out.as_mut_ptr().add(i), v);
-        i += 8;
-    }
-    while i < n {
-        *out.get_unchecked_mut(i) = exp_poly(*xs.get_unchecked(i));
-        i += 1;
-    }
+    let mut out = [0.0];
+    exp_slice(&[x], &mut out);
+    out[0]
 }
 
 /// Bits of `2^(j/16)` correctly rounded, `j = 0..16` — the classic
 /// 16-entry exp table (the same values glibc's `exp` tables carry).
-/// 16 entries is the sweet spot for the AVX-512 path: the whole table
-/// fits in two zmm registers, so the lookup is one `vpermi2pd` with no
-/// memory gather.
-#[cfg(feature = "vexp")]
 const EXP_TAB: [u64; 16] = [
     0x3FF0_0000_0000_0000, // 2^(0/16)
     0x3FF0_B558_6CF9_890F,
@@ -213,17 +80,11 @@ const EXP_TAB: [u64; 16] = [
 /// Cody–Waite split of `ln2/16` (HI has 27 trailing zero bits, so
 /// `k·LN2_16_HI` is exact for the full `|k| < 2^15` range reached by
 /// finite-exp arguments), and the saturation thresholds.
-#[cfg(feature = "vexp")]
 const INVLN2_16: f64 = f64::from_bits(0x4037_1547_652B_82FE);
-#[cfg(feature = "vexp")]
 const MAGIC: f64 = 6_755_399_441_055_744.0;
-#[cfg(feature = "vexp")]
 const LN2_16_HI: f64 = f64::from_bits(0x3FA6_2E42_F800_0000);
-#[cfg(feature = "vexp")]
 const LN2_16_LO: f64 = f64::from_bits(0x3E0B_E8E7_BCD5_E4F2);
-#[cfg(feature = "vexp")]
 const OVER: f64 = 709.782712893384;
-#[cfg(feature = "vexp")]
 const UNDER: f64 = -745.1332191019412;
 
 /// Table-driven polynomial `exp`: `x = k·(ln2/16) + r` with
@@ -236,13 +97,11 @@ const UNDER: f64 = -745.1332191019412;
 ///
 /// Every operation is exactly rounded and rounding-mode-independent in
 /// practice (the process never leaves round-to-nearest-even), so the
-/// baseline and AVX2 compilations of this body — and the hand-written
-/// AVX-512 mirror in [`exp_slice_avx512`] — are bit-identical. Accuracy
-/// is a few ulp — *not* correctly rounded and *not* equal to libm,
-/// which is why the whole family is feature-gated and process-global.
-#[cfg(feature = "vexp")]
+/// baseline, AVX2 and AVX-512 compilations of this body are
+/// bit-identical. Accuracy is a few ulp: *not* correctly rounded and
+/// *not* equal to libm.
 #[inline(always)]
-fn exp_poly(x: f64) -> f64 {
+pub(crate) fn exp_poly(x: f64) -> f64 {
     let kf = x.mul_add(INVLN2_16, MAGIC);
     let k = kf - MAGIC;
     // Two's-complement k sits in the low mantissa bits of kf. Garbage
@@ -267,8 +126,6 @@ fn exp_poly(x: f64) -> f64 {
     // `m·s1` stays normal (|m| ∈ (2^-1, 2^1.1)) so the first multiply
     // is exact, and the second rounds once — into the subnormal range
     // when e is deeply negative, to +inf past the overflow threshold.
-    // One exact multiply + one rounding of `m·2^e` is precisely what
-    // AVX-512 `vscalefpd` computes, so the mirror stays bit-identical.
     let e = ki >> 4;
     let e1 = e >> 1;
     let e2 = e - e1;
@@ -292,7 +149,6 @@ fn exp_poly(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WARP_SIZE;
 
     /// Bit patterns that exercise every special-value class, mirroring
     /// the differential corpus in `tests/engine_prop.rs`.
@@ -340,27 +196,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exp_lanes_matches_exp_slice() {
-        let xs = corpus();
-        let mut a = [0.0; WARP_SIZE];
-        for (l, slot) in a.iter_mut().enumerate() {
-            *slot = xs[l % xs.len()];
-        }
-        let mut chunk = [0.0; WARP_SIZE];
-        let mut flat = [0.0; WARP_SIZE];
-        exp_lanes(&a, &mut chunk);
-        exp_slice(&a, &mut flat);
-        for l in 0..WARP_SIZE {
-            assert_eq!(chunk[l].to_bits(), flat[l].to_bits(), "lane {l}");
-        }
+    /// The dense sweep: pseudo-random arguments over the finite-exp
+    /// range and its under/overflow edges, plus raw bit patterns.
+    fn sweep() -> Vec<f64> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            // xorshift64* — deterministic, no dev-dependency.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        (0..4096)
+            .map(|i| {
+                let u = next();
+                if i % 4 == 0 {
+                    f64::from_bits(u) // raw bits: NaNs, infs, subnormals, huge
+                } else {
+                    // Uniform over [-760, 730]: spans under/overflow edges
+                    // and the entire finite-result range.
+                    (u >> 11) as f64 / (1u64 << 53) as f64 * 1490.0 - 760.0
+                }
+            })
+            .collect()
     }
 
     #[test]
     fn special_values_behave() {
-        // Whatever family is active: exp(NaN) is NaN, exp(+inf)=+inf,
-        // exp(-inf)=0, exp(±0)=1, overflow saturates to +inf, deep
-        // underflow to +0.
+        // exp(NaN) is NaN, exp(+inf)=+inf, exp(-inf)=0, exp(±0)=1,
+        // overflow saturates to +inf, deep underflow to +0.
         assert!(exp1(f64::NAN).is_nan());
         assert_eq!(exp1(f64::INFINITY), f64::INFINITY);
         assert_eq!(exp1(f64::NEG_INFINITY).to_bits(), 0.0f64.to_bits());
@@ -373,61 +237,52 @@ mod tests {
     }
 
     #[test]
-    fn dense_sweep_slice_matches_scalar_and_stays_close_to_libm() {
-        // The AVX-512 mirror is hand-written intrinsics, so exercise it
-        // (or whichever path dispatch picked) against the scalar body on
-        // a dense pseudo-random sweep of the finite-exp argument range
-        // plus raw bit patterns, all lengths crossing the 8-wide blocks.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            // xorshift64* — deterministic, no dev-dependency.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        let mut xs = Vec::with_capacity(4096);
-        for i in 0..4096 {
-            let u = next();
-            let x = if i % 4 == 0 {
-                f64::from_bits(u) // raw bits: NaNs, infs, subnormals, huge
-            } else {
-                // Uniform over [-760, 730]: spans under/overflow edges
-                // and the entire finite-result range.
-                (u >> 11) as f64 / (1u64 << 53) as f64 * 1490.0 - 760.0
-            };
-            xs.push(x);
-        }
-        let mut out = vec![0.0; xs.len()];
-        exp_slice(&xs, &mut out);
-        for (i, (&x, &o)) in xs.iter().zip(&out).enumerate() {
-            assert_eq!(o.to_bits(), exp1(x).to_bits(), "elem {i} x={x:e}");
-            let want = x.exp();
-            if vexp_active() {
-                if want.is_finite() && want.is_normal() {
-                    let ulps = (o.to_bits() as i64 - want.to_bits() as i64).unsigned_abs();
-                    assert!(ulps <= 4, "elem {i} x={x:e} got={o:e} want={want:e} ulps={ulps}");
+    fn every_compiled_tier_gives_the_same_bits() {
+        // The dispatcher runs only the widest compilation the host has, so
+        // each one this host can run is called directly here and held to
+        // the scalar body on the corpus and the dense sweep.
+        let xs: Vec<f64> = corpus().into_iter().chain(sweep()).collect();
+        for chunk in xs.chunks(WARP_SIZE) {
+            let mut a = [0.0; WARP_SIZE];
+            a[..chunk.len()].copy_from_slice(chunk);
+            let mut want = [0.0; WARP_SIZE];
+            lanes::exp::body(&a, &mut want);
+            let mut got = vec![("dispatched", [0.0; WARP_SIZE])];
+            lanes::exp(&a, &mut got[0].1);
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut out = [0.0; WARP_SIZE];
+                if lanes::simd_ok() {
+                    // SAFETY: `simd_ok` verified AVX2+FMA via CPUID.
+                    unsafe { lanes::exp::avx2(&a, &mut out) };
+                    got.push(("avx2", out));
                 }
-            } else {
-                assert_eq!(o.to_bits(), want.to_bits(), "elem {i} x={x:e}");
+                if lanes::simd512_ok() {
+                    // SAFETY: `simd512_ok` verified AVX-512 via CPUID.
+                    unsafe { lanes::exp::avx512(&a, &mut out) };
+                    got.push(("avx512", out));
+                }
+            }
+            for (tier, out) in &got {
+                for l in 0..WARP_SIZE {
+                    assert_eq!(out[l].to_bits(), want[l].to_bits(), "{tier} x={:e}", a[l]);
+                }
             }
         }
     }
 
     #[test]
-    fn close_to_libm_when_active() {
-        // The polynomial family is allowed to differ from libm, but only
-        // by a few ulp on finite results; the libm family must be exact.
-        for &x in &corpus() {
-            let got = exp1(x);
+    fn stays_within_four_ulp_of_libm() {
+        // The polynomial differs from libm, but only by a few ulp on
+        // normal finite results.
+        let xs: Vec<f64> = corpus().into_iter().chain(sweep()).collect();
+        let mut out = vec![0.0; xs.len()];
+        exp_slice(&xs, &mut out);
+        for (i, (&x, &got)) in xs.iter().zip(&out).enumerate() {
             let want = x.exp();
-            if vexp_active() {
-                if want.is_finite() && want > 0.0 && want.is_normal() {
-                    let ulps = (got.to_bits() as i64 - want.to_bits() as i64).unsigned_abs();
-                    assert!(ulps <= 4, "x={x:e} got={got:e} want={want:e} ulps={ulps}");
-                }
-            } else {
-                assert_eq!(got.to_bits(), want.to_bits(), "x={x:e}");
+            if want.is_finite() && want.is_normal() {
+                let ulps = (got.to_bits() as i64 - want.to_bits() as i64).unsigned_abs();
+                assert!(ulps <= 4, "elem {i} x={x:e} got={got:e} want={want:e} ulps={ulps}");
             }
         }
     }

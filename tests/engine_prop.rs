@@ -457,10 +457,9 @@ proptest! {
     /// Exp-heavy streams: adjacent groups, dependent chains, repeats,
     /// `exp(a)*exp(b)` products, saturation edges, and predicated lanes
     /// all stay bit-identical — EventCounts included —
-    /// between the engine and the profiled interpreter. Runs under
-    /// whichever exp family the build selected (libm by default, the
-    /// vectorized vmath kernel with `--features vexp`); CI exercises
-    /// both, and within a process the two executors must always agree.
+    /// between the engine and the profiled interpreter, which share the
+    /// one `exp` (`gpu_sim::vmath`'s polynomial, whichever compilation of
+    /// it the host dispatches to).
     #[test]
     fn exp_heavy_streams_match_interpreter_bit_for_bit(
         bursts in proptest::collection::vec(0u64..u64::MAX, 4..20),
