@@ -51,11 +51,14 @@ impl ConstCache {
     /// which hoists the per-access LRU walk out of its inner loop by
     /// recording each segment's line sequence at lowering time; hit/miss
     /// totals and the final LRU state are identical to issuing the same
-    /// accesses one at a time through [`ConstCache::access`].
-    pub fn access_script(&mut self, line_tags: &[u64]) {
+    /// accesses one at a time through [`ConstCache::access`]. Returns the
+    /// misses the script took.
+    pub fn access_script(&mut self, line_tags: &[u64]) -> u64 {
+        let before = self.misses;
         for &tag in line_tags {
             self.access(tag * self.line_bytes as u64);
         }
+        self.misses - before
     }
 
     /// Hits so far.

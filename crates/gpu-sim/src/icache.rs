@@ -15,6 +15,13 @@
 //! walker over a flattened program's rolled streams, where a loop body's
 //! addresses are stored once and handed out again for every trip. The
 //! inner loop walks slices either way.
+//!
+//! Most fetches are to the line the fetch before touched — eight or more
+//! instructions share a line, and a warp fetches a run of them. That line
+//! is the most recent of its set, so such a fetch is a hit that moves
+//! nothing: [`ICache::fetch`] counts it and returns before the set is
+//! looked at. The sets themselves are one flat array of `assoc` tags each,
+//! rotated in place.
 
 /// Set-associative LRU instruction cache.
 #[derive(Debug, Clone)]
@@ -22,8 +29,12 @@ pub struct ICache {
     line_bytes: usize,
     sets: usize,
     assoc: usize,
-    /// `ways[set]` holds resident tags in LRU order.
-    ways: Vec<Vec<u64>>,
+    /// Set `s` is `tags[s * assoc..][..assoc]`: its first `filled[s]` ways
+    /// hold resident tags, most recently used first.
+    tags: Vec<u64>,
+    filled: Vec<usize>,
+    /// The line the previous fetch touched, if any.
+    last: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -37,30 +48,46 @@ impl ICache {
             line_bytes,
             sets,
             assoc,
-            ways: vec![Vec::new(); sets],
+            tags: vec![0; sets * assoc],
+            filled: vec![0; sets],
+            last: None,
             hits: 0,
             misses: 0,
         }
     }
 
     /// Fetch the line containing `byte_addr`; returns true on hit.
+    #[inline]
     pub fn fetch(&mut self, byte_addr: u64) -> bool {
         let line = byte_addr / self.line_bytes as u64;
-        let set = (line % self.sets as u64) as usize;
-        let ways = &mut self.ways[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            ways.remove(pos);
-            ways.insert(0, line);
+        if self.last == Some(line) {
+            // Already the most recent way of its set: a hit that changes
+            // no LRU state.
             self.hits += 1;
-            true
-        } else {
-            ways.insert(0, line);
-            if ways.len() > self.assoc {
-                ways.pop();
-            }
-            self.misses += 1;
-            false
+            return true;
         }
+        self.last = Some(line);
+        let set = (line % self.sets as u64) as usize;
+        let ways = &mut self.tags[set * self.assoc..][..self.assoc];
+        let filled = &mut self.filled[set];
+        // The way that goes to the front: the hit, else the first free way,
+        // else the least recently used — which the miss evicts.
+        let (hit, at) = match ways[..*filled].iter().position(|&t| t == line) {
+            Some(at) => (true, at),
+            None if *filled < self.assoc => {
+                *filled += 1;
+                (false, *filled - 1)
+            }
+            None => (false, self.assoc - 1),
+        };
+        ways[..=at].rotate_right(1);
+        ways[0] = line;
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
     }
 
     /// Hits so far.
@@ -162,6 +189,159 @@ pub fn interleaved_fetch_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cache as first written, kept as the oracle of [`ICache`]: a
+    /// `Vec` of tags per set in LRU order, every fetch looked up in its set.
+    struct RefICache {
+        line_bytes: usize,
+        sets: usize,
+        assoc: usize,
+        ways: Vec<Vec<u64>>,
+    }
+
+    impl RefICache {
+        fn new(capacity_bytes: usize, line_bytes: usize, assoc: usize) -> RefICache {
+            let lines = (capacity_bytes / line_bytes).max(assoc);
+            let sets = (lines / assoc).max(1);
+            RefICache { line_bytes, sets, assoc, ways: vec![Vec::new(); sets] }
+        }
+
+        fn fetch(&mut self, byte_addr: u64) -> bool {
+            let line = byte_addr / self.line_bytes as u64;
+            let set = (line % self.sets as u64) as usize;
+            let ways = &mut self.ways[set];
+            if let Some(pos) = ways.iter().position(|&t| t == line) {
+                ways.remove(pos);
+                ways.insert(0, line);
+                true
+            } else {
+                ways.insert(0, line);
+                if ways.len() > self.assoc {
+                    ways.pop();
+                }
+                false
+            }
+        }
+    }
+
+    /// [`interleaved_fetch_profile`] spelled out over the reference cache:
+    /// `group` fetches a warp, round-robin, until every stream is spent.
+    /// Also returns how many fetches touched the line the previous fetch
+    /// did, when that fetch was another warp's.
+    fn reference_profile(
+        streams: &[Vec<u32>],
+        instr_bytes: usize,
+        capacity_bytes: usize,
+        line_bytes: usize,
+        assoc: usize,
+        group: usize,
+    ) -> (FetchProfile, u64) {
+        let mut cache = RefICache::new(capacity_bytes, line_bytes, assoc);
+        let mut p = FetchProfile { per_warp_misses: vec![0; streams.len()], ..Default::default() };
+        let mut pos = vec![0; streams.len()];
+        let (mut prev, mut straddles) = (None, 0);
+        while pos.iter().zip(streams).any(|(&at, s)| at < s.len()) {
+            for (w, s) in streams.iter().enumerate() {
+                let end = (pos[w] + group).min(s.len());
+                for &addr in &s[pos[w]..end] {
+                    let byte = u64::from(addr) * instr_bytes as u64;
+                    let line = byte / line_bytes as u64;
+                    straddles += u64::from(prev.is_some_and(|(pw, pl)| pw != w && pl == line));
+                    prev = Some((w, line));
+                    p.fetches += 1;
+                    if !cache.fetch(byte) {
+                        p.misses += 1;
+                        p.per_warp_misses[w] += 1;
+                    }
+                }
+                pos[w] = end;
+            }
+        }
+        (p, straddles)
+    }
+
+    /// Seeded xorshift: a value below `n`.
+    fn below(x: &mut u64, n: usize) -> usize {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        (*x % n as u64) as usize
+    }
+
+    /// Random per-warp streams the way kernels fetch: straight runs of
+    /// 1-300 instructions, each starting at a fresh place in a small
+    /// footprint, at another warp's current place (shared code, so a run
+    /// of one line often straddles a rotation), or back where the warp's
+    /// previous run began (a loop).
+    fn random_streams(x: &mut u64) -> Vec<Vec<u32>> {
+        let warps = 1 + below(x, 8);
+        let footprint = 16 + below(x, 4096);
+        let mut streams: Vec<Vec<u32>> = vec![Vec::new(); warps];
+        let mut run_start = vec![0u32; warps];
+        for _ in 0..(1 + below(x, 12)) {
+            for w in 0..warps {
+                let start = match below(x, 3) {
+                    0 => below(x, footprint) as u32,
+                    1 => streams[below(x, warps)].last().map_or(0, |&a| a + 1),
+                    _ => run_start[w],
+                };
+                run_start[w] = start;
+                let len = 1 + below(x, 300) as u32;
+                streams[w].extend(start..start + len);
+            }
+        }
+        streams
+    }
+
+    #[test]
+    fn the_flat_cache_is_the_reference_lru_on_random_streams() {
+        // Associativity 1-8, lines of 16-128 B, 8- and 16-byte
+        // instructions, 1-16 sets and a capacity that is not always a
+        // multiple of them, and prefetch runs of 1-256 instructions.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut straddles = 0;
+        for case in 0..400 {
+            let streams = random_streams(&mut x);
+            let assoc = 1 + below(&mut x, 8);
+            let line_bytes = 16 << below(&mut x, 4);
+            let instr_bytes = [8, 16][below(&mut x, 2)];
+            let capacity = line_bytes * (assoc * (1 + below(&mut x, 16)) + below(&mut x, assoc));
+            let group = match case % 4 {
+                0 => 1,
+                1 => 256,
+                _ => 1 + below(&mut x, 256),
+            };
+            let (want, s) =
+                reference_profile(&streams, instr_bytes, capacity, line_bytes, assoc, group);
+            straddles += s;
+            let mut slices: Vec<&[u32]> = streams.iter().map(Vec::as_slice).collect();
+            let got = interleaved_fetch_profile(
+                &mut slices, instr_bytes, capacity, line_bytes, assoc, group,
+            );
+            assert_eq!(
+                got, want,
+                "case {case}: assoc {assoc}, {line_bytes} B lines, {instr_bytes} B instrs, \
+                 {capacity} B, group {group}"
+            );
+        }
+        // The corpus does reach a same-line fetch across a rotation.
+        assert!(straddles > 1000, "{straddles} straddling fetches");
+    }
+
+    #[test]
+    fn a_same_line_fetch_after_a_rotation_is_a_hit() {
+        // Two warps in one 64-byte line (8-byte instructions), a rotation
+        // every 3: warp 1's first fetch follows warp 0's into the same
+        // line, and the second pass over warp 0's line, after warp 1
+        // touched another line, is looked up again and hits.
+        let streams = [vec![0, 1, 2, 3, 4, 5], vec![6, 7, 8, 9]];
+        let mut slices: Vec<&[u32]> = streams.iter().map(Vec::as_slice).collect();
+        let got = interleaved_fetch_profile(&mut slices, 8, 128, 64, 1, 3);
+        // Lines: 0 0 0 | 0 0 1 | 0 0 0 | 1. The cache is direct-mapped
+        // with two sets, so line 1 (set 1) leaves line 0 (set 0) resident.
+        assert_eq!(got, FetchProfile { fetches: 10, misses: 2, per_warp_misses: vec![1, 1] });
+        assert_eq!(reference_profile(&streams, 8, 128, 64, 1, 3).0, got);
+    }
 
     /// `(fetches, misses)` of the simulation over plain address vectors.
     fn interleaved_fetch_trace(

@@ -6,7 +6,8 @@
 //! the CTA's memory are `crate::cta`'s, shared with the engine and the
 //! model; the interpreter is the stepper that runs a warp an instruction at
 //! a time (`step_warp`), evaluating index arithmetic and addresses through
-//! [`crate::isa`] as it goes, with a profiler hook at every instruction. All
+//! [`crate::isa`] as it goes, with a profiler hook at every instruction
+//! (the reference the engine's per-segment attribution is held to). All
 //! 32 lanes of a warp execute each instruction in lock step.
 //!
 //! While executing, the interpreter gathers the event counts the timing
@@ -1076,11 +1077,12 @@ struct WarpState {
 /// the point range `[cta * points_per_cta, ...)`. When `collect` is true,
 /// event counts (including cache simulations) are gathered.
 ///
-/// This is a thin dispatcher: unprofiled runs execute on the
-/// segment-compiled engine (`crate::engine`), which is differential-
-/// tested bit-identical against the interpreter; profiled runs
-/// ([`run_cta_profiled`] with `Some`) stay on the interpreter, whose
-/// per-instruction hooks cycle attribution needs.
+/// This is a thin dispatcher onto the segment-compiled engine
+/// (`crate::engine`), which is differential-tested bit-identical against
+/// the interpreter ([`run_cta_profiled`]). A profiled launch
+/// ([`crate::launch::LaunchConfig::profile`]) runs on the engine too: a
+/// warp's cycle clock is read only at segment boundaries, so charging a
+/// segment's cycles at once gives the interpreter's attribution exactly.
 pub fn run_cta(
     kernel: &Kernel,
     prog: &FlatProgram,
@@ -1091,16 +1093,19 @@ pub fn run_cta(
     arch: &crate::arch::GpuArch,
 ) -> SimResult<CtaResult> {
     let eng = crate::flatcache::engine_cached(kernel, prog);
-    crate::engine::run_cta_engine(kernel, &eng, prog, inputs, total_points, cta, collect, arch)
+    crate::engine::run_cta_engine(kernel, &eng, prog, inputs, total_points, cta, collect, arch, None)
 }
 
 /// [`run_cta`] semantics with an optional cycle-attribution profiler
 /// attached (see [`crate::profile`]). Passing a profiler forces event
 /// collection (attribution needs the cache simulations). Unlike
-/// [`run_cta`], this always runs the per-instruction interpreter — with
-/// `None` it is the engine's differential reference. The CTA itself — the
-/// barrier protocol, the round-robin, the memory — is `crate::cta`'s,
-/// shared with the engine; this stepper is `step_warp`.
+/// [`run_cta`], this always runs the per-instruction interpreter, which
+/// charges the profiler an instruction at a time: it is the engine's
+/// differential reference, for outputs, `EventCounts` and errors with
+/// `None`, and for the profile with `Some`. No shipped path profiles here;
+/// the engine charges the same cycles a segment at a time. The CTA itself
+/// — the barrier protocol, the round-robin, the memory — is
+/// `crate::cta`'s, shared with the engine; this stepper is `step_warp`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cta_profiled(
     kernel: &Kernel,

@@ -442,18 +442,10 @@ pub fn predict_flat(
             pos[w] += 1;
             ran = true;
             let p = sched.profiler.as_deref_mut().expect("the replay carries a profiler");
-            if seg.issue > 0 {
-                p.on_issue(w, seg.issue);
-            }
-            if seg.overhead > 0 {
-                p.on_overhead(w, seg.overhead);
-            }
-            if seg.const_lines > seg.const_ops || seg.const_misses > 0 {
-                // Replay cost is (lines - 1) + misses * latency per
-                // op; aggregated over the segment that is
-                // (const_lines - const_ops) + const_misses * latency.
-                p.on_const_replay(w, seg.const_lines - seg.const_ops + 1, seg.const_misses);
-            }
+            // Every load touches one line or more: its replay is the
+            // lines past its first.
+            let replay_lines = seg.const_lines - seg.const_ops;
+            p.on_segment(w, seg.issue, seg.overhead, replay_lines, seg.const_misses);
             if let Some(bar) = seg.bar {
                 if sched.barrier(w, bar)? {
                     return Ok(ran);

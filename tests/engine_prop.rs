@@ -26,6 +26,7 @@ use chemkin::state::{GridDims, GridState};
 use chemkin::synth;
 use gpu_sim::arch::GpuArch;
 use gpu_sim::interp::{run_cta, run_cta_profiled};
+use gpu_sim::profile::Profiler;
 use gpu_sim::{flatten_cached, LaunchConfig, LaunchInputs, LaunchMode};
 use proptest::prelude::*;
 use singe::config::CompileOptions;
@@ -120,6 +121,22 @@ proptest! {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
                 }
             }
+        }
+
+        // A profiled launch runs CTA 0 on the engine, charging each
+        // segment's cycles at once: the same profile as the interpreter's
+        // instruction-at-a-time hooks, with and without trace events.
+        for trace_events in [false, true] {
+            let cfg = LaunchConfig { mode: LaunchMode::TimingOnly, profile: true, trace_events, jobs: 1 };
+            let out = gpu_sim::launch::launch_flat(
+                &kernel, &prog, &arch, &LaunchInputs { arrays: arrays.clone() }, total, cfg,
+            )
+            .expect("profiled launch runs");
+            let bars = kernel.barriers_used.max(16);
+            let mut p = Profiler::new(kernel.warps_per_cta, bars, trace_events, &arch);
+            run_cta_profiled(&kernel, &prog, &arrays, total, 0, true, &arch, Some(&mut p))
+                .expect("interpreter runs");
+            prop_assert_eq!(out.profile.expect("profile requested"), p.finish());
         }
     }
 
